@@ -4,11 +4,13 @@
    N tenants each own an 8-resource fleet.  All tenants submit their
    apply request at t=0, out-of-band drift is injected while the
    service runs, and a policy controller ticks throughout.  The same
-   scenario drives two service configurations:
+   scenario drives two service configurations, each on a one-shard
+   {!Fleet}:
 
    - cloudless: per-deployment lock admission (disjoint tenants run
-     concurrently), log-tailer drift detection (zero management reads),
-     reconciles scoped to the impact subgraph;
+     concurrently), push-based drift detection through the activity-log
+     subscription (zero management reads), reconciles scoped to the
+     impact subgraph;
    - baseline: one global lock (all work serializes in FIFO order),
      a full state refresh before every apply, and periodic scan sweeps
      that Read every tracked resource.
@@ -24,10 +26,10 @@
 
    - per-deployment admission beats the global lock on p99 with the
      gap growing roughly k-fold in the tenant count (per E3);
-   - log-tailer drift latency stays flat (~one poll period) while the
-     baseline's sweep-based detection degrades with fleet size as
-     sweeps queue behind the global lock, and its read bill grows
-     without bound (per E5);
+   - push-based drift detection is instant, while the baseline's
+     sweep-based detection degrades with fleet size as sweeps queue
+     behind the global lock, and its read bill is at least 10x the
+     control plane's (per E5);
    - a crash mid-service resumes to exactly the expected fleets with
      zero orphans and zero duplicate creates (per E13);
    - two identical runs export byte-identical metrics snapshots.
@@ -40,7 +42,8 @@ module Activity_log = Cloudless_sim.Activity_log
 module Rate_limiter = Cloudless_sim.Rate_limiter
 module Failure = Cloudless_sim.Failure
 module Cloud_rules = Cloudless_schema.Cloud_rules
-module Control_plane = Cloudless_controlplane.Control_plane
+module Shard = Cloudless_controlplane.Shard
+module Fleet = Cloudless_controlplane.Fleet
 module Scenario = Cloudless_controlplane.Scenario
 module Metrics = Cloudless_obs.Metrics
 
@@ -58,6 +61,7 @@ let scenario tenants =
   {
     Scenario.default with
     Scenario.tenants;
+    shards = 1;
     deployments_per_tenant = 1;
     resources;
     requests_per_tenant = 1;
@@ -71,13 +75,13 @@ let scenario tenants =
 let run_service ?crash ~preset ~scn ~seed () =
   let cloud = service_cloud ~seed in
   let config = Scenario.service_config scn preset in
-  let cp = ref (Control_plane.create ~cloud config) in
-  let injections = Scenario.install scn cp in
+  let cp = ref (Fleet.create ~cloud ~shards:scn.Scenario.shards config) in
+  let injections = Scenario.install_fleet scn cp in
   (match crash with
-  | Some k -> Control_plane.set_crash !cp (Failure.Crash_after k)
+  | Some k -> Fleet.set_crash !cp (Failure.Crash_after k)
   | None -> ());
   let crashed =
-    match Control_plane.run !cp ~until:scn.Scenario.duration with
+    match Fleet.run !cp ~until:scn.Scenario.duration with
     | () -> false
     | exception Failure.Engine_crashed _ -> true
   in
@@ -86,7 +90,7 @@ let run_service ?crash ~preset ~scn ~seed () =
 (* Join the scenario's injection log with the service's detection log:
    latency of the first detection at or after each injection. *)
 let drift_latencies cp injections =
-  let detections = Control_plane.drift_detections cp in
+  let detections = Fleet.drift_detections cp in
   List.map
     (fun (inj : Scenario.injection) ->
       match
@@ -129,14 +133,14 @@ let measure_leg ~preset ~scn ~seed =
   let cp, injections, crashed = run_service ~preset ~scn ~seed () in
   if crashed then failwith "e14: unexpected crash in measurement leg";
   let cp = !cp in
-  let m = Control_plane.metrics cp in
+  let m = Fleet.metrics cp in
   let expected = scn.Scenario.tenants * scn.Scenario.requests_per_tenant in
   if Metrics.counter m "requests_done" <> expected then
     failwith
       (Printf.sprintf "e14: %d/%d requests completed"
          (Metrics.counter m "requests_done")
          expected);
-  if Control_plane.orphans cp <> [] then failwith "e14: orphaned resources";
+  if Fleet.orphans cp <> [] then failwith "e14: orphaned resources";
   if List.length injections <> scn.Scenario.drift_events then
     failwith "e14: not all drift injections fired";
   if Metrics.counter m "policy_ticks" = 0 then failwith "e14: policy never ticked";
@@ -148,12 +152,14 @@ let measure_leg ~preset ~scn ~seed =
   in
   let makespan =
     List.fold_left
-      (fun acc (_, at) -> Float.max acc at)
+      (fun acc (_, _, at) -> Float.max acc at)
       0.
-      (Control_plane.completed_requests cp)
+      (Fleet.completed_requests cp)
   in
-  let _, lock_waits =
-    Cloudless_lock.Lock_manager.stats (Control_plane.lock cp)
+  let lock_waits =
+    List.fold_left
+      (fun acc s -> acc + snd (Cloudless_lock.Lock_manager.stats (Shard.lock s)))
+      0 (Fleet.shards cp)
   in
   {
     p50 = pctl "request_latency" 50.;
@@ -202,30 +208,25 @@ let run_crash_leg ~seed =
   in
   let crash_after = 30 in
   let cp_ref, _, crashed =
-    run_service ~crash:crash_after ~preset:Control_plane.cloudless_service
-      ~scn ~seed ()
+    run_service ~crash:crash_after ~preset:Shard.fleet_service ~scn ~seed ()
   in
   if not crashed then failwith "e14: crash leg did not crash";
-  let fresh, _reports = Control_plane.resume !cp_ref in
+  let fresh, _reports = Fleet.resume !cp_ref in
   cp_ref := fresh;
-  Control_plane.run fresh ~until:scn.Scenario.duration;
+  Fleet.run fresh ~until:scn.Scenario.duration;
   let expected_managed = tenants * resources in
-  let managed = Control_plane.managed_resource_count fresh in
-  let dup_creates = engine_creates (Control_plane.cloud fresh) - managed in
+  let managed = Fleet.managed_resource_count fresh in
+  let dup_creates = engine_creates (Fleet.cloud fresh) - managed in
   let replans_empty =
     List.for_all
-      (fun (d : Control_plane.deployment) ->
-        let instances =
-          Control_plane.expand ~state:d.Control_plane.state
-            d.Control_plane.config_src
-        in
-        Plan.is_empty
-          (Plan.make ~state:d.Control_plane.state instances))
-      (Control_plane.deployments fresh)
+      (fun (d : Shard.deployment) ->
+        let instances = Shard.expand ~state:d.Shard.state d.Shard.config_src in
+        Plan.is_empty (Plan.make ~state:d.Shard.state instances))
+      (Fleet.deployments fresh)
   in
   {
     crash_after;
-    orphans = List.length (Control_plane.orphans fresh);
+    orphans = List.length (Fleet.orphans fresh);
     dup_creates;
     managed;
     expected_managed;
@@ -236,10 +237,9 @@ let run_crash_leg ~seed =
 
 let snapshot_of_run ~seed =
   let cp_ref, _, _ =
-    run_service ~preset:Control_plane.cloudless_service ~scn:(scenario 4)
-      ~seed ()
+    run_service ~preset:Shard.fleet_service ~scn:(scenario 4) ~seed ()
   in
-  Metrics.to_json (Control_plane.metrics !cp_ref)
+  Metrics.to_json (Fleet.metrics !cp_ref)
 
 (* --- JSON ---------------------------------------------------------- *)
 
@@ -276,7 +276,7 @@ let write_json ~quick ~samples ~(crash : crash_result) ~determinism_ok =
      \"dup_creates\": %d, \"managed\": %d, \"expected_managed\": %d, \
      \"replans_empty\": %b},\n\
     \  \"summary\": {\"cp_wins_p99_everywhere\": true, \
-     \"p99_gap_grows\": true, \"tailer_latency_flat\": true, \
+     \"p99_gap_grows\": true, \"push_detection_instant\": true, \
      \"determinism_ok\": %b}\n\
      }\n"
     quick resources drift_period
@@ -300,14 +300,11 @@ let assert_claims samples crash determinism_ok =
         failwith "e14: per-resource admission produced lock waits";
       if s.base.lock_waits < s.tenants - 1 then
         failwith "e14: global lock produced no serialization";
-      (* tailer detection within ~one poll period; scan-based detection
-         pays at least as much *)
-      if s.cp.drift_max > 1.5 *. drift_period then
-        failwith "e14: tailer drift latency exceeded 1.5 poll periods";
-      if s.base.drift_p50 < s.cp.drift_p50 then
-        failwith "e14: scan-based detection beat the log tailer";
-      (* management reads: the tailer reads nothing to detect; scoped
-         reconciles read a few rows; sweeps read the world *)
+      (* push detection classifies each entry at its append instant *)
+      if s.cp.drift_max <> 0. then
+        failwith "e14: push drift detection was not instant";
+      (* management reads: detection reads nothing; scoped reconciles
+         read a few rows; sweeps read the world *)
       if s.base.mgmt_reads < 10 * max 1 s.cp.mgmt_reads then
         failwith "e14: baseline read amplification below 10x")
     samples;
@@ -319,8 +316,6 @@ let assert_claims samples crash determinism_ok =
       (* k-fold: the serialized backlog scales with the tenant count *)
       if last.base.p99 /. last.cp.p99 < float_of_int last.tenants /. 3. then
         failwith "e14: p99 gap not in the k-fold regime";
-      if last.cp.drift_p50 > 2. *. Float.max 1. first.cp.drift_p50 then
-        failwith "e14: tailer latency not flat across tenant counts";
       if last.base.drift_max <= first.base.drift_max then
         failwith "e14: scan detection latency did not degrade with scale"
   | _ -> ());
@@ -354,10 +349,10 @@ let run () =
       (fun tenants ->
         let scn = scenario tenants in
         let cp =
-          measure_leg ~preset:Control_plane.cloudless_service ~scn ~seed
+          measure_leg ~preset:Shard.fleet_service ~scn ~seed
         in
         let base =
-          measure_leg ~preset:Control_plane.baseline_service ~scn ~seed
+          measure_leg ~preset:Shard.baseline_service ~scn ~seed
         in
         row widths
           [

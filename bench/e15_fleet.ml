@@ -3,16 +3,13 @@
    N tenants spread over a fleet of shards (consistent-hash placement),
    all submitting their apply request at t=0, with out-of-band drift
    injected while the fleet runs.  Drift detection is push-based: one
-   multiplexed activity-log subscription per shard replaces the
-   per-deployment tailer polling of the E14 engine.  The bench asserts
-   the E15 claims on its own output:
+   multiplexed activity-log subscription per shard, with no polling of
+   the log at all.  The bench asserts the E15 claims on its own
+   output:
 
    - scale-out is free: request p99 and drift-detection p50 stay within
      1.5x of the single-shard run as the shard count grows 1 -> 8 (the
      work is tenant-disjoint; sharding must not add latency);
-   - the management-read bill collapses: subscriptions never poll, so
-     fleet mgmt reads (api_reads + log_polls) are >= 10x below the
-     tailer-polling single-loop engine on the same scenario;
    - cross-shard drift routing works: the shard that classifies a log
      entry is (usually) not the tenant's owner, and the routed events
      still reconcile -- every injection is detected, instantly;
@@ -34,7 +31,6 @@ module Activity_log = Cloudless_sim.Activity_log
 module Rate_limiter = Cloudless_sim.Rate_limiter
 module Failure = Cloudless_sim.Failure
 module Cloud_rules = Cloudless_schema.Cloud_rules
-module Control_plane = Cloudless_controlplane.Control_plane
 module Shard = Cloudless_controlplane.Shard
 module Fleet = Cloudless_controlplane.Fleet
 module Scenario = Cloudless_controlplane.Scenario
@@ -139,8 +135,6 @@ let measure_fleet_leg ~scn ~seed =
   if Fleet.orphans fleet <> [] then failwith "e15: orphaned resources";
   if List.length injections <> scn.Scenario.drift_events then
     failwith "e15: not all drift injections fired";
-  if Metrics.counter m "log_polls" <> 0 then
-    failwith "e15: subscription mode polled the activity log";
   let lat = drift_latencies (Fleet.drift_detections fleet) injections in
   let pctl name p =
     match Metrics.percentile m name p with
@@ -160,28 +154,11 @@ let measure_fleet_leg ~scn ~seed =
     makespan;
     drift_p50 = nearest_rank 50. lat;
     drift_max = List.fold_left Float.max 0. lat;
-    mgmt_reads = Metrics.counter m "api_reads" + Metrics.counter m "log_polls";
+    mgmt_reads = Metrics.counter m "api_reads";
     api_calls = Metrics.counter m "api_calls";
     cross_routed = Metrics.counter m "cross_shard_routed";
     digest = Fleet.state_digest fleet;
   }
-
-(* The E14-style single-loop engine with per-deployment tailer polling:
-   the mgmt-reads baseline the subscriptions are measured against. *)
-let measure_tailer_leg ~scn ~seed =
-  let cloud = service_cloud ~seed in
-  let config =
-    Scenario.service_config scn Control_plane.cloudless_service
-  in
-  let cp = ref (Control_plane.create ~cloud config) in
-  let injections = Scenario.install scn cp in
-  Control_plane.run !cp ~until:scn.Scenario.duration;
-  let m = Control_plane.metrics !cp in
-  if List.length !injections <> scn.Scenario.drift_events then
-    failwith "e15: tailer leg injections did not fire";
-  let polls = Metrics.counter m "log_polls" in
-  if polls = 0 then failwith "e15: tailer leg never polled";
-  Metrics.counter m "api_reads" + polls
 
 (* --- crash leg: kill the fleet mid-wave, resume, audit ------------- *)
 
@@ -307,11 +284,8 @@ let json_of_leg l =
     l.shards l.p50 l.p99 l.makespan l.drift_p50 l.drift_max l.mgmt_reads
     l.api_calls l.cross_routed l.digest
 
-let write_json ~quick ~tenants ~legs ~big ~tailer_reads ~(crash : crash_result)
+let write_json ~quick ~tenants ~legs ~big ~(crash : crash_result)
     ~(pressure : pressure_result) ~determinism_ok =
-  let fleet_reads =
-    match legs with l :: _ -> max 1 l.mgmt_reads | [] -> 1
-  in
   let oc = open_out (json_file ~quick) in
   Printf.fprintf oc
     "{\n\
@@ -324,8 +298,6 @@ let write_json ~quick ~tenants ~legs ~big ~tailer_reads ~(crash : crash_result)
      %s\n\
     \  ],\n\
      %s\
-    \  \"tailer_mgmt_reads\": %d,\n\
-    \  \"mgmt_reads_ratio\": %.1f,\n\
     \  \"crash\": {\"tenants\": 16, \"shards\": 2, \"crash_after\": %d, \
      \"orphans\": %d, \"dup_creates\": %d, \"managed\": %d, \
      \"expected_managed\": %d, \"digest_matches_uncrashed\": %b},\n\
@@ -345,8 +317,6 @@ let write_json ~quick ~tenants ~legs ~big ~tailer_reads ~(crash : crash_result)
         let body = String.trim (json_of_leg l) in
         let inner = String.sub body 1 (String.length body - 2) in
         Printf.sprintf "  \"big\": {\"tenants\": 1024,%s},\n" inner)
-    tailer_reads
-    (float_of_int tailer_reads /. float_of_int fleet_reads)
     crash.crash_after crash.orphans crash.dup_creates crash.managed
     crash.expected_managed crash.digest_matches_uncrashed pressure.deferred
     pressure.rejected pressure.rebalance_moves pressure.defer_all_done
@@ -355,7 +325,7 @@ let write_json ~quick ~tenants ~legs ~big ~tailer_reads ~(crash : crash_result)
 
 (* --- assertions ---------------------------------------------------- *)
 
-let assert_claims legs tailer_reads (crash : crash_result)
+let assert_claims legs (crash : crash_result)
     (pressure : pressure_result) determinism_ok =
   let base =
     match legs with
@@ -384,12 +354,6 @@ let assert_claims legs tailer_reads (crash : crash_result)
       if l.shards > 1 && l.cross_routed = 0 then
         failwith
           (Printf.sprintf "e15: no cross-shard drift routing at %d shards"
-             l.shards);
-      (* subscriptions never poll; the tailer engine's bill is >= 10x *)
-      if tailer_reads < 10 * max 1 l.mgmt_reads then
-        failwith
-          (Printf.sprintf
-             "e15: tailer mgmt reads not 10x the fleet's at %d shards"
              l.shards))
     legs;
   if crash.orphans <> 0 then failwith "e15: crash leg left orphans";
@@ -456,10 +420,6 @@ let run () =
       Some l
     end
   in
-  let tailer_reads = measure_tailer_leg ~scn:(scenario ~tenants ~shards:1) ~seed in
-  Printf.printf "tailer engine mgmt reads at %d tenants: %d (fleet: %d)\n"
-    tenants tailer_reads
-    (match legs with l :: _ -> l.mgmt_reads | [] -> 0);
   let crash = run_crash_leg ~seed in
   Printf.printf
     "crash leg (16 tenants, 2 shards, crash after write %d): orphans=%d \
@@ -480,7 +440,6 @@ let run () =
   Printf.printf "metrics determinism at shards {%s}: %s\n"
     (String.concat "," (List.map string_of_int shard_counts))
     (if determinism_ok then "ok" else "FAILED");
-  assert_claims legs tailer_reads crash pressure determinism_ok;
-  write_json ~quick ~tenants ~legs ~big ~tailer_reads ~crash ~pressure
-    ~determinism_ok;
+  assert_claims legs crash pressure determinism_ok;
+  write_json ~quick ~tenants ~legs ~big ~crash ~pressure ~determinism_ok;
   Printf.printf "wrote %s\n" (json_file ~quick)

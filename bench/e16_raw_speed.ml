@@ -24,8 +24,8 @@
    ~100 ms in life) dwarfs the ~10 us the journal adds per change by
    four orders of magnitude.
 
-   A second leg shards a multi-fleet plan by weakly-connected
-   component ({!Cloudless_deploy.Shard}) and applies it at --domains
+   A second leg splits a multi-fleet plan by weakly-connected
+   component ({!Cloudless_deploy.Components}) and applies it at --domains
    {1, 2, 4}.  The merged report must be byte-identical at every
    domain count — asserted here via digests over the applied order,
    makespan, counters, and the rendered state — and the leg records
@@ -38,7 +38,7 @@
 
 open Bench_util
 module Executor = Cloudless_deploy.Executor
-module Shard = Cloudless_deploy.Shard
+module Components = Cloudless_deploy.Components
 module Plan = Cloudless_plan.Plan
 module Intern = Cloudless_graph.Intern
 module Journal = Cloudless_state.Journal
@@ -157,30 +157,30 @@ let run_size n =
 type domain_sample = {
   domains : int;  (** requested width (0 = size to the machine) *)
   effective : int;  (** what the pool actually ran: capped at
-                        [min components cores] (see {!Shard.report}) *)
+                        [min components cores] (see {!Components.report}) *)
   dwall_s : float;
   speedup : float;  (** vs the domains=1 run of the same plan *)
   digest : string;
 }
 
-(* Everything observable about a sharded apply, digested; any
+(* Everything observable about a split apply, digested; any
    domain-count dependence whatsoever changes the hex. *)
-let report_digest (r : Shard.report) =
+let report_digest (r : Components.report) =
   let buf = Buffer.create 4096 in
   let addrs l = List.iter (fun a -> Buffer.add_string buf (Addr.to_string a); Buffer.add_char buf '\n') l in
-  addrs r.Shard.applied;
-  addrs r.Shard.skipped;
+  addrs r.Components.applied;
+  addrs r.Components.skipped;
   List.iter
     (fun (f : Executor.failure) ->
       Buffer.add_string buf (Addr.to_string f.Executor.faddr);
       Buffer.add_string buf f.Executor.reason;
       Buffer.add_char buf '\n')
-    r.Shard.failed;
-  Buffer.add_string buf (Printf.sprintf "%.17g\n" r.Shard.makespan);
+    r.Components.failed;
+  Buffer.add_string buf (Printf.sprintf "%.17g\n" r.Components.makespan);
   Buffer.add_string buf
-    (Printf.sprintf "%d %d %d %d %d\n" r.Shard.api_calls r.Shard.retries
-       r.Shard.throttled r.Shard.sched_picks r.Shard.peak_ready);
-  Buffer.add_string buf (State.to_string r.Shard.state);
+    (Printf.sprintf "%d %d %d %d %d\n" r.Components.api_calls r.Components.retries
+       r.Components.throttled r.Components.sched_picks r.Components.peak_ready);
+  Buffer.add_string buf (State.to_string r.Components.state);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let run_domains ~n ~fleets =
@@ -188,11 +188,11 @@ let run_domains ~n ~fleets =
   let plan = Plan.make ~state:State.empty instances in
   let run domains =
     let r =
-      Shard.apply
+      Components.apply
         ~make_cloud:(fun _ -> fresh_cloud ~seed:42 ())
         ~domains ~config:Executor.cloudless_config ~state:State.empty ~plan ()
     in
-    assert (Shard.succeeded r);
+    assert (Components.succeeded r);
     (r, report_digest r)
   in
   let base, base_digest = run 1 in
@@ -205,16 +205,16 @@ let run_domains ~n ~fleets =
         assert (digest = base_digest);
         {
           domains = d;
-          effective = r.Shard.domains;
-          dwall_s = r.Shard.wall_s;
+          effective = r.Components.domains;
+          dwall_s = r.Components.wall_s;
           speedup =
-            (if r.Shard.wall_s > 0. then base.Shard.wall_s /. r.Shard.wall_s
+            (if r.Components.wall_s > 0. then base.Components.wall_s /. r.Components.wall_s
              else 0.);
           digest;
         })
       [ 1; 2; 4; 0 ]
   in
-  (samples, List.length base.Shard.shards)
+  (samples, List.length base.Components.parts)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -326,7 +326,7 @@ let run () =
     | None -> if quick then (2_000, 8) else (100_000, 8)
   in
   let domain_samples, shards = run_domains ~n:dom_n ~fleets:dom_fleets in
-  Printf.printf "\n  domain leg: n=%d over %d fleets -> %d shard(s), %d core(s)\n"
+  Printf.printf "\n  domain leg: n=%d over %d fleets -> %d component(s), %d core(s)\n"
     dom_n dom_fleets shards
     (Domain.recommended_domain_count ());
   List.iter

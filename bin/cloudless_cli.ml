@@ -236,9 +236,9 @@ let serve_cmd =
       & opt (some int) None
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Run the scenario on the E15 multi-shard fleet with $(docv) \
-             shards (consistent-hash tenant placement, push-based drift via \
-             activity-log subscriptions) instead of the single event loop")
+            "Fleet shard count: tenants are placed on $(docv) shard event \
+             loops by consistent hashing (default: the scenario's \
+             $(b,shards), itself 2 when unset)")
   in
   let queue_bound_arg =
     Arg.(
@@ -288,8 +288,7 @@ let serve_cmd =
       & info [ "waves" ] ~docv:"BOOL"
           ~doc:
             "Bulk-change wave rollouts: $(b,false) strips the scenario's \
-             $(b,wave =) lines; $(b,true) keeps them (the default; they run \
-             only with --shards)")
+             $(b,wave =) lines; $(b,true) keeps them (the default)")
   in
   let run scenario_path seed engine trace_path ticks metrics_path shards
       queue_bound admission episodes breaker waves =

@@ -1,4 +1,5 @@
-(** The event-driven multi-shard control-plane fleet (E15).
+(** The event-driven control-plane fleet (E15) — the one control-plane
+    entry point; a single-loop service is a fleet of one shard.
 
     [N] {!Shard}s share one simulated cloud and one metrics registry.
     A {!Router} owns tenant placement (consistent-hash ring plus
@@ -6,8 +7,8 @@
     drains every shard round-robin after each event, so execution
     interleaves deterministically regardless of shard count.
 
-    Drift detection is push-based: instead of one polling tailer per
-    deployment (O(deployments) LookupEvents calls per period), each
+    Drift detection is push-based: instead of polling the activity log
+    per deployment (O(deployments) LookupEvents calls per period), each
     shard holds exactly {e one} multiplexed activity-log subscription.
     An appended entry fans out to every shard; the shard whose
     {!Router.partition} covers the entry's cloud id classifies it
@@ -16,7 +17,7 @@
     detection partitions hash cloud ids while ownership hashes tenants,
     is usually a {e different} shard ([cross_shard_routed] counts the
     hops).  Detection latency collapses to the entry's append instant
-    and the tailer's per-poll log reads disappear entirely.
+    and no per-poll log reads are paid.
 
     Fleet-level concerns stay here: the shared crash gate ([Crash_after
     k] counts journaled writes across the whole fleet, so a crash lands
@@ -99,9 +100,7 @@ let create ?cloud ?(trace = Trace.null) ?metrics ?(shards = 2)
         raise (Failure.Engine_crashed k)
     | _ -> ()
   in
-  let host =
-    { Shard.gate; alive = (fun () -> not !dead); on_policy = None }
-  in
+  let host = { Shard.gate; alive = (fun () -> not !dead) } in
   let mk sid =
     Shard.create ~sid ~cloud ~config
       ~scope:(Metrics.scoped registry (Some (Printf.sprintf "shard%d" sid)))
@@ -251,9 +250,7 @@ let rebalance_tick t =
       (fun i s ->
         let d = Shard.queue_depth s in
         if d > Shard.queue_depth t.shards.(!deepest) then deepest := i;
-        if d < Shard.queue_depth t.shards.(!shallowest) then shallowest := i;
-        ignore s;
-        ignore d)
+        if d < Shard.queue_depth t.shards.(!shallowest) then shallowest := i)
       t.shards;
     let src = t.shards.(!deepest) and dst = t.shards.(!shallowest) in
     let gap = Shard.queue_depth src - Shard.queue_depth dst in
@@ -343,9 +340,10 @@ let rec arm_policy_timer t c =
 (* ------------------------------------------------------------------ *)
 
 (** Drive the fleet until the simulated event queue drains.  Arms every
-    shard's timers (nothing in [Subscribe] mode), installs the per-
-    shard log subscriptions, and steps the shared clock, draining each
-    shard round-robin after every event.  Raises
+    shard's scan timers (nothing in [Subscribe] mode), installs the per-
+    shard log subscriptions, arms the policy tick and (with more than
+    one shard) the rebalance check, and steps the shared clock,
+    draining each shard round-robin after every event.  Raises
     {!Failure.Engine_crashed} when the crash gate trips.  Call once per
     fleet instance ({!resume} builds the successor). *)
 let run t ~until =
@@ -415,8 +413,6 @@ let resume (old : t) =
         (* keep journaling into the same (already-replayed) journal:
            op ids continue from [max_op], replay stays idempotent *)
         List.iter (Journal.append dep.Shard.journal) entries;
-        Drift.Log_tailer.(
-          (dep.Shard.tailer).cursor <- d.Shard.tailer.Drift.Log_tailer.cursor);
         ignore (submit_request t dep ~src:d.Shard.config_src);
         ((d.Shard.tenant, d.Shard.dname), report))
       (deployments old)

@@ -1,4 +1,5 @@
-(** The event-driven multi-shard control-plane fleet (E15).
+(** The event-driven control-plane fleet (E15) — the one control-plane
+    entry point; a single-loop service is [create ~shards:1].
 
     [N] {!Shard}s share one simulated cloud, one metrics registry and
     one crash gate.  A {!Router} owns tenant placement (consistent-hash
@@ -8,7 +9,8 @@
     event to the owning tenant's shard (usually a different one —
     [cross_shard_routed] counts the hops).  Queue-depth-driven
     rebalancing moves quiescent tenants from the deepest to the
-    shallowest shard and pins them. *)
+    shallowest shard and pins them (never armed at one shard).  Policy
+    ticks run at fleet level, against fleet-wide observations. *)
 
 module Cloud = Cloudless_sim.Cloud
 module Failure = Cloudless_sim.Failure
@@ -81,8 +83,10 @@ val drift_detections : t -> (string * float) list
 val completed_requests : t -> (int * int * float) list
 
 (** Drive the fleet until the simulated event queue drains: arms shard
-    timers, installs the per-shard log subscriptions ([Subscribe]
-    mode), steps the shared clock draining every shard round-robin.
+    scan timers ([Scan] mode) or installs the per-shard log
+    subscriptions ([Subscribe] mode), arms the policy tick and the
+    rebalance check, and steps the shared clock draining every shard
+    round-robin.
     Raises {!Failure.Engine_crashed} when the crash gate trips.  Call
     once per fleet instance. *)
 val run : t -> until:float -> unit

@@ -4,18 +4,16 @@
     multi-tenant workload: how many tenants and deployments, how big
     each fleet is, how many configuration revisions each tenant pushes
     and at what cadence, and how much out-of-band drift the world
-    injects while the service runs.  {!install} compiles it into
-    simulated-clock callbacks against a {!Control_plane.t} — requests
-    submitted at their scheduled instants, OOB mutations/deletions
-    against live resources — and returns the injection log the E14
-    bench joins with the control plane's detection log to measure
-    drift-detection latency.
+    injects while the service runs.  {!install_fleet} compiles it into
+    simulated-clock callbacks against a {!Fleet.t} — requests submitted
+    at their scheduled instants, OOB mutations/deletions against live
+    resources — and returns the injection log the benches join with the
+    fleet's detection log to measure drift-detection latency.
 
-    [install] takes the control plane by [ref] so that a crash-resume
-    mid-scenario ({!Control_plane.resume} builds a {e new} service
-    instance on the same cloud) does not strand the not-yet-fired
-    request callbacks: they dereference at fire time and land on the
-    successor. *)
+    [install_fleet] takes the fleet by [ref] so that a crash-resume
+    mid-scenario ({!Fleet.resume} builds a {e new} fleet on the same
+    cloud) does not strand the not-yet-fired request callbacks: they
+    dereference at fire time and land on the successor. *)
 
 module Cloud = Cloudless_sim.Cloud
 module Failure = Cloudless_sim.Failure
@@ -42,7 +40,9 @@ type t = {
           apply at t=0 (all tenants submit simultaneously) *)
   request_interval : float;  (** sim seconds between revision waves *)
   drift_events : int;  (** OOB injections spread over the drift window *)
-  drift_period : float;  (** service tailer-poll / scan-sweep period *)
+  drift_period : float;
+      (** scan-sweep period of the baseline preset; also paces the drift
+          injection window and [serve --ticks] *)
   policy_period : float;  (** 0 = no policy controller *)
   duration : float;  (** scenario horizon, sim seconds *)
   shards : int;  (** fleet shard count (E15) *)
@@ -440,10 +440,10 @@ policy "drift_watch" {
 
 (** Specialize a service preset (timing knobs + policy + admission) to
     a scenario. *)
-let service_config scn (base : Control_plane.service_config) =
+let service_config scn (base : Shard.service_config) =
   {
     base with
-    Control_plane.drift_period = scn.drift_period;
+    Shard.drift_period = scn.drift_period;
     policy_period = scn.policy_period;
     policy_src = (if scn.policy_period > 0. then Some policy_src else None);
     max_queue_depth = scn.max_queue_depth;
@@ -508,110 +508,9 @@ let schedule_spot_waves scn cloud injections ~live_rows =
             end))
     scn.episodes
 
-(** Register all deployments on [!cp_ref] and schedule the request
-    waves and drift injections on its cloud.  Returns the injection
-    log (filled as injections actually fire). *)
-let install scn cp_ref =
-  let cp = !cp_ref in
-  let cloud = Control_plane.cloud cp in
-  let injections = ref [] in
-  let deps = ref [] in
-  for ti = 0 to scn.tenants - 1 do
-    let tenant = Printf.sprintf "tenant%d" ti in
-    let calm = ti >= scn.tenants - scn.calm_tenants in
-    for di = 0 to scn.deployments_per_tenant - 1 do
-      let dname = Printf.sprintf "d%d" di in
-      ignore
-        (Control_plane.add_deployment cp ~tenant ~dname
-           ~src:(fleet_src scn ~wave:0));
-      deps := (tenant, dname) :: !deps;
-      for w = 0 to scn.requests_per_tenant - 1 do
-        let wave = if calm then 0 else w in
-        Cloud.schedule cloud
-          ~delay:(float_of_int w *. scn.request_interval)
-          (fun () ->
-            let cp = !cp_ref in
-            match Control_plane.find_deployment cp ~tenant ~dname with
-            | Some dep ->
-                ignore
-                  (Control_plane.submit_request cp dep
-                     ~src:(fleet_src scn ~wave))
-            | None -> ())
-      done
-    done
-  done;
-  let deps = Array.of_list (List.rev !deps) in
-  let ndeps = Array.length deps in
-  (* Drift window: after the revision waves settle, ending early enough
-     that the last detection and reconcile fit inside [duration]. *)
-  if scn.drift_events > 0 && ndeps > 0 then begin
-    let base =
-      (float_of_int (scn.requests_per_tenant - 1) *. scn.request_interval)
-      +. (2. *. scn.drift_period)
-    in
-    let window =
-      Float.max scn.drift_period
-        (scn.duration -. base -. (3. *. scn.drift_period))
-    in
-    let gap = window /. float_of_int scn.drift_events in
-    for i = 0 to scn.drift_events - 1 do
-      let tenant, dname = deps.(i mod ndeps) in
-      Cloud.schedule cloud
-        ~delay:(base +. (float_of_int i *. gap))
-        (fun () ->
-          let cp = !cp_ref in
-          match Control_plane.find_deployment cp ~tenant ~dname with
-          | None -> ()
-          | Some dep ->
-              let instances =
-                List.filter
-                  (fun (r : State.resource_state) ->
-                    r.State.rtype = "aws_instance")
-                  (State.resources dep.Control_plane.state)
-              in
-              let n = List.length instances in
-              if n > 0 then begin
-                let row = List.nth instances (i / ndeps mod n) in
-                let cid = row.State.cloud_id in
-                let deleted = i mod 4 = 3 in
-                let r =
-                  if deleted then
-                    Cloud.delete_oob cloud ~script:"ops" ~cloud_id:cid
-                  else
-                    Cloud.mutate_oob cloud ~script:"ops" ~cloud_id:cid
-                      ~attr:"instance_type"
-                      ~value:(Cloudless_hcl.Value.Vstring "t2.nano")
-                in
-                ignore (r : (unit, Cloud.error) result);
-                injections :=
-                  {
-                    icloud_id = cid;
-                    injected_at = Cloud.now cloud;
-                    deleted;
-                    itenant = tenant;
-                  }
-                  :: !injections
-              end)
-    done
-  end;
-  if scn.episodes <> [] then begin
-    Cloud.set_episodes cloud scn.episodes;
-    schedule_spot_waves scn cloud injections ~live_rows:(fun rt ->
-        List.concat_map
-          (fun (dep : Control_plane.deployment) ->
-            List.filter_map
-              (fun (r : State.resource_state) ->
-                if r.State.rtype = rt then
-                  Some (dep.Control_plane.tenant, r.State.cloud_id)
-                else None)
-              (State.resources dep.Control_plane.state))
-          (Control_plane.deployments !cp_ref))
-  end;
-  injections
-
 (** Register all deployments on [!fleet_ref] (tenants landing on their
-    router-assigned shards) and schedule the same request waves and
-    drift injections as {!install}, plus hot-tenant bursts: tenants
+    router-assigned shards) and schedule the request waves and drift
+    injections on its cloud, plus hot-tenant bursts: tenants
     [0 .. hot_tenants-1] submit [hot_burst] extra same-instant
     requests against the same deployment each wave.  The duplicates
     conflict on the deployment's root lock and sit in the owning

@@ -4,14 +4,13 @@
     multi-tenant workload: tenant/deployment counts, fleet size,
     revision cadence, out-of-band drift volume, and — since E15 —
     fleet shape (shard count, hot tenants, admission bound,
-    rebalance period).  {!install} compiles it into simulated-clock
-    callbacks against a single-loop {!Control_plane.t};
-    {!install_fleet} does the same against a multi-shard {!Fleet.t}.
+    rebalance period).  {!install_fleet} compiles it into
+    simulated-clock callbacks against a {!Fleet.t}.
 
-    Both installers take the service by [ref] so that a crash-resume
-    mid-scenario (which builds a {e new} service instance on the same
-    cloud) does not strand the not-yet-fired request callbacks: they
-    dereference at fire time and land on the successor. *)
+    The installer takes the fleet by [ref] so that a crash-resume
+    mid-scenario (which builds a {e new} fleet on the same cloud) does
+    not strand the not-yet-fired request callbacks: they dereference at
+    fire time and land on the successor. *)
 
 (** One scheduled bulk-change rollout (E18).  One per
     [wave = start=... attr=... value=...] line; sub-keys are
@@ -34,7 +33,9 @@ type t = {
           apply at t=0 (all tenants submit simultaneously) *)
   request_interval : float;  (** sim seconds between revision waves *)
   drift_events : int;  (** OOB injections spread over the drift window *)
-  drift_period : float;  (** service tailer-poll / scan-sweep period *)
+  drift_period : float;
+      (** scan-sweep period of the baseline preset; also paces the drift
+          injection window and [serve --ticks] *)
   policy_period : float;  (** 0 = no policy controller *)
   duration : float;  (** scenario horizon, sim seconds *)
   shards : int;  (** fleet shard count (E15) *)
@@ -80,8 +81,7 @@ val policy_src : string
 
 (** Specialize a service preset (timing knobs + policy + admission) to
     a scenario. *)
-val service_config :
-  t -> Control_plane.service_config -> Control_plane.service_config
+val service_config : t -> Shard.service_config -> Shard.service_config
 
 type injection = {
   icloud_id : string;
@@ -90,14 +90,11 @@ type injection = {
   itenant : string;  (** owning tenant at injection time *)
 }
 
-(** Register all deployments on [!cp_ref] and schedule the request
-    waves and drift injections on its cloud.  When the scenario has
-    episodes, also installs them on the cloud and schedules the
-    spot-termination waves (out-of-band deletes under the "spot"
-    script, recorded in the injection log).  Returns the injection
-    log (filled as injections actually fire). *)
-val install : t -> Control_plane.t ref -> injection list ref
-
-(** Same against a multi-shard fleet, plus hot-tenant request bursts
-    (see {!t.hot_tenants}). *)
+(** Register all deployments on [!fleet_ref] and schedule the request
+    waves, hot-tenant request bursts (see {!t.hot_tenants}; none at
+    [hot_tenants = 0]) and drift injections on its cloud.  When the
+    scenario has episodes, also installs them on the cloud and
+    schedules the spot-termination waves (out-of-band deletes under the
+    "spot" script, recorded in the injection log).  Returns the
+    injection log (filled as injections actually fire). *)
 val install_fleet : t -> Fleet.t ref -> injection list ref

@@ -1,23 +1,19 @@
 (** One control-plane shard: the deterministic event loop that owns a
     subset of tenants (E15).
 
-    This module is the execution engine extracted from the former
-    monolithic [Control_plane]: the prioritized work queue, lock-managed
-    admission, journaled request/reconcile/scan execution, and the
-    per-deployment drift machinery.  What it deliberately does {e not}
-    own is fleet policy — crash injection, liveness, policy-controller
-    ticks and tenant placement belong to whoever hosts the shard:
+    This module is the execution engine: the prioritized work queue,
+    lock-managed admission, journaled request/reconcile/scan execution,
+    and drift intake.  What it deliberately does {e not} own is fleet
+    policy — crash injection, liveness, policy-controller ticks and
+    tenant placement belong to the {!Fleet} that hosts [N] shards
+    (one for a single-loop service) behind a {!Router}, feeding each
+    one from a multiplexed activity-log subscription.
 
-    - {!Control_plane} hosts exactly one shard (the pre-E15 single-loop
-      service, byte-for-byte compatible with its old behavior);
-    - {!Fleet} hosts [N] shards behind a {!Router}, feeding each one
-      from a multiplexed activity-log subscription.
-
-    The host is injected as a {!host} record of callbacks, so a shard
-    never reaches outside its own tenant subset.  All metrics flow
-    through a {!Metrics.scope}: unlabeled for the single-loop service
-    (unchanged signal names), labeled ["shard<i>"] in a fleet (each
-    signal also recorded as ["name.shard<i>"]).
+    The host's crash gate and liveness flag are injected as a {!host}
+    record of callbacks, so a shard never reaches outside its own
+    tenant subset.  All metrics flow through a {!Metrics.scope} labeled
+    ["shard<i>"]: each signal is recorded under its bare name and again
+    as ["name.shard<i>"].
 
     Admission backpressure (§3.6): when [max_queue_depth] is positive
     and the shard's queue (heap + lock waiters) is at or above the
@@ -25,7 +21,7 @@
     [defer_delay] simulated seconds, preserving the original submit
     time so the latency histograms show the cost) or rejected outright,
     per the configured {!admission} policy.  Internal work — drift
-    reconciles, scan sweeps, policy ticks — always bypasses the bound:
+    reconciles, scan sweeps, rollbacks — always bypasses the bound:
     repair must not be starved by the very backlog it repairs.
 
     Degraded mode (E17): with a circuit {!Cloudless_deploy.Breaker}
@@ -58,7 +54,6 @@ module Trace = Cloudless_obs.Trace
 module Metrics = Cloudless_obs.Metrics
 
 type drift_mode =
-  | Tailer  (** per-deployment activity-log cursor, polled on a timer *)
   | Scan  (** periodic full read-every-resource sweep (baseline) *)
   | Subscribe
       (** push: the host routes activity-log entries in via
@@ -70,7 +65,7 @@ type service_config = {
   sname : string;
   granularity : Lock_manager.granularity;
   drift_mode : drift_mode;
-  drift_period : float;  (** tailer poll / scan sweep period, sim s *)
+  drift_period : float;  (** scan sweep period, sim s *)
   scoped_reconcile : bool;  (** restrict reconcile applies to impact scope *)
   refresh_before_apply : bool;  (** Terraform's full refresh on every apply *)
   parallelism : int option;  (** per-work-unit in-flight op cap *)
@@ -83,24 +78,6 @@ type service_config = {
   breaker : Breaker.config option;
       (** circuit-breaker cells per (API kind, rtype); [None] = off *)
 }
-
-let cloudless_service =
-  {
-    sname = "cloudless";
-    granularity = Lock_manager.Per_resource;
-    drift_mode = Tailer;
-    drift_period = 60.;
-    scoped_reconcile = true;
-    refresh_before_apply = false;
-    parallelism = None;
-    policy_period = 0.;
-    policy_src = None;
-    max_queue_depth = 0;
-    admission = Defer;
-    defer_delay = 5.;
-    rebalance_period = 0.;
-    breaker = None;
-  }
 
 let baseline_service =
   {
@@ -121,13 +98,24 @@ let baseline_service =
   }
 
 (** The event-driven fleet preset: per-resource locks, push-based drift
-    via log subscriptions, scoped reconciles, bounded admission. *)
+    via log subscriptions, scoped reconciles, no refresh before apply,
+    periodic rebalancing (armed only with more than one shard). *)
 let fleet_service =
   {
-    cloudless_service with
     sname = "fleet";
+    granularity = Lock_manager.Per_resource;
     drift_mode = Subscribe;
+    drift_period = 60.;
+    scoped_reconcile = true;
+    refresh_before_apply = false;
+    parallelism = None;
+    policy_period = 0.;
+    policy_src = None;
+    max_queue_depth = 0;
+    admission = Defer;
+    defer_delay = 5.;
     rebalance_period = 120.;
+    breaker = None;
   }
 
 type deployment = {
@@ -146,18 +134,16 @@ type deployment = {
           a crash (end-of-work persistence); resume replays the journal
           over this *)
   journal : Journal.t;  (** one write-ahead journal across all applies *)
-  tailer : Drift.Log_tailer.t;
 }
 
 type work =
   | Request of { dep : deployment; rid : int; src : string; submitted : float }
   | Reconcile of {
       dep : deployment;
-      seeds : Addr.t list;  (** drifted addresses (tailer mode) *)
+      seeds : Addr.t list;  (** drifted addresses *)
       detected : float;
     }
   | Scan_sweep of { dep : deployment; swept : float }
-  | Policy_tick of { at : float }
   | Rollback_op of {
       dep : deployment;
       label : string;  (** e.g. "wave:<change>:<k>" for trace joins *)
@@ -177,13 +163,11 @@ type host = {
   gate : unit -> unit;
       (** journaled-write crash gate, shared across the whole service *)
   alive : unit -> bool;  (** service liveness; a dead host stops draining *)
-  on_policy : (float -> unit) option;
-      (** policy-controller tick; [None] disarms the policy timer *)
 }
 
 type t = {
   cloud : Cloud.t;
-  sid : int;  (** shard index within the fleet; 0 for a single loop *)
+  sid : int;  (** shard index within the fleet *)
   config : service_config;
   host : host;
   lock : Lock_manager.t;
@@ -230,7 +214,7 @@ let on_breaker_transition t ~after ~now =
           t.degraded_since <- None
       | _ -> ())
 
-let create ?(sid = 0) ~cloud ~config ~scope ~trace ~host () =
+let create ~sid ~cloud ~config ~scope ~trace ~host () =
   let t =
     {
       cloud;
@@ -265,12 +249,9 @@ let create ?(sid = 0) ~cloud ~config ~scope ~trace ~host () =
   t
 
 let sid t = t.sid
-let config t = t.config
-let cloud t = t.cloud
 let lock t = t.lock
 let breaker t = t.breaker
 let parked_work t = t.parked
-let scope t = t.scope
 let metrics t = Metrics.scope_metrics t.scope
 let deployments t = List.rev t.deployments
 let completed_requests t = List.rev t.completed
@@ -293,7 +274,6 @@ let make_deployment ~tenant ~dname ~src =
     state = State.empty;
     persisted = State.empty;
     journal = Journal.create ();
-    tailer = Drift.Log_tailer.create ();
   }
 
 let add_deployment t ~tenant ~dname ~src =
@@ -302,7 +282,7 @@ let add_deployment t ~tenant ~dname ~src =
   dep
 
 (* Rebalance support: a deployment record is shard-agnostic (engine
-   name, journal, tailer cursor all travel with it), so a move is just
+   name and journal travel with it), so a move is just
    list surgery on both sides.  The fleet only moves tenants with no
    pending work, so no lock state needs to transfer. *)
 let adopt_deployment t dep = t.deployments <- dep :: t.deployments
@@ -365,14 +345,12 @@ let count_api t dep ~read n =
 (* ------------------------------------------------------------------ *)
 
 (* Priority classes; FIFO within a class via the heap's insertion
-   sequence.  Tenant-facing requests outrank background repair, which
-   outranks policy bookkeeping. *)
+   sequence.  Tenant-facing requests outrank background repair. *)
 let work_class = function
   | Request _ | Rollback_op _ -> 0.
       (* a rollback is the urgent tail of a tenant-facing change:
          deprioritizing it would leave the bad revision live longer *)
   | Reconcile _ | Scan_sweep _ -> 1.
-  | Policy_tick _ -> 2.
 
 let owner_of dep ~wid = Printf.sprintf "%s#%d" dep.engine wid
 
@@ -397,9 +375,6 @@ let rec drain t =
    exactly the serialization order the QCheck property pins down. *)
 and admit t wid work =
   match work with
-  | Policy_tick { at } -> (
-      (* read-only bookkeeping: no locks *)
-      match t.host.on_policy with None -> () | Some f -> f at)
   | Request { dep; rid; src; submitted } ->
       Lock_manager.acquire t.lock ~owner:(owner_of dep ~wid)
         ~keys:[ dep.root_key ] (fun () ->
@@ -435,8 +410,7 @@ and enqueue t work =
   | Reconcile { dep; _ }
   | Scan_sweep { dep; _ }
   | Rollback_op { dep; _ } ->
-      pending_incr t dep.tenant
-  | Policy_tick _ -> ());
+      pending_incr t dep.tenant);
   Pq.push t.queue ~prio:(work_class work) ~key:wid work;
   drain t
 
@@ -621,11 +595,11 @@ and exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted ~notify =
       end)
     ()
 
-(* --- drift intake (shared by tailer polling and subscriptions) ------ *)
+(* --- drift intake (push subscriptions) ------------------------------ *)
 
 (** Record freshly classified drift events against [dep] and enqueue
-    the scoped repair.  Tailer polling batches a period's events into
-    one reconcile; the fleet's subscription path delivers per entry. *)
+    the scoped repair; the fleet's subscription path delivers per
+    entry. *)
 and ingest_drift t dep (events : Drift.event list) =
   if events <> [] then begin
     Metrics.scope_inc t.scope ~by:(List.length events) "drift_events";
@@ -644,15 +618,6 @@ and ingest_drift t dep (events : Drift.event list) =
     if seeds <> [] then
       enqueue t (Reconcile { dep; seeds; detected = Cloud.now t.cloud })
   end
-
-(* --- drift: log-tailer polling (cloudless)  ------------------------ *)
-
-and poll_tailer t dep =
-  (* each poll is one LookupEvents-style call against the log service —
-     the management-read bill the push-based fleet does not pay *)
-  Metrics.scope_inc t.scope "log_polls";
-  ingest_drift t dep
-    (Drift.Log_tailer.poll dep.tailer t.cloud ~state:dep.state)
 
 (* --- drift: scoped reconcile apply --------------------------------- *)
 
@@ -833,36 +798,22 @@ let submit_rollback t dep ~label ~plan_of ?restore_src ~notify () =
 (* Timers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec arm_drift_timer t dep =
+let rec arm_scan_timer t dep =
   Cloud.schedule t.cloud ~delay:t.config.drift_period (fun () ->
       if t.host.alive () then begin
-        (match t.config.drift_mode with
-        | Tailer -> poll_tailer t dep
-        | Scan -> enqueue t (Scan_sweep { dep; swept = Cloud.now t.cloud })
-        | Subscribe -> ());
+        enqueue t (Scan_sweep { dep; swept = Cloud.now t.cloud });
         if Cloud.now t.cloud +. t.config.drift_period <= t.until then
-          arm_drift_timer t dep
+          arm_scan_timer t dep
       end)
 
-let rec arm_policy_timer t =
-  Cloud.schedule t.cloud ~delay:t.config.policy_period (fun () ->
-      if t.host.alive () then begin
-        enqueue t (Policy_tick { at = Cloud.now t.cloud });
-        if Cloud.now t.cloud +. t.config.policy_period <= t.until then
-          arm_policy_timer t
-      end)
-
-(** Arm this shard's periodic timers up to simulated time [until]:
-    per-deployment drift timers (tailer polls or scan sweeps — nothing
-    in [Subscribe] mode, where drift is pushed in), plus the policy
-    tick when the host installed a handler. *)
+(** Arm this shard's per-deployment scan-sweep timers up to simulated
+    time [until] — nothing in [Subscribe] mode, where drift is pushed
+    in. *)
 let arm_timers t ~until =
   t.until <- until;
-  (match t.config.drift_mode with
+  match t.config.drift_mode with
   | Subscribe -> ()
-  | Tailer | Scan -> List.iter (fun dep -> arm_drift_timer t dep) t.deployments);
-  if t.config.policy_period > 0. && t.host.on_policy <> None then
-    arm_policy_timer t
+  | Scan -> List.iter (fun dep -> arm_scan_timer t dep) t.deployments
 
 (** Fold terminal lock-manager stats into the metrics registry; call
     once when the host's drive loop ends. *)

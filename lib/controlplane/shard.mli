@@ -1,14 +1,12 @@
 (** One control-plane shard: the deterministic event loop that owns a
     subset of tenants (E15).
 
-    The execution engine extracted from the former monolithic
-    [Control_plane]: prioritized work queue, lock-managed admission,
-    journaled request/reconcile/scan execution, per-deployment drift
-    intake, and admission backpressure.  Fleet concerns — crash
-    injection, liveness, policy ticks, tenant placement — are injected
-    through the {!host} callback record: {!Control_plane} hosts exactly
-    one shard (the pre-E15 single-loop service, behavior preserved);
-    {!Fleet} hosts [N] of them behind a {!Router}. *)
+    The execution engine: prioritized work queue, lock-managed
+    admission, journaled request/reconcile/scan execution, drift
+    intake, and admission backpressure.  Fleet concerns — policy
+    ticks, tenant placement — live in the {!Fleet} that hosts [N]
+    shards behind a {!Router}; its crash gate and liveness flag reach
+    the shard through the {!host} callback record. *)
 
 module Addr = Cloudless_hcl.Addr
 module Cloud = Cloudless_sim.Cloud
@@ -21,7 +19,6 @@ module Trace = Cloudless_obs.Trace
 module Metrics = Cloudless_obs.Metrics
 
 type drift_mode =
-  | Tailer  (** per-deployment activity-log cursor, polled on a timer *)
   | Scan  (** periodic full read-every-resource sweep (baseline) *)
   | Subscribe
       (** push: the host routes activity-log entries in via
@@ -33,7 +30,7 @@ type service_config = {
   sname : string;
   granularity : Lock_manager.granularity;
   drift_mode : drift_mode;
-  drift_period : float;  (** tailer poll / scan sweep period, sim s *)
+  drift_period : float;  (** scan sweep period, sim s *)
   scoped_reconcile : bool;  (** restrict reconcile applies to impact scope *)
   refresh_before_apply : bool;  (** Terraform's full refresh on every apply *)
   parallelism : int option;  (** per-work-unit in-flight op cap *)
@@ -51,11 +48,13 @@ type service_config = {
           and retry backoff gains engine-seeded jitter. *)
 }
 
-val cloudless_service : service_config
+(** The Terraform-style operation: one global lock, a full state
+    refresh before every apply, periodic scan-based drift sweeps. *)
 val baseline_service : service_config
 
-(** The event-driven fleet preset: per-resource locks, push-based drift
-    via log subscriptions, scoped reconciles, periodic rebalancing. *)
+(** The event-driven preset: per-resource locks, push-based drift via
+    log subscriptions, scoped reconciles, no refresh before apply,
+    periodic rebalancing (armed only with more than one shard). *)
 val fleet_service : service_config
 
 type deployment = {
@@ -74,7 +73,6 @@ type deployment = {
           a crash (end-of-work persistence); resume replays the journal
           over this *)
   journal : Journal.t;  (** one write-ahead journal across all applies *)
-  tailer : Drift.Log_tailer.t;
 }
 
 (** Host callbacks: the seam between a shard and whoever runs it. *)
@@ -82,14 +80,12 @@ type host = {
   gate : unit -> unit;
       (** journaled-write crash gate, shared across the whole service *)
   alive : unit -> bool;  (** service liveness; a dead host stops draining *)
-  on_policy : (float -> unit) option;
-      (** policy-controller tick; [None] disarms the policy timer *)
 }
 
 type t
 
 val create :
-  ?sid:int ->
+  sid:int ->
   cloud:Cloud.t ->
   config:service_config ->
   scope:Metrics.scope ->
@@ -99,11 +95,7 @@ val create :
   t
 
 val sid : t -> int
-val config : t -> service_config
-val cloud : t -> Cloud.t
 val lock : t -> Lock_manager.t
-val scope : t -> Metrics.scope
-val metrics : t -> Metrics.t
 
 (** This shard's circuit breakers, when configured. *)
 val breaker : t -> Breaker.t option
@@ -122,10 +114,6 @@ val drift_detections : t -> (string * float) list
 
 val find_deployment : t -> tenant:string -> dname:string -> deployment option
 val add_deployment : t -> tenant:string -> dname:string -> src:string -> deployment
-
-(** Build an unregistered deployment record (resume reconstructs
-    deployments before choosing their shard). *)
-val make_deployment : tenant:string -> dname:string -> src:string -> deployment
 
 (** Rebalance support: a deployment record is shard-agnostic, so a move
     is [remove_deployment] on the source and [adopt_deployment] on the
@@ -183,8 +171,8 @@ val submit_rollback :
     subscriptions feed. *)
 val ingest_drift : t -> deployment -> Drift.event list -> unit
 
-(** Arm periodic drift/policy timers up to simulated time [until].
-    [Subscribe] mode arms no drift timer. *)
+(** Arm the per-deployment scan-sweep timers up to simulated time
+    [until].  [Subscribe] mode arms none. *)
 val arm_timers : t -> until:float -> unit
 
 (** Drain the work queue; the host calls this after every simulator

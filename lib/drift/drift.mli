@@ -64,8 +64,8 @@ module Scanner : sig
 end
 
 module Log_tailer : sig
-  (** Concrete on purpose: crash-resume reconstructs tailers and
-      re-seats [cursor] directly at the journal's recovery point. *)
+  (** Concrete on purpose: a caller may re-seat [cursor] directly at
+      a recovery point. *)
   type t = {
     mutable cursor : int;  (** next log sequence number to consume *)
     mutable events_flagged : int;

@@ -113,12 +113,10 @@ let names t =
 (* A scope is a recording handle that writes each signal twice: once
    under the bare name (the fleet-wide series) and once under
    "name.<label>" (the per-shard breakdown).  An unlabeled scope writes
-   the bare name only, so shared code records through a scope without
-   the single-loop callers paying for (or emitting) labels. *)
+   the bare name only. *)
 type scope = { st : t; label : string option }
 
 let scoped t label = { st = t; label }
-let unscoped t = { st = t; label = None }
 
 let labelled s name =
   match s.label with None -> None | Some l -> Some (name ^ "." ^ l)

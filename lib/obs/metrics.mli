@@ -53,14 +53,11 @@ val names : t -> string list
 (** A labeled recording handle.  Writing through a scope built with
     [scoped t (Some "shard0")] records each signal twice: under the
     bare name (the fleet-wide series) and under ["name.shard0"] (the
-    per-shard breakdown).  An unlabeled scope ({!unscoped}, or
-    [scoped t None]) records the bare name only, so shared code can
-    always go through a scope and single-instance callers emit exactly
-    what they did before labels existed. *)
+    per-shard breakdown).  An unlabeled scope ([scoped t None])
+    records the bare name only. *)
 type scope
 
 val scoped : t -> string option -> scope
-val unscoped : t -> scope
 val scope_inc : scope -> ?by:int -> string -> unit
 val scope_set : scope -> string -> float -> unit
 val scope_observe : scope -> string -> float -> unit

@@ -42,8 +42,8 @@ let create () = { entries = []; next_seq = 0; subs = []; deliveries = 0 }
 
 (* Entries are newest-first with strictly decreasing [seq], so the tail
    read stops at the first entry below the cursor instead of filtering
-   the whole history — per-deployment tailer polling at high tenant
-   counts lives on this being O(new entries). *)
+   the whole history — log-tailer polls and subscription replays both
+   rely on this being O(new entries). *)
 let since t cursor =
   let rec take acc = function
     | e :: rest when e.seq >= cursor -> take (e :: acc) rest

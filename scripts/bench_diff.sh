@@ -3,13 +3,13 @@
 #
 #   scripts/bench_diff.sh OLD.json NEW.json
 #
-# Understands four schemas, dispatched on the "experiment" field:
+# Understands five schemas, dispatched on the "experiment" field:
 #   - e16_raw_speed (BENCH_raw.json):     per-fleet-size pipeline stages,
 #     journal and allocation headlines, domain-sweep wall times
 #   - e14_service   (BENCH_service.json): per-tenant-count cloudless vs
 #     baseline legs and their p99/reads ratios
 #   - e15_fleet     (BENCH_fleet.json):   per-shard-count legs, the
-#     tailer-vs-subscription read bill, crash and backpressure headlines
+#     1024-tenant leg, crash and backpressure headlines
 #   - e17_soak      (BENCH_soak.json):    per-episode convergence
 #     checkpoints, breaker/parking/fault headlines, crash leg
 #   - e18_wave      (BENCH_wave.json):    blast-radius and gating-cost
@@ -103,9 +103,6 @@ elif exp_new == "e15_fleet":
                "mgmt_reads", "api_calls", "cross_shard_routed")]
     diff_keyed(old.get("shard_sweep", []), new.get("shard_sweep", []),
                "shards", fields)
-    diff_flat(old, new,
-              [("tailer_mgmt_reads", ""), ("mgmt_reads_ratio", "x")],
-              "read bill")
     diff_flat(old.get("big", {}), new.get("big", {}), fields,
               "1024-tenant leg")
     diff_flat(old.get("crash", {}), new.get("crash", {}),

@@ -1,15 +1,17 @@
-(* Control-plane service tests: end-to-end scenario smoke, the lock
-   admission properties the paper's multi-tenancy claim rests on
-   (disjoint tenants never wait, conflicting work serializes in queue
-   order), a golden drift-event -> scoped-reconcile trace, and crash
-   resume with zero orphans/duplicates. *)
+(* Control-plane service tests on a one-shard fleet: end-to-end
+   scenario smoke, the lock admission properties the paper's
+   multi-tenancy claim rests on (disjoint tenants never wait,
+   conflicting work serializes in queue order), a golden drift-event ->
+   scoped-reconcile trace, and crash resume with zero
+   orphans/duplicates. *)
 
 module Cloud = Cloudless_sim.Cloud
 module Rate_limiter = Cloudless_sim.Rate_limiter
 module Failure = Cloudless_sim.Failure
 module State = Cloudless_state.State
 module Lock_manager = Cloudless_lock.Lock_manager
-module Control_plane = Cloudless_controlplane.Control_plane
+module Shard = Cloudless_controlplane.Shard
+module Fleet = Cloudless_controlplane.Fleet
 module Scenario = Cloudless_controlplane.Scenario
 module Trace = Cloudless_obs.Trace
 module Metrics = Cloudless_obs.Metrics
@@ -29,9 +31,20 @@ let fresh_cloud ?(seed = 42) () =
     ~read_limiter:(Rate_limiter.create ~capacity:1e6 ~refill_rate:1e5)
     ~seed ()
 
-let make_cp ?(trace = Trace.null) ?(config = Control_plane.cloudless_service)
-    ?seed () =
-  Control_plane.create ~cloud:(fresh_cloud ?seed ()) ~trace config
+let make_cp ?(trace = Trace.null) ?(config = Shard.fleet_service) ?seed () =
+  Fleet.create ~cloud:(fresh_cloud ?seed ()) ~trace ~shards:1 config
+
+(* The single-loop service never bounds admission, so every request is
+   accepted outright. *)
+let submit cp dep ~src =
+  match Fleet.submit_request cp dep ~src with
+  | `Accepted rid -> rid
+  | `Deferred _ | `Rejected -> Alcotest.fail "unbounded admission refused"
+
+let lock_waits cp =
+  List.fold_left
+    (fun acc s -> acc + snd (Lock_manager.stats (Shard.lock s)))
+    0 (Fleet.shards cp)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario smoke                                                      *)
@@ -52,38 +65,38 @@ let test_scenario_smoke () =
     }
   in
   let config =
-    Scenario.service_config scn Control_plane.cloudless_service
+    Scenario.service_config scn Shard.fleet_service
   in
   let cp = ref (make_cp ~config ()) in
-  let injections = Scenario.install scn cp in
-  Control_plane.run !cp ~until:scn.Scenario.duration;
-  let m = Control_plane.metrics !cp in
+  let injections = Scenario.install_fleet scn cp in
+  Fleet.run !cp ~until:scn.Scenario.duration;
+  let m = Fleet.metrics !cp in
   check int_ "all requests completed" 6 (Metrics.counter m "requests_done");
   check int_ "resources under management" 24
-    (Control_plane.managed_resource_count !cp);
+    (Fleet.managed_resource_count !cp);
   check bool_ "all injections fired" true (List.length !injections = 4);
   check bool_ "every injection detected" true
     (List.for_all
        (fun (inj : Scenario.injection) ->
          List.mem_assoc inj.Scenario.icloud_id
-           (Control_plane.drift_detections !cp))
+           (Fleet.drift_detections !cp))
        !injections);
   check bool_ "reconciles ran" true (Metrics.counter m "reconciles" > 0);
   check bool_ "policy ticked" true (Metrics.counter m "policy_ticks" > 0);
   check bool_ "policy flagged drift" true
     (Metrics.counter m "policy_decisions" > 0);
-  check bool_ "no orphans" true (Control_plane.orphans !cp = []);
+  check bool_ "no orphans" true (Fleet.orphans !cp = []);
   (* convergence: a fresh request against the final config is a no-op *)
   List.iter
-    (fun (d : Control_plane.deployment) ->
+    (fun (d : Shard.deployment) ->
       let instances =
         List.filter
           (fun (r : State.resource_state) -> r.State.rtype = "aws_instance")
-          (State.resources d.Control_plane.state)
+          (State.resources d.Shard.state)
       in
       List.iter
         (fun (r : State.resource_state) ->
-          match Cloud.lookup (Control_plane.cloud !cp) r.State.cloud_id with
+          match Cloud.lookup (Fleet.cloud !cp) r.State.cloud_id with
           | Some live ->
               check bool_ "drift repaired" false
                 (live.Cloud.attrs
@@ -91,7 +104,7 @@ let test_scenario_smoke () =
                  = Some (Cloudless_hcl.Value.Vstring "t2.nano"))
           | None -> Alcotest.fail "managed instance missing from cloud")
         instances)
-    (Control_plane.deployments !cp)
+    (Fleet.deployments !cp)
 
 let test_metrics_deterministic () =
   let run () =
@@ -105,12 +118,12 @@ let test_metrics_deterministic () =
       }
     in
     let config =
-      Scenario.service_config scn Control_plane.cloudless_service
+      Scenario.service_config scn Shard.fleet_service
     in
     let cp = ref (make_cp ~config ()) in
-    ignore (Scenario.install scn cp);
-    Control_plane.run !cp ~until:scn.Scenario.duration;
-    Metrics.to_json (Control_plane.metrics !cp)
+    ignore (Scenario.install_fleet scn cp);
+    Fleet.run !cp ~until:scn.Scenario.duration;
+    Metrics.to_json (Fleet.metrics !cp)
   in
   check string_ "byte-identical snapshots" (run ()) (run ())
 
@@ -128,23 +141,22 @@ let prop_disjoint_no_wait =
       let rids =
         List.init tenants (fun i ->
             let dep =
-              Control_plane.add_deployment cp
+              Fleet.add_deployment cp
                 ~tenant:(Printf.sprintf "t%d" i)
                 ~dname:"d0"
                 ~src:(Scenario.fleet_src
                         { Scenario.default with Scenario.resources }
                         ~wave:0)
             in
-            Control_plane.submit_request cp dep
+            submit cp dep
               ~src:(Scenario.fleet_src
                       { Scenario.default with Scenario.resources }
                       ~wave:0))
       in
-      Control_plane.run cp ~until:0.;
-      let _, waits = Lock_manager.stats (Control_plane.lock cp) in
+      Fleet.run cp ~until:0.;
       ignore rids;
-      waits = 0
-      && Metrics.counter (Control_plane.metrics cp) "requests_done" = tenants)
+      lock_waits cp = 0
+      && Metrics.counter (Fleet.metrics cp) "requests_done" = tenants)
 
 (* Conflicting work (same deployment) serializes in queue order: the
    completion order of n stacked requests is exactly submission order,
@@ -155,22 +167,23 @@ let prop_conflicting_fifo =
     (fun (n, resources) ->
       let cp = make_cp () in
       let dep =
-        Control_plane.add_deployment cp ~tenant:"t0" ~dname:"d0"
+        Fleet.add_deployment cp ~tenant:"t0" ~dname:"d0"
           ~src:(Scenario.fleet_src
                   { Scenario.default with Scenario.resources }
                   ~wave:0)
       in
       let rids =
         List.init n (fun w ->
-            Control_plane.submit_request cp dep
+            submit cp dep
               ~src:(Scenario.fleet_src
                       { Scenario.default with Scenario.resources }
                       ~wave:w))
       in
-      Control_plane.run cp ~until:0.;
-      let done_order = List.map fst (Control_plane.completed_requests cp) in
-      let _, waits = Lock_manager.stats (Control_plane.lock cp) in
-      done_order = rids && waits = n - 1)
+      Fleet.run cp ~until:0.;
+      let done_order =
+        List.map (fun (_, rid, _) -> rid) (Fleet.completed_requests cp)
+      in
+      done_order = rids && lock_waits cp = n - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Golden drift trace                                                  *)
@@ -179,26 +192,27 @@ let prop_conflicting_fifo =
 (* One drifted attribute on a 12-resource fleet must produce exactly:
    a request span, then one reconcile span whose impact scope is the
    drifted instance plus its two direct dependencies (subnet + sg, the
-   re-evaluation context) — not a full-fleet sweep. *)
+   re-evaluation context) — not a full-fleet sweep.  The push
+   subscription detects the drift at its injection instant. *)
 let test_golden_drift_trace () =
   let sink, spans = Trace.memory_sink () in
   let cloud = fresh_cloud () in
   let trace = Trace.create ~sim_clock:(fun () -> Cloud.now cloud) sink in
-  let cp =
-    Control_plane.create ~cloud ~trace Control_plane.cloudless_service
-  in
+  let cp = Fleet.create ~cloud ~trace ~shards:1 Shard.fleet_service in
   let scn = { Scenario.default with Scenario.resources = 12 } in
   let dep =
-    Control_plane.add_deployment cp ~tenant:"acme" ~dname:"prod"
+    Fleet.add_deployment cp ~tenant:"acme" ~dname:"prod"
       ~src:(Scenario.fleet_src scn ~wave:0)
   in
-  ignore (Control_plane.submit_request cp dep ~src:(Scenario.fleet_src scn ~wave:0));
+  ignore (submit cp dep ~src:(Scenario.fleet_src scn ~wave:0));
   (* drift one instance out-of-band after the apply settles *)
+  let injected_at = ref nan in
   Cloud.schedule cloud ~delay:300. (fun () ->
+      injected_at := Cloud.now cloud;
       let row =
         List.find
           (fun (r : State.resource_state) -> r.State.rtype = "aws_instance")
-          (State.resources dep.Control_plane.state)
+          (State.resources dep.Shard.state)
       in
       match
         Cloud.mutate_oob cloud ~script:"ops" ~cloud_id:row.State.cloud_id
@@ -207,7 +221,7 @@ let test_golden_drift_trace () =
       with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "oob mutation failed");
-  Control_plane.run cp ~until:400.;
+  Fleet.run cp ~until:400.;
   let golden =
     List.map
       (fun (s : Trace.span) ->
@@ -220,10 +234,12 @@ let test_golden_drift_trace () =
   check
     Alcotest.(list string)
     "span sequence" [ "request scope=-"; "reconcile scope=3" ] golden;
-  check int_ "exactly one detection" 1
-    (List.length (Control_plane.drift_detections cp));
-  check int_ "tailer produced one reconcile" 1
-    (Metrics.counter (Control_plane.metrics cp) "reconciles")
+  (match Fleet.drift_detections cp with
+  | [ (_, at) ] ->
+      check (Alcotest.float 1e-9) "detection latency" 0. (at -. !injected_at)
+  | l -> Alcotest.failf "expected exactly one detection, got %d" (List.length l));
+  check int_ "push produced one reconcile" 1
+    (Metrics.counter (Fleet.metrics cp) "reconciles")
 
 (* ------------------------------------------------------------------ *)
 (* Crash resume                                                        *)
@@ -243,26 +259,26 @@ let test_crash_resume () =
     }
   in
   let config =
-    Scenario.service_config scn Control_plane.cloudless_service
+    Scenario.service_config scn Shard.fleet_service
   in
   let cp = ref (make_cp ~config ()) in
-  ignore (Scenario.install scn cp);
-  Control_plane.set_crash !cp (Failure.Crash_after 9);
-  (match Control_plane.run !cp ~until:scn.Scenario.duration with
+  ignore (Scenario.install_fleet scn cp);
+  Fleet.set_crash !cp (Failure.Crash_after 9);
+  (match Fleet.run !cp ~until:scn.Scenario.duration with
   | () -> Alcotest.fail "expected a crash"
   | exception Failure.Engine_crashed _ -> ());
-  let fresh, reports = Control_plane.resume !cp in
+  let fresh, reports = Fleet.resume !cp in
   cp := fresh;
   check int_ "one report per deployment" 3 (List.length reports);
-  Control_plane.run fresh ~until:scn.Scenario.duration;
-  check bool_ "no orphans after resume" true (Control_plane.orphans fresh = []);
+  Fleet.run fresh ~until:scn.Scenario.duration;
+  check bool_ "no orphans after resume" true (Fleet.orphans fresh = []);
   check int_ "exact fleet per tenant, no duplicates" 24
-    (Control_plane.managed_resource_count fresh);
+    (Fleet.managed_resource_count fresh);
   (* the successor's final convergence request is a no-op plan *)
   List.iter
-    (fun (d : Control_plane.deployment) ->
-      check int_ "deployment fully populated" 8 (State.size d.Control_plane.state))
-    (Control_plane.deployments fresh)
+    (fun (d : Shard.deployment) ->
+      check int_ "deployment fully populated" 8 (State.size d.Shard.state))
+    (Fleet.deployments fresh)
 
 let qtest = QCheck_alcotest.to_alcotest
 

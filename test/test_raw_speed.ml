@@ -10,14 +10,14 @@
      adversarial values (quotes, backslashes, interpolation starts,
      control bytes, unknowns, deep nesting);
    - [State.orphans] (hashtable membership) vs a set-based oracle;
-   - [Shard.apply] byte-identity across domain counts on a 10k plan. *)
+   - [Components.apply] byte-identity across domain counts on a 10k plan. *)
 
 open Cloudless_hcl
 module State = Cloudless_state.State
 module Journal = Cloudless_state.Journal
 module Plan = Cloudless_plan.Plan
 module Executor = Cloudless_deploy.Executor
-module Shard = Cloudless_deploy.Shard
+module Components = Cloudless_deploy.Components
 module Dag = Cloudless_graph.Dag
 module Intern = Cloudless_graph.Intern
 module Workload = Cloudless_workload.Workload
@@ -511,7 +511,7 @@ let prop_orphans_match_set_oracle =
       State.orphans state keep = oracle)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded apply: byte identity across domain counts                   *)
+(* Component-split apply: byte identity across domain counts           *)
 (* ------------------------------------------------------------------ *)
 
 let fresh_cloud () =
@@ -519,15 +519,15 @@ let fresh_cloud () =
     ~config:(Cloudless_schema.Cloud_rules.config_with_checks ())
     ~seed:42 ()
 
-let shard_digest (r : Shard.report) =
+let split_digest (r : Components.report) =
   let buf = Buffer.create 4096 in
   List.iter
     (fun a ->
       Buffer.add_string buf (Addr.to_string a);
       Buffer.add_char buf '\n')
-    r.Shard.applied;
-  Buffer.add_string buf (Printf.sprintf "%.17g\n" r.Shard.makespan);
-  Buffer.add_string buf (State.to_string r.Shard.state);
+    r.Components.applied;
+  Buffer.add_string buf (Printf.sprintf "%.17g\n" r.Components.makespan);
+  Buffer.add_string buf (State.to_string r.Components.state);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_shard_domains_byte_identical () =
@@ -535,19 +535,19 @@ let test_shard_domains_byte_identical () =
   let plan = Plan.make ~state:State.empty instances in
   let run domains =
     let r =
-      Shard.apply
+      Components.apply
         ~make_cloud:(fun _ -> fresh_cloud ())
         ~domains ~config:Executor.cloudless_config ~state:State.empty ~plan ()
     in
-    if not (Shard.succeeded r) then Alcotest.fail "sharded apply failed";
-    (r, shard_digest r)
+    if not (Components.succeeded r) then Alcotest.fail "split apply failed";
+    (r, split_digest r)
   in
   let r1, d1 = run 1 in
   let _, d4 = run 4 in
-  check int_ "one shard per fleet" 4 (List.length r1.Shard.shards);
-  check int_ "all resources applied" 10_000 (List.length r1.Shard.applied);
+  check int_ "one component per fleet" 4 (List.length r1.Components.parts);
+  check int_ "all resources applied" 10_000 (List.length r1.Components.applied);
   check Alcotest.string "domains 1 = domains 4, byte for byte" d1 d4;
-  check int_ "merged state size" 10_000 (State.size r1.Shard.state)
+  check int_ "merged state size" 10_000 (State.size r1.Components.state)
 
 let suites =
   [

@@ -13,7 +13,6 @@ module State = Cloudless_state.State
 module Plan = Cloudless_plan.Plan
 module Executor = Cloudless_deploy.Executor
 module Breaker = Cloudless_deploy.Breaker
-module Control_plane = Cloudless_controlplane.Control_plane
 module Fleet = Cloudless_controlplane.Fleet
 module Shard = Cloudless_controlplane.Shard
 module Scenario = Cloudless_controlplane.Scenario
@@ -370,11 +369,11 @@ let test_scan_shed_and_drain () =
   let cloud =
     Cloud.create ~config:(Cloud_rules.config_with_checks ()) ~seed:5 ()
   in
-  let config = Scenario.service_config scn Control_plane.baseline_service in
-  let cp = ref (Control_plane.create ~cloud config) in
-  let _injections = Scenario.install scn cp in
-  Control_plane.run !cp ~until:scn.Scenario.duration;
-  let m = Control_plane.metrics !cp in
+  let config = Scenario.service_config scn Shard.baseline_service in
+  let cp = ref (Fleet.create ~cloud ~shards:1 config) in
+  let _injections = Scenario.install_fleet scn cp in
+  Fleet.run !cp ~until:scn.Scenario.duration;
+  let m = Fleet.metrics !cp in
   check bool_ "breaker opened under outage" true
     (Metrics.counter m "breaker_opened" > 0);
   check bool_ "baseline sweeps shed while open" true
@@ -384,9 +383,7 @@ let test_scan_shed_and_drain () =
   check bool_ "degraded window entered" true
     (Metrics.counter m "degraded_entries" > 0);
   check bool_ "nothing parked at the end" true
-    (List.for_all
-       (fun s -> Shard.parked_work s = 0)
-       [ Control_plane.shard !cp ])
+    (List.for_all (fun s -> Shard.parked_work s = 0) (Fleet.shards !cp))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos determinism on the fleet                                      *)

@@ -384,6 +384,39 @@ let test_clean_change_converges () =
     (List.length (Rollout.committed_tenants driver));
   check int_ "no rollbacks" 0 (Rollout.rollbacks driver)
 
+(* `serve` has one code path: a scenario's [wave =] rollouts run with
+   no --shards flag (the scenario's shard count is the default). *)
+let test_serve_runs_scenario_waves () =
+  let path = Filename.temp_file "serve" ".scn" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc
+        "tenants = 4\n\
+         resources = 6\n\
+         requests_per_tenant = 1\n\
+         drift_events = 0\n\
+         policy_period = 0\n\
+         duration = 3600\n\
+         wave = start=600 attr=instance_type value=t3.micro check=30\n";
+      close_out oc;
+      let out = Buffer.create 1024 and err = Buffer.create 64 in
+      let io =
+        { Cloudless.Cli.out = Buffer.add_string out; err = Buffer.add_string err }
+      in
+      let code =
+        Cloudless.Cli.serve ~io ~metrics_path:Filename.null ~scenario_path:path ()
+      in
+      let out = Buffer.contents out in
+      check int_ "exit code" 0 code;
+      check string_ "stderr" "" (Buffer.contents err);
+      check bool_ "scenario shard count is the default" true
+        (contains ~sub:"Fleet: 2 shard(s)" out);
+      check bool_ "rollout ran and converged" true
+        (contains ~sub:": converged; touched 4/4 tenant(s), committed 4" out);
+      check bool_ "no waves-ignored note" false (contains ~sub:"NOTE" out))
+
 (* ------------------------------------------------------------------ *)
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -419,5 +452,7 @@ let suites =
           test_bad_change_trace;
         Alcotest.test_case "clean change converges" `Quick
           test_clean_change_converges;
+        Alcotest.test_case "serve runs scenario waves by default" `Quick
+          test_serve_runs_scenario_waves;
       ] );
   ]
