@@ -143,25 +143,38 @@ let of_string s =
       (Data, String.sub rest 5 (String.length rest - 5))
     else (Managed, rest)
   in
-  let rest, key =
-    match String.index_opt rest '[' with
-    | None -> (rest, Knone)
-    | Some i ->
-        let inner = String.sub rest (i + 1) (String.length rest - i - 2) in
-        let key =
-          if String.length inner >= 2 && inner.[0] = '"' then
-            Kstr (Scanf.sscanf inner "%S" (fun s -> s))
-          else
-            match int_of_string_opt inner with
-            | Some n -> Kint n
-            | None -> Kstr inner
-        in
-        (String.sub rest 0 i, key)
+  (* the key is everything between the first '[' and a closing ']'
+     that ends the string: a quoted key must be one whole OCaml string
+     literal, anything else an int or (legacy) bare text *)
+  let key_of inner =
+    if inner = "" then None
+    else if inner.[0] = '"' then
+      match Scanf.sscanf inner "%S%!" (fun s -> s) with
+      | s -> Some (Kstr s)
+      | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
+    else
+      match int_of_string_opt inner with
+      | Some n -> Some (Kint n)
+      | None -> Some (Kstr inner)
   in
-  match String.index_opt rest '.' with
-  | Some i ->
-      let rtype = String.sub rest 0 i in
-      let rname = String.sub rest (i + 1) (String.length rest - i - 1) in
-      if rtype = "" || rname = "" then None
-      else Some { module_path; mode; rtype; rname; key }
+  let split_key rest =
+    match String.index_opt rest '[' with
+    | None -> Some (rest, Knone)
+    | Some i ->
+        let n = String.length rest in
+        if rest.[n - 1] <> ']' then None
+        else
+          Option.map
+            (fun key -> (String.sub rest 0 i, key))
+            (key_of (String.sub rest (i + 1) (n - i - 2)))
+  in
+  match split_key rest with
   | None -> None
+  | Some (rest, key) -> (
+      match String.index_opt rest '.' with
+      | Some i ->
+          let rtype = String.sub rest 0 i in
+          let rname = String.sub rest (i + 1) (String.length rest - i - 1) in
+          if rtype = "" || rname = "" then None
+          else Some { module_path; mode; rtype; rname; key }
+      | None -> None)

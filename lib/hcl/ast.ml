@@ -21,6 +21,18 @@ type binop =
   | And
   | Or
 
+(** Binding strength, loosest first; all binary operators are
+    left-associative.  The parser climbs these levels and the printer
+    uses them to decide where parentheses are needed when an AST was
+    built programmatically (rather than parsed). *)
+let binop_prec = function
+  | Or -> 1
+  | And -> 2
+  | Eq | Neq -> 3
+  | Lt | Gt | Le | Ge -> 4
+  | Add | Sub -> 5
+  | Mul | Div | Mod -> 6
+
 type unop = Neg | Not
 
 type expr = { desc : desc; espan : Loc.span }

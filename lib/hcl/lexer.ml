@@ -7,7 +7,14 @@
 
     Newlines are significant in HCL (they terminate attribute
     definitions), so the lexer emits [NEWLINE] tokens; the parser decides
-    where they matter. *)
+    where they matter.
+
+    The lexer is pull-based: {!next_token} lexes one token and the
+    parser holds a single token of lookahead, so no token list of the
+    whole file is ever built.  The hot loops (trivia, identifiers,
+    numbers, plain string runs) work on byte offsets and never allocate;
+    a run of characters without a newline moves the column by its
+    length in one step. *)
 
 exception Error of string * Loc.span
 
@@ -28,19 +35,28 @@ let span_from st (start : Loc.pos) =
 
 let error st start msg = raise (Error (msg, span_from st start))
 
-let peek st = if st.pos >= String.length st.src then None else Some st.src.[st.pos]
+let[@inline] at_end st = st.pos >= String.length st.src
 
-let peek2 st =
-  if st.pos + 1 >= String.length st.src then None else Some st.src.[st.pos + 1]
+(* The byte [k] past the cursor, or ['\000'] past the end of input.
+   Callers that must tell a NUL byte from the end check {!at_end}. *)
+let[@inline] char_at st k =
+  let i = st.pos + k in
+  if i < String.length st.src then String.unsafe_get st.src i else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if st.pos < String.length st.src then
+    if String.unsafe_get st.src st.pos = '\n' then begin
       st.line <- st.line + 1;
       st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+    end
+    else st.col <- st.col + 1;
   st.pos <- st.pos + 1
+
+(* Move the cursor to [pos] over bytes the caller knows hold no
+   newline. *)
+let[@inline] skip_to st pos =
+  st.col <- st.col + (pos - st.pos);
+  st.pos <- pos
 
 let is_digit c = c >= '0' && c <= '9'
 
@@ -49,103 +65,97 @@ let is_ident_start c =
 
 let is_ident_char c = is_ident_start c || is_digit c || c = '-'
 
+(* First offset at or after [i] whose byte fails [p]. *)
+let rec scan_while p src i =
+  if i < String.length src && p (String.unsafe_get src i) then
+    scan_while p src (i + 1)
+  else i
+
 (* Skip spaces, tabs, carriage returns and comments.  Newlines are NOT
    skipped: they become tokens. *)
 let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r') ->
-      advance st;
-      skip_trivia st
-  | Some '#' ->
-      skip_line_comment st;
-      skip_trivia st
-  | Some '/' when peek2 st = Some '/' ->
-      skip_line_comment st;
-      skip_trivia st
-  | Some '/' when peek2 st = Some '*' ->
-      skip_block_comment st;
-      skip_trivia st
-  | _ -> ()
+  if not (at_end st) then
+    match String.unsafe_get st.src st.pos with
+    | ' ' | '\t' | '\r' ->
+        skip_to st (st.pos + 1);
+        skip_trivia st
+    | '#' ->
+        skip_line_comment st;
+        skip_trivia st
+    | '/' when char_at st 1 = '/' ->
+        skip_line_comment st;
+        skip_trivia st
+    | '/' when char_at st 1 = '*' ->
+        skip_block_comment st;
+        skip_trivia st
+    | _ -> ()
 
-and skip_line_comment st =
-  let rec loop () =
-    match peek st with
-    | Some '\n' | None -> ()
-    | Some _ ->
-        advance st;
-        loop ()
-  in
-  loop ()
+and skip_line_comment st = skip_to st (scan_while (fun c -> c <> '\n') st.src st.pos)
 
 and skip_block_comment st =
   let start = cur_pos st in
-  advance st;
-  advance st;
+  skip_to st (st.pos + 2);
   let rec loop () =
-    match (peek st, peek2 st) with
-    | Some '*', Some '/' ->
-        advance st;
-        advance st
-    | None, _ -> error st start "unterminated block comment"
-    | Some _, _ ->
-        advance st;
-        loop ()
+    if at_end st then error st start "unterminated block comment"
+    else if String.unsafe_get st.src st.pos = '*' && char_at st 1 = '/' then
+      skip_to st (st.pos + 2)
+    else begin
+      advance st;
+      loop ()
+    end
   in
   loop ()
 
 let lex_ident st =
   let start = st.pos in
-  while (match peek st with Some c -> is_ident_char c | None -> false) do
-    advance st
-  done;
+  skip_to st (scan_while is_ident_char st.src start);
   String.sub st.src start (st.pos - start)
 
 let lex_number st start =
-  let begin_pos = st.pos in
-  while (match peek st with Some c -> is_digit c | None -> false) do
-    advance st
-  done;
-  let is_float = ref false in
-  (match (peek st, peek2 st) with
-  | Some '.', Some c when is_digit c ->
-      is_float := true;
-      advance st;
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done
-  | _ -> ());
-  (match peek st with
-  | Some ('e' | 'E') ->
-      is_float := true;
-      advance st;
-      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done
-  | _ -> ());
-  let text = String.sub st.src begin_pos (st.pos - begin_pos) in
-  if !is_float then Token.FLOAT (float_of_string text)
+  let src = st.src and begin_pos = st.pos in
+  let i = scan_while is_digit src begin_pos in
+  let fraction =
+    i + 1 < String.length src && src.[i] = '.' && is_digit src.[i + 1]
+  in
+  let i = if fraction then scan_while is_digit src (i + 1) else i in
+  let exponent = i < String.length src && (src.[i] = 'e' || src.[i] = 'E') in
+  let i =
+    if not exponent then i
+    else
+      let j =
+        if i + 1 < String.length src && (src.[i + 1] = '+' || src.[i + 1] = '-')
+        then i + 2
+        else i + 1
+      in
+      scan_while is_digit src j
+  in
+  skip_to st i;
+  let text = String.sub src begin_pos (i - begin_pos) in
+  if fraction || exponent then Token.FLOAT (float_of_string text)
   else
     match int_of_string_opt text with
     | Some n -> Token.INT n
     | None -> error st start (Printf.sprintf "invalid number %S" text)
 
-(* Lex a full token stream (terminated by EOF). *)
-let rec tokens st : Token.spanned list =
-  let acc = ref [] in
-  let rec loop () =
-    skip_trivia st;
-    let start = cur_pos st in
-    match peek st with
-    | None ->
-        acc := { Token.tok = Token.EOF; span = span_from st start } :: !acc
-    | Some c ->
-        let tok = lex_one st start c in
-        acc := { Token.tok; span = span_from st start } :: !acc;
-        loop ()
+(* End of the run of plain string characters starting at [i]: stops at
+   a quote, a backslash, a newline, the end of input, or a '$' that is
+   last or opens an interpolation. *)
+let rec string_run_end src i =
+  let i =
+    scan_while (fun c -> c <> '"' && c <> '\\' && c <> '$' && c <> '\n') src i
   in
-  loop ();
-  List.rev !acc
+  if i + 1 < String.length src && src.[i] = '$' && src.[i + 1] <> '{' then
+    string_run_end src (i + 1)
+  else i
+
+(* One token after trivia; [EOF] (again and again) at the end. *)
+let rec next_token st : Token.spanned =
+  skip_trivia st;
+  let start = cur_pos st in
+  if at_end st then { Token.tok = Token.EOF; span = span_from st start }
+  else
+    let tok = lex_one st start (String.unsafe_get st.src st.pos) in
+    { Token.tok; span = span_from st start }
 
 and lex_one st start c : Token.t =
   match c with
@@ -195,14 +205,13 @@ and lex_one st start c : Token.t =
       advance st;
       Token.SLASH
   | '.' ->
-      if peek2 st = Some '.' then begin
-        advance st;
-        advance st;
-        match peek st with
-        | Some '.' ->
-            advance st;
-            Token.ELLIPSIS
-        | _ -> error st start "expected '...'"
+      if char_at st 1 = '.' then begin
+        skip_to st (st.pos + 2);
+        if char_at st 0 = '.' then begin
+          advance st;
+          Token.ELLIPSIS
+        end
+        else error st start "expected '...'"
       end
       else begin
         advance st;
@@ -210,49 +219,49 @@ and lex_one st start c : Token.t =
       end
   | '=' -> (
       advance st;
-      match peek st with
-      | Some '=' ->
+      match char_at st 0 with
+      | '=' ->
           advance st;
           Token.EQ
-      | Some '>' ->
+      | '>' ->
           advance st;
           Token.FATARROW
       | _ -> Token.ASSIGN)
   | '!' -> (
       advance st;
-      match peek st with
-      | Some '=' ->
+      match char_at st 0 with
+      | '=' ->
           advance st;
           Token.NEQ
       | _ -> Token.NOT)
   | '<' -> (
       advance st;
-      match peek st with
-      | Some '=' ->
+      match char_at st 0 with
+      | '=' ->
           advance st;
           Token.LE
-      | Some '<' ->
+      | '<' ->
           advance st;
           lex_heredoc st start
       | _ -> Token.LT)
   | '>' -> (
       advance st;
-      match peek st with
-      | Some '=' ->
+      match char_at st 0 with
+      | '=' ->
           advance st;
           Token.GE
       | _ -> Token.GT)
   | '&' -> (
       advance st;
-      match peek st with
-      | Some '&' ->
+      match char_at st 0 with
+      | '&' ->
           advance st;
           Token.AND
       | _ -> error st start "expected '&&'")
   | '|' -> (
       advance st;
-      match peek st with
-      | Some '|' ->
+      match char_at st 0 with
+      | '|' ->
           advance st;
           Token.OR
       | _ -> error st start "expected '||'")
@@ -263,79 +272,94 @@ and lex_one st start c : Token.t =
   | c when is_ident_start c -> Token.IDENT (lex_ident st)
   | c -> error st start (Printf.sprintf "unexpected character %C" c)
 
-(* Body of a double-quoted string, cursor just past the opening quote. *)
+(* Body of a double-quoted string, cursor just past the opening quote.
+   Runs of plain characters are copied with one blit; a string with no
+   escape or interpolation is a single [String.sub]. *)
 and lex_string_parts st start : Token.str_part list =
-  let buf = Buffer.create 16 in
-  let parts = ref [] in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      parts := Token.Lit (Buffer.contents buf) :: !parts;
-      Buffer.clear buf
-    end
-  in
-  let rec loop () =
-    match peek st with
-    | None -> error st start "unterminated string"
-    | Some '"' ->
-        advance st;
-        flush ()
-    | Some '\\' ->
-        advance st;
-        (match peek st with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some '$' -> Buffer.add_char buf '$'
-        | Some c -> error st start (Printf.sprintf "invalid escape '\\%c'" c)
-        | None -> error st start "unterminated string");
-        advance st;
-        loop ()
-    | Some '$' when peek2 st = Some '{' ->
-        flush ();
-        advance st;
-        advance st;
-        parts := Token.Interp (lex_interp st start) :: !parts;
-        loop ()
-    | Some '\n' -> error st start "newline in string literal"
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        loop ()
-  in
-  loop ();
-  List.rev !parts
+  let src = st.src in
+  let run_end () = string_run_end src st.pos in
+  let first = run_end () in
+  if first < String.length src && src.[first] = '"' then begin
+    let s = String.sub src st.pos (first - st.pos) in
+    skip_to st (first + 1);
+    if s = "" then [] else [ Token.Lit s ]
+  end
+  else begin
+    let buf = Buffer.create 16 in
+    let parts = ref [] in
+    let flush () =
+      if Buffer.length buf > 0 then begin
+        parts := Token.Lit (Buffer.contents buf) :: !parts;
+        Buffer.clear buf
+      end
+    in
+    let rec loop () =
+      let i = run_end () in
+      Buffer.add_substring buf src st.pos (i - st.pos);
+      skip_to st i;
+      if at_end st then error st start "unterminated string"
+      else
+        match String.unsafe_get src st.pos with
+        | '"' ->
+            advance st;
+            flush ()
+        | '\\' ->
+            advance st;
+            (if at_end st then error st start "unterminated string"
+             else
+               match String.unsafe_get src st.pos with
+               | 'n' -> Buffer.add_char buf '\n'
+               | 't' -> Buffer.add_char buf '\t'
+               | 'r' -> Buffer.add_char buf '\r'
+               | '"' -> Buffer.add_char buf '"'
+               | '\\' -> Buffer.add_char buf '\\'
+               | '$' -> Buffer.add_char buf '$'
+               | c -> error st start (Printf.sprintf "invalid escape '\\%c'" c));
+            advance st;
+            loop ()
+        | '$' when char_at st 1 = '{' ->
+            flush ();
+            skip_to st (st.pos + 2);
+            parts := Token.Interp (lex_interp st start) :: !parts;
+            loop ()
+        | '\n' -> error st start "newline in string literal"
+        | c ->
+            (* a '$' that does not open an interpolation, at the end *)
+            advance st;
+            Buffer.add_char buf c;
+            loop ()
+    in
+    loop ();
+    List.rev !parts
+  end
 
 (* Tokens of a ${...} interpolation, up to the matching '}'.  Braces nest
    (e.g. object literals inside interpolations). *)
 and lex_interp st start : Token.spanned list =
-  let acc = ref [] in
-  let depth = ref 0 in
-  let rec loop () =
+  let rec loop acc depth =
     skip_trivia st;
-    let tok_start = cur_pos st in
-    match peek st with
-    | None -> error st start "unterminated interpolation"
-    | Some '}' when !depth = 0 ->
-        advance st;
-        acc := { Token.tok = Token.EOF; span = span_from st tok_start } :: !acc
-    | Some c ->
-        let tok = lex_one st tok_start c in
-        (match tok with
-        | Token.LBRACE -> incr depth
-        | Token.RBRACE -> decr depth
-        | _ -> ());
-        acc := { Token.tok; span = span_from st tok_start } :: !acc;
-        loop ()
+    if at_end st then error st start "unterminated interpolation"
+    else if String.unsafe_get st.src st.pos = '}' && depth = 0 then begin
+      let tok_start = cur_pos st in
+      advance st;
+      List.rev ({ Token.tok = Token.EOF; span = span_from st tok_start } :: acc)
+    end
+    else
+      let t = next_token st in
+      let depth =
+        match t.Token.tok with
+        | Token.LBRACE -> depth + 1
+        | Token.RBRACE -> depth - 1
+        | _ -> depth
+      in
+      loop (t :: acc) depth
   in
-  loop ();
-  List.rev !acc
+  loop [] 0
 
 (* <<EOF / <<-EOF heredoc; cursor just past "<<". *)
 and lex_heredoc st start : Token.t =
   let indent_mode =
-    if peek st = Some '-' then begin
+    if char_at st 0 = '-' then begin
       advance st;
       true
     end
@@ -343,37 +367,27 @@ and lex_heredoc st start : Token.t =
   in
   let tag = lex_ident st in
   if tag = "" then error st start "expected heredoc tag after '<<'";
-  (match peek st with
-  | Some '\n' -> advance st
-  | _ -> error st start "expected newline after heredoc tag");
+  if char_at st 0 = '\n' then advance st
+  else error st start "expected newline after heredoc tag";
   (* Collect raw lines until a line equal to the tag (modulo leading
      whitespace when in indent mode). *)
-  let lines = ref [] in
-  let buf = Buffer.create 64 in
-  let rec read_line () =
-    match peek st with
-    | None -> error st start "unterminated heredoc"
-    | Some '\n' ->
-        advance st;
-        let l = Buffer.contents buf in
-        Buffer.clear buf;
-        l
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        read_line ()
+  let read_line () =
+    let i = scan_while (fun c -> c <> '\n') st.src st.pos in
+    if i >= String.length st.src then begin
+      skip_to st i;
+      error st start "unterminated heredoc"
+    end;
+    let l = String.sub st.src st.pos (i - st.pos) in
+    skip_to st i;
+    advance st;
+    l
   in
   let strip s = String.trim s in
-  let rec collect () =
+  let rec collect acc =
     let l = read_line () in
-    if strip l = tag then ()
-    else begin
-      lines := l :: !lines;
-      collect ()
-    end
+    if strip l = tag then List.rev acc else collect (l :: acc)
   in
-  collect ();
-  let lines = List.rev !lines in
+  let lines = collect [] in
   let lines =
     if not indent_mode then lines
     else
@@ -412,21 +426,36 @@ and template_parts ~file text : Token.str_part list =
     end
   in
   let rec loop () =
-    match peek st with
-    | None -> flush ()
-    | Some '$' when peek2 st = Some '{' ->
-        flush ();
-        advance st;
-        advance st;
-        parts := Token.Interp (lex_interp st (cur_pos st)) :: !parts;
-        loop ()
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        loop ()
+    if at_end st then flush ()
+    else if String.unsafe_get text st.pos = '$' && char_at st 1 = '{' then begin
+      flush ();
+      skip_to st (st.pos + 2);
+      parts := Token.Interp (lex_interp st (cur_pos st)) :: !parts;
+      loop ()
+    end
+    else begin
+      Buffer.add_char buf (String.unsafe_get text st.pos);
+      advance st;
+      loop ()
+    end
   in
   loop ();
   List.rev !parts
 
-(** Tokenize a full source file. *)
-let tokenize ~file src = tokens (make ~file src)
+(** Lex the rest of the input, discarding the tokens: raises the first
+    {!Error} still ahead of the cursor, if any. *)
+let rec drain st =
+  match (next_token st).Token.tok with Token.EOF -> () | _ -> drain st
+
+(** Tokenize a full source file (terminated by [EOF]).  The parser pulls
+    tokens with {!next_token} instead; this list form is for tests and
+    tools. *)
+let tokenize ~file src =
+  let st = make ~file src in
+  let rec loop acc =
+    let t = next_token st in
+    match t.Token.tok with
+    | Token.EOF -> List.rev (t :: acc)
+    | _ -> loop (t :: acc)
+  in
+  loop []

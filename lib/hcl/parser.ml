@@ -22,97 +22,108 @@
 
 exception Error of string * Loc.span
 
-type state = { mutable toks : Token.spanned list; mutable last : Loc.span }
+(* One token of lookahead over a token source: the lexer, pulled a
+   token at a time, or an interpolation's token list. *)
+type state = {
+  next : unit -> Token.spanned;
+  mutable cur : Token.spanned;
+  mutable last : Loc.span;
+}
 
-let make toks = { toks; last = Loc.dummy }
+let make next = { next; cur = next (); last = Loc.dummy }
 
-let peek st =
-  match st.toks with [] -> Token.EOF | { tok; _ } :: _ -> tok
+(* A parser over a token list ending in [EOF], as every interpolation's
+   list does; the [EOF] repeats once reached. *)
+let of_tokens toks =
+  let rest = ref toks in
+  make (fun () ->
+      match !rest with
+      | [] -> { Token.tok = Token.EOF; span = Loc.dummy }
+      | [ t ] -> t
+      | t :: r ->
+          rest := r;
+          t)
 
-let peek_span st =
-  match st.toks with [] -> st.last | { span; _ } :: _ -> span
+let[@inline] peek st = st.cur.Token.tok
+let[@inline] peek_span st = st.cur.Token.span
 
 let advance st =
-  match st.toks with
-  | [] -> ()
-  | { span; _ } :: rest ->
-      st.last <- span;
-      st.toks <- rest
+  st.last <- st.cur.Token.span;
+  st.cur <- st.next ()
 
 let error st msg = raise (Error (msg, peek_span st))
 
+(* [tok] is always a constant constructor, so physical equality is
+   token equality. *)
 let expect st tok =
-  if peek st = tok then advance st
+  if peek st == tok then advance st
   else
     error st
       (Printf.sprintf "expected %s but found %s" (Token.describe tok)
          (Token.describe (peek st)))
 
-let skip_newlines st =
-  while peek st = Token.NEWLINE do
-    advance st
-  done
+let rec skip_newlines st =
+  match peek st with
+  | Token.NEWLINE ->
+      advance st;
+      skip_newlines st
+  | _ -> ()
 
 (* Newlines are insignificant inside (), [] and {object} contexts; the
    expression parser calls this between sub-terms where HCL allows a
    line break. *)
 let skip_newlines_in_expr = skip_newlines
 
+(* The binary operator a token spells, if any: the [or] .. [mult]
+   rules of the grammar above, levels given by {!Ast.binop_prec}. *)
+let binop = function
+  | Token.OR -> Some Ast.Or
+  | Token.AND -> Some Ast.And
+  | Token.EQ -> Some Ast.Eq
+  | Token.NEQ -> Some Ast.Neq
+  | Token.LT -> Some Ast.Lt
+  | Token.GT -> Some Ast.Gt
+  | Token.LE -> Some Ast.Le
+  | Token.GE -> Some Ast.Ge
+  | Token.PLUS -> Some Ast.Add
+  | Token.MINUS -> Some Ast.Sub
+  | Token.STAR -> Some Ast.Mul
+  | Token.SLASH -> Some Ast.Div
+  | Token.PERCENT -> Some Ast.Mod
+  | _ -> None
+
 let rec parse_expr st : Ast.expr = parse_ternary st
 
 and parse_ternary st =
-  let c = parse_or st in
-  if peek st = Token.QUESTION then begin
-    advance st;
-    skip_newlines_in_expr st;
-    let a = parse_expr st in
-    skip_newlines_in_expr st;
-    expect st Token.COLON;
-    skip_newlines_in_expr st;
-    let b = parse_expr st in
-    { Ast.desc = Ast.Cond (c, a, b); espan = Loc.merge c.espan b.espan }
-  end
-  else c
+  let c = parse_binary st 1 in
+  match peek st with
+  | Token.QUESTION ->
+      advance st;
+      skip_newlines_in_expr st;
+      let a = parse_expr st in
+      skip_newlines_in_expr st;
+      expect st Token.COLON;
+      skip_newlines_in_expr st;
+      let b = parse_expr st in
+      { Ast.desc = Ast.Cond (c, a, b); espan = Loc.merge c.espan b.espan }
+  | _ -> c
 
-and parse_binop_level st ops next =
-  let left = ref (next st) in
-  let rec loop () =
-    match List.assoc_opt (peek st) ops with
-    | Some op ->
-        advance st;
-        skip_newlines_in_expr st;
-        let right = next st in
-        left :=
-          {
-            Ast.desc = Ast.Binop (op, !left, right);
-            espan = Loc.merge !left.Ast.espan right.Ast.espan;
-          };
-        loop ()
-    | None -> ()
-  in
-  loop ();
-  !left
+(* Precedence climbing: operands joined by operators binding at least
+   as tightly as [min_prec]. *)
+and parse_binary st min_prec = binary_tail st min_prec (parse_unary st)
 
-and parse_or st = parse_binop_level st [ (Token.OR, Ast.Or) ] parse_and
-and parse_and st = parse_binop_level st [ (Token.AND, Ast.And) ] parse_eq
-
-and parse_eq st =
-  parse_binop_level st
-    [ (Token.EQ, Ast.Eq); (Token.NEQ, Ast.Neq) ]
-    parse_compare
-
-and parse_compare st =
-  parse_binop_level st
-    [ (Token.LT, Ast.Lt); (Token.GT, Ast.Gt); (Token.LE, Ast.Le); (Token.GE, Ast.Ge) ]
-    parse_add
-
-and parse_add st =
-  parse_binop_level st [ (Token.PLUS, Ast.Add); (Token.MINUS, Ast.Sub) ] parse_mul
-
-and parse_mul st =
-  parse_binop_level st
-    [ (Token.STAR, Ast.Mul); (Token.SLASH, Ast.Div); (Token.PERCENT, Ast.Mod) ]
-    parse_unary
+and binary_tail st min_prec left =
+  match binop (peek st) with
+  | Some op when Ast.binop_prec op >= min_prec ->
+      advance st;
+      skip_newlines_in_expr st;
+      let right = parse_binary st (Ast.binop_prec op + 1) in
+      binary_tail st min_prec
+        {
+          Ast.desc = Ast.Binop (op, left, right);
+          espan = Loc.merge left.Ast.espan right.Ast.espan;
+        }
+  | _ -> left
 
 and parse_unary st =
   let span = peek_span st in
@@ -220,14 +231,17 @@ and parse_primary st =
   | Token.IDENT "null" ->
       advance st;
       { Ast.desc = Ast.Null; espan = span }
-  | Token.IDENT name ->
+  | Token.IDENT name -> (
       advance st;
-      if peek st = Token.LPAREN then begin
+      match peek st with
+      | Token.LPAREN ->
         advance st;
         skip_newlines_in_expr st;
         let args = ref [] in
         let expand = ref false in
-        (if peek st <> Token.RPAREN then
+        (match peek st with
+         | Token.RPAREN -> ()
+         | _ ->
            let rec args_loop () =
              let a = parse_expr st in
              args := a :: !args;
@@ -236,7 +250,7 @@ and parse_primary st =
              | Token.COMMA ->
                  advance st;
                  skip_newlines_in_expr st;
-                 if peek st <> Token.RPAREN then args_loop ()
+                 (match peek st with Token.RPAREN -> () | _ -> args_loop ())
              | Token.ELLIPSIS ->
                  advance st;
                  expand := true;
@@ -249,8 +263,7 @@ and parse_primary st =
           Ast.desc = Ast.Call (name, List.rev !args, !expand);
           espan = Loc.merge span st.last;
         }
-      end
-      else { Ast.desc = Ast.Var name; espan = span }
+      | _ -> { Ast.desc = Ast.Var name; espan = span })
   | Token.LPAREN ->
       advance st;
       skip_newlines_in_expr st;
@@ -267,15 +280,17 @@ and parse_parts ~span parts =
     (function
       | Token.Lit s -> Ast.Lit s
       | Token.Interp toks ->
-          let sub = make toks in
+          let sub = of_tokens toks in
           let e = parse_expr sub in
           skip_newlines sub;
-          if peek sub <> Token.EOF then
-            raise
-              (Error
-                 ( Printf.sprintf "unexpected %s after interpolation"
-                     (Token.describe (peek sub)),
-                   span ));
+          (match peek sub with
+          | Token.EOF -> ()
+          | t ->
+              raise
+                (Error
+                   ( Printf.sprintf "unexpected %s after interpolation"
+                       (Token.describe t),
+                     span )));
           Ast.Interp e)
     parts
 
@@ -289,15 +304,15 @@ and parse_for_clause st =
     | _ -> error st "expected variable name after 'for'"
   in
   let key_var, val_var =
-    if peek st = Token.COMMA then begin
-      advance st;
-      match peek st with
-      | Token.IDENT v ->
-          advance st;
-          (Some first, v)
-      | _ -> error st "expected second variable name in for-expression"
-    end
-    else (None, first)
+    match peek st with
+    | Token.COMMA -> (
+        advance st;
+        match peek st with
+        | Token.IDENT v ->
+            advance st;
+            (Some first, v)
+        | _ -> error st "expected second variable name in for-expression")
+    | _ -> (None, first)
   in
   (match peek st with
   | Token.IDENT "in" -> advance st
@@ -337,21 +352,21 @@ and parse_list_or_for st span =
       let items = ref [] in
       let rec loop () =
         skip_newlines_in_expr st;
-        if peek st = Token.RBRACKET then ()
-        else begin
-          let e = parse_expr st in
-          items := e :: !items;
-          skip_newlines_in_expr st;
-          match peek st with
-          | Token.COMMA ->
-              advance st;
-              loop ()
-          | Token.RBRACKET -> ()
-          | t ->
-              error st
-                (Printf.sprintf "expected ',' or ']' but found %s"
-                   (Token.describe t))
-        end
+        match peek st with
+        | Token.RBRACKET -> ()
+        | _ -> (
+            let e = parse_expr st in
+            items := e :: !items;
+            skip_newlines_in_expr st;
+            match peek st with
+            | Token.COMMA ->
+                advance st;
+                loop ()
+            | Token.RBRACKET -> ()
+            | t ->
+                error st
+                  (Printf.sprintf "expected ',' or ']' but found %s"
+                     (Token.describe t)))
       in
       loop ();
       expect st Token.RBRACKET;
@@ -380,8 +395,9 @@ and parse_object_or_for st span =
       let kvs = ref [] in
       let rec loop () =
         skip_newlines_in_expr st;
-        if peek st = Token.RBRACE then ()
-        else begin
+        match peek st with
+        | Token.RBRACE -> ()
+        | _ -> (
           let key =
             match peek st with
             | Token.IDENT k ->
@@ -416,8 +432,7 @@ and parse_object_or_for st span =
               advance st;
               loop ()
           | Token.RBRACE -> ()
-          | _ -> loop ()
-        end
+          | _ -> loop ())
       in
       loop ();
       expect st Token.RBRACE;
@@ -427,42 +442,51 @@ and parse_object_or_for st span =
 (* Blocks and bodies                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec parse_body st : Ast.body =
-  let attrs = ref [] and blocks = ref [] in
-  let rec loop () =
-    skip_newlines st;
-    match peek st with
-    | Token.RBRACE | Token.EOF -> ()
-    | Token.IDENT name -> (
-        let span = peek_span st in
-        advance st;
-        match peek st with
-        | Token.ASSIGN ->
-            advance st;
-            skip_newlines_in_expr st;
-            let value = parse_expr st in
-            attrs :=
-              { Ast.aname = name; avalue = value; aspan = Loc.merge span st.last }
-              :: !attrs;
-            (match peek st with
-            | Token.NEWLINE | Token.RBRACE | Token.EOF -> ()
-            | t ->
-                error st
-                  (Printf.sprintf "expected newline after attribute, found %s"
-                     (Token.describe t)));
-            loop ()
-        | Token.LBRACE | Token.QUOTED _ | Token.IDENT _ ->
-            let b = parse_block_after_type st name span in
-            blocks := b :: !blocks;
-            loop ()
-        | t ->
-            error st
-              (Printf.sprintf "expected '=' or '{' after %S, found %s" name
-                 (Token.describe t)))
-    | t -> error st (Printf.sprintf "unexpected %s in body" (Token.describe t))
-  in
-  loop ();
-  { Ast.attrs = List.rev !attrs; blocks = List.rev !blocks }
+(** A top-level item of a configuration, as {!fold} delivers it. *)
+type item = Attribute of Ast.attribute | Block of Ast.block
+
+let add_item (attrs, blocks) = function
+  | Attribute a -> (a :: attrs, blocks)
+  | Block b -> (attrs, b :: blocks)
+
+let body_of_items (attrs, blocks) =
+  { Ast.attrs = List.rev attrs; blocks = List.rev blocks }
+
+(* Fold [f] over the items of a body in source order, each as soon as
+   it is parsed, up to (not including) the closing '}' or [EOF]. *)
+let rec fold_body : 'a. state -> ('a -> item -> 'a) -> 'a -> 'a =
+ fun st f acc ->
+  skip_newlines st;
+  match peek st with
+  | Token.RBRACE | Token.EOF -> acc
+  | Token.IDENT name -> (
+      let span = peek_span st in
+      advance st;
+      match peek st with
+      | Token.ASSIGN ->
+          advance st;
+          skip_newlines_in_expr st;
+          let value = parse_expr st in
+          let a =
+            { Ast.aname = name; avalue = value; aspan = Loc.merge span st.last }
+          in
+          (match peek st with
+          | Token.NEWLINE | Token.RBRACE | Token.EOF -> ()
+          | t ->
+              error st
+                (Printf.sprintf "expected newline after attribute, found %s"
+                   (Token.describe t)));
+          fold_body st f (f acc (Attribute a))
+      | Token.LBRACE | Token.QUOTED _ | Token.IDENT _ ->
+          let b = parse_block_after_type st name span in
+          fold_body st f (f acc (Block b))
+      | t ->
+          error st
+            (Printf.sprintf "expected '=' or '{' after %S, found %s" name
+               (Token.describe t)))
+  | t -> error st (Printf.sprintf "unexpected %s in body" (Token.describe t))
+
+and parse_body st : Ast.body = body_of_items (fold_body st add_item ([], []))
 
 and parse_block_after_type st btype span : Ast.block =
   let labels = ref [] in
@@ -494,29 +518,45 @@ and parse_block_after_type st btype span : Ast.block =
     bspan = Loc.merge span st.last;
   }
 
-let parse_config st : Ast.body =
-  let body = parse_body st in
-  skip_newlines st;
-  if peek st <> Token.EOF then
-    error st
-      (Printf.sprintf "unexpected %s at top level" (Token.describe (peek st)));
-  body
+(* Run [f] on a parser pulling tokens from [src].  A lexer error
+   anywhere in the input outranks a parse error, as it did when the
+   whole input was lexed before parsing: on a parse error the rest of
+   the input is lexed, and its first lexer error, if any, is raised
+   instead. *)
+let with_lexer ~file src f =
+  let lx = Lexer.make ~file src in
+  let st = make (fun () -> Lexer.next_token lx) in
+  match f st with
+  | v -> v
+  | exception (Error _ as e) ->
+      Lexer.drain lx;
+      raise e
+
+let expect_eof st what =
+  match peek st with
+  | Token.EOF -> ()
+  | t -> error st (Printf.sprintf "unexpected %s %s" (Token.describe t) what)
+
+(** Fold [f] over the top-level attributes and blocks of a
+    configuration file, in source order, each as soon as it is parsed:
+    the caller can consume a large file one block at a time without
+    holding its whole syntax tree.  Raises {!Lexer.Error} or {!Error}
+    exactly as {!parse} does. *)
+let fold ~file src f init =
+  with_lexer ~file src (fun st ->
+      let acc = fold_body st f init in
+      expect_eof st "at top level";
+      acc)
 
 (** Parse a configuration file from source text. *)
-let parse ~file src : Ast.body =
-  let toks = Lexer.tokenize ~file src in
-  parse_config (make toks)
+let parse ~file src : Ast.body = body_of_items (fold ~file src add_item ([], []))
 
 (** Parse a single standalone expression (used by the REPL-ish tools and
     by tests). *)
 let parse_expr_string ?(file = "<expr>") src : Ast.expr =
-  let toks = Lexer.tokenize ~file src in
-  let st = make toks in
-  skip_newlines st;
-  let e = parse_expr st in
-  skip_newlines st;
-  if peek st <> Token.EOF then
-    error st
-      (Printf.sprintf "unexpected %s after expression"
-         (Token.describe (peek st)));
-  e
+  with_lexer ~file src (fun st ->
+      skip_newlines st;
+      let e = parse_expr st in
+      skip_newlines st;
+      expect_eof st "after expression";
+      e)

@@ -23,16 +23,6 @@ let binop_text = function
   | And -> "&&"
   | Or -> "||"
 
-(* Precedence levels used to decide where parentheses are needed when an
-   AST was built programmatically (rather than parsed). *)
-let binop_prec = function
-  | Or -> 1
-  | And -> 2
-  | Eq | Neq -> 3
-  | Lt | Gt | Le | Ge -> 4
-  | Add | Sub -> 5
-  | Mul | Div | Mod -> 6
-
 let escape_template_lit s =
   let buf = Buffer.create (String.length s) in
   String.iteri

@@ -246,18 +246,18 @@ let literal ?(span = Loc.dummy) body name =
             ?span:(Some (Option.value ~default:span (Ast.attr_span body name)))
             "state: %S is not literal" name)
 
-let of_string ?(file = "<state>") src =
-  let body = Parser.parse ~file src in
-  List.fold_left
-    (fun acc (b : Ast.block) ->
+(* Fold one top-level item of a state file into [acc]; [acc.outputs]
+   is kept in reverse. *)
+let load_item acc = function
+  | Parser.Attribute a ->
+      corrupt ~span:a.Ast.aspan "state: unexpected attribute %s" a.Ast.aname
+  | Parser.Block b -> (
+      let span = b.Ast.bspan in
       match (b.Ast.btype, b.Ast.labels) with
       | "state", _ ->
-          let serial =
-            Value.to_int (literal ~span:b.Ast.bspan b.Ast.bbody "serial")
-          in
+          let serial = Value.to_int (literal ~span b.Ast.bbody "serial") in
           { acc with serial }
       | "instance", [ addr_str ] ->
-          let span = b.Ast.bspan in
           let addr =
             match Addr.of_string addr_str with
             | Some a -> a
@@ -289,16 +289,34 @@ let of_string ?(file = "<state>") src =
               deps;
             }
           in
-          {
-            acc with
-            resources = Amap.add addr r acc.resources;
-            cloud_index = None;
-          }
+          { acc with resources = Amap.add addr r acc.resources }
       | "output", [ name ] ->
-          let v = literal ~span:b.Ast.bspan b.Ast.bbody "value" in
-          { acc with outputs = acc.outputs @ [ (name, v) ] }
-      | ty, _ -> corrupt ~span:b.Ast.bspan "state: unexpected block %s" ty)
-    empty body.Ast.blocks
+          let v = literal ~span b.Ast.bbody "value" in
+          { acc with outputs = (name, v) :: acc.outputs }
+      | ty, _ -> corrupt ~span "state: unexpected block %s" ty)
+
+(* The state file is read one top-level block at a time, so no block's
+   syntax tree outlives its own load.  The first error a block raises
+   is held until the rest of the file has parsed: a syntax error
+   anywhere still outranks it, as when the whole file was parsed
+   first. *)
+let of_string ?(file = "<state>") src =
+  let failed = ref None in
+  let acc =
+    Parser.fold ~file src
+      (fun acc item ->
+        if Option.is_some !failed then acc
+        else
+          match load_item acc item with
+          | acc -> acc
+          | exception e ->
+              failed := Some (e, Printexc.get_raw_backtrace ());
+              acc)
+      empty
+  in
+  match !failed with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> { acc with outputs = List.rev acc.outputs }
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

@@ -131,6 +131,20 @@ if (( addr_map_count > ADDR_MAP_BASELINE )); then
   exit 1
 fi
 
+# -- streaming front-end gate ----------------------------------------
+# The parser pulls tokens from Lexer.next_token with one token of
+# lookahead; Lexer.tokenize (the whole-file token list) is for tests
+# only, because a token list alive for a whole parse is promoted to
+# the major heap token by token.  Token dispatch is a pattern match,
+# not an assoc-list lookup with polymorphic equality.
+frontend_offenders=$(grep -rnE 'Lexer\.tokenize|List\.assoc_opt \(peek' lib/ \
+  --include='*.ml' --include='*.mli' | grep -v '^lib/hcl/lexer\.ml:' || true)
+if [[ -n "$frontend_offenders" ]]; then
+  echo "check.sh: eager token list or assoc-list token dispatch in lib/ — pull tokens with Lexer.next_token:" >&2
+  echo "$frontend_offenders" >&2
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

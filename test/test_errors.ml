@@ -211,6 +211,66 @@ let test_cli_corrupt_state () =
   let _, err = dump () in
   check bool_ "rendered via Diagnostic" true (contains ~sub:"error[" err)
 
+(* A state file whose content is well-formed HCL but not a state: each
+   must exit 1 with a corrupt-state diagnostic located at the offending
+   block (line 4) or top-level attribute (line 1) — never an internal
+   error or an escaped exception. *)
+let state_with ?(top = "") ~label ~depends () =
+  Printf.sprintf
+    "%sstate {\n  serial = 1\n}\ninstance %S {\n  cloud_id   = \"vpc-1\"\n  type       = \"aws_vpc\"\n  region     = \"us-east-1\"\n  attributes = {}\n  depends    = [%s]\n}\n"
+    top label depends
+
+let corrupt_states =
+  [
+    ("unclosed key", state_with ~label:"aws_vpc.a[" ~depends:"" (), 4);
+    ("unterminated quoted key", state_with ~label:"aws_vpc.a[\"x]" ~depends:"" (), 4);
+    ("empty key", state_with ~label:"aws_vpc.a[]" ~depends:"" (), 4);
+    ( "unclosed dependency key",
+      state_with ~label:"aws_vpc.b" ~depends:"\"aws_vpc.a[\"" (),
+      4 );
+    ( "top-level attribute",
+      state_with ~top:"serial = 3\n" ~label:"aws_vpc.b" ~depends:"" (),
+      1 );
+  ]
+
+let test_cli_corrupt_state_table () =
+  let file = temp_file "resource \"aws_vpc\" \"v\" { region = \"us-east-1\" }\n" in
+  List.iter
+    (fun (name, contents, line) ->
+      let io, dump = quiet_io () in
+      let state_path = temp_file ~suffix:".cls" contents in
+      let code = Cli.plan ~io ~file ~state_path () in
+      check int_ (name ^ ": exits 1") 1 code;
+      let _, err = dump () in
+      check bool_ (name ^ ": corrupt-state") true
+        (contains ~sub:"error[state/corrupt-state]" err);
+      check bool_ (name ^ ": located") true
+        (contains ~sub:(Printf.sprintf ".cls:%d:" line) err))
+    corrupt_states
+
+(* A lexer error anywhere outranks a parse error, even one earlier in
+   the file: the parser pulls tokens lazily, so on a parse error it must
+   still lex the rest of the input before reporting. *)
+let test_lexer_error_precedence () =
+  let src = "resource = = {\n}\nx = \"ok\"\ny = @\n" in
+  (match Cloudless_hcl.Parser.parse ~file:"t.tf" src with
+  | exception Cloudless_hcl.Lexer.Error (msg, span) ->
+      check string_ "message" "unexpected character '@'" msg;
+      check int_ "line" 4 (Loc.line span);
+      check int_ "col" 5 span.Loc.start_pos.Loc.col
+  | exception Cloudless_hcl.Parser.Error (msg, _) ->
+      Alcotest.failf "parse error %S outranked the lexer error" msg
+  | _ -> Alcotest.fail "expected a lexer error");
+  let io, dump = quiet_io () in
+  let file = temp_file src in
+  check int_ "validate exits 1" 1
+    (Cli.validate ~io ~file ~state_path:(temp_path ".cls") ());
+  let out, _ = dump () in
+  check bool_ "validate reports the lexer error" true
+    (contains ~sub:"error[syntax/lex-error]" out
+    && contains ~sub:".tf:4:5-" out
+    && contains ~sub:"unexpected character '@'" out)
+
 (* Boundary.protect must pass unknown exceptions through untouched:
    they are bugs, and swallowing them would hide the backtrace. *)
 let test_boundary_passthrough () =
@@ -242,6 +302,10 @@ let suites =
         Alcotest.test_case "cli: quota deploy exits 2" `Quick test_cli_quota;
         Alcotest.test_case "cli: corrupt state exits 1" `Quick
           test_cli_corrupt_state;
+        Alcotest.test_case "cli: malformed state entries are corrupt-state" `Quick
+          test_cli_corrupt_state_table;
+        Alcotest.test_case "lexer error outranks an earlier parse error" `Quick
+          test_lexer_error_precedence;
         Alcotest.test_case "boundary: foreign exceptions propagate" `Quick
           test_boundary_passthrough;
       ] );

@@ -440,6 +440,18 @@ let test_addr_base () =
   check bool_ "same base" true (Addr.same_base a b);
   check string_ "base str" "x_y.n" (Addr.to_string (Addr.base a))
 
+(* Addresses arrive from state files and journals: parsing must return
+   [None] on anything malformed, never raise. *)
+let prop_addr_of_string_total =
+  QCheck.Test.make ~count:500 ~name:"Addr.of_string is total"
+    QCheck.(
+      string_gen_of_size (Gen.int_range 0 16)
+        (Gen.oneofl [ 'a'; '_'; '.'; '['; ']'; '"'; '\\'; '1'; '-' ]))
+    (fun s ->
+      match Addr.of_string s with
+      | Some a -> Addr.of_string (Addr.to_string a) = Some a
+      | None -> true)
+
 (* ------------------------------------------------------------------ *)
 (* CIDR math                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -540,6 +552,7 @@ let suites =
         Alcotest.test_case "to_string" `Quick test_addr_to_string;
         Alcotest.test_case "round-trip" `Quick test_addr_roundtrip;
         Alcotest.test_case "base" `Quick test_addr_base;
+        qtest prop_addr_of_string_total;
       ] );
     ( "hcl.ipnet",
       [

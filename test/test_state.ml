@@ -148,6 +148,96 @@ let test_diff () =
   check int_ "one modified" 1 (List.length d.State.modified);
   check bool_ "self diff empty" true (State.diff_is_empty (State.diff a a))
 
+(* Property: serialization is a fixpoint after one round trip, over
+   states whose addresses carry module paths and int/string keys with
+   quotes, brackets and dots, and whose values nest lists and maps of
+   negative ints, %g-exact floats and strings that need escaping. *)
+let state_gen =
+  let open QCheck.Gen in
+  let ident = string_size ~gen:(oneofl [ 'a'; 'b'; 'z'; '_' ]) (int_range 1 5) in
+  let text chars n = string_size ~gen:(oneofl chars) (int_range 0 n) in
+  let key =
+    frequency
+      [
+        (2, return Addr.Knone);
+        (2, map (fun i -> Addr.Kint i) (int_range (-5) 50));
+        (3, map (fun s -> Addr.Kstr s) (text [ 'a'; '"'; ']'; '['; '.'; ' '; '\\' ] 5));
+      ]
+  in
+  let addr =
+    map3
+      (fun module_path (rtype, rname) key ->
+        Addr.make ~module_path ~rtype ~rname ~key ())
+      (list_size (int_range 0 2) ident)
+      (pair ident ident) key
+  in
+  let float_ =
+    (* exactly representable in %g's six digits: no drift on re-print *)
+    map2
+      (fun m e -> float_of_int m *. (10. ** float_of_int e))
+      (int_range (-999) 999) (int_range (-8) 3)
+  in
+  let str = text [ 'a'; ' '; '"'; '\\'; '\n'; '\t'; '$'; '{'; '}'; '%' ] 8 in
+  let map_key = string_size ~gen:(oneofl [ 'a'; 'x'; '_'; '-'; '.'; '"'; ' '; '$'; '{' ]) (int_range 1 4) in
+  let value =
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              return Value.Vnull;
+              map (fun b -> Value.Vbool b) bool;
+              map (fun n -> Value.Vint n) (int_range (-1_000_000) 1_000_000);
+              map (fun f -> Value.Vfloat f) float_;
+              map (fun s -> Value.Vstring s) str;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (3, leaf);
+              (1, map (fun vs -> Value.Vlist vs) (list_size (int_range 0 3) (self (depth - 1))));
+              ( 1,
+                map
+                  (fun kvs -> Value.of_assoc kvs)
+                  (list_size (int_range 0 3) (pair map_key (self (depth - 1)))) );
+            ])
+      2
+  in
+  let resource =
+    map3
+      (fun addr attrs deps ->
+        {
+          State.addr;
+          cloud_id = "id-" ^ Addr.to_string addr;
+          rtype = addr.Addr.rtype;
+          region = "us-east-1";
+          attrs = Smap.of_seq (List.to_seq attrs);
+          deps;
+        })
+      addr
+      (list_size (int_range 0 4) (pair map_key value))
+      (list_size (int_range 0 2) addr)
+  in
+  map3
+    (fun rs outputs serial ->
+      let s = List.fold_left State.add State.empty rs in
+      State.with_serial (State.set_outputs s outputs) serial)
+    (list_size (int_range 0 6) resource)
+    (list_size (int_range 0 2) (pair ident value))
+    (int_range 0 10_000)
+
+let prop_state_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"to_string . of_string . to_string fixpoint"
+    (QCheck.make state_gen ~print:State.to_string)
+    (fun s ->
+      let text = State.to_string s in
+      let s' = State.of_string text in
+      State.to_string s' = text
+      && State.size s' = State.size s
+      && State.serial s' = State.serial s)
+
 (* ------------------------------------------------------------------ *)
 (* Version store ("time machine")                                      *)
 (* ------------------------------------------------------------------ *)
@@ -204,6 +294,7 @@ let suites =
         Alcotest.test_case "serialization round-trip" `Quick test_serialization_roundtrip;
         Alcotest.test_case "unknowns sanitized" `Quick test_serialization_sanitizes_unknowns;
         Alcotest.test_case "diff" `Quick test_diff;
+        QCheck_alcotest.to_alcotest prop_state_roundtrip;
       ] );
     ( "state.versions",
       [
