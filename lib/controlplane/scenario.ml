@@ -522,6 +522,11 @@ let install_fleet scn fleet_ref =
   let cloud = Fleet.cloud fleet in
   let injections = ref [] in
   let deps = ref [] in
+  (* one rendering per wave: every tenant's request carries the same
+     string *)
+  let wave_src =
+    Array.init (max 1 scn.requests_per_tenant) (fun wave -> fleet_src scn ~wave)
+  in
   for ti = 0 to scn.tenants - 1 do
     let tenant = Printf.sprintf "tenant%d" ti in
     let hot = ti < scn.hot_tenants in
@@ -529,8 +534,7 @@ let install_fleet scn fleet_ref =
     for di = 0 to scn.deployments_per_tenant - 1 do
       let dname = Printf.sprintf "d%d" di in
       ignore
-        (Fleet.add_deployment fleet ~tenant ~dname
-           ~src:(fleet_src scn ~wave:0));
+        (Fleet.add_deployment fleet ~tenant ~dname ~src:wave_src.(0));
       deps := (tenant, dname) :: !deps;
       for w = 0 to scn.requests_per_tenant - 1 do
         let wave = if calm then 0 else w in
@@ -543,8 +547,7 @@ let install_fleet scn fleet_ref =
               match Fleet.find_deployment fleet ~tenant ~dname with
               | Some dep ->
                   ignore
-                    (Fleet.submit_request fleet dep
-                       ~src:(fleet_src scn ~wave)
+                    (Fleet.submit_request fleet dep ~src:wave_src.(wave)
                       : [ `Accepted of int | `Deferred of int | `Rejected ])
               | None -> ())
         done

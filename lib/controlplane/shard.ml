@@ -32,9 +32,12 @@
     full episode cost), and the unit is re-admitted around the
     breaker's next half-open probe, re-reading the deployment's
     {e latest} config revision so a parked request can never roll a
-    tenant back to a stale wave.  While any cell is Open the shard
-    also sheds baseline scan sweeps: a sweep would burn O(state) reads
-    only to fast-fail its repair. *)
+    tenant back to a stale wave.  A re-admission that finds the source
+    and the state it parked with reuses the plan it parked with, and
+    every shard shares one parsed config per distinct source, so a
+    revision is compiled once however often it is retried.  While any
+    cell is Open the shard also sheds baseline scan sweeps: a sweep
+    would burn O(state) reads only to fast-fail its repair. *)
 
 module Hcl = Cloudless_hcl
 module Addr = Hcl.Addr
@@ -118,6 +121,10 @@ let fleet_service =
     breaker = None;
   }
 
+(* A request's plan, keyed by the source it was compiled from and the
+   identity of the state it was diffed against. *)
+type plan_memo = { msrc : string; mstate : State.t; mplan : Plan.t }
+
 type deployment = {
   tenant : string;
   dname : string;
@@ -134,6 +141,8 @@ type deployment = {
           a crash (end-of-work persistence); resume replays the journal
           over this *)
   journal : Journal.t;  (** one write-ahead journal across all applies *)
+  mutable memo : plan_memo option;
+      (** the last request plan, kept while that request is parked *)
 }
 
 type work =
@@ -274,6 +283,7 @@ let make_deployment ~tenant ~dname ~src =
     state = State.empty;
     persisted = State.empty;
     journal = Journal.create ();
+    memo = None;
   }
 
 let add_deployment t ~tenant ~dname ~src =
@@ -312,8 +322,32 @@ let data_resolver ~rtype ~name:_ ~args:_ =
   | "aws_region" -> Some (Smap.singleton "name" (Value.Vstring "us-east-1"))
   | _ -> None
 
+(* Parsed configs, keyed by source content and shared by every shard of
+   every fleet: a pass compiles a handful of distinct revisions for
+   thousands of grants.  The ephemeron drops an entry with the last live
+   copy of its source string, so the table holds only live revisions.
+   Sharing is safe because parsing is pure and [Config.t] immutable; a
+   source that fails to parse is never entered, so it raises afresh on
+   every attempt. *)
+module Parsed = Ephemeron.K1.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let parsed : Hcl.Config.t Parsed.t = Parsed.create 16
+
+let parse_config src =
+  match Parsed.find_opt parsed src with
+  | Some cfg -> cfg
+  | None ->
+      let cfg = Hcl.Config.parse ~file:"<service>" src in
+      Parsed.replace parsed src cfg;
+      cfg
+
 let expand ~state src =
-  let cfg = Hcl.Config.parse ~file:"<service>" src in
+  let cfg = parse_config src in
   let env =
     {
       Hcl.Eval.default_env with
@@ -322,6 +356,21 @@ let expand ~state src =
     }
   in
   (Hcl.Eval.expand ~env cfg).Hcl.Eval.instances
+
+(* The request plan for [src] against [state].  A parked request is
+   re-admitted, usually many times, against the very state its last
+   fast-failed apply handed back: an apply that changed nothing returns
+   its input state, while any progress, refresh or other unit's
+   completion makes a new one.  So the memo hits exactly when source
+   and state identity both match, and since expansion and planning are
+   pure in (source, state) a hit is the plan a recompute would make. *)
+let request_plan dep ~state src =
+  match dep.memo with
+  | Some m when m.mstate == state && String.equal m.msrc src -> m.mplan
+  | _ ->
+      let plan = Plan.make ~state (expand ~state src) in
+      dep.memo <- Some { msrc = src; mstate = state; mplan = plan };
+      plan
 
 let applier_config t dep =
   {
@@ -415,10 +464,12 @@ and enqueue t work =
   drain t
 
 (* Complete a unit of work: persist the deployment's state (end-of-work
-   persistence — the crash window the journal covers), release the
-   locks, and emit the span. *)
+   persistence — the crash window the journal covers), drop the plan
+   memo (only parked work keeps one alive), release the locks, and
+   emit the span. *)
 and finish_work t dep ~wid ~span ~sim_start ~meta ~counters =
   dep.persisted <- dep.state;
+  dep.memo <- None;
   pending_decr t dep.tenant;
   Lock_manager.release t.lock ~owner:(owner_of dep ~wid);
   Trace.emit_span t.trace ~meta ~counters ~sim_start span;
@@ -479,6 +530,7 @@ and protected t dep ~wid (f : unit -> unit) =
       Metrics.scope_inc t.scope "work_failures";
       Trace.meta t.trace "work_error" (Printexc.to_string e);
       dep.state <- dep.persisted;
+      dep.memo <- None;
       pending_decr t dep.tenant;
       Lock_manager.release t.lock ~owner:(owner_of dep ~wid);
       drain t
@@ -491,8 +543,7 @@ and exec_request t dep ~wid ~rid ~src ~submitted =
   Metrics.scope_observe t.scope "request_queue_wait" (granted -. submitted);
   dep.config_src <- src;
   let continue_with state0 reads =
-    let instances = expand ~state:state0 src in
-    let plan = Plan.make ~state:state0 instances in
+    let plan = request_plan dep ~state:state0 src in
     Applier.apply t.cloud ~config:(applier_config t dep) ~state:state0 ~plan
       ~journal:dep.journal ?breaker:t.breaker ~gate:t.host.gate
       ~alive:t.host.alive

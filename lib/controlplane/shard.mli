@@ -57,6 +57,10 @@ val baseline_service : service_config
     periodic rebalancing (armed only with more than one shard). *)
 val fleet_service : service_config
 
+(** A request's compiled plan, keyed by its source and by the identity
+    of the state it was planned against. *)
+type plan_memo
+
 type deployment = {
   tenant : string;
   dname : string;
@@ -73,6 +77,9 @@ type deployment = {
           a crash (end-of-work persistence); resume replays the journal
           over this *)
   journal : Journal.t;  (** one write-ahead journal across all applies *)
+  mutable memo : plan_memo option;
+      (** the last request plan, kept while that request is parked and
+          dropped when a unit of work finishes or fails *)
 }
 
 (** Host callbacks: the seam between a shard and whoever runs it. *)
@@ -133,7 +140,9 @@ val queue_depth : t -> int
 val managed_resource_count : t -> int
 
 (** Expand a configuration source against a state (shared by requests,
-    reconciles, and post-hoc convergence audits). *)
+    reconciles, and post-hoc convergence audits).  The parse comes from
+    a table shared fleet-wide and keyed by source content, so each
+    distinct live revision is parsed once. *)
 val expand :
   state:State.t -> string -> Cloudless_hcl.Eval.instance list
 

@@ -145,6 +145,26 @@ if [[ -n "$frontend_offenders" ]]; then
   exit 1
 fi
 
+# -- compile-once gate -----------------------------------------------
+# The control plane parses config text only in Shard.parse_config, the
+# content-keyed table every shard shares: a pass retries a handful of
+# revisions thousands of times, so a second, uncached parse path would
+# quietly bring the per-grant parse back.
+cached_parse=$(grep -n '^let parse_config ' lib/controlplane/shard.ml | cut -d: -f1 || true)
+if [[ -z "$cached_parse" ]]; then
+  echo "check.sh: Shard.parse_config (the cached config parse) is gone" >&2
+  exit 1
+fi
+parse_offenders=$(grep -rnE 'Config\.parse([^_[:alnum:]]|$)' lib/controlplane/ \
+  --include='*.ml' --include='*.mli' \
+  | awk -F: -v def="$cached_parse" \
+      '!($1 == "lib/controlplane/shard.ml" && $2 > def && $2 <= def + 8)' || true)
+if [[ -n "$parse_offenders" ]]; then
+  echo "check.sh: config parse in lib/controlplane outside Shard.parse_config — go through the cached parse:" >&2
+  echo "$parse_offenders" >&2
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

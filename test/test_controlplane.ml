@@ -2,14 +2,15 @@
    scenario smoke, the lock admission properties the paper's
    multi-tenancy claim rests on (disjoint tenants never wait,
    conflicting work serializes in queue order), a golden drift-event ->
-   scoped-reconcile trace, and crash resume with zero
-   orphans/duplicates. *)
+   scoped-reconcile trace, crash resume with zero orphans/duplicates,
+   and a request plan reused only against the state it was made for. *)
 
 module Cloud = Cloudless_sim.Cloud
 module Rate_limiter = Cloudless_sim.Rate_limiter
 module Failure = Cloudless_sim.Failure
 module State = Cloudless_state.State
 module Lock_manager = Cloudless_lock.Lock_manager
+module Breaker = Cloudless_deploy.Breaker
 module Shard = Cloudless_controlplane.Shard
 module Fleet = Cloudless_controlplane.Fleet
 module Scenario = Cloudless_controlplane.Scenario
@@ -280,6 +281,65 @@ let test_crash_resume () =
       check int_ "deployment fully populated" 8 (State.size d.Shard.state))
     (Fleet.deployments fresh)
 
+(* ------------------------------------------------------------------ *)
+(* Plan reuse across re-admissions                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A hot-tenant burst of one source, back to back, into an outage on
+   aws_instance with the breaker on.  The first request creates the
+   network rows, trips the instance cell and parks; the second is
+   granted at once against that partial state and must plan only the
+   missing instances, not reuse the first request's all-creates plan
+   (which would mint duplicate network rows and orphan the originals).
+   Whichever request finishes last plans against the other's result
+   and writes nothing. *)
+let test_plan_memo_keyed_by_state () =
+  let sink, spans = Trace.memory_sink () in
+  let cloud = fresh_cloud () in
+  Cloud.set_episodes cloud
+    [
+      Failure.episode ~rtype:"aws_instance" ~start_:0. ~finish:200.
+        Failure.Outage;
+    ];
+  let trace = Trace.create ~sim_clock:(fun () -> Cloud.now cloud) sink in
+  let config =
+    { Shard.fleet_service with Shard.breaker = Some Breaker.default_config }
+  in
+  let cp = Fleet.create ~cloud ~trace ~shards:1 config in
+  let src =
+    Scenario.fleet_src { Scenario.default with Scenario.resources = 8 } ~wave:0
+  in
+  let dep = Fleet.add_deployment cp ~tenant:"hot" ~dname:"d0" ~src in
+  ignore (submit cp dep ~src);
+  ignore (submit cp dep ~src);
+  let partial = ref 0 in
+  Cloud.schedule cloud ~delay:100. (fun () ->
+      partial := State.size dep.Shard.state);
+  Fleet.run cp ~until:1500.;
+  check bool_ "mid-outage state is partial" true (!partial > 0 && !partial < 8);
+  let m = Fleet.metrics cp in
+  check bool_ "both requests parked" true
+    (Metrics.counter m "requests_parked" >= 2);
+  check int_ "both requests done" 2 (Metrics.counter m "requests_done");
+  check bool_ "no orphans" true (Fleet.orphans cp = []);
+  check int_ "exact deployment, no duplicates" 8
+    (Fleet.managed_resource_count cp);
+  let last_rid =
+    match List.rev (Fleet.completed_requests cp) with
+    | (_, rid, _) :: _ -> string_of_int rid
+    | [] -> Alcotest.fail "no request completed"
+  in
+  match
+    List.find_opt
+      (fun (s : Trace.span) ->
+        s.Trace.name = "request" && List.assoc_opt "rid" s.Trace.meta = Some last_rid)
+      (spans ())
+  with
+  | Some s ->
+      check int_ "the last request plans against the other's result" 0
+        (List.assoc "writes" (Trace.counters s))
+  | None -> Alcotest.fail "no span for the last request"
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -292,6 +352,8 @@ let suites =
         Alcotest.test_case "golden drift trace" `Quick test_golden_drift_trace;
         Alcotest.test_case "crash mid-service resumes clean" `Slow
           test_crash_resume;
+        Alcotest.test_case "plan memo keyed by state" `Quick
+          test_plan_memo_keyed_by_state;
       ] );
     ("controlplane.admission", [ qtest prop_disjoint_no_wait; qtest prop_conflicting_fifo ]);
   ]

@@ -2,7 +2,8 @@
    shadow model), the strict episode sub-grammar of the scenario DSL,
    the episode engine's windows/verdicts/quota floors, the executor's
    distinct outage diagnostic, scan shedding under an open breaker,
-   and chaos determinism (same seed, byte-identical metrics). *)
+   parked requests converging to the newest revision, and chaos
+   determinism (same seed, byte-identical metrics). *)
 
 open Cloudless_hcl
 module Cloud = Cloudless_sim.Cloud
@@ -386,6 +387,84 @@ let test_scan_shed_and_drain () =
     (List.for_all (fun s -> Shard.parked_work s = 0) (Fleet.shards !cp))
 
 (* ------------------------------------------------------------------ *)
+(* Parked requests converge to the newest revision                     *)
+(* ------------------------------------------------------------------ *)
+
+let rev_scn = { Scenario.default with Scenario.resources = 8 }
+let rev_a = Scenario.fleet_src rev_scn ~wave:0
+let rev_b = Scenario.fleet_src rev_scn ~wave:1
+
+(* One deployment on a one-shard fleet with the breaker on, under a
+   full outage.  With [~stale:true] revision A is submitted at t=0 and
+   revision B the first instant A is seen parked; otherwise only B is
+   ever submitted.  Returns the fleet, the deployment, and how many
+   units were parked when B arrived. *)
+let revision_run ~stale =
+  let cloud =
+    Cloud.create ~config:(Cloud_rules.config_with_checks ()) ~seed:5 ()
+  in
+  Cloud.set_episodes cloud
+    [ Failure.episode ~start_:0. ~finish:300. Failure.Outage ];
+  let config =
+    { Shard.fleet_service with Shard.breaker = Some Breaker.default_config }
+  in
+  let fleet = Fleet.create ~cloud ~shards:1 config in
+  let dep = Fleet.add_deployment fleet ~tenant:"acme" ~dname:"prod" ~src:rev_a in
+  let parked () =
+    List.fold_left (fun n s -> n + Shard.parked_work s) 0 (Fleet.shards fleet)
+  in
+  let parked_at_b = ref 0 in
+  let submit_b () =
+    parked_at_b := parked ();
+    ignore (Fleet.submit_request fleet dep ~src:rev_b)
+  in
+  if stale then begin
+    ignore (Fleet.submit_request fleet dep ~src:rev_a);
+    let rec when_parked () =
+      Cloud.schedule cloud ~delay:1. (fun () ->
+          if parked () > 0 then submit_b () else when_parked ())
+    in
+    when_parked ()
+  end
+  else submit_b ();
+  Fleet.run fleet ~until:2000.;
+  (fleet, dep, !parked_at_b)
+
+(* A request parked on revision A is rebuilt from the latest source at
+   re-admission, so once B is submitted no plan for A may reach the
+   cloud: the deployment ends on B's instance types with exactly the
+   state of a run that only ever saw B, and the engine never had to
+   update or replace a row A had written. *)
+let test_parked_request_converges_to_newest () =
+  let fleet, dep, parked_at_b = revision_run ~stale:true in
+  let only_b, _, _ = revision_run ~stale:false in
+  check bool_ "A was parked when B arrived" true (parked_at_b > 0);
+  check int_ "both requests done" 2
+    (Metrics.counter (Fleet.metrics fleet) "requests_done");
+  let types =
+    List.filter_map
+      (fun (r : State.resource_state) ->
+        if r.State.rtype = "aws_instance" then
+          Some (Smap.find_opt "instance_type" r.State.attrs)
+        else None)
+      (State.resources dep.Shard.state)
+  in
+  check bool_ "every instance row is present" true (List.length types = 4);
+  check bool_ "every instance row carries B's type" true
+    (List.for_all (( = ) (Some (Value.Vstring "t3.medium"))) types);
+  check string_ "digest equals the B-only run" (Fleet.state_digest only_b)
+    (Fleet.state_digest fleet);
+  let rewrites =
+    List.filter
+      (fun (e : Activity_log.entry) ->
+        match e.Activity_log.op with
+        | Activity_log.Log_update | Activity_log.Log_delete -> true
+        | _ -> false)
+      (Activity_log.all (Cloud.log (Fleet.cloud fleet)))
+  in
+  check int_ "no stale revision reached the cloud" 0 (List.length rewrites)
+
+(* ------------------------------------------------------------------ *)
 (* Chaos determinism on the fleet                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -471,6 +550,8 @@ let suites =
       [
         Alcotest.test_case "outage diagnostic" `Quick test_outage_diagnostic;
         Alcotest.test_case "scan shed + drain" `Quick test_scan_shed_and_drain;
+        Alcotest.test_case "parked request converges to newest revision"
+          `Quick test_parked_request_converges_to_newest;
         Alcotest.test_case "chaos determinism" `Quick test_chaos_determinism;
         Alcotest.test_case "chaos convergence" `Quick test_chaos_converges;
       ] );
