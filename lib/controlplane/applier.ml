@@ -47,7 +47,6 @@ module Activity_log = Cloudless_sim.Activity_log
 module State = Cloudless_state.State
 module Journal = Cloudless_state.Journal
 module Plan = Cloudless_plan.Plan
-module Dag = Cloudless_graph.Dag
 module Executor = Cloudless_deploy.Executor
 module Breaker = Cloudless_deploy.Breaker
 module Drift = Cloudless_drift.Drift
@@ -155,13 +154,22 @@ type outcome = {
   writes : int;  (** cloud write calls journaled (incl. retries) *)
 }
 
-(** Walk [plan] over [cloud], calling [on_done] when every change has
-    settled.  [gate] runs after each intent is journaled and before
-    the cloud call leaves the engine — raising from it models process
-    death with the intent durable (the executor's crash semantics,
-    supplied by the service so the write counter spans tenants). *)
+(** Walk [graph] (a plan's {!Plan.exec_graph}) over [cloud], calling
+    [on_done] when every change has settled.  [gate] runs after each
+    intent is journaled and before the cloud call leaves the engine —
+    raising from it models process death with the intent durable (the
+    executor's crash semantics, supplied by the service so the write
+    counter spans tenants).
+
+    The walk is the executor's: node ids are plan order, [status] and
+    [remaining_deps] are arrays indexed by id, and [xrdeps] rows are in
+    ascending-address order, so the FIFO ready queue fills exactly as
+    an [Addr.Set]-keyed walk would.  A unit of work thus costs O(its
+    plan) however long the deployment's journal has grown: the op
+    counter seeds from {!Journal.last_op}. *)
 let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
-    ~(plan : Plan.t) ?journal ?breaker ~gate ~alive ~count_api ~on_done () =
+    ~(graph : Plan.exec_graph) ?journal ?breaker ~gate ~alive ~count_api
+    ~on_done () =
   let actor = Activity_log.Iac_engine config.engine in
   let journal_append entry =
     match journal with Some j -> Journal.append j entry | None -> ()
@@ -169,12 +177,11 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
   let ops_started =
     ref
       (match journal with
-      | Some j -> Journal.max_op (Journal.entries j)
+      | Some j -> Journal.last_op j
       | None -> 0)
   in
-  let dag = Plan.execution_graph plan in
-  let nodes = Dag.nodes dag in
-  let node_count = Dag.size dag in
+  let nodes = graph.Plan.xchanges and rdeps = graph.Plan.xrdeps in
+  let node_count = Plan.exec_size graph in
   journal_append
     (Journal.Run_started
        { engine = config.engine; changes = node_count; time = Cloud.now cloud });
@@ -192,17 +199,8 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
   if node_count = 0 then finish_run state [] [] [] 0
   else begin
     let state_ref = ref state in
-    let status : (Addr.t, Executor.node_status) Hashtbl.t =
-      Hashtbl.create (2 * node_count)
-    in
-    List.iter (fun a -> Hashtbl.replace status a Executor.Pending) nodes;
-    let remaining_deps : (Addr.t, int) Hashtbl.t =
-      Hashtbl.create (2 * node_count)
-    in
-    List.iter
-      (fun a ->
-        Hashtbl.replace remaining_deps a (Addr.Set.cardinal (Dag.deps_of dag a)))
-      nodes;
+    let status = Array.make node_count Executor.Pending in
+    let remaining_deps = Array.map Array.length graph.Plan.xdeps in
     let ready = Queue.create () in
     let in_flight = ref 0 in
     let settled = ref 0 in
@@ -223,44 +221,44 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
       | None -> b
     in
     let finish () =
-      let skipped =
-        Hashtbl.fold
-          (fun a s acc ->
-            match s with Executor.Skipped -> a :: acc | _ -> acc)
-          status []
-      in
-      finish_run !state_ref !applied !failed skipped !writes
+      (* plan order *)
+      let skipped = ref [] in
+      for id = node_count - 1 downto 0 do
+        if status.(id) = Executor.Skipped then
+          skipped := nodes.(id).Plan.addr :: !skipped
+      done;
+      finish_run !state_ref !applied !failed !skipped !writes
     in
-    let rec mark_skipped addr =
-      match Hashtbl.find_opt status addr with
-      | Some Executor.Pending ->
-          Hashtbl.replace status addr Executor.Skipped;
-          incr settled;
-          Addr.Set.iter mark_skipped (Dag.rdeps_of dag addr)
-      | _ -> ()
+    let rec mark_skipped id =
+      if status.(id) = Executor.Pending then begin
+        status.(id) <- Executor.Skipped;
+        incr settled;
+        Array.iter mark_skipped rdeps.(id)
+      end
     in
     let pump_ref = ref (fun () -> ()) in
-    let complete addr result =
+    let complete id result =
       decr in_flight;
       incr settled;
       (match result with
       | Ok () ->
-          Hashtbl.replace status addr Executor.Done;
-          applied := addr :: !applied;
-          Addr.Set.iter
+          status.(id) <- Executor.Done;
+          applied := nodes.(id).Plan.addr :: !applied;
+          Array.iter
             (fun d ->
-              let n = Hashtbl.find remaining_deps d - 1 in
-              Hashtbl.replace remaining_deps d n;
-              if n = 0 && Hashtbl.find_opt status d = Some Executor.Pending
-              then Queue.add d ready)
-            (Dag.rdeps_of dag addr)
+              let n = remaining_deps.(d) - 1 in
+              remaining_deps.(d) <- n;
+              if n = 0 && status.(d) = Executor.Pending then Queue.add d ready)
+            rdeps.(id)
       | Error reason ->
-          Hashtbl.replace status addr (Executor.Failed reason);
-          failed := (addr, reason) :: !failed;
-          Addr.Set.iter mark_skipped (Dag.rdeps_of dag addr));
+          status.(id) <- Executor.Failed reason;
+          failed := (nodes.(id).Plan.addr, reason) :: !failed;
+          Array.iter mark_skipped rdeps.(id));
       if !settled = node_count then finish () else !pump_ref ()
     in
-    let rec perform addr (c : Plan.change) attempt =
+    let rec perform id attempt =
+      let c = nodes.(id) in
+      let addr = c.Plan.addr in
       let submit_logged kind ~payload ~prior op handler =
         let bkind = breaker_kind kind in
         let issue () =
@@ -311,7 +309,7 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
             | `Reject remaining ->
                 (* fast-fail: no intent journaled, no cloud call, no
                    retry budget burned — the owner parks this work *)
-                complete addr
+                complete id
                   (Error
                      (Breaker.open_reason ~kind:bkind ~rtype:c.Plan.rtype
                         remaining)))
@@ -361,13 +359,13 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
                 | Some at -> at -. Cloud.now cloud
                 | None -> 0.
               in
-              complete addr
+              complete id
                 (Error
                    (Breaker.open_reason ~kind:bkind ~rtype:c.Plan.rtype
                       remaining))
           | _ ->
               Cloud.schedule cloud ~delay (fun () ->
-                  if alive () then perform addr c (attempt + 1))
+                  if alive () then perform id (attempt + 1))
         in
         match err with
         | Cloud.Throttled after when attempt < config.max_retries ->
@@ -384,13 +382,13 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
             retry_or_park ~delay:(backoff attempt)
         | err ->
             record false;
-            complete addr (Error (Cloud.error_to_string err))
+            complete id (Error (Cloud.error_to_string err))
       in
       match c.Plan.action with
-      | Plan.Noop -> complete addr (Ok ())
+      | Plan.Noop -> complete id (Ok ())
       | Plan.Create -> (
           match c.Plan.desired with
-          | None -> complete addr (Error "create without desired attributes")
+          | None -> complete id (Error "create without desired attributes")
           | Some desired ->
               let attrs = Executor.resolve_attrs !state_ref desired in
               submit_logged Journal.Op_create ~payload:attrs ~prior:None
@@ -416,7 +414,7 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
                             attrs = cloud_attrs;
                             deps = c.Plan.deps;
                           };
-                      complete addr (Ok ())
+                      complete id (Ok ())
                   | Error err -> on_error ~op ~kind:Journal.Op_create err))
       | Plan.Update changes -> (
           match c.Plan.prior with
@@ -440,9 +438,9 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
                       ok_outcome ~op ~kind:Journal.Op_update
                         ~cloud_id:(Some prior.State.cloud_id) cloud_attrs;
                       state_ref := State.update_attrs !state_ref addr cloud_attrs;
-                      complete addr (Ok ())
+                      complete id (Ok ())
                   | Error err -> on_error ~op ~kind:Journal.Op_update err)
-          | None -> complete addr (Error "update without prior state"))
+          | None -> complete id (Error "update without prior state"))
       | Plan.Delete -> (
           match c.Plan.prior with
           | Some prior ->
@@ -455,9 +453,9 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
                       ok_outcome ~op ~kind:Journal.Op_delete
                         ~cloud_id:(Some prior.State.cloud_id) Smap.empty;
                       state_ref := State.remove !state_ref addr;
-                      complete addr (Ok ())
+                      complete id (Ok ())
                   | Error err -> on_error ~op ~kind:Journal.Op_delete err)
-          | None -> complete addr (Error "delete without prior state"))
+          | None -> complete id (Error "delete without prior state"))
       | Plan.Replace _ -> (
           match (c.Plan.prior, c.Plan.desired) with
           | Some prior, Some desired ->
@@ -499,7 +497,7 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
                                     ok_outcome ~op ~kind:Journal.Op_delete
                                       ~cloud_id:(Some prior.State.cloud_id)
                                       Smap.empty;
-                                    complete addr (Ok ())
+                                    complete id (Ok ())
                                 | Error err ->
                                     on_error ~op ~kind:Journal.Op_delete err))
                     | Error err -> on_error ~op ~kind:Journal.Op_create err)
@@ -526,11 +524,11 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
                             match result with
                             | Ok cloud_attrs ->
                                 record_new op cloud_attrs (fun () ->
-                                    complete addr (Ok ()))
+                                    complete id (Ok ()))
                             | Error err ->
                                 on_error ~op ~kind:Journal.Op_create err)
                     | Error err -> on_error ~op ~kind:Journal.Op_delete err)
-          | _ -> complete addr (Error "replace without prior state"))
+          | _ -> complete id (Error "replace without prior state"))
     and pump () =
       let can_start () =
         match config.parallelism with
@@ -538,17 +536,14 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
         | None -> true
       in
       if alive () && can_start () && not (Queue.is_empty ready) then begin
-        let addr = Queue.pop ready in
-        let c = Dag.payload dag addr in
+        let id = Queue.pop ready in
         incr in_flight;
-        perform addr c 0;
+        perform id 0;
         pump ()
       end
     in
     pump_ref := pump;
-    List.iter
-      (fun a -> if Hashtbl.find remaining_deps a = 0 then Queue.add a ready)
-      nodes;
+    Array.iteri (fun id n -> if n = 0 then Queue.add id ready) remaining_deps;
     pump ()
   end
 

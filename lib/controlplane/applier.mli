@@ -65,21 +65,24 @@ val refresh :
 
 type outcome = {
   astate : State.t;  (** state after every successful operation *)
-  applied : Addr.t list;
-  failed : (Addr.t * string) list;
-  skipped : Addr.t list;
+  applied : Addr.t list;  (** completion order *)
+  failed : (Addr.t * string) list;  (** completion order *)
+  skipped : Addr.t list;  (** plan order *)
   writes : int;  (** cloud write calls journaled (incl. retries) *)
 }
 
-(** Walk [plan] over [cloud], calling [on_done] when every change has
-    settled.  [gate] runs after each intent is journaled and before
-    the cloud call leaves the engine — raising from it models process
-    death with the intent durable. *)
+(** Walk [graph] — a plan compiled once by {!Plan.exec_graph}, so a
+    caller that re-applies the same plan reuses it — over [cloud],
+    calling [on_done] when every change has settled.  [gate] runs
+    after each intent is journaled and before the cloud call leaves
+    the engine — raising from it models process death with the intent
+    durable.  The walk costs O(graph): op ids continue from
+    {!Journal.last_op}, never from a scan of the journal. *)
 val apply :
   Cloud.t ->
   config:config ->
   state:State.t ->
-  plan:Plan.t ->
+  graph:Plan.exec_graph ->
   ?journal:Journal.t ->
   ?breaker:Breaker.t ->
   gate:(unit -> unit) ->

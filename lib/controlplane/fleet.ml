@@ -411,7 +411,9 @@ let resume (old : t) =
         dep.Shard.state <- state;
         dep.Shard.persisted <- state;
         (* keep journaling into the same (already-replayed) journal:
-           op ids continue from [max_op], replay stays idempotent *)
+           re-appending the entries carries {!Journal.last_op} over,
+           so op ids continue past every id the crashed fleet issued,
+           and replay stays idempotent *)
         List.iter (Journal.append dep.Shard.journal) entries;
         ignore (submit_request t dep ~src:d.Shard.config_src);
         ((d.Shard.tenant, d.Shard.dname), report))
@@ -448,9 +450,14 @@ let orphans t =
     ids are minted by a global counter whose order depends on execution
     interleaving — and therefore on the shard count — so the rendering
     replaces every known cloud id with the address of the resource it
-    names ("@tenant0.d0.aws_instance.web[3]") and drops the id-derived
+    names ("@tenant0/d0/aws_instance.web[3]") and drops the id-derived
     [arn]/[id] attributes.  Two fleets that converged every tenant to
-    the same logical world digest identically at any [--shards N]. *)
+    the same logical world digest identically at any [--shards N].
+
+    One pass writes the rendering straight into a buffer: scalars as
+    {!Value.show} prints them, lists and maps without intermediate
+    strings, and each resource's address text rendered once, for both
+    the cloud-id table and its row's sort key. *)
 let state_digest t =
   let deps =
     List.sort
@@ -458,55 +465,79 @@ let state_digest t =
         compare (a.Shard.tenant, a.Shard.dname) (b.Shard.tenant, b.Shard.dname))
       (deployments t)
   in
-  (* cloud id -> "tenant/dname/addr" across the whole fleet *)
-  let addr_of = Hashtbl.create 256 in
-  List.iter
-    (fun (d : Shard.deployment) ->
-      List.iter
-        (fun (r : State.resource_state) ->
-          Hashtbl.replace addr_of r.State.cloud_id
-            (Printf.sprintf "%s/%s/%s" d.Shard.tenant d.Shard.dname
-               (Hcl.Addr.to_string r.State.addr)))
-        (State.resources d.Shard.state))
-    deps;
-  (* recursive: reference attributes carry cloud ids inside lists
-     ([vpc_security_group_ids = ["group-…"]]) and maps too *)
-  let rec render_value v =
-    match v with
-    | Value.Vstring s -> (
-        match Hashtbl.find_opt addr_of s with
-        | Some a -> "@" ^ a
-        | None -> Value.show v)
-    | Value.Vlist vs ->
-        "[" ^ String.concat "," (List.map render_value vs) ^ "]"
-    | Value.Vmap m ->
-        "{"
-        ^ String.concat ","
+  (* cloud id -> (owning deployment, address text) across the fleet,
+     filled in state order; then each deployment's rows sort by that
+     same text *)
+  let owner_of = Hashtbl.create 256 in
+  let rows =
+    List.map
+      (fun (d : Shard.deployment) ->
+        let rs =
+          Array.of_list
             (List.map
-               (fun (k, v) -> k ^ ":" ^ render_value v)
-               (Smap.bindings m))
-        ^ "}"
-    | _ -> Value.show v
+               (fun (r : State.resource_state) ->
+                 let a = Hcl.Addr.to_string r.State.addr in
+                 Hashtbl.replace owner_of r.State.cloud_id (d, a);
+                 (a, r))
+               (State.resources d.Shard.state))
+        in
+        Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) rs;
+        (d, rs))
+      deps
   in
   let buf = Buffer.create 4096 in
+  let add_deployment (d : Shard.deployment) =
+    Buffer.add_string buf d.Shard.tenant;
+    Buffer.add_char buf '/';
+    Buffer.add_string buf d.Shard.dname
+  in
+  (* recursive: reference attributes carry cloud ids inside lists
+     ([vpc_security_group_ids = ["group-…"]]) and maps too *)
+  let rec add_value v =
+    match v with
+    | Value.Vstring s -> (
+        match Hashtbl.find_opt owner_of s with
+        | Some (d, a) ->
+            Buffer.add_char buf '@';
+            add_deployment d;
+            Buffer.add_char buf '/';
+            Buffer.add_string buf a
+        | None ->
+            Buffer.add_char buf '"';
+            Buffer.add_string buf (Value.escape_string s);
+            Buffer.add_char buf '"')
+    | Value.Vint n -> Buffer.add_string buf (string_of_int n)
+    | Value.Vbool b -> Buffer.add_string buf (string_of_bool b)
+    | Value.Vnull -> Buffer.add_string buf "null"
+    | Value.Vlist vs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char buf ',';
+            add_value v)
+          vs;
+        Buffer.add_char buf ']'
+    | Value.Vmap m ->
+        Buffer.add_char buf '{';
+        let first = ref true in
+        Smap.iter
+          (fun k v ->
+            if !first then first := false else Buffer.add_char buf ',';
+            Buffer.add_string buf k;
+            Buffer.add_char buf ':';
+            add_value v)
+          m;
+        Buffer.add_char buf '}'
+    | Value.Vfloat _ | Value.Vunknown _ -> Buffer.add_string buf (Value.show v)
+  in
   List.iter
-    (fun (d : Shard.deployment) ->
-      Buffer.add_string buf d.Shard.tenant;
-      Buffer.add_char buf '/';
-      Buffer.add_string buf d.Shard.dname;
+    (fun (d, rs) ->
+      add_deployment d;
       Buffer.add_char buf '\n';
-      let rows =
-        List.sort
-          (fun (a : State.resource_state) (b : State.resource_state) ->
-            compare
-              (Hcl.Addr.to_string a.State.addr)
-              (Hcl.Addr.to_string b.State.addr))
-          (State.resources d.Shard.state)
-      in
-      List.iter
-        (fun (r : State.resource_state) ->
+      Array.iter
+        (fun (a, (r : State.resource_state)) ->
           Buffer.add_string buf "  ";
-          Buffer.add_string buf (Hcl.Addr.to_string r.State.addr);
+          Buffer.add_string buf a;
           Buffer.add_char buf '|';
           Buffer.add_string buf r.State.rtype;
           Smap.iter
@@ -515,10 +546,10 @@ let state_digest t =
                 Buffer.add_char buf '|';
                 Buffer.add_string buf k;
                 Buffer.add_char buf '=';
-                Buffer.add_string buf (render_value v)
+                add_value v
               end)
             r.State.attrs;
           Buffer.add_char buf '\n')
-        rows)
-    deps;
+        rs)
+    rows;
   Digest.to_hex (Digest.string (Buffer.contents buf))

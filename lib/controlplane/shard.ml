@@ -33,9 +33,10 @@
     breaker's next half-open probe, re-reading the deployment's
     {e latest} config revision so a parked request can never roll a
     tenant back to a stale wave.  A re-admission that finds the source
-    and the state it parked with reuses the plan it parked with, and
-    every shard shares one parsed config per distinct source, so a
-    revision is compiled once however often it is retried.  While any
+    and the state it parked with reuses the execution graph compiled
+    for them, and every shard shares one parsed config per distinct
+    source, so a revision is compiled once however often it is
+    retried.  While any
     cell is Open the shard also sheds baseline scan sweeps: a sweep
     would burn O(state) reads only to fast-fail its repair. *)
 
@@ -121,9 +122,10 @@ let fleet_service =
     breaker = None;
   }
 
-(* A request's plan, keyed by the source it was compiled from and the
-   identity of the state it was diffed against. *)
-type plan_memo = { msrc : string; mstate : State.t; mplan : Plan.t }
+(* A request's plan, compiled to the applier's flat graph, keyed by the
+   source it was planned from and the identity of the state it was
+   diffed against. *)
+type plan_memo = { msrc : string; mstate : State.t; mgraph : Plan.exec_graph }
 
 type deployment = {
   tenant : string;
@@ -198,6 +200,9 @@ type t = {
       (** open while ≥1 breaker cell is Open; closes into the
           ["degraded_time"] histogram *)
   mutable parked : int;  (** work units waiting out an open breaker *)
+  mutable depth_written : int;
+      (** the last value {!drain} wrote to the ["queue_depth"] gauge;
+          -1 before the first write *)
 }
 
 (* Degraded-mode bookkeeping, hung off every breaker cell transition:
@@ -244,6 +249,7 @@ let create ~sid ~cloud ~config ~scope ~trace ~host () =
       breaker = None;
       degraded_since = None;
       parked = 0;
+      depth_written = -1;
     }
   in
   (match config.breaker with
@@ -357,20 +363,21 @@ let expand ~state src =
   in
   (Hcl.Eval.expand ~env cfg).Hcl.Eval.instances
 
-(* The request plan for [src] against [state].  A parked request is
-   re-admitted, usually many times, against the very state its last
-   fast-failed apply handed back: an apply that changed nothing returns
-   its input state, while any progress, refresh or other unit's
-   completion makes a new one.  So the memo hits exactly when source
-   and state identity both match, and since expansion and planning are
-   pure in (source, state) a hit is the plan a recompute would make. *)
-let request_plan dep ~state src =
+(* The request plan for [src] against [state], as the execution graph
+   the applier walks.  A parked request is re-admitted, usually many
+   times, against the very state its last fast-failed apply handed
+   back: an apply that changed nothing returns its input state, while
+   any progress, refresh or other unit's completion makes a new one.
+   So the memo hits exactly when source and state identity both match,
+   and since expansion, planning and graph compilation are pure in
+   (source, state) a hit is the graph a recompute would build. *)
+let request_graph dep ~state src =
   match dep.memo with
-  | Some m when m.mstate == state && String.equal m.msrc src -> m.mplan
+  | Some m when m.mstate == state && String.equal m.msrc src -> m.mgraph
   | _ ->
-      let plan = Plan.make ~state (expand ~state src) in
-      dep.memo <- Some { msrc = src; mstate = state; mplan = plan };
-      plan
+      let graph = Plan.exec_graph (Plan.make ~state (expand ~state src)) in
+      dep.memo <- Some { msrc = src; mstate = state; mgraph = graph };
+      graph
 
 let applier_config t dep =
   {
@@ -408,10 +415,17 @@ let owner_of dep ~wid = Printf.sprintf "%s#%d" dep.engine wid
 let queue_depth t = Pq.length t.queue + Lock_manager.queue_length t.lock
 
 (* Forward declaration: executing work needs [drain] (to hand follow-up
-   work to the lock manager) and vice versa. *)
+   work to the lock manager) and vice versa.  The fleet drains every
+   shard after every simulator event, almost always finding nothing to
+   do, so the depth gauge is written only when the depth moved: its
+   last and max values are those of a write on every drain. *)
 let rec drain t =
   if t.host.alive () then begin
-    Metrics.scope_set t.scope "queue_depth" (float_of_int (queue_depth t));
+    let depth = queue_depth t in
+    if depth <> t.depth_written then begin
+      t.depth_written <- depth;
+      Metrics.scope_set t.scope "queue_depth" (float_of_int depth)
+    end;
     match Pq.pop t.queue with
     | None -> ()
     | Some (_, wid, work) ->
@@ -543,8 +557,8 @@ and exec_request t dep ~wid ~rid ~src ~submitted =
   Metrics.scope_observe t.scope "request_queue_wait" (granted -. submitted);
   dep.config_src <- src;
   let continue_with state0 reads =
-    let plan = request_plan dep ~state:state0 src in
-    Applier.apply t.cloud ~config:(applier_config t dep) ~state:state0 ~plan
+    let graph = request_graph dep ~state:state0 src in
+    Applier.apply t.cloud ~config:(applier_config t dep) ~state:state0 ~graph
       ~journal:dep.journal ?breaker:t.breaker ~gate:t.host.gate
       ~alive:t.host.alive
       ~count_api:(count_api t dep ~read:false)
@@ -611,8 +625,8 @@ and exec_request t dep ~wid ~rid ~src ~submitted =
 and exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted ~notify =
   protected t dep ~wid @@ fun () ->
   (match restore_src with Some src -> dep.config_src <- src | None -> ());
-  let plan = plan_of () in
-  Applier.apply t.cloud ~config:(applier_config t dep) ~state:dep.state ~plan
+  let graph = Plan.exec_graph (plan_of ()) in
+  Applier.apply t.cloud ~config:(applier_config t dep) ~state:dep.state ~graph
     ~journal:dep.journal ?breaker:t.breaker ~gate:t.host.gate
     ~alive:t.host.alive
     ~count_api:(count_api t dep ~read:false)
@@ -724,9 +738,9 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
       let plan =
         match scope with Some s -> Plan.restrict plan s | None -> plan
       in
-      Applier.apply t.cloud ~config:(applier_config t dep) ~state:state0 ~plan
-        ~journal:dep.journal ?breaker:t.breaker ~gate:t.host.gate
-      ~alive:t.host.alive
+      Applier.apply t.cloud ~config:(applier_config t dep) ~state:state0
+        ~graph:(Plan.exec_graph plan) ~journal:dep.journal ?breaker:t.breaker
+        ~gate:t.host.gate ~alive:t.host.alive
         ~count_api:(count_api t dep ~read:false)
         ~on_done:(fun o -> finish_reconcile o r.Applier.reads)
         ())
@@ -777,8 +791,8 @@ and exec_scan t dep ~wid ~swept =
         let plan = Plan.make ~state:state0 instances in
         let detected = Cloud.now t.cloud in
         Applier.apply t.cloud ~config:(applier_config t dep) ~state:state0
-          ~plan ~journal:dep.journal ?breaker:t.breaker ~gate:t.host.gate
-      ~alive:t.host.alive
+          ~graph:(Plan.exec_graph plan) ~journal:dep.journal
+          ?breaker:t.breaker ~gate:t.host.gate ~alive:t.host.alive
           ~count_api:(count_api t dep ~read:false)
           ~on_done:(fun (o : Applier.outcome) ->
             dep.state <- o.Applier.astate;

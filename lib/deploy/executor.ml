@@ -390,7 +390,7 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
   let ops_started =
     ref
       (match journal with
-      | Some j -> Journal.max_op (Journal.entries j)
+      | Some j -> Journal.last_op j
       | None -> 0)
   in
   let run_ops = ref 0 in

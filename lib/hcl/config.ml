@@ -197,6 +197,37 @@ let split_resource_body (b : Ast.block) =
     rlifecycle )
 
 (* ------------------------------------------------------------------ *)
+(* Duplicate declarations                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A declared name, the key of the duplicate checks: {!of_body} checks
+   each block against the blocks before it in its file, {!merge} each
+   file against the files before it, each with one table probe rather
+   than a scan of every earlier declaration. *)
+type name =
+  | Variable of string
+  | Resource of string * string
+  | Data of string * string
+  | Output of string
+  | Module of string
+  | Local of string
+
+let describe = function
+  | Variable n -> Printf.sprintf "variable %S" n
+  | Resource (t, n) -> Printf.sprintf "resource %s.%s" t n
+  | Data (t, n) -> Printf.sprintf "data source data.%s.%s" t n
+  | Output n -> Printf.sprintf "output %S" n
+  | Module n -> Printf.sprintf "module %S" n
+  | Local n -> Printf.sprintf "local %S" n
+
+(* [where] is appended to the message: "" within a file, " across
+   files" in {!merge}. *)
+let check_fresh seen ~where span name =
+  if Hashtbl.mem seen name then errf span "duplicate %s%s" (describe name) where
+
+let declare seen name = Hashtbl.replace seen name ()
+
+(* ------------------------------------------------------------------ *)
 (* Top-level assembly                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -205,7 +236,15 @@ let of_body ~file (body : Ast.body) : t =
     let a = List.hd body.Ast.attrs in
     errf a.Ast.aspan "attribute %S not allowed at top level" a.Ast.aname
   end;
-  let cfg = ref (empty ~file) in
+  let seen = Hashtbl.create 64 in
+  let fresh span name =
+    check_fresh seen ~where:"" span name;
+    declare seen name
+  in
+  (* each kind accumulates newest first, reversed once at the end *)
+  let variables = ref [] and locals = ref [] and resources = ref [] in
+  let data_sources = ref [] and outputs = ref [] and modules = ref [] in
+  let providers = ref [] in
   let add_variable (b : Ast.block) name =
     let vb = b.Ast.bbody in
     let vtype =
@@ -227,16 +266,11 @@ let of_body ~file (body : Ast.body) : t =
         vspan = b.Ast.bspan;
       }
     in
-    if List.exists (fun v' -> v'.vname = name) !cfg.variables then
-      errf b.Ast.bspan "duplicate variable %S" name;
-    cfg := { !cfg with variables = !cfg.variables @ [ v ] }
+    fresh b.Ast.bspan (Variable name);
+    variables := v :: !variables
   in
   let add_resource (b : Ast.block) rtype rname =
-    if
-      List.exists
-        (fun r -> r.rtype = rtype && r.rname = rname)
-        !cfg.resources
-    then errf b.Ast.bspan "duplicate resource %s.%s" rtype rname;
+    fresh b.Ast.bspan (Resource (rtype, rname));
     let rbody, rcount, rfor_each, rprovider, rdepends_on, rlifecycle =
       split_resource_body b
     in
@@ -253,16 +287,12 @@ let of_body ~file (body : Ast.body) : t =
         rspan = b.Ast.bspan;
       }
     in
-    cfg := { !cfg with resources = !cfg.resources @ [ r ] }
+    resources := r :: !resources
   in
   let add_data (b : Ast.block) dtype dname =
-    if
-      List.exists
-        (fun d -> d.dtype = dtype && d.dname = dname)
-        !cfg.data_sources
-    then errf b.Ast.bspan "duplicate data source data.%s.%s" dtype dname;
+    fresh b.Ast.bspan (Data (dtype, dname));
     let d = { dtype; dname; dbody = b.Ast.bbody; dspan = b.Ast.bspan } in
-    cfg := { !cfg with data_sources = !cfg.data_sources @ [ d ] }
+    data_sources := d :: !data_sources
   in
   let add_output (b : Ast.block) name =
     let ob = b.Ast.bbody in
@@ -279,9 +309,8 @@ let of_body ~file (body : Ast.body) : t =
         ospan = b.Ast.bspan;
       }
     in
-    if List.exists (fun o' -> o'.oname = name) !cfg.outputs then
-      errf b.Ast.bspan "duplicate output %S" name;
-    cfg := { !cfg with outputs = !cfg.outputs @ [ o ] }
+    fresh b.Ast.bspan (Output name);
+    outputs := o :: !outputs
   in
   let add_module (b : Ast.block) name =
     let mb = b.Ast.bbody in
@@ -311,24 +340,24 @@ let of_body ~file (body : Ast.body) : t =
         mspan = b.Ast.bspan;
       }
     in
-    if List.exists (fun m' -> m'.mname = name) !cfg.modules then
-      errf b.Ast.bspan "duplicate module %S" name;
-    cfg := { !cfg with modules = !cfg.modules @ [ m ] }
+    fresh b.Ast.bspan (Module name);
+    modules := m :: !modules
   in
   let add_locals (b : Ast.block) =
     let entries =
       List.map (fun (a : Ast.attribute) -> (a.Ast.aname, a.Ast.avalue)) b.Ast.bbody.attrs
     in
+    (* against earlier blocks only: a block's own names are declared
+       after all of them are checked *)
     List.iter
-      (fun (name, _) ->
-        if List.mem_assoc name !cfg.locals then
-          errf b.Ast.bspan "duplicate local %S" name)
+      (fun (n, _) -> check_fresh seen ~where:"" b.Ast.bspan (Local n))
       entries;
-    cfg := { !cfg with locals = !cfg.locals @ entries }
+    List.iter (fun (n, _) -> declare seen (Local n)) entries;
+    locals := List.rev_append entries !locals
   in
   let add_provider (b : Ast.block) name =
     let p = { pname = name; pbody = b.Ast.bbody; pspan = b.Ast.bspan } in
-    cfg := { !cfg with providers = !cfg.providers @ [ p ] }
+    providers := p :: !providers
   in
   List.iter
     (fun (b : Ast.block) ->
@@ -350,7 +379,16 @@ let of_body ~file (body : Ast.body) : t =
       | "terraform", _ -> ()  (* settings block: accepted and ignored *)
       | ty, _ -> errf b.Ast.bspan "unknown top-level block type %S" ty)
     body.Ast.blocks;
-  !cfg
+  {
+    file;
+    variables = List.rev !variables;
+    locals = List.rev !locals;
+    resources = List.rev !resources;
+    data_sources = List.rev !data_sources;
+    outputs = List.rev !outputs;
+    modules = List.rev !modules;
+    providers = List.rev !providers;
+  }
 
 (** Parse source text into a structured configuration. *)
 let parse ~file src = of_body ~file (Parser.parse ~file src)
@@ -503,51 +541,39 @@ let to_string t = Printer.config_to_string (to_body t)
 (** Merge several parsed files into one configuration (Terraform's
     directory model: all [*.tf] files in a directory form one module).
     Duplicate declarations across files are errors, like within one
-    file. *)
+    file — except data sources, which are not checked across files.
+    Each file is checked against the names of the files before it,
+    then its names join them; the lists concatenate once. *)
 let merge (configs : t list) : t =
   match configs with
   | [] -> empty ~file:"<empty>"
   | first :: rest ->
-      List.fold_left
-        (fun acc c ->
+      (* in check order *)
+      let names c =
+        List.map (fun v -> (v.vspan, Variable v.vname)) c.variables
+        @ List.map (fun r -> (r.rspan, Resource (r.rtype, r.rname))) c.resources
+        @ List.map (fun o -> (o.ospan, Output o.oname)) c.outputs
+        @ List.map (fun m -> (m.mspan, Module m.mname)) c.modules
+        @ List.map (fun (n, _) -> (Loc.dummy, Local n)) c.locals
+      in
+      let seen = Hashtbl.create 64 in
+      List.iter (fun (_, n) -> declare seen n) (names first);
+      List.iter
+        (fun c ->
+          let ns = names c in
           List.iter
-            (fun (v : variable) ->
-              if List.exists (fun v' -> v'.vname = v.vname) acc.variables then
-                errf v.vspan "duplicate variable %S across files" v.vname)
-            c.variables;
-          List.iter
-            (fun (r : resource) ->
-              if
-                List.exists
-                  (fun r' -> r'.rtype = r.rtype && r'.rname = r.rname)
-                  acc.resources
-              then
-                errf r.rspan "duplicate resource %s.%s across files" r.rtype
-                  r.rname)
-            c.resources;
-          List.iter
-            (fun (o : output) ->
-              if List.exists (fun o' -> o'.oname = o.oname) acc.outputs then
-                errf o.ospan "duplicate output %S across files" o.oname)
-            c.outputs;
-          List.iter
-            (fun (m : module_call) ->
-              if List.exists (fun m' -> m'.mname = m.mname) acc.modules then
-                errf m.mspan "duplicate module %S across files" m.mname)
-            c.modules;
-          List.iter
-            (fun (name, _) ->
-              if List.mem_assoc name acc.locals then
-                errf Loc.dummy "duplicate local %S across files" name)
-            c.locals;
-          {
-            acc with
-            variables = acc.variables @ c.variables;
-            locals = acc.locals @ c.locals;
-            resources = acc.resources @ c.resources;
-            data_sources = acc.data_sources @ c.data_sources;
-            outputs = acc.outputs @ c.outputs;
-            modules = acc.modules @ c.modules;
-            providers = acc.providers @ c.providers;
-          })
-        first rest
+            (fun (span, n) -> check_fresh seen ~where:" across files" span n)
+            ns;
+          List.iter (fun (_, n) -> declare seen n) ns)
+        rest;
+      let cat field = List.concat_map field configs in
+      {
+        first with
+        variables = cat (fun c -> c.variables);
+        locals = cat (fun c -> c.locals);
+        resources = cat (fun c -> c.resources);
+        data_sources = cat (fun c -> c.data_sources);
+        outputs = cat (fun c -> c.outputs);
+        modules = cat (fun c -> c.modules);
+        providers = cat (fun c -> c.providers);
+      }

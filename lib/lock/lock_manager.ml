@@ -27,12 +27,20 @@ type t = {
   granularity : granularity;
   held : (Addr.t, string) Hashtbl.t;  (** key -> owner *)
   mutable queue : request list;  (** FIFO waiters *)
+  mutable waiting : int;  (** length of [queue] *)
   mutable grants : int;
   mutable waits : int;  (** requests that had to queue *)
 }
 
 let create granularity =
-  { granularity; held = Hashtbl.create 32; queue = []; grants = 0; waits = 0 }
+  {
+    granularity;
+    held = Hashtbl.create 32;
+    queue = [];
+    waiting = 0;
+    grants = 0;
+    waits = 0;
+  }
 
 let effective_keys t keys =
   match t.granularity with
@@ -63,6 +71,7 @@ let rec serve t =
   | None -> ()
   | Some (r, rest) ->
       t.queue <- rest;
+      t.waiting <- t.waiting - 1;
       take t r.keys r.owner;
       t.grants <- t.grants + 1;
       r.grant ();
@@ -80,6 +89,7 @@ let acquire t ~owner ~keys grant =
   else begin
     t.waits <- t.waits + 1;
     t.queue <- t.queue @ [ { owner; keys; grant } ];
+    t.waiting <- t.waiting + 1;
     (* a request conflicting with the queue head may still be blocked,
        but this request itself may be grantable right now *)
     serve t
@@ -109,5 +119,5 @@ let holders t =
   Hashtbl.fold (fun k o acc -> (k, o) :: acc) t.held []
   |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
 
-let queue_length t = List.length t.queue
+let queue_length t = t.waiting
 let stats t = (t.grants, t.waits)

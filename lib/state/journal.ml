@@ -603,6 +603,7 @@ type t = {
   mutable entries_rev : entry list;
   mutable n_entries : int;  (** length of [entries_rev] *)
   mutable n_durable : int;  (** entries up to the last barrier *)
+  mutable last_op : int;  (** {!max_op} of [entries_rev], kept as it grows *)
   retain : bool;
   mode : mode;
   batch : Buffer.t;
@@ -647,6 +648,7 @@ let create ?path ?(retain = true) ?(mode = Wal) () =
     entries_rev = [];
     n_entries = 0;
     n_durable = 0;
+    last_op = 0;
     retain;
     mode;
     batch = Buffer.create 512;
@@ -655,10 +657,21 @@ let create ?path ?(retain = true) ?(mode = Wal) () =
     closed = false;
   }
 
+let entry_op = function
+  | Intent i -> i.op
+  | Outcome o -> o.oop
+  | Run_started _ | Run_finished _ | Wave_mark _ -> 0
+
+(** Highest op index recorded.  A resumed run seeds its op counter from
+    here so ids stay unique across the segments of one journal (each
+    engine incarnation appends its own [Run_started] … sequence). *)
+let max_op entries = List.fold_left (fun acc e -> max acc (entry_op e)) 0 entries
+
 let append t entry =
   if t.retain then begin
     t.entries_rev <- entry :: t.entries_rev;
-    t.n_entries <- t.n_entries + 1
+    t.n_entries <- t.n_entries + 1;
+    t.last_op <- max t.last_op (entry_op entry)
   end;
   if not t.closed then begin
     (match t.sink with
@@ -685,6 +698,7 @@ let append t entry =
   end
 
 let entries t = List.rev t.entries_rev
+let last_op t = t.last_op
 
 let close t =
   if not t.closed then begin
@@ -708,7 +722,8 @@ let abandon t =
       let drop = t.n_entries - t.n_durable in
       let rec chop k l = if k = 0 then l else chop (k - 1) (List.tl l) in
       t.entries_rev <- chop drop t.entries_rev;
-      t.n_entries <- t.n_durable
+      t.n_entries <- t.n_durable;
+      t.last_op <- max_op t.entries_rev
     end;
     t.closed <- true;
     match t.sink with Some oc -> close_out oc | None -> ()
@@ -728,17 +743,6 @@ let load path =
 (* ------------------------------------------------------------------ *)
 
 type op_status = { intent : intent; resolution : outcome option }
-
-(** Highest op index recorded.  A resumed run seeds its op counter from
-    here so ids stay unique across the segments of one journal (each
-    engine incarnation appends its own [Run_started] … sequence). *)
-let max_op entries =
-  List.fold_left
-    (fun acc -> function
-      | Intent i -> max acc i.op
-      | Outcome o -> max acc o.oop
-      | Run_started _ | Run_finished _ | Wave_mark _ -> acc)
-    0 entries
 
 (** Every intent in op order, paired with its final outcome ([None] =
     the crash window: intent durable, result unknown). *)

@@ -159,6 +159,11 @@ val abandon : t -> unit
 (** All entries appended so far, in order. *)
 val entries : t -> entry list
 
+(** [max_op (entries t)] in O(1): the journal tracks it as entries are
+    appended (and recomputes it when {!abandon} drops a tail).  An
+    engine seeds its op counter from here; 0 with [~retain:false]. *)
+val last_op : t -> int
+
 (** Close the file sink (idempotent; memory-only journals no-op). *)
 val close : t -> unit
 

@@ -165,6 +165,29 @@ if [[ -n "$parse_offenders" ]]; then
   exit 1
 fi
 
+# -- history-independent grant gates ---------------------------------
+# A grant costs O(its plan), however long the deployment's journal has
+# grown: the engines seed op ids from Journal.last_op, which the
+# journal keeps as it grows, never from a scan of Journal.entries (the
+# resume paths in fleet.ml, rollout.ml and lifecycle.ml replay the
+# journal and may scan it).  Every apply path walks the flat
+# Plan.exec_graph; the Addr-keyed Plan.execution_graph is for analyses
+# and the equivalence oracles in lib/plan.
+journal_scans=$(grep -nE 'Journal\.entries' lib/controlplane/applier.ml \
+  lib/controlplane/shard.ml lib/deploy/executor.ml || true)
+if [[ -n "$journal_scans" ]]; then
+  echo "check.sh: journal scan on a per-grant path — seed op ids from Journal.last_op:" >&2
+  echo "$journal_scans" >&2
+  exit 1
+fi
+dag_walks=$(grep -rnE 'Plan\.execution_graph' lib/ --include='*.ml' --include='*.mli' \
+  | grep -v '^lib/plan/' || true)
+if [[ -n "$dag_walks" ]]; then
+  echo "check.sh: Plan.execution_graph outside lib/plan — apply paths walk Plan.exec_graph:" >&2
+  echo "$dag_walks" >&2
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

@@ -3,7 +3,8 @@
    multi-tenancy claim rests on (disjoint tenants never wait,
    conflicting work serializes in queue order), a golden drift-event ->
    scoped-reconcile trace, crash resume with zero orphans/duplicates,
-   and a request plan reused only against the state it was made for. *)
+   a request plan reused only against the state it was made for, and
+   the applier's pinned walk order. *)
 
 module Cloud = Cloudless_sim.Cloud
 module Rate_limiter = Cloudless_sim.Rate_limiter
@@ -17,6 +18,10 @@ module Scenario = Cloudless_controlplane.Scenario
 module Trace = Cloudless_obs.Trace
 module Metrics = Cloudless_obs.Metrics
 module Cloud_rules = Cloudless_schema.Cloud_rules
+module Addr = Cloudless_hcl.Addr
+module Plan = Cloudless_plan.Plan
+module Journal = Cloudless_state.Journal
+module Applier = Cloudless_controlplane.Applier
 
 let check = Alcotest.check
 let int_ = Alcotest.int
@@ -340,6 +345,195 @@ let test_plan_memo_keyed_by_state () =
         (List.assoc "writes" (Trace.counters s))
   | None -> Alcotest.fail "no span for the last request"
 
+(* ------------------------------------------------------------------ *)
+(* Applier walk order                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let applier_v1 =
+  {|
+resource "aws_vpc" "main" {
+  cidr_block = "10.0.0.0/16"
+  region     = "us-east-1"
+}
+
+resource "aws_subnet" "edge" {
+  vpc_id     = aws_vpc.main.id
+  cidr_block = "10.0.1.0/24"
+  region     = "us-east-1"
+  lifecycle {
+    create_before_destroy = true
+  }
+}
+
+resource "aws_security_group" "old" {
+  name   = "old-sg"
+  vpc_id = aws_vpc.main.id
+  region = "us-east-1"
+}
+
+resource "aws_security_group_rule" "old" {
+  security_group_id = aws_security_group.old.id
+  type              = "ingress"
+  from_port         = 22
+  to_port           = 22
+  protocol          = "tcp"
+  cidr_blocks       = ["0.0.0.0/0"]
+  region            = "us-east-1"
+}
+|}
+
+(* v1 -> v2: a diamond of creates (hub <- left, right <- tip), a
+   create-before-destroy replace of the subnet the tip lands in, and a
+   delete chain (the old rule goes before the group it belongs to). *)
+let applier_v2 =
+  {|
+resource "aws_vpc" "main" {
+  cidr_block = "10.0.0.0/16"
+  region     = "us-east-1"
+}
+
+resource "aws_subnet" "edge" {
+  vpc_id     = aws_vpc.main.id
+  cidr_block = "10.0.2.0/24"
+  region     = "us-east-1"
+  lifecycle {
+    create_before_destroy = true
+  }
+}
+
+resource "aws_security_group" "hub" {
+  name   = "hub-sg"
+  vpc_id = aws_vpc.main.id
+  region = "us-east-1"
+}
+
+resource "aws_security_group_rule" "right" {
+  security_group_id = aws_security_group.hub.id
+  type              = "ingress"
+  from_port         = 443
+  to_port           = 443
+  protocol          = "tcp"
+  cidr_blocks       = ["0.0.0.0/0"]
+  region            = "us-east-1"
+}
+
+resource "aws_security_group_rule" "left" {
+  security_group_id = aws_security_group.hub.id
+  type              = "ingress"
+  from_port         = 80
+  to_port           = 80
+  protocol          = "tcp"
+  cidr_blocks       = ["0.0.0.0/0"]
+  region            = "us-east-1"
+}
+
+resource "aws_instance" "tip" {
+  ami                    = "ami-0abcd1234"
+  instance_type          = "t3.small"
+  subnet_id              = aws_subnet.edge.id
+  vpc_security_group_ids = [aws_security_group.hub.id]
+  region                 = "us-east-1"
+  depends_on             = [aws_security_group_rule.left, aws_security_group_rule.right]
+}
+|}
+
+(* Apply [src] against [state] through [Applier.apply] on [cloud],
+   stepping the cloud until the walk reports.  Returns the outcome and
+   the journal's intents as "op kind addr".  The expected orders below
+   were recorded from the [Addr]-keyed [Dag] walk the flat-array walk
+   replaced, so a change to pick order or tie-breaking fails here. *)
+let run_applier cloud ~parallelism ~state src =
+  let plan = Plan.make ~state (Shard.expand ~state src) in
+  let journal = Journal.create () in
+  let result = ref None in
+  Applier.apply cloud
+    ~config:{ (Applier.default_config "cp/golden/d0") with Applier.parallelism }
+    ~state ~graph:(Plan.exec_graph plan) ~journal
+    ~gate:(fun () -> ()) ~alive:(fun () -> true) ~count_api:(fun _ -> ())
+    ~on_done:(fun o -> result := Some o)
+    ();
+  while !result = None && Cloud.step cloud do () done;
+  let intents =
+    List.filter_map
+      (function
+        | Journal.Intent i ->
+            Some
+              (Printf.sprintf "%d %s %s" i.Journal.op
+                 (Journal.op_kind_to_string i.Journal.kind)
+                 (Addr.to_string i.Journal.iaddr))
+        | _ -> None)
+      (Journal.entries journal)
+  in
+  match !result with
+  | Some o -> (o, intents)
+  | None -> Alcotest.fail "applier never reported"
+
+let test_applier_golden_order () =
+  let addrs l = List.map Addr.to_string l in
+  let go parallelism =
+    let cloud = fresh_cloud () in
+    let o1, _ = run_applier cloud ~parallelism ~state:State.empty applier_v1 in
+    let o2, intents =
+      run_applier cloud ~parallelism ~state:o1.Applier.astate applier_v2
+    in
+    check int_ "v1: nothing failed" 0 (List.length o1.Applier.failed);
+    check int_ "v2: nothing failed" 0 (List.length o2.Applier.failed);
+    check int_ "v2: nothing skipped" 0 (List.length o2.Applier.skipped);
+    (intents, addrs o2.Applier.applied)
+  in
+  let strings = Alcotest.(list string) in
+  (* one change in flight: the intents are the pick order itself *)
+  let intents, applied = go (Some 1) in
+  check strings "serial: intent order"
+    [
+      "1 delete aws_security_group_rule.old";
+      "2 create aws_subnet.edge";
+      "3 delete aws_subnet.edge";
+      "4 create aws_security_group.hub";
+      "5 delete aws_security_group.old";
+      "6 create aws_security_group_rule.left";
+      "7 create aws_security_group_rule.right";
+      "8 create aws_instance.tip";
+    ]
+    intents;
+  check strings "serial: applied"
+    [
+      "aws_security_group_rule.old";
+      "aws_subnet.edge";
+      "aws_security_group.hub";
+      "aws_security_group.old";
+      "aws_security_group_rule.left";
+      "aws_security_group_rule.right";
+      "aws_instance.tip";
+    ]
+    applied;
+  (* unbounded: each ready wave issues in pick order, completions
+     follow the simulated latencies *)
+  let intents, applied = go None in
+  check strings "unbounded: intent order"
+    [
+      "1 delete aws_security_group_rule.old";
+      "2 create aws_subnet.edge";
+      "3 create aws_security_group.hub";
+      "4 delete aws_security_group.old";
+      "5 create aws_security_group_rule.left";
+      "6 create aws_security_group_rule.right";
+      "7 delete aws_subnet.edge";
+      "8 create aws_instance.tip";
+    ]
+    intents;
+  check strings "unbounded: applied"
+    [
+      "aws_security_group_rule.old";
+      "aws_security_group.hub";
+      "aws_security_group.old";
+      "aws_security_group_rule.right";
+      "aws_security_group_rule.left";
+      "aws_subnet.edge";
+      "aws_instance.tip";
+    ]
+    applied
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -354,6 +548,8 @@ let suites =
           test_crash_resume;
         Alcotest.test_case "plan memo keyed by state" `Quick
           test_plan_memo_keyed_by_state;
+        Alcotest.test_case "applier golden walk order" `Quick
+          test_applier_golden_order;
       ] );
     ("controlplane.admission", [ qtest prop_disjoint_no_wait; qtest prop_conflicting_fifo ]);
   ]

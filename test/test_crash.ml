@@ -1,6 +1,6 @@
 (* Crash safety end to end: atomic state writes, the write-ahead
    deployment journal (round-trip, torn-tail tolerance, idempotent
-   replay), kill-anywhere crash/resume convergence through the
+   replay, the op-id counter), kill-anywhere crash/resume convergence through the
    Lifecycle facade, retry-exhaustion diagnostics, and the CLI's
    `apply --resume` path. *)
 
@@ -154,6 +154,104 @@ let test_replay_idempotent () =
          (String.split_on_char '\n' (State.to_string st)))
   in
   check string_ "replay is idempotent" (rows st1) (rows st2)
+
+(* ------------------------------------------------------------------ *)
+(* The op-id counter                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Engines seed their op counter from [Journal.last_op], which the
+   journal keeps as entries arrive instead of folding them.  It must
+   equal [max_op (entries j)] after every append and every abandon,
+   whatever the ids (negative, repeated, out of order), the run and
+   wave markers, the barriers, the commit mode and the retention. *)
+type journal_step =
+  | J_intent of int
+  | J_outcome of int
+  | J_marker of int  (** 0 run started, 1 run finished, 2 wave mark *)
+  | J_barrier
+  | J_abandon
+
+let journal_step_to_string = function
+  | J_intent op -> Printf.sprintf "intent %d" op
+  | J_outcome op -> Printf.sprintf "outcome %d" op
+  | J_marker k -> Printf.sprintf "marker %d" k
+  | J_barrier -> "barrier"
+  | J_abandon -> "abandon"
+
+let journal_step_gen =
+  let op = QCheck.Gen.(oneof [ int_range (-3) 40; int ]) in
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun o -> J_intent o) op);
+        (4, map (fun o -> J_outcome o) op);
+        (2, map (fun k -> J_marker k) (int_bound 2));
+        (1, return J_barrier);
+        (1, return J_abandon);
+      ])
+
+let journal_entry_of_step = function
+  | J_intent op ->
+      Some
+        (Journal.Intent
+           {
+             Journal.op;
+             iaddr = addr "aws_vpc" "v";
+             kind = Journal.Op_create;
+             rtype = "aws_vpc";
+             region = "us-east-1";
+             payload = Smap.empty;
+             prior_cloud_id = None;
+             deps = [];
+             log_cursor = 0;
+             itime = 0.;
+           })
+  | J_outcome op ->
+      Some
+        (Journal.Outcome
+           {
+             Journal.oop = op;
+             oaddr = addr "aws_vpc" "v";
+             okind = Journal.Op_create;
+             ok = op mod 2 = 0;
+             cloud_id = None;
+             attrs = Smap.empty;
+             retried = false;
+             reason = None;
+             otime = 0.;
+           })
+  | J_marker 0 ->
+      Some (Journal.Run_started { engine = "e"; changes = 1; time = 0. })
+  | J_marker 1 -> Some (Journal.Run_finished { time = 0. })
+  | J_marker _ ->
+      Some
+        (Journal.Wave_mark
+           { wave = 0; wphase = "started"; tenants = [ "t0" ]; wtime = 0. })
+  | J_barrier | J_abandon -> None
+
+let prop_last_op_is_max_op =
+  let arb =
+    QCheck.make
+      ~print:(fun (retain, k, steps) ->
+        Printf.sprintf "retain=%b mode=%s [%s]" retain
+          (if k = 0 then "wal" else Printf.sprintf "group %d" k)
+          (String.concat "; " (List.map journal_step_to_string steps)))
+      QCheck.Gen.(
+        triple bool (int_bound 3) (list_size (int_range 0 40) journal_step_gen))
+  in
+  QCheck.Test.make ~count:300 ~name:"journal: last_op = max_op (entries)" arb
+    (fun (retain, k, steps) ->
+      let mode = if k = 0 then Journal.Wal else Journal.Group k in
+      let j = Journal.create ~retain ~mode () in
+      let agrees () = Journal.last_op j = Journal.max_op (Journal.entries j) in
+      List.for_all
+        (fun step ->
+          (match (step, journal_entry_of_step step) with
+          | _, Some e -> Journal.append j e
+          | J_barrier, None -> Journal.barrier j
+          | _, None -> Journal.abandon j);
+          agrees () && (retain || Journal.last_op j = 0))
+        steps)
 
 (* ------------------------------------------------------------------ *)
 (* Kill-anywhere crash/resume through the Lifecycle                    *)
@@ -630,6 +728,7 @@ let suites =
           test_journal_file_load;
         Alcotest.test_case "journal: replay is idempotent" `Quick
           test_replay_idempotent;
+        QCheck_alcotest.to_alcotest prop_last_op_is_max_op;
         Alcotest.test_case "lifecycle: crash+resume converges at every k"
           `Quick test_crash_resume_every_k;
         Alcotest.test_case "lifecycle: Crashed error shape" `Quick

@@ -2,8 +2,8 @@
    (ring stability under growth, single ownership), push-based drift
    with cross-shard routing and a golden trace, shard-granularity crash
    resume with digest equality against an uncrashed run, admission
-   backpressure, and the labeled metrics scopes the per-shard
-   observability rides on. *)
+   backpressure, the labeled metrics scopes the per-shard
+   observability rides on, and a golden state digest. *)
 
 module Cloud = Cloudless_sim.Cloud
 module Rate_limiter = Cloudless_sim.Rate_limiter
@@ -16,6 +16,9 @@ module Scenario = Cloudless_controlplane.Scenario
 module Trace = Cloudless_obs.Trace
 module Metrics = Cloudless_obs.Metrics
 module Cloud_rules = Cloudless_schema.Cloud_rules
+module Addr = Cloudless_hcl.Addr
+module Value = Cloudless_hcl.Value
+module Smap = Value.Smap
 
 let check = Alcotest.check
 let int_ = Alcotest.int
@@ -299,6 +302,95 @@ let test_metric_scopes () =
   check int_ "shard0 label isolated" 2 (Metrics.counter m "api_calls.shard0");
   check int_ "shard1 label isolated" 1 (Metrics.counter m "api_calls.shard1")
 
+(* ------------------------------------------------------------------ *)
+(* State digest golden                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A hand-built two-deployment fleet whose attributes cover every
+   [Value] constructor, strings that need escaping, address texts whose
+   string order differs from [Addr.compare] ([web[10]] before [web[2]]),
+   and cloud ids — the deployment's own and the other deployment's —
+   inside lists and maps.  The expected digest was recorded from the
+   [Format]-based renderer the one-pass writer replaced, so any change
+   to the digest text fails here. *)
+let digest_fixture () =
+  let fleet = Fleet.create ~cloud:(fresh_cloud ()) ~shards:2 Shard.fleet_service in
+  let str s = Value.Vstring s in
+  let map kvs = Value.Vmap (Smap.of_seq (List.to_seq kvs)) in
+  let row ?(module_path = []) ?key rtype rname cloud_id attrs =
+    {
+      State.addr = Addr.make ~module_path ?key ~rtype ~rname ();
+      cloud_id;
+      rtype;
+      region = "us-east-1";
+      attrs = Smap.of_seq (List.to_seq (("id", str cloud_id) :: attrs));
+      deps = [];
+    }
+  in
+  let state rows = List.fold_left State.add State.empty rows in
+  (* registered in reverse name order: the digest sorts deployments *)
+  let app = Fleet.add_deployment fleet ~tenant:"beta" ~dname:"app" ~src:"" in
+  let net = Fleet.add_deployment fleet ~tenant:"acme" ~dname:"net" ~src:"" in
+  net.Shard.state <-
+    state
+      [
+        row "aws_vpc" "main" "vpc-0001"
+          [
+            ("arn", str "arn:aws:ec2:vpc/vpc-0001");
+            ("cidr_block", str "10.0.0.0/16");
+            ("enable_dns", Value.Vbool true);
+            ( "tags",
+              map
+                [
+                  ("Name", str "main \"quoted\" \\ back\nnew\ttab\rret");
+                  ("count", Value.Vint 3);
+                ] );
+          ];
+        row "aws_subnet" "a" ~key:(Addr.Kint 2) "subnet-0002"
+          [
+            ("vpc_id", str "vpc-0001");
+            ("ratio", Value.Vfloat 0.5);
+            ("whole", Value.Vfloat 4.);
+            ("huge", Value.Vfloat 1e20);
+            ("nothing", Value.Vnull);
+            ("pending", Value.Vunknown "aws_subnet.a.arn");
+          ];
+        row "aws_subnet" "a" ~key:(Addr.Kint 10) "subnet-0010"
+          [ ("vpc_id", str "vpc-0001"); ("enabled", Value.Vbool false) ];
+        row ~module_path:[ "edge" ] "aws_security_group" "sg"
+          ~key:(Addr.Kstr "a b") "sg-0004"
+          [ ("vpc_id", str "vpc-0001"); ("ports", Value.Vlist []) ];
+      ];
+  app.Shard.state <-
+    state
+      [
+        row "aws_instance" "web" "i-0003"
+          [
+            ("subnet_id", str "subnet-0002");
+            ( "vpc_security_group_ids",
+              Value.Vlist
+                [
+                  str "sg-0004";
+                  str "sg-unknown";
+                  Value.Vint (-7);
+                  Value.Vlist [ str "vpc-0001"; Value.Vnull ];
+                ] );
+            ( "meta",
+              map
+                [
+                  ("ref", str "i-0003");
+                  ("inner", map [ ("x", Value.Vbool false); ("y", str "") ]);
+                  ("empty", map []);
+                ] );
+          ];
+      ];
+  fleet
+
+let test_state_digest_golden () =
+  check Alcotest.string "digest of the hand-built fleet"
+    "1cf35117c84d902b04e15290ba9c6010"
+    (Fleet.state_digest (digest_fixture ()))
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -327,5 +419,10 @@ let suites =
         Alcotest.test_case "reject backpressure" `Quick
           test_backpressure_reject;
       ] );
-    ("fleet.obs", [ Alcotest.test_case "metric scopes" `Quick test_metric_scopes ]);
+    ( "fleet.obs",
+      [
+        Alcotest.test_case "metric scopes" `Quick test_metric_scopes;
+        Alcotest.test_case "state digest golden" `Quick
+          test_state_digest_golden;
+      ] );
   ]

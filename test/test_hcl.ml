@@ -239,6 +239,105 @@ resource "a_b" "x" {}
   | exception Config.Config_error _ -> ()
   | _ -> Alcotest.fail "expected duplicate-resource error"
 
+(* Duplicate declarations: for each kind, a duplicate of the first, a
+   middle and the last of five earlier declarations, within one file
+   ([Config.parse]) and across files ([Config.merge]).  The expected
+   diagnostics — message and span — were recorded from the list-scan
+   checks the declared-name tables replaced. *)
+let dup_kinds = [ "variable"; "resource"; "data"; "output"; "module"; "local" ]
+
+let dup_decl kind name =
+  match kind with
+  | "variable" -> Printf.sprintf "variable %S {\n  default = 1\n}\n" name
+  | "resource" ->
+      Printf.sprintf "resource \"aws_vpc\" %S {\n  cidr_block = \"10.0.0.0/16\"\n}\n"
+        name
+  | "data" -> Printf.sprintf "data \"aws_region\" %S {\n}\n" name
+  | "output" -> Printf.sprintf "output %S {\n  value = 1\n}\n" name
+  | "module" -> Printf.sprintf "module %S {\n  source = \"./m\"\n}\n" name
+  | _ -> Printf.sprintf "locals {\n  %s = 1\n}\n" name
+
+let dup_outcome f =
+  match f () with
+  | exception Config.Config_error (msg, sp) ->
+      Printf.sprintf "%s @ %s:%d:%d-%d:%d [%d,%d)" msg sp.Loc.file
+        sp.Loc.start_pos.Loc.line sp.Loc.start_pos.Loc.col
+        sp.Loc.end_pos.Loc.line sp.Loc.end_pos.Loc.col
+        sp.Loc.start_pos.Loc.offset sp.Loc.end_pos.Loc.offset
+  | (_ : Config.t) -> "accepted"
+
+let dup_table () =
+  List.concat_map
+    (fun kind ->
+      let earlier =
+        String.concat "" (List.init 5 (fun i -> dup_decl kind (Printf.sprintf "n%d" i)))
+      in
+      List.concat_map
+        (fun pos ->
+          let dup = dup_decl kind (Printf.sprintf "n%d" pos) in
+          let parse () = Config.parse ~file:"one.tf" (earlier ^ dup) in
+          let merge () =
+            Config.merge
+              [
+                Config.parse ~file:"a.tf" earlier;
+                Config.parse ~file:"b.tf" (dup_decl kind "fresh" ^ dup);
+              ]
+          in
+          [
+            Printf.sprintf "parse %s n%d: %s" kind pos (dup_outcome parse);
+            Printf.sprintf "merge %s n%d: %s" kind pos (dup_outcome merge);
+          ])
+        [ 0; 2; 4 ])
+    dup_kinds
+
+(* [merge] checks variables, resources, outputs, modules and locals
+   across files but not data sources, and reports a local at no span;
+   the table pins that behaviour as it stands. *)
+let test_config_duplicate_table () =
+  let expected =
+    {|
+parse variable n0: duplicate variable "n0" @ one.tf:16:1-18:2 [160,191)
+merge variable n0: duplicate variable "n0" across files @ b.tf:4:1-6:2 [35,66)
+parse variable n2: duplicate variable "n2" @ one.tf:16:1-18:2 [160,191)
+merge variable n2: duplicate variable "n2" across files @ b.tf:4:1-6:2 [35,66)
+parse variable n4: duplicate variable "n4" @ one.tf:16:1-18:2 [160,191)
+merge variable n4: duplicate variable "n4" across files @ b.tf:4:1-6:2 [35,66)
+parse resource n0: duplicate resource aws_vpc.n0 @ one.tf:16:1-18:2 [285,341)
+merge resource n0: duplicate resource aws_vpc.n0 across files @ b.tf:4:1-6:2 [60,116)
+parse resource n2: duplicate resource aws_vpc.n2 @ one.tf:16:1-18:2 [285,341)
+merge resource n2: duplicate resource aws_vpc.n2 across files @ b.tf:4:1-6:2 [60,116)
+parse resource n4: duplicate resource aws_vpc.n4 @ one.tf:16:1-18:2 [285,341)
+merge resource n4: duplicate resource aws_vpc.n4 across files @ b.tf:4:1-6:2 [60,116)
+parse data n0: duplicate data source data.aws_region.n0 @ one.tf:11:1-12:2 [135,161)
+merge data n0: accepted
+parse data n2: duplicate data source data.aws_region.n2 @ one.tf:11:1-12:2 [135,161)
+merge data n2: accepted
+parse data n4: duplicate data source data.aws_region.n4 @ one.tf:11:1-12:2 [135,161)
+merge data n4: accepted
+parse output n0: duplicate output "n0" @ one.tf:16:1-18:2 [140,167)
+merge output n0: duplicate output "n0" across files @ b.tf:4:1-6:2 [31,58)
+parse output n2: duplicate output "n2" @ one.tf:16:1-18:2 [140,167)
+merge output n2: duplicate output "n2" across files @ b.tf:4:1-6:2 [31,58)
+parse output n4: duplicate output "n4" @ one.tf:16:1-18:2 [140,167)
+merge output n4: duplicate output "n4" across files @ b.tf:4:1-6:2 [31,58)
+parse module n0: duplicate module "n0" @ one.tf:16:1-18:2 [165,197)
+merge module n0: duplicate module "n0" across files @ b.tf:4:1-6:2 [36,68)
+parse module n2: duplicate module "n2" @ one.tf:16:1-18:2 [165,197)
+merge module n2: duplicate module "n2" across files @ b.tf:4:1-6:2 [36,68)
+parse module n4: duplicate module "n4" @ one.tf:16:1-18:2 [165,197)
+merge module n4: duplicate module "n4" across files @ b.tf:4:1-6:2 [36,68)
+parse local n0: duplicate local "n0" @ one.tf:16:1-18:2 [100,119)
+merge local n0: duplicate local "n0" across files @ <none>:0:0-0:0 [0,0)
+parse local n2: duplicate local "n2" @ one.tf:16:1-18:2 [100,119)
+merge local n2: duplicate local "n2" across files @ <none>:0:0-0:0 [0,0)
+parse local n4: duplicate local "n4" @ one.tf:16:1-18:2 [100,119)
+merge local n4: duplicate local "n4" across files @ <none>:0:0-0:0 [0,0)
+|}
+  in
+  check (Alcotest.list string_) "duplicate diagnostics"
+    (String.split_on_char '\n' (String.trim expected))
+    (dup_table ())
+
 let test_config_module () =
   let cfg =
     Config.parse ~file:"t"
@@ -529,6 +628,8 @@ let suites =
       [
         Alcotest.test_case "meta arguments" `Quick test_config_meta_args;
         Alcotest.test_case "duplicate resource" `Quick test_config_duplicate_resource;
+        Alcotest.test_case "duplicate declaration table" `Quick
+          test_config_duplicate_table;
         Alcotest.test_case "module call" `Quick test_config_module;
         Alcotest.test_case "multi-file merge" `Quick test_config_merge;
       ] );
