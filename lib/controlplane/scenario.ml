@@ -87,221 +87,232 @@ let default =
     waves = [];
   }
 
-(* One [episode = k=v k=v ...] value.  The sub-grammar is as strict as
-   the top-level one: unknown sub-keys, malformed values, missing
-   required keys and kind-inapplicable magnitudes all fail with a
-   located scenario-syntax diagnostic. *)
-let episode_of_spec ~file ~line spec =
-  let failf fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Err.fail ~stage:Err.Diagnostic.Syntax ~code:"scenario-syntax"
-          "%s:%d: %s" file line msg)
-      fmt
-  in
+(* ------------------------------------------------------------------ *)
+(* Strict k=v sub-grammars                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The [episode =] and [wave =] values are space-separated [k=v] pairs,
+   as strict as the top-level grammar: malformed tokens, unknown keys,
+   malformed values, missing required keys and kind-inapplicable keys
+   all fail with a located scenario-syntax diagnostic.  [what] names
+   the sub-grammar in every message; a repeated key's last value wins. *)
+type kv_type = Str | Num | Int
+
+type kv = {
+  what : string;
+  file : string;
+  line : int;
+  pairs : (string * string) list;
+}
+
+let kv_fail kv fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Err.fail ~stage:Err.Diagnostic.Syntax ~code:"scenario-syntax" "%s:%d: %s"
+        kv.file kv.line msg)
+    fmt
+
+let kv_number kv key v =
+  match float_of_string_opt v with
+  | Some f -> f
+  | None -> kv_fail kv "%s %s expects a number, got %S" kv.what key v
+
+let kv_integer kv key v =
+  match int_of_string_opt v with
+  | Some n -> n
+  | None -> kv_fail kv "%s %s expects an integer, got %S" kv.what key v
+
+(* Split [spec] into pairs and check each, in order, against [keys]:
+   the key must be known and a typed value must parse. *)
+let kv_read ~what ~file ~line ~keys spec =
+  let kv = { what; file; line; pairs = [] } in
   let pairs =
     String.split_on_char ' ' spec
     |> List.filter (fun s -> s <> "")
     |> List.map (fun tok ->
            match String.index_opt tok '=' with
            | None ->
-               failf "episode expects space-separated k=v pairs, got %S" tok
+               kv_fail kv "%s expects space-separated k=v pairs, got %S" what
+                 tok
            | Some i ->
                ( String.sub tok 0 i,
                  String.sub tok (i + 1) (String.length tok - i - 1) ))
   in
+  List.iter
+    (fun (k, v) ->
+      match List.assoc_opt k keys with
+      | None -> kv_fail kv "unknown %s key %S" what k
+      | Some Str -> ()
+      | Some Num -> ignore (kv_number kv k v)
+      | Some Int -> ignore (kv_integer kv k v))
+    pairs;
+  { kv with pairs }
+
+let kv_str kv key =
+  List.fold_left
+    (fun acc (k, v) -> if k = key then Some v else acc)
+    None kv.pairs
+
+let kv_num kv key = Option.map (kv_number kv key) (kv_str kv key)
+let kv_int kv key = Option.map (kv_integer kv key) (kv_str kv key)
+
+(* Reject [keys] given to a value whose kind is not [kind]. *)
+let kv_only_for kv ~kind keys =
+  if List.exists (fun k -> List.mem_assoc k kv.pairs) keys then
+    match keys with
+    | [ k ] -> kv_fail kv "%s key %s only applies to kind=%s" kv.what k kind
+    | _ ->
+        kv_fail kv "%s keys %s only apply to kind=%s" kv.what
+          (String.concat "/" keys) kind
+
+(* Each episode magnitude key, the kind it applies to, and the
+   placeholder its requirement message names. *)
+let magnitudes =
+  [
+    ("p", Failure.Error_storm, "prob");
+    ("retry_after", Failure.Throttle_storm, "seconds");
+    ("quota", Failure.Quota_cut, "level");
+    ("count", Failure.Spot_termination, "instances");
+  ]
+
+(* One [episode = k=v k=v ...] value. *)
+let episode_of_spec ~file ~line spec =
+  let kv =
+    kv_read ~what:"episode" ~file ~line spec
+      ~keys:
+        ([ ("kind", Str); ("rtype", Str); ("region", Str); ("start", Num);
+           ("end", Num) ]
+        @ List.map (fun (k, _, _) -> (k, Num)) magnitudes)
+  in
   let kind =
-    match List.assoc_opt "kind" pairs with
+    match kv_str kv "kind" with
     | None ->
-        failf
-          "episode requires kind=outage|error_storm|throttle_storm|spot|quota_cut"
+        kv_fail kv "episode requires %s"
+          "kind=outage|error_storm|throttle_storm|spot|quota_cut"
     | Some k -> (
         match Failure.episode_kind_of_string k with
         | Some k -> k
-        | None -> failf "unknown episode kind %S" k)
-  in
-  let fl key v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None -> failf "episode %s expects a number, got %S" key v
-  in
-  let rtype = ref None and region = ref None in
-  let start_ = ref None and finish = ref None and mag = ref None in
-  let mag_for want key v =
-    if kind <> want then
-      failf "episode key %s only applies to kind=%s" key
-        (Failure.episode_kind_to_string want)
-    else mag := Some (fl key v)
+        | None -> kv_fail kv "unknown episode kind %S" k)
   in
   List.iter
-    (fun (k, v) ->
-      match k with
-      | "kind" -> ()
-      | "rtype" -> rtype := Some v
-      | "region" -> region := Some v
-      | "start" -> start_ := Some (fl k v)
-      | "end" -> finish := Some (fl k v)
-      | "p" -> mag_for Failure.Error_storm k v
-      | "retry_after" -> mag_for Failure.Throttle_storm k v
-      | "quota" -> mag_for Failure.Quota_cut k v
-      | "count" -> mag_for Failure.Spot_termination k v
-      | _ -> failf "unknown episode key %S" k)
-    pairs;
+    (fun (key, applies, _) ->
+      if applies <> kind then
+        kv_only_for kv ~kind:(Failure.episode_kind_to_string applies) [ key ])
+    magnitudes;
   let start_ =
-    match !start_ with
+    match kv_num kv "start" with
     | Some s -> s
-    | None -> failf "episode requires start=<sim seconds>"
+    | None -> kv_fail kv "episode requires start=<sim seconds>"
   in
   let finish =
-    match (!finish, kind) with
+    match (kv_num kv "end", kind) with
     | Some f, _ -> f
     | None, Failure.Spot_termination -> start_ +. 1.
-    | None, _ -> failf "episode requires end=<sim seconds>"
+    | None, _ -> kv_fail kv "episode requires end=<sim seconds>"
   in
   if finish <= start_ then
-    failf "episode end %g must be after start %g" finish start_;
+    kv_fail kv "episode end %g must be after start %g" finish start_;
   let magnitude =
-    match (!mag, kind) with
-    | Some m, _ -> m
-    | None, Failure.Outage -> 1.
-    | None, Failure.Error_storm -> failf "kind=error_storm requires p=<prob>"
-    | None, Failure.Throttle_storm ->
-        failf "kind=throttle_storm requires retry_after=<seconds>"
-    | None, Failure.Quota_cut -> failf "kind=quota_cut requires quota=<level>"
-    | None, Failure.Spot_termination ->
-        failf "kind=spot requires count=<instances>"
+    match List.find_opt (fun (_, applies, _) -> applies = kind) magnitudes with
+    | None -> 1. (* an outage fails every matching call *)
+    | Some (key, _, placeholder) -> (
+        match kv_num kv key with
+        | Some m -> m
+        | None ->
+            kv_fail kv "kind=%s requires %s=<%s>"
+              (Failure.episode_kind_to_string kind) key placeholder)
   in
-  Failure.episode ?rtype:!rtype ?region:!region ~magnitude ~start_ ~finish kind
+  Failure.episode ?rtype:(kv_str kv "rtype") ?region:(kv_str kv "region")
+    ~magnitude ~start_ ~finish kind
 
 (* One [wave = k=v k=v ...] value — a bulk-change rollout compiled into
-   a {!Change.t} without a separate change file.  Same strictness as
-   [episode =]: unknown sub-keys, malformed values, missing required
-   keys and kind-inapplicable keys all fail with a located
-   scenario-syntax diagnostic. *)
+   a {!Change.t} without a separate change file. *)
 let wave_of_spec ~file ~line spec =
-  let failf fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Err.fail ~stage:Err.Diagnostic.Syntax ~code:"scenario-syntax"
-          "%s:%d: %s" file line msg)
-      fmt
+  let kv =
+    kv_read ~what:"wave" ~file ~line spec
+      ~keys:
+        [
+          ("kind", Str); ("rtype", Str); ("attr", Str); ("value", Str);
+          ("count", Int); ("start", Num); ("canary", Int); ("growth", Int);
+          ("forbid", Str); ("budget", Num); ("check", Num);
+        ]
   in
-  let pairs =
-    String.split_on_char ' ' spec
-    |> List.filter (fun s -> s <> "")
-    |> List.map (fun tok ->
-           match String.index_opt tok '=' with
-           | None -> failf "wave expects space-separated k=v pairs, got %S" tok
-           | Some i ->
-               ( String.sub tok 0 i,
-                 String.sub tok (i + 1) (String.length tok - i - 1) ))
+  let set_count =
+    match kv_str kv "kind" with
+    | None | Some "set_attr" -> false
+    | Some "set_count" -> true
+    | Some v ->
+        kv_fail kv "unknown wave kind %S (expected set_attr|set_count)" v
   in
-  let fl key v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None -> failf "wave %s expects a number, got %S" key v
-  in
-  let it key v =
-    match int_of_string_opt v with
-    | Some n -> n
-    | None -> failf "wave %s expects an integer, got %S" key v
-  in
-  let kind = ref `Set_attr and rtype = ref "aws_instance" in
-  let attr = ref None and value = ref None and count = ref None in
-  let start_ = ref None and canary = ref 1 and growth = ref 2 in
-  let forbid = ref None and budget = ref None and check = ref 60. in
-  List.iter
-    (fun (k, v) ->
-      match k with
-      | "kind" -> (
-          match v with
-          | "set_attr" -> kind := `Set_attr
-          | "set_count" -> kind := `Set_count
-          | _ -> failf "unknown wave kind %S (expected set_attr|set_count)" v)
-      | "rtype" -> rtype := v
-      | "attr" -> attr := Some v
-      | "value" -> value := Some v
-      | "count" -> count := Some (it k v)
-      | "start" -> start_ := Some (fl k v)
-      | "canary" -> canary := it k v
-      | "growth" -> growth := it k v
-      | "forbid" -> forbid := Some v
-      | "budget" -> budget := Some (fl k v)
-      | "check" -> check := fl k v
-      | _ -> failf "unknown wave key %S" k)
-    pairs;
+  let rtype = Option.value (kv_str kv "rtype") ~default:"aws_instance" in
+  let attr = kv_str kv "attr" in
   let wstart =
-    match !start_ with
+    match kv_num kv "start" with
     | Some s -> s
-    | None -> failf "wave requires start=<sim seconds>"
+    | None -> kv_fail kv "wave requires start=<sim seconds>"
   in
-  if !canary < 1 then failf "wave canary must be >= 1, got %d" !canary;
-  if !growth < 1 then failf "wave growth must be >= 1, got %d" !growth;
-  let target = !rtype ^ ".*" in
+  let canary = Option.value (kv_int kv "canary") ~default:1 in
+  let growth = Option.value (kv_int kv "growth") ~default:2 in
+  if canary < 1 then kv_fail kv "wave canary must be >= 1, got %d" canary;
+  if growth < 1 then kv_fail kv "wave growth must be >= 1, got %d" growth;
+  let target = rtype ^ ".*" in
   let str s = Hcl.Ast.mk (Hcl.Ast.Template [ Hcl.Ast.Lit s ]) in
-  let action =
-    match !kind with
-    | `Set_attr ->
-        let attr =
-          match !attr with
-          | Some a -> a
-          | None -> failf "kind=set_attr requires attr=<name>"
-        in
-        let value =
-          match !value with
-          | Some v -> v
-          | None -> failf "kind=set_attr requires value=<string>"
-        in
-        if !count <> None then
-          failf "wave key count only applies to kind=set_count";
-        {
-          Policy.aname = "bulk";
-          kind = Policy.Set_attr { target; attr; value = str value };
-        }
-    | `Set_count ->
-        let n =
-          match !count with
-          | Some n -> n
-          | None -> failf "kind=set_count requires count=<int>"
-        in
-        if !attr <> None || !value <> None then
-          failf "wave keys attr/value only apply to kind=set_attr";
-        {
-          Policy.aname = "bulk";
-          kind = Policy.Set_count { target; value = Hcl.Ast.mk (Hcl.Ast.Int n) };
-        }
+  let kind =
+    if set_count then begin
+      let n =
+        match kv_int kv "count" with
+        | Some n -> n
+        | None -> kv_fail kv "kind=set_count requires count=<int>"
+      in
+      kv_only_for kv ~kind:"set_attr" [ "attr"; "value" ];
+      Policy.Set_count { target; value = Hcl.Ast.mk (Hcl.Ast.Int n) }
+    end
+    else begin
+      let attr =
+        match attr with
+        | Some a -> a
+        | None -> kv_fail kv "kind=set_attr requires attr=<name>"
+      in
+      let value =
+        match kv_str kv "value" with
+        | Some v -> v
+        | None -> kv_fail kv "kind=set_attr requires value=<string>"
+      in
+      kv_only_for kv ~kind:"set_count" [ "count" ];
+      Policy.Set_attr { target; attr; value = str value }
+    end
   in
   let gates =
-    match !forbid with
+    match kv_str kv "forbid" with
     | None -> []
     | Some fv ->
         let attr =
-          match !attr with
+          match attr with
           | Some a -> a
-          | None -> failf "wave forbid= requires attr=<name>"
+          | None -> kv_fail kv "wave forbid= requires attr=<name>"
         in
         [
           {
             Rego_like.cname = "forbid";
             predicate =
               Rego_like.Attr_equals
-                { rtype = !rtype; attr; value = Hcl.Value.Vstring fv };
+                { rtype; attr; value = Hcl.Value.Vstring fv };
             deny_message =
-              Printf.sprintf "%s.%s = %S is forbidden" !rtype attr fv;
+              Printf.sprintf "%s.%s = %S is forbidden" rtype attr fv;
           };
         ]
   in
   {
     wstart;
-    wcheck = !check;
+    wcheck = Option.value (kv_num kv "check") ~default:60.;
     wchange =
       {
         Change.cname = Printf.sprintf "wave@%s:%d" file line;
-        actions = [ action ];
-        canary = !canary;
-        growth = !growth;
+        actions = [ { Policy.aname = "bulk"; kind } ];
+        canary;
+        growth;
         gates;
-        budget = !budget;
+        budget = kv_num kv "budget";
         cspan = Hcl.Loc.dummy;
       };
   }

@@ -54,6 +54,9 @@ module Dag = Cloudless_graph.Dag
 module Lock_manager = Cloudless_lock.Lock_manager
 module Drift = Cloudless_drift.Drift
 module Breaker = Cloudless_deploy.Breaker
+module Executor = Cloudless_deploy.Executor
+module Walker = Cloudless_deploy.Walker
+module Prng = Cloudless_sim.Prng
 module Trace = Cloudless_obs.Trace
 module Metrics = Cloudless_obs.Metrics
 
@@ -122,7 +125,7 @@ let fleet_service =
     breaker = None;
   }
 
-(* A request's plan, compiled to the applier's flat graph, keyed by the
+(* A request's plan, compiled to the walker's flat graph, keyed by the
    source it was planned from and the identity of the state it was
    diffed against. *)
 type plan_memo = { msrc : string; mstate : State.t; mgraph : Plan.exec_graph }
@@ -364,7 +367,7 @@ let expand ~state src =
   (Hcl.Eval.expand ~env cfg).Hcl.Eval.instances
 
 (* The request plan for [src] against [state], as the execution graph
-   the applier walks.  A parked request is re-admitted, usually many
+   the walker walks.  A parked request is re-admitted, usually many
    times, against the very state its last fast-failed apply handed
    back: an apply that changed nothing returns its input state, while
    any progress, refresh or other unit's completion makes a new one.
@@ -379,22 +382,41 @@ let request_graph dep ~state src =
       dep.memo <- Some { msrc = src; mstate = state; mgraph = graph };
       graph
 
-let applier_config t dep =
-  {
-    Applier.engine = dep.engine;
-    parallelism = t.config.parallelism;
-    max_retries = 12;
-    backoff_base = 2.;
-    (* jitter only rides with the breaker so pre-E17 presets stay
-       byte-identical to their committed metrics snapshots *)
-    jitter = t.config.breaker <> None;
-  }
-
 let count_api t dep ~read n =
   Metrics.scope_inc t.scope ~by:n "api_calls";
   Metrics.inc (metrics t) ~by:n ("api_calls." ^ dep.tenant);
   if read then Metrics.scope_inc t.scope ~by:n "api_reads"
   else Metrics.scope_inc t.scope ~by:n "api_writes"
+
+(* Every unit of work walks its plan through the one plan walker with
+   the shard's inputs: a FIFO walk under the per-work parallelism cap,
+   no client pacing, the deployment's journal, the shard's breaker and
+   the host's crash gate and liveness.  Jitter rides with the breaker
+   only, so pre-E17 presets stay byte-identical to their committed
+   metrics snapshots; it draws from a PRNG seeded from the engine name
+   alone, so the stream is the same on every run and every resume.
+   The unit's run is closed in the journal as the walk settles. *)
+let walk t dep ~state ~graph ~on_done =
+  Walker.apply t.cloud
+    ~config:
+      {
+        Executor.baseline_config with
+        Executor.name = dep.engine;
+        parallelism = t.config.parallelism;
+      }
+    ~state ~graph
+    ?jitter:
+      (match t.breaker with
+      | Some _ -> Some (Prng.create (Hashtbl.hash dep.engine land 0x3FFFFFFF))
+      | None -> None)
+    ~journal:dep.journal ?breaker:t.breaker ~gate:t.host.gate
+    ~alive:t.host.alive
+    ~count_api:(count_api t dep ~read:false)
+    ~on_done:(fun o ->
+      Journal.append dep.journal
+        (Journal.Run_finished { time = Cloud.now t.cloud });
+      on_done o)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* The work queue                                                      *)
@@ -529,11 +551,11 @@ and park_work t dep ~wid ~rebuild =
   drain t
 
 (* Did the apply leave changes fast-failed by an open breaker cell? *)
-and breaker_blocked t (o : Applier.outcome) =
+and breaker_blocked t (o : Walker.outcome) =
   t.breaker <> None
   && List.exists
-       (fun (_, reason) -> Breaker.is_open_reason reason)
-       o.Applier.failed
+       (fun (f : Walker.failure) -> Breaker.is_open_reason f.Walker.reason)
+       o.Walker.failed
 
 (* Catch per-work configuration/planning errors without killing the
    service; a crash injection must still propagate. *)
@@ -558,12 +580,8 @@ and exec_request t dep ~wid ~rid ~src ~submitted =
   dep.config_src <- src;
   let continue_with state0 reads =
     let graph = request_graph dep ~state:state0 src in
-    Applier.apply t.cloud ~config:(applier_config t dep) ~state:state0 ~graph
-      ~journal:dep.journal ?breaker:t.breaker ~gate:t.host.gate
-      ~alive:t.host.alive
-      ~count_api:(count_api t dep ~read:false)
-      ~on_done:(fun (o : Applier.outcome) ->
-        dep.state <- o.Applier.astate;
+    walk t dep ~state:state0 ~graph ~on_done:(fun (o : Walker.outcome) ->
+        dep.state <- o.Walker.astate;
         if breaker_blocked t o then begin
           Metrics.scope_inc t.scope "requests_parked";
           Metrics.inc (metrics t) ("requests_parked." ^ dep.tenant);
@@ -577,7 +595,7 @@ and exec_request t dep ~wid ~rid ~src ~submitted =
         Metrics.observe (metrics t)
           ("request_latency." ^ dep.tenant)
           (now -. submitted);
-        if o.Applier.failed <> [] then
+        if o.Walker.failed <> [] then
           Metrics.scope_inc t.scope "work_failures";
         t.completed <- (rid, now) :: t.completed;
         finish_work t dep ~wid ~span:"request" ~sim_start:submitted
@@ -589,27 +607,26 @@ and exec_request t dep ~wid ~rid ~src ~submitted =
             ]
           ~counters:
             [
-              ("applied", List.length o.Applier.applied);
-              ("failed", List.length o.Applier.failed);
-              ("writes", o.Applier.writes);
+              ("applied", List.length o.Walker.applied);
+              ("failed", List.length o.Walker.failed);
+              ("writes", o.Walker.writes);
               ("refresh_reads", reads);
             ]
         end)
-      ()
   in
   if t.config.refresh_before_apply && State.size dep.state > 0 then
-    Applier.refresh t.cloud ~engine:dep.engine ~state:dep.state
+    Walker.refresh t.cloud ~engine:dep.engine ~state:dep.state
       ~alive:t.host.alive
       ~count_api:(count_api t dep ~read:true)
-      ~on_done:(fun (r : Applier.refresh_outcome) ->
+      ~on_done:(fun (r : Walker.refresh_outcome) ->
         protected t dep ~wid @@ fun () ->
         (* rows the refresh proved gone are dropped so the re-plan
            recreates them *)
         let state0 =
-          List.fold_left State.remove r.Applier.rstate r.Applier.missing
+          List.fold_left State.remove r.Walker.rstate r.Walker.missing
         in
         dep.state <- state0;
-        continue_with state0 r.Applier.reads)
+        continue_with state0 r.Walker.reads)
       ()
   else continue_with dep.state 0
 
@@ -626,12 +643,8 @@ and exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted ~notify =
   protected t dep ~wid @@ fun () ->
   (match restore_src with Some src -> dep.config_src <- src | None -> ());
   let graph = Plan.exec_graph (plan_of ()) in
-  Applier.apply t.cloud ~config:(applier_config t dep) ~state:dep.state ~graph
-    ~journal:dep.journal ?breaker:t.breaker ~gate:t.host.gate
-    ~alive:t.host.alive
-    ~count_api:(count_api t dep ~read:false)
-    ~on_done:(fun (o : Applier.outcome) ->
-      dep.state <- o.Applier.astate;
+  walk t dep ~state:dep.state ~graph ~on_done:(fun (o : Walker.outcome) ->
+      dep.state <- o.Walker.astate;
       if breaker_blocked t o then begin
         Metrics.scope_inc t.scope "rollbacks_parked";
         park_work t dep ~wid ~rebuild:(fun () ->
@@ -641,7 +654,7 @@ and exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted ~notify =
         let now = Cloud.now t.cloud in
         Metrics.scope_inc t.scope "rollbacks_done";
         Metrics.scope_observe t.scope "rollback_latency" (now -. submitted);
-        if o.Applier.failed <> [] then
+        if o.Walker.failed <> [] then
           Metrics.scope_inc t.scope "work_failures";
         notify now;
         finish_work t dep ~wid ~span:"rollback" ~sim_start:submitted
@@ -653,12 +666,11 @@ and exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted ~notify =
             ]
           ~counters:
             [
-              ("applied", List.length o.Applier.applied);
-              ("failed", List.length o.Applier.failed);
-              ("writes", o.Applier.writes);
+              ("applied", List.length o.Walker.applied);
+              ("failed", List.length o.Walker.failed);
+              ("writes", o.Walker.writes);
             ]
       end)
-    ()
 
 (* --- drift intake (push subscriptions) ------------------------------ *)
 
@@ -694,8 +706,8 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
       Some (Plan.impact_scope ~graph:(Dag.of_instances instances) ~edited:seeds)
     else None
   in
-  let finish_reconcile (o : Applier.outcome) reads =
-    dep.state <- o.Applier.astate;
+  let finish_reconcile (o : Walker.outcome) reads =
+    dep.state <- o.Walker.astate;
     if breaker_blocked t o then begin
       Metrics.scope_inc t.scope "reconciles_parked";
       park_work t dep ~wid ~rebuild:(fun () ->
@@ -717,20 +729,20 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
         ]
       ~counters:
         [
-          ("applied", List.length o.Applier.applied);
-          ("writes", o.Applier.writes);
+          ("applied", List.length o.Walker.applied);
+          ("writes", o.Walker.writes);
           ("refresh_reads", reads);
           ("seeds", List.length seeds);
         ]
     end
   in
-  Applier.refresh t.cloud ~engine:dep.engine ~state:dep.state ?addrs:scope
+  Walker.refresh t.cloud ~engine:dep.engine ~state:dep.state ?addrs:scope
     ~alive:t.host.alive
     ~count_api:(count_api t dep ~read:true)
-    ~on_done:(fun (r : Applier.refresh_outcome) ->
+    ~on_done:(fun (r : Walker.refresh_outcome) ->
       protected t dep ~wid @@ fun () ->
       let state0 =
-        List.fold_left State.remove r.Applier.rstate r.Applier.missing
+        List.fold_left State.remove r.Walker.rstate r.Walker.missing
       in
       dep.state <- state0;
       let instances = expand ~state:state0 dep.config_src in
@@ -738,22 +750,21 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
       let plan =
         match scope with Some s -> Plan.restrict plan s | None -> plan
       in
-      Applier.apply t.cloud ~config:(applier_config t dep) ~state:state0
-        ~graph:(Plan.exec_graph plan) ~journal:dep.journal ?breaker:t.breaker
-        ~gate:t.host.gate ~alive:t.host.alive
-        ~count_api:(count_api t dep ~read:false)
-        ~on_done:(fun o -> finish_reconcile o r.Applier.reads)
-        ())
+      walk t dep ~state:state0 ~graph:(Plan.exec_graph plan)
+        ~on_done:(fun o -> finish_reconcile o r.Walker.reads))
     ()
 
 (* --- drift: scan sweep (baseline) ---------------------------------- *)
 
 and exec_scan t dep ~wid ~swept =
   protected t dep ~wid @@ fun () ->
-  Applier.scan t.cloud ~engine:dep.engine ~state:dep.state ~alive:t.host.alive
+  Drift.Scanner.start t.cloud ~engine:dep.engine ~state:dep.state
+    ~alive:t.host.alive
     ~count_api:(count_api t dep ~read:true)
-    ~on_done:(fun (events, reads) ->
+    ~on_done:(fun (r : Drift.Scanner.scan_result) ->
       protected t dep ~wid @@ fun () ->
+      let events = r.Drift.Scanner.events in
+      let reads = r.Drift.Scanner.api_reads in
       Metrics.scope_inc t.scope ~by:reads "scan_reads";
       if events = [] then
         finish_work t dep ~wid ~span:"scan" ~sim_start:swept
@@ -790,12 +801,9 @@ and exec_scan t dep ~wid ~swept =
         let instances = expand ~state:state0 dep.config_src in
         let plan = Plan.make ~state:state0 instances in
         let detected = Cloud.now t.cloud in
-        Applier.apply t.cloud ~config:(applier_config t dep) ~state:state0
-          ~graph:(Plan.exec_graph plan) ~journal:dep.journal
-          ?breaker:t.breaker ~gate:t.host.gate ~alive:t.host.alive
-          ~count_api:(count_api t dep ~read:false)
-          ~on_done:(fun (o : Applier.outcome) ->
-            dep.state <- o.Applier.astate;
+        walk t dep ~state:state0 ~graph:(Plan.exec_graph plan)
+          ~on_done:(fun (o : Walker.outcome) ->
+            dep.state <- o.Walker.astate;
             Metrics.scope_inc t.scope "reconciles";
             Metrics.scope_observe t.scope "reconcile_latency"
               (Cloud.now t.cloud -. detected);
@@ -805,9 +813,8 @@ and exec_scan t dep ~wid ~swept =
                 [
                   ("scan_reads", reads);
                   ("drift", List.length events);
-                  ("writes", o.Applier.writes);
+                  ("writes", o.Walker.writes);
                 ])
-          ()
       end)
     ()
 

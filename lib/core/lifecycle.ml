@@ -48,7 +48,6 @@ type t = {
   mutable config : Hcl.Config.t option;
   mutable config_src : string;
   mutable module_lib : (string * Hcl.Config.t) list;
-  mutable last_graph : Hcl.Eval.instance Dag.t option;
   mutable journal : Journal.t option;
       (** write-ahead journal shared by apply and resume *)
   mutable crash : Sim_failure.crash_policy;  (** injected process death *)
@@ -134,7 +133,6 @@ let create ?(seed = 42) ?(engine = Executor.cloudless_config)
     config = None;
     config_src = "";
     module_lib = [];
-    last_graph = None;
     journal = None;
     crash = Sim_failure.No_crash;
   }
@@ -290,12 +288,11 @@ let apply ?edited ?description t : (Executor.report, error) result =
       match admit t p with
       | Error e -> Error e
       | Ok () ->
-          let graph = Dag.of_instances expansion.Hcl.Eval.instances in
-          t.last_graph <- Some graph;
           let engine =
             match edited with
             | None -> t.engine
             | Some addrs ->
+                let graph = Dag.of_instances expansion.Hcl.Eval.instances in
                 let scope = Plan.impact_scope ~graph ~edited:addrs in
                 { t.engine with Executor.refresh = Executor.Refresh_scoped scope }
           in

@@ -1,18 +1,16 @@
-(** The deployment executor: one event-driven engine parameterized by
-    policy knobs.  Two presets reproduce the paper's comparison —
+(** The deployment executor: one engine parameterized by policy
+    knobs.  Two presets reproduce the paper's comparison —
     {!baseline_config} (Terraform-like: bounded parallelism, FIFO
     walk, full refresh) and {!cloudless_config} (§3.3: unbounded
     admission under client pacing, critical-path scheduling, scoped
     refresh).
 
-    The executor drives the discrete-event {!Cloudless_sim.Cloud};
-    all times in the report are simulated seconds except
+    {!apply} is the run-to-completion driver of the one plan walker
+    ({!Walker}); all times in the report are simulated seconds except
     [sched_time], which is real wall-clock overhead of the engine's
     own ready-set bookkeeping. *)
 
 module Addr = Cloudless_hcl.Addr
-module Value = Cloudless_hcl.Value
-module Smap = Value.Smap
 module Cloud = Cloudless_sim.Cloud
 module State = Cloudless_state.State
 module Journal = Cloudless_state.Journal
@@ -20,25 +18,24 @@ module Failure = Cloudless_sim.Failure
 module Diagnostic = Cloudless_error.Diagnostic
 module Plan = Cloudless_plan.Plan
 
-type schedule_policy = Fifo | Critical_path
+type schedule_policy = Walker.schedule_policy = Fifo | Critical_path
 
-(** Ready-set implementation.  [Sched_heap] is the default: a shared
-    {!Cloudless_sim.Pqueue} binary heap giving O(log n) admissions.
-    [Sched_list] is the historical O(n)-per-pick list scan, kept as a
-    reference implementation for scheduler-overhead benchmarks (E11)
-    and for equivalence tests — both produce identical pick orders. *)
-type scheduler = Sched_heap | Sched_list
+(** See {!Walker.scheduler}: every implementation yields the same
+    pick order. *)
+type scheduler = Walker.scheduler = Sched_heap | Sched_list
 
-type refresh_mode = Refresh_none | Refresh_full | Refresh_scoped of Addr.Set.t
+type refresh_mode = Walker.refresh_mode =
+  | Refresh_none
+  | Refresh_full
+  | Refresh_scoped of Addr.Set.t
 
-type config = {
+type config = Walker.config = {
   name : string;
   parallelism : int option;  (** concurrent in-flight ops; None = unbounded *)
   policy : schedule_policy;
   client_pacing : bool;  (** §3.3: admission control against API limits *)
   max_retries : int;
   backoff_base : float;
-  backoff_exponential : bool;
   refresh : refresh_mode;
   pacing_budget : float * float;
       (** (burst capacity, refill/s) the pacer assumes the provider
@@ -48,7 +45,7 @@ type config = {
 val baseline_config : config
 val cloudless_config : config
 
-type failure = { faddr : Addr.t; reason : string }
+type failure = Walker.failure = { faddr : Addr.t; reason : string }
 
 type report = {
   engine : string;
@@ -71,45 +68,17 @@ type report = {
           cloud time *)
   peak_ready : int;  (** high-water mark of the ready set *)
   diagnostics : Diagnostic.t list;
-      (** structured errors raised during execution (currently: retry
-          exhaustion), in occurrence order *)
+      (** structured errors raised during execution (retry exhaustion,
+          giving up against an open breaker), in occurrence order *)
 }
 
 val succeeded : report -> bool
 
-(** Substitute [Vunknown "addr.attr"] placeholders (planned references
-    to not-yet-applied resources) with the real values now in state. *)
-val resolve_value : State.t -> Value.t -> Value.t
-
-val resolve_attrs : State.t -> Value.t Smap.t -> Value.t Smap.t
-
-type refresh_result = {
-  rstate : State.t;
-  reads : int;
-  missing : Addr.t list;  (** in state but gone from the cloud (drift) *)
-  rduration : float;
-}
-
-(** Re-read cloud attributes for tracked resources.  [addrs] limits the
-    scope (None = all of state, Terraform's default full refresh). *)
-val refresh :
-  Cloud.t ->
-  engine:string ->
-  state:State.t ->
-  ?addrs:Addr.Set.t ->
-  ?parallelism:int ->
-  unit ->
-  refresh_result
-
-(** Per-node lifecycle, exposed for consumers that mirror the
-    executor's bookkeeping (the control plane's applier). *)
-type node_status = Pending | Running | Done | Failed of string | Skipped
-
-(** Expected simulated duration of a change under the service model. *)
-val change_duration : Plan.change -> float
-
-(** Apply a plan.  Returns the report; the returned state reflects all
-    successful operations.
+(** Apply a plan: refresh per [config.refresh] (reads driven to
+    idle), then walk the plan through {!Walker.apply} and step the
+    cloud until idle.  Returns the report; the returned state reflects
+    all successful operations.  Backoff jitter draws from a PRNG
+    seeded with [seed].
 
     [journal] (optional) receives a write-ahead record of every cloud
     write: a {!Journal.Intent} made durable *before* the call leaves
@@ -127,12 +96,13 @@ val change_duration : Plan.change -> float
     the cloud side with nobody listening, exactly like a killed
     process.
 
-    [breaker] (optional) attaches a circuit {!Breaker} in observer
-    mode: every write outcome feeds its (kind, rtype) cell, and retry
-    exhaustion while the cell is Open is reported with the distinct
-    diagnostic code ["retries-exhausted-outage"] (vs the generic
-    ["retries-exhausted"]) so operators can tell a provider outage
-    from a flake. *)
+    [breaker] (optional) gates every write on its (kind, rtype) circuit
+    {!Breaker} cell, as in the control plane: an Open cell fails the
+    change at once instead of burning its retry budget, and the
+    failure is reported with the distinct diagnostic code
+    ["retries-exhausted-outage"] (vs ["retries-exhausted"] for plain
+    retry exhaustion) so operators can tell a provider outage from a
+    flake. *)
 val apply :
   Cloud.t ->
   config:config ->

@@ -63,105 +63,137 @@ module Scanner = struct
     throttled : int;  (** reads that had to be retried due to 429 *)
   }
 
-  (** One full scan: read every tracked resource, list every known
-      type for unmanaged resources. *)
-  let scan (cloud : Cloud.t) ~(state : State.t) ?(detect_unmanaged = false) ()
-      : scan_result =
-    let actor = Activity_log.Iac_engine "drift-scanner" in
+  (* Callback-shaped so a shard can sweep on the shared event loop:
+     every read and listing settles before [on_done], throttled ones
+     retrying after the provider's retry-after.  Each callback first
+     checks [alive]. *)
+  let start (cloud : Cloud.t) ~engine ~(state : State.t)
+      ?(detect_unmanaged = false) ~alive ~count_api ~on_done () =
+    let actor = Activity_log.Iac_engine engine in
     let started = Cloud.now cloud in
-    let reads = ref 0 in
-    let throttled = ref 0 in
+    let tracked = State.resources state in
+    let types =
+      if detect_unmanaged then
+        List.sort_uniq String.compare
+          (List.map (fun (r : State.resource_state) -> r.State.rtype) tracked)
+      else []
+    in
+    let total = List.length tracked + List.length types in
+    let reads = ref 0 and throttled = ref 0 and settled = ref 0 in
     let events = ref [] in
     let emit e = events := e :: !events in
-    (* read each tracked resource, retrying on throttle *)
+    let finish () =
+      {
+        events = List.rev !events;
+        api_reads = !reads;
+        duration = Cloud.now cloud -. started;
+        throttled = !throttled;
+      }
+    in
+    let settle () =
+      incr settled;
+      if !settled = total then on_done (finish ())
+    in
+    let retry after k =
+      incr throttled;
+      Cloud.schedule cloud ~delay:(after +. 0.1) (fun () ->
+          if alive () then k ())
+    in
+    (* read each tracked resource, compare with state *)
     let rec read_resource (r : State.resource_state) =
       incr reads;
+      count_api 1;
       Cloud.submit cloud ~actor
         (Cloud.Read { cloud_id = r.State.cloud_id })
         (fun result ->
-          match result with
-          | Ok actual ->
-              Smap.iter
-                (fun attr expected ->
-                  match Smap.find_opt attr actual with
-                  | Some actual_v when not (Value.equal expected actual_v) ->
-                      emit
-                        {
-                          addr = Some r.State.addr;
-                          cloud_id = r.State.cloud_id;
-                          kind = Attr_drift { attr; expected; actual = actual_v };
-                          detected_at = Cloud.now cloud;
-                          occurred_at = None;
-                        }
-                  | _ -> ())
-                (comparable r.State.attrs)
-          | Error (Cloud.Not_found _) ->
-              emit
-                {
-                  addr = Some r.State.addr;
-                  cloud_id = r.State.cloud_id;
-                  kind = Deleted_oob;
-                  detected_at = Cloud.now cloud;
-                  occurred_at = None;
-                }
-          | Error (Cloud.Throttled after) ->
-              incr throttled;
-              Cloud.schedule cloud ~delay:(after +. 0.1) (fun () ->
-                  read_resource r)
-          | Error _ -> ())
+          if alive () then
+            match result with
+            | Ok actual ->
+                Smap.iter
+                  (fun attr expected ->
+                    match Smap.find_opt attr actual with
+                    | Some actual_v when not (Value.equal expected actual_v) ->
+                        emit
+                          {
+                            addr = Some r.State.addr;
+                            cloud_id = r.State.cloud_id;
+                            kind =
+                              Attr_drift { attr; expected; actual = actual_v };
+                            detected_at = Cloud.now cloud;
+                            occurred_at = None;
+                          }
+                    | _ -> ())
+                  (comparable r.State.attrs);
+                settle ()
+            | Error (Cloud.Not_found _) ->
+                emit
+                  {
+                    addr = Some r.State.addr;
+                    cloud_id = r.State.cloud_id;
+                    kind = Deleted_oob;
+                    detected_at = Cloud.now cloud;
+                    occurred_at = None;
+                  };
+                settle ()
+            | Error (Cloud.Throttled after) ->
+                retry after (fun () -> read_resource r)
+            | Error _ -> settle ())
     in
-    List.iter read_resource (State.resources state);
-    (* optionally list types to find unmanaged resources *)
-    if detect_unmanaged then begin
-      (* built once: each listed resource checks membership in O(log n)
-         instead of scanning every known id *)
-      let known_ids =
-        Sset.of_list
-          (List.map
-             (fun (r : State.resource_state) -> r.State.cloud_id)
-             (State.resources state))
+    (* list each tracked type for resources state does not know; one
+       listing counts as one read however often it is throttled *)
+    let list_unmanaged known_ids rtype =
+      incr reads;
+      let rec list_type () =
+        count_api 1;
+        Cloud.submit cloud ~actor
+          (Cloud.List_type { rtype; region = None })
+          (fun result ->
+            if alive () then
+              match result with
+              | Ok listing ->
+                  Smap.iter
+                    (fun cloud_id _ ->
+                      if not (Sset.mem cloud_id known_ids) then
+                        emit
+                          {
+                            addr = None;
+                            cloud_id;
+                            kind = Unmanaged { cloud_id; rtype };
+                            detected_at = Cloud.now cloud;
+                            occurred_at = None;
+                          })
+                    listing;
+                  settle ()
+              | Error (Cloud.Throttled after) -> retry after list_type
+              | Error _ -> settle ())
       in
-      let types =
-        List.sort_uniq String.compare
-          (List.map (fun (r : State.resource_state) -> r.State.rtype)
-             (State.resources state))
-      in
-      List.iter
-        (fun rtype ->
-          incr reads;
-          let rec list_type () =
-            Cloud.submit cloud ~actor
-              (Cloud.List_type { rtype; region = None })
-              (fun result ->
-                match result with
-                | Ok listing ->
-                    Smap.iter
-                      (fun cloud_id _ ->
-                        if not (Sset.mem cloud_id known_ids) then
-                          emit
-                            {
-                              addr = None;
-                              cloud_id;
-                              kind = Unmanaged { cloud_id; rtype };
-                              detected_at = Cloud.now cloud;
-                              occurred_at = None;
-                            })
-                      listing
-                | Error (Cloud.Throttled after) ->
-                    incr throttled;
-                    Cloud.schedule cloud ~delay:(after +. 0.1) list_type
-                | Error _ -> ())
-          in
-          list_type ())
-        types
-    end;
+      list_type ()
+    in
+    if total = 0 then on_done (finish ())
+    else begin
+      List.iter read_resource tracked;
+      if types <> [] then begin
+        (* built once: each listed resource checks membership in
+           O(log n) instead of scanning every known id *)
+        let known_ids =
+          Sset.of_list
+            (List.map
+               (fun (r : State.resource_state) -> r.State.cloud_id)
+               tracked)
+        in
+        List.iter (list_unmanaged known_ids) types
+      end
+    end
+
+  (* every read and listing settles before the cloud idles *)
+  let scan (cloud : Cloud.t) ~(state : State.t) ?detect_unmanaged () =
+    let result = ref None in
+    start cloud ~engine:"drift-scanner" ~state ?detect_unmanaged
+      ~alive:(fun () -> true) ~count_api:ignore
+      ~on_done:(fun r -> result := Some r)
+      ();
     Cloud.run_until_idle cloud;
-    {
-      events = List.rev !events;
-      api_reads = !reads;
-      duration = Cloud.now cloud -. started;
-      throttled = !throttled;
-    }
+    Option.get !result
 end
 
 (* ------------------------------------------------------------------ *)

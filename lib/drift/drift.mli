@@ -57,8 +57,28 @@ module Scanner : sig
     throttled : int;  (** reads that had to be retried due to 429 *)
   }
 
-  (** One full scan: read every tracked resource, list every known
-      type for unmanaged resources.  Drives the simulator to idle. *)
+  (** One full sweep, shaped for an event loop that others share:
+      read every tracked resource and compare it with state (attributes
+      other than [arn]), and with [detect_unmanaged] list every tracked
+      type for resources state does not know.  Returns at once; each
+      call is submitted as [engine] and counted through [count_api],
+      a throttled call retries after the provider's retry-after, every
+      callback first checks [alive], and [on_done] receives the result
+      once every read and listing has settled.  [duration] runs from
+      the start to that instant. *)
+  val start :
+    Cloud.t ->
+    engine:string ->
+    state:State.t ->
+    ?detect_unmanaged:bool ->
+    alive:(unit -> bool) ->
+    count_api:(int -> unit) ->
+    on_done:(scan_result -> unit) ->
+    unit ->
+    unit
+
+  (** {!start} as the ["drift-scanner"] engine, then drive the
+      simulator to idle. *)
   val scan :
     Cloud.t -> state:State.t -> ?detect_unmanaged:bool -> unit -> scan_result
 end

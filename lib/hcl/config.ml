@@ -541,7 +541,7 @@ let to_string t = Printer.config_to_string (to_body t)
 (** Merge several parsed files into one configuration (Terraform's
     directory model: all [*.tf] files in a directory form one module).
     Duplicate declarations across files are errors, like within one
-    file — except data sources, which are not checked across files.
+    file, reported at the later declaration (a local at its value).
     Each file is checked against the names of the files before it,
     then its names join them; the lists concatenate once. *)
 let merge (configs : t list) : t =
@@ -552,9 +552,10 @@ let merge (configs : t list) : t =
       let names c =
         List.map (fun v -> (v.vspan, Variable v.vname)) c.variables
         @ List.map (fun r -> (r.rspan, Resource (r.rtype, r.rname))) c.resources
+        @ List.map (fun d -> (d.dspan, Data (d.dtype, d.dname))) c.data_sources
         @ List.map (fun o -> (o.ospan, Output o.oname)) c.outputs
         @ List.map (fun m -> (m.mspan, Module m.mname)) c.modules
-        @ List.map (fun (n, _) -> (Loc.dummy, Local n)) c.locals
+        @ List.map (fun (n, e) -> (e.Ast.espan, Local n)) c.locals
       in
       let seen = Hashtbl.create 64 in
       List.iter (fun (_, n) -> declare seen n) (names first);

@@ -1,7 +1,7 @@
 (** Generic keyed priority queue (binary heap).
 
     Shared by the simulator's {!Event_queue} (min-heap on time) and the
-    deploy executor's ready set (max-heap on critical-path priority).
+    plan walker's ready set (max-heap on critical-path priority).
 
     Entries carry a float priority and a monotonically increasing
     insertion sequence number; the {!order} chosen at creation fixes

@@ -165,16 +165,38 @@ if [[ -n "$parse_offenders" ]]; then
   exit 1
 fi
 
+# -- one plan walker -------------------------------------------------
+# Every apply path reaches the cloud's write API through the plan
+# walker (lib/deploy/walker.ml), so it alone writes a run's journal
+# intents and outcomes: a second op machine would have to keep every
+# journal rule in step with it.  lib/state defines the entries.
+walker=lib/deploy/walker.ml
+journal_writers=$(grep -rnE '\(Journal\.(Intent|Outcome|Run_started)' lib/ \
+  --include='*.ml' --include='*.mli' | grep -v -e "^$walker:" -e '^lib/state/' || true)
+if [[ -n "$journal_writers" ]]; then
+  echo "check.sh: journal intent/outcome/run-start written outside $walker — go through the walker:" >&2
+  echo "$journal_writers" >&2
+  exit 1
+fi
+
 # -- history-independent grant gates ---------------------------------
 # A grant costs O(its plan), however long the deployment's journal has
-# grown: the engines seed op ids from Journal.last_op, which the
+# grown: the walker seeds op ids from Journal.last_op, which the
 # journal keeps as it grows, never from a scan of Journal.entries (the
 # resume paths in fleet.ml, rollout.ml and lifecycle.ml replay the
 # journal and may scan it).  Every apply path walks the flat
 # Plan.exec_graph; the Addr-keyed Plan.execution_graph is for analyses
-# and the equivalence oracles in lib/plan.
-journal_scans=$(grep -nE 'Journal\.entries' lib/controlplane/applier.ml \
-  lib/controlplane/shard.ml lib/deploy/executor.ml || true)
+# and the equivalence oracles in lib/plan.  A per-grant file that is
+# gone fails the gate rather than silently leaving it.
+per_grant="$walker lib/deploy/executor.ml lib/controlplane/shard.ml"
+for f in $per_grant; do
+  if [[ ! -f $f ]]; then
+    echo "check.sh: per-grant file $f is gone — point the journal-scan gate at its successor" >&2
+    exit 1
+  fi
+done
+# shellcheck disable=SC2086
+journal_scans=$(grep -nE 'Journal\.entries' $per_grant || true)
 if [[ -n "$journal_scans" ]]; then
   echo "check.sh: journal scan on a per-grant path — seed op ids from Journal.last_op:" >&2
   echo "$journal_scans" >&2

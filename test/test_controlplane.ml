@@ -4,7 +4,7 @@
    conflicting work serializes in queue order), a golden drift-event ->
    scoped-reconcile trace, crash resume with zero orphans/duplicates,
    a request plan reused only against the state it was made for, and
-   the applier's pinned walk order. *)
+   the plan walk order pinned under both of the walker's drivers. *)
 
 module Cloud = Cloudless_sim.Cloud
 module Rate_limiter = Cloudless_sim.Rate_limiter
@@ -21,7 +21,8 @@ module Cloud_rules = Cloudless_schema.Cloud_rules
 module Addr = Cloudless_hcl.Addr
 module Plan = Cloudless_plan.Plan
 module Journal = Cloudless_state.Journal
-module Applier = Cloudless_controlplane.Applier
+module Walker = Cloudless_deploy.Walker
+module Executor = Cloudless_deploy.Executor
 
 let check = Alcotest.check
 let int_ = Alcotest.int
@@ -346,7 +347,7 @@ let test_plan_memo_keyed_by_state () =
   | None -> Alcotest.fail "no span for the last request"
 
 (* ------------------------------------------------------------------ *)
-(* Applier walk order                                                  *)
+(* Plan walk order                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let applier_v1 =
@@ -437,36 +438,51 @@ resource "aws_instance" "tip" {
 }
 |}
 
-(* Apply [src] against [state] through [Applier.apply] on [cloud],
-   stepping the cloud until the walk reports.  Returns the outcome and
-   the journal's intents as "op kind addr".  The expected orders below
-   were recorded from the [Addr]-keyed [Dag] walk the flat-array walk
-   replaced, so a change to pick order or tie-breaking fails here. *)
-let run_applier cloud ~parallelism ~state src =
-  let plan = Plan.make ~state (Shard.expand ~state src) in
+(* The journal's intents as "op kind addr". *)
+let intent_lines journal =
+  List.filter_map
+    (function
+      | Journal.Intent i ->
+          Some
+            (Printf.sprintf "%d %s %s" i.Journal.op
+               (Journal.op_kind_to_string i.Journal.kind)
+               (Addr.to_string i.Journal.iaddr))
+      | _ -> None)
+    (Journal.entries journal)
+
+(* Walk [plan] against [state] on [cloud] the way a shard does —
+   [Walker.apply] with the shard's FIFO inputs, stepping the cloud
+   until the walk reports.  Returns the outcome and the intents. *)
+let walk_plan cloud ~parallelism ~state plan =
   let journal = Journal.create () in
   let result = ref None in
-  Applier.apply cloud
-    ~config:{ (Applier.default_config "cp/golden/d0") with Applier.parallelism }
+  Walker.apply cloud
+    ~config:
+      { Executor.baseline_config with Executor.name = "cp/golden/d0"; parallelism }
     ~state ~graph:(Plan.exec_graph plan) ~journal
     ~gate:(fun () -> ()) ~alive:(fun () -> true) ~count_api:(fun _ -> ())
     ~on_done:(fun o -> result := Some o)
     ();
   while !result = None && Cloud.step cloud do () done;
-  let intents =
-    List.filter_map
-      (function
-        | Journal.Intent i ->
-            Some
-              (Printf.sprintf "%d %s %s" i.Journal.op
-                 (Journal.op_kind_to_string i.Journal.kind)
-                 (Addr.to_string i.Journal.iaddr))
-        | _ -> None)
-      (Journal.entries journal)
-  in
   match !result with
-  | Some o -> (o, intents)
-  | None -> Alcotest.fail "applier never reported"
+  | Some o -> (o, intent_lines journal)
+  | None -> Alcotest.fail "walk never reported"
+
+(* [src]'s plan through [walk_plan].  The expected orders below were
+   recorded from the [Addr]-keyed [Dag] walk the flat-array walk
+   replaced, so a change to pick order or tie-breaking fails here. *)
+let run_applier cloud ~parallelism ~state src =
+  walk_plan cloud ~parallelism ~state (Plan.make ~state (Shard.expand ~state src))
+
+(* The same plans through the run-to-completion driver. *)
+let run_executor cloud ~parallelism ~state src =
+  let plan = Plan.make ~state (Shard.expand ~state src) in
+  let journal = Journal.create () in
+  let config =
+    { Executor.baseline_config with parallelism; refresh = Executor.Refresh_none }
+  in
+  let r = Executor.apply cloud ~config ~state ~plan ~journal () in
+  (r, intent_lines journal)
 
 let test_applier_golden_order () =
   let addrs l = List.map Addr.to_string l in
@@ -474,12 +490,33 @@ let test_applier_golden_order () =
     let cloud = fresh_cloud () in
     let o1, _ = run_applier cloud ~parallelism ~state:State.empty applier_v1 in
     let o2, intents =
-      run_applier cloud ~parallelism ~state:o1.Applier.astate applier_v2
+      run_applier cloud ~parallelism ~state:o1.Walker.astate applier_v2
     in
-    check int_ "v1: nothing failed" 0 (List.length o1.Applier.failed);
-    check int_ "v2: nothing failed" 0 (List.length o2.Applier.failed);
-    check int_ "v2: nothing skipped" 0 (List.length o2.Applier.skipped);
-    (intents, addrs o2.Applier.applied)
+    check int_ "v1: nothing failed" 0 (List.length o1.Walker.failed);
+    check int_ "v2: nothing failed" 0 (List.length o2.Walker.failed);
+    check int_ "v2: nothing skipped" 0 (List.length o2.Walker.skipped);
+    (* a walk that writes nothing hands back its input state itself:
+       the identity the shard's plan memo keys on *)
+    let o3, _ =
+      walk_plan cloud ~parallelism ~state:o2.Walker.astate
+        { Plan.changes = []; default_region = "us-east-1" }
+    in
+    check bool_ "empty walk: the input state itself" true
+      (o3.Walker.astate == o2.Walker.astate);
+    (* the executor drives the same walk over the same plans *)
+    let cloud = fresh_cloud () in
+    let r1, _ = run_executor cloud ~parallelism ~state:State.empty applier_v1 in
+    let r2, executor_intents =
+      run_executor cloud ~parallelism ~state:r1.Executor.state applier_v2
+    in
+    let strings = Alcotest.(list string) in
+    check strings "executor: same intents" intents executor_intents;
+    check strings "executor: same applied order" (addrs o2.Walker.applied)
+      (addrs r2.Executor.applied);
+    check string_ "executor: same state"
+      (State.to_string o2.Walker.astate)
+      (State.to_string r2.Executor.state);
+    (intents, addrs o2.Walker.applied)
   in
   let strings = Alcotest.(list string) in
   (* one change in flight: the intents are the pick order itself *)

@@ -290,9 +290,8 @@ let dup_table () =
         [ 0; 2; 4 ])
     dup_kinds
 
-(* [merge] checks variables, resources, outputs, modules and locals
-   across files but not data sources, and reports a local at no span;
-   the table pins that behaviour as it stands. *)
+(* [merge] checks every kind across files, as [parse] does within one,
+   and reports the later file's declaration (a local at its value). *)
 let test_config_duplicate_table () =
   let expected =
     {|
@@ -309,11 +308,11 @@ merge resource n2: duplicate resource aws_vpc.n2 across files @ b.tf:4:1-6:2 [60
 parse resource n4: duplicate resource aws_vpc.n4 @ one.tf:16:1-18:2 [285,341)
 merge resource n4: duplicate resource aws_vpc.n4 across files @ b.tf:4:1-6:2 [60,116)
 parse data n0: duplicate data source data.aws_region.n0 @ one.tf:11:1-12:2 [135,161)
-merge data n0: accepted
+merge data n0: duplicate data source data.aws_region.n0 across files @ b.tf:3:1-4:2 [30,56)
 parse data n2: duplicate data source data.aws_region.n2 @ one.tf:11:1-12:2 [135,161)
-merge data n2: accepted
+merge data n2: duplicate data source data.aws_region.n2 across files @ b.tf:3:1-4:2 [30,56)
 parse data n4: duplicate data source data.aws_region.n4 @ one.tf:11:1-12:2 [135,161)
-merge data n4: accepted
+merge data n4: duplicate data source data.aws_region.n4 across files @ b.tf:3:1-4:2 [30,56)
 parse output n0: duplicate output "n0" @ one.tf:16:1-18:2 [140,167)
 merge output n0: duplicate output "n0" across files @ b.tf:4:1-6:2 [31,58)
 parse output n2: duplicate output "n2" @ one.tf:16:1-18:2 [140,167)
@@ -327,11 +326,11 @@ merge module n2: duplicate module "n2" across files @ b.tf:4:1-6:2 [36,68)
 parse module n4: duplicate module "n4" @ one.tf:16:1-18:2 [165,197)
 merge module n4: duplicate module "n4" across files @ b.tf:4:1-6:2 [36,68)
 parse local n0: duplicate local "n0" @ one.tf:16:1-18:2 [100,119)
-merge local n0: duplicate local "n0" across files @ <none>:0:0-0:0 [0,0)
+merge local n0: duplicate local "n0" across files @ b.tf:5:8-5:9 [39,40)
 parse local n2: duplicate local "n2" @ one.tf:16:1-18:2 [100,119)
-merge local n2: duplicate local "n2" across files @ <none>:0:0-0:0 [0,0)
+merge local n2: duplicate local "n2" across files @ b.tf:5:8-5:9 [39,40)
 parse local n4: duplicate local "n4" @ one.tf:16:1-18:2 [100,119)
-merge local n4: duplicate local "n4" across files @ <none>:0:0-0:0 [0,0)
+merge local n4: duplicate local "n4" across files @ b.tf:5:8-5:9 [39,40)
 |}
   in
   check (Alcotest.list string_) "duplicate diagnostics"

@@ -11,6 +11,7 @@ module Failure = Cloudless_sim.Failure
 module Prng = Cloudless_sim.Prng
 module Activity_log = Cloudless_sim.Activity_log
 module State = Cloudless_state.State
+module Journal = Cloudless_state.Journal
 module Plan = Cloudless_plan.Plan
 module Executor = Cloudless_deploy.Executor
 module Breaker = Cloudless_deploy.Breaker
@@ -329,22 +330,41 @@ let run_exhaustion ~with_breaker =
            ())
     else None
   in
+  let journal = Journal.create () in
   let report =
     Executor.apply cloud ~config:Executor.baseline_config ~state:State.empty
-      ~plan ?breaker ()
+      ~plan ?breaker ~journal ()
   in
-  List.map (fun d -> d.Err.Diagnostic.code) report.Executor.diagnostics
+  let create_intents =
+    List.length
+      (List.filter
+         (function
+           | Journal.Intent { Journal.kind = Journal.Op_create; _ } -> true
+           | _ -> false)
+         (Journal.entries journal))
+  in
+  (List.map (fun d -> d.Err.Diagnostic.code) report.Executor.diagnostics,
+   create_intents)
 
 let test_outage_diagnostic () =
+  let attempts = Executor.baseline_config.Executor.max_retries + 1 in
   (match run_exhaustion ~with_breaker:true with
-  | [ code ] -> check string_ "outage-flavored exhaustion" "retries-exhausted-outage" code
-  | codes ->
+  | [ code ], intents ->
+      check string_ "outage-flavored exhaustion" "retries-exhausted-outage" code;
+      (* the executor stops writing once the cell opens, instead of
+         retrying into the outage until its budget runs out *)
+      check bool_
+        (Printf.sprintf "%d vpc create intents < %d" intents attempts)
+        true (intents < attempts)
+  | codes, _ ->
       Alcotest.fail
         (Printf.sprintf "expected one diagnostic, got [%s]"
            (String.concat "; " codes)));
   match run_exhaustion ~with_breaker:false with
-  | [ code ] -> check string_ "generic exhaustion" "retries-exhausted" code
-  | codes ->
+  | [ code ], intents ->
+      check string_ "generic exhaustion" "retries-exhausted" code;
+      check int_ "every attempt journaled" attempts intents
+  | codes, _ ->
       Alcotest.fail
         (Printf.sprintf "expected one diagnostic, got [%s]"
            (String.concat "; " codes))
