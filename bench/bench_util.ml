@@ -82,16 +82,20 @@ let deploy ?(seed = 42) ?(engine = Executor.cloudless_config) src =
 
 (* Replace every occurrence of [sub] in [s] — workload-editing helper
    shared by the incremental-update experiments (the examples' copy
-   lives in [Ex_common]). *)
+   lives in [Ex_common]).  Raises [Invalid_argument] when [sub] never
+   occurs: an edit that matches nothing would quietly measure an
+   empty plan. *)
 let replace s ~sub ~by =
   let slen = String.length sub in
   if slen = 0 then s
   else begin
     let buf = Buffer.create (String.length s) in
+    let hits = ref 0 in
     let rec go i =
       if i > String.length s - slen then
         Buffer.add_string buf (String.sub s i (String.length s - i))
       else if String.sub s i slen = sub then begin
+        incr hits;
         Buffer.add_string buf by;
         go (i + slen)
       end
@@ -101,6 +105,8 @@ let replace s ~sub ~by =
       end
     in
     go 0;
+    if !hits = 0 then
+      invalid_arg (Printf.sprintf "replace: %S does not occur" sub);
     Buffer.contents buf
   end
 

@@ -107,7 +107,7 @@ let run_journaled ~src ~seed ~k =
   let state = Lifecycle.state t in
   let n =
     match Lifecycle.plan t with
-    | Ok (p, _expansion) -> List.length (Plan.actionable p)
+    | Ok p -> List.length (Plan.actionable p)
     | Error e ->
         failwith
           (Printf.sprintf "e13: post-resume plan failed: %s"

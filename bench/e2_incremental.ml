@@ -5,62 +5,53 @@
    single resource update will trigger expensive queries on all
    cloud-level resource state".
 
-   Setup: deploy a microservice fleet, then update k services' instance
-   types.  Baseline refreshes the whole state; the incremental engine
-   refreshes only the impact scope. *)
+   Setup: deploy a microservice fleet, then give k services a new AMI,
+   which replaces each of their instances.  The baseline refreshes the
+   whole state; the cloudless engine refreshes only the plan's impact
+   scope, which [Executor.apply] derives from the plan itself.
+
+   Self-asserting: every edited source must differ from the original
+   and plan at least one change, and every incremental run must read
+   fewer rows than its full run; otherwise the experiment fails. *)
 
 open Bench_util
 module Executor = Cloudless_deploy.Executor
 module Plan = Cloudless_plan.Plan
-module State = Cloudless_state.State
-module Dag = Cloudless_graph.Dag
-module Addr = Cloudless_hcl.Addr
 
 let fleet services = Workload.microservices ~services ~instances_per_service:4 ()
 
 let edit_services src k =
-  (* bump instance type of the first k services *)
+  (* a new AMI for each of the first k services *)
   let rec go src i =
     if i >= k then src
     else
-      let sub = Printf.sprintf "ami           = \"ami-0svc%04d\"" i in
-      let by = Printf.sprintf "ami           = \"ami-1svc%04d\"" i in
+      let sub = Printf.sprintf "\"ami-0svc%04d\"" i in
+      let by = Printf.sprintf "\"ami-1svc%04d\"" i in
       go (Bench_util.replace src ~sub ~by) (i + 1)
   in
   go src 0
 
-let run_update ~incremental cloud state old_instances new_src edited =
-  let instances = expand_src ~state new_src in
-  let plan = Plan.make ~state instances in
-  let engine =
-    if incremental then
-      let graph = Dag.of_instances old_instances in
-      let scope = Plan.impact_scope ~graph ~edited in
-      { Executor.cloudless_config with Executor.refresh = Executor.Refresh_scoped scope }
-    else Executor.baseline_config
-  in
-  Executor.apply cloud ~config:engine ~state ~plan ()
+(* Deploy [src] on a fresh cloud, then apply [new_src] with [config]. *)
+let run_update ~config src new_src =
+  let cloud, report = deploy ~engine:Executor.cloudless_config src in
+  let state = report.Executor.state in
+  let plan = Plan.make ~state (expand_src ~state new_src) in
+  if Plan.is_empty plan then
+    failwith "E2: the edited source plans no change";
+  Executor.apply cloud ~config ~state ~plan ()
 
 let run_case services k =
   let src = fleet services in
-  let deploy_once () =
-    let cloud, report = deploy ~engine:Executor.cloudless_config src in
-    (cloud, report.Executor.state)
-  in
-  let edited =
-    List.init k (fun i ->
-        Addr.make ~rtype:"aws_instance" ~rname:(Printf.sprintf "svc%d" i) ())
-  in
   let new_src = edit_services src k in
-  (* full *)
-  let cloud1, state1 = deploy_once () in
-  let old_instances1 = expand_src ~state:state1 src in
-  let full = run_update ~incremental:false cloud1 state1 old_instances1 new_src edited in
-  (* incremental *)
-  let cloud2, state2 = deploy_once () in
-  let old_instances2 = expand_src ~state:state2 src in
-  let inc = run_update ~incremental:true cloud2 state2 old_instances2 new_src edited in
-  assert (Executor.succeeded full && Executor.succeeded inc);
+  if new_src = src then failwith "E2: the edit left the source unchanged";
+  let full = run_update ~config:Executor.baseline_config src new_src in
+  let inc = run_update ~config:Executor.cloudless_config src new_src in
+  if not (Executor.succeeded full && Executor.succeeded inc) then
+    failwith "E2: an update failed";
+  if inc.Executor.refresh_reads >= full.Executor.refresh_reads then
+    failwith
+      (Printf.sprintf "E2: incremental refresh read %d rows, full %d"
+         inc.Executor.refresh_reads full.Executor.refresh_reads);
   row
     [ 14; 8; 12; 12; 12; 12 ]
     [

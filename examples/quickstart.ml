@@ -50,7 +50,7 @@ let () =
   | Ok _ -> ()
   | Error e -> failwith (Lifecycle.error_to_string e));
   (match Lifecycle.plan t with
-  | Ok (plan, _) ->
+  | Ok plan ->
       print_endline "\nplan:";
       print_string (Cloudless_plan.Plan.to_string plan)
   | Error e -> failwith (Lifecycle.error_to_string e));
@@ -74,7 +74,7 @@ let () =
 
   (* 5. idempotence: a second plan is empty *)
   match Lifecycle.plan t with
-  | Ok (plan, _) ->
+  | Ok plan ->
       Printf.printf "\nre-plan: %s\n"
         (if Cloudless_plan.Plan.is_empty plan then
            "no changes (infrastructure matches the program)"

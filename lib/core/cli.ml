@@ -55,10 +55,12 @@ let with_trace trace_path (f : Trace.t -> 'a) : 'a =
 
 type engine = Baseline | Cloudless
 
+(* The presets as they are: the baseline refreshes every row (the
+   Terraform behaviour it reproduces), the cloudless engine the plan's
+   impact scope — [Executor.apply] decides which rows. *)
 let engine_config = function
   | Baseline -> Executor.baseline_config
-  | Cloudless ->
-      { Executor.cloudless_config with Executor.refresh = Executor.Refresh_full }
+  | Cloudless -> Executor.cloudless_config
 
 (* ------------------------------------------------------------------ *)
 (* Handlers                                                            *)

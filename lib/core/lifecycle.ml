@@ -32,7 +32,6 @@ module Drift = Cloudless_drift.Drift
 module Debugger = Cloudless_debug.Debugger
 module Policy = Cloudless_policy.Policy
 module Controller = Cloudless_policy.Controller
-module Dag = Cloudless_graph.Dag
 module Trace = Cloudless_obs.Trace
 
 type t = {
@@ -254,7 +253,7 @@ let expand t : (Hcl.Eval.expansion_result, error) result =
                    ~span msg;
                ]))
 
-let plan t : (Plan.t * Hcl.Eval.expansion_result, error) result =
+let plan t : (Plan.t, error) result =
   match expand t with
   | Error e -> Error e
   | Ok expansion -> (
@@ -262,7 +261,7 @@ let plan t : (Plan.t * Hcl.Eval.expansion_result, error) result =
         Plan.make ~default_region:t.default_region ~trace:t.trace ~state:t.state
           expansion.Hcl.Eval.instances
       with
-      | p -> Ok (p, expansion)
+      | p -> Ok p
       | exception (Plan.Prevented _ as e) ->
           Error (Fault (Option.get (Boundary.diagnostic_of_exn e))))
 
@@ -277,27 +276,19 @@ let admit t plan_ : (unit, error) result =
       | Some msg -> Error (Policy_denied msg)
       | None -> Ok ())
 
-(** Plan + admit + deploy + checkpoint.  [edited] scopes the refresh
-    for incremental updates (§3.3); by default the engine's own refresh
-    mode applies. *)
-let apply ?edited ?description t : (Executor.report, error) result =
+(** Plan + admit + deploy + checkpoint.  The engine's own refresh mode
+    applies: the cloudless preset re-reads only the plan's §3.3 impact
+    scope. *)
+let apply ?description t : (Executor.report, error) result =
   guarded t "apply" @@ fun () ->
   match plan t with
   | Error e -> Error e
-  | Ok (p, expansion) -> (
+  | Ok p -> (
       match admit t p with
       | Error e -> Error e
-      | Ok () ->
-          let engine =
-            match edited with
-            | None -> t.engine
-            | Some addrs ->
-                let graph = Dag.of_instances expansion.Hcl.Eval.instances in
-                let scope = Plan.impact_scope ~graph ~edited:addrs in
-                { t.engine with Executor.refresh = Executor.Refresh_scoped scope }
-          in
+      | Ok () -> (
           match
-            Executor.apply t.cloud ~config:engine ~state:t.state ~plan:p
+            Executor.apply t.cloud ~config:t.engine ~state:t.state ~plan:p
               ~trace:t.trace ?journal:t.journal ~crash:t.crash ()
           with
           | exception Sim_failure.Engine_crashed n ->
@@ -318,7 +309,7 @@ let apply ?edited ?description t : (Executor.report, error) result =
                      ~config_src:t.config_src ~state:t.state);
                 Ok report
               end
-              else Error (Deploy_failed report))
+              else Error (Deploy_failed report)))
 
 (** Develop + apply in one step. *)
 let deploy t src : (Executor.report, error) result =
@@ -356,65 +347,13 @@ let resume t : (Executor.report * Recovery.resume_report, error) result =
 (* Update (incremental)                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Which resource blocks changed textually between two configs? *)
-let edited_addrs (old_cfg : Hcl.Config.t) (new_cfg : Hcl.Config.t) : Addr.t list
-    =
-  let render (r : Hcl.Config.resource) =
-    Hcl.Printer.block_to_string
-      {
-        Hcl.Ast.btype = "resource";
-        labels = [ r.Hcl.Config.rtype; r.Hcl.Config.rname ];
-        bbody = r.Hcl.Config.rbody;
-        bspan = Hcl.Loc.dummy;
-      }
-    ^ (match r.Hcl.Config.rcount with
-      | Some e -> Hcl.Printer.expr_to_string e
-      | None -> "")
-    ^
-    match r.Hcl.Config.rfor_each with
-    | Some e -> Hcl.Printer.expr_to_string e
-    | None -> ""
-  in
-  let old_map =
-    List.map (fun r -> ((r.Hcl.Config.rtype, r.Hcl.Config.rname), render r))
-      old_cfg.Hcl.Config.resources
-  in
-  let new_map =
-    List.map (fun r -> ((r.Hcl.Config.rtype, r.Hcl.Config.rname), render r))
-      new_cfg.Hcl.Config.resources
-  in
-  let changed =
-    List.filter_map
-      (fun (key, text) ->
-        match List.assoc_opt key old_map with
-        | Some old_text when old_text = text -> None
-        | _ -> Some key)
-      new_map
-  in
-  let removed =
-    List.filter_map
-      (fun (key, _) ->
-        if List.mem_assoc key new_map then None else Some key)
-      old_map
-  in
-  List.map
-    (fun (rtype, rname) -> Addr.make ~rtype ~rname ())
-    (changed @ removed)
-
-(** Incremental update: detect the edited resources, validate, and
-    apply with the refresh scoped to the impact subgraph (§3.3's
-    "accelerating deployment updates"). *)
+(** Incremental update: validate the new source, then apply it.  The
+    engine refreshes only the plan's impact scope (§3.3's
+    "accelerating deployment updates"), decided in {!Executor.apply}. *)
 let update t src : (Executor.report, error) result =
-  let old_cfg = t.config in
   match develop t src with
   | Error e -> Error e
-  | Ok _ ->
-      let edited =
-        match (old_cfg, t.config) with
-        | Some oldc, Some newc -> edited_addrs oldc newc
-        | _ -> []
-      in
-      apply ~edited ~description:"incremental update" t
+  | Ok _ -> apply ~description:"incremental update" t
 
 (** Destroy everything. *)
 let destroy t : (Executor.report, error) result =

@@ -31,7 +31,7 @@ type scheduler = Walker.scheduler = Sched_heap | Sched_list
 type refresh_mode = Walker.refresh_mode =
   | Refresh_none
   | Refresh_full
-  | Refresh_scoped of Addr.Set.t
+  | Refresh_scoped
 
 type config = Walker.config = {
   name : string;
@@ -68,7 +68,7 @@ let cloudless_config =
     client_pacing = true;
     max_retries = 12;
     backoff_base = 2.;
-    refresh = Refresh_none;  (* set per run: scoped *)
+    refresh = Refresh_scoped;
     pacing_budget = (50., 2.);
   }
 
@@ -145,19 +145,25 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
   (* phase 1: refresh *)
   let refresh_started = Cloud.now cloud in
   let refresh addrs =
-    drive cloud (fun on_done ->
-        Walker.refresh cloud ~engine:config.name ~state ?addrs ~alive
-          ~count_api ~on_done ())
+    let r =
+      drive cloud (fun on_done ->
+          Walker.refresh cloud ~engine:config.name ~state ?addrs ~alive
+            ~count_api ~on_done ())
+    in
+    (r.Walker.rstate, r.Walker.reads)
   in
   let base_state, refresh_reads =
     match config.refresh with
     | Refresh_none -> (state, 0)
-    | Refresh_full ->
-        let r = refresh None in
-        (r.Walker.rstate, r.Walker.reads)
-    | Refresh_scoped addrs ->
-        let r = refresh (Some addrs) in
-        (r.Walker.rstate, r.Walker.reads)
+    | Refresh_full -> refresh None
+    | Refresh_scoped ->
+        (* §3.3: only the plan's impact scope; an empty state records
+           no row, so a cold apply does no scope work *)
+        let scope =
+          if State.is_empty state then Addr.Set.empty
+          else Plan.refresh_scope plan
+        in
+        if Addr.Set.is_empty scope then (state, 0) else refresh (Some scope)
   in
   let refresh_duration = Cloud.now cloud -. refresh_started in
   (* phase 2: the walk *)

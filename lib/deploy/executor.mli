@@ -24,10 +24,11 @@ type schedule_policy = Walker.schedule_policy = Fifo | Critical_path
     pick order. *)
 type scheduler = Walker.scheduler = Sched_heap | Sched_list
 
+(** See {!Walker.refresh_mode}. *)
 type refresh_mode = Walker.refresh_mode =
   | Refresh_none
   | Refresh_full
-  | Refresh_scoped of Addr.Set.t
+  | Refresh_scoped
 
 type config = Walker.config = {
   name : string;
@@ -79,6 +80,11 @@ val succeeded : report -> bool
     cloud until idle.  Returns the report; the returned state reflects
     all successful operations.  Backoff jitter draws from a PRNG
     seeded with [seed].
+
+    [Refresh_scoped] re-reads {!Plan.refresh_scope}[ plan]: this is the
+    one place a cloudless apply's refresh rows are decided.  An empty
+    scope — a delete-only plan, or any plan against an empty state —
+    reads nothing and steps no cloud event before the walk.
 
     [journal] (optional) receives a write-ahead record of every cloud
     write: a {!Journal.Intent} made durable *before* the call leaves

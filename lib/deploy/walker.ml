@@ -42,7 +42,7 @@ module Plan = Cloudless_plan.Plan
 
 type schedule_policy = Fifo | Critical_path
 type scheduler = Sched_heap | Sched_list
-type refresh_mode = Refresh_none | Refresh_full | Refresh_scoped of Addr.Set.t
+type refresh_mode = Refresh_none | Refresh_full | Refresh_scoped
 
 type config = {
   name : string;
@@ -138,9 +138,8 @@ let refresh (cloud : Cloud.t) ~engine ~(state : State.t) ?addrs
     match addrs with
     | None -> State.resources state
     | Some set ->
-        List.filter
-          (fun (r : State.resource_state) -> Addr.Set.mem r.State.addr set)
-          (State.resources state)
+        (* ascending address order, as [State.resources]: O(scope) *)
+        List.filter_map (State.find_opt state) (Addr.Set.elements set)
   in
   if targets = [] then on_done { rstate = state; reads = 0; missing = [] }
   else begin

@@ -23,7 +23,10 @@ type schedule_policy = Fifo | Critical_path
     equivalence tests — all produce identical pick orders. *)
 type scheduler = Sched_heap | Sched_list
 
-type refresh_mode = Refresh_none | Refresh_full | Refresh_scoped of Addr.Set.t
+(** What the driver re-reads before the walk: nothing, every row the
+    state records, or the plan's §3.3 impact scope
+    ({!Plan.refresh_scope}). *)
+type refresh_mode = Refresh_none | Refresh_full | Refresh_scoped
 
 type config = {
   name : string;  (** activity-log actor; also the journal's engine name *)
@@ -48,7 +51,8 @@ type refresh_outcome = {
 
 (** Re-read cloud attributes for tracked resources, at most
     [parallelism] (default 10) reads in flight; throttled reads
-    re-queue.  [addrs] scopes the read set (absent = full refresh).
+    re-queue.  [addrs] scopes the read set (absent = full refresh);
+    reads go out in ascending address order either way.
     [count_api] is called once per submitted call so a shard can
     attribute API load per tenant. *)
 val refresh :

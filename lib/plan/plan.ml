@@ -533,6 +533,83 @@ let impact_scope ~(graph : 'a Dag.t) ~(edited : Addr.t list) : Addr.Set.t =
   in
   Dag.impact_scope graph seeds
 
+(** The plan's own §3.3 impact scope — the rows a scoped refresh
+    re-reads: the plan's creates, updates and replaces, every change
+    that transitively consumes one of them, and the direct
+    dependencies of that set, limited to rows the state records
+    (changes with a [prior]).  A dependency names a change when the
+    addresses are equal, or when it carries no instance key and the
+    change is an instance of its base.  Deletes neither seed the scope
+    nor consume anything, so a delete-only plan has an empty scope.
+
+    O(plan), with address sets no larger than the scope and no graph:
+    plans list dependencies before their consumers, so the consumer
+    pass normally runs twice, the second time only to confirm. *)
+let refresh_scope (t : t) : Addr.Set.t =
+  let members = ref [] in
+  let addrs = ref Addr.Set.empty and bases = ref Addr.Set.empty in
+  let join c =
+    members := c :: !members;
+    addrs := Addr.Set.add c.addr !addrs;
+    bases := Addr.Set.add (Addr.base c.addr) !bases
+  in
+  let noops =
+    List.filter
+      (fun c ->
+        match c.action with
+        | Create | Update _ | Replace _ ->
+            join c;
+            false
+        | Noop -> true
+        | Delete -> false)
+      t.changes
+  in
+  if !members = [] then Addr.Set.empty
+  else begin
+    let names_member d =
+      if d.Addr.key = Addr.Knone then Addr.Set.mem d !bases
+      else Addr.Set.mem d !addrs
+    in
+    let rec consumers pending =
+      let joined = ref false in
+      let pending =
+        List.filter
+          (fun c ->
+            if List.exists names_member c.deps then begin
+              join c;
+              joined := true;
+              false
+            end
+            else true)
+          pending
+      in
+      if !joined then consumers pending
+    in
+    consumers noops;
+    (* the members' direct dependencies, by exact address and by base *)
+    let ctx = ref Addr.Set.empty and ctx_bases = ref Addr.Set.empty in
+    List.iter
+      (fun c ->
+        List.iter
+          (fun d ->
+            if d.Addr.key = Addr.Knone then ctx_bases := Addr.Set.add d !ctx_bases
+            else ctx := Addr.Set.add d !ctx)
+          c.deps)
+      !members;
+    List.fold_left
+      (fun acc c ->
+        match (c.action, c.prior) with
+        | Delete, _ | _, None -> acc
+        | _, Some _ ->
+            if
+              Addr.Set.mem c.addr !addrs
+              || Addr.Set.mem c.addr !ctx
+              || Addr.Set.mem (Addr.base c.addr) !ctx_bases
+            then Addr.Set.add c.addr acc
+            else acc)
+      Addr.Set.empty t.changes
+  end
+
 (** Restrict a plan to an address set (everything else forced to Noop).
     Used by the incremental engine after scoping. *)
 let restrict (t : t) (keep : Addr.Set.t) : t =

@@ -49,6 +49,7 @@ let empty =
 let serial t = t.serial
 let resources t = List.map snd (Amap.bindings t.resources)
 let size t = Amap.cardinal t.resources
+let is_empty t = Amap.is_empty t.resources
 let find_opt t addr = Amap.find_opt addr t.resources
 let mem t addr = Amap.mem addr t.resources
 let outputs t = t.outputs

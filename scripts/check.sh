@@ -26,6 +26,11 @@ dune build @all
 dune runtest
 dune exec bench/main.exe -- e11 --quick
 
+# Incremental updates: the run self-asserts that every edit changes
+# its source and plans work, and that every scoped refresh reads fewer
+# rows than the full one.
+dune exec bench/main.exe -- e2 --quick
+
 E12_BUDGET_S=120
 SECONDS=0
 dune exec bench/main.exe -- e12 --quick
@@ -207,6 +212,20 @@ dag_walks=$(grep -rnE 'Plan\.execution_graph' lib/ --include='*.ml' --include='*
 if [[ -n "$dag_walks" ]]; then
   echo "check.sh: Plan.execution_graph outside lib/plan — apply paths walk Plan.exec_graph:" >&2
   echo "$dag_walks" >&2
+  exit 1
+fi
+
+# -- one refresh rule ------------------------------------------------
+# Which rows an apply re-reads is the engine's refresh mode, and for
+# the cloudless preset Executor.apply derives it from the plan
+# (Plan.refresh_scope).  lib/core (the CLI and Lifecycle) hands the
+# presets through as they are: an override there would give the CLI,
+# Lifecycle and the benchmarks' replays different refresh rows.
+refresh_overrides=$(grep -nE 'Executor\.refresh([^_[:alnum:]]|$)|Refresh_(none|full|scoped)' \
+  lib/core/*.ml || true)
+if [[ -n "$refresh_overrides" ]]; then
+  echo "check.sh: refresh mode overridden in lib/core — use the engine presets as they are:" >&2
+  echo "$refresh_overrides" >&2
   exit 1
 fi
 

@@ -294,7 +294,7 @@ let test_crash_resume_every_k () =
       (Printf.sprintf "k=%d: no duplicate creates" k)
       10 (engine_creates cloud);
     (match Lifecycle.plan t with
-    | Ok (p, _) ->
+    | Ok p ->
         check bool_ (Printf.sprintf "k=%d: converged (empty plan)" k) true
           (Plan.is_empty p)
     | Error e -> Alcotest.failf "plan failed: %s" (Lifecycle.error_to_string e));
@@ -358,7 +358,7 @@ let test_group_crash_resume_every_k () =
           (List.length (Recovery.orphans cloud ~state));
         check int_ (tag ^ ": no duplicate creates") 10 (engine_creates cloud);
         match Lifecycle.plan t with
-        | Ok (p, _) ->
+        | Ok p ->
             check bool_ (tag ^ ": converged (empty plan)") true
               (Plan.is_empty p)
         | Error e ->

@@ -29,7 +29,9 @@ let contains_substring ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* [replace_substring s ~sub ~by] - replace all occurrences. *)
+(* [replace_substring s ~sub ~by] - replace all occurrences.  Raises
+   [Invalid_argument] when [sub] never occurs, so an edit that matches
+   nothing cannot pass as a test of an empty plan. *)
 let replace_substring s ~sub ~by =
   let slen = String.length sub in
   let buf = Buffer.create (String.length s) in
@@ -46,6 +48,8 @@ let replace_substring s ~sub ~by =
     end
   in
   if slen = 0 then s
+  else if not (contains_substring ~sub s) then
+    invalid_arg (Printf.sprintf "replace_substring: %S does not occur" sub)
   else begin
     go 0;
     Buffer.contents buf
