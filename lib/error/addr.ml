@@ -23,18 +23,20 @@ type t = {
 let make ?(module_path = []) ?(mode = Managed) ?(key = Knone) ~rtype ~rname () =
   { module_path; mode; rtype; rname; key }
 
+(* A string key renders as an OCaml string literal, as [%S] would. *)
 let key_to_string = function
   | Knone -> ""
-  | Kint i -> Printf.sprintf "[%d]" i
-  | Kstr s -> Printf.sprintf "[%S]" s
+  | Kint i -> String.concat "" [ "["; string_of_int i; "]" ]
+  | Kstr s -> String.concat "" [ "[\""; String.escaped s; "\"]" ]
 
+(* One [String.concat] of the parts: an instance is rendered once per
+   expansion and once per state row written, so no format
+   interpreter. *)
 let to_string a =
-  let prefix =
-    String.concat "" (List.map (fun m -> "module." ^ m ^ ".") a.module_path)
-  in
-  let mode = match a.mode with Managed -> "" | Data -> "data." in
-  Printf.sprintf "%s%s%s.%s%s" prefix mode a.rtype a.rname
-    (key_to_string a.key)
+  let tail = [ a.rtype; "."; a.rname; key_to_string a.key ] in
+  let tail = match a.mode with Managed -> tail | Data -> "data." :: tail in
+  String.concat ""
+    (List.fold_right (fun m acc -> "module." :: m :: "." :: acc) a.module_path tail)
 
 let pp ppf a = Fmt.string ppf (to_string a)
 

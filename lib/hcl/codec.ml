@@ -1,13 +1,24 @@
-(** Conversion between runtime values and literal expressions.
+(** The codec between runtime values and literal HCL text.
 
-    Lets higher layers serialize fully-known values (deployment state,
-    imported cloud attributes) as HCL source and read them back with
-    the ordinary parser — one syntax everywhere. *)
+    The deployment state and the journal record fully-known values as
+    HCL literals, so the whole toolchain shares one syntax.
+    {!add_value} prints a value straight into a buffer, byte for byte
+    what {!Printer} renders for {!value_to_expr}'s literal tree.
+    {!read_value} and {!fold_blocks} read literal data back: [null],
+    booleans, numbers with an optional leading [-], strings without
+    [${...}], lists, and objects whose keys are identifiers or quoted
+    strings, separated by [=] or [:].  Comments, newlines and blanks
+    may sit between any two of these.  The reader reuses the lexer's
+    scanners on the raw bytes and builds no token, position (except
+    for an error), syntax tree or evaluator scope. *)
+
+module Smap = Value.Smap
 
 exception Not_literal of string
 
-(** [value_to_expr v] builds a literal expression rendering [v].
-    Unknown values cannot be serialized and raise {!Not_literal}. *)
+(** [value_to_expr v] builds a literal expression rendering [v], for
+    the tools that emit whole programs.  Unknown values cannot be
+    serialized and raise {!Not_literal}. *)
 let rec value_to_expr (v : Value.t) : Ast.expr =
   match v with
   | Value.Vnull -> Ast.mk Ast.Null
@@ -21,14 +32,310 @@ let rec value_to_expr (v : Value.t) : Ast.expr =
         (Ast.ObjectLit
            (List.map
               (fun (k, v) -> (Ast.Kident k, value_to_expr v))
-              (Value.Smap.bindings m)))
+              (Smap.bindings m)))
   | Value.Vunknown p -> raise (Not_literal ("unknown value: " ^ p))
 
-(** [expr_to_value e] evaluates a *literal* expression to its value.
-    Returns [None] when the expression contains references or calls. *)
-let expr_to_value (e : Ast.expr) : Value.t option =
-  if not (Ast.is_literal e) then None
+(* ------------------------------------------------------------------ *)
+(* Writing                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** Whether [s] can stand unquoted as an object key. *)
+let ident_like s =
+  s <> ""
+  && Lexer.is_ident_start s.[0]
+  && String.for_all Lexer.is_ident_char s
+
+(** The body of a string literal holding [s]: a quote, a backslash, a
+    newline, a tab and a ['$'] that would open an interpolation are
+    escaped; every other byte is copied as it is. *)
+let add_string_body buf s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if
+      match c with
+      | '"' | '\\' | '\n' | '\t' -> true
+      | '$' -> i + 1 < n && String.unsafe_get s (i + 1) = '{'
+      | _ -> false
+    then begin
+      Buffer.add_substring buf s !run (i - !run);
+      Buffer.add_char buf '\\';
+      Buffer.add_char buf (match c with '\n' -> 'n' | '\t' -> 't' | c -> c);
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run)
+
+(** [s] as a quoted string literal. *)
+let add_string buf s =
+  Buffer.add_char buf '"';
+  add_string_body buf s;
+  Buffer.add_char buf '"'
+
+(** [v] as literal text.  An unknown prints as [null]: it never
+    reaches a record of what exists. *)
+let rec add_value buf (v : Value.t) =
+  match v with
+  | Value.Vnull | Value.Vunknown _ -> Buffer.add_string buf "null"
+  | Value.Vbool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Value.Vint n -> Buffer.add_string buf (string_of_int n)
+  | Value.Vfloat f -> Buffer.add_string buf (Value.float_to_string f)
+  | Value.Vstring s -> add_string buf s
+  | Value.Vlist vs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_value buf v)
+        vs;
+      Buffer.add_char buf ']'
+  | Value.Vmap m -> add_map buf m
+
+(** [Vmap m] as literal text, without building the [Vmap]. *)
+and add_map buf m =
+  Buffer.add_string buf "{ ";
+  let first = ref true in
+  Smap.iter
+    (fun k v ->
+      if !first then first := false else Buffer.add_string buf ", ";
+      if ident_like k then Buffer.add_string buf k else add_string buf k;
+      Buffer.add_string buf " = ";
+      add_value buf v)
+    m;
+  Buffer.add_string buf " }"
+
+(* ------------------------------------------------------------------ *)
+(* Reading                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** Text that is not literal data, with its location. *)
+exception Error of string * Loc.span
+
+module L = Lexer
+
+(** The span of bytes [first] to [last] of [src], for an error about
+    something a reader returned at those offsets. *)
+let span ~file src first last =
+  let st = L.make ~file src in
+  Loc.make ~file ~start_pos:(L.pos_at st first) ~end_pos:(L.pos_at st last)
+
+let describe st off =
+  if off >= String.length st.L.src then "end of input"
   else
-    match Eval.eval_expr e with
-    | v -> Some v
-    | exception _ -> None
+    match st.L.src.[off] with
+    | '\n' -> "newline"
+    | c -> Printf.sprintf "%C" c
+
+(* Raise {!Error} at offset [off] (through the cursor, if it has moved
+   past [off]).  The rest of the input is lexed first, so a lexer
+   error anywhere outranks it. *)
+let syntax_error st off msg =
+  let stop = max st.L.pos (min (off + 1) (String.length st.L.src)) in
+  let span = span ~file:st.L.file st.L.src off stop in
+  L.drain st;
+  raise (Error (msg, span))
+
+let expected st what =
+  let off = st.L.pos in
+  syntax_error st off
+    (Printf.sprintf "expected %s but found %s" what (describe st off))
+
+let[@inline] peek st = L.char_at st 0
+
+(* A lone '=', not the '==' or '=>' the lexer reads there. *)
+let at_assign st =
+  peek st = '=' && L.char_at st 1 <> '=' && L.char_at st 1 <> '>'
+
+(* Trivia and newlines. *)
+let rec skip_ws st =
+  L.skip_trivia st;
+  if (not (L.at_end st)) && String.unsafe_get st.L.src st.L.pos = '\n' then begin
+    L.advance st;
+    skip_ws st
+  end
+
+(* A string literal, cursor on its opening quote.  A string without
+   escapes is one [String.sub]; the lexer decodes the others. *)
+let string_lit st =
+  let src = st.L.src and start = st.L.pos in
+  let stop = L.string_run_end src (start + 1) in
+  if stop < String.length src && String.unsafe_get src stop = '"' then begin
+    L.skip_to st (stop + 1);
+    String.sub src (start + 1) (stop - start - 1)
+  end
+  else begin
+    L.advance st;
+    match L.lex_string_parts st start with
+    | [] -> ""
+    | [ Token.Lit s ] -> s
+    | _ -> syntax_error st start "string interpolation is not literal data"
+  end
+
+(* A number, cursor on its first digit; [neg] when a '-' led it. *)
+let number st ~neg =
+  match L.lex_number st st.L.pos with
+  | Token.INT n -> Value.Vint (if neg then -n else n)
+  | Token.FLOAT f -> Value.Vfloat (if neg then -.f else f)
+  | _ -> assert false (* the lexer reads digits as INT or FLOAT *)
+
+let rec value st : Value.t =
+  let start = st.L.pos in
+  match peek st with
+  | _ when L.at_end st -> expected st "a literal value"
+  | '"' -> Value.Vstring (string_lit st)
+  | '[' ->
+      L.advance st;
+      Value.Vlist (list_items st [])
+  | '{' ->
+      L.advance st;
+      Value.Vmap (object_items st Smap.empty)
+  | '-' when L.is_digit (L.char_at st 1) ->
+      L.advance st;
+      number st ~neg:true
+  | c when L.is_digit c -> number st ~neg:false
+  | c when L.is_ident_start c -> (
+      match L.lex_ident st with
+      | "null" -> Value.Vnull
+      | "true" -> Value.Vbool true
+      | "false" -> Value.Vbool false
+      | name ->
+          syntax_error st start
+            (Printf.sprintf "%s is not literal data" name))
+  | '<' when L.char_at st 1 = '<' ->
+      syntax_error st start "a heredoc is not literal data"
+  | _ -> expected st "a literal value"
+
+and list_items st acc =
+  skip_ws st;
+  if peek st = ']' then begin
+    L.advance st;
+    List.rev acc
+  end
+  else
+    let v = value st in
+    skip_ws st;
+    match peek st with
+    | ',' ->
+        L.advance st;
+        list_items st (v :: acc)
+    | ']' ->
+        L.advance st;
+        List.rev (v :: acc)
+    | _ -> expected st "',' or ']'"
+
+(* Entries up to the closing brace; commas between them are optional
+   and a repeated key keeps its last value, as in a configuration. *)
+and object_items st m =
+  skip_ws st;
+  match peek st with
+  | '}' ->
+      L.advance st;
+      m
+  | '"' -> object_entry st m (string_lit st)
+  | c when L.is_ident_start c -> object_entry st m (L.lex_ident st)
+  | _ -> expected st "an object key or '}'"
+
+and object_entry st m key =
+  skip_ws st;
+  if at_assign st || peek st = ':' then L.advance st
+  else expected st "'=' or ':'";
+  skip_ws st;
+  let m = Smap.add key (value st) m in
+  skip_ws st;
+  if peek st = ',' then L.advance st;
+  object_items st m
+
+(** Read the one literal value that [src] holds, blanks and comments
+    around it allowed.  Raises {!Lexer.Error} on text that does not
+    lex, else {!Error} on text that is not literal data. *)
+let read_value ~file src =
+  let st = L.make ~file src in
+  skip_ws st;
+  let v = value st in
+  skip_ws st;
+  if not (L.at_end st) then expected st "end of input";
+  v
+
+(** An attribute of a block: [at] is the byte offset of its name. *)
+type attr = { name : string; value : Value.t; at : int }
+
+(** A top-level block: [first] is the byte offset of its type name,
+    [last] the offset just past its closing brace. *)
+type block = {
+  btype : string;
+  labels : string list;
+  attrs : attr list;  (** in source order *)
+  first : int;
+  last : int;
+}
+
+(* Attributes up to the closing brace, cursor inside the block.  Each
+   ends at a newline, the closing brace or the end of input. *)
+let rec attrs st acc =
+  skip_ws st;
+  match peek st with
+  | '}' ->
+      L.advance st;
+      List.rev acc
+  | c when L.is_ident_start c ->
+      let at = st.L.pos in
+      let name = L.lex_ident st in
+      L.skip_trivia st;
+      if at_assign st then L.advance st
+      else expected st (Printf.sprintf "'=' after %s" name);
+      skip_ws st;
+      let value = value st in
+      L.skip_trivia st;
+      if not (L.at_end st || peek st = '\n' || peek st = '}') then
+        expected st "a newline after the value";
+      attrs st ({ name; value; at } :: acc)
+  | _ -> expected st "an attribute or '}'"
+
+let rec labels st acc =
+  L.skip_trivia st;
+  match peek st with
+  | '{' ->
+      L.advance st;
+      List.rev acc
+  | '"' -> labels st (string_lit st :: acc)
+  | c when L.is_ident_start c -> labels st (L.lex_ident st :: acc)
+  | _ -> expected st "a block label or '{'"
+
+(** Fold [f] over the blocks of [src] in source order: a document of
+    top-level blocks, [type "label" ... { name = literal ... }], with
+    no top-level attribute and no nested block.  The first exception
+    [f] raises is held while the rest of the text is read, so a lexer
+    error anywhere ({!Lexer.Error}) outranks a syntax error anywhere
+    ({!Error}), which outranks a block's own error; after a held error
+    [f] is not called again. *)
+let fold_blocks ~file src f init =
+  let st = L.make ~file src in
+  let held = ref None in
+  let rec loop acc =
+    skip_ws st;
+    if L.at_end st then acc
+    else if not (L.is_ident_start (peek st)) then expected st "a block"
+    else begin
+      let first = st.L.pos in
+      let btype = L.lex_ident st in
+      L.skip_trivia st;
+      if peek st = '=' then
+        syntax_error st first
+          (Printf.sprintf "unexpected attribute %s at top level" btype);
+      let labels = labels st [] in
+      let attrs = attrs st [] in
+      let b = { btype; labels; attrs; first; last = st.L.pos } in
+      if Option.is_some !held then loop acc
+      else
+        match f acc b with
+        | acc -> loop acc
+        | exception e ->
+            held := Some (e, Printexc.get_raw_backtrace ());
+            loop acc
+    end
+  in
+  let acc = loop init in
+  match !held with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> acc

@@ -33,7 +33,21 @@ let cur_pos st : Loc.pos = { line = st.line; col = st.col; offset = st.pos }
 let span_from st (start : Loc.pos) =
   Loc.make ~file:st.file ~start_pos:start ~end_pos:(cur_pos st)
 
-let error st start msg = raise (Error (msg, span_from st start))
+(* The position of byte [off] of the input.  It rescans the input from
+   its start, so the scanners carry bare offsets and only an error
+   pays for a position. *)
+let pos_at st off : Loc.pos =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to off - 1 do
+    if String.unsafe_get st.src i = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  { line = !line; col = off - !bol + 1; offset = off }
+
+(* Raise {!Error} spanning from offset [start] to the cursor. *)
+let error st start msg = raise (Error (msg, span_from st (pos_at st start)))
 
 let[@inline] at_end st = st.pos >= String.length st.src
 
@@ -93,7 +107,7 @@ let rec skip_trivia st =
 and skip_line_comment st = skip_to st (scan_while (fun c -> c <> '\n') st.src st.pos)
 
 and skip_block_comment st =
-  let start = cur_pos st in
+  let start = st.pos in
   skip_to st (st.pos + 2);
   let rec loop () =
     if at_end st then error st start "unterminated block comment"
@@ -131,7 +145,10 @@ let lex_number st start =
   in
   skip_to st i;
   let text = String.sub src begin_pos (i - begin_pos) in
-  if fraction || exponent then Token.FLOAT (float_of_string text)
+  if fraction || exponent then
+    match float_of_string_opt text with
+    | Some f -> Token.FLOAT f
+    | None -> error st start (Printf.sprintf "invalid number %S" text)
   else
     match int_of_string_opt text with
     | Some n -> Token.INT n
@@ -154,7 +171,7 @@ let rec next_token st : Token.spanned =
   let start = cur_pos st in
   if at_end st then { Token.tok = Token.EOF; span = span_from st start }
   else
-    let tok = lex_one st start (String.unsafe_get st.src st.pos) in
+    let tok = lex_one st st.pos (String.unsafe_get st.src st.pos) in
     { Token.tok; span = span_from st start }
 
 and lex_one st start c : Token.t =
@@ -430,7 +447,7 @@ and template_parts ~file text : Token.str_part list =
     else if String.unsafe_get text st.pos = '$' && char_at st 1 = '{' then begin
       flush ();
       skip_to st (st.pos + 2);
-      parts := Token.Interp (lex_interp st (cur_pos st)) :: !parts;
+      parts := Token.Interp (lex_interp st st.pos) :: !parts;
       loop ()
     end
     else begin

@@ -23,22 +23,6 @@ let binop_text = function
   | And -> "&&"
   | Or -> "||"
 
-let escape_template_lit s =
-  let buf = Buffer.create (String.length s) in
-  String.iteri
-    (fun i c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '$'
-        when i + 1 < String.length s && s.[i + 1] = '{' ->
-          Buffer.add_string buf "\\$"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let rec expr_to_buf buf prec e =
   match e.desc with
   | Null -> Buffer.add_string buf "null"
@@ -75,12 +59,8 @@ let rec expr_to_buf buf prec e =
           if i > 0 then Buffer.add_string buf ", ";
           (match k with
           | Kident k ->
-              if ident_like k then Buffer.add_string buf k
-              else begin
-                Buffer.add_char buf '"';
-                Buffer.add_string buf (escape_template_lit k);
-                Buffer.add_char buf '"'
-              end
+              if Codec.ident_like k then Buffer.add_string buf k
+              else Codec.add_string buf k
           | Kexpr e -> (
               match e.desc with
               | Template _ -> expr_to_buf buf 0 e
@@ -167,22 +147,13 @@ and template_to_buf buf parts =
   Buffer.add_char buf '"';
   List.iter
     (function
-      | Lit s -> Buffer.add_string buf (escape_template_lit s)
+      | Lit s -> Codec.add_string_body buf s
       | Interp e ->
           Buffer.add_string buf "${";
           expr_to_buf buf 0 e;
           Buffer.add_char buf '}')
     parts;
   Buffer.add_char buf '"'
-
-and ident_like s =
-  s <> ""
-  && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
-  && String.for_all
-       (function
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true
-         | _ -> false)
-       s
 
 let expr_to_string e =
   let buf = Buffer.create 64 in
@@ -199,9 +170,8 @@ let rec block_to_buf buf depth b =
   Buffer.add_string buf b.btype;
   List.iter
     (fun label ->
-      Buffer.add_string buf " \"";
-      Buffer.add_string buf (escape_template_lit label);
-      Buffer.add_char buf '"')
+      Buffer.add_char buf ' ';
+      Codec.add_string buf label)
     b.labels;
   Buffer.add_string buf " {\n";
   body_to_buf buf (depth + 1) b.bbody;

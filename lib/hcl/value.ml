@@ -81,10 +81,19 @@ let to_float = function
       | None -> type_error "expected a number, got %s" (type_name v))
   | v -> type_error "expected a number, got %s" (type_name v)
 
+(* Integral floats print as integers; any other float prints with the
+   fewest significant digits (15, 16 or 17) that read back to it, so
+   every text that records a value (state, journal, [fmt], plans) keeps
+   it exactly. *)
 let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
     string_of_int (int_of_float f)
-  else Printf.sprintf "%g" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if Float.equal (float_of_string s) f then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
 
 let to_string = function
   | Vstring s -> s

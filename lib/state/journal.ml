@@ -27,9 +27,6 @@ module Addr = Cloudless_hcl.Addr
 module Value = Cloudless_hcl.Value
 module Smap = Value.Smap
 module Codec = Cloudless_hcl.Codec
-module Printer = Cloudless_hcl.Printer
-module Parser = Cloudless_hcl.Parser
-module Ast = Cloudless_hcl.Ast
 module Trace = Cloudless_obs.Trace
 
 type op_kind = Op_create | Op_update | Op_delete
@@ -93,22 +90,24 @@ type entry =
 (* ------------------------------------------------------------------ *)
 
 let hcl_of_map m =
-  Printer.expr_to_string
-    (Codec.value_to_expr (Value.Vmap (Smap.map State.sanitize m)))
+  let buf = Buffer.create 64 in
+  Codec.add_map buf m;
+  Buffer.contents buf
 
 let map_of_hcl s =
-  match Codec.expr_to_value (Parser.parse_expr_string ~file:"<journal>" s) with
-  | Some (Value.Vmap m) -> m
+  match Codec.read_value ~file:"<journal>" s with
+  | Value.Vmap m -> m
   | _ -> raise (Trace.Parse_error "journal: attrs is not an object literal")
 
 let hcl_of_deps deps =
-  Printer.expr_to_string
-    (Ast.mk
-       (Ast.ListLit (List.map (fun d -> Ast.string_lit (Addr.to_string d)) deps)))
+  let buf = Buffer.create 64 in
+  Codec.add_value buf
+    (Value.Vlist (List.map (fun d -> Value.Vstring (Addr.to_string d)) deps));
+  Buffer.contents buf
 
 let deps_of_hcl s =
-  match Codec.expr_to_value (Parser.parse_expr_string ~file:"<journal>" s) with
-  | Some (Value.Vlist vs) ->
+  match Codec.read_value ~file:"<journal>" s with
+  | Value.Vlist vs ->
       List.map
         (fun v ->
           match Addr.of_string (Value.to_string v) with
@@ -199,16 +198,15 @@ let add_opt buf k = function
 let sep buf = Buffer.add_char buf ','
 
 (* Fused attribute/deps emitters: the composition of {!hcl_of_map} /
-   {!hcl_of_deps} (sanitize -> Codec AST -> Printer text) with
-   {!add_escaped}, performed in a single pass with no map copy, no AST
-   and no intermediate strings — at fleet scale the three-stage
-   pipeline above is the whole cost of a journaled apply.  Byte
-   equality with the composed pipeline (and hence with
-   {!Reference.entry_to_line}) is asserted by the test suite over
-   arbitrary values. *)
+   {!hcl_of_deps} (the Codec's literal text) with {!add_escaped},
+   performed in a single pass with no intermediate strings — at fleet
+   scale the two-stage pipeline above is the whole cost of a
+   journaled apply.  Byte equality with the composed pipeline (and
+   hence with {!Reference.entry_to_line}) is asserted by the test
+   suite over arbitrary values. *)
 
 (* One character of a rendered HCL string literal, JSON-escaped:
-   [Printer.escape_template_lit] then [Trace.json_escape], composed.
+   [Codec.add_string_body] then [Trace.json_escape], composed.
    E.g. a literal quote becomes backslash-quote in HCL, and each of
    those two bytes is then escaped again for JSON (four bytes out). *)
 let add_hcl_str_body buf s =
@@ -243,8 +241,8 @@ let add_hcl_string buf s =
   add_hcl_str_body buf s;
   Buffer.add_string buf "\\\""
 
-(* Canonical HCL for a sanitized value ([Vunknown] renders as the
-   [null] {!State.sanitize} would have substituted), JSON-escaped. *)
+(* [Codec.add_value]'s text for a value ([Vunknown] renders as
+   [null]), JSON-escaped. *)
 let rec add_hcl_value buf (v : Value.t) =
   match v with
   | Value.Vunknown _ | Value.Vnull -> Buffer.add_string buf "null"
@@ -268,7 +266,7 @@ and add_hcl_map_value buf m =
   Smap.iter
     (fun k v ->
       if !first then first := false else Buffer.add_string buf ", ";
-      if Printer.ident_like k then Buffer.add_string buf k
+      if Codec.ident_like k then Buffer.add_string buf k
       else add_hcl_string buf k;
       Buffer.add_string buf " = ";
       add_hcl_value buf v)

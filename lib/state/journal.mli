@@ -81,6 +81,23 @@ type entry =
           ignore it; appending one forces a {!barrier} in both
           modes. *)
 
+(** The literal HCL text of an attribute map ({!Cloudless_hcl.Codec};
+    unknowns are written as [null]), as the [attrs] field of an entry
+    holds it once JSON-decoded. *)
+val hcl_of_map : Value.t Smap.t -> string
+
+(** Read {!hcl_of_map}'s text back.  Raises [Trace.Parse_error] when it
+    holds a value other than an object, {!Cloudless_hcl.Codec.Error}
+    or {!Cloudless_hcl.Lexer.Error} when it is not literal data. *)
+val map_of_hcl : string -> Value.t Smap.t
+
+(** The literal HCL list of address strings an entry's [deps] field
+    holds. *)
+val hcl_of_deps : Addr.t list -> string
+
+(** Read {!hcl_of_deps}'s text back; errors as {!map_of_hcl}. *)
+val deps_of_hcl : string -> Addr.t list
+
 (** Render one entry (no trailing newline) straight into [buf] — the
     hot-path encoder: no per-field [sprintf], no intermediate string
     list.  Byte-identical to {!Reference.entry_to_line}. *)

@@ -97,8 +97,8 @@ let update_attrs t addr attrs =
         resources = Amap.add addr { r with attrs } t.resources;
       }
 
-(** The lookup function expansion needs (see
-    {!Cloudless_hcl.Eval.env.state_lookup}). *)
+(** The lookup function expansion needs: the evaluator environment's
+    [state_lookup]. *)
 let lookup t addr =
   Option.map (fun r -> r.attrs) (Amap.find_opt addr t.resources)
 
@@ -140,184 +140,140 @@ let orphans t addrs =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Serialization (HCL blocks)                                          *)
+(* Serialization (HCL blocks of literal data)                          *)
 (* ------------------------------------------------------------------ *)
 
-module Ast = Cloudless_hcl.Ast
 module Codec = Cloudless_hcl.Codec
-module Printer = Cloudless_hcl.Printer
-module Parser = Cloudless_hcl.Parser
-module Loc = Cloudless_hcl.Loc
 
 (* Corrupt state files surface through the typed error channel with a
    span pointing into the state file itself. *)
-let corrupt ?(span = Loc.dummy) fmt =
+let corrupt ~span fmt =
   Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.State_io
     ~code:"corrupt-state" ~span fmt
 
-(* Unknowns must never reach the state file; replace them defensively
-   with nulls on write. *)
-let rec sanitize (v : Value.t) : Value.t =
-  match v with
-  | Value.Vunknown _ -> Value.Vnull
-  | Value.Vlist vs -> Value.Vlist (List.map sanitize vs)
-  | Value.Vmap m -> Value.Vmap (Smap.map sanitize m)
-  | v -> v
+(* One [instance] block.  The attribute names are padded to the
+   longest, as the HCL printer aligns them. *)
+let add_row buf r =
+  Buffer.add_string buf "\ninstance ";
+  Codec.add_string buf (Addr.to_string r.addr);
+  Buffer.add_string buf " {\n  cloud_id   = ";
+  Codec.add_string buf r.cloud_id;
+  Buffer.add_string buf "\n  type       = ";
+  Codec.add_string buf r.rtype;
+  Buffer.add_string buf "\n  region     = ";
+  Codec.add_string buf r.region;
+  Buffer.add_string buf "\n  attributes = ";
+  Codec.add_map buf r.attrs;
+  Buffer.add_string buf "\n  depends    = [";
+  List.iteri
+    (fun i d ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Codec.add_string buf (Addr.to_string d))
+    r.deps;
+  Buffer.add_string buf "]\n}\n"
 
-let resource_to_block (r : resource_state) : Ast.block =
-  let attr name value = { Ast.aname = name; avalue = value; aspan = Loc.dummy } in
-  let attrs_obj =
-    Codec.value_to_expr (Value.Vmap (Smap.map sanitize r.attrs))
+(** The state as HCL: a [state] block with the serial, one [instance]
+    block per row in address order, then one [output] block per
+    output.  Unknown values are written as [null]. *)
+let to_string t =
+  let buf = Buffer.create (64 + (256 * Amap.cardinal t.resources)) in
+  Buffer.add_string buf "state {\n  serial = ";
+  Buffer.add_string buf (string_of_int t.serial);
+  Buffer.add_string buf "\n}\n";
+  Amap.fold (fun _ r () -> add_row buf r) t.resources ();
+  List.iter
+    (fun (name, v) ->
+      Buffer.add_string buf "\noutput ";
+      Codec.add_string buf name;
+      Buffer.add_string buf " {\n  value = ";
+      Codec.add_value buf v;
+      Buffer.add_string buf "\n}\n")
+    t.outputs;
+  Buffer.contents buf
+
+(** Read a state written by {!to_string}.  Blocks may come in any
+    order; a repeated instance keeps its last row.  Errors are located
+    in [file]: a lexer error anywhere ({!Cloudless_hcl.Lexer.Error})
+    outranks text that is not literal data anywhere, which outranks
+    the first malformed block; both of the latter are
+    [state/corrupt-state] diagnostics. *)
+let of_string ?(file = "<state>") src =
+  let locate first last = Codec.span ~file src first last in
+  let block_error (b : Codec.block) fmt =
+    corrupt ~span:(locate b.first b.last) fmt
   in
-  let deps_list =
-    Ast.mk
-      (Ast.ListLit
-         (List.map (fun d -> Ast.string_lit (Addr.to_string d)) r.deps))
+  let field (b : Codec.block) name =
+    match List.find_opt (fun (a : Codec.attr) -> a.name = name) b.attrs with
+    | Some a -> a
+    | None -> block_error b "state: missing %S" name
+  in
+  let bad (a : Codec.attr) what =
+    corrupt
+      ~span:(locate a.at (a.at + String.length a.name))
+      "state: %s must be %s, not %s" a.name what (Value.type_name a.value)
+  in
+  let string_field b name =
+    match field b name with
+    | { value = Value.Vstring s; _ } -> s
+    | a -> bad a "a string"
+  in
+  let address (b : Codec.block) s =
+    match Addr.of_string s with
+    | Some a -> a
+    | None -> block_error b "state: bad address %s" s
+  in
+  let serial = ref 0 and outputs = ref [] in
+  (* rows in reverse; [ascending] while they arrive strictly ascending *)
+  let rows = ref [] and ascending = ref true in
+  let row (b : Codec.block) addr =
+    let cloud_id = string_field b "cloud_id" in
+    let rtype = string_field b "type" in
+    let region = string_field b "region" in
+    let attrs =
+      match field b "attributes" with
+      | { value = Value.Vmap m; _ } -> m
+      | a -> bad a "an object"
+    in
+    let deps =
+      match field b "depends" with
+      | { value = Value.Vlist vs; _ } as a ->
+          List.map
+            (function
+              | Value.Vstring s -> address b s
+              | _ -> bad a "a list of address strings")
+            vs
+      | a -> bad a "a list of address strings"
+    in
+    let r = { addr; cloud_id; rtype; region; attrs; deps } in
+    (match !rows with
+    | (prev, _) :: _ when Addr.compare prev addr >= 0 -> ascending := false
+    | _ -> ());
+    rows := (addr, r) :: !rows
+  in
+  let block () (b : Codec.block) =
+    match (b.btype, b.labels) with
+    | "state", _ -> (
+        match field b "serial" with
+        | { value = Value.Vint n; _ } -> serial := n
+        | a -> bad a "an integer")
+    | "instance", [ label ] -> row b (address b label)
+    | "output", [ name ] ->
+        outputs := (name, (field b "value").value) :: !outputs
+    | ty, _ -> block_error b "state: unexpected block %s" ty
+  in
+  (try Codec.fold_blocks ~file src block ()
+   with Codec.Error (msg, span) -> corrupt ~span "state: %s" msg);
+  let rows = List.rev !rows in
+  let resources =
+    if !ascending then Amap.of_sorted_array (Array.of_list rows)
+    else List.fold_left (fun m (a, r) -> Amap.add a r m) Amap.empty rows
   in
   {
-    Ast.btype = "instance";
-    labels = [ Addr.to_string r.addr ];
-    bbody =
-      {
-        Ast.attrs =
-          [
-            attr "cloud_id" (Ast.string_lit r.cloud_id);
-            attr "type" (Ast.string_lit r.rtype);
-            attr "region" (Ast.string_lit r.region);
-            attr "attributes" attrs_obj;
-            attr "depends" deps_list;
-          ];
-        blocks = [];
-      };
-    bspan = Loc.dummy;
+    serial = !serial;
+    resources;
+    cloud_index = None;
+    outputs = List.rev !outputs;
   }
-
-let to_string t =
-  let header =
-    {
-      Ast.btype = "state";
-      labels = [];
-      bbody =
-        {
-          Ast.attrs =
-            [
-              { Ast.aname = "serial"; avalue = Ast.mk (Ast.Int t.serial); aspan = Loc.dummy };
-            ];
-          blocks = [];
-        };
-      bspan = Loc.dummy;
-    }
-  in
-  let output_blocks =
-    List.map
-      (fun (name, v) ->
-        {
-          Ast.btype = "output";
-          labels = [ name ];
-          bbody =
-            {
-              Ast.attrs =
-                [
-                  {
-                    Ast.aname = "value";
-                    avalue = Codec.value_to_expr (sanitize v);
-                    aspan = Loc.dummy;
-                  };
-                ];
-              blocks = [];
-            };
-          bspan = Loc.dummy;
-        })
-      t.outputs
-  in
-  Printer.config_to_string
-    {
-      Ast.attrs = [];
-      blocks = (header :: List.map resource_to_block (resources t)) @ output_blocks;
-    }
-
-let literal ?(span = Loc.dummy) body name =
-  match Ast.attr body name with
-  | None -> corrupt ~span "state: missing %S" name
-  | Some e -> (
-      match Codec.expr_to_value e with
-      | Some v -> v
-      | None ->
-          corrupt
-            ?span:(Some (Option.value ~default:span (Ast.attr_span body name)))
-            "state: %S is not literal" name)
-
-(* Fold one top-level item of a state file into [acc]; [acc.outputs]
-   is kept in reverse. *)
-let load_item acc = function
-  | Parser.Attribute a ->
-      corrupt ~span:a.Ast.aspan "state: unexpected attribute %s" a.Ast.aname
-  | Parser.Block b -> (
-      let span = b.Ast.bspan in
-      match (b.Ast.btype, b.Ast.labels) with
-      | "state", _ ->
-          let serial = Value.to_int (literal ~span b.Ast.bbody "serial") in
-          { acc with serial }
-      | "instance", [ addr_str ] ->
-          let addr =
-            match Addr.of_string addr_str with
-            | Some a -> a
-            | None -> corrupt ~span "state: bad address %s" addr_str
-          in
-          let attrs =
-            match literal ~span b.Ast.bbody "attributes" with
-            | Value.Vmap m -> m
-            | _ -> corrupt ~span "state: attributes must be an object"
-          in
-          let deps =
-            match literal ~span b.Ast.bbody "depends" with
-            | Value.Vlist vs ->
-                List.map
-                  (fun v ->
-                    match Addr.of_string (Value.to_string v) with
-                    | Some a -> a
-                    | None -> corrupt ~span "state: bad dep address")
-                  vs
-            | _ -> corrupt ~span "state: depends must be a list"
-          in
-          let r =
-            {
-              addr;
-              cloud_id = Value.to_string (literal ~span b.Ast.bbody "cloud_id");
-              rtype = Value.to_string (literal ~span b.Ast.bbody "type");
-              region = Value.to_string (literal ~span b.Ast.bbody "region");
-              attrs;
-              deps;
-            }
-          in
-          { acc with resources = Amap.add addr r acc.resources }
-      | "output", [ name ] ->
-          let v = literal ~span b.Ast.bbody "value" in
-          { acc with outputs = (name, v) :: acc.outputs }
-      | ty, _ -> corrupt ~span "state: unexpected block %s" ty)
-
-(* The state file is read one top-level block at a time, so no block's
-   syntax tree outlives its own load.  The first error a block raises
-   is held until the rest of the file has parsed: a syntax error
-   anywhere still outranks it, as when the whole file was parsed
-   first. *)
-let of_string ?(file = "<state>") src =
-  let failed = ref None in
-  let acc =
-    Parser.fold ~file src
-      (fun acc item ->
-        if Option.is_some !failed then acc
-        else
-          match load_item acc item with
-          | acc -> acc
-          | exception e ->
-              failed := Some (e, Printexc.get_raw_backtrace ());
-              acc)
-      empty
-  in
-  match !failed with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> { acc with outputs = List.rev acc.outputs }
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

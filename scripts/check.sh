@@ -150,6 +150,25 @@ if [[ -n "$frontend_offenders" ]]; then
   exit 1
 fi
 
+# -- literal state codec gate ----------------------------------------
+# A state file is literal data.  State.to_string and State.of_string go
+# through Codec's buffer writer and literal reader, which build no
+# token stream, syntax tree or evaluator scope; the parser, evaluator,
+# AST and printer are for configurations.  Codec.expr_to_value, the
+# evaluator-backed literal reader, stays deleted.
+state_offenders=$(grep -nE '(Parser|Eval|Ast|Printer)\.' lib/state/state.ml || true)
+if [[ -n "$state_offenders" ]]; then
+  echo "check.sh: lib/state/state.ml names the parser, evaluator, AST or printer — read and write state through Codec:" >&2
+  echo "$state_offenders" >&2
+  exit 1
+fi
+literal_eval=$(grep -rn 'expr_to_value' lib/ --include='*.ml' --include='*.mli' || true)
+if [[ -n "$literal_eval" ]]; then
+  echo "check.sh: expr_to_value is back in lib/ — read literal text with Codec.read_value or Codec.fold_blocks:" >&2
+  echo "$literal_eval" >&2
+  exit 1
+fi
+
 # -- compile-once gate -----------------------------------------------
 # The control plane parses config text only in Shard.parse_config, the
 # content-keyed table every shard shares: a pass retries a handful of

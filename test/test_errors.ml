@@ -213,12 +213,16 @@ let test_cli_corrupt_state () =
 
 (* A state file whose content is well-formed HCL but not a state: each
    must exit 1 with a corrupt-state diagnostic located at the offending
-   block (line 4) or top-level attribute (line 1) — never an internal
-   error or an escaped exception. *)
-let state_with ?(top = "") ~label ~depends () =
+   block (line 4), field (the serial on line 2, the row's fields on
+   lines 5-9) or top-level attribute (line 1) — never an internal
+   error or an escaped exception.  A state holds literal data only, so
+   operators, conditionals, references, interpolations and heredocs
+   are corrupt too. *)
+let state_with ?(top = "") ?(serial = "1") ?(cloud_id = "\"vpc-1\"")
+    ?(attributes = "{}") ~label ~depends () =
   Printf.sprintf
-    "%sstate {\n  serial = 1\n}\ninstance %S {\n  cloud_id   = \"vpc-1\"\n  type       = \"aws_vpc\"\n  region     = \"us-east-1\"\n  attributes = {}\n  depends    = [%s]\n}\n"
-    top label depends
+    "%sstate {\n  serial = %s\n}\ninstance %S {\n  cloud_id   = %s\n  type       = \"aws_vpc\"\n  region     = \"us-east-1\"\n  attributes = %s\n  depends    = [%s]\n}\n"
+    top serial label cloud_id attributes depends
 
 let corrupt_states =
   [
@@ -231,6 +235,20 @@ let corrupt_states =
     ( "top-level attribute",
       state_with ~top:"serial = 3\n" ~label:"aws_vpc.b" ~depends:"" (),
       1 );
+    ("string serial", state_with ~serial:"\"abc\"" ~label:"aws_vpc.b" ~depends:"" (), 2);
+    ("fractional serial", state_with ~serial:"1.5" ~label:"aws_vpc.b" ~depends:"" (), 2);
+    ("nested depends", state_with ~label:"aws_vpc.b" ~depends:"[1]" (), 9);
+    ("number cloud_id", state_with ~cloud_id:"5" ~label:"aws_vpc.b" ~depends:"" (), 5);
+    ("list attributes", state_with ~attributes:"[]" ~label:"aws_vpc.b" ~depends:"" (), 8);
+    ("operator", state_with ~serial:"1 + 2" ~label:"aws_vpc.b" ~depends:"" (), 2);
+    ("conditional", state_with ~serial:"true ? 1 : 2" ~label:"aws_vpc.b" ~depends:"" (), 2);
+    ("reference", state_with ~cloud_id:"var.id" ~label:"aws_vpc.b" ~depends:"" (), 5);
+    ( "interpolation",
+      state_with ~cloud_id:"\"vpc-${1}\"" ~label:"aws_vpc.b" ~depends:"" (),
+      5 );
+    ( "heredoc",
+      state_with ~attributes:"<<EOF\n{}\nEOF" ~label:"aws_vpc.b" ~depends:"" (),
+      8 );
   ]
 
 let test_cli_corrupt_state_table () =

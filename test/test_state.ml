@@ -3,6 +3,7 @@
 open Cloudless_hcl
 module State = Cloudless_state.State
 module Version_store = Cloudless_state.Version_store
+module Journal = Cloudless_state.Journal
 module Smap = Value.Smap
 
 let check = Alcotest.check
@@ -148,85 +149,375 @@ let test_diff () =
   check int_ "one modified" 1 (List.length d.State.modified);
   check bool_ "self diff empty" true (State.diff_is_empty (State.diff a a))
 
-(* Property: serialization is a fixpoint after one round trip, over
-   states whose addresses carry module paths and int/string keys with
-   quotes, brackets and dots, and whose values nest lists and maps of
-   negative ints, %g-exact floats and strings that need escaping. *)
-let state_gen =
+(* ------------------------------------------------------------------ *)
+(* The state file codec                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Generators.  Addresses carry module paths, the data mode and int or
+   string keys with quotes, brackets, dots and control bytes.  Values
+   nest lists and maps, empty ones too, of nulls, unknowns, ints
+   (negative ones included), arbitrary finite floats and strings that
+   need escaping or hold "${" and control bytes, under keys that are
+   not identifiers.  No key is "for": the AST reader, the oracle
+   below, takes "{ for" as the start of a for-expression. *)
+let ident_gen =
+  QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'z'; '_' ]) (int_range 1 5))
+
+let text_gen chars n = QCheck.Gen.(string_size ~gen:(oneofl chars) (int_range 0 n))
+
+let addr_gen =
   let open QCheck.Gen in
-  let ident = string_size ~gen:(oneofl [ 'a'; 'b'; 'z'; '_' ]) (int_range 1 5) in
-  let text chars n = string_size ~gen:(oneofl chars) (int_range 0 n) in
   let key =
     frequency
       [
         (2, return Addr.Knone);
         (2, map (fun i -> Addr.Kint i) (int_range (-5) 50));
-        (3, map (fun s -> Addr.Kstr s) (text [ 'a'; '"'; ']'; '['; '.'; ' '; '\\' ] 5));
+        ( 3,
+          map
+            (fun s -> Addr.Kstr s)
+            (text_gen
+               [ 'a'; '"'; ']'; '['; '.'; ' '; '\\'; '\n'; '\t'; '\001'; '\255'; '$'; '{' ]
+               5) );
       ]
   in
-  let addr =
-    map3
-      (fun module_path (rtype, rname) key ->
-        Addr.make ~module_path ~rtype ~rname ~key ())
-      (list_size (int_range 0 2) ident)
-      (pair ident ident) key
-  in
-  let float_ =
-    (* exactly representable in %g's six digits: no drift on re-print *)
-    map2
-      (fun m e -> float_of_int m *. (10. ** float_of_int e))
-      (int_range (-999) 999) (int_range (-8) 3)
-  in
-  let str = text [ 'a'; ' '; '"'; '\\'; '\n'; '\t'; '$'; '{'; '}'; '%' ] 8 in
-  let map_key = string_size ~gen:(oneofl [ 'a'; 'x'; '_'; '-'; '.'; '"'; ' '; '$'; '{' ]) (int_range 1 4) in
-  let value =
-    fix
-      (fun self depth ->
-        let leaf =
-          oneof
-            [
-              return Value.Vnull;
-              map (fun b -> Value.Vbool b) bool;
-              map (fun n -> Value.Vint n) (int_range (-1_000_000) 1_000_000);
-              map (fun f -> Value.Vfloat f) float_;
-              map (fun s -> Value.Vstring s) str;
-            ]
-        in
-        if depth = 0 then leaf
-        else
-          frequency
-            [
-              (3, leaf);
-              (1, map (fun vs -> Value.Vlist vs) (list_size (int_range 0 3) (self (depth - 1))));
-              ( 1,
-                map
-                  (fun kvs -> Value.of_assoc kvs)
-                  (list_size (int_range 0 3) (pair map_key (self (depth - 1)))) );
-            ])
-      2
-  in
+  map3
+    (fun module_path (mode, rtype, rname) key ->
+      Addr.make ~module_path ~mode ~rtype ~rname ~key ())
+    (list_size (int_range 0 2) ident_gen)
+    (triple (frequency [ (4, return Addr.Managed); (1, return Addr.Data) ]) ident_gen ident_gen)
+    key
+
+let float_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 1,
+        map2
+          (fun m e -> float_of_int m *. (10. ** float_of_int e))
+          (int_range (-999) 999) (int_range (-8) 3) );
+      ( 3,
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_finite f then f else 0.5)
+          int64 );
+      ( 1,
+        oneofl
+          [ 0.123456789; 12345678.5; 0.1 +. 0.2; -0.; 1e15; 5e-324; Float.max_float ]
+      );
+    ]
+
+let str_gen =
+  text_gen
+    [ 'a'; ' '; '"'; '\\'; '\n'; '\t'; '\r'; '$'; '{'; '}'; '%'; '\000'; '\001'; '\127'; '\255' ]
+    8
+
+let map_key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, string_size ~gen:(oneofl [ 'a'; 'x'; '_'; '-'; '.'; '"'; ' '; '$'; '{' ]) (int_range 1 4));
+        (1, oneofl [ ""; "null"; "true"; "if"; "in"; "1x"; "-a"; "a-b"; "\n"; "\255" ]);
+      ])
+
+let value_gen =
+  let open QCheck.Gen in
+  fix
+    (fun self depth ->
+      let leaf =
+        frequency
+          [
+            (1, return Value.Vnull);
+            (1, return (Value.Vunknown "aws_vpc.a.id"));
+            (1, map (fun b -> Value.Vbool b) bool);
+            (2, map (fun n -> Value.Vint n) (int_range (-1_000_000) 1_000_000));
+            (1, map (fun n -> Value.Vint (if n = min_int then 0 else n)) int);
+            (2, map (fun f -> Value.Vfloat f) float_gen);
+            (3, map (fun s -> Value.Vstring s) str_gen);
+          ]
+      in
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (3, leaf);
+            (1, map (fun vs -> Value.Vlist vs) (list_size (int_range 0 3) (self (depth - 1))));
+            ( 1,
+              map
+                (fun kvs -> Value.of_assoc kvs)
+                (list_size (int_range 0 3) (pair map_key_gen (self (depth - 1)))) );
+          ])
+    2
+
+let attrs_gen =
+  QCheck.Gen.(
+    map
+      (fun kvs -> Smap.of_seq (List.to_seq kvs))
+      (list_size (int_range 0 4) (pair map_key_gen value_gen)))
+
+let state_gen =
+  let open QCheck.Gen in
   let resource =
     map3
-      (fun addr attrs deps ->
+      (fun addr (cloud_id, region, attrs) deps ->
         {
           State.addr;
-          cloud_id = "id-" ^ Addr.to_string addr;
+          cloud_id;
           rtype = addr.Addr.rtype;
-          region = "us-east-1";
-          attrs = Smap.of_seq (List.to_seq attrs);
+          region;
+          attrs;
           deps;
         })
-      addr
-      (list_size (int_range 0 4) (pair map_key value))
-      (list_size (int_range 0 2) addr)
+      addr_gen
+      (triple str_gen str_gen attrs_gen)
+      (list_size (int_range 0 2) addr_gen)
   in
   map3
     (fun rs outputs serial ->
       let s = List.fold_left State.add State.empty rs in
       State.with_serial (State.set_outputs s outputs) serial)
     (list_size (int_range 0 6) resource)
-    (list_size (int_range 0 2) (pair ident value))
-    (int_range 0 10_000)
+    (list_size (int_range 0 2) (pair ident_gen value_gen))
+    (int_range (-5) 10_000)
+
+(* The AST path the state and journal codecs replaced, kept as their
+   oracle: [Codec.value_to_expr] and the printer for writing, the
+   parser and the evaluator for reading. *)
+module Oracle = struct
+  let rec sanitize (v : Value.t) : Value.t =
+    match v with
+    | Value.Vunknown _ -> Value.Vnull
+    | Value.Vlist vs -> Value.Vlist (List.map sanitize vs)
+    | Value.Vmap m -> Value.Vmap (Smap.map sanitize m)
+    | v -> v
+
+  let expr v = Codec.value_to_expr (sanitize v)
+  let value_text v = Printer.expr_to_string (expr v)
+
+  let deps_expr deps =
+    Ast.mk (Ast.ListLit (List.map (fun d -> Ast.string_lit (Addr.to_string d)) deps))
+
+  let attr aname avalue = { Ast.aname; avalue; aspan = Loc.dummy }
+
+  let block btype labels attrs =
+    { Ast.btype; labels; bbody = { Ast.attrs; blocks = [] }; bspan = Loc.dummy }
+
+  let to_string s =
+    let row (r : State.resource_state) =
+      block "instance" [ Addr.to_string r.addr ]
+        [
+          attr "cloud_id" (Ast.string_lit r.cloud_id);
+          attr "type" (Ast.string_lit r.rtype);
+          attr "region" (Ast.string_lit r.region);
+          attr "attributes" (expr (Value.Vmap r.attrs));
+          attr "depends" (deps_expr r.deps);
+        ]
+    in
+    Printer.config_to_string
+      {
+        Ast.attrs = [];
+        blocks =
+          (block "state" [] [ attr "serial" (Ast.mk (Ast.Int (State.serial s))) ]
+          :: List.map row (State.resources s))
+          @ List.map
+              (fun (name, v) -> block "output" [ name ] [ attr "value" (expr v) ])
+              (State.outputs s);
+      }
+
+  let literal body name =
+    match Ast.attr body name with
+    | Some e when Ast.is_literal e -> Eval.eval_expr e
+    | _ -> failwith ("oracle: no literal " ^ name)
+
+  let address v = Option.get (Addr.of_string (Value.to_string v))
+
+  let of_string src =
+    let serial = ref 0 and rows = ref [] and outputs = ref [] in
+    Parser.fold ~file:"<oracle>" src
+      (fun () -> function
+        | Parser.Block { Ast.btype = "state"; bbody; _ } ->
+            serial := Value.to_int (literal bbody "serial")
+        | Parser.Block { Ast.btype = "instance"; labels = [ label ]; bbody; _ } ->
+            let str name = Value.to_string (literal bbody name) in
+            rows :=
+              {
+                State.addr = address (Value.Vstring label);
+                cloud_id = str "cloud_id";
+                rtype = str "type";
+                region = str "region";
+                attrs = Value.to_map (literal bbody "attributes");
+                deps = List.map address (Value.to_list (literal bbody "depends"));
+              }
+              :: !rows
+        | Parser.Block { Ast.btype = "output"; labels = [ name ]; bbody; _ } ->
+            outputs := (name, literal bbody "value") :: !outputs
+        | _ -> failwith "oracle: unexpected item")
+      ();
+    let s = List.fold_left State.add State.empty (List.rev !rows) in
+    State.with_serial (State.set_outputs s (List.rev !outputs)) !serial
+
+  let read_value src = Eval.eval_expr (Parser.parse_expr_string src)
+end
+
+(* Exact equality: constructors as they are and floats bit for bit,
+   where [Value.equal] lets 1 equal 1.0. *)
+let rec same_value (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Vfloat x, Value.Vfloat y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Vlist xs, Value.Vlist ys -> List.equal same_value xs ys
+  | Value.Vmap x, Value.Vmap y ->
+      List.equal
+        (fun (k, v) (k', v') -> String.equal k k' && same_value v v')
+        (Smap.bindings x) (Smap.bindings y)
+  | _ -> a = b
+
+let same_rows ~attrs (a : State.resource_state) (b : State.resource_state) =
+  Addr.equal a.addr b.addr && a.cloud_id = b.cloud_id && a.rtype = b.rtype
+  && a.region = b.region
+  && attrs (Value.Vmap a.attrs) (Value.Vmap b.attrs)
+  && List.equal Addr.equal a.deps b.deps
+
+let same_state ~values a b =
+  State.serial a = State.serial b
+  && List.equal (same_rows ~attrs:values) (State.resources a) (State.resources b)
+  && List.equal
+       (fun (n, v) (n', v') -> n = n' && values v v')
+       (State.outputs a) (State.outputs b)
+
+(* Literal text as a person or another tool might write it: comments,
+   blank lines, extra blanks, trailing commas and ':' separators
+   wherever the grammar allows them, and keys quoted or not. *)
+let add_noisy_value rng buf v =
+  let pick n = Random.State.int rng n in
+  let add = Buffer.add_string buf in
+  let gap () =
+    add
+      (match pick 9 with
+      | 0 -> "\n"
+      | 1 -> " # c\n  "
+      | 2 -> " // c\n"
+      | 3 -> "\n\n  "
+      | 4 -> " "
+      | 5 -> " /* c */ "
+      | _ -> "")
+  in
+  let rec value (v : Value.t) =
+    match v with
+    | Value.Vlist vs ->
+        add "[";
+        gap ();
+        List.iteri
+          (fun i v ->
+            if i > 0 then begin
+              add ",";
+              gap ()
+            end;
+            value v;
+            gap ())
+          vs;
+        if vs <> [] && pick 2 = 0 then begin
+          add ",";
+          gap ()
+        end;
+        add "]"
+    | Value.Vmap m ->
+        add "{";
+        gap ();
+        Smap.iter
+          (fun k v ->
+            if Codec.ident_like k && pick 2 = 0 then add k else Codec.add_string buf k;
+            gap ();
+            add (if pick 2 = 0 then "=" else ":");
+            gap ();
+            value v;
+            gap ();
+            add (match pick 3 with 0 -> "," | 1 -> ",\n" | _ -> "\n");
+            gap ())
+          m;
+        add "}"
+    | v -> Codec.add_value buf v
+  in
+  value v
+
+let noisy_value_text seed v =
+  let rng = Random.State.make [| seed |] in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "\n# leading comment\n  ";
+  add_noisy_value rng buf v;
+  Buffer.add_string buf " // trailing\n\n";
+  Buffer.contents buf
+
+(* A state file with trivia: [add_noisy_value]'s values, reordered
+   attributes, blocks in a shuffled order (or in the writer's, half of
+   the time) and one instance repeated under another cloud id. *)
+let noisy_state_text seed (s : State.t) =
+  let rng = Random.State.make [| seed |] in
+  let pick n = Random.State.int rng n in
+  let shuffle l =
+    List.map (fun x -> (Random.State.bits rng, x)) l
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  let buf = Buffer.create 1024 in
+  let add = Buffer.add_string buf in
+  let blank () =
+    add (match pick 5 with 0 -> " " | 1 -> "  \t" | 2 -> " /* c */ " | _ -> "")
+  in
+  let attribute (name, v) =
+    add (match pick 3 with 0 -> "  " | 1 -> "\t" | _ -> "    ");
+    add name;
+    blank ();
+    add "=";
+    add (match pick 4 with 0 -> "\n   " | 1 -> " # c\n  " | _ -> " ");
+    add_noisy_value rng buf v;
+    blank ();
+    add (match pick 4 with 0 -> " # trailing\n" | 1 -> " // trailing\n" | _ -> "\n");
+    if pick 4 = 0 then add "\n"
+  in
+  let block btype label attrs =
+    if pick 3 = 0 then add "# a comment line\n";
+    if pick 3 = 0 then add "\n";
+    add btype;
+    (match label with
+    | Some l ->
+        add " ";
+        blank ();
+        if Codec.ident_like l && pick 2 = 0 then add l else Codec.add_string buf l
+    | None -> ());
+    blank ();
+    add " {";
+    add (if pick 3 = 0 then " # open\n" else "\n");
+    List.iter attribute (if pick 2 = 0 then shuffle attrs else attrs);
+    add (if pick 2 = 0 then "}\n" else "}\n\n")
+  in
+  let row (r : State.resource_state) =
+    block "instance"
+      (Some (Addr.to_string r.addr))
+      [
+        ("cloud_id", Value.Vstring r.cloud_id);
+        ("type", Value.Vstring r.rtype);
+        ("region", Value.Vstring r.region);
+        ("attributes", Value.Vmap r.attrs);
+        ( "depends",
+          Value.Vlist (List.map (fun d -> Value.Vstring (Addr.to_string d)) r.deps) );
+      ]
+  in
+  let rows = State.resources s in
+  let items =
+    (fun () -> block "state" None [ ("serial", Value.Vint (State.serial s)) ])
+    :: List.map (fun r () -> row r) rows
+    @ List.map (fun (n, v) () -> block "output" (Some n) [ ("value", v) ]) (State.outputs s)
+  in
+  let items =
+    match rows with
+    | [] -> items
+    | _ ->
+        let r = List.nth rows (pick (List.length rows)) in
+        (fun () -> row { r with cloud_id = r.cloud_id ^ "-old" }) :: items
+  in
+  List.iter (fun item -> item ()) (if pick 2 = 0 then shuffle items else items);
+  Buffer.contents buf
 
 let prop_state_roundtrip =
   QCheck.Test.make ~count:300 ~name:"to_string . of_string . to_string fixpoint"
@@ -237,6 +528,144 @@ let prop_state_roundtrip =
       State.to_string s' = text
       && State.size s' = State.size s
       && State.serial s' = State.serial s)
+
+let prop_roundtrip_keeps_values =
+  QCheck.Test.make ~count:300 ~name:"of_string . to_string keeps every value"
+    (QCheck.make state_gen ~print:State.to_string)
+    (fun s ->
+      same_state
+        ~values:(fun a b -> Value.equal (Oracle.sanitize a) b)
+        s
+        (State.of_string (State.to_string s)))
+
+let prop_to_string_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"to_string = the AST printer, byte for byte"
+    (QCheck.make state_gen ~print:State.to_string)
+    (fun s -> State.to_string s = Oracle.to_string s)
+
+let prop_of_string_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"of_string = the AST reader, with trivia"
+    (QCheck.make
+       QCheck.Gen.(pair state_gen int)
+       ~print:(fun (s, seed) -> noisy_state_text seed s))
+    (fun (s, seed) ->
+      let text = noisy_state_text seed s in
+      let plain = State.to_string s in
+      same_state ~values:same_value (State.of_string text) (Oracle.of_string text)
+      && same_state ~values:same_value (State.of_string plain)
+           (Oracle.of_string plain))
+
+let prop_journal_codec_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"journal attrs and deps = the AST codec"
+    (QCheck.make
+       QCheck.Gen.(triple attrs_gen (list_size (int_range 0 3) addr_gen) int)
+       ~print:(fun (m, _, seed) -> noisy_value_text seed (Value.Vmap m)))
+    (fun (m, deps, seed) ->
+      let dep_strings =
+        Value.Vlist (List.map (fun d -> Value.Vstring (Addr.to_string d)) deps)
+      in
+      let noisy_map = noisy_value_text seed (Value.Vmap m)
+      and noisy_deps = noisy_value_text seed dep_strings in
+      Journal.hcl_of_map m = Oracle.value_text (Value.Vmap m)
+      && Journal.hcl_of_deps deps = Printer.expr_to_string (Oracle.deps_expr deps)
+      && same_value
+           (Value.Vmap (Journal.map_of_hcl noisy_map))
+           (Oracle.read_value noisy_map)
+      && List.equal Addr.equal
+           (Journal.deps_of_hcl noisy_deps)
+           (List.map Oracle.address (Value.to_list (Oracle.read_value noisy_deps))))
+
+(* A state text with a few bytes replaced, inserted or deleted either
+   loads or fails through the typed channel or the lexer: no other
+   exception escapes the reader. *)
+let prop_edited_state_fails_typed =
+  let edit_gen =
+    QCheck.Gen.(
+      triple (int_bound 1_000_000) (int_bound 2)
+        (frequency
+           [
+             ( 3,
+               oneofl
+                 [ '"'; '{'; '}'; '['; ']'; '='; ':'; ','; '\\'; '$'; '#'; '/'; '*'; '<';
+                   '-'; '+'; '.'; 'e'; '0'; '9'; 'a'; ' '; '\n'; '\000'; '\255'; '?'; '(' ] );
+             (1, char);
+           ]))
+  in
+  let apply text (at, kind, c) =
+    let n = String.length text in
+    let i = if n = 0 then 0 else at mod n in
+    let c = String.make 1 c in
+    match kind with
+    | 0 when n > 0 -> String.sub text 0 i ^ c ^ String.sub text (i + 1) (n - i - 1)
+    | 1 -> String.sub text 0 i ^ c ^ String.sub text i (n - i)
+    | _ when n > 0 -> String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1)
+    | _ -> text
+  in
+  QCheck.Test.make ~count:1000 ~name:"an edited state loads or fails typed"
+    (QCheck.make
+       QCheck.Gen.(pair state_gen (list_size (int_range 1 3) edit_gen))
+       ~print:(fun (s, edits) -> List.fold_left apply (State.to_string s) edits))
+    (fun (s, edits) ->
+      match State.of_string (List.fold_left apply (State.to_string s) edits) with
+      | _ -> true
+      | exception (Cloudless_error.Error _ | Lexer.Error _) -> true)
+
+let prop_addr_to_string_matches_sprintf =
+  QCheck.Test.make ~count:500 ~name:"Addr.to_string = the sprintf rendering"
+    (QCheck.make addr_gen ~print:Addr.to_string)
+    (fun a ->
+      let prefix =
+        String.concat "" (List.map (fun m -> "module." ^ m ^ ".") a.Addr.module_path)
+      in
+      let mode = match a.Addr.mode with Addr.Managed -> "" | Addr.Data -> "data." in
+      let key =
+        match a.Addr.key with
+        | Addr.Knone -> ""
+        | Addr.Kint i -> Printf.sprintf "[%d]" i
+        | Addr.Kstr s -> Printf.sprintf "[%S]" s
+      in
+      Addr.to_string a
+      = Printf.sprintf "%s%s%s.%s%s" prefix mode a.Addr.rtype a.Addr.rname key)
+
+let test_float_to_string_shortest () =
+  List.iter
+    (fun (f, text) -> check string_ text text (Value.float_to_string f))
+    [
+      (0.123456789, "0.123456789");
+      (12345678.5, "12345678.5");
+      (0.1, "0.1");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (-2.5, "-2.5");
+      (3., "3");
+      (1e20, "1e+20");
+      (5e-324, "4.94065645841247e-324");
+    ]
+
+(* Non-integral floats used to print with six significant digits, so a
+   config holding one planned a change forever and [fmt] rounded it. *)
+let float_config =
+  {|resource "aws_vpc" "main" {
+  cidr_block = "10.0.0.0/16"
+  region     = "us-east-1"
+  tags       = { weight = 0.123456789, big = 12345678.5 }
+}
+|}
+
+let test_cli_float_apply_then_plan () =
+  let module Cli = Cloudless.Cli in
+  let dir = Filename.temp_dir "cloudless_float" "" in
+  let file = Filename.concat dir "main.tf" in
+  let state_path = Filename.concat dir "state.cls" in
+  Cloudless.Io_util.write_file file float_config;
+  let out = Buffer.create 256 in
+  let io = { Cli.out = Buffer.add_string out; err = Buffer.add_string out } in
+  check int_ "apply exits 0" 0 (Cli.apply ~io ~file ~state_path ());
+  check int_ "plan exits 0: no change" 0 (Cli.plan ~io ~file ~state_path ());
+  Buffer.clear out;
+  check int_ "fmt exits 0" 0 (Cli.fmt ~io ~file ~in_place:false ());
+  check bool_ "fmt keeps every digit" true
+    (Test_fixtures.contains_substring ~sub:"weight = 0.123456789" (Buffer.contents out)
+    && Test_fixtures.contains_substring ~sub:"big = 12345678.5" (Buffer.contents out))
 
 (* ------------------------------------------------------------------ *)
 (* Version store ("time machine")                                      *)
@@ -295,6 +724,18 @@ let suites =
         Alcotest.test_case "unknowns sanitized" `Quick test_serialization_sanitizes_unknowns;
         Alcotest.test_case "diff" `Quick test_diff;
         QCheck_alcotest.to_alcotest prop_state_roundtrip;
+      ] );
+    ( "state.codec",
+      [
+        QCheck_alcotest.to_alcotest prop_roundtrip_keeps_values;
+        QCheck_alcotest.to_alcotest prop_to_string_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_of_string_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_journal_codec_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_edited_state_fails_typed;
+        QCheck_alcotest.to_alcotest prop_addr_to_string_matches_sprintf;
+        Alcotest.test_case "floats print in full" `Quick test_float_to_string_shortest;
+        Alcotest.test_case "cli: a float config plans no change" `Quick
+          test_cli_float_apply_then_plan;
       ] );
     ( "state.versions",
       [
