@@ -47,7 +47,7 @@ module Addr = Cloudless_hcl.Addr
 
 (* Per-run scratch journal; lives inside the repo tree (gitignored)
    because the harness must not write outside it. *)
-let journal_scratch = "BENCH_journal_scratch.jsonl"
+let journal_scratch = "BENCH_journal_scratch.journal"
 
 type stage = { name : string; wall_s : float; minor_mwords : float }
 

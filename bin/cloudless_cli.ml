@@ -103,18 +103,9 @@ let plan_cmd =
     Term.(const run $ file_arg $ state_arg $ trace_arg)
 
 let apply_cmd =
-  let run file state_path seed engine trace_path resume domains journal_mode =
-    Cli.apply ?trace_path ~seed ~engine ~resume ~domains ~journal_mode ~file
+  let run file state_path seed engine trace_path domains journal_mode =
+    Cli.apply ?trace_path ~seed ~engine ~domains ~journal_mode ~file
       ~state_path ()
-  in
-  let resume_arg =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Recover from a crashed apply: merge the deployment journal \
-             left next to the state file into the state before planning, \
-             then continue the remaining changes")
   in
   let domains_arg =
     Arg.(
@@ -146,10 +137,14 @@ let apply_cmd =
              never issued, so resume simply replans them)")
   in
   Cmd.v
-    (Cmd.info "apply" ~doc:"Apply the configuration against the simulated cloud")
+    (Cmd.info "apply"
+       ~doc:
+         "Apply the configuration against the simulated cloud, after \
+          merging the deployment journal a crashed apply left next to the \
+          state file")
     Term.(
       const run $ file_arg $ state_arg $ seed_arg $ engine_arg $ trace_arg
-      $ resume_arg $ domains_arg $ journal_mode_arg)
+      $ domains_arg $ journal_mode_arg)
 
 let destroy_cmd =
   let run state_path seed trace_path =

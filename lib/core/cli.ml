@@ -109,15 +109,41 @@ let plan ?(io = default_io) ?trace_path ~file ~state_path () =
   io.out (Plan.to_string plan);
   if Plan.is_empty plan then 0 else 2
 
-(* `apply --resume`: the journal left behind by a crashed apply is
-   merged into the recorded state before planning — every operation
-   whose outcome was journaled is trusted (no duplicate create), and
-   intents with no recorded outcome are simply left to the fresh plan.
-   The merged state is persisted immediately, so a crash during
-   recovery re-runs the same (idempotent) replay. *)
+(* A journal next to the state file is what an apply that died left
+   behind.  [apply] and [destroy] merge it into the recorded state
+   before they plan: every operation whose outcome was journaled is
+   trusted (no duplicate create), and intents with no recorded outcome
+   are left to the fresh plan.  The merged state is written before the
+   journal is deleted, so a crash during recovery re-runs the same
+   (idempotent) replay.  A corrupt journal fails the command with the
+   state and the journal untouched. *)
+let load_recovered io state_path =
+  let recorded = Session.load_state state_path in
+  match Session.load_journal state_path with
+  | None -> recorded
+  | Some entries ->
+      let merged = Journal.replay recorded entries in
+      let completed =
+        List.length
+          (List.filter
+             (fun (s : Journal.op_status) ->
+               match s.Journal.resolution with
+               | Some o -> o.Journal.ok
+               | None -> false)
+             (Journal.analyze entries))
+      in
+      outf io
+        "Resumed from journal: %d completed operation(s) recovered, %d \
+         interrupted (re-planned).\n"
+        completed
+        (List.length (Journal.unresolved entries));
+      Session.save_state state_path merged;
+      Session.clear_journal state_path;
+      merged
+
 let apply ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
-    ?cloud_config ?(resume = false) ?(domains = 1)
-    ?(journal_mode = Journal.Wal) ~file ~state_path () =
+    ?cloud_config ?(domains = 1) ?(journal_mode = Journal.Wal) ~file
+    ~state_path () =
   protected io @@ fun () ->
   with_trace trace_path @@ fun trace ->
   Trace.with_span trace "apply-cmd" @@ fun () ->
@@ -130,39 +156,12 @@ let apply ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
   let domains =
     if auto_domains then Domain.recommended_domain_count () else domains
   in
-  let recorded = Session.load_state state_path in
-  let recorded =
-    if not resume then recorded
-    else
-      match Session.load_journal state_path with
-      | [] ->
-          io.out "No deployment journal found; nothing to resume.\n";
-          recorded
-      | entries ->
-          let merged = Journal.replay recorded entries in
-          Session.save_state state_path merged;
-          let completed =
-            List.length
-              (List.filter
-                 (fun (s : Journal.op_status) ->
-                   match s.Journal.resolution with
-                   | Some o -> o.Journal.ok
-                   | None -> false)
-                 (Journal.analyze entries))
-          in
-          outf io
-            "Resumed from journal: %d completed operation(s) recovered, %d \
-             interrupted (re-planned).\n"
-            completed
-            (List.length (Journal.unresolved entries));
-          merged
-  in
+  let recorded = load_recovered io state_path in
   let cloud, state =
     Session.cloud_from_state ~trace ?config:cloud_config recorded ~seed
   in
   let plan = Session.plan_against ~trace ~state file in
   if Plan.is_empty plan then begin
-    Session.clear_journal state_path;
     io.out "No changes. Infrastructure up to date.\n";
     0
   end
@@ -246,7 +245,7 @@ let destroy ?(io = default_io) ?trace_path ?(seed = 42) ~state_path () =
   protected io @@ fun () ->
   with_trace trace_path @@ fun trace ->
   Trace.with_span trace "destroy-cmd" @@ fun () ->
-  let recorded = Session.load_state state_path in
+  let recorded = load_recovered io state_path in
   if State.size recorded = 0 then begin
     io.out "Nothing to destroy.\n";
     0

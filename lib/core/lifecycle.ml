@@ -317,12 +317,11 @@ let deploy t src : (Executor.report, error) result =
   | Error e -> Error e
   | Ok _ -> apply ~description:"initial deploy" t
 
-(** Recover from a crashed apply and converge (the Lifecycle face of
-    [apply --resume]).  The journal is replayed over the current
-    state, unresolved intents are reconciled against the cloud's
-    activity log (adopt / refresh / confirm-delete, see
-    {!Recovery.resume_state}), and the configuration is re-applied so
-    the interrupted remainder runs.  The same journal keeps appending,
+(** Recover from a crashed apply and converge.  The journal is
+    replayed over the current state, unresolved intents are reconciled
+    against the cloud's activity log (adopt / refresh / confirm-delete,
+    see {!Recovery.resume_state}), and the configuration is re-applied
+    so the interrupted remainder runs.  The same journal keeps appending,
     so a resume can itself crash and be resumed.  Returns the final
     report plus the recovery accounting. *)
 let resume t : (Executor.report * Recovery.resume_report, error) result =

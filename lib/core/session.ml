@@ -24,12 +24,13 @@ let save_state path state = Io_util.write_file path (State.to_string state)
 
 (* The write-ahead journal lives next to the state file.  A normal
    apply removes it after the final state write, so its presence on
-   disk is itself the crash signal `apply --resume` keys off. *)
+   disk is itself the crash signal: the next apply or destroy merges
+   it into the state first. *)
 let journal_path state_path = state_path ^ ".journal"
 
 let load_journal state_path =
   let path = journal_path state_path in
-  if Sys.file_exists path then Journal.load path else []
+  if Sys.file_exists path then Some (Journal.load path) else None
 
 let clear_journal state_path =
   let path = journal_path state_path in

@@ -14,20 +14,19 @@
     to the adoption pass (see [Cloudless_deploy.Recovery]), which
     checks the cloud's own activity log to decide adopt-vs-replan.
 
-    Format: JSONL, one self-contained entry per line, written through
-    a flushed append so a crash can only ever truncate the *last*
+    Format: one literal HCL object per line, written and read by
+    {!Cloudless_hcl.Codec}, the state file's codec, so the two records
+    share one syntax and one set of escaping rules.  Lines are written
+    through a flushed append, so a crash can only ever tear the *last*
     line; {!of_string} tolerates a torn tail.  Times are simulated
     seconds rendered with ["%.17g"] so a journal is byte-reproducible
-    for a fixed seed and crash point.  Attribute maps and dependency
-    lists are embedded as canonical HCL expression text — the same
-    codec the state file uses, so the two records cannot disagree on
-    value syntax. *)
+    for a fixed seed and crash point. *)
 
 module Addr = Cloudless_hcl.Addr
 module Value = Cloudless_hcl.Value
 module Smap = Value.Smap
 module Codec = Cloudless_hcl.Codec
-module Trace = Cloudless_obs.Trace
+module Lexer = Cloudless_hcl.Lexer
 
 type op_kind = Op_create | Op_update | Op_delete
 
@@ -82,482 +81,99 @@ type entry =
           [wphase] ("started" | "committed" | "rolled_back" |
           "halted") over [tenants].  Written by the rollout driver's
           own journal so a mid-wave crash resumes from the last
-          *committed* wave boundary.  Tenant names are identifiers
-          (no spaces), so the list is stored space-joined. *)
+          *committed* wave boundary. *)
 
 (* ------------------------------------------------------------------ *)
-(* Serialization (JSONL; strings, ints, %.17g floats and nulls only)   *)
+(* Serialization (one literal object per line)                         *)
 (* ------------------------------------------------------------------ *)
 
-let hcl_of_map m =
-  let buf = Buffer.create 64 in
-  Codec.add_map buf m;
-  Buffer.contents buf
+(* [, name = ] before a field's value. *)
+let field buf name =
+  Buffer.add_string buf ", ";
+  Buffer.add_string buf name;
+  Buffer.add_string buf " = "
 
-let map_of_hcl s =
-  match Codec.read_value ~file:"<journal>" s with
-  | Value.Vmap m -> m
-  | _ -> raise (Trace.Parse_error "journal: attrs is not an object literal")
+let add_str buf name s =
+  field buf name;
+  Codec.add_string buf s
 
-let hcl_of_deps deps =
-  let buf = Buffer.create 64 in
-  Codec.add_value buf
-    (Value.Vlist (List.map (fun d -> Value.Vstring (Addr.to_string d)) deps));
-  Buffer.contents buf
+let add_int buf name n =
+  field buf name;
+  Buffer.add_string buf (string_of_int n)
 
-let deps_of_hcl s =
-  match Codec.read_value ~file:"<journal>" s with
-  | Value.Vlist vs ->
-      List.map
-        (fun v ->
-          match Addr.of_string (Value.to_string v) with
-          | Some a -> a
-          | None -> raise (Trace.Parse_error "journal: bad dep address"))
-        vs
-  | _ -> raise (Trace.Parse_error "journal: deps is not a list literal")
+let add_bool buf name b =
+  field buf name;
+  Buffer.add_string buf (if b then "true" else "false")
 
-(* Direct-to-buffer encoder: each entry is rendered straight into the
-   caller's [Buffer] — no per-field [Printf.sprintf], no field list, no
-   [String.concat] — so a journaled apply allocates almost nothing per
-   line beyond the HCL attribute text.  Byte-identical to the seed's
-   string-building encoder, kept below as {!Reference.entry_to_line}
-   and asserted equal by the test suite. *)
-
-let add_escaped buf s =
-  (* Trace.json_escape, written into the caller's buffer.  Clean runs
-     (the overwhelmingly common case: identifiers, cloud ids, region
-     names) are copied with one [add_substring] instead of a per-char
-     push — at a million journal lines the difference is the bench. *)
-  let n = String.length s in
-  let run = ref 0 in
-  for i = 0 to n - 1 do
-    let c = String.unsafe_get s i in
-    if
-      match c with
-      | '"' | '\\' -> true
-      | c -> Char.code c < 0x20
-    then begin
-      if i > !run then Buffer.add_substring buf s !run (i - !run);
-      (match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
-      run := i + 1
-    end
-  done;
-  if n > !run then Buffer.add_substring buf s !run (n - !run)
-
-let add_key buf k =
-  Buffer.add_char buf '"';
-  Buffer.add_string buf k;
-  Buffer.add_string buf "\":"
-
-let add_str buf k v =
-  add_key buf k;
-  Buffer.add_char buf '"';
-  add_escaped buf v;
-  Buffer.add_char buf '"'
-
-let add_int buf k v =
-  add_key buf k;
-  Buffer.add_string buf (string_of_int v)
-
-(* [Trace.float_lit] is a ["%.17g"] sprintf — ~400ns, the single most
-   expensive token on a journal line.  Simulated timestamps repeat
-   heavily (every op submitted in one ready burst shares the clock),
-   so a one-slot memo absorbs most of them.  The slot is domain-local:
-   the sharded apply path is journal-free today, but nothing should
-   quietly break if two domains ever journal concurrently.  Bitwise
-   comparison keeps the memo exact (nan, -0.); the initial slot pairs
-   nan's bits with the "null" that [float_lit] renders nan as. *)
-let float_memo =
-  Domain.DLS.new_key (fun () ->
-      (ref (Int64.bits_of_float Float.nan), ref "null"))
-
-let add_float buf k v =
-  add_key buf k;
-  let bits, lit = Domain.DLS.get float_memo in
-  let b = Int64.bits_of_float v in
-  if b <> !bits then begin
-    bits := b;
-    lit := Trace.float_lit v
-  end;
-  Buffer.add_string buf !lit
-
-let add_bool buf k v = add_int buf k (if v then 1 else 0)
-
-let add_opt buf k = function
+let add_opt buf name = function
+  | Some s -> add_str buf name s
   | None ->
-      add_key buf k;
+      field buf name;
       Buffer.add_string buf "null"
-  | Some s -> add_str buf k s
 
-let sep buf = Buffer.add_char buf ','
-
-(* Fused attribute/deps emitters: the composition of {!hcl_of_map} /
-   {!hcl_of_deps} (the Codec's literal text) with {!add_escaped},
-   performed in a single pass with no intermediate strings — at fleet
-   scale the two-stage pipeline above is the whole cost of a
-   journaled apply.  Byte equality with the composed pipeline (and
-   hence with {!Reference.entry_to_line}) is asserted by the test
-   suite over arbitrary values. *)
-
-(* One character of a rendered HCL string literal, JSON-escaped:
-   [Codec.add_string_body] then [Trace.json_escape], composed.
-   E.g. a literal quote becomes backslash-quote in HCL, and each of
-   those two bytes is then escaped again for JSON (four bytes out). *)
-let add_hcl_str_body buf s =
-  let n = String.length s in
-  let run = ref 0 in
-  for i = 0 to n - 1 do
-    let c = String.unsafe_get s i in
-    if
-      match c with
-      | '"' | '\\' -> true
-      | '$' -> i + 1 < n && s.[i + 1] = '{'
-      | c -> Char.code c < 0x20
-    then begin
-      if i > !run then Buffer.add_substring buf s !run (i - !run);
-      (match c with
-      | '"' -> Buffer.add_string buf "\\\\\\\""
-      | '\\' -> Buffer.add_string buf "\\\\\\\\"
-      | '\n' -> Buffer.add_string buf "\\\\n"
-      | '\t' -> Buffer.add_string buf "\\\\t"
-      | '$' -> Buffer.add_string buf "\\\\$"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
-      run := i + 1
-    end
-  done;
-  if n > !run then Buffer.add_substring buf s !run (n - !run)
-
-(* An HCL string literal (quotes included) as it appears inside a JSON
-   string field. *)
-let add_hcl_string buf s =
-  Buffer.add_string buf "\\\"";
-  add_hcl_str_body buf s;
-  Buffer.add_string buf "\\\""
-
-(* [Codec.add_value]'s text for a value ([Vunknown] renders as
-   [null]), JSON-escaped. *)
-let rec add_hcl_value buf (v : Value.t) =
-  match v with
-  | Value.Vunknown _ | Value.Vnull -> Buffer.add_string buf "null"
-  | Value.Vbool b -> Buffer.add_string buf (string_of_bool b)
-  | Value.Vint n -> Buffer.add_string buf (string_of_int n)
-  | Value.Vfloat f -> Buffer.add_string buf (Value.float_to_string f)
-  | Value.Vstring s -> add_hcl_string buf s
-  | Value.Vlist vs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_string buf ", ";
-          add_hcl_value buf v)
-        vs;
-      Buffer.add_char buf ']'
-  | Value.Vmap m -> add_hcl_map_value buf m
-
-and add_hcl_map_value buf m =
-  Buffer.add_string buf "{ ";
-  let first = ref true in
-  Smap.iter
-    (fun k v ->
-      if !first then first := false else Buffer.add_string buf ", ";
-      if Codec.ident_like k then Buffer.add_string buf k
-      else add_hcl_string buf k;
-      Buffer.add_string buf " = ";
-      add_hcl_value buf v)
-    m;
-  Buffer.add_string buf " }"
-
-let add_attrs buf k m =
-  add_key buf k;
-  Buffer.add_char buf '"';
-  add_hcl_map_value buf m;
-  Buffer.add_char buf '"'
-
-(* Address fast path: almost every address is [rtype.rname] or
-   [rtype.rname[i]] out of plain identifiers — no module path, no data
-   mode, nothing to escape in either the JSON or the HCL-string
-   context — so it can be emitted directly, skipping the
-   [Addr.to_string] sprintf.  Anything unusual falls back to the
-   rendered string. *)
-let ident_clean s =
-  String.for_all
-    (fun c -> Char.code c >= 0x20 && c <> '"' && c <> '\\' && c <> '$')
-    s
-
-let addr_plain (a : Addr.t) =
-  a.Addr.module_path = []
-  && a.Addr.mode = Addr.Managed
-  && (match a.Addr.key with Addr.Kstr _ -> false | _ -> true)
-  && ident_clean a.Addr.rtype && ident_clean a.Addr.rname
-
-let add_addr_body buf (a : Addr.t) =
-  Buffer.add_string buf a.Addr.rtype;
-  Buffer.add_char buf '.';
-  Buffer.add_string buf a.Addr.rname;
-  match a.Addr.key with
-  | Addr.Knone -> ()
-  | Addr.Kint i ->
-      Buffer.add_char buf '[';
-      Buffer.add_string buf (string_of_int i);
-      Buffer.add_char buf ']'
-  | Addr.Kstr _ -> assert false (* excluded by [addr_plain] *)
-
-let add_addr buf k a =
-  add_key buf k;
-  Buffer.add_char buf '"';
-  if addr_plain a then add_addr_body buf a
-  else add_escaped buf (Addr.to_string a);
-  Buffer.add_char buf '"'
-
-let add_deps buf k deps =
-  add_key buf k;
-  Buffer.add_string buf "\"[";
+let add_strings buf name f xs =
+  field buf name;
+  Buffer.add_char buf '[';
   List.iteri
-    (fun i d ->
+    (fun i x ->
       if i > 0 then Buffer.add_string buf ", ";
-      if addr_plain d then begin
-        Buffer.add_string buf "\\\"";
-        add_addr_body buf d;
-        Buffer.add_string buf "\\\""
-      end
-      else add_hcl_string buf (Addr.to_string d))
-    deps;
-  Buffer.add_string buf "]\""
+      Codec.add_string buf (f x))
+    xs;
+  Buffer.add_char buf ']'
+
+let add_attrs buf name m =
+  field buf name;
+  Codec.add_map buf m
+
+(* A time keeps all 17 significant digits, so a journal is
+   byte-reproducible for a fixed seed and crash point; a time that is
+   not finite is written [null]. *)
+let add_time buf t =
+  field buf "time";
+  Buffer.add_string buf
+    (if Float.is_finite t then Printf.sprintf "%.17g" t else "null")
 
 let add_entry buf entry =
-  Buffer.add_char buf '{';
+  Buffer.add_string buf "{ e = ";
   (match entry with
   | Run_started { engine; changes; time } ->
-      add_str buf "e" "start";
-      sep buf;
+      Buffer.add_string buf "\"start\"";
       add_str buf "engine" engine;
-      sep buf;
       add_int buf "changes" changes;
-      sep buf;
-      add_float buf "time" time
+      add_time buf time
   | Intent i ->
-      add_str buf "e" "intent";
-      sep buf;
+      Buffer.add_string buf "\"intent\"";
       add_int buf "op" i.op;
-      sep buf;
-      add_addr buf "addr" i.iaddr;
-      sep buf;
+      add_str buf "addr" (Addr.to_string i.iaddr);
       add_str buf "kind" (op_kind_to_string i.kind);
-      sep buf;
       add_str buf "rtype" i.rtype;
-      sep buf;
       add_str buf "region" i.region;
-      sep buf;
       add_opt buf "prior" i.prior_cloud_id;
-      sep buf;
       add_int buf "cursor" i.log_cursor;
-      sep buf;
-      add_deps buf "deps" i.deps;
-      sep buf;
+      add_strings buf "deps" Addr.to_string i.deps;
       add_attrs buf "attrs" i.payload;
-      sep buf;
-      add_float buf "time" i.itime
+      add_time buf i.itime
   | Outcome o ->
-      add_str buf "e" "outcome";
-      sep buf;
+      Buffer.add_string buf "\"outcome\"";
       add_int buf "op" o.oop;
-      sep buf;
-      add_addr buf "addr" o.oaddr;
-      sep buf;
+      add_str buf "addr" (Addr.to_string o.oaddr);
       add_str buf "kind" (op_kind_to_string o.okind);
-      sep buf;
       add_bool buf "ok" o.ok;
-      sep buf;
       add_opt buf "cloud_id" o.cloud_id;
-      sep buf;
       add_bool buf "retried" o.retried;
-      sep buf;
       add_opt buf "reason" o.reason;
-      sep buf;
       add_attrs buf "attrs" o.attrs;
-      sep buf;
-      add_float buf "time" o.otime
+      add_time buf o.otime
   | Run_finished { time } ->
-      add_str buf "e" "finish";
-      sep buf;
-      add_float buf "time" time
+      Buffer.add_string buf "\"finish\"";
+      add_time buf time
   | Wave_mark { wave; wphase; tenants; wtime } ->
-      add_str buf "e" "wave";
-      sep buf;
+      Buffer.add_string buf "\"wave\"";
       add_int buf "wave" wave;
-      sep buf;
       add_str buf "phase" wphase;
-      sep buf;
-      add_str buf "tenants" (String.concat " " tenants);
-      sep buf;
-      add_float buf "time" wtime);
-  Buffer.add_char buf '}'
-
-let entry_to_line entry =
-  let buf = Buffer.create 256 in
-  add_entry buf entry;
-  Buffer.contents buf
-
-(** The seed's string-building encoder, kept (like [Dag.Reference] and
-    the executor's [Sched_list]) as the oracle the buffer encoder is
-    asserted byte-identical against. *)
-module Reference = struct
-  let kv_str k v = Printf.sprintf "\"%s\":\"%s\"" k (Trace.json_escape v)
-  let kv_int k v = Printf.sprintf "\"%s\":%d" k v
-  let kv_float k v = Printf.sprintf "\"%s\":%s" k (Trace.float_lit v)
-  let kv_bool k v = kv_int k (if v then 1 else 0)
-
-  let kv_opt k = function
-    | None -> Printf.sprintf "\"%s\":null" k
-    | Some s -> kv_str k s
-
-  let obj fields = "{" ^ String.concat "," fields ^ "}"
-
-  let entry_to_line = function
-    | Run_started { engine; changes; time } ->
-        obj
-          [
-            kv_str "e" "start"; kv_str "engine" engine; kv_int "changes" changes;
-            kv_float "time" time;
-          ]
-    | Intent i ->
-        obj
-          [
-            kv_str "e" "intent";
-            kv_int "op" i.op;
-            kv_str "addr" (Addr.to_string i.iaddr);
-            kv_str "kind" (op_kind_to_string i.kind);
-            kv_str "rtype" i.rtype;
-            kv_str "region" i.region;
-            kv_opt "prior" i.prior_cloud_id;
-            kv_int "cursor" i.log_cursor;
-            kv_str "deps" (hcl_of_deps i.deps);
-            kv_str "attrs" (hcl_of_map i.payload);
-            kv_float "time" i.itime;
-          ]
-    | Outcome o ->
-        obj
-          [
-            kv_str "e" "outcome";
-            kv_int "op" o.oop;
-            kv_str "addr" (Addr.to_string o.oaddr);
-            kv_str "kind" (op_kind_to_string o.okind);
-            kv_bool "ok" o.ok;
-            kv_opt "cloud_id" o.cloud_id;
-            kv_bool "retried" o.retried;
-            kv_opt "reason" o.reason;
-            kv_str "attrs" (hcl_of_map o.attrs);
-            kv_float "time" o.otime;
-          ]
-    | Run_finished { time } -> obj [ kv_str "e" "finish"; kv_float "time" time ]
-    | Wave_mark { wave; wphase; tenants; wtime } ->
-        obj
-          [
-            kv_str "e" "wave";
-            kv_int "wave" wave;
-            kv_str "phase" wphase;
-            kv_str "tenants" (String.concat " " tenants);
-            kv_float "time" wtime;
-          ]
-
-  let to_string entries =
-    String.concat "" (List.map (fun e -> entry_to_line e ^ "\n") entries)
-end
-
-let field fields k =
-  match List.assoc_opt k fields with
-  | Some v -> v
-  | None -> raise (Trace.Parse_error ("journal: missing field " ^ k))
-
-let str fields k =
-  match field fields k with
-  | Trace.Jstr s -> s
-  | _ -> raise (Trace.Parse_error ("journal: field " ^ k ^ " is not a string"))
-
-let str_opt fields k =
-  match field fields k with
-  | Trace.Jnull -> None
-  | Trace.Jstr s -> Some s
-  | _ -> raise (Trace.Parse_error ("journal: field " ^ k ^ " is not a string"))
-
-let num fields k =
-  match field fields k with
-  | Trace.Jnum f -> f
-  | _ -> raise (Trace.Parse_error ("journal: field " ^ k ^ " is not a number"))
-
-let int_field fields k = int_of_float (num fields k)
-let bool_field fields k = int_field fields k <> 0
-
-let addr_field fields k =
-  match Addr.of_string (str fields k) with
-  | Some a -> a
-  | None -> raise (Trace.Parse_error ("journal: bad address in " ^ k))
-
-let kind_field fields k =
-  match op_kind_of_string (str fields k) with
-  | Some kd -> kd
-  | None -> raise (Trace.Parse_error ("journal: bad op kind in " ^ k))
-
-let entry_of_line line =
-  let fields =
-    match Trace.parse_json line with
-    | Trace.Jobj fields -> fields
-    | _ -> raise (Trace.Parse_error "journal: entry is not an object")
-  in
-  match str fields "e" with
-  | "start" ->
-      Run_started
-        {
-          engine = str fields "engine";
-          changes = int_field fields "changes";
-          time = num fields "time";
-        }
-  | "intent" ->
-      Intent
-        {
-          op = int_field fields "op";
-          iaddr = addr_field fields "addr";
-          kind = kind_field fields "kind";
-          rtype = str fields "rtype";
-          region = str fields "region";
-          payload = map_of_hcl (str fields "attrs");
-          prior_cloud_id = str_opt fields "prior";
-          deps = deps_of_hcl (str fields "deps");
-          log_cursor = int_field fields "cursor";
-          itime = num fields "time";
-        }
-  | "outcome" ->
-      Outcome
-        {
-          oop = int_field fields "op";
-          oaddr = addr_field fields "addr";
-          okind = kind_field fields "kind";
-          ok = bool_field fields "ok";
-          cloud_id = str_opt fields "cloud_id";
-          attrs = map_of_hcl (str fields "attrs");
-          retried = bool_field fields "retried";
-          reason = str_opt fields "reason";
-          otime = num fields "time";
-        }
-  | "finish" -> Run_finished { time = num fields "time" }
-  | "wave" ->
-      Wave_mark
-        {
-          wave = int_field fields "wave";
-          wphase = str fields "phase";
-          tenants =
-            (match str fields "tenants" with
-            | "" -> []
-            | s -> String.split_on_char ' ' s);
-          wtime = num fields "time";
-        }
-  | e -> raise (Trace.Parse_error ("journal: unknown entry kind " ^ e))
+      add_strings buf "tenants" Fun.id tenants;
+      add_time buf wtime);
+  Buffer.add_string buf " }"
 
 let to_string entries =
   let buf = Buffer.create 4096 in
@@ -568,19 +184,132 @@ let to_string entries =
     entries;
   Buffer.contents buf
 
-(** Parse a journal, dropping a torn tail: a crash mid-append can only
-    truncate the final line, so parsing stops (without error) at the
-    first line that does not decode. *)
-let of_string src =
-  let lines = String.split_on_char '\n' src in
-  let rec go acc = function
-    | [] | [ "" ] -> List.rev acc
-    | line :: rest -> (
-        match entry_of_line line with
-        | e -> go (e :: acc) rest
-        | exception _ -> List.rev acc)
+(* A line that reads as literal data but not as an entry. *)
+exception Bad_entry of string
+
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad_entry msg)) fmt
+
+let entry_of_value (v : Value.t) =
+  let fields =
+    match v with
+    | Value.Vmap m -> m
+    | v -> bad "an entry must be an object, not %s" (Value.type_name v)
   in
-  go [] lines
+  let get name =
+    match Smap.find_opt name fields with
+    | Some v -> v
+    | None -> bad "missing %s" name
+  in
+  let wrong name what =
+    bad "%s must be %s, not %s" name what (Value.type_name (get name))
+  in
+  let str name =
+    match get name with Value.Vstring s -> s | _ -> wrong name "a string"
+  in
+  let str_opt name =
+    match get name with
+    | Value.Vstring s -> Some s
+    | Value.Vnull -> None
+    | _ -> wrong name "a string or null"
+  in
+  let int name =
+    match get name with Value.Vint n -> n | _ -> wrong name "an integer"
+  in
+  let bool name =
+    match get name with Value.Vbool b -> b | _ -> wrong name "a boolean"
+  in
+  (* an integral time reads as an int *)
+  let time () =
+    match get "time" with
+    | Value.Vfloat t -> t
+    | Value.Vint n -> float_of_int n
+    | Value.Vnull -> Float.nan
+    | _ -> wrong "time" "a number"
+  in
+  let strings name =
+    match get name with
+    | Value.Vlist vs ->
+        List.map
+          (function Value.Vstring s -> s | _ -> wrong name "a list of strings")
+          vs
+    | _ -> wrong name "a list of strings"
+  in
+  let address s =
+    match Addr.of_string s with Some a -> a | None -> bad "bad address %S" s
+  in
+  let kind () =
+    let s = str "kind" in
+    match op_kind_of_string s with Some k -> k | None -> bad "bad op kind %S" s
+  in
+  let attrs () =
+    match get "attrs" with Value.Vmap m -> m | _ -> wrong "attrs" "an object"
+  in
+  match str "e" with
+  | "start" ->
+      Run_started
+        { engine = str "engine"; changes = int "changes"; time = time () }
+  | "intent" ->
+      Intent
+        {
+          op = int "op";
+          iaddr = address (str "addr");
+          kind = kind ();
+          rtype = str "rtype";
+          region = str "region";
+          payload = attrs ();
+          prior_cloud_id = str_opt "prior";
+          deps = List.map address (strings "deps");
+          log_cursor = int "cursor";
+          itime = time ();
+        }
+  | "outcome" ->
+      Outcome
+        {
+          oop = int "op";
+          oaddr = address (str "addr");
+          okind = kind ();
+          ok = bool "ok";
+          cloud_id = str_opt "cloud_id";
+          attrs = attrs ();
+          retried = bool "retried";
+          reason = str_opt "reason";
+          otime = time ();
+        }
+  | "finish" -> Run_finished { time = time () }
+  | "wave" ->
+      Wave_mark
+        {
+          wave = int "wave";
+          wphase = str "phase";
+          tenants = strings "tenants";
+          wtime = time ();
+        }
+  | e -> bad "unknown entry kind %S" e
+
+(** Read a journal.  A crash can tear only the last line, which then
+    has no newline: that line is dropped when it does not decode.  Any
+    other line that does not decode raises a [state/corrupt-journal]
+    diagnostic located at that line of [file]. *)
+let of_string ?(file = "<journal>") src =
+  let n = String.length src in
+  let rec go acc first =
+    if first >= n then List.rev acc
+    else
+      let stop =
+        match String.index_from_opt src first '\n' with Some i -> i | None -> n
+      in
+      let line = String.sub src first (stop - first) in
+      match entry_of_value (Codec.read_value ~file line) with
+      | e -> go (e :: acc) (stop + 1)
+      | exception (Codec.Error (msg, _) | Lexer.Error (msg, _) | Bad_entry msg) ->
+          if stop = n then List.rev acc
+          else
+            Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.State_io
+              ~code:"corrupt-journal"
+              ~span:(Codec.span ~file src first stop)
+              "journal: %s" msg
+  in
+  go [] 0
 
 (* ------------------------------------------------------------------ *)
 (* The appender                                                        *)
@@ -734,7 +463,7 @@ let load path =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  of_string src
+  of_string ~file:path src
 
 (* ------------------------------------------------------------------ *)
 (* Replay & analysis                                                   *)

@@ -18,14 +18,16 @@
     to the adoption pass (see [Cloudless_deploy.Recovery]), which
     checks the cloud's own activity log to decide adopt-vs-replan.
 
-    Format: JSONL, one self-contained entry per line, written through
-    a flushed append so a crash can only ever truncate the *last*
-    line; {!of_string} tolerates a torn tail.  Times are simulated
-    seconds rendered with ["%.17g"] so a journal is byte-reproducible
-    for a fixed seed and crash point.  Attribute maps and dependency
-    lists are embedded as canonical HCL expression text — the same
-    codec the state file uses, so the two records cannot disagree on
-    value syntax. *)
+    Format: one literal HCL object per line, written and read by
+    {!Cloudless_hcl.Codec}, the state file's codec, so the two records
+    share one syntax and one set of escaping rules:
+
+    {v { e = "intent", op = 3, addr = "aws_instance.g1[2]", kind = "create", rtype = "aws_instance", region = "us-east-1", prior = null, cursor = 0, deps = ["aws_subnet.g1"], attrs = { ami = "ami-1" }, time = 12.5 } v}
+
+    Lines are written through a flushed append, so a crash can only
+    ever tear the *last* line; {!of_string} tolerates a torn tail.
+    Times are simulated seconds rendered with ["%.17g"] so a journal
+    is byte-reproducible for a fixed seed and crash point. *)
 
 module Addr = Cloudless_hcl.Addr
 module Value = Cloudless_hcl.Value
@@ -76,50 +78,20 @@ type entry =
           [wphase] ("started" | "committed" | "rolled_back" |
           "halted") over [tenants].  Written by the rollout driver's
           own journal so a mid-wave crash resumes from the last
-          *committed* wave boundary.  Tenant names must not contain
-          spaces (stored space-joined).  Replay and op analysis
-          ignore it; appending one forces a {!barrier} in both
-          modes. *)
+          *committed* wave boundary.  Replay and op analysis ignore
+          it; appending one forces a {!barrier} in both modes. *)
 
-(** The literal HCL text of an attribute map ({!Cloudless_hcl.Codec};
-    unknowns are written as [null]), as the [attrs] field of an entry
-    holds it once JSON-decoded. *)
-val hcl_of_map : Value.t Smap.t -> string
-
-(** Read {!hcl_of_map}'s text back.  Raises [Trace.Parse_error] when it
-    holds a value other than an object, {!Cloudless_hcl.Codec.Error}
-    or {!Cloudless_hcl.Lexer.Error} when it is not literal data. *)
-val map_of_hcl : string -> Value.t Smap.t
-
-(** The literal HCL list of address strings an entry's [deps] field
-    holds. *)
-val hcl_of_deps : Addr.t list -> string
-
-(** Read {!hcl_of_deps}'s text back; errors as {!map_of_hcl}. *)
-val deps_of_hcl : string -> Addr.t list
-
-(** Render one entry (no trailing newline) straight into [buf] — the
-    hot-path encoder: no per-field [sprintf], no intermediate string
-    list.  Byte-identical to {!Reference.entry_to_line}. *)
-val add_entry : Buffer.t -> entry -> unit
-
-(** {!add_entry} into a fresh buffer. *)
-val entry_to_line : entry -> string
-
-(** Render entries as JSONL (inverse of {!of_string}). *)
+(** Render entries, one line each (inverse of {!of_string}).  An
+    unknown attribute value is written as [null], a time that is not
+    finite as [null], which reads back as nan. *)
 val to_string : entry list -> string
 
-(** The seed's string-building encoder, kept as the oracle the buffer
-    encoder is asserted byte-identical against (tests, E16). *)
-module Reference : sig
-  val entry_to_line : entry -> string
-  val to_string : entry list -> string
-end
-
-(** Parse a journal, dropping a torn tail: a crash mid-append can only
-    truncate the final line, so parsing stops (without error) at the
-    first line that does not decode. *)
-val of_string : string -> entry list
+(** Read a journal.  A crash can tear only the last line, which then
+    has no newline: that line is dropped when it does not decode.  Any
+    other line that does not decode raises a [state/corrupt-journal]
+    {!Cloudless_error.Error} located at that line of [file] (default
+    ["<journal>"]). *)
+val of_string : ?file:string -> string -> entry list
 
 (* ------------------------------------------------------------------ *)
 (* The appender                                                        *)
@@ -184,7 +156,8 @@ val last_op : t -> int
 (** Close the file sink (idempotent; memory-only journals no-op). *)
 val close : t -> unit
 
-(** Read a journal file from disk ({!of_string} semantics). *)
+(** Read a journal file from disk ({!of_string} semantics, errors
+    located in the file). *)
 val load : string -> entry list
 
 (* ------------------------------------------------------------------ *)

@@ -150,7 +150,7 @@ if [[ -n "$frontend_offenders" ]]; then
   exit 1
 fi
 
-# -- literal state codec gate ----------------------------------------
+# -- literal state and journal codec gate ----------------------------
 # A state file is literal data.  State.to_string and State.of_string go
 # through Codec's buffer writer and literal reader, which build no
 # token stream, syntax tree or evaluator scope; the parser, evaluator,
@@ -166,6 +166,16 @@ literal_eval=$(grep -rn 'expr_to_value' lib/ --include='*.ml' --include='*.mli' 
 if [[ -n "$literal_eval" ]]; then
   echo "check.sh: expr_to_value is back in lib/ — read literal text with Codec.read_value or Codec.fold_blocks:" >&2
   echo "$literal_eval" >&2
+  exit 1
+fi
+# The journal is literal data too: one object per line, written with
+# Codec's printers and read with Codec.read_value.  A JSON envelope
+# (Trace's reader, escaper or float printer) or an escaper of its own
+# would be a second codec with its own escaping rules.
+journal_offenders=$(grep -nE 'Trace\.|escape' lib/state/journal.ml || true)
+if [[ -n "$journal_offenders" ]]; then
+  echo "check.sh: lib/state/journal.ml names Trace or defines an escaper — write and read entries through Codec:" >&2
+  echo "$journal_offenders" >&2
   exit 1
 fi
 

@@ -1,8 +1,8 @@
 (* Crash safety end to end: atomic state writes, the write-ahead
    deployment journal (round-trip, torn-tail tolerance, idempotent
    replay, the op-id counter), kill-anywhere crash/resume convergence through the
-   Lifecycle facade, retry-exhaustion diagnostics, and the CLI's
-   `apply --resume` path. *)
+   Lifecycle facade, retry-exhaustion diagnostics, and how the CLI's
+   apply and destroy merge a journal a crashed apply left behind. *)
 
 open Cloudless_hcl
 module Cloud = Cloudless_sim.Cloud
@@ -128,6 +128,21 @@ let test_journal_torn_tail () =
   check int_ "only the torn line is dropped"
     (List.length sample_entries - 1)
     (List.length back)
+
+(* A crash tears only the last line: a middle line that does not
+   decode is corruption, reported at its line instead of being read as
+   the end of the journal. *)
+let test_journal_corrupt_middle_line () =
+  let text = Journal.to_string sample_entries in
+  (* line 2 is "{ e = ...": rename its [e] *)
+  let at = String.index text '\n' + 3 in
+  let corrupt = String.mapi (fun i c -> if i = at then 'x' else c) text in
+  match Journal.of_string ~file:"j.journal" corrupt with
+  | _ -> Alcotest.fail "a corrupt middle line was read as a torn tail"
+  | exception Cloudless_error.Error d ->
+      check string_ "code" "corrupt-journal" d.Diagnostic.code;
+      check string_ "file" "j.journal" d.Diagnostic.span.Loc.file;
+      check int_ "line" 2 (Loc.line d.Diagnostic.span)
 
 let test_journal_file_load () =
   let path = temp_path ".journal" in
@@ -607,7 +622,7 @@ let test_retry_exhaustion () =
     (List.length (Journal.unresolved (Journal.entries journal)))
 
 (* ------------------------------------------------------------------ *)
-(* CLI --resume                                                        *)
+(* CLI: a journal left behind                                          *)
 (* ------------------------------------------------------------------ *)
 
 let quiet_io () =
@@ -648,14 +663,14 @@ let test_cli_apply_clears_journal () =
   check bool_ "journal removed after a clean apply" false
     (Sys.file_exists (state_path ^ ".journal"))
 
-let test_cli_resume_merges_journal () =
+(* A state file holding vpc a, next to the journal of a run that
+   created vpc b as vpc-9999 and died after journaling the outcome,
+   before its end-of-run state write. *)
+let crashed_run () =
   let io, _ = quiet_io () in
   let state_path = temp_path ".cls" in
-  (* a previous run applied vpc a only... *)
   check int_ "seed apply ok" 0
     (Cli.apply ~io ~file:(temp_tf one_vpc) ~state_path ());
-  (* ...then a run creating vpc b crashed after journaling its outcome
-     but before the end-of-run state write: fabricate that journal *)
   let attrs = Smap.singleton "cidr_block" (Value.Vstring "10.1.0.0/16") in
   let j = Journal.create ~path:(state_path ^ ".journal") () in
   Journal.append j
@@ -688,31 +703,61 @@ let test_cli_resume_merges_journal () =
          otime = 2.;
        });
   Journal.close j;
+  state_path
+
+let read_state state_path =
+  State.of_string ~file:state_path (Io_util.read_file state_path)
+
+(* A plain apply merges the journal before it plans: b keeps the
+   crashed run's cloud id instead of being created a second time. *)
+let test_cli_resume_merges_journal () =
+  let state_path = crashed_run () in
   let io, dump = quiet_io () in
-  let code =
-    Cli.apply ~io ~resume:true ~file:(temp_tf two_vpcs) ~state_path ()
-  in
+  let code = Cli.apply ~io ~file:(temp_tf two_vpcs) ~state_path () in
   let out, _ = dump () in
-  check int_ "resume exits 0" 0 code;
+  check int_ "apply exits 0" 0 code;
   check bool_ "reports the recovery" true
     (contains ~sub:"Resumed from journal: 1 completed operation(s)" out);
   (* the journaled create was trusted: nothing left to change *)
   check bool_ "no duplicate create" true (contains ~sub:"No changes" out);
   check bool_ "journal cleared" false
     (Sys.file_exists (state_path ^ ".journal"));
-  let final = State.of_string ~file:state_path (Io_util.read_file state_path) in
-  check int_ "both vpcs tracked" 2 (State.size final)
+  let final = read_state state_path in
+  check int_ "both vpcs tracked" 2 (State.size final);
+  check string_ "b keeps the crashed run's id" "vpc-9999"
+    (Option.get (State.find_opt final (addr "aws_vpc" "b"))).State.cloud_id
 
-let test_cli_resume_without_journal () =
+let test_cli_destroy_merges_journal () =
+  let state_path = crashed_run () in
   let io, dump = quiet_io () in
-  let state_path = temp_path ".cls" in
-  let code =
-    Cli.apply ~io ~resume:true ~file:(temp_tf one_vpc) ~state_path ()
-  in
+  let code = Cli.destroy ~io ~state_path () in
   let out, _ = dump () in
-  check int_ "plain apply semantics" 0 code;
-  check bool_ "says nothing to resume" true
-    (contains ~sub:"No deployment journal found" out)
+  check int_ "destroy exits 0" 0 code;
+  check bool_ "reports the recovery" true
+    (contains ~sub:"Resumed from journal: 1 completed operation(s)" out);
+  check bool_ "the journaled vpc is destroyed too" true
+    (contains ~sub:"Destroyed 2 resource(s)" out);
+  check bool_ "journal cleared" false
+    (Sys.file_exists (state_path ^ ".journal"));
+  check int_ "nothing tracked" 0 (State.size (read_state state_path))
+
+let test_cli_corrupt_journal () =
+  let state_path = crashed_run () in
+  let journal = state_path ^ ".journal" in
+  let state_text = Io_util.read_file state_path in
+  (* one byte of line 2, the intent: its opening brace *)
+  let text = Io_util.read_file journal in
+  let line2 = String.index text '\n' + 1 in
+  let corrupt = String.mapi (fun i c -> if i = line2 then '(' else c) text in
+  Io_util.write_file journal corrupt;
+  let io, dump = quiet_io () in
+  let code = Cli.apply ~io ~file:(temp_tf two_vpcs) ~state_path () in
+  let _, err = dump () in
+  check int_ "apply exits 1" 1 code;
+  check bool_ "a located corrupt-journal diagnostic" true
+    (contains ~sub:("[state/corrupt-journal] " ^ journal ^ ":2:") err);
+  check string_ "state untouched" state_text (Io_util.read_file state_path);
+  check string_ "journal untouched" corrupt (Io_util.read_file journal)
 
 let suites =
   [
@@ -724,6 +769,8 @@ let suites =
           test_journal_round_trip;
         Alcotest.test_case "journal: torn tail tolerated" `Quick
           test_journal_torn_tail;
+        Alcotest.test_case "journal: a corrupt middle line fails" `Quick
+          test_journal_corrupt_middle_line;
         Alcotest.test_case "journal: file append/load" `Quick
           test_journal_file_load;
         Alcotest.test_case "journal: replay is idempotent" `Quick
@@ -749,7 +796,9 @@ let suites =
           test_cli_apply_clears_journal;
         Alcotest.test_case "cli: --resume merges the journal" `Quick
           test_cli_resume_merges_journal;
-        Alcotest.test_case "cli: --resume without a journal" `Quick
-          test_cli_resume_without_journal;
+        Alcotest.test_case "cli: destroy merges a leftover journal" `Quick
+          test_cli_destroy_merges_journal;
+        Alcotest.test_case "cli: a corrupt journal fails apply" `Quick
+          test_cli_corrupt_journal;
       ] );
   ]

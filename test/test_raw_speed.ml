@@ -6,9 +6,9 @@
      random fleet/chain workloads;
    - the [Workload.fleet_instances]/[chain_instances] fast paths vs
      the parsed-and-evaluated text generators, field for field;
-   - the journal's fused buffer encoder vs [Journal.Reference] over
-     adversarial values (quotes, backslashes, interpolation starts,
-     control bytes, unknowns, deep nesting);
+   - the journal's literal codec over adversarial entries (quotes,
+     backslashes, interpolation starts, control bytes, unknowns, deep
+     nesting, every address shape): round trip, torn tails, edits;
    - [State.orphans] (hashtable membership) vs a set-based oracle;
    - [Components.apply] byte-identity across domain counts on a 10k plan. *)
 
@@ -297,12 +297,12 @@ let test_chain_fast_path () =
     [ 1; 2; 13; 40 ]
 
 (* ------------------------------------------------------------------ *)
-(* Journal encoder vs Reference                                        *)
+(* The journal codec                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Strings that exercise every branch of the fused escaper: HCL-level
-   escapes (quote, backslash, interpolation start), JSON-level escapes
-   (newline, tab, CR, control bytes), and clean runs around them. *)
+(* Strings that exercise every escape of a string literal (quote,
+   backslash, newline, tab, interpolation start), bytes copied as they
+   are (CR, control bytes), and clean runs around them. *)
 let nasty_string_gen =
   QCheck.Gen.(
     oneof
@@ -377,7 +377,7 @@ let addr_gen =
       oneof
         [
           return Addr.Knone;
-          map (fun i -> Addr.Kint i) small_nat;
+          map (fun i -> Addr.Kint i) small_signed_int;
           map (fun s -> Addr.Kstr s) nasty_string_gen;
         ]
     in
@@ -438,40 +438,99 @@ let entry_gen =
                 (pair (pair bool bool)
                    (pair (option nasty_string_gen) time))));
         map (fun t -> Journal.Run_finished { time = t }) time;
+        map
+          (fun ((w, p), (ts, t)) ->
+            Journal.Wave_mark { wave = w; wphase = p; tenants = ts; wtime = t })
+          (pair
+             (pair small_signed_int nasty_string_gen)
+             (pair (list_size (0 -- 4) nasty_string_gen) time));
       ])
 
-let prop_journal_encoder_matches_reference =
-  QCheck.Test.make ~count:500
-    ~name:"journal buffer encoder = Reference, byte for byte"
-    (QCheck.make entry_gen)
-    (fun entry ->
-      Journal.entry_to_line entry = Journal.Reference.entry_to_line entry)
+let entries_gen = QCheck.Gen.(list_size (0 -- 5) entry_gen)
 
-let test_journal_to_string_matches_reference () =
-  let entries =
-    [
-      Journal.Run_started { engine = "cloudless"; changes = 2; time = 0. };
-      Journal.Intent
-        {
-          Journal.op = 1;
-          iaddr = mk ~key:(Addr.Kstr "we\"ird") "aws_instance" "web";
-          kind = Journal.Op_create;
-          rtype = "aws_instance";
-          region = "us-east-1";
-          payload =
-            Value.Smap.singleton "startup"
-              (Value.Vstring "echo \"${hi}\"\n\ttail");
-          prior_cloud_id = None;
-          deps = [ mk "aws_vpc" "main"; mk ~key:(Addr.Kint 3) "aws_subnet" "a" ];
-          log_cursor = 0;
-          itime = 1.5;
-        };
-      Journal.Run_finished { time = 2.5 };
-    ]
-  in
-  check Alcotest.string "to_string equal"
-    (Journal.Reference.to_string entries)
-    (Journal.to_string entries)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [b] is [a] as a journal holds it: every float bit for bit, an
+   unknown attribute read back as null and an integral float as the
+   int it is written as. *)
+let rec same_value (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Vunknown _, Value.Vnull -> true
+  | Value.Vfloat x, Value.Vfloat y -> same_float x y
+  | Value.Vfloat x, Value.Vint n -> same_float x (float_of_int n)
+  | Value.Vlist xs, Value.Vlist ys -> List.equal same_value xs ys
+  | Value.Vmap x, Value.Vmap y -> Value.Smap.equal same_value x y
+  | _ -> a = b
+
+let same_attrs a b = Value.Smap.equal same_value a b
+
+(* The other fields must match too: [x] with [y]'s attributes,
+   addresses and time equals [y] ([compare], unlike [=], takes nan to
+   equal itself). *)
+let same_entry (a : Journal.entry) (b : Journal.entry) =
+  match (a, b) with
+  | Journal.Run_started x, Journal.Run_started y ->
+      x.engine = y.engine && x.changes = y.changes && same_float x.time y.time
+  | Journal.Intent x, Journal.Intent y ->
+      same_attrs x.payload y.payload
+      && same_float x.itime y.itime
+      && Addr.equal x.iaddr y.iaddr
+      && List.equal Addr.equal x.deps y.deps
+      && compare
+           { x with payload = y.payload; itime = y.itime; iaddr = y.iaddr; deps = y.deps }
+           y
+         = 0
+  | Journal.Outcome x, Journal.Outcome y ->
+      same_attrs x.attrs y.attrs
+      && same_float x.otime y.otime
+      && Addr.equal x.oaddr y.oaddr
+      && compare { x with attrs = y.attrs; otime = y.otime; oaddr = y.oaddr } y = 0
+  | Journal.Run_finished x, Journal.Run_finished y -> same_float x.time y.time
+  | Journal.Wave_mark x, Journal.Wave_mark y ->
+      x.wave = y.wave && x.wphase = y.wphase && x.tenants = y.tenants
+      && same_float x.wtime y.wtime
+  | _ -> false
+
+let prop_journal_round_trip =
+  QCheck.Test.make ~count:500 ~name:"of_string . to_string keeps every entry"
+    (QCheck.make entries_gen ~print:Journal.to_string)
+    (fun es -> List.equal same_entry es (Journal.of_string (Journal.to_string es)))
+
+(* A crash tears the journal at any byte: a prefix reads as the entries
+   whose closing brace it holds. *)
+let prop_journal_torn_prefix =
+  QCheck.Test.make ~count:100 ~name:"a torn journal reads its whole entries"
+    (QCheck.make entries_gen ~print:Journal.to_string)
+    (fun es ->
+      let text = Journal.to_string es in
+      let closes =
+        List.filter_map
+          (fun i -> if text.[i] = '\n' then Some (i - 1) else None)
+          (List.init (String.length text) Fun.id)
+      in
+      List.for_all
+        (fun cut ->
+          let whole = List.length (List.filter (fun c -> c < cut) closes) in
+          List.equal same_entry
+            (List.filteri (fun i _ -> i < whole) es)
+            (Journal.of_string (String.sub text 0 cut)))
+        (List.init (String.length text + 1) Fun.id))
+
+(* As for the state file: a journal with a few bytes replaced, inserted
+   or deleted loads, or fails through the typed channel. *)
+let prop_edited_journal_fails_typed =
+  QCheck.Test.make ~count:1000 ~name:"an edited journal loads or fails typed"
+    (QCheck.make
+       QCheck.Gen.(pair entries_gen (list_size (1 -- 3) Test_state.edit_gen))
+       ~print:(fun (es, edits) ->
+         List.fold_left Test_state.apply_edit (Journal.to_string es) edits))
+    (fun (es, edits) ->
+      match
+        Journal.of_string
+          (List.fold_left Test_state.apply_edit (Journal.to_string es) edits)
+      with
+      | _ -> true
+      | exception Cloudless_error.Error _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Orphan detection vs a set oracle                                    *)
@@ -579,9 +638,9 @@ let suites =
       ] );
     ( "raw_speed.journal",
       [
-        qtest prop_journal_encoder_matches_reference;
-        Alcotest.test_case "to_string = Reference.to_string" `Quick
-          test_journal_to_string_matches_reference;
+        qtest prop_journal_round_trip;
+        qtest prop_journal_torn_prefix;
+        qtest prop_edited_journal_fails_typed;
       ] );
     ( "raw_speed.shard",
       [
