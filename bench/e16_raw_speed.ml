@@ -41,6 +41,7 @@ module Executor = Cloudless_deploy.Executor
 module Components = Cloudless_deploy.Components
 module Plan = Cloudless_plan.Plan
 module Intern = Cloudless_graph.Intern
+module Dag = Cloudless_graph.Dag
 module Journal = Cloudless_state.Journal
 module Eval = Cloudless_hcl.Eval
 module Addr = Cloudless_hcl.Addr
@@ -89,7 +90,11 @@ let run_size n =
     timed "plan" (fun () -> Plan.make ~state:State.empty instances)
   in
   let _rounds, s_dag =
-    timed "dag" (fun () -> Plan.exec_rounds (Plan.exec_graph plan))
+    timed "dag" (fun () ->
+        let g = Plan.exec_graph plan in
+        let n = Dag.size g in
+        Dag.rounds_into g ~order:(Array.make (max 1 n) 0)
+          ~offsets:(Array.make (n + 1) 0))
   in
   (* Both apply legs keep only scalars from their reports (the cloud
      and the 50k-row result state must not stay live and tax the other

@@ -17,8 +17,9 @@ module State = Cloudless_state.State
 
 let lower_bound instances =
   let g = Dag.of_instances instances in
-  let duration addr =
-    Service_model.expected addr.Cloudless_hcl.Addr.rtype Service_model.Op_create
+  let duration (i : Cloudless_hcl.Eval.instance) =
+    Service_model.expected i.Cloudless_hcl.Eval.addr.Cloudless_hcl.Addr.rtype
+      Service_model.Op_create
   in
   fst (Dag.critical_path g ~duration)
 

@@ -128,7 +128,7 @@ let fleet_service =
 (* A request's plan, compiled to the walker's flat graph, keyed by the
    source it was planned from and the identity of the state it was
    diffed against. *)
-type plan_memo = { msrc : string; mstate : State.t; mgraph : Plan.exec_graph }
+type plan_memo = { msrc : string; mstate : State.t; mgraph : Plan.change Dag.t }
 
 type deployment = {
   tenant : string;
@@ -703,7 +703,7 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
   let instances = expand ~state:dep.state dep.config_src in
   let scope =
     if t.config.scoped_reconcile then
-      Some (Plan.impact_scope ~graph:(Dag.of_instances instances) ~edited:seeds)
+      Some (Dag.impact_scope (Dag.of_instances instances) seeds)
     else None
   in
   let finish_reconcile (o : Walker.outcome) reads =

@@ -116,11 +116,15 @@ let plan ?(io = default_io) ?trace_path ~file ~state_path () =
    are left to the fresh plan.  The merged state is written before the
    journal is deleted, so a crash during recovery re-runs the same
    (idempotent) replay.  A corrupt journal fails the command with the
-   state and the journal untouched. *)
+   state and the journal untouched.  A journal with no entry is a run
+   that stopped before its first one, and has nothing to merge. *)
 let load_recovered io state_path =
   let recorded = Session.load_state state_path in
   match Session.load_journal state_path with
   | None -> recorded
+  | Some [] ->
+      Session.clear_journal state_path;
+      recorded
   | Some entries ->
       let merged = Journal.replay recorded entries in
       let completed =

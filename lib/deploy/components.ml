@@ -38,6 +38,7 @@ module Addr = Cloudless_hcl.Addr
 module State = Cloudless_state.State
 module Cloud = Cloudless_sim.Cloud
 module Plan = Cloudless_plan.Plan
+module Dag = Cloudless_graph.Dag
 
 type part = {
   component : int;  (** component id (ascending first-change order) *)
@@ -72,8 +73,8 @@ let succeeded r = r.failed = [] && r.skipped = []
     [(comp, count)] where [comp.(id)] is the component of change [id].
     Components are numbered by their smallest member id, ascending, so
     the numbering is independent of traversal order. *)
-let components (xg : Plan.exec_graph) : int array * int =
-  let n = Plan.exec_size xg in
+let components (g : 'a Dag.t) : int array * int =
+  let n = Dag.size g in
   let parent = Array.init n (fun i -> i) in
   let rec find i =
     if parent.(i) = i then i
@@ -89,7 +90,7 @@ let components (xg : Plan.exec_graph) : int array * int =
       (* smaller root wins, so a root is its component's smallest id *)
       if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
   in
-  Array.iteri (fun id deps -> Array.iter (fun d -> union id d) deps) xg.Plan.xdeps;
+  Array.iteri (fun id deps -> Array.iter (fun d -> union id d) deps) (Dag.deps g);
   let comp = Array.make n (-1) in
   let count = ref 0 in
   for id = 0 to n - 1 do
@@ -161,9 +162,10 @@ let apply ~(make_cloud : int -> Cloud.t) ?(domains = 1)
      forcing it here keeps the domains strictly read-side. *)
   ignore (Cloudless_schema.Catalog.find "aws_instance");
   let config = { config with Executor.refresh = Executor.Refresh_none } in
-  let xg = Plan.exec_graph plan in
-  let n = Plan.exec_size xg in
-  let comp, ncomp = components xg in
+  let g = Plan.exec_graph plan in
+  let changes = Dag.payloads g in
+  let n = Array.length changes in
+  let comp, ncomp = components g in
   let cores = Domain.recommended_domain_count () in
   let domains =
     let requested = if domains <= 0 then cores else domains in
@@ -173,7 +175,7 @@ let apply ~(make_cloud : int -> Cloud.t) ?(domains = 1)
      plan order inside each *)
   let buckets = Array.make ncomp [] in
   for id = n - 1 downto 0 do
-    buckets.(comp.(id)) <- xg.Plan.xchanges.(id) :: buckets.(comp.(id))
+    buckets.(comp.(id)) <- changes.(id) :: buckets.(comp.(id))
   done;
   let jobs =
     Array.init ncomp (fun c () ->

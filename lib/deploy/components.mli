@@ -15,6 +15,7 @@ module Addr = Cloudless_hcl.Addr
 module State = Cloudless_state.State
 module Cloud = Cloudless_sim.Cloud
 module Plan = Cloudless_plan.Plan
+module Dag = Cloudless_graph.Dag
 
 type part = {
   component : int;  (** component id (ascending first-change order) *)
@@ -49,7 +50,7 @@ val succeeded : report -> bool
     [(comp, count)] where [comp.(id)] is the component of change [id].
     Components are numbered by their smallest member id, ascending, so
     the numbering is independent of traversal order. *)
-val components : Plan.exec_graph -> int array * int
+val components : 'a Dag.t -> int array * int
 
 (** Apply [plan] split by weakly-connected component, [domains]-wide
     ([0] = size the pool to the machine).  The pool is capped at

@@ -39,6 +39,7 @@ module State = Cloudless_state.State
 module Journal = Cloudless_state.Journal
 module Diagnostic = Cloudless_error.Diagnostic
 module Plan = Cloudless_plan.Plan
+module Dag = Cloudless_graph.Dag
 
 type schedule_policy = Fifo | Critical_path
 type scheduler = Sched_heap | Sched_list
@@ -288,11 +289,16 @@ let ready_set sched policy ~capacity priority =
     journal, so a walk costs O(graph) however long the deployment's
     history has grown. *)
 let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
-    ~(graph : Plan.exec_graph) ?(sched = Sched_heap) ?jitter ?journal
+    ~(graph : Plan.change Dag.t) ?(sched = Sched_heap) ?jitter ?journal
     ?breaker ~gate ~alive ~count_api ~on_done () =
+  (* a FIFO walk of a cyclic graph would start its acyclic part and
+     then stall, so every policy checks first *)
+  Dag.check_acyclic graph;
   let actor = Activity_log.Iac_engine config.name in
-  let nodes = graph.Plan.xchanges and rdeps = graph.Plan.xrdeps in
-  let node_count = Plan.exec_size graph in
+  (* the walk's closures capture these arrays, never [graph], so a walk
+     in flight does not keep the graph's intern table alive *)
+  let nodes = Dag.payloads graph and rdeps = Dag.rdeps graph in
+  let node_count = Array.length nodes in
   (match journal with
   | Some j ->
       Journal.append j
@@ -408,25 +414,14 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
     match config.policy with
     | Fifo -> fun _ -> 0.
     | Critical_path ->
-        (* remaining-longest-path priority of every node, once *)
-        let prio = Array.make node_count 0. in
-        let order = Array.make (max 1 node_count) 0 in
-        let offsets = Array.make (node_count + 1) 0 in
-        let rounds = Plan.exec_rounds_into graph ~order ~offsets in
-        for i = offsets.(rounds) - 1 downto 0 do
-          let id = order.(i) in
-          let tail =
-            Array.fold_left (fun acc r -> Float.max acc prio.(r)) 0. rdeps.(id)
-          in
-          prio.(id) <- tail +. change_duration nodes.(id)
-        done;
+        let prio = Dag.priorities graph ~duration:change_duration in
         fun id -> prio.(id)
   in
   let add_ready, take_ready, ready_empty, peak_ready =
     ready_set sched config.policy ~capacity:node_count priority
   in
   let status = Array.make node_count Pending in
-  let remaining_deps = Array.map Array.length graph.Plan.xdeps in
+  let remaining_deps = Array.map Array.length (Dag.deps graph) in
   let in_flight = ref 0 and settled = ref 0 in
   let writes = ref 0 and retries = ref 0 and picks = ref 0 in
   (* float-array cell, not a [float ref]: the accumulator is bumped

@@ -12,6 +12,7 @@ module State = Cloudless_state.State
 module Journal = Cloudless_state.Journal
 module Diagnostic = Cloudless_error.Diagnostic
 module Plan = Cloudless_plan.Plan
+module Dag = Cloudless_graph.Dag
 
 type schedule_policy = Fifo | Critical_path
 
@@ -88,8 +89,10 @@ type outcome = {
 }
 
 (** Walk [graph] — a plan compiled once by {!Plan.exec_graph} — over
-    [cloud], calling [on_done] when every change has settled.  The walk
-    journals [Run_started] and, per cloud write, an {!Journal.Intent}
+    [cloud], calling [on_done] when every change has settled.  A graph
+    with a cycle raises {!Dag.Cycle} before anything is journaled or
+    written, under every policy.  The walk journals [Run_started] and,
+    per cloud write, an {!Journal.Intent}
     made durable before the call leaves the engine and the matching
     {!Journal.Outcome} as the cloud answers; the driver closes the run
     with [Run_finished].  Op ids continue from {!Journal.last_op}.
@@ -112,7 +115,7 @@ val apply :
   Cloud.t ->
   config:config ->
   state:State.t ->
-  graph:Plan.exec_graph ->
+  graph:Plan.change Dag.t ->
   ?sched:scheduler ->
   ?jitter:Prng.t ->
   ?journal:Journal.t ->

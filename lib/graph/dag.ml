@@ -1,173 +1,59 @@
 (** Resource dependency DAG.
 
     The central data structure of IaC planning (§2.1): nodes are
-    resource instances addressed by {!Cloudless_hcl.Addr.t}, edges point
-    from a resource to the resources it depends on.  Supports the
-    analyses §3.3 calls for: stable topological order, parallel levels,
-    critical-path extraction under a duration model, and impact-scope
-    slicing for incremental updates. *)
+    resource instances (or plan changes) addressed by
+    {!Cloudless_hcl.Addr.t}, edges point from a node to the nodes it
+    depends on.  Supports the analyses §3.3 calls for: stable
+    topological order, parallel levels, critical-path extraction under
+    a duration model, and impact-scope slicing for incremental
+    updates. *)
 
 module Addr = Cloudless_hcl.Addr
 
-(** The compiled (interned) form of a graph's topology: node ids are
-    insertion indices minted by one {!Intern} table, adjacency is flat
-    int arrays in ascending-address order (the order [Addr.Set.iter]
-    walks), so every traversal below runs on array reads instead of
-    polymorphic-compare tree walks.  Built lazily, cached per value;
-    the functional constructors hand out fresh records so a stale
-    cache can never be observed.
+(* The Kahn rounds in flat form: [order] is the full topological
+   order, [order.(offsets.(k)) .. order.(offsets.(k+1)-1)] is round k
+   (ascending ids = node order within the round). *)
+type sched = { order : int array; offsets : int array; rounds : int }
 
-    [sched] is the Kahn rounds in flat form: [s_order] is the full
-    topological order, [s_order.(s_offsets.(k)) ..
-    s_order.(s_offsets.(k+1)-1)] is round k (ascending ids = insertion
-    order within the round), and [s_offsets.(s_rounds)] is the number
-    of nodes processed. *)
-type sched = { s_order : int array; s_offsets : int array; s_rounds : int }
-
-type flat = {
-  f_intern : Intern.t;  (** id = insertion index of the node *)
-  f_deps : int array array;  (** ascending-address order per node *)
-  f_rdeps : int array array;
-  mutable f_sched : sched option;  (** cached Kahn rounds *)
-}
-
+(* Node ids are positions in [nodes], minted by one {!Intern} table,
+   and every adjacency row is in ascending-address order (the order
+   [Addr.Set.iter] walks), so the traversals below run on array reads
+   and visit neighbours exactly as a set-based graph would: the
+   walker's ready-set push order and the critical path's predecessor
+   choice depend on it. *)
 type 'a t = {
-  payloads : 'a Addr.Map.t;
-  deps : Addr.Set.t Addr.Map.t;  (** node -> nodes it depends on *)
-  rdeps : Addr.Set.t Addr.Map.t;  (** node -> nodes depending on it *)
-  order : Addr.t list;  (** insertion order, for stable iteration *)
-  mutable rounds_memo : Addr.t list list option;
-      (** cached Kahn rounds (= parallel levels); reset by any
-          topology-changing constructor so [topo_sort], [levels],
-          [depth] and [max_width] share one traversal *)
-  mutable flat_memo : flat option;
-      (** cached compiled topology; same invalidation discipline *)
+  intern : Intern.t;
+  nodes : 'a array;
+  deps : int array array;  (** node -> nodes it depends on *)
+  rdeps : int array array;  (** node -> nodes depending on it *)
+  mutable sched : sched option;  (** memoized Kahn rounds *)
 }
 
 exception Cycle of Addr.t list
 
-let empty =
-  {
-    payloads = Addr.Map.empty;
-    deps = Addr.Map.empty;
-    rdeps = Addr.Map.empty;
-    order = [];
-    rounds_memo = None;
-    flat_memo = None;
-  }
+let size t = Array.length t.nodes
+let addr t id = Intern.addr t.intern id
+let nodes t = List.init (size t) (addr t)
+let payloads t = t.nodes
+let deps t = t.deps
+let rdeps t = t.rdeps
 
-let mem t addr = Addr.Map.mem addr t.payloads
-let find_opt t addr = Addr.Map.find_opt addr t.payloads
-let size t = Addr.Map.cardinal t.payloads
-let nodes t = List.rev t.order
+let addr_set t row =
+  Array.fold_left (fun s id -> Addr.Set.add (addr t id) s) Addr.Set.empty row
 
-let payload t addr =
-  match Addr.Map.find_opt addr t.payloads with
-  | Some p -> p
-  | None ->
-      Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Internal
-        ~code:"unknown-node" ~addr "Dag.payload: unknown node %s"
-        (Addr.to_string addr)
-
-let add_node t addr payload =
-  if mem t addr then
-    (* payload replacement leaves the topology (and the cache) intact *)
-    { t with payloads = Addr.Map.add addr payload t.payloads }
-  else
-    {
-      payloads = Addr.Map.add addr payload t.payloads;
-      deps = Addr.Map.add addr Addr.Set.empty t.deps;
-      rdeps = Addr.Map.add addr Addr.Set.empty t.rdeps;
-      order = addr :: t.order;
-      rounds_memo = None;
-      flat_memo = None;
-    }
-
-(** Add a dependency edge: [dependent] needs [dependency] first.  Both
-    nodes must already exist. *)
-let add_edge t ~dependent ~dependency =
-  if not (mem t dependent) then
-    Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Internal
-      ~code:"unknown-node" ~addr:dependent "Dag.add_edge: unknown node %s"
-      (Addr.to_string dependent);
-  if not (mem t dependency) then
-    Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Internal
-      ~code:"unknown-node" ~addr:dependency "Dag.add_edge: unknown node %s"
-      (Addr.to_string dependency);
-  if Addr.equal dependent dependency then t
-  else
-    {
-      t with
-      deps =
-        Addr.Map.update dependent
-          (fun s -> Some (Addr.Set.add dependency (Option.value ~default:Addr.Set.empty s)))
-          t.deps;
-      rdeps =
-        Addr.Map.update dependency
-          (fun s -> Some (Addr.Set.add dependent (Option.value ~default:Addr.Set.empty s)))
-          t.rdeps;
-      rounds_memo = None;
-      flat_memo = None;
-    }
-
-let deps_of t addr =
-  Option.value ~default:Addr.Set.empty (Addr.Map.find_opt addr t.deps)
-
-let rdeps_of t addr =
-  Option.value ~default:Addr.Set.empty (Addr.Map.find_opt addr t.rdeps)
-
-let edge_count t =
-  Addr.Map.fold (fun _ s acc -> acc + Addr.Set.cardinal s) t.deps 0
+let deps_of t a =
+  match Intern.find_opt t.intern a with
+  | Some id -> addr_set t t.deps.(id)
+  | None -> Addr.Set.empty
 
 (* ------------------------------------------------------------------ *)
-(* Compilation to the flat (interned) form                             *)
+(* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One pass over the maps: mint ids in insertion order, then freeze
-   each adjacency set into an int array.  [Addr.Set.iter] walks sets in
-   ascending address order, so the arrays inherit that order — the
-   traversals below rely on it wherever the seed code's iteration
-   order was observable (critical-path predecessor choice). *)
-let compile t =
-  let n = Addr.Map.cardinal t.payloads in
-  let intern = Intern.create ~capacity:(max 1 n) () in
-  List.iter (fun a -> ignore (Intern.intern intern a)) (nodes t);
-  let to_ids s =
-    let arr = Array.make (Addr.Set.cardinal s) 0 in
-    let i = ref 0 in
-    Addr.Set.iter
-      (fun d ->
-        (match Intern.find_opt intern d with
-        | Some id -> arr.(!i) <- id
-        | None -> assert false (* edges only connect existing nodes *));
-        incr i)
-      s;
-    arr
-  in
-  let f_deps = Array.make n [||] and f_rdeps = Array.make n [||] in
-  Intern.iter
-    (fun id a ->
-      f_deps.(id) <- to_ids (deps_of t a);
-      f_rdeps.(id) <- to_ids (rdeps_of t a))
-    intern;
-  { f_intern = intern; f_deps; f_rdeps; f_sched = None }
-
-let compiled t =
-  match t.flat_memo with
-  | Some fl -> fl
-  | None ->
-      let fl = compile t in
-      t.flat_memo <- Some fl;
-      fl
-
-(* ------------------------------------------------------------------ *)
-(* Topological order                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* In-place ascending heapsort of [a.(lo) .. a.(lo+len-1)].  Ids within
-   a round are distinct, so an unstable sort is fine; heapsort keeps
-   the kernel allocation-free at any round width (a 1M-wide fleet round
-   would make insertion sort quadratic and [List.sort] cons a copy). *)
+(* In-place ascending heapsort of [a.(lo) .. a.(lo+len-1)]: no
+   comparator closure, and allocation-free at any width (a 1M-wide
+   fleet round would make insertion sort quadratic and [List.sort] cons
+   a copy).  The ints sorted are distinct, so instability is moot. *)
 let sort_slice a lo len =
   if len > 1 then begin
     (* max-heap sift-down of [root] within the first [len'] slots *)
@@ -202,127 +88,251 @@ let sort_slice a lo len =
     done
   end
 
-(* Kahn's algorithm by rounds, allocation-free: [order] doubles as the
-   work queue (the write cursor only ever runs ahead of the read
-   cursor), [offsets.(k)] is where round k starts, and each new round's
-   slice is heapsorted in place — ids ARE insertion indices, so an
-   ascending int sort makes round k match the seed's per-round
-   [List.partition] scan byte for byte.  [indeg] is caller-supplied
-   scratch (consumed; holds residual in-degrees on return, which is how
-   cycles are diagnosed: processed < n and the blocked nodes are those
-   with indeg > 0).  Requires [Array.length order >= n] and
-   [Array.length offsets >= n + 1]; returns the round count, with
-   [offsets.(rounds)] = number of nodes processed. *)
-let rounds_kernel ~rdeps ~indeg ~order ~offsets =
-  let n = Array.length indeg in
-  let w = ref 0 in
-  for id = 0 to n - 1 do
-    if indeg.(id) = 0 then begin
-      order.(!w) <- id;
-      incr w
-    end
-  done;
-  offsets.(0) <- 0;
-  let rounds = ref 0 in
-  let r_start = ref 0 in
-  while !r_start < !w do
-    let r_end = !w in
-    for i = !r_start to r_end - 1 do
-      let rd = rdeps.(order.(i)) in
-      for j = 0 to Array.length rd - 1 do
-        let d = rd.(j) in
-        let c = indeg.(d) - 1 in
-        indeg.(d) <- c;
-        if c = 0 then begin
-          order.(!w) <- d;
-          incr w
-        end
-      done
-    done;
-    incr rounds;
-    offsets.(!rounds) <- r_end;
-    sort_slice order r_end (!w - r_end);
-    r_start := r_end
-  done;
-  !rounds
+(* Growable int vector for edge collection — the edge count is unknown
+   up front and a pair list would cost ~6 words per edge at 1M scale. *)
+module Ivec = struct
+  type t = { mutable a : int array; mutable n : int }
 
-(* Run the kernel over a compiled topology, memoizing the result.
-   Raises {!Cycle} with the blocked nodes (insertion order) when the
-   graph has one. *)
-let flat_sched fl =
-  match fl.f_sched with
+  let create capacity = { a = Array.make (max 1 capacity) 0; n = 0 }
+
+  let push v x =
+    if v.n = Array.length v.a then begin
+      let a = Array.make (2 * Array.length v.a) 0 in
+      Array.blit v.a 0 a 0 v.n;
+      v.a <- a
+    end;
+    v.a.(v.n) <- x;
+    v.n <- v.n + 1
+end
+
+(* The ids a dependency address denotes: the node at that address,
+   else every node of its base, ascending.  Dependencies recorded at
+   instance granularity (the common case) resolve through the intern
+   table alone, so the base index is built on the first miss only. *)
+let resolver intern =
+  let by_base =
+    lazy
+      (let n = Intern.length intern in
+       let tbl = Hashtbl.create (2 * n) in
+       for id = n - 1 downto 0 do
+         (* downward so each bucket ends up ascending *)
+         let b = Addr.base (Intern.addr intern id) in
+         let prev = Option.value ~default:[] (Hashtbl.find_opt tbl b) in
+         Hashtbl.replace tbl b (id :: prev)
+       done;
+       tbl)
+  in
+  fun dep ->
+    match Intern.find_opt intern dep with
+    | Some id -> [ id ]
+    | None ->
+        Option.value ~default:[]
+          (Hashtbl.find_opt (Lazy.force by_base) (Addr.base dep))
+
+(* The constructors' shared part: intern [addrs] (ids must be array
+   indices), let [link] record edges through [add], then freeze each
+   endpoint list into rows sorted by address. *)
+let make addrs nodes link =
+  let n = Array.length addrs in
+  let intern = Intern.create ~capacity:(max 1 n) () in
+  Array.iteri
+    (fun id a ->
+      if Intern.intern intern a <> id then
+        Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Internal
+          ~code:"duplicate-node" ~addr:a "Dag: duplicate node %s"
+          (Addr.to_string a))
+    addrs;
+  let e_dependent = Ivec.create (2 * n) and e_dependency = Ivec.create (2 * n) in
+  let add ~dependent ~dependency =
+    if dependent <> dependency then begin
+      Ivec.push e_dependent dependent;
+      Ivec.push e_dependency dependency
+    end
+  in
+  link intern add;
+  (* rank: position of each id's address in ascending-address order,
+     so sorting a row by rank reproduces [Addr.Set.iter]; [by_addr] is
+     the inverse permutation (rank -> id).  stable_sort (mergesort,
+     ~n log n comparisons) over sort (heapsort, ~2n log n): the
+     [Addr.compare] calls are the whole cost of this pass at 1M nodes;
+     stability is moot (addresses are distinct). *)
+  let rank = Array.make n 0 in
+  let by_addr = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Addr.compare addrs.(a) addrs.(b)) by_addr;
+  Array.iteri (fun pos id -> rank.(id) <- pos) by_addr;
+  let freeze ~src ~dst =
+    let cnt = Array.make n 0 in
+    for k = 0 to src.Ivec.n - 1 do
+      let s = src.Ivec.a.(k) in
+      cnt.(s) <- cnt.(s) + 1
+    done;
+    let rows = Array.init n (fun id -> Array.make cnt.(id) 0) in
+    let fill = Array.make n 0 in
+    for k = 0 to src.Ivec.n - 1 do
+      let s = src.Ivec.a.(k) in
+      rows.(s).(fill.(s)) <- dst.Ivec.a.(k);
+      fill.(s) <- fill.(s) + 1
+    done;
+    (* sort each row in rank space (plain ints, no comparator), drop
+       duplicates (ranks are unique per id, so they are adjacent and
+       exact), then map back through the inverse permutation *)
+    Array.map
+      (fun row ->
+        let m = Array.length row in
+        for r = 0 to m - 1 do
+          row.(r) <- rank.(row.(r))
+        done;
+        sort_slice row 0 m;
+        let row =
+          if m <= 1 then row
+          else begin
+            let w = ref 1 in
+            for r = 1 to m - 1 do
+              if row.(r) <> row.(!w - 1) then begin
+                row.(!w) <- row.(r);
+                incr w
+              end
+            done;
+            if !w = m then row else Array.sub row 0 !w
+          end
+        in
+        for r = 0 to Array.length row - 1 do
+          row.(r) <- by_addr.(row.(r))
+        done;
+        row)
+      rows
+  in
+  {
+    intern;
+    nodes;
+    deps = freeze ~src:e_dependent ~dst:e_dependency;
+    rdeps = freeze ~src:e_dependency ~dst:e_dependent;
+    sched = None;
+  }
+
+let build ~addr ~edges nodes =
+  make (Array.map addr nodes) nodes (fun intern add ->
+      let resolve = resolver intern in
+      Array.iteri (fun id node -> edges ~resolve ~add id node) nodes)
+
+let of_edges nodes edges =
+  make
+    (Array.of_list (List.map fst nodes))
+    (Array.of_list (List.map snd nodes))
+    (fun intern add ->
+      let id a =
+        match Intern.find_opt intern a with
+        | Some id -> id
+        | None ->
+            Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Internal
+              ~code:"unknown-node" ~addr:a "Dag.of_edges: unknown node %s"
+              (Addr.to_string a)
+      in
+      List.iter
+        (fun (dependent, dependency) ->
+          add ~dependent:(id dependent) ~dependency:(id dependency))
+        edges)
+
+(** Build the graph from expansion output: one node per instance; edges
+    from each instance to the instances its references and
+    [depends_on] name.  Dependency addresses referring to a resource
+    base (no instance key) connect to every instance of that base. *)
+let of_instances (instances : Cloudless_hcl.Eval.instance list) =
+  build
+    ~addr:(fun (i : Cloudless_hcl.Eval.instance) -> i.Cloudless_hcl.Eval.addr)
+    ~edges:(fun ~resolve ~add id (i : Cloudless_hcl.Eval.instance) ->
+      List.iter
+        (fun dep ->
+          List.iter (fun d -> add ~dependent:id ~dependency:d) (resolve dep))
+        (i.Cloudless_hcl.Eval.ref_deps @ i.Cloudless_hcl.Eval.explicit_deps))
+    (Array.of_list instances)
+
+(* ------------------------------------------------------------------ *)
+(* Topological order                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Kahn's algorithm by rounds: [order] doubles as the work queue (the
+   write cursor only ever runs ahead of the read cursor), [offsets.(k)]
+   is where round k starts, and each new round's slice is heapsorted in
+   place — ids are node positions, so an ascending int sort makes round
+   k match the seed's per-round [List.partition] scan byte for byte.
+   Nodes left with a positive in-degree are the blocked nodes of a
+   cycle. *)
+let sched t =
+  match t.sched with
   | Some s -> s
   | None ->
-      let n = Array.length fl.f_deps in
-      let indeg = Array.map Array.length fl.f_deps in
+      let n = size t in
+      let indeg = Array.map Array.length t.deps in
       let order = Array.make (max 1 n) 0 in
       let offsets = Array.make (n + 1) 0 in
-      let rounds = rounds_kernel ~rdeps:fl.f_rdeps ~indeg ~order ~offsets in
-      if offsets.(rounds) < n then begin
+      let w = ref 0 in
+      for id = 0 to n - 1 do
+        if indeg.(id) = 0 then begin
+          order.(!w) <- id;
+          incr w
+        end
+      done;
+      let rounds = ref 0 in
+      let r_start = ref 0 in
+      while !r_start < !w do
+        let r_end = !w in
+        for i = !r_start to r_end - 1 do
+          let rd = t.rdeps.(order.(i)) in
+          for j = 0 to Array.length rd - 1 do
+            let d = rd.(j) in
+            let c = indeg.(d) - 1 in
+            indeg.(d) <- c;
+            if c = 0 then begin
+              order.(!w) <- d;
+              incr w
+            end
+          done
+        done;
+        incr rounds;
+        offsets.(!rounds) <- r_end;
+        sort_slice order r_end (!w - r_end);
+        r_start := r_end
+      done;
+      if !w < n then begin
         let blocked = ref [] in
         for id = n - 1 downto 0 do
-          if indeg.(id) > 0 then
-            blocked := Intern.addr fl.f_intern id :: !blocked
+          if indeg.(id) > 0 then blocked := addr t id :: !blocked
         done;
         raise (Cycle !blocked)
       end;
-      let s = { s_order = order; s_offsets = offsets; s_rounds = rounds } in
-      fl.f_sched <- Some s;
+      let s = { order; offsets; rounds = !rounds } in
+      t.sched <- Some s;
       s
 
-(** Fill caller-supplied arrays with the Kahn rounds of [t]:
-    [order.(offsets.(k)) .. order.(offsets.(k+1)-1)] is round k of
-    interned ids (= insertion indices), returns the round count.
-    Requires [Array.length order >= size t] and [Array.length offsets
-    >= size t + 1]; allocation-free past the compiled-topology cache.
-    Raises {!Cycle} when the graph has one. *)
-let rounds_into t ~order ~offsets =
-  let fl = compiled t in
-  let s = flat_sched fl in
-  let n = s.s_offsets.(s.s_rounds) in
-  Array.blit s.s_order 0 order 0 n;
-  Array.blit s.s_offsets 0 offsets 0 (s.s_rounds + 1);
-  s.s_rounds
+let check_acyclic t = ignore (sched t)
 
-let rounds t =
-  match t.rounds_memo with
-  | Some r -> r
-  | None ->
-      let fl = compiled t in
-      let s = flat_sched fl in
-      let r = ref [] in
-      for k = s.s_rounds - 1 downto 0 do
-        let round = ref [] in
-        for i = s.s_offsets.(k + 1) - 1 downto s.s_offsets.(k) do
-          round := Intern.addr fl.f_intern s.s_order.(i) :: !round
-        done;
-        r := !round :: !r
-      done;
-      t.rounds_memo <- Some !r;
-      !r
+let rounds_into t ~order ~offsets =
+  let s = sched t in
+  Array.blit s.order 0 order 0 (size t);
+  Array.blit s.offsets 0 offsets 0 (s.rounds + 1);
+  s.rounds
 
 (** Stable topological sort: among nodes whose dependencies are
-    satisfied, insertion order wins.  Raises {!Cycle} with the offending
+    satisfied, node order wins.  Raises {!Cycle} with the offending
     nodes when the graph has one. *)
 let topo_sort t =
-  let fl = compiled t in
-  let s = flat_sched fl in
-  let acc = ref [] in
-  for i = s.s_offsets.(s.s_rounds) - 1 downto 0 do
-    acc := Intern.addr fl.f_intern s.s_order.(i) :: !acc
-  done;
-  !acc
-
-let has_cycle t =
-  match topo_sort t with _ -> false | exception Cycle _ -> true
+  let s = sched t in
+  List.init (size t) (fun i -> addr t s.order.(i))
 
 (** Group nodes into parallel levels: level 0 has no dependencies,
     level k depends only on levels < k.  The number of levels is the
     graph depth; the widest level bounds achievable parallelism. *)
-let levels t = match rounds t with [] -> [ [] ] | rs -> rs
+let levels t =
+  let s = sched t in
+  if s.rounds = 0 then [ [] ]
+  else
+    List.init s.rounds (fun k ->
+        List.init
+          (s.offsets.(k + 1) - s.offsets.(k))
+          (fun i -> addr t s.order.(s.offsets.(k) + i)))
 
-let depth t = List.length (levels t)
-let max_width t = List.fold_left (fun acc l -> max acc (List.length l)) 0 (levels t)
+let depth t = max 1 (sched t).rounds
 
 (* ------------------------------------------------------------------ *)
 (* Critical path                                                       *)
@@ -331,214 +341,104 @@ let max_width t = List.fold_left (fun acc l -> max acc (List.length l)) 0 (level
 (** [critical_path t ~duration] computes, under the given per-node
     duration model, the longest dependency chain — the inherent lower
     bound on deployment makespan with unlimited parallelism.  Returns
-    the total duration and the path from first to last node.
-
-    Also exposes each node's "earliest finish" and "slack"
-    ({!priorities}), which the cloudless scheduler uses to order work:
-    zero-slack nodes are on the critical path and must never wait. *)
+    the total duration and the path from first to last node. *)
 let critical_path t ~duration =
-  let fl = compiled t in
-  let s = flat_sched fl in
-  let total = s.s_offsets.(s.s_rounds) in
-  if total = 0 then (0., [])
+  let s = sched t in
+  let n = size t in
+  if n = 0 then (0., [])
   else begin
-      let n = Array.length fl.f_deps in
-      let finish = Array.make n 0. in
-      let dur = Array.make n 0. in
-      for i = 0 to total - 1 do
-        let id = s.s_order.(i) in
-        let start =
-          Array.fold_left
-            (fun acc d -> Float.max acc finish.(d))
-            0. fl.f_deps.(id)
-        in
-        dur.(id) <- duration (Intern.addr fl.f_intern id);
-        finish.(id) <- start +. dur.(id)
-      done;
-      let last = ref s.s_order.(0) in
-      for i = 1 to total - 1 do
-        let id = s.s_order.(i) in
-        if finish.(id) > finish.(!last) then last := id
-      done;
-      let last = !last in
-      (* Walk backwards along the tight predecessors; the arrays are in
-         ascending-address order, so the first tight hit matches the
-         seed's [Addr.Set.fold] choice. *)
-      let rec back id acc =
-        let start = finish.(id) -. dur.(id) in
-        let pred = ref None in
-        (try
-           Array.iter
-             (fun d ->
-               if Float.abs (finish.(d) -. start) < 1e-9 then begin
-                 pred := Some d;
-                 raise Exit
-               end)
-             fl.f_deps.(id)
-         with Exit -> ());
-        match !pred with None -> id :: acc | Some p -> back p (id :: acc)
+    let finish = Array.make n 0. in
+    let dur = Array.make n 0. in
+    for i = 0 to n - 1 do
+      let id = s.order.(i) in
+      let start =
+        Array.fold_left (fun acc d -> Float.max acc finish.(d)) 0. t.deps.(id)
       in
-      ( finish.(last),
-        List.map (Intern.addr fl.f_intern) (back last []) )
-    end
+      dur.(id) <- duration t.nodes.(id);
+      finish.(id) <- start +. dur.(id)
+    done;
+    let last = ref s.order.(0) in
+    for i = 1 to n - 1 do
+      let id = s.order.(i) in
+      if finish.(id) > finish.(!last) then last := id
+    done;
+    (* Walk backwards along the tight predecessors; the rows are in
+       ascending-address order, so the first tight hit matches the
+       seed's [Addr.Set.fold] choice. *)
+    let rec back id acc =
+      let start = finish.(id) -. dur.(id) in
+      match
+        Array.find_opt
+          (fun d -> Float.abs (finish.(d) -. start) < 1e-9)
+          t.deps.(id)
+      with
+      | None -> id :: acc
+      | Some p -> back p (id :: acc)
+    in
+    (finish.(!last), List.map (addr t) (back !last []))
+  end
 
 (** Remaining-longest-path priority for every node: the length of the
     longest duration chain from the node (inclusive) to any sink.
-    Higher priority = more critical. *)
+    Zero-slack nodes are on the critical path and must never wait. *)
 let priorities t ~duration =
-  let fl = compiled t in
-  let s = flat_sched fl in
-  let n = Array.length fl.f_deps in
-  let prio = Array.make n 0. in
-  for i = s.s_offsets.(s.s_rounds) - 1 downto 0 do
-    let id = s.s_order.(i) in
+  let s = sched t in
+  let prio = Array.make (size t) 0. in
+  for i = size t - 1 downto 0 do
+    let id = s.order.(i) in
     let tail =
-      Array.fold_left (fun acc r -> Float.max acc prio.(r)) 0. fl.f_rdeps.(id)
+      Array.fold_left (fun acc r -> Float.max acc prio.(r)) 0. t.rdeps.(id)
     in
-    prio.(id) <- tail +. duration (Intern.addr fl.f_intern id)
+    prio.(id) <- tail +. duration t.nodes.(id)
   done;
-  fun addr ->
-    match Intern.find_opt fl.f_intern addr with
-    | Some id -> prio.(id)
-    | None -> 0.
+  prio
 
 (* ------------------------------------------------------------------ *)
-(* Reachability and impact scope                                       *)
+(* Impact scope                                                        *)
 (* ------------------------------------------------------------------ *)
-
-(* Reachability over the flat adjacency with a byte visited-array;
-   seeds outside the graph stay in the closure (no out-edges), exactly
-   like the seed's set-based walk. *)
-let closure t dir seeds =
-  let fl = compiled t in
-  let n = Array.length fl.f_deps in
-  let adj = match dir with `Deps -> fl.f_deps | `Rdeps -> fl.f_rdeps in
-  let visited = Bytes.make n '\000' in
-  let out = ref Addr.Set.empty in
-  let stack = ref [] in
-  Addr.Set.iter
-    (fun a ->
-      match Intern.find_opt fl.f_intern a with
-      | Some id -> stack := id :: !stack
-      | None -> out := Addr.Set.add a !out)
-    seeds;
-  let rec go () =
-    match !stack with
-    | [] -> ()
-    | id :: rest ->
-        stack := rest;
-        if Bytes.get visited id = '\000' then begin
-          Bytes.set visited id '\001';
-          out := Addr.Set.add (Intern.addr fl.f_intern id) !out;
-          Array.iter
-            (fun d -> if Bytes.get visited d = '\000' then stack := d :: !stack)
-            adj.(id)
-        end;
-        go ()
-  in
-  go ();
-  !out
-
-(** Transitive dependencies of [seeds], including the seeds. *)
-let ancestors t seeds = closure t `Deps seeds
-
-(** Transitive dependents of [seeds], including the seeds. *)
-let descendants t seeds = closure t `Rdeps seeds
 
 (** §3.3 impact scope: the nodes whose plan can be affected by a change
     to [seeds] — the seeds, everything that (transitively) consumes
     their attributes, plus the direct dependencies of that set (needed
     to re-evaluate expressions, but not themselves replanned). *)
 let impact_scope t seeds =
-  let dependents = descendants t seeds in
-  let context =
-    Addr.Set.fold
-      (fun a acc -> Addr.Set.union acc (deps_of t a))
-      dependents Addr.Set.empty
+  (* '\001' = a seed or a dependent, '\002' = context only *)
+  let mark = Bytes.make (size t) '\000' in
+  let resolve = resolver t.intern in
+  let rec visit id =
+    if Bytes.get mark id = '\000' then begin
+      Bytes.set mark id '\001';
+      Array.iter visit t.rdeps.(id)
+    end
   in
-  Addr.Set.union dependents context
-
-(** Restrict the graph to a node subset (edges within the subset are
-    kept). *)
-let restrict t keep =
-  let keep_list = List.filter (fun a -> Addr.Set.mem a keep) (nodes t) in
-  let base =
-    List.fold_left (fun acc a -> add_node acc a (payload t a)) empty keep_list
-  in
-  List.fold_left
-    (fun acc a ->
-      Addr.Set.fold
-        (fun d acc ->
-          if Addr.Set.mem d keep then add_edge acc ~dependent:a ~dependency:d
-          else acc)
-        (deps_of t a) acc)
-    base keep_list
-
-(* ------------------------------------------------------------------ *)
-(* Construction from expanded instances                                *)
-(* ------------------------------------------------------------------ *)
-
-(** Build the graph from expansion output: one node per instance; edges
-    from each instance to the instances its references and
-    [depends_on] name.  Dependency addresses referring to a resource
-    base (no instance key) connect to every instance of that base. *)
-let of_instances (instances : Cloudless_hcl.Eval.instance list) :
-    Cloudless_hcl.Eval.instance t =
-  let t =
-    List.fold_left
-      (fun acc (i : Cloudless_hcl.Eval.instance) ->
-        add_node acc i.Cloudless_hcl.Eval.addr i)
-      empty instances
-  in
-  (* base address -> instances of that base, in insertion order, so a
-     dependency on [aws_subnet.s] finds all its instances in O(log n)
-     instead of scanning every address per edge *)
-  let by_base =
-    List.fold_left
-      (fun m a ->
-        Addr.Map.update (Addr.base a)
-          (fun l -> Some (a :: Option.value ~default:[] l))
-          m)
-      Addr.Map.empty (nodes t)
-  in
-  let resolve dep =
-    if mem t dep then [ dep ]
-    else
-      match Addr.Map.find_opt (Addr.base dep) by_base with
-      | Some l -> List.rev l
-      | None -> []
-  in
-  List.fold_left
-    (fun acc (i : Cloudless_hcl.Eval.instance) ->
-      let deps =
-        i.Cloudless_hcl.Eval.ref_deps @ i.Cloudless_hcl.Eval.explicit_deps
-      in
-      List.fold_left
-        (fun acc dep ->
-          List.fold_left
-            (fun acc d ->
-              if Addr.equal d i.Cloudless_hcl.Eval.addr then acc
-              else add_edge acc ~dependent:i.Cloudless_hcl.Eval.addr ~dependency:d)
-            acc (resolve dep))
-        acc deps)
-    t instances
+  List.iter (fun a -> List.iter visit (resolve a)) seeds;
+  Array.iteri
+    (fun id row ->
+      if Bytes.get mark id = '\001' then
+        Array.iter
+          (fun d -> if Bytes.get mark d = '\000' then Bytes.set mark d '\002')
+          row)
+    t.deps;
+  let out = ref Addr.Set.empty in
+  Bytes.iteri
+    (fun id m -> if m <> '\000' then out := Addr.Set.add (addr t id) !out)
+    mark;
+  !out
 
 (* ------------------------------------------------------------------ *)
 (* Reference implementations                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** The seed's list-based traversals, kept in-tree (like the executor's
+(** The seed's list-based traversals, kept in-tree (like the walker's
     [Sched_list]) so tests and the E12 bench can assert that the Kahn
-    implementations above produce byte-identical orders and levels. *)
+    implementation above produces byte-identical orders and levels. *)
 module Reference = struct
-  (* The cons-cell Kahn loop the zero-alloc kernel replaced: per-round
-     int lists with a [List.sort] per round.  Kept as the oracle for
-     the kernel's round structure (QCheck equivalence in
-     test_raw_speed). *)
+  (* The cons-cell Kahn loop: per-round int lists with a [List.sort]
+     per round.  The oracle for the round structure (QCheck equivalence
+     in test_raw_speed). *)
   let rounds t =
-    let fl = compiled t in
-    let n = Array.length fl.f_deps in
-    let indeg = Array.map Array.length fl.f_deps in
+    let n = size t in
+    let indeg = Array.map Array.length t.deps in
     let first = ref [] in
     for id = n - 1 downto 0 do
       if indeg.(id) = 0 then first := id :: !first
@@ -556,7 +456,7 @@ module Reference = struct
                 (fun d ->
                   indeg.(d) <- indeg.(d) - 1;
                   if indeg.(d) = 0 then next := d :: !next)
-                fl.f_rdeps.(id))
+                t.rdeps.(id))
             ready;
           go (List.sort Int.compare !next) (ready :: acc)
     in
@@ -564,11 +464,16 @@ module Reference = struct
     if !processed < n then begin
       let blocked = ref [] in
       for id = n - 1 downto 0 do
-        if indeg.(id) > 0 then blocked := Intern.addr fl.f_intern id :: !blocked
+        if indeg.(id) > 0 then blocked := addr t id :: !blocked
       done;
       raise (Cycle !blocked)
     end;
-    List.map (List.map (Intern.addr fl.f_intern)) rounds
+    List.map (List.map (addr t)) rounds
+
+  let rdeps_of t a =
+    match Intern.find_opt t.intern a with
+    | Some id -> addr_set t t.rdeps.(id)
+    | None -> Addr.Set.empty
 
   (* per-round List.partition over the remaining nodes: O(depth * V) *)
   let topo_sort t =
@@ -617,34 +522,53 @@ module Reference = struct
     in
     List.init (max_level + 1) (fun l ->
         List.filter (fun a -> Hashtbl.find level a = l) order)
+
+  let impact_scope t seeds =
+    let all = nodes t in
+    let resolved =
+      List.fold_left
+        (fun acc a ->
+          if Intern.mem t.intern a then Addr.Set.add a acc
+          else
+            List.fold_left
+              (fun acc x ->
+                if Addr.same_base x a then Addr.Set.add x acc else acc)
+              acc all)
+        Addr.Set.empty seeds
+    in
+    let rec grow scope =
+      let scope' =
+        List.fold_left
+          (fun acc x ->
+            if Addr.Set.exists (fun d -> Addr.Set.mem d scope) (deps_of t x) then
+              Addr.Set.add x acc
+            else acc)
+          scope all
+      in
+      if Addr.Set.equal scope scope' then scope else grow scope'
+    in
+    let dependents = grow resolved in
+    Addr.Set.fold
+      (fun a acc -> Addr.Set.union acc (deps_of t a))
+      dependents dependents
 end
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let pp ppf t =
-  List.iter
-    (fun a ->
-      let ds = Addr.Set.elements (deps_of t a) in
-      if ds = [] then Fmt.pf ppf "%a@." Addr.pp a
-      else
-        Fmt.pf ppf "%a <- %a@." Addr.pp a
-          Fmt.(list ~sep:(any ", ") Addr.pp)
-          ds)
-    (nodes t)
-
 let to_dot ?(name = "deps") t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
-  List.iter
-    (fun a ->
-      Buffer.add_string buf (Printf.sprintf "  %S;\n" (Addr.to_string a));
-      Addr.Set.iter
+  Array.iteri
+    (fun id row ->
+      let a = Addr.to_string (addr t id) in
+      Buffer.add_string buf (Printf.sprintf "  %S;\n" a);
+      Array.iter
         (fun d ->
           Buffer.add_string buf
-            (Printf.sprintf "  %S -> %S;\n" (Addr.to_string a) (Addr.to_string d)))
-        (deps_of t a))
-    (nodes t);
+            (Printf.sprintf "  %S -> %S;\n" a (Addr.to_string (addr t d))))
+        row)
+    t.deps;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -1,9 +1,12 @@
 (** Resource dependency DAG (§2.1, §3.3).
 
-    Nodes are resource instances addressed by {!Cloudless_hcl.Addr.t};
-    edges point from a resource to the resources it depends on.
-    Supports stable topological order, parallel levels, critical-path
-    analysis under a duration model, and impact-scope slicing. *)
+    Nodes are resource instances (or plan changes) addressed by
+    {!Cloudless_hcl.Addr.t}; edges point from a node to the nodes it
+    depends on.  A graph is built once, by {!build}, and never changes:
+    node ids are positions in the node array, and each adjacency row
+    lists ids in ascending-address order.  Supports stable topological
+    order, parallel levels, critical-path analysis under a duration
+    model, and impact-scope slicing. *)
 
 module Addr := Cloudless_hcl.Addr
 
@@ -11,96 +14,94 @@ type 'a t
 
 exception Cycle of Addr.t list
 
-val empty : 'a t
-val mem : 'a t -> Addr.t -> bool
-val find_opt : 'a t -> Addr.t -> 'a option
+(** [build ~addr ~edges nodes]: one node per element of [nodes], id =
+    array index.  [edges ~resolve ~add id node] is called once per
+    node, in order, to record its edges:
+
+    - [resolve dep] is the ids [dep] denotes: the node at that address,
+      else every node of its base, ascending;
+    - [add ~dependent ~dependency] records that [dependent] needs
+      [dependency] first.  Duplicates and self-edges are dropped.
+
+    Raises {!Cloudless_error.Error} (internal) on a duplicate node
+    address. *)
+val build :
+  addr:('a -> Addr.t) ->
+  edges:
+    (resolve:(Addr.t -> int list) ->
+    add:(dependent:int -> dependency:int -> unit) ->
+    int ->
+    'a ->
+    unit) ->
+  'a array ->
+  'a t
+
+(** A graph from explicit nodes and [(dependent, dependency)] edges,
+    for tests; raises {!Cloudless_error.Error} (internal) on a duplicate
+    node or an endpoint that is not a node. *)
+val of_edges : (Addr.t * 'a) list -> (Addr.t * Addr.t) list -> 'a t
+
+(** One node per expanded instance; edges from reference and
+    [depends_on] dependencies, resolved as in {!build}. *)
+val of_instances :
+  Cloudless_hcl.Eval.instance list -> Cloudless_hcl.Eval.instance t
+
 val size : 'a t -> int
 
-(** Nodes in insertion order. *)
+(** Node addresses in node order. *)
 val nodes : 'a t -> Addr.t list
 
-(** Payload of a known node; raises {!Cloudless_error.Error} otherwise. *)
-val payload : 'a t -> Addr.t -> 'a
+(** The flat form, indexed by id and shared with the graph (callers
+    must not mutate it): payloads, dependency rows and dependent rows,
+    each row in ascending-address order. *)
+val payloads : 'a t -> 'a array
 
-(** Add (or re-payload) a node. *)
-val add_node : 'a t -> Addr.t -> 'a -> 'a t
-
-(** Add a dependency edge: [dependent] needs [dependency] first.  Both
-    nodes must exist; self-edges are ignored. *)
-val add_edge : 'a t -> dependent:Addr.t -> dependency:Addr.t -> 'a t
-
+val deps : 'a t -> int array array
+val rdeps : 'a t -> int array array
 val deps_of : 'a t -> Addr.t -> Addr.Set.t
-val rdeps_of : 'a t -> Addr.t -> Addr.Set.t
-val edge_count : 'a t -> int
 
-(** Stable topological order (insertion order among independents);
+(** Compute (once per graph) the Kahn rounds every analysis below
+    reads; raises {!Cycle} with the blocked nodes, in node order. *)
+val check_acyclic : 'a t -> unit
+
+(** Stable topological order (node order among independents);
     raises {!Cycle}. *)
 val topo_sort : 'a t -> Addr.t list
 
-val has_cycle : 'a t -> bool
-
-(** Zero-alloc Kahn rounds into caller-supplied scratch:
-    [order.(offsets.(k)) .. order.(offsets.(k+1)-1)] is round k of
-    interned ids (insertion indices, ascending within a round); returns
-    the round count, with [offsets.(rounds)] = nodes processed.
-    Requires [Array.length order >= size t] and
-    [Array.length offsets >= size t + 1].  Raises {!Cycle}. *)
+(** Kahn rounds into caller-supplied arrays:
+    [order.(offsets.(k)) .. order.(offsets.(k+1)-1)] is round k of node
+    ids, ascending within a round; returns the round count, with
+    [offsets.(rounds)] = [size t].  Requires [Array.length order >=
+    size t] and [Array.length offsets >= size t + 1].  Raises {!Cycle}. *)
 val rounds_into : 'a t -> order:int array -> offsets:int array -> int
-
-(** The raw kernel behind {!rounds_into}, for callers that already hold
-    flat adjacency (see {!Plan.exec_rounds_into}): [indeg] is consumed
-    scratch (residual in-degrees on return — nonzero entries are the
-    blocked nodes of a cycle, signalled by [offsets.(rounds) <
-    Array.length indeg]).  Allocation-free. *)
-val rounds_kernel :
-  rdeps:int array array ->
-  indeg:int array ->
-  order:int array ->
-  offsets:int array ->
-  int
-
-(** In-place ascending heapsort of [a.(lo) .. a.(lo+len-1)] — the
-    closure-free int sort the kernel uses on each round slice, exposed
-    for other hot paths (e.g. {!Plan.exec_graph}'s adjacency freeze)
-    that would otherwise pay [Array.sort]'s comparator closure. *)
-val sort_slice : int array -> int -> int -> unit
 
 (** Parallel levels: level 0 has no dependencies, level k depends only
     on earlier levels. *)
 val levels : 'a t -> Addr.t list list
 
 val depth : 'a t -> int
-val max_width : 'a t -> int
 
 (** Longest dependency chain under the duration model: the inherent
     lower bound on deployment makespan.  Returns (total duration,
     path). *)
-val critical_path : 'a t -> duration:(Addr.t -> float) -> float * Addr.t list
+val critical_path : 'a t -> duration:('a -> float) -> float * Addr.t list
 
-(** Remaining-longest-path priority per node (higher = more critical);
-    what the cloudless scheduler orders the ready set by. *)
-val priorities : 'a t -> duration:(Addr.t -> float) -> Addr.t -> float
+(** Remaining-longest-path priority per node id (higher = more
+    critical); what the cloudless scheduler orders the ready set by. *)
+val priorities : 'a t -> duration:('a -> float) -> float array
 
-(** Transitive dependencies of the seeds, inclusive. *)
-val ancestors : 'a t -> Addr.Set.t -> Addr.Set.t
+(** §3.3 impact scope: every node that transitively depends on a seed,
+    the seeds included, plus the direct dependencies of that set
+    (re-evaluation context).  A seed resolves as a dependency does in
+    {!build}. *)
+val impact_scope : 'a t -> Addr.t list -> Addr.Set.t
 
-(** Transitive dependents of the seeds, inclusive. *)
-val descendants : 'a t -> Addr.Set.t -> Addr.Set.t
-
-(** §3.3 impact scope: dependents of the seeds plus the direct
-    dependencies of that set (re-evaluation context). *)
-val impact_scope : 'a t -> Addr.Set.t -> Addr.Set.t
-
-(** Restrict to a node subset, keeping internal edges. *)
-val restrict : 'a t -> Addr.Set.t -> 'a t
-
-(** The seed's list-based traversals, kept in-tree (like the executor's
+(** The seed's list-based traversals, kept in-tree (like the walker's
     [Sched_list]) so tests and benches can assert the Kahn
-    implementations produce byte-identical orders and levels. *)
+    implementation produces byte-identical orders and levels. *)
 module Reference : sig
-  (** The cons-cell Kahn rounds the zero-alloc kernel replaced
-      (per-round int lists + [List.sort]); oracle for
-      {!rounds_into}'s round structure. *)
+  (** The cons-cell Kahn rounds (per-round int lists + [List.sort]);
+      oracle for {!rounds_into}'s round structure. *)
   val rounds : 'a t -> Addr.t list list
 
   (** Per-round [List.partition] scan: O(depth * V). *)
@@ -108,14 +109,11 @@ module Reference : sig
 
   (** Per-level [List.filter] over the full order: O(depth * V). *)
   val levels : 'a t -> Addr.t list list
+
+  (** Seeds resolved by a scan over every node, dependents by a
+      fixpoint over the dependency sets: O(V * depth). *)
+  val impact_scope : 'a t -> Addr.t list -> Addr.Set.t
 end
-
-(** One node per expanded instance; edges from reference and
-    [depends_on] dependencies (base addresses fan out to every
-    instance). *)
-val of_instances : Cloudless_hcl.Eval.instance list -> Cloudless_hcl.Eval.instance t
-
-val pp : Format.formatter -> 'a t -> unit
 
 (** Graphviz rendering. *)
 val to_dot : ?name:string -> 'a t -> string

@@ -58,13 +58,3 @@ let addr t id =
     Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Internal
       ~code:"unknown-id" "Intern.addr: id %d out of range (table has %d)" id t.n;
   t.addrs.(id)
-
-let of_list addrs =
-  let t = create ~capacity:(max 1 (List.length addrs)) () in
-  List.iter (fun a -> ignore (intern t a)) addrs;
-  t
-
-let iter f t =
-  for id = 0 to t.n - 1 do
-    f id t.addrs.(id)
-  done

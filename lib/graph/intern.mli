@@ -26,9 +26,3 @@ val mem : t -> Addr.t -> bool
 (** Address of a minted id; raises {!Cloudless_error.Error} when out of
     range. *)
 val addr : t -> int -> Addr.t
-
-(** Intern a whole list (ids follow list order, duplicates collapse). *)
-val of_list : Addr.t list -> t
-
-(** [iter f t] calls [f id addr] for every minted id, ascending. *)
-val iter : (int -> Addr.t -> unit) -> t -> unit

@@ -1,6 +1,7 @@
 (** Deployment planning: diff desired instances against recorded state
     and produce an executable, dependency-ordered change set (§2.1's
-    "execution plan", §3.3's acceleration substrate).
+    "execution plan", §3.3's acceleration substrate).  {!exec_graph}
+    orders the changes as one {!Dag.t}, the graph every apply walks.
 
     Replace decisions use the knowledge base's [force_new] attribute
     flags, mirroring Terraform's create-before-destroy/replace
@@ -220,318 +221,39 @@ let make ?(default_region = "us-east-1") ?(trace = Cloudless_obs.Trace.null)
 (* Execution graph                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Edge construction shared by the indexed and reference builders;
-   [resolve] maps a recorded dependency to the plan addresses it
-   denotes. *)
-let graph_of_changes (changes : change list) ~(resolve : Addr.t -> Addr.t list)
-    : change Dag.t =
-  let dag =
-    List.fold_left (fun acc c -> Dag.add_node acc c.addr c) Dag.empty changes
-  in
-  let dag =
-    List.fold_left
-      (fun acc c ->
-        match c.action with
-        | Delete -> acc
-        | Create | Update _ | Replace _ | Noop ->
-            List.fold_left
-              (fun acc dep ->
-                List.fold_left
-                  (fun acc d ->
-                    (* only depend on other non-delete changes *)
-                    match Dag.find_opt acc d with
-                    | Some { action = Delete; _ } -> acc
-                    | Some _ when not (Addr.equal d c.addr) ->
-                        Dag.add_edge acc ~dependent:c.addr ~dependency:d
-                    | _ -> acc)
-                  acc (resolve dep))
-              acc c.deps)
-      dag changes
-  in
-  (* reverse edges among deletes *)
-  let delete_changes = List.filter (fun c -> c.action = Delete) changes in
-  let dag =
-    List.fold_left
-      (fun acc c ->
-        List.fold_left
-          (fun acc dep ->
-            List.fold_left
-              (fun acc d ->
-                match Dag.find_opt acc d with
-                | Some { action = Delete; _ } when not (Addr.equal d c.addr) ->
-                    (* dependency d is deleted after dependent c *)
-                    Dag.add_edge acc ~dependent:d ~dependency:c.addr
-                | _ -> acc)
-              acc (resolve dep))
-          acc c.deps)
-      dag delete_changes
-  in
-  dag
+(** The execution graph over the actionable changes, in plan order (a
+    change's id is its position):
 
-(** Build the execution DAG over actionable changes.
-
-    - create/update/replace nodes depend on their forward dependencies
-      (when those are also in the plan);
+    - create/update/replace nodes depend on the non-delete changes
+      their dependencies name;
     - delete nodes run in reverse dependency order: a resource is
-      deleted only after everything that depended on it is deleted;
-    - deletes of an address precede a create of the same address (not
-      applicable to Replace, which is atomic here). *)
-let execution_graph (t : t) : change Dag.t =
-  let changes = actionable t in
-  let in_plan = Addr.Set.of_list (List.map (fun c -> c.addr) changes) in
-  (* base -> plan addresses sharing it, in plan order, so resolving a
-     base-granularity dep is a map lookup instead of a scan over the
-     whole change list *)
-  let by_base =
-    List.fold_left
-      (fun acc c ->
-        let b = Addr.base c.addr in
-        let prev = Option.value ~default:[] (Addr.Map.find_opt b acc) in
-        Addr.Map.add b (c.addr :: prev) acc)
-      Addr.Map.empty changes
-    |> Addr.Map.map List.rev
-  in
-  let resolve dep =
-    (* a dep may be recorded at instance granularity already; fall back
-       to matching all instances sharing the base *)
-    if Addr.Set.mem dep in_plan then [ dep ]
-    else
-      match Addr.Map.find_opt (Addr.base dep) by_base with
-      | Some addrs -> addrs
-      | None -> []
-  in
-  graph_of_changes changes ~resolve
+      deleted only after every delete that depended on it.
 
-(* ------------------------------------------------------------------ *)
-(* Flat execution graph (interned hot path)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Growable int vector for edge collection — the edge count is unknown
-   up front and a pair list would cost ~6 words per edge at 1M scale. *)
-module Ivec = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create capacity = { a = Array.make (max 1 capacity) 0; n = 0 }
-
-  let push v x =
-    if v.n = Array.length v.a then begin
-      let a = Array.make (2 * Array.length v.a) 0 in
-      Array.blit v.a 0 a 0 v.n;
-      v.a <- a
-    end;
-    v.a.(v.n) <- x;
-    v.n <- v.n + 1
-end
-
-type exec_graph = {
-  xintern : Cloudless_graph.Intern.t;
-      (** id = index of the change in [xchanges] *)
-  xchanges : change array;  (** actionable changes, plan order *)
-  xdeps : int array array;
-      (** per node: dependency ids, ascending-address order, dedup'd —
-          the exact order/multiplicity {!execution_graph}'s
-          [Addr.Set]s expose *)
-  xrdeps : int array array;  (** reverse adjacency, same discipline *)
-}
-
-let exec_size xg = Array.length xg.xchanges
-
-(** Flat-array equivalent of {!execution_graph}: same nodes (actionable
-    changes, plan order), same edge set, adjacency frozen into int
-    arrays sorted in ascending-address order so scans over it visit
-    neighbours exactly as [Addr.Set.iter] would — the executor's
-    ready-set push order (and therefore scheduling tie-breaks) must
-    not change.  The executor and the domain sharder run on this; the
-    [Dag]-returning {!execution_graph} stays for analyses and as the
-    equivalence oracle. *)
-let exec_graph (t : t) : exec_graph =
+    A dependency names the change at its address, else every change of
+    its base ({!Dag.build}).  The walker, the component splitter and
+    the shards all run on this graph. *)
+let exec_graph (t : t) : change Dag.t =
   let changes = Array.of_list (actionable t) in
-  let n = Array.length changes in
-  let intern = Cloudless_graph.Intern.create ~capacity:(max 1 n) () in
-  Array.iter (fun c -> ignore (Cloudless_graph.Intern.intern intern c.addr)) changes;
-  (* duplicate plan addresses would desynchronize ids from array
-     indices; [make] never produces them (orphans are disjoint from
-     desired addresses) *)
-  if Cloudless_graph.Intern.length intern <> n then
-    Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Internal
-      ~code:"duplicate-change" "Plan.exec_graph: duplicate change addresses";
-  (* lazy: deps recorded at instance granularity (the common case —
-     references bind to concrete instances) resolve through the intern
-     table alone, so most plans never pay for the base index *)
-  let by_base =
-    lazy
-      (let tbl = Hashtbl.create (2 * n) in
-       for id = n - 1 downto 0 do
-         (* downward so each bucket ends up in ascending plan order *)
-         let b = Addr.base changes.(id).addr in
-         let prev = Option.value ~default:[] (Hashtbl.find_opt tbl b) in
-         Hashtbl.replace tbl b (id :: prev)
-       done;
-       tbl)
-  in
-  let resolve dep =
-    match Cloudless_graph.Intern.find_opt intern dep with
-    | Some id -> [ id ]
-    | None ->
-        Option.value ~default:[]
-          (Hashtbl.find_opt (Lazy.force by_base) (Addr.base dep))
-  in
-  let e_dependent = Ivec.create (2 * n) and e_dependency = Ivec.create (2 * n) in
-  let add_edge ~dependent ~dependency =
-    if dependent <> dependency then begin
-      Ivec.push e_dependent dependent;
-      Ivec.push e_dependency dependency
-    end
-  in
-  Array.iteri
-    (fun id c ->
-      match c.action with
-      | Delete ->
-          (* reverse edges among deletes: dependency d is deleted after
-             dependent c *)
+  Dag.build
+    ~addr:(fun c -> c.addr)
+    ~edges:(fun ~resolve ~add id c ->
+      List.iter
+        (fun dep ->
           List.iter
-            (fun dep ->
-              List.iter
-                (fun d ->
-                  if changes.(d).action = Delete then
-                    add_edge ~dependent:d ~dependency:id)
-                (resolve dep))
-            c.deps
-      | Create | Update _ | Replace _ | Noop ->
-          List.iter
-            (fun dep ->
-              List.iter
-                (fun d ->
-                  (* only depend on other non-delete changes *)
-                  if changes.(d).action <> Delete then
-                    add_edge ~dependent:id ~dependency:d)
-                (resolve dep))
-            c.deps)
-    changes;
-  (* rank: position of each id's address in ascending-address order,
-     so sorting an adjacency row by rank reproduces [Addr.Set.iter];
-     [by_addr] is the inverse permutation (rank -> id) *)
-  let rank = Array.make n 0 in
-  let by_addr = Array.init n (fun id -> id) in
-  (* stable_sort (mergesort, ~n log n comparisons) over sort (heapsort,
-     ~2n log n): the [Addr.compare] calls are the whole cost of this
-     pass at 1M nodes, so halving them matters; stability is moot
-     (addresses are distinct) *)
-  Array.stable_sort
-    (fun a b -> Addr.compare changes.(a).addr changes.(b).addr)
-    by_addr;
-  Array.iteri (fun pos id -> rank.(id) <- pos) by_addr;
-  let freeze ~src ~dst =
-    let cnt = Array.make n 0 in
-    for k = 0 to src.Ivec.n - 1 do
-      let s = src.Ivec.a.(k) in
-      cnt.(s) <- cnt.(s) + 1
-    done;
-    let rows = Array.init n (fun id -> Array.make cnt.(id) 0) in
-    let fill = Array.make n 0 in
-    for k = 0 to src.Ivec.n - 1 do
-      let s = src.Ivec.a.(k) in
-      rows.(s).(fill.(s)) <- dst.Ivec.a.(k);
-      fill.(s) <- fill.(s) + 1
-    done;
-    (* sort each row by address via rank space: map ids to their ranks,
-       heapsort the plain ints (no comparator closure, no [rank]
-       indirection per comparison), dedup (ranks are unique per id so
-       duplicates are adjacent and exact), then map back through the
-       inverse permutation *)
-    Array.map
-      (fun row ->
-        let m = Array.length row in
-        for r = 0 to m - 1 do
-          row.(r) <- rank.(row.(r))
-        done;
-        Dag.sort_slice row 0 m;
-        let row =
-          if m <= 1 then row
-          else begin
-            let w = ref 1 in
-            for r = 1 to m - 1 do
-              if row.(r) <> row.(!w - 1) then begin
-                row.(!w) <- row.(r);
-                incr w
-              end
-            done;
-            if !w = m then row else Array.sub row 0 !w
-          end
-        in
-        for r = 0 to Array.length row - 1 do
-          row.(r) <- by_addr.(row.(r))
-        done;
-        row)
-      rows
-  in
-  let xdeps = freeze ~src:e_dependent ~dst:e_dependency in
-  let xrdeps = freeze ~src:e_dependency ~dst:e_dependent in
-  { xintern = intern; xchanges = changes; xdeps; xrdeps }
-
-(** Kahn rounds over the flat graph into caller-supplied scratch via
-    {!Dag.rounds_kernel}: [order.(offsets.(k)) ..
-    order.(offsets.(k+1)-1)] is round k (ids ascending inside each
-    round = plan order, matching [Dag.levels] on {!execution_graph});
-    returns the round count.  Requires [Array.length order >= exec_size
-    xg] and [Array.length offsets >= exec_size xg + 1].  Raises
-    [Dag.Cycle] with the blocked addresses. *)
-let exec_rounds_into (xg : exec_graph) ~order ~offsets =
-  let n = exec_size xg in
-  let indeg = Array.map Array.length xg.xdeps in
-  let rounds = Dag.rounds_kernel ~rdeps:xg.xrdeps ~indeg ~order ~offsets in
-  if offsets.(rounds) < n then begin
-    let blocked = ref [] in
-    for id = n - 1 downto 0 do
-      if indeg.(id) > 0 then blocked := xg.xchanges.(id).addr :: !blocked
-    done;
-    raise (Dag.Cycle !blocked)
-  end;
-  rounds
-
-(** List view of {!exec_rounds_into} (allocates its own scratch). *)
-let exec_rounds (xg : exec_graph) : int list list =
-  let n = exec_size xg in
-  let order = Array.make (max 1 n) 0 in
-  let offsets = Array.make (n + 1) 0 in
-  let rounds = exec_rounds_into xg ~order ~offsets in
-  List.init rounds (fun k ->
-      Array.to_list (Array.sub order offsets.(k) (offsets.(k + 1) - offsets.(k))))
+            (fun d ->
+              match (c.action, changes.(d).action) with
+              | Delete, Delete ->
+                  (* dependency d is deleted after dependent c *)
+                  add ~dependent:d ~dependency:id
+              | Delete, _ | _, Delete -> ()
+              | _ -> add ~dependent:id ~dependency:d)
+            (resolve dep))
+        c.deps)
+    changes
 
 (* ------------------------------------------------------------------ *)
 (* Incremental planning (§3.3)                                         *)
 (* ------------------------------------------------------------------ *)
-
-(** Given the previous full graph and the set of directly-edited
-    resource addresses, the impact scope is the only part of the
-    configuration whose plan can change.  Returns the scoped address
-    set; the engine then refreshes and replans just those. *)
-let impact_scope ~(graph : 'a Dag.t) ~(edited : Addr.t list) : Addr.Set.t =
-  (* built on first base-granularity edit only: most edits name exact
-     instances and never pay for the index *)
-  let by_base =
-    lazy
-      (List.fold_left
-         (fun acc node ->
-           let b = Addr.base node in
-           let prev =
-             Option.value ~default:Addr.Set.empty (Addr.Map.find_opt b acc)
-           in
-           Addr.Map.add b (Addr.Set.add node prev) acc)
-         Addr.Map.empty (Dag.nodes graph))
-  in
-  let seeds =
-    List.fold_left
-      (fun acc a ->
-        if Dag.mem graph a then Addr.Set.add a acc
-        else
-          (* edited base address: include all its instances *)
-          match Addr.Map.find_opt (Addr.base a) (Lazy.force by_base) with
-          | Some insts -> Addr.Set.union insts acc
-          | None -> acc)
-      Addr.Set.empty edited
-  in
-  Dag.impact_scope graph seeds
 
 (** The plan's own §3.3 impact scope — the rows a scoped refresh
     re-reads: the plan's creates, updates and replaces, every change
@@ -626,12 +348,16 @@ let restrict (t : t) (keep : Addr.Set.t) : t =
 (* Reference implementations                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** The seed's list-scan planners, kept in-tree (like the executor's
+(** The seed's list-scan planners, kept in-tree (like the walker's
     [Sched_list] and [Dag.Reference]) so tests and E12 can assert the
-    indexed implementations produce byte-identical plans and scopes. *)
+    indexed implementations produce byte-identical plans and execution
+    graphs. *)
 module Reference = struct
-  (* Per-dependency O(n) scan over the whole change list. *)
-  let execution_graph (t : t) : change Dag.t =
+  (* Per-dependency O(n) scan over the whole change list: each
+     actionable change, in plan order, with the addresses it depends
+     on.  Shares no code with {!Dag.build}, so it checks the builder's
+     interning, sorting and dedup as well as {!exec_graph}'s rule. *)
+  let execution_graph (t : t) : (Addr.t * Addr.Set.t) list =
     let changes = actionable t in
     let resolve dep =
       if List.exists (fun c -> Addr.equal c.addr dep) changes then [ dep ]
@@ -640,22 +366,25 @@ module Reference = struct
           (fun c -> if Addr.same_base c.addr dep then Some c.addr else None)
           changes
     in
-    graph_of_changes changes ~resolve
-
-  (* Per-edited-base O(V) scan over all graph nodes. *)
-  let impact_scope ~(graph : 'a Dag.t) ~(edited : Addr.t list) : Addr.Set.t =
-    let seeds =
-      List.fold_left
-        (fun acc a ->
-          if Dag.mem graph a then Addr.Set.add a acc
-          else
-            List.fold_left
-              (fun acc node ->
-                if Addr.same_base node a then Addr.Set.add node acc else acc)
-              acc (Dag.nodes graph))
-        Addr.Set.empty edited
+    let named = List.map (fun c -> (c, List.concat_map resolve c.deps)) changes in
+    let is_delete a =
+      (List.find (fun c -> Addr.equal c.addr a) changes).action = Delete
     in
-    Dag.impact_scope graph seeds
+    List.map
+      (fun (c, names) ->
+        let deps =
+          if c.action = Delete then
+            (* c is deleted after every delete that names it *)
+            List.filter_map
+              (fun (x, xnames) ->
+                if x.action = Delete && List.exists (Addr.equal c.addr) xnames
+                then Some x.addr
+                else None)
+              named
+          else List.filter (fun a -> not (is_delete a)) names
+        in
+        (c.addr, Addr.Set.remove c.addr (Addr.Set.of_list deps)))
+      named
 
   (* List-scan diff classification: the same verdicts as {!make} but
      with O(n) state lookup and orphan detection per resource, so the

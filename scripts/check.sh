@@ -124,15 +124,16 @@ if (( SECONDS > E18_BUDGET_S )); then
 fi
 
 # -- hot-path Addr.Map gate ------------------------------------------
-# The plan/apply hot path runs on interned int ids (Plan.exec_graph);
-# Addr.Map belongs only to the Dag-returning analysis/oracle side
-# (Plan.execution_graph, the Reference modules).  New Addr.Map uses in
-# lib/plan or lib/deploy mean someone re-introduced address-keyed maps
-# into the apply path — argue it here before raising the baseline.
-ADDR_MAP_BASELINE=9
-addr_map_count=$(grep -o 'Addr\.Map' lib/plan/*.ml lib/deploy/*.ml | wc -l)
+# The dependency graph, the plan and the apply path run on interned
+# int ids (Dag.t rows); none of them keys anything by address.  New
+# Addr.Map uses in lib/graph, lib/plan or lib/deploy mean someone
+# re-introduced address-keyed maps — argue it here before raising the
+# baseline.  grep exits 1 when nothing matches, which under pipefail
+# would stop the script, so the count tolerates it.
+ADDR_MAP_BASELINE=0
+addr_map_count=$({ grep -o 'Addr\.Map' lib/graph/*.ml lib/plan/*.ml lib/deploy/*.ml || true; } | wc -l)
 if (( addr_map_count > ADDR_MAP_BASELINE )); then
-  echo "check.sh: ${addr_map_count} Addr.Map uses in lib/plan+lib/deploy (baseline ${ADDR_MAP_BASELINE}) — keep the hot path on interned ids" >&2
+  echo "check.sh: ${addr_map_count} Addr.Map uses in lib/graph+lib/plan+lib/deploy (baseline ${ADDR_MAP_BASELINE}) — keep the graph and the apply path on interned ids" >&2
   exit 1
 fi
 
@@ -218,10 +219,8 @@ fi
 # grown: the walker seeds op ids from Journal.last_op, which the
 # journal keeps as it grows, never from a scan of Journal.entries (the
 # resume paths in fleet.ml, rollout.ml and lifecycle.ml replay the
-# journal and may scan it).  Every apply path walks the flat
-# Plan.exec_graph; the Addr-keyed Plan.execution_graph is for analyses
-# and the equivalence oracles in lib/plan.  A per-grant file that is
-# gone fails the gate rather than silently leaving it.
+# journal and may scan it).  A per-grant file that is gone fails the
+# gate rather than silently leaving it.
 per_grant="$walker lib/deploy/executor.ml lib/controlplane/shard.ml"
 for f in $per_grant; do
   if [[ ! -f $f ]]; then
@@ -236,11 +235,19 @@ if [[ -n "$journal_scans" ]]; then
   echo "$journal_scans" >&2
   exit 1
 fi
-dag_walks=$(grep -rnE 'Plan\.execution_graph' lib/ --include='*.ml' --include='*.mli' \
-  | grep -v '^lib/plan/' || true)
-if [[ -n "$dag_walks" ]]; then
-  echo "check.sh: Plan.execution_graph outside lib/plan — apply paths walk Plan.exec_graph:" >&2
-  echo "$dag_walks" >&2
+
+# -- one dependency graph --------------------------------------------
+# Dag.build is the one graph builder: Plan.exec_graph, Dag.of_instances
+# and every analysis (Kahn rounds, critical path, priorities, impact
+# scope, DOT) share its flat rows.  A second Kahn kernel, row sort or
+# edge buffer outside lib/graph/dag.ml, or a graph built edge by edge,
+# would be a second graph with its own ordering rules.
+graph_offenders=$(grep -rnE \
+  '(let|and) +(rec +)?(rounds_kernel|sort_slice)([^_[:alnum:]]|$)|module +Ivec([^_[:alnum:]]|$)|Dag\.add_(node|edge)|Plan\.execution_graph' \
+  lib/ --include='*.ml' --include='*.mli' | grep -v '^lib/graph/dag\.ml:' || true)
+if [[ -n "$graph_offenders" ]]; then
+  echo "check.sh: a second graph builder or Kahn kernel outside lib/graph/dag.ml — build with Dag.build:" >&2
+  echo "$graph_offenders" >&2
   exit 1
 fi
 

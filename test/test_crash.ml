@@ -759,6 +759,53 @@ let test_cli_corrupt_journal () =
   check string_ "state untouched" state_text (Io_util.read_file state_path);
   check string_ "journal untouched" corrupt (Io_util.read_file journal)
 
+(* A state file whose rows depend on each other in a cycle: vpc a on
+   b and b on a, next to an independent vpc c.  Applying an empty
+   config must fail before anything is journaled or written, under
+   either engine: a FIFO walk used to delete c, stall on the cycle and
+   fail as an internal error. *)
+let test_cli_state_cycle () =
+  let three_vpcs =
+    two_vpcs
+    ^ {|
+resource "aws_vpc" "c" {
+  cidr_block = "10.2.0.0/16"
+  region     = "us-east-1"
+}
+|}
+  in
+  List.iter
+    (fun (name, engine) ->
+      let io, _ = quiet_io () in
+      let state_path = temp_path ".cls" in
+      let journal = state_path ^ ".journal" in
+      check int_ (name ^ ": seed apply ok") 0
+        (Cli.apply ~io ~file:(temp_tf three_vpcs) ~state_path ());
+      let depend st a b =
+        let row = Option.get (State.find_opt st (addr "aws_vpc" a)) in
+        State.add st { row with State.deps = [ addr "aws_vpc" b ] }
+      in
+      let cyclic = depend (depend (read_state state_path) "a" "b") "b" "a" in
+      Io_util.write_file state_path (State.to_string cyclic);
+      let state_text = Io_util.read_file state_path in
+      let empty = temp_tf "" in
+      let io, dump = quiet_io () in
+      let code = Cli.apply ~io ~engine ~file:empty ~state_path () in
+      let _, err = dump () in
+      check int_ (name ^ ": apply exits 1") 1 code;
+      check bool_ (name ^ ": a dependency-cycle diagnostic") true
+        (contains ~sub:"[plan/dependency-cycle]" err);
+      check string_ (name ^ ": state untouched") state_text
+        (Io_util.read_file state_path);
+      check bool_ (name ^ ": no journal entry") true
+        ((not (Sys.file_exists journal)) || Journal.load journal = []);
+      let io, dump = quiet_io () in
+      ignore (Cli.apply ~io ~engine ~file:empty ~state_path ());
+      let out, _ = dump () in
+      check bool_ (name ^ ": nothing to resume") false
+        (contains ~sub:"Resumed from journal" out))
+    [ ("baseline", Cli.Baseline); ("cloudless", Cli.Cloudless) ]
+
 let suites =
   [
     ( "crash",
@@ -800,5 +847,7 @@ let suites =
           test_cli_destroy_merges_journal;
         Alcotest.test_case "cli: a corrupt journal fails apply" `Quick
           test_cli_corrupt_journal;
+        Alcotest.test_case "cli: a cycle in the state fails before any write"
+          `Quick test_cli_state_cycle;
       ] );
   ]

@@ -11,16 +11,15 @@ let string_ = Alcotest.string
 
 let addr name = Addr.make ~rtype:"t_x" ~rname:name ()
 
-(* a -> b -> d, a -> c -> d (diamond); payload = duration *)
-let diamond () =
-  let g = Dag.empty in
-  let g = List.fold_left (fun g (n, d) -> Dag.add_node g (addr n) d) g
-      [ ("a", 1.); ("b", 10.); ("c", 2.); ("d", 1.) ] in
-  let g = Dag.add_edge g ~dependent:(addr "b") ~dependency:(addr "a") in
-  let g = Dag.add_edge g ~dependent:(addr "c") ~dependency:(addr "a") in
-  let g = Dag.add_edge g ~dependent:(addr "d") ~dependency:(addr "b") in
-  let g = Dag.add_edge g ~dependent:(addr "d") ~dependency:(addr "c") in
-  g
+(* a -> b -> d, a -> c -> d (diamond), plus [extra] edges; payload =
+   duration *)
+let diamond ?(extra = []) () =
+  Dag.of_edges
+    (List.map (fun (n, d) -> (addr n, d))
+       [ ("a", 1.); ("b", 10.); ("c", 2.); ("d", 1.) ])
+    (List.map
+       (fun (x, y) -> (addr x, addr y))
+       ([ ("b", "a"); ("c", "a"); ("d", "b"); ("d", "c") ] @ extra))
 
 let names addrs = List.map (fun a -> a.Addr.rname) addrs
 
@@ -32,9 +31,12 @@ let test_topo_sort () =
   check (Alcotest.list string_) "full order" [ "a"; "b"; "c"; "d" ] order
 
 let test_cycle_detection () =
-  let g = diamond () in
-  let g = Dag.add_edge g ~dependent:(addr "a") ~dependency:(addr "d") in
-  check bool_ "cycle" true (Dag.has_cycle g);
+  let g = diamond ~extra:[ ("a", "d") ] () in
+  (match Dag.check_acyclic g with
+  | exception Dag.Cycle blocked ->
+      check (Alcotest.list string_) "blocked, node order" [ "a"; "b"; "c"; "d" ]
+        (names blocked)
+  | () -> Alcotest.fail "expected Cycle");
   match Dag.topo_sort g with
   | exception Dag.Cycle _ -> ()
   | _ -> Alcotest.fail "expected Cycle"
@@ -43,37 +45,26 @@ let test_levels () =
   let ls = Dag.levels (diamond ()) in
   check int_ "3 levels" 3 (List.length ls);
   check (Alcotest.list string_) "middle level" [ "b"; "c" ] (names (List.nth ls 1));
-  check int_ "depth" 3 (Dag.depth (diamond ()));
-  check int_ "width" 2 (Dag.max_width (diamond ()))
+  check int_ "depth" 3 (Dag.depth (diamond ()))
 
 let test_critical_path () =
-  let g = diamond () in
-  let duration a = Dag.payload g a in
-  let total, path = Dag.critical_path g ~duration in
+  let total, path = Dag.critical_path (diamond ()) ~duration:Fun.id in
   check (Alcotest.float 1e-9) "1+10+1" 12. total;
   check (Alcotest.list string_) "path through b" [ "a"; "b"; "d" ] (names path)
 
 let test_priorities () =
-  let g = diamond () in
-  let duration a = Dag.payload g a in
-  let prio = Dag.priorities g ~duration in
+  (* by node id: a, b, c, d *)
+  let prio = Dag.priorities (diamond ()) ~duration:Fun.id in
   (* remaining longest path including self *)
-  check (Alcotest.float 1e-9) "a = full path" 12. (prio (addr "a"));
-  check (Alcotest.float 1e-9) "b on critical path" 11. (prio (addr "b"));
-  check (Alcotest.float 1e-9) "c slack" 3. (prio (addr "c"));
-  check bool_ "b more critical than c" true (prio (addr "b") > prio (addr "c"))
-
-let test_ancestors_descendants () =
-  let g = diamond () in
-  let seeds = Addr.Set.singleton (addr "b") in
-  check int_ "ancestors of b = {a,b}" 2 (Addr.Set.cardinal (Dag.ancestors g seeds));
-  check int_ "descendants of b = {b,d}" 2
-    (Addr.Set.cardinal (Dag.descendants g seeds))
+  check (Alcotest.float 1e-9) "a = full path" 12. prio.(0);
+  check (Alcotest.float 1e-9) "b on critical path" 11. prio.(1);
+  check (Alcotest.float 1e-9) "c slack" 3. prio.(2);
+  check bool_ "b more critical than c" true (prio.(1) > prio.(2))
 
 let test_impact_scope () =
   let g = diamond () in
   (* editing c impacts c, d (dependents) + their deps a, b as context *)
-  let scope = Dag.impact_scope g (Addr.Set.singleton (addr "c")) in
+  let scope = Dag.impact_scope g [ addr "c" ] in
   check bool_ "c in scope" true (Addr.Set.mem (addr "c") scope);
   check bool_ "d in scope" true (Addr.Set.mem (addr "d") scope);
   check bool_ "a in scope (context dep of c)" true (Addr.Set.mem (addr "a") scope)
@@ -81,15 +72,8 @@ let test_impact_scope () =
 let test_impact_scope_small_for_leaf () =
   (* editing the sink d impacts only d + its direct deps *)
   let g = diamond () in
-  let scope = Dag.impact_scope g (Addr.Set.singleton (addr "d")) in
+  let scope = Dag.impact_scope g [ addr "d" ] in
   check int_ "d, b, c" 3 (Addr.Set.cardinal scope)
-
-let test_restrict () =
-  let g = diamond () in
-  let keep = Addr.Set.of_list [ addr "a"; addr "b" ] in
-  let g' = Dag.restrict g keep in
-  check int_ "2 nodes" 2 (Dag.size g');
-  check int_ "1 edge" 1 (Dag.edge_count g')
 
 let test_of_instances () =
   let cfg =
@@ -123,6 +107,25 @@ let test_to_dot () =
   check bool_ "digraph" true (Test_fixtures.contains_substring ~sub:"digraph" dot);
   check bool_ "edge" true (Test_fixtures.contains_substring ~sub:"->" dot)
 
+(* A graph is built from what the program hands it, so a bad node set
+   is a typed internal error, never a silently merged node or a
+   dangling edge. *)
+let test_build_rejects_bad_nodes () =
+  let module D = Cloudless_error.Diagnostic in
+  let internal what code f =
+    match f () with
+    | exception Cloudless_error.Error d ->
+        check bool_ (what ^ ": internal stage") true (d.D.stage = D.Internal);
+        check string_ (what ^ ": code") code d.D.code
+    | _ -> Alcotest.failf "%s: expected a typed error" what
+  in
+  internal "duplicate node" "duplicate-node" (fun () ->
+      Dag.build ~addr:Fun.id
+        ~edges:(fun ~resolve:_ ~add:_ _ _ -> ())
+        [| addr "a"; addr "b"; addr "a" |]);
+  internal "unknown endpoint" "unknown-node" (fun () ->
+      Dag.of_edges [ (addr "a", ()) ] [ (addr "a", addr "z") ])
+
 (* ------------------------------------------------------------------ *)
 (* Equivalence with the seed's list-scan reference traversals          *)
 (* ------------------------------------------------------------------ *)
@@ -134,24 +137,17 @@ let knode i =
     ~rname:(Printf.sprintf "n%d" (i / 3))
     ~key:(Addr.Kint (i mod 3)) ()
 
-(* Random DAG: n nodes in insertion order; each edge (a, b) is oriented
+(* Random DAG: n nodes in node order; each edge (a, b) is oriented
    from the higher index to the lower, so the graph is acyclic by
    construction. *)
 let build_random n pairs =
-  let g = ref Dag.empty in
-  for i = 0 to n - 1 do
-    g := Dag.add_node !g (knode i) i
-  done;
-  List.iter
-    (fun (a, b) ->
-      let a = a mod n and b = b mod n in
-      if a <> b then
-        g :=
-          Dag.add_edge !g
-            ~dependent:(knode (max a b))
-            ~dependency:(knode (min a b)))
-    pairs;
-  !g
+  Dag.of_edges
+    (List.init n (fun i -> (knode i, i)))
+    (List.filter_map
+       (fun (a, b) ->
+         let a = a mod n and b = b mod n in
+         if a <> b then Some (knode (max a b), knode (min a b)) else None)
+       pairs)
 
 let random_dag_arb =
   QCheck.(
@@ -180,25 +176,22 @@ let prop_impact_matches_reference =
         Addr.make ~rtype:"t_x" ~rname:(Printf.sprintf "n%d" (i / 3)) ()
       in
       let edited = [ knode i; base ] in
-      let module Plan = Cloudless_plan.Plan in
       Addr.Set.equal
-        (Plan.impact_scope ~graph:g ~edited)
-        (Plan.Reference.impact_scope ~graph:g ~edited))
+        (Dag.impact_scope g edited)
+        (Dag.Reference.impact_scope g edited))
 
 let test_memo_invalidation () =
   let g = diamond () in
   check (Alcotest.list string_) "initial" [ "a"; "b"; "c"; "d" ]
     (names (Dag.topo_sort g));
-  (* adding an edge after a computed order must invalidate the cache *)
-  let g = Dag.add_edge g ~dependent:(addr "b") ~dependency:(addr "c") in
+  check (Alcotest.list string_) "memoized" [ "a"; "b"; "c"; "d" ]
+    (names (Dag.topo_sort g));
+  (* a graph with one more edge has its own rounds *)
+  let g = diamond ~extra:[ ("b", "c") ] () in
   check (Alcotest.list string_) "after new edge" [ "a"; "c"; "b"; "d" ]
     (names (Dag.topo_sort g));
   check (Alcotest.list string_) "reference agrees"
     (names (Dag.Reference.topo_sort g))
-    (names (Dag.topo_sort g));
-  (* re-payloading an existing node keeps the topology *)
-  let g = Dag.add_node g (addr "a") 99. in
-  check (Alcotest.list string_) "after re-payload" [ "a"; "c"; "b"; "d" ]
     (names (Dag.topo_sort g))
 
 (* Property: impact scope of a random seed set is monotone (adding
@@ -209,8 +202,8 @@ let prop_impact_monotone =
     (fun (i, j) ->
       let g = diamond () in
       let all = [| "a"; "b"; "c"; "d" |] in
-      let s1 = Addr.Set.singleton (addr all.(i)) in
-      let s2 = Addr.Set.add (addr all.(j)) s1 in
+      let s1 = [ addr all.(i) ] in
+      let s2 = addr all.(j) :: s1 in
       let sc1 = Dag.impact_scope g s1 and sc2 = Dag.impact_scope g s2 in
       Addr.Set.subset sc1 sc2 && Addr.Set.mem (addr all.(i)) sc1)
 
@@ -225,12 +218,12 @@ let suites =
         Alcotest.test_case "levels" `Quick test_levels;
         Alcotest.test_case "critical path" `Quick test_critical_path;
         Alcotest.test_case "priorities" `Quick test_priorities;
-        Alcotest.test_case "ancestors/descendants" `Quick test_ancestors_descendants;
         Alcotest.test_case "impact scope" `Quick test_impact_scope;
         Alcotest.test_case "impact scope leaf" `Quick test_impact_scope_small_for_leaf;
-        Alcotest.test_case "restrict" `Quick test_restrict;
         Alcotest.test_case "of_instances" `Quick test_of_instances;
         Alcotest.test_case "to_dot" `Quick test_to_dot;
+        Alcotest.test_case "build rejects bad nodes" `Quick
+          test_build_rejects_bad_nodes;
         Alcotest.test_case "memo invalidation" `Quick test_memo_invalidation;
         qtest prop_impact_monotone;
         qtest prop_kahn_matches_reference;

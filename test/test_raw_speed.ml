@@ -2,8 +2,8 @@
    observably identical to the seed's reference implementations.
 
    - the address interner's basic contract;
-   - [Plan.exec_graph]/[exec_rounds] vs the [Dag]-based oracle on
-     random fleet/chain workloads;
+   - [Plan.exec_graph] vs the list-scan oracles on random fleet/chain
+     workloads, and vs [Dag.of_instances] on a cold plan;
    - the [Workload.fleet_instances]/[chain_instances] fast paths vs
      the parsed-and-evaluated text generators, field for field;
    - the journal's literal codec over adversarial entries (quotes,
@@ -53,23 +53,12 @@ let test_intern_basics () =
       (Intern.intern t (mk "aws_eip" (Printf.sprintf "e%d" i)))
   done;
   check int_ "grown length" 102 (Intern.length t);
-  (match Intern.addr t 500 with
+  match Intern.addr t 500 with
   | exception Cloudless_error.Error _ -> ()
-  | _ -> Alcotest.fail "out-of-range id must raise");
-  let order = ref [] in
-  Intern.iter (fun id ad -> order := (id, ad) :: !order) t;
-  check int_ "iter covers all" 102 (List.length !order);
-  check int_ "iter ascending" 0 (fst (List.hd (List.rev !order)))
-
-let test_intern_of_list () =
-  let a = mk "t" "a" and b = mk "t" "b" in
-  let t = Intern.of_list [ a; b; a; b; a ] in
-  check int_ "duplicates collapse" 2 (Intern.length t);
-  check addr_ty "list order 0" a (Intern.addr t 0);
-  check addr_ty "list order 1" b (Intern.addr t 1)
+  | _ -> Alcotest.fail "out-of-range id must raise"
 
 (* ------------------------------------------------------------------ *)
-(* exec_graph/exec_rounds vs the Dag oracle                            *)
+(* exec_graph vs the oracles                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Random instance workload: a fleet (wide, grouped) or a chain
@@ -86,31 +75,59 @@ let workload_arb =
 
 let prop_exec_rounds_match_oracle =
   QCheck.Test.make ~count:60
-    ~name:"exec_graph rounds = Dag rounds of execution_graph"
+    ~name:"exec_graph rounds = Reference.levels of the plan graph"
     workload_arb
     (fun (_, instances) ->
-      let plan = Plan.make ~state:State.empty instances in
-      let xg = Plan.exec_graph plan in
-      let flat_rounds =
-        List.map
-          (List.map (fun id -> xg.Plan.xchanges.(id).Plan.addr))
-          (Plan.exec_rounds xg)
-      in
-      let oracle_rounds = Dag.levels (Plan.execution_graph plan) in
-      flat_rounds = oracle_rounds)
+      let g = Plan.exec_graph (Plan.make ~state:State.empty instances) in
+      Dag.levels g = Dag.Reference.levels g)
+
+(* The workload planned against a state that records all of it, with
+   every other instance dropped from the config: the dropped ones are
+   deletes whose recorded dependencies give the reversed delete edges,
+   the kept ones updates or replaces. *)
+let shrunk_plan instances =
+  let row (i : Eval.instance) =
+    {
+      State.addr = i.Eval.addr;
+      cloud_id = Addr.to_string i.Eval.addr;
+      rtype = i.Eval.addr.Addr.rtype;
+      region = "us-east-1";
+      attrs = Value.Smap.empty;
+      deps = i.Eval.ref_deps @ i.Eval.explicit_deps;
+    }
+  in
+  let state =
+    List.fold_left (fun st i -> State.add st (row i)) State.empty instances
+  in
+  Plan.make ~state (List.filteri (fun k _ -> k mod 2 = 0) instances)
 
 let prop_execution_graph_matches_reference =
   QCheck.Test.make ~count:40
     ~name:"execution_graph = Reference.execution_graph on random workloads"
     workload_arb
     (fun (_, instances) ->
-      let plan = Plan.make ~state:State.empty instances in
-      let g = Plan.execution_graph plan in
-      let r = Plan.Reference.execution_graph plan in
-      Dag.nodes g = Dag.nodes r
-      && List.for_all
-           (fun a -> Addr.Set.equal (Dag.deps_of g a) (Dag.deps_of r a))
-           (Dag.nodes g))
+      List.for_all
+        (fun plan ->
+          let g = Plan.exec_graph plan in
+          let r = Plan.Reference.execution_graph plan in
+          Dag.nodes g = List.map fst r
+          && List.for_all
+               (fun (a, deps) -> Addr.Set.equal (Dag.deps_of g a) deps)
+               r)
+        [ Plan.make ~state:State.empty instances; shrunk_plan instances ])
+
+(* The graph `cloudless graph` prints is the graph a cold apply walks:
+   same nodes in the same order, same rows. *)
+let prop_instances_graph_is_cold_plan_graph =
+  QCheck.Test.make ~count:40
+    ~name:"of_instances = exec_graph of a cold plan"
+    workload_arb
+    (fun (_, instances) ->
+      let g = Dag.of_instances instances in
+      let x = Plan.exec_graph (Plan.make ~state:State.empty instances) in
+      Dag.nodes g = Dag.nodes x
+      && Dag.deps g = Dag.deps x
+      && Dag.rdeps g = Dag.rdeps x)
 
 (* ------------------------------------------------------------------ *)
 (* Dag.rounds_into vs Dag.Reference.rounds on adversarial DAGs         *)
@@ -118,18 +135,12 @@ let prop_execution_graph_matches_reference =
 
 let node i = mk ~key:(Addr.Kint i) "node" "n"
 
-(* A dag over nodes [0 .. n-1] (insertion order = interned id) with the
-   given (dependent, dependency) edges. *)
+(* A dag over nodes [0 .. n-1] (node order = id) with the given
+   (dependent, dependency) edges. *)
 let dag_of ~n edges =
-  let g =
-    List.fold_left
-      (fun g i -> Dag.add_node g (node i) i)
-      Dag.empty
-      (List.init n Fun.id)
-  in
-  List.fold_left
-    (fun g (a, b) -> Dag.add_edge g ~dependent:(node a) ~dependency:(node b))
-    g edges
+  Dag.of_edges
+    (List.init n (fun i -> (node i, i)))
+    (List.map (fun (a, b) -> (node a, node b)) edges)
 
 (* Rounds through the zero-alloc kernel, mapped back to addresses so
    they compare against the reference's [Addr.t list list]. *)
@@ -223,11 +234,12 @@ let prop_rounds_into_matches_reference =
    up here as a byte diff.  (The qcheck property above proves the
    kernel equals the seed's Dag oracle; this pins the concrete 10k
    artifact across refactors.) *)
-let exec_order_digest xg =
-  let n = Plan.exec_size xg in
+let exec_order_digest g =
+  let n = Dag.size g in
   let order = Array.make (max 1 n) 0 in
   let offsets = Array.make (n + 1) 0 in
-  let rounds = Plan.exec_rounds_into xg ~order ~offsets in
+  let rounds = Dag.rounds_into g ~order ~offsets in
+  let addrs = Array.of_list (Dag.nodes g) in
   let buf = Buffer.create (16 * n) in
   Buffer.add_string buf (string_of_int rounds);
   for k = 0 to rounds do
@@ -236,8 +248,7 @@ let exec_order_digest xg =
   done;
   for i = 0 to n - 1 do
     Buffer.add_char buf '\n';
-    Buffer.add_string buf
-      (Addr.to_string xg.Plan.xchanges.(order.(i)).Plan.addr)
+    Buffer.add_string buf (Addr.to_string addrs.(order.(i)))
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
@@ -610,15 +621,12 @@ let test_shard_domains_byte_identical () =
 
 let suites =
   [
-    ( "raw_speed.intern",
-      [
-        Alcotest.test_case "basics" `Quick test_intern_basics;
-        Alcotest.test_case "of_list" `Quick test_intern_of_list;
-      ] );
+    ("raw_speed.intern", [ Alcotest.test_case "basics" `Quick test_intern_basics ]);
     ( "raw_speed.plan",
       [
         qtest prop_exec_rounds_match_oracle;
         qtest prop_execution_graph_matches_reference;
+        qtest prop_instances_graph_is_cold_plan_graph;
         qtest prop_orphans_match_set_oracle;
         Alcotest.test_case "10k/1k scheduling order golden" `Quick
           test_exec_rounds_golden_10k;

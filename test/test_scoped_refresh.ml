@@ -219,29 +219,25 @@ let oracle_scope ~state (plan : Plan.t) =
     || (d.Addr.key = Addr.Knone && Addr.same_base x.Plan.addr d)
   in
   let g =
-    List.fold_left
-      (fun g (c : Plan.change) -> Dag.add_node g c.Plan.addr ())
-      Dag.empty plan.Plan.changes
-  in
-  let g =
-    List.fold_left
-      (fun g (c : Plan.change) ->
-        List.fold_left
-          (fun g (x : Plan.change) ->
-            if
-              (not (Addr.equal x.Plan.addr c.Plan.addr))
-              && List.exists (fun d -> names d x) c.Plan.deps
-            then Dag.add_edge g ~dependent:c.Plan.addr ~dependency:x.Plan.addr
-            else g)
-          g live)
-      g live
+    Dag.of_edges
+      (List.map (fun (c : Plan.change) -> (c.Plan.addr, ())) plan.Plan.changes)
+      (List.concat_map
+         (fun (c : Plan.change) ->
+           List.filter_map
+             (fun (x : Plan.change) ->
+               if
+                 (not (Addr.equal x.Plan.addr c.Plan.addr))
+                 && List.exists (fun d -> names d x) c.Plan.deps
+               then Some (c.Plan.addr, x.Plan.addr)
+               else None)
+             live)
+         live)
   in
   let seeds =
-    addrs
-      (List.filter_map
-         (fun (c : Plan.change) ->
-           if Plan.is_noop c then None else Some c.Plan.addr)
-         live)
+    List.filter_map
+      (fun (c : Plan.change) ->
+        if Plan.is_noop c then None else Some c.Plan.addr)
+      live
   in
   let recorded =
     addrs (List.map (fun r -> r.State.addr) (State.resources state))
