@@ -24,13 +24,11 @@
    ~100 ms in life) dwarfs the ~10 us the journal adds per change by
    four orders of magnitude.
 
-   A second leg splits a multi-fleet plan by weakly-connected
-   component ({!Cloudless_deploy.Components}) and applies it at --domains
-   {1, 2, 4}.  The merged report must be byte-identical at every
-   domain count — asserted here via digests over the applied order,
-   makespan, counters, and the rendered state — and the leg records
-   wall times and speedups (meaningful only when the host actually has
-   cores; the JSON carries [cores] so readers can tell).
+   A last leg applies an 8-fleet plan once through Executor.apply and
+   prints a digest of everything observable about the run: the
+   applied, skipped and failed order, the makespan, the counters and
+   the rendered state.  BENCH_raw.json records it as "multi_fleet", so
+   a later engine change can be checked against it byte for byte.
 
    Results land in BENCH_raw.json; `--quick` runs a small sweep into
    BENCH_raw_quick.json (gitignored).  `--resources N` overrides the
@@ -38,7 +36,6 @@
 
 open Bench_util
 module Executor = Cloudless_deploy.Executor
-module Components = Cloudless_deploy.Components
 module Plan = Cloudless_plan.Plan
 module Intern = Cloudless_graph.Intern
 module Dag = Cloudless_graph.Dag
@@ -156,70 +153,39 @@ let run_size n =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel leg                                                 *)
+(* Multi-fleet fingerprint                                             *)
 (* ------------------------------------------------------------------ *)
 
-type domain_sample = {
-  domains : int;  (** requested width (0 = size to the machine) *)
-  effective : int;  (** what the pool actually ran: capped at
-                        [min components cores] (see {!Components.report}) *)
-  dwall_s : float;
-  speedup : float;  (** vs the domains=1 run of the same plan *)
-  digest : string;
-}
-
-(* Everything observable about a split apply, digested; any
-   domain-count dependence whatsoever changes the hex. *)
-let report_digest (r : Components.report) =
+(* Everything observable about one apply, digested: any change to the
+   pick order, the pacing, the counters or the state rows changes the
+   hex. *)
+let report_digest (r : Executor.report) =
   let buf = Buffer.create 4096 in
   let addrs l = List.iter (fun a -> Buffer.add_string buf (Addr.to_string a); Buffer.add_char buf '\n') l in
-  addrs r.Components.applied;
-  addrs r.Components.skipped;
+  addrs r.Executor.applied;
+  addrs r.Executor.skipped;
   List.iter
     (fun (f : Executor.failure) ->
       Buffer.add_string buf (Addr.to_string f.Executor.faddr);
       Buffer.add_string buf f.Executor.reason;
       Buffer.add_char buf '\n')
-    r.Components.failed;
-  Buffer.add_string buf (Printf.sprintf "%.17g\n" r.Components.makespan);
+    r.Executor.failed;
+  Buffer.add_string buf (Printf.sprintf "%.17g\n" r.Executor.makespan);
   Buffer.add_string buf
-    (Printf.sprintf "%d %d %d %d %d\n" r.Components.api_calls r.Components.retries
-       r.Components.throttled r.Components.sched_picks r.Components.peak_ready);
-  Buffer.add_string buf (State.to_string r.Components.state);
+    (Printf.sprintf "%d %d %d %d %d\n" r.Executor.api_calls r.Executor.retries
+       r.Executor.throttled r.Executor.sched_picks r.Executor.peak_ready);
+  Buffer.add_string buf (State.to_string r.Executor.state);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let run_domains ~n ~fleets =
+let multi_fleet_digest ~n ~fleets =
   let instances = Workload.fleet_instances ~fleets ~resources:n () in
   let plan = Plan.make ~state:State.empty instances in
-  let run domains =
-    let r =
-      Components.apply
-        ~make_cloud:(fun _ -> fresh_cloud ~seed:42 ())
-        ~domains ~config:Executor.cloudless_config ~state:State.empty ~plan ()
-    in
-    assert (Components.succeeded r);
-    (r, report_digest r)
+  let r =
+    Executor.apply (fresh_cloud ~seed:42 ()) ~config:Executor.cloudless_config
+      ~state:State.empty ~plan ()
   in
-  let base, base_digest = run 1 in
-  let samples =
-    List.map
-      (fun d ->
-        let r, digest = run d in
-        (* the tentpole's hard invariant: output is byte-identical at
-           any domain count — including 0, the auto-detected width *)
-        assert (digest = base_digest);
-        {
-          domains = d;
-          effective = r.Components.domains;
-          dwall_s = r.Components.wall_s;
-          speedup =
-            (if r.Components.wall_s > 0. then base.Components.wall_s /. r.Components.wall_s
-             else 0.);
-          digest;
-        })
-      [ 1; 2; 4; 0 ]
-  in
-  (samples, List.length base.Components.parts)
+  assert (Executor.succeeded r);
+  report_digest r
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -243,13 +209,7 @@ let json_of_sample s =
     s.n stage_fields s.journal_overhead_pct s.journal_us_per_change
     s.group_us_per_change s.exec_words_per_change s.ok
 
-let json_of_domain_sample d =
-  Printf.sprintf
-    "    {\"domains\": %d, \"effective_domains\": %d, \"wall_s\": %.6f, \
-     \"speedup\": %.2f, \"digest\": \"%s\"}"
-    d.domains d.effective d.dwall_s d.speedup d.digest
-
-let write_json ~quick ~samples ~domain_samples ~dom_n ~dom_fleets ~shards =
+let write_json ~quick ~samples ~mf_n ~mf_fleets ~digest =
   let oc = open_out (json_file ~quick) in
   Printf.fprintf oc
     "{\n\
@@ -260,16 +220,12 @@ let write_json ~quick ~samples ~domain_samples ~dom_n ~dom_fleets ~shards =
     \  \"samples\": [\n\
      %s\n\
     \  ],\n\
-    \  \"domain_leg\": {\"n\": %d, \"fleets\": %d, \"shards\": %d, \
-     \"byte_identical\": true, \"runs\": [\n\
-     %s\n\
-    \  ]}\n\
+    \  \"multi_fleet\": {\"n\": %d, \"fleets\": %d, \"digest\": \"%s\"}\n\
      }\n"
     quick
     (Domain.recommended_domain_count ())
     (String.concat ",\n" (List.map json_of_sample samples))
-    dom_n dom_fleets shards
-    (String.concat ",\n" (List.map json_of_domain_sample domain_samples));
+    mf_n mf_fleets digest;
   close_out oc
 
 let run () =
@@ -325,25 +281,18 @@ let run () =
         exit 1
       end)
     samples;
-  let dom_n, dom_fleets =
+  let mf_n, mf_fleets =
     match !Bench_util.resources with
     | Some n -> (n, 8)
     | None -> if quick then (2_000, 8) else (100_000, 8)
   in
-  let domain_samples, shards = run_domains ~n:dom_n ~fleets:dom_fleets in
-  Printf.printf "\n  domain leg: n=%d over %d fleets -> %d component(s), %d core(s)\n"
-    dom_n dom_fleets shards
-    (Domain.recommended_domain_count ());
-  List.iter
-    (fun d ->
-      Printf.printf "    domains=%d  wall=%.3fs  speedup=%.2fx  digest=%s\n"
-        d.domains d.dwall_s d.speedup
-        (String.sub d.digest 0 12))
-    domain_samples;
+  let digest = multi_fleet_digest ~n:mf_n ~fleets:mf_fleets in
+  Printf.printf "\n  multi-fleet apply: n=%d over %d fleets, digest=%s\n" mf_n
+    mf_fleets (String.sub digest 0 12);
   let top = List.nth samples (List.length samples - 1) in
   Printf.printf
     "\n\
-    \  shape check: identical digests at --domains {1,2,4,0} (asserted);\n\
+    \  shape check: the journaled applies match the bare one (asserted);\n\
     \  WAL journal adds %.1f us/change (%.1f%% of the pure-engine apply\n\
     \  wall; the flush-per-intent contract floors that ratio), group\n\
     \  commit (K=64) %.1f us/change — against the 0.15 s simulated API\n\
@@ -353,4 +302,4 @@ let run () =
     top.journal_us_per_change top.journal_overhead_pct
     top.group_us_per_change top.exec_words_per_change alloc_budget
     (json_file ~quick);
-  write_json ~quick ~samples ~domain_samples ~dom_n ~dom_fleets ~shards
+  write_json ~quick ~samples ~mf_n ~mf_fleets ~digest

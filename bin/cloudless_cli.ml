@@ -103,19 +103,8 @@ let plan_cmd =
     Term.(const run $ file_arg $ state_arg $ trace_arg)
 
 let apply_cmd =
-  let run file state_path seed engine trace_path domains journal_mode =
-    Cli.apply ?trace_path ~seed ~engine ~domains ~journal_mode ~file
-      ~state_path ()
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Shard the plan by weakly-connected component and apply the \
-             shards on N OCaml domains; 0 sizes the pool to the machine. \
-             Output is byte-identical for any N; the sharded path skips the \
-             deployment journal (crash resume is a --domains 1 feature)")
+  let run file state_path seed engine trace_path journal_mode =
+    Cli.apply ?trace_path ~seed ~engine ~journal_mode ~file ~state_path ()
   in
   let journal_mode_arg =
     let modes =
@@ -144,7 +133,7 @@ let apply_cmd =
           state file")
     Term.(
       const run $ file_arg $ state_arg $ seed_arg $ engine_arg $ trace_arg
-      $ domains_arg $ journal_mode_arg)
+      $ journal_mode_arg)
 
 let destroy_cmd =
   let run state_path seed trace_path =

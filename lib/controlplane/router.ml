@@ -74,7 +74,6 @@ let pin t tenant shard =
     t.pins <- Smap.add tenant shard t.pins
   end
 
-let unpin t tenant = t.pins <- Smap.remove tenant t.pins
 let pinned t = Smap.bindings t.pins
 let moves t = t.moves
 

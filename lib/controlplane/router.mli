@@ -35,9 +35,6 @@ val ring_assign : t -> string -> int
     @raise Invalid_argument when [shard] is out of range. *)
 val pin : t -> string -> int -> unit
 
-(** Drop the override, reverting to the ring position. *)
-val unpin : t -> string -> unit
-
 (** Current overrides, sorted by tenant. *)
 val pinned : t -> (string * int) list
 

@@ -91,17 +91,39 @@ let default =
 (* Strict k=v sub-grammars                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Every number in a scenario is finite and at least 0, and a
+   [positive] one is above 0: a zero or negative period re-arms its
+   timer at the same simulated instant forever.  [least] is the
+   smallest integer a field takes.  [fail] raises the caller's located
+   diagnostic. *)
+let number ~fail ~positive name v =
+  let in_range f = if positive then f > 0. else f >= 0. in
+  match float_of_string_opt v with
+  | Some f when Float.is_finite f && in_range f -> f
+  | _ ->
+      fail
+        (Printf.sprintf "%s expects a number %s, got %S" name
+           (if positive then "> 0" else ">= 0")
+           v)
+
+let integer ~fail ~least name v =
+  match int_of_string_opt v with
+  | Some n when n >= least -> n
+  | _ -> fail (Printf.sprintf "%s expects an integer >= %d, got %S" name least v)
+
 (* The [episode =] and [wave =] values are space-separated [k=v] pairs,
    as strict as the top-level grammar: malformed tokens, unknown keys,
-   malformed values, missing required keys and kind-inapplicable keys
-   all fail with a located scenario-syntax diagnostic.  [what] names
-   the sub-grammar in every message; a repeated key's last value wins. *)
-type kv_type = Str | Num | Int
+   malformed or out-of-range values, missing required keys and
+   kind-inapplicable keys all fail with a located scenario-syntax
+   diagnostic.  [what] names the sub-grammar in every message; a
+   repeated key's last value wins.  [Pos] is a number above 0. *)
+type kv_type = Str | Num | Pos | Int
 
 type kv = {
   what : string;
   file : string;
   line : int;
+  keys : (string * kv_type) list;
   pairs : (string * string) list;
 }
 
@@ -113,19 +135,18 @@ let kv_fail kv fmt =
     fmt
 
 let kv_number kv key v =
-  match float_of_string_opt v with
-  | Some f -> f
-  | None -> kv_fail kv "%s %s expects a number, got %S" kv.what key v
+  number
+    ~fail:(kv_fail kv "%s")
+    ~positive:(List.assoc_opt key kv.keys = Some Pos)
+    (kv.what ^ " " ^ key) v
 
 let kv_integer kv key v =
-  match int_of_string_opt v with
-  | Some n -> n
-  | None -> kv_fail kv "%s %s expects an integer, got %S" kv.what key v
+  integer ~fail:(kv_fail kv "%s") ~least:0 (kv.what ^ " " ^ key) v
 
 (* Split [spec] into pairs and check each, in order, against [keys]:
    the key must be known and a typed value must parse. *)
 let kv_read ~what ~file ~line ~keys spec =
-  let kv = { what; file; line; pairs = [] } in
+  let kv = { what; file; line; keys; pairs = [] } in
   let pairs =
     String.split_on_char ' ' spec
     |> List.filter (fun s -> s <> "")
@@ -143,7 +164,7 @@ let kv_read ~what ~file ~line ~keys spec =
       match List.assoc_opt k keys with
       | None -> kv_fail kv "unknown %s key %S" what k
       | Some Str -> ()
-      | Some Num -> ignore (kv_number kv k v)
+      | Some (Num | Pos) -> ignore (kv_number kv k v)
       | Some Int -> ignore (kv_integer kv k v))
     pairs;
   { kv with pairs }
@@ -234,7 +255,7 @@ let wave_of_spec ~file ~line spec =
         [
           ("kind", Str); ("rtype", Str); ("attr", Str); ("value", Str);
           ("count", Int); ("start", Num); ("canary", Int); ("growth", Int);
-          ("forbid", Str); ("budget", Num); ("check", Num);
+          ("forbid", Str); ("budget", Num); ("check", Pos);
         ]
   in
   let set_count =
@@ -338,37 +359,31 @@ let parse ?(file = "<scenario>") src =
                  String.trim
                    (String.sub line (i + 1) (String.length line - i - 1))
                in
-               let int_v () =
-                 match int_of_string_opt v with
-                 | Some n -> n
-                 | None ->
-                     Err.fail ~stage:Err.Diagnostic.Syntax
-                       ~code:"scenario-syntax" "%s:%d: %s expects an integer, got %S"
-                       file (lineno + 1) key v
+               let fail msg =
+                 Err.fail ~stage:Err.Diagnostic.Syntax ~code:"scenario-syntax"
+                   "%s:%d: %s" file (lineno + 1) msg
                in
-               let float_v () =
-                 match float_of_string_opt v with
-                 | Some f -> f
-                 | None ->
-                     Err.fail ~stage:Err.Diagnostic.Syntax
-                       ~code:"scenario-syntax" "%s:%d: %s expects a number, got %S"
-                       file (lineno + 1) key v
+               let int_v ?(least = 0) () = integer ~fail ~least key v in
+               let float_v ?(positive = false) () =
+                 number ~fail ~positive key v
                in
                scn :=
                  match key with
-                 | "tenants" -> { !scn with tenants = int_v () }
+                 | "tenants" -> { !scn with tenants = int_v ~least:1 () }
                  | "deployments_per_tenant" ->
-                     { !scn with deployments_per_tenant = int_v () }
-                 | "resources" -> { !scn with resources = int_v () }
+                     { !scn with deployments_per_tenant = int_v ~least:1 () }
+                 | "resources" -> { !scn with resources = int_v ~least:1 () }
                  | "requests_per_tenant" ->
                      { !scn with requests_per_tenant = int_v () }
                  | "request_interval" ->
                      { !scn with request_interval = float_v () }
                  | "drift_events" -> { !scn with drift_events = int_v () }
-                 | "drift_period" -> { !scn with drift_period = float_v () }
+                 | "drift_period" ->
+                     { !scn with drift_period = float_v ~positive:true () }
                  | "policy_period" -> { !scn with policy_period = float_v () }
-                 | "duration" -> { !scn with duration = float_v () }
-                 | "shards" -> { !scn with shards = int_v () }
+                 | "duration" ->
+                     { !scn with duration = float_v ~positive:true () }
+                 | "shards" -> { !scn with shards = int_v ~least:1 () }
                  | "hot_tenants" -> { !scn with hot_tenants = int_v () }
                  | "hot_burst" -> { !scn with hot_burst = int_v () }
                  | "max_queue_depth" ->

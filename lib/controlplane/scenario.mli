@@ -65,8 +65,13 @@ type t = {
 
 val default : t
 
-(** Parse [key = value] lines ([#] comments allowed); unknown keys and
-    malformed values fail with a scenario-syntax diagnostic. *)
+(** Parse [key = value] lines ([#] comments allowed).  Every number,
+    top-level or inside an [episode =] or [wave =] value, is finite;
+    [tenants], [deployments_per_tenant], [resources] and [shards] are
+    at least 1, [drift_period], [duration] and a wave's [check] are
+    above 0, and every other number is at least 0.  Unknown keys and
+    malformed or out-of-range values fail with a located
+    scenario-syntax diagnostic. *)
 val parse : ?file:string -> string -> t
 
 val load : string -> t

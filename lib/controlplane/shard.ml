@@ -239,7 +239,7 @@ let create ~sid ~cloud ~config ~scope ~trace ~host () =
       config;
       host;
       lock = Lock_manager.create config.granularity;
-      queue = Pq.create ~initial_capacity:64 Pq.Min_first;
+      queue = Pq.create Pq.Min_first;
       scope;
       trace;
       deployments = [];

@@ -21,7 +21,6 @@ module State = Cloudless_state.State
 module Journal = Cloudless_state.Journal
 module Plan = Cloudless_plan.Plan
 module Executor = Cloudless_deploy.Executor
-module Components = Cloudless_deploy.Components
 module Dag = Cloudless_graph.Dag
 module Trace = Cloudless_obs.Trace
 
@@ -146,20 +145,10 @@ let load_recovered io state_path =
       merged
 
 let apply ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
-    ?cloud_config ?(domains = 1) ?(journal_mode = Journal.Wal) ~file
-    ~state_path () =
+    ?cloud_config ?(journal_mode = Journal.Wal) ~file ~state_path () =
   protected io @@ fun () ->
   with_trace trace_path @@ fun trace ->
   Trace.with_span trace "apply-cmd" @@ fun () ->
-  (* --domains 0: size the domain pool to the machine
-     ([Components.apply] further caps it at the component count).  Auto
-     mode always takes the split path, even when the pool resolves to
-     one domain — its output is independent of the domain count, so the
-     state file stays machine-independent. *)
-  let auto_domains = domains = 0 in
-  let domains =
-    if auto_domains then Domain.recommended_domain_count () else domains
-  in
   let recorded = load_recovered io state_path in
   let cloud, state =
     Session.cloud_from_state ~trace ?config:cloud_config recorded ~seed
@@ -168,49 +157,6 @@ let apply ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
   if Plan.is_empty plan then begin
     io.out "No changes. Infrastructure up to date.\n";
     0
-  end
-  else if auto_domains || domains > 1 then begin
-    (* `--domains N`: split the plan by weakly-connected component and
-       run disjoint components on OCaml domains.  The split path is
-       journal-free (see {!Components}) — crash resume is a
-       single-domain feature — so no journal file is created or cleared
-       here. *)
-    io.out (Plan.to_string plan);
-    let make_cloud _c =
-      (* each component gets its own hermetic cloud restored from the
-         same recorded state; the restore order is deterministic, so
-         cloud ids match [state] in every component *)
-      fst (Session.cloud_from_state ?config:cloud_config recorded ~seed)
-    in
-    let report =
-      Components.apply ~make_cloud ~domains ~config:(engine_config engine)
-        ~state ~plan ()
-    in
-    outf io
-      "\n\
-       Applied %d change(s) in %.0f simulated seconds (%d API calls, %d \
-       retries; %d component(s) on %d domain(s)).\n"
-      (List.length report.Components.applied)
-      report.Components.makespan report.Components.api_calls
-      report.Components.retries
-      (List.length report.Components.parts)
-      report.Components.domains;
-    List.iter
-      (fun (f : Executor.failure) ->
-        outf io "FAILED %s: %s\n"
-          (Hcl.Addr.to_string f.Executor.faddr)
-          f.Executor.reason)
-      report.Components.failed;
-    List.iter
-      (fun d -> errf io "%s\n" (Cloudless_error.Diagnostic.to_string d))
-      (List.concat_map
-         (fun (p : Components.part) ->
-           p.Components.report.Executor.diagnostics)
-         report.Components.parts);
-    Session.save_state state_path report.Components.state;
-    outf io "State written to %s (%d resources).\n" state_path
-      (State.size report.Components.state);
-    if report.Components.failed <> [] then 2 else 0
   end
   else begin
     io.out (Plan.to_string plan);

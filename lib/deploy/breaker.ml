@@ -27,11 +27,6 @@ let default_config =
 
 type state = Closed | Open | Half_open
 
-let state_to_string = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half_open"
-
 type cell = {
   ckind : string;
   crtype : string;

@@ -21,8 +21,6 @@ val default_config : config
 
 type state = Closed | Open | Half_open
 
-val state_to_string : state -> string
-
 type t
 
 (** [on_transition] fires on every cell state change (trip, probe

@@ -237,7 +237,7 @@ let now_mono () = Unix.gettimeofday ()
    the E11 reference.  No skip ever reaches a ready node — a ready
    node's dependencies all succeeded — so no implementation needs
    keyed removal. *)
-let ready_set sched policy ~capacity priority =
+let ready_set sched policy priority =
   match (sched, policy) with
   | Sched_heap, Fifo ->
       let q = Queue.create () and peak = ref 0 in
@@ -248,9 +248,7 @@ let ready_set sched policy ~capacity priority =
         (fun () -> Queue.is_empty q),
         fun () -> !peak )
   | Sched_heap, Critical_path ->
-      let q : (int, int) Pq.t =
-        Pq.create ~initial_capacity:capacity ~track:false Pq.Max_first
-      in
+      let q : (int, int) Pq.t = Pq.create Pq.Max_first in
       ( (fun id -> Pq.push q ~prio:(priority id) ~key:id id),
         (fun () -> Option.map (fun (_, _, id) -> id) (Pq.pop q)),
         (fun () -> Pq.is_empty q),
@@ -418,7 +416,7 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
         fun id -> prio.(id)
   in
   let add_ready, take_ready, ready_empty, peak_ready =
-    ready_set sched config.policy ~capacity:node_count priority
+    ready_set sched config.policy priority
   in
   let status = Array.make node_count Pending in
   let remaining_deps = Array.map Array.length (Dag.deps graph) in

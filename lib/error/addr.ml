@@ -97,21 +97,6 @@ let same_base a b =
 
 let base a = { a with key = Knone }
 
-(** Order suitable for stable output: modules first, then data/managed,
-    then type, name, key. *)
-let display_compare a b =
-  let c = compare_path a.module_path b.module_path in
-  if c <> 0 then c
-  else
-    let c = compare_mode a.mode b.mode in
-    if c <> 0 then c
-    else
-      let c = String.compare a.rtype b.rtype in
-      if c <> 0 then c
-      else
-        let c = String.compare a.rname b.rname in
-        if c <> 0 then c else compare_key a.key b.key
-
 module Map = Map.Make (struct
   type nonrec t = t
 

@@ -13,8 +13,6 @@ type pos = {
 
 type span = { file : string; start_pos : pos; end_pos : pos }
 
-let start_of_file = { line = 1; col = 1; offset = 0 }
-
 let dummy_pos = { line = 0; col = 0; offset = 0 }
 let dummy = { file = "<none>"; start_pos = dummy_pos; end_pos = dummy_pos }
 

@@ -89,8 +89,6 @@ let mk ?(span = Loc.dummy) desc = { desc; espan = span }
 
 let string_lit ?(span = Loc.dummy) s = mk ~span (Template [ Lit s ])
 
-let empty_body = { attrs = []; blocks = [] }
-
 (** [attr body name] finds the expression assigned to [name], if any. *)
 let attr body name =
   List.find_map

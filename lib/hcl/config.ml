@@ -396,8 +396,6 @@ let parse ~file src = of_body ~file (Parser.parse ~file src)
 let find_resource t rtype rname =
   List.find_opt (fun r -> r.rtype = rtype && r.rname = rname) t.resources
 
-let find_variable t name = List.find_opt (fun v -> v.vname = name) t.variables
-
 let find_module t name = List.find_opt (fun m -> m.mname = name) t.modules
 
 (** Reconstruct a printable AST body from a structured config.  Blocks

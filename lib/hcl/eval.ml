@@ -118,8 +118,6 @@ let addr_key = "__addr__"
 let instance_value inst =
   Smap.add addr_key (Value.Vstring (Addr.to_string inst.addr)) inst.attrs
 
-let strip_addr m = Smap.remove addr_key m
-
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)

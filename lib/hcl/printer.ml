@@ -216,8 +216,3 @@ let config_to_string (body : Ast.body) =
       block_to_buf buf 0 b)
     body.blocks;
   Buffer.contents buf
-
-let block_to_string b =
-  let buf = Buffer.create 256 in
-  block_to_buf buf 0 b;
-  Buffer.contents buf

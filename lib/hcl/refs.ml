@@ -164,12 +164,3 @@ let of_body (body : Ast.body) : target list =
   List.fold_left
     (fun acc t -> if List.exists (equal_target t) acc then acc else acc @ [ t ])
     [] all
-
-(** Just the resource/data/module dependencies — what matters for graph
-    construction. *)
-let dependencies_of_body body =
-  List.filter
-    (function
-      | Tresource _ | Tdata _ | Tmodule _ -> true
-      | Tvar _ | Tlocal _ | Tcount | Teach | Tpath -> false)
-    (of_body body)

@@ -44,7 +44,7 @@ type t =
 and str_part = Lit of string | Interp of spanned list
 and spanned = { tok : t; span : Loc.span }
 
-let rec describe = function
+let describe = function
   | IDENT s -> Printf.sprintf "identifier %S" s
   | INT n -> Printf.sprintf "integer %d" n
   | FLOAT f -> Printf.sprintf "number %g" f
@@ -79,5 +79,3 @@ let rec describe = function
   | ELLIPSIS -> "'...'"
   | NEWLINE -> "newline"
   | EOF -> "end of input"
-
-and describe_spanned { tok; _ } = describe tok

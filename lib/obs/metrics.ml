@@ -97,12 +97,6 @@ let percentile t name p =
   | Some (Histogram _) | None -> None
   | Some m -> mismatch name m "histogram"
 
-let histogram_count t name =
-  match Hashtbl.find_opt t.table name with
-  | Some (Histogram h) -> h.len
-  | None -> 0
-  | Some m -> mismatch name m "histogram"
-
 let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
 
@@ -134,7 +128,6 @@ let scope_observe s name v =
   match labelled s name with None -> () | Some n -> observe s.st n v
 
 let scope_metrics s = s.st
-let scope_label s = s.label
 
 (* ------------------------------------------------------------------ *)
 (* JSON snapshot                                                       *)

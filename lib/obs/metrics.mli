@@ -44,9 +44,6 @@ val gauge : t -> string -> float option
     [None] when no sample was observed. *)
 val percentile : t -> string -> float -> float option
 
-(** Number of samples recorded into the histogram. *)
-val histogram_count : t -> string -> int
-
 (** All metric names, sorted. *)
 val names : t -> string list
 
@@ -64,9 +61,6 @@ val scope_observe : scope -> string -> float -> unit
 
 (** The registry behind the scope. *)
 val scope_metrics : scope -> t
-
-(** The scope's label, if any. *)
-val scope_label : scope -> string option
 
 (** The canonical snapshot: one JSON object, names sorted, counters as
     [{type,count}], gauges as [{type,last,max}], histograms as

@@ -38,12 +38,6 @@ let phase_of_string = function
   | "update" -> Some On_update
   | _ -> None
 
-let phase_to_string = function
-  | On_plan -> "plan"
-  | On_telemetry -> "telemetry"
-  | On_drift -> "drift"
-  | On_update -> "update"
-
 type action_kind =
   | Set_count of { target : string; value : Hcl.Ast.expr }
       (** rewrite [count] of resource [target] ("type.name") *)

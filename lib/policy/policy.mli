@@ -14,7 +14,6 @@ module Smap = Value.Smap
 type phase = On_plan | On_telemetry | On_drift | On_update
 
 val phase_of_string : string -> phase option
-val phase_to_string : phase -> string
 
 type action_kind =
   | Set_count of { target : string; value : Hcl.Ast.expr }

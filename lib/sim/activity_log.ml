@@ -112,11 +112,6 @@ let op_to_string = function
   | Log_read -> "read"
   | Log_failure msg -> "failure(" ^ msg ^ ")"
 
-let pp_entry ppf e =
-  Fmt.pf ppf "[%07.1f] #%d %s %s %s (%s in %s) %s" e.time e.seq
-    (actor_to_string e.actor) (op_to_string e.op) e.cloud_id e.rtype e.region
-    e.detail
-
 (** Entries not attributable to any IaC engine — candidate drift
     events. *)
 let non_iac_writes t ~since:cursor =

@@ -74,7 +74,6 @@ val deliveries : t -> int
 
 val actor_to_string : actor -> string
 val op_to_string : operation -> string
-val pp_entry : Format.formatter -> entry -> unit
 
 (** Write operations not attributable to an IaC engine — candidate
     drift events. *)

@@ -53,10 +53,6 @@ let error_to_string = function
   | Transient msg -> Printf.sprintf "500 transient: %s" msg
   | Invalid msg -> Printf.sprintf "400 invalid: %s" msg
 
-let is_retryable = function
-  | Throttled _ | Transient _ -> true
-  | Not_found _ | Quota_exceeded _ | Invalid _ -> false
-
 type op =
   | Create of { rtype : string; region : string; attrs : Value.t Smap.t }
   | Update of { cloud_id : string; attrs : Value.t Smap.t }
@@ -185,8 +181,8 @@ let fresh_id t rtype =
      streaks of the same resource type, and the substring per call
      showed up at 1M creates.  Equal-content keys hit too, covering
      plans whose rtype strings are not physically shared.  Lives on
-     [t] (not a global) so sharded runs on parallel domains never
-     share it. *)
+     [t] (not a global), like the id counter it prefixes, so two
+     clouds in one process never share it. *)
   let prefix =
     if String.equal t.prefix_key rtype then t.prefix_val
     else begin

@@ -6,9 +6,7 @@
 
 type 'a t = (unit, 'a) Pqueue.t
 
-(* untracked: the event loop never removes by key, so skip the per-push
-   live-counter hashtable churn *)
-let create () = Pqueue.create ~track:false Pqueue.Min_first
+let create () = Pqueue.create Pqueue.Min_first
 
 let is_empty = Pqueue.is_empty
 let length = Pqueue.length
@@ -21,6 +19,3 @@ let pop t =
   match Pqueue.pop t with
   | None -> None
   | Some (time, (), payload) -> Some (time, payload)
-
-(** Earliest event time without removing it. *)
-let peek_time = Pqueue.peek_prio

@@ -14,6 +14,3 @@ val push : 'a t -> time:float -> 'a -> unit
 
 (** Remove and return the earliest event. *)
 val pop : 'a t -> (float * 'a) option
-
-(** Earliest event time without removing it. *)
-val peek_time : 'a t -> float option

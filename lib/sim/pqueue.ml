@@ -1,5 +1,5 @@
 (** Generic keyed priority queue (binary heap); see the interface for
-    the ordering and lazy-deletion contract.
+    the ordering contract.
 
     Stored structure-of-arrays: priorities live in a bare [float
     array] (unboxed by the runtime), so a push allocates nothing
@@ -15,16 +15,12 @@ type ('k, 'a) t = {
   mutable seqs : int array;
   mutable keys : 'k array;
   mutable payloads : 'a array;
-  mutable size : int;  (** slots in use, tombstoned entries included *)
+  mutable size : int;  (** slots in use *)
   mutable next_seq : int;
-  tracked : bool;  (** key accounting enabled ({!mem}/{!remove}) *)
-  live : ('k, int) Hashtbl.t;  (** key -> live entries in the heap *)
-  tombs : ('k, int) Hashtbl.t;  (** key -> entries pending lazy deletion *)
-  mutable tomb_count : int;
   mutable peak : int;
 }
 
-let create ?(initial_capacity = 0) ?(track = true) order =
+let create order =
   {
     order;
     prios = [||];
@@ -33,14 +29,10 @@ let create ?(initial_capacity = 0) ?(track = true) order =
     payloads = [||];
     size = 0;
     next_seq = 0;
-    tracked = track;
-    live = Hashtbl.create (if track then max 16 initial_capacity else 1);
-    tombs = Hashtbl.create (if track then 16 else 1);
-    tomb_count = 0;
     peak = 0;
   }
 
-let length t = t.size - t.tomb_count
+let length t = t.size
 let is_empty t = length t = 0
 let peak_length t = t.peak
 
@@ -65,15 +57,6 @@ let swap t i j =
   let a = t.payloads.(i) in
   t.payloads.(i) <- t.payloads.(j);
   t.payloads.(j) <- a
-
-let counter_get tbl k = match Hashtbl.find_opt tbl k with Some n -> n | None -> 0
-
-let counter_incr tbl k = Hashtbl.replace tbl k (counter_get tbl k + 1)
-
-let counter_decr tbl k =
-  match counter_get tbl k - 1 with
-  | 0 -> Hashtbl.remove tbl k
-  | n -> Hashtbl.replace tbl k n
 
 (* Grow by doubling, filling fresh key/payload slots with the values
    about to be pushed — live values, so no [Obj.magic] dummy is ever
@@ -124,9 +107,7 @@ let push t ~prio ~key payload =
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   sift_up t i;
-  if t.tracked then counter_incr t.live key;
-  let live_now = length t in
-  if live_now > t.peak then t.peak <- live_now
+  if t.size > t.peak then t.peak <- t.size
 
 (* Drop the root: move the last element into its place and restore the
    heap property.  (The vacated tail slot keeps its old value, exactly
@@ -138,44 +119,10 @@ let drop_root t =
     sift_down t 0
   end
 
-(* Discard tombstoned entries sitting at the root. *)
-let rec settle t =
-  if t.size > 0 && t.tomb_count > 0 then begin
-    let k = t.keys.(0) in
-    if counter_get t.tombs k > 0 then begin
-      drop_root t;
-      counter_decr t.tombs k;
-      t.tomb_count <- t.tomb_count - 1;
-      settle t
-    end
-  end
-
 let pop t =
-  settle t;
   if t.size = 0 then None
   else begin
     let prio = t.prios.(0) and key = t.keys.(0) and payload = t.payloads.(0) in
     drop_root t;
-    if t.tracked then counter_decr t.live key;
     Some (prio, key, payload)
   end
-
-let peek t =
-  settle t;
-  if t.size = 0 then None
-  else Some (t.prios.(0), t.keys.(0), t.payloads.(0))
-
-let peek_prio t = Option.map (fun (p, _, _) -> p) (peek t)
-
-let mem t key = t.tracked && counter_get t.live key > 0
-
-let remove t key =
-  if not t.tracked then
-    invalid_arg "Pqueue.remove: queue created with ~track:false";
-  if counter_get t.live key > 0 then begin
-    counter_decr t.live key;
-    counter_incr t.tombs key;
-    t.tomb_count <- t.tomb_count + 1;
-    true
-  end
-  else false

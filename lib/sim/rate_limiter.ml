@@ -86,7 +86,3 @@ let time_until t ~now n =
   if t.cells.(0) >= n then 0. else (n -. t.cells.(0)) /. t.refill_rate
 
 let stats t = (t.total_admitted, t.total_throttled)
-
-let reset_stats t =
-  t.total_admitted <- 0;
-  t.total_throttled <- 0

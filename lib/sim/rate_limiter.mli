@@ -38,5 +38,3 @@ val time_until : t -> now:float -> float -> float
 
 (** (admitted, throttled) counters. *)
 val stats : t -> int * int
-
-val reset_stats : t -> unit

@@ -28,9 +28,6 @@ let head t = t.head
 
 let find t id = List.find_opt (fun v -> v.id = id) t.versions
 
-let head_version t =
-  match t.head with None -> None | Some id -> find t id
-
 (** Record a new version on top of the current head and move head to
     it.  Returns the new version id. *)
 let checkpoint t ~time ~description ~config_src ~state =

@@ -16,7 +16,6 @@ val create : unit -> t
 
 val head : t -> int option
 val find : t -> int -> version option
-val head_version : t -> version option
 
 (** Record a new version on top of the current head and move head to
     it; returns the new id. *)

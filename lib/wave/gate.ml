@@ -49,7 +49,3 @@ let evaluate (c : Change.t) (h : health) : verdict =
       fail "projected hourly cost %.2f exceeds budget %.2f" projected ceiling
   | _ -> ());
   match List.rev !reasons with [] -> Pass | rs -> Fail rs
-
-let verdict_to_string = function
-  | Pass -> "pass"
-  | Fail rs -> "fail: " ^ String.concat "; " rs

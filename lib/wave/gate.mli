@@ -21,4 +21,3 @@ val calm : health
 type verdict = Pass | Fail of string list
 
 val evaluate : Change.t -> health -> verdict
-val verdict_to_string : verdict -> string

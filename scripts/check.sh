@@ -74,15 +74,15 @@ if (( SECONDS > E15_BUDGET_S )); then
   exit 1
 fi
 
-# Raw-speed core: per-stage pipeline timings, WAL + group-commit
-# journal overhead, and the byte-identical --domains {1,2,4,0} digest
-# assertion (the bench itself asserts; a digest mismatch or failed
-# apply exits non-zero).  The bench also gates allocation: the bare
-# apply must stay under its minor-words-per-change budget, so a
-# reintroduced per-change tree-path copy or closure pileup fails here
-# even when wall time hides it.  Budgeted like E12: the quick sweep is
-# small, so a blowout means a hot-path regression in
-# eval/intern/plan/dag/execute.
+# Raw-speed core: per-stage pipeline timings and WAL + group-commit
+# journal overhead.  The bench asserts that the journaled applies
+# match the bare one (same applied order and makespan, no failure), and
+# prints a digest of one multi-fleet apply for cross-change comparison.
+# It also gates allocation: the bare apply must stay under its
+# minor-words-per-change budget, so a reintroduced per-change tree-path
+# copy or closure pileup fails here even when wall time hides it.
+# Budgeted like E12: the quick sweep is small, so a blowout means a
+# hot-path regression in eval/intern/plan/dag/execute.
 E16_BUDGET_S=60
 SECONDS=0
 dune exec bench/main.exe -- e16 --quick
@@ -134,6 +134,19 @@ ADDR_MAP_BASELINE=0
 addr_map_count=$({ grep -o 'Addr\.Map' lib/graph/*.ml lib/plan/*.ml lib/deploy/*.ml || true; } | wc -l)
 if (( addr_map_count > ADDR_MAP_BASELINE )); then
   echo "check.sh: ${addr_map_count} Addr.Map uses in lib/graph+lib/plan+lib/deploy (baseline ${ADDR_MAP_BASELINE}) — keep the graph and the apply path on interned ids" >&2
+  exit 1
+fi
+
+# -- single-domain gate ----------------------------------------------
+# Every apply runs one plan against one simulated cloud, journal and
+# metrics registry, all single-domain state.  A Domain or Atomic use in
+# lib/ or bin/ means a parallel path is back: it must share that state
+# safely and keep one cloud id per resource, so argue it here first.
+DOMAIN_BASELINE=0
+domain_count=$({ grep -rnE 'Domain\.|Atomic\.' lib/ bin/ --include='*.ml' --include='*.mli' || true; } | wc -l)
+if (( domain_count > DOMAIN_BASELINE )); then
+  echo "check.sh: ${domain_count} Domain/Atomic uses in lib/ or bin/ (baseline ${DOMAIN_BASELINE}) — apply through the one journaled Executor.apply path:" >&2
+  grep -rnE 'Domain\.|Atomic\.' lib/ bin/ --include='*.ml' --include='*.mli' >&2 || true
   exit 1
 fi
 

@@ -806,6 +806,58 @@ resource "aws_vpc" "c" {
         (contains ~sub:"Resumed from journal" out))
     [ ("baseline", Cli.Baseline); ("cloudless", Cli.Cloudless) ]
 
+(* Two independent stacks: a subnet inside each of two VPCs. *)
+let two_stacks =
+  {|
+resource "aws_vpc" "a" {
+  cidr_block = "10.0.0.0/16"
+  region     = "us-east-1"
+}
+resource "aws_subnet" "sa" {
+  vpc_id     = aws_vpc.a.id
+  cidr_block = "10.0.0.0/24"
+  region     = "us-east-1"
+}
+resource "aws_vpc" "b" {
+  cidr_block = "10.1.0.0/16"
+  region     = "us-east-1"
+}
+resource "aws_subnet" "sb" {
+  vpc_id     = aws_vpc.b.id
+  cidr_block = "10.1.0.0/24"
+  region     = "us-east-1"
+}
+|}
+
+(* An apply runs the whole plan against one cloud, however many
+   independent stacks it holds: every row gets its own cloud id, so
+   the next apply restores the same cloud and finds nothing to
+   change.  Applying each component against a cloud of its own would
+   mint the same ids in every component, and the next apply would
+   replace resources. *)
+let test_cli_apply_one_cloud () =
+  List.iter
+    (fun (name, src) ->
+      let io, _ = quiet_io () in
+      let state_path = temp_path ".cls" in
+      let file = temp_tf src in
+      check int_ (name ^ ": apply ok") 0 (Cli.apply ~io ~file ~state_path ());
+      let rows = State.resources (read_state state_path) in
+      let ids =
+        List.sort_uniq String.compare
+          (List.map (fun (r : State.resource_state) -> r.State.cloud_id) rows)
+      in
+      check int_ (name ^ ": one cloud id per row") (List.length rows)
+        (List.length ids);
+      let io, dump = quiet_io () in
+      check int_ (name ^ ": second apply ok") 0
+        (Cli.apply ~io ~file ~state_path ());
+      let out, _ = dump () in
+      check bool_ (name ^ ": second apply changes nothing") true
+        (contains ~sub:"No changes" out))
+    (("two-stacks", two_stacks)
+    :: List.map (fun (name, gen) -> (name, gen ())) Cli.examples)
+
 let suites =
   [
     ( "crash",
@@ -849,5 +901,7 @@ let suites =
           test_cli_corrupt_journal;
         Alcotest.test_case "cli: a cycle in the state fails before any write"
           `Quick test_cli_state_cycle;
+        Alcotest.test_case "cli: independent stacks share one cloud" `Quick
+          test_cli_apply_one_cloud;
       ] );
   ]

@@ -1,12 +1,11 @@
 (* Tests for the shared keyed priority queue: ordering and tie-break
-   properties under both orders, lazy deletion via tombstones, and the
-   live-length accounting the executor's ready set relies on. *)
+   properties under both orders, and the length accounting the
+   executor's ready set relies on. *)
 
 module Pq = Cloudless_sim.Pqueue
 
 let check = Alcotest.check
 let int_ = Alcotest.int
-let bool_ = Alcotest.bool
 
 let drain q =
   let rec go acc =
@@ -54,34 +53,6 @@ let test_ties_lifo () =
     [ 4; 3; 2; 1; 0 ]
     (List.map (fun (_, k, _) -> k) (drain q))
 
-let test_remove_tombstones () =
-  let q = Pq.create Pq.Min_first in
-  List.iter (fun i -> Pq.push q ~prio:(float_of_int i) ~key:i i) [ 0; 1; 2; 3; 4 ];
-  check int_ "five live" 5 (Pq.length q);
-  check bool_ "remove known" true (Pq.remove q 2);
-  check bool_ "remove again fails" false (Pq.remove q 2);
-  check bool_ "remove unknown fails" false (Pq.remove q 99);
-  check int_ "four live" 4 (Pq.length q);
-  check bool_ "gone from mem" false (Pq.mem q 2);
-  check bool_ "others remain" true (Pq.mem q 3);
-  check (Alcotest.list int_) "pop skips tombstone"
-    [ 0; 1; 3; 4 ]
-    (List.map (fun (_, k, _) -> k) (drain q));
-  check bool_ "empty" true (Pq.is_empty q)
-
-let test_remove_head_then_peek () =
-  let q = Pq.create Pq.Min_first in
-  Pq.push q ~prio:1. ~key:"a" ();
-  Pq.push q ~prio:2. ~key:"b" ();
-  ignore (Pq.remove q "a");
-  (match Pq.peek q with
-  | Some (p, k, ()) ->
-      check (Alcotest.float 0.) "peek skips tombstoned head" 2. p;
-      check Alcotest.string "key b" "b" k
-  | None -> Alcotest.fail "expected an entry");
-  check (Alcotest.option (Alcotest.float 0.)) "peek_prio" (Some 2.)
-    (Pq.peek_prio q)
-
 let test_peak_length () =
   let q = Pq.create Pq.Min_first in
   List.iter (fun i -> Pq.push q ~prio:(float_of_int i) ~key:i i) [ 0; 1; 2 ];
@@ -91,19 +62,12 @@ let test_peak_length () =
   check int_ "peak is high-water mark" 3 (Pq.peak_length q);
   check int_ "current length" 3 (Pq.length q)
 
-(* Interleave pushes, pops, and removes against a naive sorted-list
-   model.  Keys are unique (the insertion sequence number), mirroring
-   how the executor's ready set uses the queue — under key reuse the
-   lazy tombstone may resolve to a later entry, see the interface. *)
+(* Interleave pushes and pops against a naive sorted-list model.
+   Keys are unique (the insertion sequence number), mirroring how the
+   executor's ready set uses the queue. *)
 let prop_model =
   let op =
-    QCheck.(
-      oneof
-        [
-          map (fun p -> `Push p) (float_range 0. 50.);
-          always `Pop;
-          map (fun k -> `Remove k) (int_range 0 40);
-        ])
+    QCheck.(oneof [ map (fun p -> `Push p) (float_range 0. 50.); always `Pop ])
   in
   QCheck.Test.make ~count:300 ~name:"matches a sorted-list model"
     (QCheck.list op)
@@ -132,15 +96,7 @@ let prop_model =
               | Some (p, k, _), (mp, mk) :: rest ->
                   model := rest;
                   p = mp && k = mk
-              | _ -> false)
-          | `Remove k ->
-              let had = List.exists (fun (_, mk) -> mk = k) !model in
-              let removed = Pq.remove q k in
-              if removed then
-                model := List.filter (fun (_, mk) -> mk <> k) !model;
-              removed = had
-              && Pq.length q = List.length !model
-              && Pq.mem q k = false)
+              | _ -> false))
         ops)
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -153,8 +109,6 @@ let suites =
         qtest prop_max_sorted;
         Alcotest.test_case "min ties are FIFO" `Quick test_ties_fifo;
         Alcotest.test_case "max ties are LIFO" `Quick test_ties_lifo;
-        Alcotest.test_case "remove tombstones" `Quick test_remove_tombstones;
-        Alcotest.test_case "peek skips tombstones" `Quick test_remove_head_then_peek;
         Alcotest.test_case "peak length" `Quick test_peak_length;
         qtest prop_model;
       ] );

@@ -9,19 +9,15 @@
    - the journal's literal codec over adversarial entries (quotes,
      backslashes, interpolation starts, control bytes, unknowns, deep
      nesting, every address shape): round trip, torn tails, edits;
-   - [State.orphans] (hashtable membership) vs a set-based oracle;
-   - [Components.apply] byte-identity across domain counts on a 10k plan. *)
+   - [State.orphans] (hashtable membership) vs a set-based oracle. *)
 
 open Cloudless_hcl
 module State = Cloudless_state.State
 module Journal = Cloudless_state.Journal
 module Plan = Cloudless_plan.Plan
-module Executor = Cloudless_deploy.Executor
-module Components = Cloudless_deploy.Components
 module Dag = Cloudless_graph.Dag
 module Intern = Cloudless_graph.Intern
 module Workload = Cloudless_workload.Workload
-module Cloud = Cloudless_sim.Cloud
 
 let check = Alcotest.check
 let int_ = Alcotest.int
@@ -580,45 +576,6 @@ let prop_orphans_match_set_oracle =
       in
       State.orphans state keep = oracle)
 
-(* ------------------------------------------------------------------ *)
-(* Component-split apply: byte identity across domain counts           *)
-(* ------------------------------------------------------------------ *)
-
-let fresh_cloud () =
-  Cloud.create
-    ~config:(Cloudless_schema.Cloud_rules.config_with_checks ())
-    ~seed:42 ()
-
-let split_digest (r : Components.report) =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun a ->
-      Buffer.add_string buf (Addr.to_string a);
-      Buffer.add_char buf '\n')
-    r.Components.applied;
-  Buffer.add_string buf (Printf.sprintf "%.17g\n" r.Components.makespan);
-  Buffer.add_string buf (State.to_string r.Components.state);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let test_shard_domains_byte_identical () =
-  let instances = Workload.fleet_instances ~fleets:4 ~resources:10_000 () in
-  let plan = Plan.make ~state:State.empty instances in
-  let run domains =
-    let r =
-      Components.apply
-        ~make_cloud:(fun _ -> fresh_cloud ())
-        ~domains ~config:Executor.cloudless_config ~state:State.empty ~plan ()
-    in
-    if not (Components.succeeded r) then Alcotest.fail "split apply failed";
-    (r, split_digest r)
-  in
-  let r1, d1 = run 1 in
-  let _, d4 = run 4 in
-  check int_ "one component per fleet" 4 (List.length r1.Components.parts);
-  check int_ "all resources applied" 10_000 (List.length r1.Components.applied);
-  check Alcotest.string "domains 1 = domains 4, byte for byte" d1 d4;
-  check int_ "merged state size" 10_000 (State.size r1.Components.state)
-
 let suites =
   [
     ("raw_speed.intern", [ Alcotest.test_case "basics" `Quick test_intern_basics ]);
@@ -649,10 +606,5 @@ let suites =
         qtest prop_journal_round_trip;
         qtest prop_journal_torn_prefix;
         qtest prop_edited_journal_fails_typed;
-      ] );
-    ( "raw_speed.shard",
-      [
-        Alcotest.test_case "10k fleet: domains 1 = domains 4" `Slow
-          test_shard_domains_byte_identical;
       ] );
   ]

@@ -277,6 +277,19 @@ let test_episode_grammar_errors () =
       ("episode = kind=outage start=1 end=2 p=0.5\n", "only applies", 1);
       ("episode = kind=outage start=5 end=2\n", "must be after", 1);
       ("episode = kind=outage start=abc end=2\n", "expects a number", 1);
+      (* every number is finite and in range *)
+      ("episode = kind=outage start=nan end=2\n", "expects a number", 1);
+      ("episode = kind=error_storm p=-0.5 start=1 end=2\n",
+       "expects a number", 1);
+      ("tenants = 2\ndrift_period = 0\n", "expects a number", 2);
+      ("drift_period = -60\n", "expects a number", 1);
+      ("duration = inf\n", "expects a number", 1);
+      ("request_interval = nan\n", "expects a number", 1);
+      ("shards = 0\n", "expects an integer", 1);
+      ("shards = -1\n", "expects an integer", 1);
+      ("resources = 0\n", "expects an integer", 1);
+      ("tenants = 0\n", "expects an integer", 1);
+      ("hot_burst = -3\n", "expects an integer", 1);
       ("breaker = maybe\n", "breaker expects on|off", 1);
       (* the top-level grammar stays strict too *)
       ("chaos_monkey = on\n", "unknown scenario key", 1);

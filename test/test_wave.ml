@@ -139,6 +139,13 @@ let test_wave_grammar_errors () =
       ("wave = start=1 kind=set_count count=3 forbid=bad\n",
        "forbid= requires attr", 1);
       ("wave = start=abc attr=a value=v\n", "expects a number", 1);
+      (* every number is finite and in range; the gate check period is
+         above 0 *)
+      ("wave = start=1 attr=a value=v check=0\n", "expects a number", 1);
+      ("wave = start=1 attr=a value=v check=-1\n", "expects a number", 1);
+      ("wave = start=inf attr=a value=v\n", "expects a number", 1);
+      ("wave = start=1 attr=a value=v budget=nan\n", "expects a number", 1);
+      ("wave = start=1 kind=set_count count=-2\n", "expects an integer", 1);
       ("wave = start=1 attr=a value=v canary=x\n", "expects an integer", 1);
       ("wave = start=1 attr=a value=v nonsense\n", "k=v pairs", 1);
     ]
