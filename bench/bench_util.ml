@@ -53,21 +53,9 @@ let fresh_cloud ?(seed = 42) ?quotas ?failure ?(write_rate = None) () =
   ignore write_rate;
   cloud
 
-let data_resolver ~rtype ~name:_ ~args:_ =
-  match rtype with
-  | "aws_region" -> Some (Smap.singleton "name" (Value.Vstring "us-east-1"))
-  | _ -> None
-
-let env_for state =
-  {
-    Hcl.Eval.default_env with
-    Hcl.Eval.data_resolver;
-    state_lookup = (fun addr -> State.lookup state addr);
-  }
-
 let expand_src ?(state = State.empty) src =
   let cfg = Hcl.Config.parse ~file:"bench.tf" src in
-  (Hcl.Eval.expand ~env:(env_for state) cfg).Hcl.Eval.instances
+  (Hcl.Eval.expand ~env:(Plan.env_for state) cfg).Hcl.Eval.instances
 
 (* Deploy [src] from empty state on a fresh cloud; returns (cloud,
    report). *)

@@ -70,7 +70,7 @@ let actions_of (p : Plan.t) =
 
 let run_one ~n ~check_refs =
   let src = Workload.fleet ~resources:n () in
-  let env = env_for State.empty in
+  let env = Plan.env_for State.empty in
   let cfg, parse_s = time (fun () -> Hcl.Config.parse ~file:"e12.tf" src) in
   let expansion, eval_s = time (fun () -> Hcl.Eval.expand ~env cfg) in
   let instances = expansion.Hcl.Eval.instances in

@@ -79,7 +79,7 @@ let run_baseline ~src ~seed ~k =
           .Executor.state
   in
   let n = List.length instances in
-  let orphans = List.length (Recovery.orphans cloud ~state:final_state) in
+  let orphans = List.length (Recovery.orphans cloud ~states:[ final_state ]) in
   let dups = engine_creates cloud - n in
   (orphans, dups)
 
@@ -114,7 +114,7 @@ let run_journaled ~src ~seed ~k =
              (Lifecycle.error_to_string e))
   in
   let total = State.size state in
-  let orphans = List.length (Recovery.orphans cloud ~state) in
+  let orphans = List.length (Recovery.orphans cloud ~states:[ state ]) in
   let dups = engine_creates cloud - total in
   let entries =
     match Lifecycle.journal t with

@@ -63,7 +63,7 @@ let deployable ~seed cfg =
           ~plan ()
       in
       Executor.succeeded report
-  | exception Hcl.Eval.Eval_error _ -> false
+  | exception Cloudless_error.Error { stage = References; _ } -> false
 
 let trials = 40
 

@@ -424,23 +424,9 @@ let resume (old : t) =
 (** IaC-engine-created resources alive in the cloud that no
     deployment's state tracks — the cross-tenant orphan audit. *)
 let orphans t =
-  let deps = deployments t in
-  List.filter_map
-    (fun (e : Activity_log.entry) ->
-      match (e.Activity_log.op, e.Activity_log.actor) with
-      | Activity_log.Log_create, Activity_log.Iac_engine _ ->
-          let cid = e.Activity_log.cloud_id in
-          if
-            Cloud.lookup t.cloud cid <> None
-            && List.for_all
-                 (fun (d : Shard.deployment) ->
-                   State.find_by_cloud_id d.Shard.state cid = None)
-                 deps
-          then Some cid
-          else None
-      | _ -> None)
-    (Activity_log.all (Cloud.log t.cloud))
-  |> List.sort_uniq compare
+  Recovery.orphans t.cloud
+    ~states:
+      (List.map (fun (d : Shard.deployment) -> d.Shard.state) (deployments t))
 
 (* ------------------------------------------------------------------ *)
 (* Shard-count-invariant state digest                                  *)

@@ -326,11 +326,6 @@ let managed_resource_count t =
 (* Config expansion (shared by requests and reconciles)                *)
 (* ------------------------------------------------------------------ *)
 
-let data_resolver ~rtype ~name:_ ~args:_ =
-  match rtype with
-  | "aws_region" -> Some (Smap.singleton "name" (Value.Vstring "us-east-1"))
-  | _ -> None
-
 (* Parsed configs, keyed by source content and shared by every shard of
    every fleet: a pass compiles a handful of distinct revisions for
    thousands of grants.  The ephemeron drops an entry with the last live
@@ -356,15 +351,8 @@ let parse_config src =
       cfg
 
 let expand ~state src =
-  let cfg = parse_config src in
-  let env =
-    {
-      Hcl.Eval.default_env with
-      Hcl.Eval.data_resolver;
-      state_lookup = (fun addr -> State.lookup state addr);
-    }
-  in
-  (Hcl.Eval.expand ~env cfg).Hcl.Eval.instances
+  (Hcl.Eval.expand ~env:(Plan.env_for state) (parse_config src))
+    .Hcl.Eval.instances
 
 (* The request plan for [src] against [state], as the execution graph
    the walker walks.  A parked request is re-admitted, usually many

@@ -11,8 +11,9 @@
     - [2] deploy failure — the plan executed but resources failed
       (for [plan]: a non-empty diff, mirroring `terraform plan -detailed-exitcode`)
 
-    Every error renders through {!Diagnostic.to_string}: handlers wrap
-    their bodies in {!Boundary.protect}, so no raw exception escapes. *)
+    Every error renders through {!Diagnostic.to_string}: every failure
+    of the engine's own is a {!Cloudless_error.Error}, and handlers wrap
+    their bodies in {!Cloudless_error.protect}, so none escapes. *)
 
 module Hcl = Cloudless_hcl
 module Validate = Cloudless_validate.Validate
@@ -37,7 +38,7 @@ let exit_code_of_diag (d : Diagnostic.t) =
   match d.Diagnostic.stage with Diagnostic.Deploy -> 2 | _ -> 1
 
 let protected io (f : unit -> int) : int =
-  match Boundary.protect f with
+  match Cloudless_error.protect f with
   | Ok code -> code
   | Error d ->
       errf io "%s\n" (Diagnostic.to_string d);

@@ -54,7 +54,8 @@ type t = {
 
 (** The unified error type every lifecycle verb returns.  Each case
     renders to located diagnostics via {!error_diagnostics}; no verb
-    lets a raw exception escape (see {!Boundary}). *)
+    lets a raw exception of the engine's own escape (see
+    {!Cloudless_error.protect}). *)
 type error =
   | Invalid_config of Diagnostic.t list
   | Policy_denied of string
@@ -65,9 +66,10 @@ type error =
           process died; the journal survives — call {!resume} *)
   | No_config
   | Fault of Diagnostic.t
-      (** anything the engine boundary caught: blocked plans,
-          dependency cycles, corrupt state, policy evaluation errors,
-          internal invariant violations *)
+      (** any other {!Cloudless_error.Error} a verb raised: blocked
+          plans, dependency cycles, evaluation errors at plan time,
+          corrupt state, policy errors, internal invariant
+          violations *)
 
 (** Every error as located diagnostics — the one rendering path the
     CLI and the examples share. *)
@@ -204,12 +206,13 @@ let register_modules t lib = t.module_lib <- lib @ t.module_lib
 (* The engine boundary                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Each verb runs inside a traced span with its body protected: any
-   known engine exception becomes a [Fault] carrying the diagnostic.
-   [f] itself returns the verb's (value, error) result. *)
-let guarded t name (f : unit -> ('a, error) result) : ('a, error) result =
-  Trace.with_span t.trace name @@ fun () ->
-  match Boundary.protect f with Ok r -> r | Error d -> Error (Fault d)
+(* [f]'s result, with any typed error as a [Fault] carrying its
+   diagnostic. *)
+let protected (f : unit -> ('a, error) result) : ('a, error) result =
+  match Cloudless_error.protect f with Ok r -> r | Error d -> Error (Fault d)
+
+(* Each verb runs inside a traced span with its body protected. *)
+let guarded t name f = Trace.with_span t.trace name @@ fun () -> protected f
 
 (* ------------------------------------------------------------------ *)
 (* Develop & validate                                                  *)
@@ -242,28 +245,18 @@ let validate t src : Validate.report =
 let expand t : (Hcl.Eval.expansion_result, error) result =
   match t.config with
   | None -> Error No_config
-  | Some cfg -> (
-      match Hcl.Eval.expand ~env:(env t) ~vars:t.vars ~trace:t.trace cfg with
-      | result -> Ok result
-      | exception Hcl.Eval.Eval_error (msg, span) ->
-          Error
-            (Invalid_config
-               [
-                 Diagnostic.make ~stage:Diagnostic.References ~code:"eval-error"
-                   ~span msg;
-               ]))
+  | Some cfg ->
+      protected @@ fun () ->
+      Ok (Hcl.Eval.expand ~env:(env t) ~vars:t.vars ~trace:t.trace cfg)
 
 let plan t : (Plan.t, error) result =
   match expand t with
   | Error e -> Error e
-  | Ok expansion -> (
-      match
-        Plan.make ~default_region:t.default_region ~trace:t.trace ~state:t.state
-          expansion.Hcl.Eval.instances
-      with
-      | p -> Ok p
-      | exception (Plan.Prevented _ as e) ->
-          Error (Fault (Option.get (Boundary.diagnostic_of_exn e))))
+  | Ok expansion ->
+      protected @@ fun () ->
+      Ok
+        (Plan.make ~default_region:t.default_region ~trace:t.trace
+           ~state:t.state expansion.Hcl.Eval.instances)
 
 (* Policy admission on a plan (On_plan phase). *)
 let admit t plan_ : (unit, error) result =

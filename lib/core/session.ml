@@ -2,10 +2,9 @@
 
     A [Session] turns a state file on disk into a live simulated cloud
     plus tracked state, parses .tf sources (file or directory), and
-    runs the plan/apply/destroy paths against them.  All failure modes
-    report through the typed channel ({!Cloudless_error.Error}) or the
-    legacy frontend exceptions — callers wrap themselves in
-    {!Boundary.protect} to get located diagnostics. *)
+    runs the plan/apply/destroy paths against them.  Every failure
+    raises a located {!Cloudless_error.Error}; callers wrap themselves
+    in {!Cloudless_error.protect} to get it as a diagnostic. *)
 
 module Hcl = Cloudless_hcl
 module State = Cloudless_state.State
@@ -84,23 +83,12 @@ let cloud_from_state ?(trace = Trace.null)
   in
   (cloud, remapped)
 
-let data_resolver ~rtype ~name:_ ~args:_ =
-  match rtype with
-  | "aws_region" ->
-      Some (Hcl.Value.Smap.singleton "name" (Hcl.Value.Vstring "us-east-1"))
-  | _ -> None
-
-let env_for state =
-  {
-    Hcl.Eval.default_env with
-    Hcl.Eval.data_resolver;
-    state_lookup = (fun addr -> State.lookup state addr);
-  }
+let env_for = Plan.env_for
 
 (* A FILE argument may be a single .tf file or a directory, in which
    case every *.tf file in it is parsed and merged (Terraform's
    directory-as-module model).  Lex/parse/structure failures propagate
-   as the frontend exceptions the boundary locates. *)
+   as located syntax errors. *)
 let parse_config path =
   let parse_one file = Hcl.Config.parse ~file (Io_util.read_file file) in
   if Sys.is_directory path then begin

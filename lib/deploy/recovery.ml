@@ -145,16 +145,25 @@ let resume_state (cloud : Cloud.t) ~engine ~(state : State.t)
       replanned = List.rev !replanned;
     } )
 
-(** Cloud resources created by an IaC engine that no state row tracks
-    — the orphan count E13 sweeps.  Computed from the activity log so
-    it sees exactly what a reconciliation audit would. *)
-let orphans (cloud : Cloud.t) ~(state : State.t) : string list =
+(** Cloud resources created by an IaC engine, still alive, that no row
+    of any of [states] tracks — the orphan count E13 sweeps, sorted and
+    deduplicated.  Computed from the activity log so it sees exactly
+    what a reconciliation audit would. *)
+let orphans (cloud : Cloud.t) ~(states : State.t list) : string list =
+  let tracked = Hashtbl.create 64 in
+  List.iter
+    (fun state ->
+      List.iter
+        (fun (r : State.resource_state) ->
+          Hashtbl.replace tracked r.State.cloud_id ())
+        (State.resources state))
+    states;
   List.filter_map
     (fun (e : Activity_log.entry) ->
       match (e.Activity_log.op, e.Activity_log.actor) with
       | Activity_log.Log_create, Activity_log.Iac_engine _ ->
           let cid = e.Activity_log.cloud_id in
-          if Cloud.lookup cloud cid <> None && State.find_by_cloud_id state cid = None
+          if Cloud.lookup cloud cid <> None && not (Hashtbl.mem tracked cid)
           then Some cid
           else None
       | _ -> None)

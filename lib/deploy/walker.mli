@@ -90,9 +90,9 @@ type outcome = {
 
 (** Walk [graph] — a plan compiled once by {!Plan.exec_graph} — over
     [cloud], calling [on_done] when every change has settled.  A graph
-    with a cycle raises {!Dag.Cycle} before anything is journaled or
-    written, under every policy.  The walk journals [Run_started] and,
-    per cloud write, an {!Journal.Intent}
+    with a cycle raises a [plan/dependency-cycle] before anything is
+    journaled or written, under every policy.  The walk journals
+    [Run_started] and, per cloud write, an {!Journal.Intent}
     made durable before the call leaves the engine and the matching
     {!Journal.Outcome} as the cloud answers; the driver closes the run
     with [Run_finished].  Op ids continue from {!Journal.last_op}.

@@ -46,10 +46,6 @@ type ctx = {
   mutable names : (string * string) list;  (** registered (rtype, name) *)
 }
 
-exception Registration_error of string
-
-let err fmt = Fmt.kstr (fun s -> raise (Registration_error s)) fmt
-
 (* ------------------------------------------------------------------ *)
 (* Expression builders                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -94,10 +90,12 @@ let create () = { resources = []; outputs = []; names = [] }
 
 (** Register a resource and return its handle.  Like Pulumi's resource
     constructors, registration is observed at execution time; names
-    must be unique per type. *)
+    must be unique per type, and a second registration raises a
+    [syntax/structure-error] {!Cloudless_error.Error}. *)
 let resource ?(depends_on = []) ctx rtype name attrs : handle =
   if List.mem (rtype, name) ctx.names then
-    err "resource %s.%s registered twice" rtype name;
+    Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Syntax
+      ~code:"structure-error" "resource %s.%s registered twice" rtype name;
   ctx.names <- (rtype, name) :: ctx.names;
   let body_attrs =
     List.map

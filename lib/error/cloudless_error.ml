@@ -1,13 +1,17 @@
-(** The unified typed error channel.
+(** The one typed error channel.
 
-    Everything below the engine boundary reports failure by raising
-    {!Error} with a located {!Diagnostic.t}; the boundary (the
-    {!Cloudless.Lifecycle} verbs and the CLI command handlers) catches
-    it and returns [result].  This replaces the bare
+    Every failure that leaves the library where it happens is raised
+    as {!Error} with a located {!Diagnostic.t}: lexer, parser,
+    structure and evaluation errors, dependency cycles, blocked plans,
+    policy errors, corrupt state.  A site that handles a failure for
+    control flow matches on the diagnostic's stage and code.  The
+    lifecycle verbs and the CLI command handlers wrap their bodies in
+    {!protect}, which returns [result]; no raw exception of the
+    engine's own reaches a consumer.  This replaces the bare
     [failwith]/[invalid_arg] escapes the repo grew up with: every
-    failure now carries a stage tag and, when the source is known, a
-    span — the §3.2/§3.5 defect-reporting story (cf. Rahman et al.'s
-    IaC gap study) applied to the engine itself.
+    failure carries a stage tag and, when the source is known, a span
+    — the §3.2/§3.5 defect-reporting story (cf. Rahman et al.'s IaC
+    gap study) applied to the engine itself.
 
     This library sits at the very bottom of the dependency stack so
     that the HCL frontend, the simulator and the planners can all raise
@@ -35,10 +39,9 @@ let fail ?severity ~stage ~code ?span ?addr fmt =
     (fun msg -> raise_diag (Diagnostic.make ?severity ~stage ~code ?span ?addr msg))
     fmt
 
-(** Convert the stdlib's untyped escapes into located diagnostics.
-    Domain-specific exceptions (lexer/parser/eval/policy errors, cycle
-    reports, ...) are converted where they are defined or at the engine
-    boundary, which knows their payloads. *)
+(** The diagnostic of a typed error, or of one of the stdlib's untyped
+    escapes ([Failure], [Invalid_argument], [Sys_error]) as an
+    internal one; [None] for any other exception. *)
 let of_exn = function
   | Error d -> Some d
   | Failure msg ->
@@ -51,7 +54,9 @@ let of_exn = function
   | _ -> None
 
 (** Run [f], converting typed-channel and stdlib escapes to [Error].
-    Unknown exceptions propagate — the caller's boundary decides. *)
+    Any other exception propagates: a foreign one is a bug worth its
+    backtrace, and an injected process death must reach the caller
+    that simulates the restart. *)
 let protect f =
   match f () with
   | v -> Ok v

@@ -29,7 +29,14 @@ type 'a t = {
   mutable sched : sched option;  (** memoized Kahn rounds *)
 }
 
-exception Cycle of Addr.t list
+(* A [plan/dependency-cycle] naming every blocked node, in node
+   order, and addressed to the first. *)
+let cycle blocked =
+  Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Plan_stage
+    ~code:"dependency-cycle"
+    ?addr:(match blocked with a :: _ -> Some a | [] -> None)
+    "dependency cycle between: %s"
+    (String.concat ", " (List.map Addr.to_string blocked))
 
 let size t = Array.length t.nodes
 let addr t id = Intern.addr t.intern id
@@ -299,7 +306,7 @@ let sched t =
         for id = n - 1 downto 0 do
           if indeg.(id) > 0 then blocked := addr t id :: !blocked
         done;
-        raise (Cycle !blocked)
+        cycle !blocked
       end;
       let s = { order; offsets; rounds = !rounds } in
       t.sched <- Some s;
@@ -314,8 +321,8 @@ let rounds_into t ~order ~offsets =
   s.rounds
 
 (** Stable topological sort: among nodes whose dependencies are
-    satisfied, node order wins.  Raises {!Cycle} with the offending
-    nodes when the graph has one. *)
+    satisfied, node order wins.  Raises a [plan/dependency-cycle]
+    naming the blocked nodes when the graph has a cycle. *)
 let topo_sort t =
   let s = sched t in
   List.init (size t) (fun i -> addr t s.order.(i))
@@ -466,7 +473,7 @@ module Reference = struct
       for id = n - 1 downto 0 do
         if indeg.(id) > 0 then blocked := addr t id :: !blocked
       done;
-      raise (Cycle !blocked)
+      cycle !blocked
     end;
     List.map (List.map (addr t)) rounds
 
@@ -501,7 +508,7 @@ module Reference = struct
         remaining := blocked
       end
     done;
-    if !remaining <> [] then raise (Cycle !remaining);
+    if !remaining <> [] then cycle !remaining;
     List.rev !result
 
   (* per-level List.filter over the full order: O(depth * V) *)

@@ -12,8 +12,6 @@ module Addr := Cloudless_hcl.Addr
 
 type 'a t
 
-exception Cycle of Addr.t list
-
 (** [build ~addr ~edges nodes]: one node per element of [nodes], id =
     array index.  [edges ~resolve ~add id node] is called once per
     node, in order, to record its edges:
@@ -61,18 +59,21 @@ val rdeps : 'a t -> int array array
 val deps_of : 'a t -> Addr.t -> Addr.Set.t
 
 (** Compute (once per graph) the Kahn rounds every analysis below
-    reads; raises {!Cycle} with the blocked nodes, in node order. *)
+    reads.  A cycle raises a [plan/dependency-cycle]
+    {!Cloudless_error.Error} whose message names every blocked node, in
+    node order, and whose address is the first of them. *)
 val check_acyclic : 'a t -> unit
 
-(** Stable topological order (node order among independents);
-    raises {!Cycle}. *)
+(** Stable topological order (node order among independents); a cycle
+    raises as in {!check_acyclic}. *)
 val topo_sort : 'a t -> Addr.t list
 
 (** Kahn rounds into caller-supplied arrays:
     [order.(offsets.(k)) .. order.(offsets.(k+1)-1)] is round k of node
     ids, ascending within a round; returns the round count, with
     [offsets.(rounds)] = [size t].  Requires [Array.length order >=
-    size t] and [Array.length offsets >= size t + 1].  Raises {!Cycle}. *)
+    size t] and [Array.length offsets >= size t + 1].  A cycle raises as
+    in {!check_acyclic}. *)
 val rounds_into : 'a t -> order:int array -> offsets:int array -> int
 
 (** Parallel levels: level 0 has no dependencies, level k depends only

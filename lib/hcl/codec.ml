@@ -109,9 +109,6 @@ and add_map buf m =
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Text that is not literal data, with its location. *)
-exception Error of string * Loc.span
-
 module L = Lexer
 
 (** The span of bytes [first] to [last] of [src], for an error about
@@ -127,14 +124,16 @@ let describe st off =
     | '\n' -> "newline"
     | c -> Printf.sprintf "%C" c
 
-(* Raise {!Error} at offset [off] (through the cursor, if it has moved
-   past [off]).  The rest of the input is lexed first, so a lexer
-   error anywhere outranks it. *)
+(* Raise a [syntax/parse-error] for text that is not literal data, at
+   offset [off] (through the cursor, if it has moved past [off]).  The
+   rest of the input is lexed first, so a lexer error anywhere
+   outranks it. *)
 let syntax_error st off msg =
   let stop = max st.L.pos (min (off + 1) (String.length st.L.src)) in
   let span = span ~file:st.L.file st.L.src off stop in
   L.drain st;
-  raise (Error (msg, span))
+  Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Syntax
+    ~code:"parse-error" ~span "%s" msg
 
 let expected st what =
   let off = st.L.pos in
@@ -247,8 +246,9 @@ and object_entry st m key =
   object_items st m
 
 (** Read the one literal value that [src] holds, blanks and comments
-    around it allowed.  Raises {!Lexer.Error} on text that does not
-    lex, else {!Error} on text that is not literal data. *)
+    around it allowed.  Raises a [syntax/lex-error] on text that does
+    not lex, else a [syntax/parse-error] on text that is not literal
+    data. *)
 let read_value ~file src =
   let st = L.make ~file src in
   skip_ws st;
@@ -306,9 +306,9 @@ let rec labels st acc =
     top-level blocks, [type "label" ... { name = literal ... }], with
     no top-level attribute and no nested block.  The first exception
     [f] raises is held while the rest of the text is read, so a lexer
-    error anywhere ({!Lexer.Error}) outranks a syntax error anywhere
-    ({!Error}), which outranks a block's own error; after a held error
-    [f] is not called again. *)
+    error anywhere ([syntax/lex-error]) outranks text that is not
+    literal data anywhere ([syntax/parse-error]), which outranks a
+    block's own error; after a held error [f] is not called again. *)
 let fold_blocks ~file src f init =
   let st = L.make ~file src in
   let held = ref None in

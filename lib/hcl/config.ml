@@ -1,12 +1,13 @@
 (** Structured view of a parsed configuration.
 
-    Raises {!Config_error} when a well-formed HCL body is not a
-    well-formed *configuration* (wrong label counts, unknown top-level
-    block types, duplicate names, ...). *)
+    Raises a [syntax/structure-error] ({!Cloudless_error.Error}) when a
+    well-formed HCL body is not a well-formed *configuration* (wrong
+    label counts, unknown top-level block types, duplicate names,
+    ...). *)
 
-exception Config_error of string * Loc.span
-
-let errf span fmt = Fmt.kstr (fun s -> raise (Config_error (s, span))) fmt
+let errf span fmt =
+  Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Syntax
+    ~code:"structure-error" ~span fmt
 
 type variable = {
   vname : string;

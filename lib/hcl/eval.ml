@@ -10,14 +10,19 @@
     References between resources are resolved against (a) instances
     expanded earlier in this run, then (b) prior deployment state, and
     otherwise become {!Value.Vunknown} carrying the provenance address,
-    exactly like Terraform's plan-time unknowns. *)
+    exactly like Terraform's plan-time unknowns.
+
+    Errors are [references/eval-error] diagnostics on the typed channel
+    ({!Cloudless_error.Error}), located at the failing expression; a
+    {!Value} type error ([references/type-error]) is located where the
+    evaluator applied the conversion that raised it. *)
 
 module Smap = Value.Smap
 module Sset = Set.Make (String)
 
-exception Eval_error of string * Loc.span
-
-let errf span fmt = Fmt.kstr (fun s -> raise (Eval_error (s, span))) fmt
+let errf span fmt =
+  Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.References
+    ~code:"eval-error" ~span fmt
 
 (** One concrete resource instance produced by expansion. *)
 type instance = {
@@ -163,7 +168,8 @@ let rec eval scope (e : Ast.expr) : Value.t =
 
 and cond_truthy span v =
   try Value.truthy v
-  with Value.Type_error msg -> errf span "condition: %s" msg
+  with Cloudless_error.Error { code = "type-error"; message; _ } ->
+    errf span "condition: %s" message
 
 and value_to_key scope ke =
   match eval scope ke with
@@ -189,7 +195,9 @@ and eval_template scope span parts =
               | Value.Vunknown p -> if !unknown = None then unknown := Some p
               | v -> (
                   try Buffer.add_string buf (Value.to_string v)
-                  with Value.Type_error msg -> errf span "in template: %s" msg)))
+                  with
+                  | Cloudless_error.Error { code = "type-error"; message; _ } ->
+                    errf span "in template: %s" message)))
         parts;
       (match !unknown with
       | Some p -> Value.Vunknown ("template:" ^ p)
@@ -337,7 +345,8 @@ and eval_index scope span inner idx =
   | Value.Vlist vs, _ -> (
       let n =
         try Value.to_int i
-        with Value.Type_error msg -> errf span "list index: %s" msg
+        with Cloudless_error.Error { code = "type-error"; message; _ } ->
+          errf span "list index: %s" message
       in
       match List.nth_opt vs n with
       | Some v -> v
@@ -365,7 +374,8 @@ and eval_splat scope span inner attr =
 
 and eval_call scope span name args expand =
   (* try/can are lazy over evaluation errors (Terraform semantics):
-     arguments are attempted in order and failures are swallowed *)
+     arguments are attempted in order and failures, eval and type
+     errors alike, are swallowed *)
   match name with
   | "try" ->
       let rec attempt = function
@@ -375,7 +385,8 @@ and eval_call scope span name args expand =
             match eval scope e with
             | Value.Vunknown _ -> attempt rest
             | v -> v
-            | exception Eval_error _ -> attempt rest)
+            | exception Cloudless_error.Error { stage = References; _ } ->
+                attempt rest)
       in
       attempt args
   | "can" -> (
@@ -384,7 +395,8 @@ and eval_call scope span name args expand =
           match eval scope e with
           | Value.Vunknown _ as v -> v
           | _ -> Value.Vbool true
-          | exception Eval_error _ -> Value.Vbool false)
+          | exception Cloudless_error.Error { stage = References; _ } ->
+              Value.Vbool false)
       | _ -> errf span "can expects exactly 1 argument")
   | _ -> eval_call_strict scope span name args expand
 
@@ -406,7 +418,8 @@ and eval_call_strict scope span name args expand =
       else
         try Funcs.call name args with
         | Funcs.Call_error msg -> errf span "%s" msg
-        | Value.Type_error msg -> errf span "in %s(): %s" name msg)
+        | Cloudless_error.Error { code = "type-error"; message; _ } ->
+            errf span "in %s(): %s" name message)
 
 and eval_unop scope span op inner =
   let v = eval scope inner in
@@ -803,6 +816,9 @@ and expand_data scope (d : Config.data_source) =
   | None ->
       errf d.Config.dspan "data source type %S is not available"
         d.Config.dtype
+  | exception Cloudless_error.Error { code = "type-error"; message; _ } ->
+      errf d.Config.dspan "data.%s.%s: %s" d.Config.dtype d.Config.dname
+        message
 
 and expand_resource scope cfg (r : Config.resource) :
     node_expansion * instance list =

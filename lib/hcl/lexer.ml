@@ -14,9 +14,8 @@
     whole file is ever built.  The hot loops (trivia, identifiers,
     numbers, plain string runs) work on byte offsets and never allocate;
     a run of characters without a newline moves the column by its
-    length in one step. *)
-
-exception Error of string * Loc.span
+    length in one step.  Errors are [syntax/lex-error] diagnostics on
+    the typed channel ({!Cloudless_error.Error}). *)
 
 type state = {
   src : string;
@@ -46,8 +45,10 @@ let pos_at st off : Loc.pos =
   done;
   { line = !line; col = off - !bol + 1; offset = off }
 
-(* Raise {!Error} spanning from offset [start] to the cursor. *)
-let error st start msg = raise (Error (msg, span_from st (pos_at st start)))
+(* Raise a lex error spanning from offset [start] to the cursor. *)
+let error st start msg =
+  Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Syntax
+    ~code:"lex-error" ~span:(span_from st (pos_at st start)) "%s" msg
 
 let[@inline] at_end st = st.pos >= String.length st.src
 
@@ -460,7 +461,7 @@ and template_parts ~file text : Token.str_part list =
   List.rev !parts
 
 (** Lex the rest of the input, discarding the tokens: raises the first
-    {!Error} still ahead of the cursor, if any. *)
+    lex error still ahead of the cursor, if any. *)
 let rec drain st =
   match (next_token st).Token.tok with Token.EOF -> () | _ -> drain st
 

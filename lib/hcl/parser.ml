@@ -18,9 +18,10 @@
     unary     ::= ('-'|'!') unary | postfix
     postfix   ::= primary ('.' IDENT | '[' expr ']' | '[' '*' ']' '.' IDENT)*
     primary   ::= literal | ident | call | '(' expr ')' | list | object | for
-    v} *)
+    v}
 
-exception Error of string * Loc.span
+    Errors are [syntax/parse-error] diagnostics on the typed channel
+    ({!Cloudless_error.Error}). *)
 
 (* One token of lookahead over a token source: the lexer, pulled a
    token at a time, or an interpolation's token list. *)
@@ -51,7 +52,11 @@ let advance st =
   st.last <- st.cur.Token.span;
   st.cur <- st.next ()
 
-let error st msg = raise (Error (msg, peek_span st))
+let error_at span msg =
+  Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Syntax
+    ~code:"parse-error" ~span "%s" msg
+
+let error st msg = error_at (peek_span st) msg
 
 (* [tok] is always a constant constructor, so physical equality is
    token equality. *)
@@ -286,11 +291,9 @@ and parse_parts ~span parts =
           (match peek sub with
           | Token.EOF -> ()
           | t ->
-              raise
-                (Error
-                   ( Printf.sprintf "unexpected %s after interpolation"
-                       (Token.describe t),
-                     span )));
+              error_at span
+                (Printf.sprintf "unexpected %s after interpolation"
+                   (Token.describe t)));
           Ast.Interp e)
     parts
 
@@ -528,7 +531,7 @@ let with_lexer ~file src f =
   let st = make (fun () -> Lexer.next_token lx) in
   match f st with
   | v -> v
-  | exception (Error _ as e) ->
+  | exception (Cloudless_error.Error { code = "parse-error"; _ } as e) ->
       Lexer.drain lx;
       raise e
 
@@ -540,7 +543,7 @@ let expect_eof st what =
 (** Fold [f] over the top-level attributes and blocks of a
     configuration file, in source order, each as soon as it is parsed:
     the caller can consume a large file one block at a time without
-    holding its whole syntax tree.  Raises {!Lexer.Error} or {!Error}
+    holding its whole syntax tree.  Raises a lex or parse error
     exactly as {!parse} does. *)
 let fold ~file src f init =
   with_lexer ~file src (fun st ->

@@ -18,9 +18,12 @@ type t =
   | Vmap of t Smap.t
   | Vunknown of string  (** provenance, e.g. ["aws_instance.web.id"] *)
 
-exception Type_error of string
-
-let type_error fmt = Fmt.kstr (fun s -> raise (Type_error s)) fmt
+(* A conversion or operation on a value of the wrong type: an
+   unlocated [references/type-error], which the evaluator locates at
+   the expression that applied it. *)
+let type_error fmt =
+  Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.References
+    ~code:"type-error" fmt
 
 let unknown provenance = Vunknown provenance
 

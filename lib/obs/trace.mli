@@ -104,8 +104,7 @@ val jsonl_file_sink : string -> sink * (unit -> unit)
 
 exception Parse_error of string
 
-(** Minimal JSON for the flat span schema (also reused by the
-    deployment journal's reader). *)
+(** Minimal JSON for the flat span schema. *)
 type json = Jnull | Jnum of float | Jstr of string | Jobj of (string * json) list
 
 (** Parse one JSON value; raises {!Parse_error} on malformed input. *)

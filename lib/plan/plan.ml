@@ -15,6 +15,22 @@ module State = Cloudless_state.State
 module Dag = Cloudless_graph.Dag
 module Schema = Cloudless_schema
 
+(** The environment a configuration expands in before it is planned
+    against [state]: the simulated provider's one data source,
+    [aws_region] (always ["us-east-1"]), and [state]'s recorded
+    attributes for computed references. *)
+let env_for state : Eval.env =
+  {
+    Eval.default_env with
+    data_resolver =
+      (fun ~rtype ~name:_ ~args:_ ->
+        match rtype with
+        | "aws_region" ->
+            Some (Smap.singleton "name" (Value.Vstring "us-east-1"))
+        | _ -> None);
+    state_lookup = (fun addr -> State.lookup state addr);
+  }
+
 type attr_change = {
   attr : string;
   before : Value.t option;
@@ -52,11 +68,6 @@ type t = {
   changes : change list;  (** stable order *)
   default_region : string;
 }
-
-exception Prevented of Addr.t * string
-(** Raised by {!make} when the plan would destroy or replace a resource
-    whose lifecycle sets [prevent_destroy] — Terraform's guard against
-    accidental destruction of critical infrastructure. *)
 
 let is_noop c = c.action = Noop
 
@@ -124,7 +135,11 @@ let force_new_reasons rtype (changes : attr_change list) =
 
 (** Compute the plan for the full configuration.  With a live [trace],
     planning runs in a ["plan"] span counting the diff it produced
-    (creates/updates/replaces/deletes/noops). *)
+    (creates/updates/replaces/deletes/noops).  A plan that would
+    replace a resource whose lifecycle sets [prevent_destroy]
+    (Terraform's guard against accidental destruction of critical
+    infrastructure) raises a [plan/plan-blocked]
+    {!Cloudless_error.Error} addressed to it. *)
 let make ?(default_region = "us-east-1") ?(trace = Cloudless_obs.Trace.null)
     ~(state : State.t) (instances : Eval.instance list) : t =
   let module Trace = Cloudless_obs.Trace in
@@ -165,13 +180,12 @@ let make ?(default_region = "us-east-1") ?(trace = Cloudless_obs.Trace.null)
                 | [] -> Update changes
                 | reasons ->
                     if i.Eval.lifecycle.Cloudless_hcl.Config.prevent_destroy then
-                      raise
-                        (Prevented
-                           ( addr,
-                             Printf.sprintf
-                               "replacement forced by %s, but lifecycle sets \
-                                prevent_destroy"
-                               (String.concat ", " reasons) ))
+                      Cloudless_error.fail
+                        ~stage:Cloudless_error.Diagnostic.Plan_stage
+                        ~code:"plan-blocked" ~addr
+                        "replacement forced by %s, but lifecycle sets \
+                         prevent_destroy"
+                        (String.concat ", " reasons)
                     else Replace { changes; reasons }
             in
             {

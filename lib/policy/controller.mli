@@ -15,7 +15,9 @@ type t
 
 val create : Policy.t list -> t
 
-(** @raise Policy.Policy_error on malformed policy source. *)
+(** Source that does not parse raises a syntax error, and a malformed
+    policy block a [policy/policy-error]; both are located
+    {!Cloudless_error.Error}s. *)
 val of_source : file:string -> string -> t
 
 (** Notifications emitted so far, oldest first. *)

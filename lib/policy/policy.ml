@@ -55,10 +55,9 @@ type t = {
   pspan : Hcl.Loc.span;
 }
 
-exception Policy_error of string * Hcl.Loc.span
-
 let errf span fmt =
-  Fmt.kstr (fun s -> raise (Policy_error (s, span))) fmt
+  Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Policy
+    ~code:"policy-error" ~span fmt
 
 (* ------------------------------------------------------------------ *)
 (* Parsing (HCL blocks -> policies)                                    *)
@@ -131,8 +130,8 @@ type obs = Value.t Smap.t
 let obs_of_list kvs : obs = Smap.of_seq (List.to_seq kvs)
 
 (* [obs.x] is surface syntax; rewrite it to [var.__obs.x] so the stock
-   evaluator handles it. *)
-let rewrite_obs (e : Hcl.Ast.expr) : Hcl.Ast.expr =
+   evaluator handles it.  [read x] is called for each [obs.x]. *)
+let rewrite_obs ?(read = ignore) (e : Hcl.Ast.expr) : Hcl.Ast.expr =
   let rec go (e : Hcl.Ast.expr) =
     let mk desc = { e with Hcl.Ast.desc } in
     match e.Hcl.Ast.desc with
@@ -140,7 +139,9 @@ let rewrite_obs (e : Hcl.Ast.expr) : Hcl.Ast.expr =
         mk
           (Hcl.Ast.GetAttr
              (Hcl.Ast.mk (Hcl.Ast.Var "var"), "__obs"))
-    | Hcl.Ast.GetAttr (inner, a) -> mk (Hcl.Ast.GetAttr (go inner, a))
+    | Hcl.Ast.GetAttr (inner, a) ->
+        (match inner.Hcl.Ast.desc with Hcl.Ast.Var "obs" -> read a | _ -> ());
+        mk (Hcl.Ast.GetAttr (go inner, a))
     | Hcl.Ast.Index (inner, i) -> mk (Hcl.Ast.Index (go inner, go i))
     | Hcl.Ast.Splat (inner, a) -> mk (Hcl.Ast.Splat (go inner, a))
     | Hcl.Ast.ListLit es -> mk (Hcl.Ast.ListLit (List.map go es))
@@ -182,24 +183,37 @@ let rewrite_obs (e : Hcl.Ast.expr) : Hcl.Ast.expr =
   in
   go e
 
+let eval_obs (obs : obs) (e : Hcl.Ast.expr) : Value.t =
+  Hcl.Eval.eval_expr ~vars:(Smap.singleton "__obs" (Value.Vmap obs)) e
+
 let eval_with_obs (obs : obs) (e : Hcl.Ast.expr) : Value.t =
-  Hcl.Eval.eval_expr ~vars:(Smap.singleton "__obs" (Value.Vmap obs))
-    (rewrite_obs e)
+  eval_obs obs (rewrite_obs e)
 
 (** Does the policy fire under these observations?
 
-    A guard that references an observation the current phase does not
+    A guard that reads an observation the current phase does not
     provide simply does not fire — the observation vocabulary evolves
     across lifecycle phases (§3.6), so absence is normal, not an
-    error. *)
+    error.  Any other failure of the guard is a policy error. *)
 let triggered (p : t) (obs : obs) : bool =
-  match eval_with_obs obs p.when_ with
+  let provided = ref true in
+  let guard =
+    rewrite_obs
+      ~read:(fun name -> if not (Smap.mem name obs) then provided := false)
+      p.when_
+  in
+  !provided
+  &&
+  match eval_obs obs guard with
   | Value.Vbool b -> b
   | Value.Vunknown _ -> false
   | v ->
       errf p.pspan "policy %S: 'when' must evaluate to bool, got %s" p.pname
         (Value.type_name v)
-  | exception Hcl.Eval.Eval_error (_, _) -> false
+  | exception Cloudless_error.Error d ->
+      errf
+        (if Hcl.Loc.is_dummy d.span then p.when_.Hcl.Ast.espan else d.span)
+        "policy %S: 'when': %s" p.pname d.message
 
 (** A concrete decision produced by a fired policy. *)
 type decision =
@@ -216,6 +230,14 @@ let decision_to_string = function
   | D_deny msg -> "deny: " ^ msg
   | D_notify msg -> "notify: " ^ msg
 
+(* A deny or notify message as text: a list or a map has none. *)
+let message_text obs (a : action) (e : Hcl.Ast.expr) =
+  match eval_with_obs obs e with
+  | (Value.Vlist _ | Value.Vmap _) as v ->
+      errf e.Hcl.Ast.espan "action %S: message must be a string, got %s"
+        a.aname (Value.type_name v)
+  | v -> Value.to_string v
+
 (** Evaluate a fired policy's actions. *)
 let decide (p : t) (obs : obs) : decision list =
   List.map
@@ -230,8 +252,6 @@ let decide (p : t) (obs : obs) : decision list =
                 (Value.type_name v))
       | Set_attr { target; attr; value } ->
           D_set_attr { target; attr; value = eval_with_obs obs value }
-      | Deny { message } ->
-          D_deny (Value.to_string (eval_with_obs obs message))
-      | Notify { message } ->
-          D_notify (Value.to_string (eval_with_obs obs message)))
+      | Deny { message } -> D_deny (message_text obs a message)
+      | Notify { message } -> D_notify (message_text obs a message))
     p.actions

@@ -32,8 +32,6 @@ type t = {
   pspan : Hcl.Loc.span;
 }
 
-exception Policy_error of string * Hcl.Loc.span
-
 (** Parse one [action "name" { ... }] block.  Shared with the wave
     subsystem's [change] blocks, which reuse the action vocabulary. *)
 val parse_action : Hcl.Ast.block -> action
@@ -41,7 +39,8 @@ val parse_action : Hcl.Ast.block -> action
 val parse_policy : Hcl.Ast.block -> t
 
 (** Parse a policy file (a sequence of [policy "name" { ... }] blocks).
-    @raise Policy_error on malformed blocks. *)
+    A malformed block raises a [policy/policy-error]
+    {!Cloudless_error.Error} located at it. *)
 val parse : file:string -> string -> t list
 
 (** Observation context: the [obs.*] namespace for one evaluation. *)
@@ -50,14 +49,15 @@ type obs = Value.t Smap.t
 val obs_of_list : (string * Value.t) list -> obs
 
 (** Rewrite surface [obs.x] references to [var.__obs.x] so the stock
-    HCL evaluator handles them. *)
-val rewrite_obs : Hcl.Ast.expr -> Hcl.Ast.expr
+    HCL evaluator handles them; [read x] is called for each [obs.x]. *)
+val rewrite_obs : ?read:(string -> unit) -> Hcl.Ast.expr -> Hcl.Ast.expr
 
 val eval_with_obs : obs -> Hcl.Ast.expr -> Value.t
 
 (** Does the policy fire under these observations?  A guard that
-    references an observation the current phase does not provide
-    simply does not fire. *)
+    reads an observation the current phase does not provide simply
+    does not fire; any other failure of the guard raises a located
+    [policy/policy-error]. *)
 val triggered : t -> obs -> bool
 
 (** A concrete decision produced by a fired policy. *)
@@ -69,5 +69,6 @@ type decision =
 
 val decision_to_string : decision -> string
 
-(** Evaluate a fired policy's actions. *)
+(** Evaluate a fired policy's actions.  A deny or notify message that
+    is a list or a map raises a [policy/policy-error] located at it. *)
 val decide : t -> obs -> decision list

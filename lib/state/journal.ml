@@ -301,7 +301,9 @@ let of_string ?(file = "<journal>") src =
       let line = String.sub src first (stop - first) in
       match entry_of_value (Codec.read_value ~file line) with
       | e -> go (e :: acc) (stop + 1)
-      | exception (Codec.Error (msg, _) | Lexer.Error (msg, _) | Bad_entry msg) ->
+      | exception
+          ( Cloudless_error.Error { stage = Syntax; message = msg; _ }
+          | Bad_entry msg ) ->
           if stop = n then List.rev acc
           else
             Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.State_io

@@ -193,10 +193,10 @@ let to_string t =
 
 (** Read a state written by {!to_string}.  Blocks may come in any
     order; a repeated instance keeps its last row.  Errors are located
-    in [file]: a lexer error anywhere ({!Cloudless_hcl.Lexer.Error})
-    outranks text that is not literal data anywhere, which outranks
-    the first malformed block; both of the latter are
-    [state/corrupt-state] diagnostics. *)
+    in [file]: a lexer error anywhere ([syntax/lex-error]) outranks
+    text that is not literal data anywhere, which outranks the first
+    malformed block; both of the latter are [state/corrupt-state]
+    diagnostics. *)
 let of_string ?(file = "<state>") src =
   let locate first last = Codec.span ~file src first last in
   let block_error (b : Codec.block) fmt =
@@ -262,7 +262,8 @@ let of_string ?(file = "<state>") src =
     | ty, _ -> block_error b "state: unexpected block %s" ty
   in
   (try Codec.fold_blocks ~file src block ()
-   with Codec.Error (msg, span) -> corrupt ~span "state: %s" msg);
+   with Cloudless_error.Error { code = "parse-error"; message; span; _ } ->
+     corrupt ~span "state: %s" message);
   let rows = List.rev !rows in
   let resources =
     if !ascending then Amap.of_sorted_array (Array.of_list rows)

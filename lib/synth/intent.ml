@@ -31,7 +31,11 @@ type intent = {
   requests : request list;
 }
 
-exception Unsupported of string
+(* A request synthesis cannot serve: a [types/unsupported]
+   {!Cloudless_error.Error}. *)
+let unsupported fmt =
+  Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Types
+    ~code:"unsupported" fmt
 
 (* ------------------------------------------------------------------ *)
 (* Value generation from semantic types                                *)
@@ -86,7 +90,7 @@ let rec generate_value ctx (rtype : string) (attr : Schema.Resource_schema.attr)
   | T.Protocol -> Ast.string_lit "tcp"
   | T.Bool -> Ast.mk (Ast.Bool false)
   | T.Enum (v :: _) -> Ast.string_lit v
-  | T.Enum [] -> raise (Unsupported "empty enum")
+  | T.Enum [] -> unsupported "empty enum"
   | T.Resource_id wanted -> reference_to ctx wanted
   | T.List_of (T.Resource_id wanted) ->
       Ast.mk (Ast.ListLit [ reference_to ctx wanted ])
@@ -109,7 +113,7 @@ and reference_to ctx wanted : Ast.expr =
 
 and synthesize_dependency ctx wanted : string =
   match Schema.Catalog.find wanted with
-  | None -> raise (Unsupported (Printf.sprintf "no schema for %s" wanted))
+  | None -> unsupported "no schema for %s" wanted
   | Some schema ->
       let name = fresh_name ctx (short_type wanted) in
       (* register *before* recursing so cycles cannot diverge *)
@@ -163,7 +167,7 @@ let synthesize (intent : intent) : Hcl.Config.t =
     List.map
       (fun req ->
         match Schema.Catalog.find req.rtype with
-        | None -> raise (Unsupported (Printf.sprintf "no schema for %s" req.rtype))
+        | None -> unsupported "no schema for %s" req.rtype
         | Some schema ->
             ctx.synthesized <- (req.rtype, req.name) :: ctx.synthesized;
             let attrs =

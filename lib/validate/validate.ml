@@ -244,16 +244,11 @@ let validate_config ?(level = L_cloud) ?(env = Hcl.Eval.default_env)
     { diagnostics = ref_diags; expansion = None }
   else
     match Hcl.Eval.expand ~env ~vars cfg with
-    | exception Hcl.Eval.Eval_error (msg, span) ->
-        (* expansion failures are reference-stage findings; at the
-           syntax-only level they are out of scope *)
+    | exception Cloudless_error.Error ({ stage = References; _ } as d) ->
+        (* expansion failures (eval and type errors) are reference-stage
+           findings; at the syntax-only level they are out of scope *)
         let diag =
-          if level_includes level Diagnostic.References then
-            [
-              Diagnostic.make ~stage:Diagnostic.References ~code:"eval-error"
-                ~span msg;
-            ]
-          else []
+          if level_includes level Diagnostic.References then [ d ] else []
         in
         { diagnostics = ref_diags @ diag; expansion = None }
     | expansion ->
@@ -272,38 +267,13 @@ let validate_config ?(level = L_cloud) ?(env = Hcl.Eval.default_env)
           expansion = Some expansion;
         }
 
-(** Syntax-stage diagnostic for a frontend exception, if it is one.
-    Shared by {!validate_source} and the engine boundary. *)
-let diagnostic_of_frontend_exn = function
-  | Hcl.Lexer.Error (msg, span) ->
-      Some (Diagnostic.make ~stage:Diagnostic.Syntax ~code:"lex-error" ~span msg)
-  | Hcl.Parser.Error (msg, span) ->
-      Some
-        (Diagnostic.make ~stage:Diagnostic.Syntax ~code:"parse-error" ~span msg)
-  | Hcl.Config.Config_error (msg, span) ->
-      Some
-        (Diagnostic.make ~stage:Diagnostic.Syntax ~code:"structure-error" ~span
-           msg)
-  | Hcl.Eval.Eval_error (msg, span) ->
-      Some
-        (Diagnostic.make ~stage:Diagnostic.References ~code:"eval-error" ~span
-           msg)
-  | _ -> None
-
 (** Validate source text end to end. *)
 let validate_source ?(level = L_cloud) ?(env = Hcl.Eval.default_env)
     ?(vars = Smap.empty) ?(trace = Trace.null) ~file src : report =
   match Hcl.Config.parse ~file src with
   | cfg -> validate_config ~level ~env ~vars ~trace cfg
-  | exception
-      ((Hcl.Lexer.Error _ | Hcl.Parser.Error _ | Hcl.Config.Config_error _) as e)
-    ->
-      let report =
-        {
-          diagnostics = [ Option.get (diagnostic_of_frontend_exn e) ];
-          expansion = None;
-        }
-      in
+  | exception Cloudless_error.Error ({ stage = Syntax; _ } as d) ->
+      let report = { diagnostics = [ d ]; expansion = None } in
       Trace.with_span trace "validate" (fun () ->
           count_diags trace report.diagnostics;
           report)

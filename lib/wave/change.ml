@@ -51,7 +51,9 @@ type t = {
   cspan : Hcl.Loc.span;
 }
 
-let errf span fmt = Fmt.kstr (fun s -> raise (Policy.Policy_error (s, span))) fmt
+let errf span fmt =
+  Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.Policy
+    ~code:"policy-error" ~span fmt
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

@@ -25,7 +25,8 @@ val parse_gate : Hcl.Ast.block -> Rego_like.check
 val parse_change : Hcl.Ast.block -> t
 
 (** Parse a change file (a sequence of [change "name" { ... }] blocks).
-    @raise Policy.Policy_error on malformed blocks. *)
+    A malformed block raises a [policy/policy-error]
+    {!Cloudless_error.Error} located at it. *)
 val parse : file:string -> string -> t list
 
 (** Evaluate the change's actions into concrete decisions (the policy

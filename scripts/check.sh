@@ -22,6 +22,25 @@ if [[ -n "$offenders" ]]; then
   exit 1
 fi
 
+# Every failure that leaves its library is a Cloudless_error.Error, so
+# a lib/ file declares no other exception unless it is listed, with
+# its reason, in the exception allowlist.
+exn_allowlist=scripts/exception_allowlist.txt
+exn_decls=$({ grep -rnE '^[[:space:]]*exception[[:space:]]+[A-Z]' lib/ \
+  --include='*.ml' --include='*.mli' || true; })
+exn_offenders=$(while IFS=: read -r file line decl; do
+  [[ -n "$file" ]] || continue
+  module=$(basename "${file%.*}")
+  name="${module^}.$(awk '{print $2}' <<<"$decl")"
+  grep -qE "^${name/./\\.}[[:space:]]" "$exn_allowlist" || echo "$file:$line: $name"
+done <<<"$exn_decls")
+exn_count=$({ grep -c . <<<"$exn_offenders" || true; })
+if (( exn_count > 0 )); then
+  echo "check.sh: ${exn_count} exception declaration(s) in lib/ outside $exn_allowlist — raise a Cloudless_error.Error:" >&2
+  echo "$exn_offenders" >&2
+  exit 1
+fi
+
 dune build @all
 dune runtest
 dune exec bench/main.exe -- e11 --quick

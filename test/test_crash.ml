@@ -304,7 +304,7 @@ let test_crash_resume_every_k () =
     check int_
       (Printf.sprintf "k=%d: no orphans" k)
       0
-      (List.length (Recovery.orphans cloud ~state));
+      (List.length (Recovery.orphans cloud ~states:[ state ]));
     check int_
       (Printf.sprintf "k=%d: no duplicate creates" k)
       10 (engine_creates cloud);
@@ -370,7 +370,7 @@ let test_group_crash_resume_every_k () =
         let tag = Printf.sprintf "group %d, k=%d" batch k in
         check int_ (tag ^ ": all 10 tracked") 10 (State.size state);
         check int_ (tag ^ ": no orphans") 0
-          (List.length (Recovery.orphans cloud ~state));
+          (List.length (Recovery.orphans cloud ~states:[ state ]));
         check int_ (tag ^ ": no duplicate creates") 10 (engine_creates cloud);
         match Lifecycle.plan t with
         | Ok p ->

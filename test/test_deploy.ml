@@ -350,11 +350,13 @@ resource "aws_vpc" "main" {
   (* a force-new change on a guarded resource is rejected at plan time *)
   let instances = expand_src (src "10.7.0.0/16") in
   (match Plan.make ~state:report1.Executor.state instances with
-  | exception Plan.Prevented (addr, reason) ->
+  | exception
+      Cloudless_error.Error
+        { code = "plan-blocked"; addr = Some addr; message = reason; _ } ->
       check string_ "guarded resource" "aws_vpc.main" (Addr.to_string addr);
       check bool_ "reason names the attribute" true
         (Test_fixtures.contains_substring ~sub:"cidr_block" reason)
-  | _ -> Alcotest.fail "expected Plan.Prevented");
+  | _ -> Alcotest.fail "expected a plan-blocked error");
   (* in-place updates remain allowed *)
   let updated = expand_src (Test_fixtures.replace_substring (src "10.0.0.0/16")
     ~sub:"region     = \"us-east-1\"" ~by:"region     = \"us-east-1\"\n  enable_dns = true") in

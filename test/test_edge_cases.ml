@@ -178,7 +178,7 @@ let test_try_function_in_config () =
   check value "can is true on success" (Value.Vbool true)
     (Eval.eval_string {|can(1 + 1)|});
   match Eval.eval_string {|try(var.a, var.b)|} with
-  | exception Eval.Eval_error _ -> ()
+  | exception Cloudless_error.Error { code = "eval-error"; _ } -> ()
   | v -> Alcotest.failf "expected error when all branches fail, got %a" Value.pp v
 
 let test_negative_numbers_and_precedence () =

@@ -97,7 +97,7 @@ let test_duplicate_registration_rejected () =
         ignore (Edsl.resource ctx "aws_vpc" "x" []);
         ignore (Edsl.resource ctx "aws_vpc" "x" []))
   with
-  | exception Edsl.Registration_error _ -> ()
+  | exception Cloudless_error.Error { code = "structure-error"; _ } -> ()
   | _ -> Alcotest.fail "expected duplicate-registration error"
 
 let test_depends_on () =

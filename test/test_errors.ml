@@ -8,7 +8,6 @@
 module Lifecycle = Cloudless.Lifecycle
 module Cli = Cloudless.Cli
 module Io_util = Cloudless.Io_util
-module Boundary = Cloudless.Boundary
 module Diagnostic = Cloudless_validate.Diagnostic
 module Loc = Cloudless_hcl.Loc
 module Dag = Cloudless_graph.Dag
@@ -128,18 +127,21 @@ let test_lifecycle_cycle () =
   | Error e -> Alcotest.failf "wrong error: %s" (Lifecycle.error_to_string e)
 
 (* a cycle that only materializes in the graph layer (e.g. mined
-   dependencies) surfaces through the boundary as a located,
-   addressed diagnostic *)
+   dependencies) surfaces through the typed channel as a diagnostic
+   addressed to the first blocked node and naming every blocked node
+   in node order *)
 let test_boundary_dag_cycle () =
-  let addr = Option.get (Cloudless_hcl.Addr.of_string "aws_vpc.a") in
-  match
-    Boundary.protect (fun () -> raise (Dag.Cycle [ addr ]))
-  with
-  | Ok _ -> Alcotest.fail "cycle must become an error"
+  let addr s = Option.get (Cloudless_hcl.Addr.of_string s) in
+  let a = addr "aws_vpc.a" and b = addr "aws_vpc.b" in
+  let g = Dag.of_edges [ (a, ()); (b, ()) ] [ (a, b); (b, a) ] in
+  match Cloudless_error.protect (fun () -> Dag.check_acyclic g) with
+  | Ok () -> Alcotest.fail "cycle must become an error"
   | Error d ->
       check string_ "code" "dependency-cycle" d.Diagnostic.code;
       check bool_ "plan stage" true (d.Diagnostic.stage = Diagnostic.Plan_stage);
-      check bool_ "addressed" true (d.Diagnostic.addr = Some addr)
+      check bool_ "addressed" true (d.Diagnostic.addr = Some a);
+      check string_ "blocked nodes in node order"
+        "dependency cycle between: aws_vpc.a, aws_vpc.b" d.Diagnostic.message
 
 let test_lifecycle_quota () =
   let t = Lifecycle.create ~cloud_config:quota_cloud_config () in
@@ -272,12 +274,12 @@ let test_cli_corrupt_state_table () =
 let test_lexer_error_precedence () =
   let src = "resource = = {\n}\nx = \"ok\"\ny = @\n" in
   (match Cloudless_hcl.Parser.parse ~file:"t.tf" src with
-  | exception Cloudless_hcl.Lexer.Error (msg, span) ->
-      check string_ "message" "unexpected character '@'" msg;
+  | exception Cloudless_error.Error { code = "lex-error"; message; span; _ } ->
+      check string_ "message" "unexpected character '@'" message;
       check int_ "line" 4 (Loc.line span);
       check int_ "col" 5 span.Loc.start_pos.Loc.col
-  | exception Cloudless_hcl.Parser.Error (msg, _) ->
-      Alcotest.failf "parse error %S outranked the lexer error" msg
+  | exception Cloudless_error.Error { code = "parse-error"; message; _ } ->
+      Alcotest.failf "parse error %S outranked the lexer error" message
   | _ -> Alcotest.fail "expected a lexer error");
   let io, dump = quiet_io () in
   let file = temp_file src in
@@ -289,13 +291,187 @@ let test_lexer_error_precedence () =
     && contains ~sub:".tf:4:5-" out
     && contains ~sub:"unexpected character '@'" out)
 
-(* Boundary.protect must pass unknown exceptions through untouched:
-   they are bugs, and swallowing them would hide the backtrace. *)
+(* ------------------------------------------------------------------ *)
+(* Totality: every handler over malformed inputs                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Each row drives one in-process CLI handler or lifecycle verb over
+   one malformed input and expects exit 1 (a lifecycle [Error _]
+   counts as 1) and a rendered [error[stage/code]] diagnostic, located
+   in the malformed file where the input is one — never an escaped
+   exception.  A row lists the pieces of text its output must
+   contain. *)
+
+let policy_with ?(guard = "") message =
+  Printf.sprintf
+    "policy \"p\" {\n  on = \"plan\"\n%s  action \"a\" {\n    kind    = \"deny\"\n    message = %s\n  }\n}\n"
+    guard message
+
+let one_vpc = "resource \"aws_vpc\" \"v\" {\n  region = \"us-east-1\"\n}\n"
+
+let guarded_vpc cidr =
+  Printf.sprintf
+    "resource \"aws_vpc\" \"v\" {\n  cidr_block = %S\n  region     = \"us-east-1\"\n  lifecycle {\n    prevent_destroy = true\n  }\n}\n"
+    cidr
+
+(* A handler's (exit code, everything it printed). *)
+let cli run =
+  let io, dump = quiet_io () in
+  let code = run io in
+  let out, err = dump () in
+  (code, out ^ err)
+
+let lifecycle run =
+  match run (Lifecycle.create ()) with
+  | Ok _ -> (0, "")
+  | Error e ->
+      ( 1,
+        String.concat "\n"
+          (List.map Diagnostic.to_string (Lifecycle.error_diagnostics e)) )
+
+(* [code]'s diagnostic located in [file]. *)
+let located code file = [ Printf.sprintf "error[%s] %s:" code file ]
+
+let policy_row name policy =
+  let policies_path = temp_file ~suffix:".hcl" policy in
+  ( name,
+    located "policy/policy-error" policies_path,
+    fun () ->
+      cli (fun io ->
+          Cli.policy_check ~io ~file:(temp_file one_vpc) ~policies_path
+            ~state_path:(temp_path ".cls") ()) )
+
+let totality_rows () =
+  let lex = temp_file "x = @\n" in
+  let parse = temp_file "resource \"a\" {\n  x = (1\n}\n" in
+  let structure =
+    temp_file "resource \"a_b\" \"x\" {}\nresource \"a_b\" \"x\" {}\n"
+  in
+  let eval =
+    temp_file "resource \"aws_vpc\" \"v\" {\n  cidr_block = var.missing\n}\n"
+  in
+  let cycle = temp_file cycle_hcl in
+  let corrupt_state =
+    temp_file ~suffix:".cls" "state {\n  serial = \"abc\"\n}\n"
+  in
+  let journaled = temp_path ".cls" in
+  Io_util.write_file (journaled ^ ".journal") "garbage\n{}\n";
+  let change = temp_file ~suffix:".hcl" "change \"c\" {\n  canary = 0\n}\n" in
+  let scenario = temp_file ~suffix:".scn" "tenants = abc\n" in
+  [
+    ( "lexer error: fmt",
+      located "syntax/lex-error" lex,
+      fun () -> cli (fun io -> Cli.fmt ~io ~file:lex ~in_place:false ()) );
+    ( "parser error: validate",
+      located "syntax/parse-error" parse,
+      fun () ->
+        cli (fun io ->
+            Cli.validate ~io ~file:parse ~state_path:(temp_path ".cls") ()) );
+    ( "structure error: plan",
+      located "syntax/structure-error" structure,
+      fun () ->
+        cli (fun io ->
+            Cli.plan ~io ~file:structure ~state_path:(temp_path ".cls") ()) );
+    ( "eval error: apply",
+      located "references/eval-error" eval,
+      fun () ->
+        cli (fun io -> Cli.apply ~io ~file:eval ~state_path:(temp_path ".cls") ())
+    );
+    ( "eval error: develop",
+      [
+        "error[references/eval-error] main.tf:2:16-22: list index 5 out of \
+         bounds (length 1)";
+      ],
+      fun () ->
+        lifecycle (fun t ->
+            Lifecycle.develop t
+              "resource \"aws_vpc\" \"v\" {\n  cidr_block = [1][5]\n}\n") );
+    ( "dependency cycle: plan",
+      located "references/eval-error" cycle
+      @ [ ":2:1-5:2: dependency cycle involving aws_security_group.a" ],
+      fun () ->
+        cli (fun io -> Cli.plan ~io ~file:cycle ~state_path:(temp_path ".cls") ())
+    );
+    ( "prevent_destroy: apply",
+      [
+        "error[plan/plan-blocked] ";
+        " (aws_vpc.v): replacement forced by cidr_block, but lifecycle sets \
+         prevent_destroy";
+      ],
+      fun () ->
+        let state_path = temp_path ".cls" in
+        let apply cidr io =
+          Cli.apply ~io ~file:(temp_file (guarded_vpc cidr)) ~state_path ()
+        in
+        match cli (apply "10.0.0.0/16") with
+        | 0, _ -> cli (apply "10.1.0.0/16")
+        | first -> first );
+    ( "corrupt state: destroy",
+      located "state/corrupt-state" corrupt_state,
+      fun () -> cli (fun io -> Cli.destroy ~io ~state_path:corrupt_state ()) );
+    ( "corrupt journal: apply",
+      located "state/corrupt-journal" (journaled ^ ".journal"),
+      fun () ->
+        cli (fun io ->
+            Cli.apply ~io ~file:(temp_file one_vpc) ~state_path:journaled ()) );
+    policy_row "malformed policy: policy-check"
+      "policy \"p\" {\n  on = \"plan\"\n}\n";
+    ( "malformed change: rollout",
+      located "policy/policy-error" change,
+      fun () ->
+        cli (fun io ->
+            Cli.rollout ~io ~file:change
+              ~scenario_path:(temp_file ~suffix:".scn" "tenants = 2\n")
+              ()) );
+    ( "malformed scenario: serve",
+      [ "error[syntax/scenario-syntax] "; scenario ^ ":1: " ],
+      fun () ->
+        cli (fun io ->
+            Cli.serve ~io ~metrics_path:Filename.null ~scenario_path:scenario ())
+    );
+    policy_row "list message: policy-check" (policy_with "[\"a\", \"b\"]");
+    policy_row "map message: policy-check" (policy_with "{ a = 1 }");
+    policy_row "interpolated list message: policy-check"
+      (policy_with "\"${[1]}\"");
+    policy_row "ill-typed guard: policy-check"
+      (policy_with ~guard:"  when = obs.plan_creates > \"x\"\n" "\"m\"");
+    ( "list name_filter: deploy",
+      [
+        "error[references/eval-error] main.tf:1:1-3:2: data.aws_ami.x: \
+         cannot convert list to string";
+      ],
+      fun () ->
+        lifecycle (fun t ->
+            Lifecycle.deploy t
+              "data \"aws_ami\" \"x\" {\n  name_filter = [\"a\", \"b\"]\n}\n")
+    );
+  ]
+
+let test_totality_table () =
+  List.iter
+    (fun (name, expect, run) ->
+      let code, text =
+        match run () with
+        | r -> r
+        | exception e ->
+            Alcotest.failf "%s: escaped %s" name (Printexc.to_string e)
+      in
+      check int_ (name ^ ": exits 1") 1 code;
+      List.iter
+        (fun sub ->
+          if not (contains ~sub text) then
+            Alcotest.failf "%s: expected %S in:\n%s" name sub text)
+        expect)
+    (totality_rows ())
+
+(* Cloudless_error.protect must pass unknown exceptions through
+   untouched: they are bugs, and swallowing them would hide the
+   backtrace. *)
 let test_boundary_passthrough () =
-  (match Boundary.protect (fun () -> 41 + 1) with
+  (match Cloudless_error.protect (fun () -> 41 + 1) with
   | Ok n -> check int_ "ok passes through" 42 n
   | Error d -> Alcotest.failf "unexpected error: %s" (Diagnostic.to_string d));
-  match Boundary.protect (fun () -> raise Exit) with
+  match Cloudless_error.protect (fun () -> raise Exit) with
   | exception Exit -> ()
   | Ok _ | Error _ -> Alcotest.fail "foreign exception must propagate"
 
@@ -326,5 +502,7 @@ let suites =
           test_lexer_error_precedence;
         Alcotest.test_case "boundary: foreign exceptions propagate" `Quick
           test_boundary_passthrough;
+        Alcotest.test_case "every handler is total over malformed inputs"
+          `Quick test_totality_table;
       ] );
   ]

@@ -240,6 +240,49 @@ let test_fleet_crash_resume () =
   check Alcotest.string "digest equals the uncrashed run"
     (Fleet.state_digest !ref_fleet) (Fleet.state_digest fresh)
 
+(* The cross-tenant orphan audit: a resource an IaC engine created
+   that no deployment of the fleet tracks is reported by its cloud id;
+   the deployments' own resources and an out-of-band create are not. *)
+let test_orphan_audit () =
+  let scn =
+    {
+      Scenario.default with
+      Scenario.tenants = 3;
+      shards = 2;
+      resources = 4;
+      requests_per_tenant = 1;
+      drift_events = 0;
+      policy_period = 0.;
+      duration = 600.;
+    }
+  in
+  let cloud = fresh_cloud () in
+  let fleet =
+    ref
+      (Fleet.create ~cloud ~shards:2
+         (Scenario.service_config scn Shard.fleet_service))
+  in
+  ignore (Scenario.install_fleet scn fleet);
+  Fleet.run !fleet ~until:scn.Scenario.duration;
+  check int_ "every tenant's fleet is managed" 12
+    (Fleet.managed_resource_count !fleet);
+  check (Alcotest.list Alcotest.string) "a settled fleet has no orphans" []
+    (Fleet.orphans !fleet);
+  let attrs = Smap.singleton "cidr_block" (Value.Vstring "10.9.0.0/16") in
+  let stray =
+    match
+      Cloud.run_sync cloud ~actor:(Cloudless_sim.Activity_log.Iac_engine "stray")
+        (Cloud.Create { rtype = "aws_vpc"; region = "us-east-1"; attrs })
+    with
+    | Ok live -> Value.to_string (Smap.find "id" live)
+    | Error _ -> Alcotest.fail "the stray create must land"
+  in
+  ignore
+    (Cloud.create_oob cloud ~script:"portal" ~rtype:"aws_vpc"
+       ~region:"us-east-1" ~attrs);
+  check (Alcotest.list Alcotest.string) "the untracked IaC create, by id"
+    [ stray ] (Fleet.orphans !fleet)
+
 (* ------------------------------------------------------------------ *)
 (* Admission backpressure                                              *)
 (* ------------------------------------------------------------------ *)
@@ -415,6 +458,8 @@ let suites =
       [
         Alcotest.test_case "crash resumes at shard granularity" `Slow
           test_fleet_crash_resume;
+        Alcotest.test_case "orphan audit names an untracked create" `Quick
+          test_orphan_audit;
         Alcotest.test_case "defer backpressure" `Quick test_backpressure_defer;
         Alcotest.test_case "reject backpressure" `Quick
           test_backpressure_reject;

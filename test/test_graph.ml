@@ -3,6 +3,7 @@
 
 open Cloudless_hcl
 module Dag = Cloudless_graph.Dag
+module Diagnostic = Cloudless_error.Diagnostic
 
 let check = Alcotest.check
 let int_ = Alcotest.int
@@ -33,13 +34,17 @@ let test_topo_sort () =
 let test_cycle_detection () =
   let g = diamond ~extra:[ ("a", "d") ] () in
   (match Dag.check_acyclic g with
-  | exception Dag.Cycle blocked ->
-      check (Alcotest.list string_) "blocked, node order" [ "a"; "b"; "c"; "d" ]
-        (names blocked)
-  | () -> Alcotest.fail "expected Cycle");
+  | exception Cloudless_error.Error d ->
+      check string_ "code" "dependency-cycle" d.Diagnostic.code;
+      check string_ "blocked, node order"
+        "dependency cycle between: t_x.a, t_x.b, t_x.c, t_x.d"
+        d.Diagnostic.message;
+      check bool_ "addressed to the first" true
+        (d.Diagnostic.addr = Some (addr "a"))
+  | () -> Alcotest.fail "expected a cycle");
   match Dag.topo_sort g with
-  | exception Dag.Cycle _ -> ()
-  | _ -> Alcotest.fail "expected Cycle"
+  | exception Cloudless_error.Error { code = "dependency-cycle"; _ } -> ()
+  | _ -> Alcotest.fail "expected a cycle"
 
 let test_levels () =
   let ls = Dag.levels (diamond ()) in

@@ -103,7 +103,7 @@ let test_lex_heredoc_indent () =
 
 let test_lex_error_position () =
   match Lexer.tokenize ~file:"t" "a = @" with
-  | exception Lexer.Error (_, span) ->
+  | exception Cloudless_error.Error { code = "lex-error"; span; _ } ->
       check int_ "error line" 1 (Loc.line span);
       check int_ "error col" 5 span.Loc.start_pos.Loc.col
   | _ -> Alcotest.fail "expected lexer error"
@@ -183,7 +183,7 @@ let test_parse_block_structure () =
 
 let test_parse_error_has_location () =
   match Parser.parse ~file:"t" "resource \"a\" {\n  x = (1\n}" with
-  | exception Parser.Error (_, span) ->
+  | exception Cloudless_error.Error { code = "parse-error"; span; _ } ->
       check bool_ "line >= 2" true (Loc.line span >= 2)
   | _ -> Alcotest.fail "expected parse error"
 
@@ -236,7 +236,7 @@ resource "a_b" "x" {}
 resource "a_b" "x" {}
 |} in
   match Config.parse ~file:"t" src with
-  | exception Config.Config_error _ -> ()
+  | exception Cloudless_error.Error { code = "structure-error"; _ } -> ()
   | _ -> Alcotest.fail "expected duplicate-resource error"
 
 (* Duplicate declarations: for each kind, a duplicate of the first, a
@@ -259,7 +259,9 @@ let dup_decl kind name =
 
 let dup_outcome f =
   match f () with
-  | exception Config.Config_error (msg, sp) ->
+  | exception
+      Cloudless_error.Error
+        { code = "structure-error"; message = msg; span = sp; _ } ->
       Printf.sprintf "%s @ %s:%d:%d-%d:%d [%d,%d)" msg sp.Loc.file
         sp.Loc.start_pos.Loc.line sp.Loc.start_pos.Loc.col
         sp.Loc.end_pos.Loc.line sp.Loc.end_pos.Loc.col
@@ -371,7 +373,7 @@ output "o" { value = var.x }
   check int_ "expands" 2 (List.length result.Cloudless_hcl.Eval.instances);
   (* duplicates across files are rejected *)
   match Config.merge [ a; a ] with
-  | exception Config.Config_error _ -> ()
+  | exception Cloudless_error.Error { code = "structure-error"; _ } -> ()
   | _ -> Alcotest.fail "expected duplicate error"
 
 (* ------------------------------------------------------------------ *)
@@ -490,8 +492,8 @@ let prop_print_parse_eval =
     (fun e ->
       let printed = Printer.expr_to_string e in
       match Parser.parse_expr_string printed with
-      | exception Parser.Error (msg, _) ->
-          QCheck.Test.fail_reportf "re-parse failed on %s: %s" printed msg
+      | exception Cloudless_error.Error { code = "parse-error"; message; _ } ->
+          QCheck.Test.fail_reportf "re-parse failed on %s: %s" printed message
       | e' -> (
           match (Eval.eval_expr e, Eval.eval_expr e') with
           | v1, v2 -> Value.equal v1 v2

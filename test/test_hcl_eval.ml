@@ -66,7 +66,7 @@ let test_vars () =
   check value "var lookup" (Value.Vstring "web")
     (ev ~vars:[ ("name", Value.Vstring "web") ] "var.name");
   match ev "var.missing" with
-  | exception Eval.Eval_error (msg, _) ->
+  | exception Cloudless_error.Error { code = "eval-error"; message = msg; _ } ->
       check bool_ "mentions var" true
         (Test_fixtures.contains_substring ~sub:"missing" msg)
   | _ -> Alcotest.fail "expected error"
@@ -272,7 +272,7 @@ resource "x_y" "r" { v = local.a }
 |}
   in
   match Eval.expand cfg with
-  | exception Eval.Eval_error (msg, _) ->
+  | exception Cloudless_error.Error { code = "eval-error"; message = msg; _ } ->
       check bool_ "cycle reported" true
         (String.length msg > 0)
   | _ -> Alcotest.fail "expected cycle error"
@@ -332,7 +332,7 @@ resource "b_t" "y" { v = a_t.x.id }
 |}
   in
   match Eval.expand cfg with
-  | exception Eval.Eval_error (msg, _) ->
+  | exception Cloudless_error.Error { code = "eval-error"; message = msg; _ } ->
       check bool_ "cycle error" true
         (String.length msg > 0)
   | _ -> Alcotest.fail "expected cycle error"
@@ -421,7 +421,7 @@ variable "req" {}
 resource "x_y" "r" { v = var.req }
 |} in
   (match Eval.expand cfg with
-  | exception Eval.Eval_error (msg, _) ->
+  | exception Cloudless_error.Error { code = "eval-error"; message = msg; _ } ->
       check bool_ "required var error" true (String.length msg > 0)
   | _ -> Alcotest.fail "expected error");
   let vars = Smap.singleton "req" (Value.Vint 1) in

@@ -63,12 +63,12 @@ let test_parse_policies () =
 
 let test_parse_errors () =
   (match Policy.parse ~file:"p" {|policy "x" { on = "telemetry" }|} with
-  | exception Policy.Policy_error _ -> ()
+  | exception Cloudless_error.Error { code = "policy-error"; _ } -> ()
   | _ -> Alcotest.fail "no actions should error");
   match Policy.parse ~file:"p" {|policy "x" { on = "nonsense"
   action "a" { kind = "notify"
   message = "m" } }|} with
-  | exception Policy.Policy_error _ -> ()
+  | exception Cloudless_error.Error { code = "policy-error"; _ } -> ()
   | _ -> Alcotest.fail "bad phase should error"
 
 let test_trigger_and_decide () =
@@ -83,6 +83,34 @@ let test_trigger_and_decide () =
       check string_ "target" "aws_vpn_connection.tunnel" target;
       check int_ "count incremented" 3 count
   | _ -> Alcotest.fail "expected one set_count decision"
+
+(* A guard that fails for any reason other than reading an observation
+   the phase does not provide is a policy error located in the policy
+   file; it is neither swallowed nor read as "does not fire". *)
+let test_ill_typed_guard () =
+  let p =
+    List.hd
+      (Policy.parse ~file:"p.hcl"
+         {|policy "bad_guard" {
+  on   = "plan"
+  when = obs.plan_creates > "x"
+
+  action "deny" {
+    kind    = "deny"
+    message = "never"
+  }
+}
+|})
+  in
+  check bool_ "a missing observation does not fire" false
+    (Policy.triggered p (obs []));
+  match Policy.triggered p (obs [ ("plan_creates", Value.Vint 3) ]) with
+  | exception Cloudless_error.Error d ->
+      check string_ "rendered"
+        "error[policy/policy-error] p.hcl:3:10-32: policy \"bad_guard\": \
+         'when': cannot compare number with string"
+        (Cloudless_error.Diagnostic.to_string d)
+  | fired -> Alcotest.failf "an ill-typed guard returned %b" fired
 
 let test_controller_admission_denies_over_budget () =
   let c = Controller.of_source ~file:"p" vpn_policy_src in
@@ -261,6 +289,8 @@ let suites =
         Alcotest.test_case "parse" `Quick test_parse_policies;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "trigger & decide" `Quick test_trigger_and_decide;
+        Alcotest.test_case "ill-typed guard is a policy error" `Quick
+          test_ill_typed_guard;
       ] );
     ( "policy.controller",
       [

@@ -187,13 +187,21 @@ let test_rounds_into_adversarial () =
     [ 1; 2; 7 ];
   (* a cycle raises in both implementations *)
   let cyclic = dag_of ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
+  let blocked_all_three =
+    "dependency cycle between: "
+    ^ String.concat ", " (List.map (fun i -> Addr.to_string (node i)) [ 0; 1; 2 ])
+  in
   (match rounds_via_kernel cyclic with
-  | exception Dag.Cycle blocked ->
-      check int_ "cycle blocks all three" 3 (List.length blocked)
-  | _ -> Alcotest.fail "rounds_into must raise Cycle");
+  | exception
+      Cloudless_error.Error { code = "dependency-cycle"; message; _ } ->
+      check Alcotest.string "cycle blocks all three" blocked_all_three message
+  | _ -> Alcotest.fail "rounds_into must raise a dependency cycle");
   match Dag.Reference.rounds cyclic with
-  | exception Dag.Cycle _ -> ()
-  | _ -> Alcotest.fail "Reference.rounds must raise Cycle"
+  | exception
+      Cloudless_error.Error { code = "dependency-cycle"; message; _ } ->
+      check Alcotest.string "reference blocks all three" blocked_all_three
+        message
+  | _ -> Alcotest.fail "Reference.rounds must raise a dependency cycle"
 
 (* Random forward-edge DAGs: any (dependent i, dependency j) with j < i
    is acyclic by construction, so density can be cranked without care. *)

@@ -569,8 +569,8 @@ let apply_edit text (at, kind, c) =
   | _ -> text
 
 (* A state text with a few bytes replaced, inserted or deleted either
-   loads or fails through the typed channel or the lexer: no other
-   exception escapes the reader. *)
+   loads or fails through the typed channel: no other exception
+   escapes the reader. *)
 let prop_edited_state_fails_typed =
   QCheck.Test.make ~count:1000 ~name:"an edited state loads or fails typed"
     (QCheck.make
@@ -579,7 +579,7 @@ let prop_edited_state_fails_typed =
     (fun (s, edits) ->
       match State.of_string (List.fold_left apply_edit (State.to_string s) edits) with
       | _ -> true
-      | exception (Cloudless_error.Error _ | Lexer.Error _) -> true)
+      | exception Cloudless_error.Error _ -> true)
 
 let prop_addr_to_string_matches_sprintf =
   QCheck.Test.make ~count:500 ~name:"Addr.to_string = the sprintf rendering"
