@@ -47,10 +47,6 @@ let mean_makespan ?(tight = false) ~engine src =
               ~seed ()
           else fresh_cloud ~seed ()
         in
-        let engine =
-          if tight then { engine with Executor.pacing_budget = (40., 1200. /. 3600.) }
-          else engine
-        in
         let instances = expand_src src in
         let plan = Plan.make ~state:State.empty instances in
         let report =

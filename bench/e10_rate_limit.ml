@@ -25,7 +25,8 @@ resource "aws_security_group" "sg" {
 
 (* the parent-existence check would reject vpc-external; use a config
    without cross-resource checks to isolate the rate-limit behaviour.
-   The cloud enforces the tight Azure-style budget (1200 writes/hour). *)
+   The cloud enforces the tight Azure-style budget (1200 writes/hour),
+   and the paced engine reads that budget from it. *)
 let deploy_burst ~engine n =
   let cloud =
     Cloudless_sim.Cloud.create
@@ -40,17 +41,10 @@ let deploy_burst ~engine n =
   in
   report
 
-let azure_budget = (40., 1200. /. 3600.)
-
 let unpaced =
   { Executor.cloudless_config with Executor.name = "unpaced"; client_pacing = false }
 
-let paced =
-  {
-    Executor.cloudless_config with
-    Executor.name = "paced";
-    pacing_budget = azure_budget;
-  }
+let paced = { Executor.cloudless_config with Executor.name = "paced" }
 
 let run_case n =
   let a = deploy_burst ~engine:unpaced n in

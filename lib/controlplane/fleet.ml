@@ -23,7 +23,11 @@
     k] counts journaled writes across the whole fleet, so a crash lands
     on whichever shard issues the (k+1)-th write), the policy
     controller, queue-depth-driven rebalancing, crash {!resume} at
-    shard granularity, and the shard-count-invariant {!state_digest}. *)
+    shard granularity, the shard-count-invariant {!state_digest}, and
+    the shared write pacer: one token bucket mirroring the cloud's
+    write budget that every unbounded walk of every shard books from, so
+    the fleet as a whole stays inside the provider's budget instead of
+    bursting into it and retrying the 429s. *)
 
 module Hcl = Cloudless_hcl
 module Value = Hcl.Value
@@ -100,7 +104,15 @@ let create ?cloud ?(trace = Trace.null) ?metrics ?(shards = 2)
         raise (Failure.Engine_crashed k)
     | _ -> ()
   in
-  let host = { Shard.gate; alive = (fun () -> not !dead) } in
+  (* one pacer across the whole fleet, as for the gate: the provider
+     budgets the service's writes, not each shard's *)
+  let host =
+    {
+      Shard.gate;
+      alive = (fun () -> not !dead);
+      pacer = Cloud.write_pacer cloud;
+    }
+  in
   let mk sid =
     Shard.create ~sid ~cloud ~config
       ~scope:(Metrics.scoped registry (Some (Printf.sprintf "shard%d" sid)))

@@ -1,10 +1,14 @@
 (** The event-driven control-plane fleet (E15) — the one control-plane
     entry point; a single-loop service is [create ~shards:1].
 
-    [N] {!Shard}s share one simulated cloud, one metrics registry and
-    one crash gate.  A {!Router} owns tenant placement (consistent-hash
-    ring + rebalance pins).  Drift detection is push-based: one
-    multiplexed activity-log subscription per shard; the shard whose
+    [N] {!Shard}s share one simulated cloud, one metrics registry, one
+    crash gate and one write pacer: a token bucket with the cloud's own
+    write budget ({!Cloud.write_pacer}) that every unbounded walk books
+    from ({!Shard.fleet_service}; never {!Shard.baseline_service}), so
+    the shards together stay inside the provider's write budget.  A
+    {!Router} owns tenant placement (consistent-hash ring + rebalance
+    pins).  Drift detection is push-based: one multiplexed
+    activity-log subscription per shard; the shard whose
     {!Router.partition} covers an entry classifies it and routes the
     event to the owning tenant's shard (usually a different one —
     [cross_shard_routed] counts the hops).  Queue-depth-driven

@@ -9,8 +9,8 @@
     (one for a single-loop service) behind a {!Router}, feeding each
     one from a multiplexed activity-log subscription.
 
-    The host's crash gate and liveness flag are injected as a {!host}
-    record of callbacks, so a shard never reaches outside its own
+    The host's crash gate, liveness flag and write pacer are injected
+    as a {!host} record, so a shard never reaches outside its own
     tenant subset.  All metrics flow through a {!Metrics.scope} labeled
     ["shard<i>"]: each signal is recorded under its bare name and again
     as ["name.shard<i>"].
@@ -46,6 +46,7 @@ module Value = Hcl.Value
 module Smap = Value.Smap
 module Cloud = Cloudless_sim.Cloud
 module Failure = Cloudless_sim.Failure
+module Rate_limiter = Cloudless_sim.Rate_limiter
 module Pq = Cloudless_sim.Pqueue
 module State = Cloudless_state.State
 module Journal = Cloudless_state.Journal
@@ -75,7 +76,9 @@ type service_config = {
   drift_period : float;  (** scan sweep period, sim s *)
   scoped_reconcile : bool;  (** restrict reconcile applies to impact scope *)
   refresh_before_apply : bool;  (** Terraform's full refresh on every apply *)
-  parallelism : int option;  (** per-work-unit in-flight op cap *)
+  parallelism : int option;
+      (** per-work-unit in-flight op cap; None = unbounded, and an
+          unbounded walk books its writes from the host's pacer *)
   policy_period : float;  (** 0 = no policy controller *)
   policy_src : string option;
   max_queue_depth : int;  (** admission bound; 0 = unbounded *)
@@ -106,6 +109,7 @@ let baseline_service =
 
 (** The event-driven fleet preset: per-resource locks, push-based drift
     via log subscriptions, scoped reconciles, no refresh before apply,
+    unbounded walks paced against the provider's write budget,
     periodic rebalancing (armed only with more than one shard). *)
 let fleet_service =
   {
@@ -177,6 +181,9 @@ type host = {
   gate : unit -> unit;
       (** journaled-write crash gate, shared across the whole service *)
   alive : unit -> bool;  (** service liveness; a dead host stops draining *)
+  pacer : Rate_limiter.t;
+      (** the write bucket every unbounded walk books from, shared
+          across the whole service *)
 }
 
 type t = {
@@ -378,12 +385,14 @@ let count_api t dep ~read n =
 
 (* Every unit of work walks its plan through the one plan walker with
    the shard's inputs: a FIFO walk under the per-work parallelism cap,
-   no client pacing, the deployment's journal, the shard's breaker and
-   the host's crash gate and liveness.  Jitter rides with the breaker
-   only, so pre-E17 presets stay byte-identical to their committed
-   metrics snapshots; it draws from a PRNG seeded from the engine name
-   alone, so the stream is the same on every run and every resume.
-   The unit's run is closed in the journal as the walk settles. *)
+   the deployment's journal, the shard's breaker and the host's crash
+   gate and liveness.  An unbounded walk books its writes from the
+   host's pacer; a capped one is unpaced and retries 429s, as
+   Terraform does.  Jitter rides with the breaker only, so pre-E17
+   presets stay byte-identical to their committed metrics snapshots;
+   it draws from a PRNG seeded from the engine name alone, so the
+   stream is the same on every run and every resume.  The unit's run
+   is closed in the journal as the walk settles. *)
 let walk t dep ~state ~graph ~on_done =
   Walker.apply t.cloud
     ~config:
@@ -397,8 +406,12 @@ let walk t dep ~state ~graph ~on_done =
       (match t.breaker with
       | Some _ -> Some (Prng.create (Hashtbl.hash dep.engine land 0x3FFFFFFF))
       | None -> None)
-    ~journal:dep.journal ?breaker:t.breaker ~gate:t.host.gate
-    ~alive:t.host.alive
+    ~journal:dep.journal ?breaker:t.breaker
+    ?pacer:
+      (match t.config.parallelism with
+      | None -> Some t.host.pacer
+      | Some _ -> None)
+    ~gate:t.host.gate ~alive:t.host.alive
     ~count_api:(count_api t dep ~read:false)
     ~on_done:(fun o ->
       Journal.append dep.journal

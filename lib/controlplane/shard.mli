@@ -5,11 +5,12 @@
     admission, journaled request/reconcile/scan execution, drift
     intake, and admission backpressure.  Fleet concerns — policy
     ticks, tenant placement — live in the {!Fleet} that hosts [N]
-    shards behind a {!Router}; its crash gate and liveness flag reach
-    the shard through the {!host} callback record. *)
+    shards behind a {!Router}; its crash gate, liveness flag and write
+    pacer reach the shard through the {!host} record. *)
 
 module Addr = Cloudless_hcl.Addr
 module Cloud = Cloudless_sim.Cloud
+module Rate_limiter = Cloudless_sim.Rate_limiter
 module State = Cloudless_state.State
 module Journal = Cloudless_state.Journal
 module Lock_manager = Cloudless_lock.Lock_manager
@@ -33,7 +34,10 @@ type service_config = {
   drift_period : float;  (** scan sweep period, sim s *)
   scoped_reconcile : bool;  (** restrict reconcile applies to impact scope *)
   refresh_before_apply : bool;  (** Terraform's full refresh on every apply *)
-  parallelism : int option;  (** per-work-unit in-flight op cap *)
+  parallelism : int option;
+      (** per-work-unit in-flight op cap.  [None] is unbounded, and an
+          unbounded walk books every write from the host's pacer; a
+          capped walk is unpaced and retries 429s. *)
   policy_period : float;  (** 0 = no policy controller *)
   policy_src : string option;
   max_queue_depth : int;  (** admission bound; 0 = unbounded *)
@@ -49,12 +53,16 @@ type service_config = {
 }
 
 (** The Terraform-style operation: one global lock, a full state
-    refresh before every apply, periodic scan-based drift sweeps. *)
+    refresh before every apply, periodic scan-based drift sweeps, ten
+    writes in flight per unit of work, no client pacing, throttled
+    writes retried. *)
 val baseline_service : service_config
 
 (** The event-driven preset: per-resource locks, push-based drift via
     log subscriptions, scoped reconciles, no refresh before apply,
-    periodic rebalancing (armed only with more than one shard). *)
+    unbounded FIFO walks that book every write from the host's pacer
+    (§3.3), periodic rebalancing (armed only with more than one
+    shard). *)
 val fleet_service : service_config
 
 (** A request's compiled plan, keyed by its source and by the identity
@@ -82,11 +90,15 @@ type deployment = {
           dropped when a unit of work finishes or fails *)
 }
 
-(** Host callbacks: the seam between a shard and whoever runs it. *)
+(** Host inputs: the seam between a shard and whoever runs it. *)
 type host = {
   gate : unit -> unit;
       (** journaled-write crash gate, shared across the whole service *)
   alive : unit -> bool;  (** service liveness; a dead host stops draining *)
+  pacer : Rate_limiter.t;
+      (** write bucket that every unbounded walk books from, shared
+          across the whole service so its shards together stay inside
+          the provider's budget *)
 }
 
 type t

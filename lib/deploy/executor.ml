@@ -8,7 +8,8 @@
       FIFO walk of the ready set.
     - {!cloudless_config}: the paper's proposal — scoped refresh,
       critical-path-first scheduling (remaining-longest-path priority),
-      client-side rate pacing that avoids 429s entirely.
+      client-side rate pacing against the cloud's own write budget
+      ({!Cloud.write_pacer}) that avoids 429s entirely.
 
     Both back off exponentially with deterministic jitter.  [apply] is
     the run-to-completion driver of the one plan walker ({!Walker}):
@@ -41,7 +42,6 @@ type config = Walker.config = {
   max_retries : int;
   backoff_base : float;
   refresh : refresh_mode;
-  pacing_budget : float * float;
 }
 
 (* Terraform defaults: -parallelism=10, full refresh, plain walk.
@@ -57,7 +57,6 @@ let baseline_config =
     max_retries = 12;
     backoff_base = 2.;
     refresh = Refresh_full;
-    pacing_budget = (50., 2.);
   }
 
 let cloudless_config =
@@ -69,7 +68,6 @@ let cloudless_config =
     max_retries = 12;
     backoff_base = 2.;
     refresh = Refresh_scoped;
-    pacing_budget = (50., 2.);
   }
 
 type failure = Walker.failure = { faddr : Addr.t; reason : string }
@@ -166,13 +164,17 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
         if Addr.Set.is_empty scope then (state, 0) else refresh (Some scope)
   in
   let refresh_duration = Cloud.now cloud -. refresh_started in
-  (* phase 2: the walk *)
+  (* phase 2: the walk; under [client_pacing], paced by a bucket of
+     this apply's own that mirrors the provider's write budget *)
   let started_at = Cloud.now cloud in
+  let pacer =
+    if config.client_pacing then Some (Cloud.write_pacer cloud) else None
+  in
   let o =
     drive cloud (fun on_done ->
         Walker.apply cloud ~config ~state:base_state
           ~graph:(Plan.exec_graph plan) ~sched ~jitter:(Prng.create seed)
-          ?journal ?breaker ~gate ~alive ~count_api ~on_done ())
+          ?journal ?breaker ?pacer ~gate ~alive ~count_api ~on_done ())
   in
   let finished_at = Cloud.now cloud in
   (match journal with

@@ -3,7 +3,8 @@
     {!baseline_config} (Terraform-like: bounded parallelism, FIFO
     walk, full refresh) and {!cloudless_config} (§3.3: unbounded
     admission under client pacing, critical-path scheduling, scoped
-    refresh).
+    refresh).  The pacer mirrors the write budget of the cloud it
+    applies to ({!Cloud.write_pacer}); no preset states a budget.
 
     {!apply} is the run-to-completion driver of the one plan walker
     ({!Walker}); all times in the report are simulated seconds except
@@ -34,13 +35,12 @@ type config = Walker.config = {
   name : string;
   parallelism : int option;  (** concurrent in-flight ops; None = unbounded *)
   policy : schedule_policy;
-  client_pacing : bool;  (** §3.3: admission control against API limits *)
+  client_pacing : bool;
+      (** §3.3: book each admitted change's writes from a pacer that
+          mirrors the cloud's write budget (see {!apply}) *)
   max_retries : int;
   backoff_base : float;
   refresh : refresh_mode;
-  pacing_budget : float * float;
-      (** (burst capacity, refill/s) the pacer assumes the provider
-          grants — the documented API budget *)
 }
 
 val baseline_config : config
@@ -80,6 +80,11 @@ val succeeded : report -> bool
     cloud until idle.  Returns the report; the returned state reflects
     all successful operations.  Backoff jitter draws from a PRNG
     seeded with [seed].
+
+    With [config.client_pacing] the walk books its writes from a
+    bucket of this apply's own, {!Cloud.write_pacer}[ cloud], so the
+    engine paces against the budget of the provider it actually talks
+    to.
 
     [Refresh_scoped] re-reads {!Plan.refresh_scope}[ plan]: this is the
     one place a cloudless apply's refresh rows are decided.  An empty

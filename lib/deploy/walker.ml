@@ -14,7 +14,10 @@
 
     - ready order comes from [config.policy]: FIFO is a plain queue,
       critical-path a max-heap on remaining-longest-path priority;
-    - pacing comes from [config.client_pacing];
+    - pacing is the [pacer] bucket the caller hands in, if any: one per
+      apply for {!Executor.apply} under [config.client_pacing], one per
+      fleet for the shards' unbounded walks, so walks that share a
+      provider's write budget book from one bucket;
     - crash injection is the [gate]/[alive] pair: [gate] runs after
       each intent is journaled and before the cloud call leaves the
       engine (raising from it models process death with the intent
@@ -53,7 +56,6 @@ type config = {
   max_retries : int;
   backoff_base : float;
   refresh : refresh_mode;
-  pacing_budget : float * float;
 }
 
 type failure = { faddr : Addr.t; reason : string }
@@ -288,7 +290,7 @@ let ready_set sched policy priority =
     history has grown. *)
 let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
     ~(graph : Plan.change Dag.t) ?(sched = Sched_heap) ?jitter ?journal
-    ?breaker ~gate ~alive ~count_api ~on_done () =
+    ?breaker ?pacer ~gate ~alive ~count_api ~on_done () =
   (* a FIFO walk of a cyclic graph would start its acyclic part and
      then stall, so every policy checks first *)
   Dag.check_acyclic graph;
@@ -429,23 +431,6 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
   let backoff attempt =
     let b = config.backoff_base *. Float.pow 2. (float_of_int attempt) in
     match jitter with Some p -> b *. Prng.float_range p 0.8 1.2 | None -> b
-  in
-  (* §3.3: do not fire writes the provider would throttle.  [book]
-     reserves [k] token slots (possibly in the future) and returns the
-     longest wait, so queued ops space themselves at the provider's
-     refill rate instead of re-bursting together. *)
-  let book =
-    if not config.client_pacing then fun _ -> 0.
-    else
-      let capacity, refill_rate = config.pacing_budget in
-      let limiter = Rate_limiter.create ~capacity ~refill_rate in
-      let rec book acc k =
-        if k = 0 then acc
-        else
-          let wait = Rate_limiter.reserve limiter ~now:(Cloud.now cloud) in
-          book (Float.max acc wait) (k - 1)
-      in
-      book 0.
   in
   let finish () =
     (* plan order *)
@@ -791,11 +776,26 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
             | Plan.Replace _ -> 2 (* delete + create *)
             | Plan.Create | Plan.Update _ | Plan.Delete -> 1
           in
-          let wait = book writes_needed in
-          if wait > 0. then
+          (* §3.3: do not fire writes the provider would throttle.
+             Each write the change needs reserves a token of the
+             caller's [pacer] (possibly in the future) and the change
+             waits for the last of them, so queued ops space themselves
+             at the provider's refill rate instead of re-bursting
+             together.  Retries are not booked.  The wait stays a local
+             float: a booking that never waits allocates only
+             [reserve]'s result. *)
+          let wait = ref 0. in
+          (match pacer with
+          | Some pacer ->
+              for _ = 1 to writes_needed do
+                let w = Rate_limiter.reserve pacer ~now:(Cloud.now cloud) in
+                if w > !wait then wait := w
+              done
+          | None -> ());
+          if !wait > 0. then
             (* small guard so the op lands strictly after the refill
                boundary (float-exact arrivals would race the bucket) *)
-            Cloud.schedule cloud ~delay:(wait +. 0.05) (fun () ->
+            Cloud.schedule cloud ~delay:(!wait +. 0.05) (fun () ->
                 if alive () then begin
                   perform id 0;
                   pump ();

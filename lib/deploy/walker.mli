@@ -7,6 +7,7 @@
 
 module Addr = Cloudless_hcl.Addr
 module Cloud = Cloudless_sim.Cloud
+module Rate_limiter = Cloudless_sim.Rate_limiter
 module Prng = Cloudless_sim.Prng
 module State = Cloudless_state.State
 module Journal = Cloudless_state.Journal
@@ -33,13 +34,12 @@ type config = {
   name : string;  (** activity-log actor; also the journal's engine name *)
   parallelism : int option;  (** concurrent in-flight ops; None = unbounded *)
   policy : schedule_policy;  (** ready order *)
-  client_pacing : bool;  (** §3.3: admission control against API limits *)
+  client_pacing : bool;
+      (** §3.3: pace writes against the provider's budget; read by the
+          driver, which then hands the walk a [pacer] *)
   max_retries : int;
   backoff_base : float;  (** exponential backoff base, seconds *)
   refresh : refresh_mode;  (** read by the driver, before the walk *)
-  pacing_budget : float * float;
-      (** (burst capacity, refill/s) the pacer assumes the provider
-          grants — the documented API budget *)
 }
 
 type failure = { faddr : Addr.t; reason : string }
@@ -104,6 +104,14 @@ type outcome = {
     - In [Journal.Group k] mode calls are withheld behind the batch's
       flush barrier, released at [k] withheld calls and before control
       returns to the event loop.
+    - With a [pacer], a change admitted from the ready set first
+      reserves one token of it per write it needs (two for a replace)
+      and, when the bucket is in deficit, starts only once refill
+      covers the reservation.  The caller owns the bucket and takes it
+      from {!Cloud.write_pacer}: {!Executor.apply} one per apply under
+      [config.client_pacing], a fleet one for every unbounded walk of
+      all its shards.  Retries are not booked; without a [pacer] the
+      walk is unpaced.
     - [jitter] multiplies each backoff by a 0.8–1.2 draw.  Throttled
       writes wait [max (retry_after + 0.1) backoff].
     - With a [breaker], each write acquires its (kind, rtype) cell
@@ -120,6 +128,7 @@ val apply :
   ?jitter:Prng.t ->
   ?journal:Journal.t ->
   ?breaker:Breaker.t ->
+  ?pacer:Rate_limiter.t ->
   gate:(unit -> unit) ->
   alive:(unit -> bool) ->
   count_api:(int -> unit) ->

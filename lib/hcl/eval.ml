@@ -24,6 +24,14 @@ let errf span fmt =
   Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.References
     ~code:"eval-error" ~span fmt
 
+(* A computed map or instance key, converted with [Value.to_string]:
+   a value with no string form is an error at [span], the expression
+   the key came from, saying what the key was for. *)
+let key_string span what v =
+  try Value.to_string v
+  with Cloudless_error.Error { code = "type-error"; message; _ } ->
+    errf span "%s: %s" what message
+
 (** One concrete resource instance produced by expansion. *)
 type instance = {
   addr : Addr.t;
@@ -174,7 +182,7 @@ and cond_truthy span v =
 and value_to_key scope ke =
   match eval scope ke with
   | Value.Vstring s -> s
-  | v -> Value.to_string v
+  | v -> key_string ke.Ast.espan "object key" v
 
 and eval_template scope span parts =
   match parts with
@@ -354,7 +362,7 @@ and eval_index scope span inner idx =
           errf span "list index %d out of bounds (length %d)" n
             (List.length vs))
   | Value.Vmap m, _ -> (
-      let k = Value.to_string i in
+      let k = key_string span "map key" i in
       match Smap.find_opt k m with
       | Some v -> v
       | None -> (
@@ -554,7 +562,10 @@ and eval_for_map scope span fc velt =
           | Some c -> cond_truthy span (eval scope' c)
         in
         if keep then
-          let key = Value.to_string (eval scope' fc.Ast.body) in
+          let key =
+            key_string fc.Ast.body.Ast.espan "for key"
+              (eval scope' fc.Ast.body)
+          in
           Smap.add key (eval scope' velt) acc
         else acc)
       Smap.empty items
@@ -896,7 +907,7 @@ and expand_resource scope cfg (r : Config.resource) :
           let kvs =
             List.map
               (fun v ->
-                let k = Value.to_string v in
+                let k = key_string fe.Ast.espan "for_each element" v in
                 (k, build (Addr.Kstr k) None (Some (Value.Vstring k, v))))
               vs
           in
@@ -974,7 +985,7 @@ and expand_module scope env (m : Config.module_call) :
           let results =
             List.map
               (fun v ->
-                let k = Value.to_string v in
+                let k = key_string fe.Ast.espan "for_each element" v in
                 ( k,
                   expand_one
                     (Printf.sprintf "%s[%S]" m.Config.mname k)

@@ -139,7 +139,8 @@ let force_new_reasons rtype (changes : attr_change list) =
     replace a resource whose lifecycle sets [prevent_destroy]
     (Terraform's guard against accidental destruction of critical
     infrastructure) raises a [plan/plan-blocked]
-    {!Cloudless_error.Error} addressed to it. *)
+    {!Cloudless_error.Error} addressed to it and located at its block
+    in the configuration. *)
 let make ?(default_region = "us-east-1") ?(trace = Cloudless_obs.Trace.null)
     ~(state : State.t) (instances : Eval.instance list) : t =
   let module Trace = Cloudless_obs.Trace in
@@ -182,7 +183,7 @@ let make ?(default_region = "us-east-1") ?(trace = Cloudless_obs.Trace.null)
                     if i.Eval.lifecycle.Cloudless_hcl.Config.prevent_destroy then
                       Cloudless_error.fail
                         ~stage:Cloudless_error.Diagnostic.Plan_stage
-                        ~code:"plan-blocked" ~addr
+                        ~code:"plan-blocked" ~span:i.Eval.ispan ~addr
                         "replacement forced by %s, but lifecycle sets \
                          prevent_destroy"
                         (String.concat ", " reasons)

@@ -162,6 +162,11 @@ let set_trace t trace =
   Trace.set_sim_clock trace (fun () -> t.clock)
 
 let write_throttle_stats t = Rate_limiter.stats t.write_limiter
+
+(** A new, full client-side bucket with the provider's write budget:
+    the pacer a §3.3 engine books its writes from. *)
+let write_pacer t = Rate_limiter.fresh t.write_limiter
+
 let read_throttle_stats t = Rate_limiter.stats t.read_limiter
 
 (* Short id prefix from the resource type, e.g. aws_vpc -> "vpc". *)

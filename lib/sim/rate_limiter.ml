@@ -86,3 +86,4 @@ let time_until t ~now n =
   if t.cells.(0) >= n then 0. else (n -. t.cells.(0)) /. t.refill_rate
 
 let stats t = (t.total_admitted, t.total_throttled)
+let fresh t = create ~capacity:t.capacity ~refill_rate:t.refill_rate

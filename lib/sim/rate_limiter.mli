@@ -38,3 +38,6 @@ val time_until : t -> now:float -> float -> float
 
 (** (admitted, throttled) counters. *)
 val stats : t -> int * int
+
+(** A new, full bucket with [t]'s capacity and refill rate. *)
+val fresh : t -> t

@@ -11,9 +11,10 @@ cd "$(dirname "$0")/.."
 # -- typed-error lint ------------------------------------------------
 # lib/ reports failure through Cloudless_error (stage tag + location),
 # never bare failwith.  New offenders must be argued into the
-# allowlist, not snuck past it.
+# allowlist, not snuck past it.  grep exits 1 when no file matches,
+# which under pipefail would end the script, so the match tolerates it.
 allowlist=scripts/failwith_allowlist.txt
-offenders=$(grep -rln 'failwith' lib/ --include='*.ml' --include='*.mli' | sort | while read -r f; do
+offenders=$({ grep -rln 'failwith' lib/ --include='*.ml' --include='*.mli' || true; } | sort | while read -r f; do
   grep -qxF "$f" <(grep -v '^#' "$allowlist") || echo "$f"
 done)
 if [[ -n "$offenders" ]]; then
@@ -294,6 +295,22 @@ refresh_overrides=$(grep -nE 'Executor\.refresh([^_[:alnum:]]|$)|Refresh_(none|f
 if [[ -n "$refresh_overrides" ]]; then
   echo "check.sh: refresh mode overridden in lib/core — use the engine presets as they are:" >&2
   echo "$refresh_overrides" >&2
+  exit 1
+fi
+
+# -- one write pacer per fleet ---------------------------------------
+# A client-side pacer mirrors the write budget of the cloud it talks
+# to and comes from Cloud.write_pacer: Executor.apply takes one per
+# apply and Fleet.create one that every shard books from.  A budget
+# written into an engine preset can disagree with the provider's, and
+# a second bucket in the control plane splits one provider budget
+# between pacers that cannot see each other's writes.
+pacer_offenders=$({ grep -rn 'pacing_budget' lib/ bin/ bench/ test/ || true; }
+  { grep -rnE --include='*.ml' 'Rate_limiter\.create|Cloud\.write_pacer' \
+      lib/controlplane/ | grep -v '^lib/controlplane/fleet\.ml:' || true; })
+if [[ -n "$pacer_offenders" ]]; then
+  echo "check.sh: a stated pacing budget, or a write pacer built in lib/controlplane outside fleet.ml — take Cloud.write_pacer once, in Fleet.create:" >&2
+  echo "$pacer_offenders" >&2
   exit 1
 fi
 

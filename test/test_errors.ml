@@ -341,6 +341,21 @@ let policy_row name policy =
           Cli.policy_check ~io ~file:(temp_file one_vpc) ~policies_path
             ~state_path:(temp_path ".cls") ()) )
 
+(* A key computed from a value with no string form: an eval error
+   located in the config file at the key's expression. *)
+let key_row name ~what body =
+  let file =
+    temp_file
+      (Printf.sprintf
+         "locals {\n  m = { a = \"x\" }\n}\nresource \"aws_vpc\" \"v\" {\n%s  region = \"us-east-1\"\n}\n"
+         body)
+  in
+  ( name,
+    located "references/eval-error" file
+    @ [ what ^ ": cannot convert list to string" ],
+    fun () ->
+      cli (fun io -> Cli.plan ~io ~file ~state_path:(temp_path ".cls") ()) )
+
 let totality_rows () =
   let lex = temp_file "x = @\n" in
   let parse = temp_file "resource \"a\" {\n  x = (1\n}\n" in
@@ -392,20 +407,38 @@ let totality_rows () =
       fun () ->
         cli (fun io -> Cli.plan ~io ~file:cycle ~state_path:(temp_path ".cls") ())
     );
-    ( "prevent_destroy: apply",
+    (let guarded = temp_file (guarded_vpc "10.1.0.0/16") in
+     ( "prevent_destroy: apply",
+       located "plan/plan-blocked" guarded
+       @ [
+           ":1:1-7:2 (aws_vpc.v): replacement forced by cidr_block, but \
+            lifecycle sets prevent_destroy";
+         ],
+       fun () ->
+         let state_path = temp_path ".cls" in
+         let apply file io = Cli.apply ~io ~file ~state_path () in
+         match cli (apply (temp_file (guarded_vpc "10.0.0.0/16"))) with
+         | 0, _ -> cli (apply guarded)
+         | first -> first ));
+    key_row "list for_each element: plan" ~what:"for_each element"
+      "  for_each = [[1]]\n";
+    key_row "list map index: plan" ~what:"map key"
+      "  cidr_block = local.m[[1]]\n";
+    key_row "list for-expression key: plan" ~what:"for key"
+      "  tags = { for k in [\"a\"] : [k] => k }\n";
+    key_row "list object key: plan" ~what:"object key"
+      "  tags = { ([1]) = \"x\" }\n";
+    ( "list module for_each element: develop",
       [
-        "error[plan/plan-blocked] ";
-        " (aws_vpc.v): replacement forced by cidr_block, but lifecycle sets \
-         prevent_destroy";
+        "error[references/eval-error] main.tf:3:14-19: for_each element: \
+         cannot convert list to string";
       ],
       fun () ->
-        let state_path = temp_path ".cls" in
-        let apply cidr io =
-          Cli.apply ~io ~file:(temp_file (guarded_vpc cidr)) ~state_path ()
-        in
-        match cli (apply "10.0.0.0/16") with
-        | 0, _ -> cli (apply "10.1.0.0/16")
-        | first -> first );
+        lifecycle (fun t ->
+            Lifecycle.register_modules t
+              [ ("./m", Cloudless_hcl.Config.parse ~file:"m.tf" "") ];
+            Lifecycle.develop t
+              "module \"m\" {\n  source   = \"./m\"\n  for_each = [[1]]\n}\n") );
     ( "corrupt state: destroy",
       located "state/corrupt-state" corrupt_state,
       fun () -> cli (fun io -> Cli.destroy ~io ~state_path:corrupt_state ()) );

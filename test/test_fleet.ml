@@ -330,6 +330,99 @@ let test_backpressure_reject () =
   check int_ "rejections recorded" 2 (Metrics.counter m "requests_rejected")
 
 (* ------------------------------------------------------------------ *)
+(* One write pacer per fleet                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* 8 tenants, each one VPC and 31 security groups, submitted at one
+   instant on a cloud with the provider's default write budget (burst
+   50, 2 writes/s): 256 creates against a 50-token bucket.  Security
+   groups create in about 2 s, so even the baseline's one-apply-at-a-
+   time walks, ten writes in flight, outrun the refill rate; a fleet of
+   45-second instances would not. *)
+let burst_src =
+  {|resource "aws_vpc" "main" {
+  cidr_block = "10.0.0.0/16"
+  region     = "us-east-1"
+}
+resource "aws_security_group" "sg" {
+  count  = 31
+  name   = "sg-${count.index}"
+  vpc_id = aws_vpc.main.id
+  region = "us-east-1"
+}
+|}
+
+let burst_resources = 8 * 32
+
+(* The fleet that ran the burst to idle (the successor, after a crash)
+   and its cloud. *)
+let write_burst ?crash ~shards config =
+  let cloud = Cloud.create ~config:(Cloud_rules.config_with_checks ()) ~seed:42 () in
+  let fleet = Fleet.create ~cloud ~shards config in
+  List.iter
+    (fun tenant ->
+      let dep = Fleet.add_deployment fleet ~tenant ~dname:"d0" ~src:burst_src in
+      match Fleet.submit_request fleet dep ~src:burst_src with
+      | `Accepted _ -> ()
+      | _ -> Alcotest.fail "an unbounded queue admits every request")
+    (tenant_names 8);
+  match crash with
+  | None ->
+      Fleet.run fleet ~until:600.;
+      (fleet, cloud)
+  | Some k -> (
+      Fleet.set_crash fleet (Failure.Crash_after k);
+      match Fleet.run fleet ~until:600. with
+      | () -> Alcotest.fail "the crash gate never tripped"
+      | exception Failure.Engine_crashed _ ->
+          let fresh, _ = Fleet.resume fleet in
+          Fleet.run fresh ~until:600.;
+          (fresh, cloud))
+
+let throttled_writes cloud = snd (Cloud.write_throttle_stats cloud)
+
+(* Every shard books from the fleet's one pacer, which mirrors the
+   cloud's write budget: the burst is spread at the refill rate and
+   the provider never answers 429, at any shard count. *)
+let test_fleet_pacer_never_throttles () =
+  let run shards =
+    let fleet, cloud = write_burst ~shards Shard.fleet_service in
+    check int_
+      (Printf.sprintf "%d shard(s): no throttled write" shards)
+      0 (throttled_writes cloud);
+    check int_
+      (Printf.sprintf "%d shard(s): every request done" shards)
+      8
+      (Metrics.counter (Fleet.metrics fleet) "requests_done");
+    check int_
+      (Printf.sprintf "%d shard(s): every resource managed" shards)
+      burst_resources
+      (Fleet.managed_resource_count fleet);
+    fleet
+  in
+  let one = run 1 and four = run 4 in
+  check Alcotest.string "digest invariant under shard count"
+    (Fleet.state_digest one) (Fleet.state_digest four);
+  (* a crash mid-burst: the successor's fresh pacer converges the
+     fleet with nothing orphaned or created twice *)
+  let fleet, cloud = write_burst ~crash:100 ~shards:4 Shard.fleet_service in
+  check (Alcotest.list Alcotest.string) "resumed: no orphans" []
+    (Fleet.orphans fleet);
+  check int_ "resumed: no duplicate creates" burst_resources
+    (Cloud.resource_count cloud);
+  check int_ "resumed: every resource managed" burst_resources
+    (Fleet.managed_resource_count fleet);
+  check Alcotest.string "resumed: digest equals the uncrashed run"
+    (Fleet.state_digest four) (Fleet.state_digest fleet)
+
+(* Terraform-as-a-service keeps its unpaced walks and retries 429s. *)
+let test_baseline_service_throttles () =
+  let fleet, cloud = write_burst ~shards:4 Shard.baseline_service in
+  check bool_ "the unpaced burst is throttled" true (throttled_writes cloud > 0);
+  check int_ "every resource managed" burst_resources
+    (Fleet.managed_resource_count fleet)
+
+(* ------------------------------------------------------------------ *)
 (* Labeled metric scopes                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -463,6 +556,10 @@ let suites =
         Alcotest.test_case "defer backpressure" `Quick test_backpressure_defer;
         Alcotest.test_case "reject backpressure" `Quick
           test_backpressure_reject;
+        Alcotest.test_case "one fleet pacer: no 429s, resumable" `Quick
+          test_fleet_pacer_never_throttles;
+        Alcotest.test_case "baseline service still throttles" `Quick
+          test_baseline_service_throttles;
       ] );
     ( "fleet.obs",
       [
