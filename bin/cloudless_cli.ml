@@ -13,7 +13,8 @@
      cloudless destroy --state state.cls
      cloudless policy-check main.tf --policies policies.hcl
      cloudless example web-tier     # emit a generated workload
-     cloudless serve scenario.txt --ticks 20 [--engine baseline]  *)
+     cloudless serve scenario.txt [--engine baseline] [--metrics m.json]
+     cloudless rollout change.hcl --scenario scenario.txt  *)
 
 open Cmdliner
 module Cli = Cloudless.Cli
@@ -193,18 +194,9 @@ let serve_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"SCENARIO"
           ~doc:
-            "Scenario file (key = value lines: tenants, resources, \
-             requests_per_tenant, request_interval, drift_events, \
-             drift_period, policy_period, duration)")
-  in
-  let ticks_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ticks" ] ~docv:"N"
-          ~doc:
-            "Run for $(docv) drift periods of simulated time instead of the \
-             scenario's duration")
+            "Scenario file: $(b,key = value) lines that set the whole run \
+             (tenants, resources, request and drift schedule, duration, \
+             shards, admission bound, chaos episodes, breakers, waves)")
   in
   let metrics_arg =
     Arg.(
@@ -214,80 +206,17 @@ let serve_cmd =
           ~doc:
             "Write the metrics snapshot (JSON) to $(docv) instead of stdout")
   in
-  let shards_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Fleet shard count: tenants are placed on $(docv) shard event \
-             loops by consistent hashing (default: the scenario's \
-             $(b,shards), itself 2 when unset)")
-  in
-  let queue_bound_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "queue-bound" ] ~docv:"K"
-          ~doc:
-            "Admission backpressure: defer or reject tenant requests while a \
-             shard's queue depth is at or above $(docv) (0 = unbounded; \
-             overrides the scenario's max_queue_depth)")
-  in
-  let admission_arg =
-    Arg.(
-      value
-      & opt (some (enum [ ("defer", `Defer); ("reject", `Reject) ])) None
-      & info [ "admission" ] ~docv:"POLICY"
-          ~doc:
-            "What to do with requests over the queue bound: $(b,defer) \
-             (re-admit later) or $(b,reject) (overrides the scenario's \
-             admission knob)")
-  in
-  let episodes_arg =
-    Arg.(
-      value
-      & opt (some bool) None
-      & info [ "episodes" ] ~docv:"BOOL"
-          ~doc:
-            "Chaos episodes: $(b,false) strips the scenario's episode \
-             windows (outages, error/throttle storms, spot waves, quota \
-             cuts); $(b,true) keeps them (the default)")
-  in
-  let breaker_arg =
-    Arg.(
-      value
-      & opt (some bool) None
-      & info [ "breaker" ] ~docv:"BOOL"
-          ~doc:
-            "Circuit breakers: override the scenario's $(b,breaker) switch. \
-             With breakers on, applies fast-fail against open (API kind, \
-             resource type) cells and the affected work parks until the \
-             next half-open probe")
-  in
-  let waves_arg =
-    Arg.(
-      value
-      & opt (some bool) None
-      & info [ "waves" ] ~docv:"BOOL"
-          ~doc:
-            "Bulk-change wave rollouts: $(b,false) strips the scenario's \
-             $(b,wave =) lines; $(b,true) keeps them (the default)")
-  in
-  let run scenario_path seed engine trace_path ticks metrics_path shards
-      queue_bound admission episodes breaker waves =
-    Cli.serve ?trace_path ~seed ~engine ?ticks ?metrics_path ?shards
-      ?queue_bound ?admission ?episodes ?breaker ?waves ~scenario_path ()
+  let run scenario_path seed engine trace_path metrics_path =
+    Cli.serve ?trace_path ~seed ~engine ?metrics_path ~scenario_path ()
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the multi-tenant reconciliation control plane against a \
-          scenario for a bounded stretch of simulated time")
+          scenario for its duration of simulated time")
     Term.(
-      const run $ scenario_arg $ seed_arg $ engine_arg $ trace_arg $ ticks_arg
-      $ metrics_arg $ shards_arg $ queue_bound_arg $ admission_arg
-      $ episodes_arg $ breaker_arg $ waves_arg)
+      const run $ scenario_arg $ seed_arg $ engine_arg $ trace_arg
+      $ metrics_arg)
 
 let rollout_cmd =
   let change_arg =
@@ -306,13 +235,6 @@ let rollout_cmd =
             "Scenario file providing the fleet shape (tenants, fleet size, \
              shard count); its request/drift schedule is not installed")
   in
-  let shards_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Fleet shard count (default: the scenario's)")
-  in
   let check_arg =
     Arg.(
       value
@@ -320,8 +242,8 @@ let rollout_cmd =
       & info [ "check-period" ] ~docv:"SECONDS"
           ~doc:"Wave quiescence-poll cadence in simulated seconds (default 30)")
   in
-  let run file scenario_path seed trace_path shards check_period =
-    Cli.rollout ?trace_path ~seed ?shards ?check_period ~file ~scenario_path ()
+  let run file scenario_path seed trace_path check_period =
+    Cli.rollout ?trace_path ~seed ?check_period ~file ~scenario_path ()
   in
   Cmd.v
     (Cmd.info "rollout"
@@ -331,8 +253,7 @@ let rollout_cmd =
           and health and auto-rolling-back a failed wave (exit 2 when a gate \
           halts the rollout)")
     Term.(
-      const run $ change_arg $ scenario_arg $ seed_arg $ trace_arg
-      $ shards_arg $ check_arg)
+      const run $ change_arg $ scenario_arg $ seed_arg $ trace_arg $ check_arg)
 
 let main_cmd =
   let doc = "a principled IaC framework (HotNets '23 'Cloudless Computing')" in

@@ -74,22 +74,28 @@ let set_crash t policy = t.crash := policy
 
 let owner_shard t tenant = t.shards.(Router.assign t.router tenant)
 
-let create ?cloud ?(trace = Trace.null) ?metrics ?(shards = 2)
-    (config : Shard.service_config) =
-  let cloud =
-    match cloud with
-    | Some c -> c
-    | None ->
-        Cloud.create
-          ~config:(Cloudless_schema.Cloud_rules.config_with_checks ()) ~seed:42
-          ()
-  in
-  let registry = match metrics with Some m -> m | None -> Metrics.create () in
+(* The fleet's telemetry policy, ticked every [policy_period]: flag any
+   accumulated drift. *)
+let policy_src =
+  {|
+policy "drift_watch" {
+  on   = "telemetry"
+  when = obs.drift_events > 0
+
+  action "note_drift" {
+    kind    = "notify"
+    message = "service observed ${obs.drift_events} drift event(s) across ${obs.tenants} tenant(s)"
+  }
+}
+|}
+
+let create ~cloud ?(trace = Trace.null) ~shards (config : Shard.service_config)
+    =
+  let registry = Metrics.create () in
   let controller =
-    match config.Shard.policy_src with
-    | Some src when config.Shard.policy_period > 0. ->
-        Some (Controller.of_source ~file:"<service-policy>" src)
-    | _ -> None
+    if config.Shard.policy_period > 0. then
+      Some (Controller.of_source ~file:"<service-policy>" policy_src)
+    else None
   in
   let crash = ref Failure.No_crash in
   let dead = ref false in
@@ -135,18 +141,10 @@ let create ?cloud ?(trace = Trace.null) ?metrics ?(shards = 2)
     until = 0.;
   }
 
+(* Rebalancing moves all of a tenant's deployments and pins the tenant
+   in one step, so the router's owner holds every one of them. *)
 let find_deployment t ~tenant ~dname =
-  (* the router names the owner; fall back to a full sweep only if a
-     caller races a rebalance move (defensive, not expected) *)
-  match Shard.find_deployment (owner_shard t tenant) ~tenant ~dname with
-  | Some d -> Some d
-  | None ->
-      Array.fold_left
-        (fun acc s ->
-          match acc with
-          | Some _ -> acc
-          | None -> Shard.find_deployment s ~tenant ~dname)
-        None t.shards
+  Shard.find_deployment (owner_shard t tenant) ~tenant ~dname
 
 let add_deployment t ~tenant ~dname ~src =
   Shard.add_deployment (owner_shard t tenant) ~tenant ~dname ~src
@@ -352,8 +350,8 @@ let rec arm_policy_timer t c =
 (* ------------------------------------------------------------------ *)
 
 (** Drive the fleet until the simulated event queue drains.  Arms every
-    shard's scan timers (nothing in [Subscribe] mode), installs the per-
-    shard log subscriptions, arms the policy tick and (with more than
+    shard's scan timers ([Baseline]) or installs the per-shard log
+    subscriptions ([Fleet]), arms the policy tick and (with more than
     one shard) the rebalance check, and steps the shared clock,
     draining each shard round-robin after every event.  Raises
     {!Failure.Engine_crashed} when the crash gate trips.  Call once per
@@ -361,11 +359,8 @@ let rec arm_policy_timer t c =
 let run t ~until =
   t.until <- until;
   Array.iter (fun s -> Shard.arm_timers s ~until) t.shards;
-  if t.config.Shard.drift_mode = Shard.Subscribe then
-    subscribe_shards t ~from:t.cursor;
-  (match t.controller with
-  | Some c when t.config.Shard.policy_period > 0. -> arm_policy_timer t c
-  | _ -> ());
+  if t.config.Shard.preset = Shard.Fleet then subscribe_shards t ~from:t.cursor;
+  Option.iter (arm_policy_timer t) t.controller;
   if t.config.Shard.rebalance_period > 0. && Array.length t.shards > 1 then
     arm_rebalance_timer t;
   let drain_all () = Array.iter Shard.drain t.shards in
@@ -450,7 +445,7 @@ let orphans t =
     replaces every known cloud id with the address of the resource it
     names ("@tenant0/d0/aws_instance.web[3]") and drops the id-derived
     [arn]/[id] attributes.  Two fleets that converged every tenant to
-    the same logical world digest identically at any [--shards N].
+    the same logical world digest identically at any shard count.
 
     One pass writes the rendering straight into a buffer: scalars as
     {!Value.show} prints them, lists and maps without intermediate

@@ -22,14 +22,14 @@ module Metrics = Cloudless_obs.Metrics
 
 type t
 
-(** [create ?shards config] builds a fleet of [shards] (default 2)
-    shards, each recording through a ["shard<i>"]-labeled metrics
-    scope. *)
+(** [create ~cloud ~shards config] builds a fleet of [shards] shards
+    on [cloud], each recording through a ["shard<i>"]-labeled scope of
+    one fresh metrics registry.  With [config.policy_period > 0] the
+    fleet ticks a telemetry policy that flags accumulated drift. *)
 val create :
-  ?cloud:Cloud.t ->
+  cloud:Cloud.t ->
   ?trace:Cloudless_obs.Trace.t ->
-  ?metrics:Metrics.t ->
-  ?shards:int ->
+  shards:int ->
   Shard.service_config ->
   t
 
@@ -87,8 +87,8 @@ val drift_detections : t -> (string * float) list
 val completed_requests : t -> (int * int * float) list
 
 (** Drive the fleet until the simulated event queue drains: arms shard
-    scan timers ([Scan] mode) or installs the per-shard log
-    subscriptions ([Subscribe] mode), arms the policy tick and the
+    scan timers ([Baseline]) or installs the per-shard log
+    subscriptions ([Fleet]), arms the policy tick and the
     rebalance check, and steps the shared clock draining every shard
     round-robin.
     Raises {!Failure.Engine_crashed} when the crash gate trips.  Call

@@ -42,7 +42,7 @@ type t = {
   drift_events : int;  (** OOB injections spread over the drift window *)
   drift_period : float;
       (** scan-sweep period of the baseline preset; also paces the drift
-          injection window and [serve --ticks] *)
+          injection window *)
   policy_period : float;  (** 0 = no policy controller *)
   duration : float;  (** scenario horizon, sim seconds *)
   shards : int;  (** fleet shard count (E15) *)
@@ -94,8 +94,8 @@ let default =
 (* Every number in a scenario is finite and at least 0, and a
    [positive] one is above 0: a zero or negative period re-arms its
    timer at the same simulated instant forever.  [least] is the
-   smallest integer a field takes.  [fail] raises the caller's located
-   diagnostic. *)
+   smallest integer a field takes.  [fail] raises the caller's
+   diagnostic, located at the offending line. *)
 let number ~fail ~positive name v =
   let in_range f = if positive then f > 0. else f >= 0. in
   match float_of_string_opt v with
@@ -114,25 +114,23 @@ let integer ~fail ~least name v =
 (* The [episode =] and [wave =] values are space-separated [k=v] pairs,
    as strict as the top-level grammar: malformed tokens, unknown keys,
    malformed or out-of-range values, missing required keys and
-   kind-inapplicable keys all fail with a located scenario-syntax
-   diagnostic.  [what] names the sub-grammar in every message; a
-   repeated key's last value wins.  [Pos] is a number above 0. *)
+   kind-inapplicable keys all fail with a scenario-syntax diagnostic
+   located at the value's line.  [what] names the sub-grammar in every
+   message; a repeated key's last value wins.  [Pos] is a number above
+   0. *)
 type kv_type = Str | Num | Pos | Int
 
 type kv = {
   what : string;
-  file : string;
-  line : int;
+  span : Hcl.Loc.span;  (** the line the value is on *)
   keys : (string * kv_type) list;
   pairs : (string * string) list;
 }
 
-let kv_fail kv fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Err.fail ~stage:Err.Diagnostic.Syntax ~code:"scenario-syntax" "%s:%d: %s"
-        kv.file kv.line msg)
-    fmt
+let syntax_error ~span fmt =
+  Err.fail ~stage:Err.Diagnostic.Syntax ~code:"scenario-syntax" ~span fmt
+
+let kv_fail kv fmt = syntax_error ~span:kv.span fmt
 
 let kv_number kv key v =
   number
@@ -145,8 +143,8 @@ let kv_integer kv key v =
 
 (* Split [spec] into pairs and check each, in order, against [keys]:
    the key must be known and a typed value must parse. *)
-let kv_read ~what ~file ~line ~keys spec =
-  let kv = { what; file; line; keys; pairs = [] } in
+let kv_read ~what ~span ~keys spec =
+  let kv = { what; span; keys; pairs = [] } in
   let pairs =
     String.split_on_char ' ' spec
     |> List.filter (fun s -> s <> "")
@@ -197,9 +195,9 @@ let magnitudes =
   ]
 
 (* One [episode = k=v k=v ...] value. *)
-let episode_of_spec ~file ~line spec =
+let episode_of_spec ~span spec =
   let kv =
-    kv_read ~what:"episode" ~file ~line spec
+    kv_read ~what:"episode" ~span spec
       ~keys:
         ([ ("kind", Str); ("rtype", Str); ("region", Str); ("start", Num);
            ("end", Num) ]
@@ -248,9 +246,9 @@ let episode_of_spec ~file ~line spec =
 
 (* One [wave = k=v k=v ...] value — a bulk-change rollout compiled into
    a {!Change.t} without a separate change file. *)
-let wave_of_spec ~file ~line spec =
+let wave_of_spec ~span spec =
   let kv =
-    kv_read ~what:"wave" ~file ~line spec
+    kv_read ~what:"wave" ~span spec
       ~keys:
         [
           ("kind", Str); ("rtype", Str); ("attr", Str); ("value", Str);
@@ -328,7 +326,8 @@ let wave_of_spec ~file ~line spec =
     wcheck = Option.value (kv_num kv "check") ~default:60.;
     wchange =
       {
-        Change.cname = Printf.sprintf "wave@%s:%d" file line;
+        Change.cname =
+          Printf.sprintf "wave@%s:%d" span.Hcl.Loc.file (Hcl.Loc.line span);
         actions = [ { Policy.aname = "bulk"; kind } ];
         canary;
         growth;
@@ -338,31 +337,37 @@ let wave_of_spec ~file ~line spec =
       };
   }
 
+(* Each diagnostic is located at its line: columns 1 to the line's
+   end. *)
 let parse ?(file = "<scenario>") src =
   let scn = ref default in
+  let offset = ref 0 in
   String.split_on_char '\n' src
-  |> List.iteri (fun lineno line ->
+  |> List.iteri (fun lineno raw ->
+         let len = String.length raw in
+         let pos col =
+           { Hcl.Loc.line = lineno + 1; col; offset = !offset + col - 1 }
+         in
+         let span =
+           Hcl.Loc.make ~file ~start_pos:(pos 1) ~end_pos:(pos (len + 1))
+         in
+         offset := !offset + len + 1;
          let line =
-           match String.index_opt line '#' with
-           | Some i -> String.sub line 0 i
-           | None -> line
+           match String.index_opt raw '#' with
+           | Some i -> String.sub raw 0 i
+           | None -> raw
          in
          let line = String.trim line in
          if line <> "" then
            match String.index_opt line '=' with
-           | None ->
-               Err.fail ~stage:Err.Diagnostic.Syntax ~code:"scenario-syntax"
-                 "%s:%d: expected 'key = value', got %S" file (lineno + 1) line
+           | None -> syntax_error ~span "expected 'key = value', got %S" line
            | Some i ->
                let key = String.trim (String.sub line 0 i) in
                let v =
                  String.trim
                    (String.sub line (i + 1) (String.length line - i - 1))
                in
-               let fail msg =
-                 Err.fail ~stage:Err.Diagnostic.Syntax ~code:"scenario-syntax"
-                   "%s:%d: %s" file (lineno + 1) msg
-               in
+               let fail msg = syntax_error ~span "%s" msg in
                let int_v ?(least = 0) () = integer ~fail ~least key v in
                let float_v ?(positive = false) () =
                  number ~fail ~positive key v
@@ -393,40 +398,25 @@ let parse ?(file = "<scenario>") src =
                      | "defer" -> { !scn with admission = Shard.Defer }
                      | "reject" -> { !scn with admission = Shard.Reject }
                      | _ ->
-                         Err.fail ~stage:Err.Diagnostic.Syntax
-                           ~code:"scenario-syntax"
-                           "%s:%d: admission expects defer|reject, got %S"
-                           file (lineno + 1) v)
+                         syntax_error ~span
+                           "admission expects defer|reject, got %S" v)
                  | "rebalance_period" ->
                      { !scn with rebalance_period = float_v () }
                  | "episode" ->
                      {
                        !scn with
-                       episodes =
-                         !scn.episodes
-                         @ [ episode_of_spec ~file ~line:(lineno + 1) v ];
+                       episodes = !scn.episodes @ [ episode_of_spec ~span v ];
                      }
                  | "breaker" -> (
                      match v with
                      | "on" -> { !scn with breaker = true }
                      | "off" -> { !scn with breaker = false }
                      | _ ->
-                         Err.fail ~stage:Err.Diagnostic.Syntax
-                           ~code:"scenario-syntax"
-                           "%s:%d: breaker expects on|off, got %S" file
-                           (lineno + 1) v)
+                         syntax_error ~span "breaker expects on|off, got %S" v)
                  | "calm_tenants" -> { !scn with calm_tenants = int_v () }
                  | "wave" ->
-                     {
-                       !scn with
-                       waves =
-                         !scn.waves
-                         @ [ wave_of_spec ~file ~line:(lineno + 1) v ];
-                     }
-                 | _ ->
-                     Err.fail ~stage:Err.Diagnostic.Syntax
-                       ~code:"scenario-syntax" "%s:%d: unknown scenario key %S"
-                       file (lineno + 1) key);
+                     { !scn with waves = !scn.waves @ [ wave_of_spec ~span v ] }
+                 | _ -> syntax_error ~span "unknown scenario key %S" key);
   !scn
 
 let load path =
@@ -450,28 +440,13 @@ let fleet_src scn ~wave =
     ~instance_type:types.(wave mod Array.length types)
     ~resources:scn.resources ()
 
-(* Embedded service policy: flag any accumulated drift at each tick. *)
-let policy_src =
-  {|
-policy "drift_watch" {
-  on   = "telemetry"
-  when = obs.drift_events > 0
-
-  action "note_drift" {
-    kind    = "notify"
-    message = "service observed ${obs.drift_events} drift event(s) across ${obs.tenants} tenant(s)"
-  }
-}
-|}
-
-(** Specialize a service preset (timing knobs + policy + admission) to
+(** Specialize a service preset (timing knobs, admission, breakers) to
     a scenario. *)
 let service_config scn (base : Shard.service_config) =
   {
     base with
     Shard.drift_period = scn.drift_period;
     policy_period = scn.policy_period;
-    policy_src = (if scn.policy_period > 0. then Some policy_src else None);
     max_queue_depth = scn.max_queue_depth;
     admission = scn.admission;
     rebalance_period = scn.rebalance_period;

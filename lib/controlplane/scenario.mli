@@ -35,7 +35,7 @@ type t = {
   drift_events : int;  (** OOB injections spread over the drift window *)
   drift_period : float;
       (** scan-sweep period of the baseline preset; also paces the drift
-          injection window and [serve --ticks] *)
+          injection window *)
   policy_period : float;  (** 0 = no policy controller *)
   duration : float;  (** scenario horizon, sim seconds *)
   shards : int;  (** fleet shard count (E15) *)
@@ -70,8 +70,8 @@ val default : t
     [tenants], [deployments_per_tenant], [resources] and [shards] are
     at least 1, [drift_period], [duration] and a wave's [check] are
     above 0, and every other number is at least 0.  Unknown keys and
-    malformed or out-of-range values fail with a located
-    scenario-syntax diagnostic. *)
+    malformed or out-of-range values fail with a scenario-syntax
+    diagnostic whose span is the offending line of [file]. *)
 val parse : ?file:string -> string -> t
 
 val load : string -> t
@@ -81,10 +81,7 @@ val load : string -> t
     changes the fleet). *)
 val fleet_src : t -> wave:int -> string
 
-(** The embedded telemetry policy installed when [policy_period > 0]. *)
-val policy_src : string
-
-(** Specialize a service preset (timing knobs + policy + admission) to
+(** Specialize a service preset (timing knobs, admission, breakers) to
     a scenario. *)
 val service_config : t -> Shard.service_config -> Shard.service_config
 

@@ -61,29 +61,15 @@ module Prng = Cloudless_sim.Prng
 module Trace = Cloudless_obs.Trace
 module Metrics = Cloudless_obs.Metrics
 
-type drift_mode =
-  | Scan  (** periodic full read-every-resource sweep (baseline) *)
-  | Subscribe
-      (** push: the host routes activity-log entries in via
-          {!ingest_drift}; the shard arms no drift timer at all *)
-
+type preset = Baseline | Fleet
 type admission = Defer | Reject
 
 type service_config = {
-  sname : string;
-  granularity : Lock_manager.granularity;
-  drift_mode : drift_mode;
-  drift_period : float;  (** scan sweep period, sim s *)
-  scoped_reconcile : bool;  (** restrict reconcile applies to impact scope *)
-  refresh_before_apply : bool;  (** Terraform's full refresh on every apply *)
-  parallelism : int option;
-      (** per-work-unit in-flight op cap; None = unbounded, and an
-          unbounded walk books its writes from the host's pacer *)
-  policy_period : float;  (** 0 = no policy controller *)
-  policy_src : string option;
+  preset : preset;
+  drift_period : float;  (** scan sweep period of [Baseline], sim s *)
+  policy_period : float;  (** fleet policy tick period; 0 = off *)
   max_queue_depth : int;  (** admission bound; 0 = unbounded *)
   admission : admission;  (** what to do with requests over the bound *)
-  defer_delay : float;  (** re-admission delay for deferred requests *)
   rebalance_period : float;  (** fleet rebalance check period; 0 = off *)
   breaker : Breaker.config option;
       (** circuit-breaker cells per (API kind, rtype); [None] = off *)
@@ -91,43 +77,21 @@ type service_config = {
 
 let baseline_service =
   {
-    sname = "baseline";
-    granularity = Lock_manager.Global;
-    drift_mode = Scan;
+    preset = Baseline;
     drift_period = 60.;
-    scoped_reconcile = false;
-    refresh_before_apply = true;
-    parallelism = Some 10;
     policy_period = 0.;
-    policy_src = None;
     max_queue_depth = 0;
     admission = Defer;
-    defer_delay = 5.;
     rebalance_period = 0.;
     breaker = None;
   }
 
-(** The event-driven fleet preset: per-resource locks, push-based drift
-    via log subscriptions, scoped reconciles, no refresh before apply,
-    unbounded walks paced against the provider's write budget,
-    periodic rebalancing (armed only with more than one shard). *)
 let fleet_service =
-  {
-    sname = "fleet";
-    granularity = Lock_manager.Per_resource;
-    drift_mode = Subscribe;
-    drift_period = 60.;
-    scoped_reconcile = true;
-    refresh_before_apply = false;
-    parallelism = None;
-    policy_period = 0.;
-    policy_src = None;
-    max_queue_depth = 0;
-    admission = Defer;
-    defer_delay = 5.;
-    rebalance_period = 120.;
-    breaker = None;
-  }
+  { baseline_service with preset = Fleet; rebalance_period = 120. }
+
+(* Re-admission delay of a deferred request, and the least delay of a
+   parked one, sim s. *)
+let defer_delay = 5.
 
 (* A request's plan, compiled to the walker's flat graph, keyed by the
    source it was planned from and the identity of the state it was
@@ -245,7 +209,11 @@ let create ~sid ~cloud ~config ~scope ~trace ~host () =
       sid;
       config;
       host;
-      lock = Lock_manager.create config.granularity;
+      lock =
+        Lock_manager.create
+          (match config.preset with
+          | Baseline -> Lock_manager.Global
+          | Fleet -> Lock_manager.Per_resource);
       queue = Pq.create Pq.Min_first;
       scope;
       trace;
@@ -384,11 +352,11 @@ let count_api t dep ~read n =
   else Metrics.scope_inc t.scope ~by:n "api_writes"
 
 (* Every unit of work walks its plan through the one plan walker with
-   the shard's inputs: a FIFO walk under the per-work parallelism cap,
-   the deployment's journal, the shard's breaker and the host's crash
-   gate and liveness.  An unbounded walk books its writes from the
-   host's pacer; a capped one is unpaced and retries 429s, as
-   Terraform does.  Jitter rides with the breaker only, so pre-E17
+   the shard's inputs: a FIFO walk, the deployment's journal, the
+   shard's breaker and the host's crash gate and liveness.  A [Fleet]
+   walk is unbounded and books its writes from the host's pacer; a
+   [Baseline] one keeps ten writes in flight, unpaced, and retries
+   429s, as Terraform does.  Jitter rides with the breaker only, so pre-E17
    presets stay byte-identical to their committed metrics snapshots;
    it draws from a PRNG seeded from the engine name alone, so the
    stream is the same on every run and every resume.  The unit's run
@@ -399,7 +367,8 @@ let walk t dep ~state ~graph ~on_done =
       {
         Executor.baseline_config with
         Executor.name = dep.engine;
-        parallelism = t.config.parallelism;
+        parallelism =
+          (match t.config.preset with Baseline -> Some 10 | Fleet -> None);
       }
     ~state ~graph
     ?jitter:
@@ -408,9 +377,9 @@ let walk t dep ~state ~graph ~on_done =
       | None -> None)
     ~journal:dep.journal ?breaker:t.breaker
     ?pacer:
-      (match t.config.parallelism with
-      | None -> Some t.host.pacer
-      | Some _ -> None)
+      (match t.config.preset with
+      | Fleet -> Some t.host.pacer
+      | Baseline -> None)
     ~gate:t.host.gate ~alive:t.host.alive
     ~count_api:(count_api t dep ~read:false)
     ~on_done:(fun o ->
@@ -531,11 +500,11 @@ and park_work t dep ~wid ~rebuild =
     match t.breaker with
     | Some b -> (
         match Breaker.next_probe_at b with
-        | Some at -> Float.max t.config.defer_delay (at -. now +. 0.5)
+        | Some at -> Float.max defer_delay (at -. now +. 0.5)
         | None ->
             (* cell already probing or closed again: plain defer *)
-            t.config.defer_delay)
-    | None -> t.config.defer_delay
+            defer_delay)
+    | None -> defer_delay
   in
   Cloud.schedule t.cloud ~delay (fun () ->
       if t.host.alive () then begin
@@ -615,7 +584,7 @@ and exec_request t dep ~wid ~rid ~src ~submitted =
             ]
         end)
   in
-  if t.config.refresh_before_apply && State.size dep.state > 0 then
+  if t.config.preset = Baseline && State.size dep.state > 0 then
     Walker.refresh t.cloud ~engine:dep.engine ~state:dep.state
       ~alive:t.host.alive
       ~count_api:(count_api t dep ~read:true)
@@ -702,11 +671,7 @@ and ingest_drift t dep (events : Drift.event list) =
 and exec_reconcile t dep ~wid ~seeds ~detected =
   protected t dep ~wid @@ fun () ->
   let instances = expand ~state:dep.state dep.config_src in
-  let scope =
-    if t.config.scoped_reconcile then
-      Some (Dag.impact_scope (Dag.of_instances instances) seeds)
-    else None
-  in
+  let scope = Dag.impact_scope (Dag.of_instances instances) seeds in
   let finish_reconcile (o : Walker.outcome) reads =
     dep.state <- o.Walker.astate;
     if breaker_blocked t o then begin
@@ -723,10 +688,7 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
         [
           ("tenant", dep.tenant);
           ("deployment", dep.dname);
-          ( "scope",
-            match scope with
-            | Some s -> string_of_int (Addr.Set.cardinal s)
-            | None -> "full" );
+          ("scope", string_of_int (Addr.Set.cardinal scope));
         ]
       ~counters:
         [
@@ -737,7 +699,7 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
         ]
     end
   in
-  Walker.refresh t.cloud ~engine:dep.engine ~state:dep.state ?addrs:scope
+  Walker.refresh t.cloud ~engine:dep.engine ~state:dep.state ~addrs:scope
     ~alive:t.host.alive
     ~count_api:(count_api t dep ~read:true)
     ~on_done:(fun (r : Walker.refresh_outcome) ->
@@ -747,10 +709,7 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
       in
       dep.state <- state0;
       let instances = expand ~state:state0 dep.config_src in
-      let plan = Plan.make ~state:state0 instances in
-      let plan =
-        match scope with Some s -> Plan.restrict plan s | None -> plan
-      in
+      let plan = Plan.restrict (Plan.make ~state:state0 instances) scope in
       walk t dep ~state:state0 ~graph:(Plan.exec_graph plan)
         ~on_done:(fun o -> finish_reconcile o r.Walker.reads))
     ()
@@ -845,7 +804,7 @@ let submit_request t dep ~src =
     let rec attempt () =
       if over_bound t then begin
         Metrics.scope_inc t.scope "requests_deferred";
-        Cloud.schedule t.cloud ~delay:t.config.defer_delay (fun () ->
+        Cloud.schedule t.cloud ~delay:defer_delay (fun () ->
             if t.host.alive () then attempt ())
       end
       else begin
@@ -880,13 +839,13 @@ let rec arm_scan_timer t dep =
       end)
 
 (** Arm this shard's per-deployment scan-sweep timers up to simulated
-    time [until] — nothing in [Subscribe] mode, where drift is pushed
+    time [until] — none for the [Fleet] preset, whose drift is pushed
     in. *)
 let arm_timers t ~until =
   t.until <- until;
-  match t.config.drift_mode with
-  | Subscribe -> ()
-  | Scan -> List.iter (fun dep -> arm_scan_timer t dep) t.deployments
+  match t.config.preset with
+  | Fleet -> ()
+  | Baseline -> List.iter (fun dep -> arm_scan_timer t dep) t.deployments
 
 (** Fold terminal lock-manager stats into the metrics registry; call
     once when the host's drive loop ends. *)

@@ -19,30 +19,29 @@ module Breaker = Cloudless_deploy.Breaker
 module Trace = Cloudless_obs.Trace
 module Metrics = Cloudless_obs.Metrics
 
-type drift_mode =
-  | Scan  (** periodic full read-every-resource sweep (baseline) *)
-  | Subscribe
-      (** push: the host routes activity-log entries in via
-          {!ingest_drift}; the shard arms no drift timer at all *)
+(** The two ways a shard runs its work.  Everything but the timing
+    knobs, admission and breakers below follows from this choice. *)
+type preset =
+  | Baseline
+      (** Terraform as a service: one global lock, a full state refresh
+          before every apply, periodic scan sweeps every
+          [drift_period], ten writes in flight per unit of work, no
+          client pacing, throttled writes retried. *)
+  | Fleet
+      (** event-driven: per-resource locks, drift pushed in through
+          {!ingest_drift} (no drift timer), reconciles limited to the
+          drift's impact scope, no refresh before apply, unbounded FIFO
+          walks that book every write from the host's pacer (§3.3). *)
 
 type admission = Defer | Reject
 
 type service_config = {
-  sname : string;
-  granularity : Lock_manager.granularity;
-  drift_mode : drift_mode;
-  drift_period : float;  (** scan sweep period, sim s *)
-  scoped_reconcile : bool;  (** restrict reconcile applies to impact scope *)
-  refresh_before_apply : bool;  (** Terraform's full refresh on every apply *)
-  parallelism : int option;
-      (** per-work-unit in-flight op cap.  [None] is unbounded, and an
-          unbounded walk books every write from the host's pacer; a
-          capped walk is unpaced and retries 429s. *)
-  policy_period : float;  (** 0 = no policy controller *)
-  policy_src : string option;
+  preset : preset;
+  drift_period : float;  (** scan sweep period of [Baseline], sim s *)
+  policy_period : float;
+      (** fleet policy tick period, sim s; 0 = no policy controller *)
   max_queue_depth : int;  (** admission bound; 0 = unbounded *)
   admission : admission;  (** what to do with requests over the bound *)
-  defer_delay : float;  (** re-admission delay for deferred requests *)
   rebalance_period : float;  (** fleet rebalance check period; 0 = off *)
   breaker : Breaker.config option;
       (** circuit-breaker cells per (API kind, rtype); [None] = off.
@@ -52,16 +51,12 @@ type service_config = {
           and retry backoff gains engine-seeded jitter. *)
 }
 
-(** The Terraform-style operation: one global lock, a full state
-    refresh before every apply, periodic scan-based drift sweeps, ten
-    writes in flight per unit of work, no client pacing, throttled
-    writes retried. *)
+(** [Baseline] with no policy controller, admission bound, rebalancing
+    or breaker. *)
 val baseline_service : service_config
 
-(** The event-driven preset: per-resource locks, push-based drift via
-    log subscriptions, scoped reconciles, no refresh before apply,
-    unbounded FIFO walks that book every write from the host's pacer
-    (§3.3), periodic rebalancing (armed only with more than one
+(** [Fleet] with no policy controller, admission bound or breaker, and
+    a rebalance check every 120 s (armed only with more than one
     shard). *)
 val fleet_service : service_config
 
@@ -161,7 +156,7 @@ val expand :
 (** Submit an apply request at the current simulated time.  Always
     [`Accepted rid] when [max_queue_depth = 0]; over the bound,
     [Reject] drops the request (no request id consumed), [Defer]
-    assigns the id and re-attempts every [defer_delay] sim-seconds,
+    assigns the id and re-attempts every 5 sim-seconds,
     keeping the original submit instant so latency histograms carry
     the deferral cost. *)
 val submit_request :
@@ -193,7 +188,7 @@ val submit_rollback :
 val ingest_drift : t -> deployment -> Drift.event list -> unit
 
 (** Arm the per-deployment scan-sweep timers up to simulated time
-    [until].  [Subscribe] mode arms none. *)
+    [until].  The [Fleet] preset arms none. *)
 val arm_timers : t -> until:float -> unit
 
 (** Drain the work queue; the host calls this after every simulator

@@ -6,8 +6,9 @@
 
     Exit-code convention:
     - [0] success (for [plan]: an empty diff)
-    - [1] user/config error — bad HCL, failed validation, policy denial,
-      corrupt state, unknown flags
+    - [1] user/config error — bad HCL, a bad scenario key, failed
+      validation, policy denial, corrupt state (cmdliner itself exits 124
+      on an unknown flag)
     - [2] deploy failure — the plan executed but resources failed
       (for [plan]: a non-empty diff, mirroring `terraform plan -detailed-exitcode`)
 
@@ -259,17 +260,13 @@ let import ?(io = default_io) ?(no_optimize = false) ~state_path () =
   0
 
 (* `cloudless serve`: run the multi-tenant control plane against a
-   scenario file for a bounded stretch of simulated time, then print
-   the service summary and (optionally) the metrics snapshot.
-
-   The scenario runs on the shard fleet ([--shards N], default the
-   scenario's [shards]): consistent-hash tenant placement, push-based
-   drift via one activity-log subscription per shard, admission
-   backpressure ([--queue-bound]/[--admission] override the scenario's
-   knobs), and the scenario's [wave =] rollouts. *)
+   scenario file for its [duration] of simulated time, then print the
+   service summary and (optionally) the metrics snapshot.  The scenario
+   file is the one place the run is configured: shard count, admission
+   bound and policy, chaos episodes, breakers and [wave =] rollouts are
+   all its keys; [engine] picks the service preset. *)
 let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
-    ?ticks ?metrics_path ?shards ?queue_bound ?admission ?episodes ?breaker
-    ?waves ~scenario_path () =
+    ?metrics_path ~scenario_path () =
   protected io @@ fun () ->
   with_trace trace_path @@ fun trace ->
   let module Cloud = Cloudless_sim.Cloud in
@@ -279,64 +276,24 @@ let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
   let module Rollout = Cloudless_controlplane.Rollout in
   let module Metrics = Cloudless_obs.Metrics in
   let scn = Scenario.load scenario_path in
-  (* --ticks rewrites the horizon before installation so the whole
-     scenario (request waves, drift injections) compresses into it *)
-  let scn =
-    match ticks with
-    | Some n ->
-        {
-          scn with
-          Scenario.duration = float_of_int n *. scn.Scenario.drift_period;
-        }
-    | None -> scn
-  in
-  let scn =
-    match queue_bound with
-    | Some k -> { scn with Scenario.max_queue_depth = k }
-    | None -> scn
-  in
-  let scn =
-    match admission with
-    | Some `Defer -> { scn with Scenario.admission = Shard.Defer }
-    | Some `Reject -> { scn with Scenario.admission = Shard.Reject }
-    | None -> scn
-  in
-  (* --episodes false strips the scenario's chaos windows; --breaker
-     overrides the scenario's breaker switch *)
-  let scn =
-    match episodes with
-    | Some false -> { scn with Scenario.episodes = [] }
-    | Some true | None -> scn
-  in
-  let scn =
-    match breaker with
-    | Some b -> { scn with Scenario.breaker = b }
-    | None -> scn
-  in
-  (* --waves false strips the scenario's bulk-change rollouts (E18) *)
-  let scn =
-    match waves with
-    | Some false -> { scn with Scenario.waves = [] }
-    | Some true | None -> scn
-  in
-  let duration = scn.Scenario.duration in
   let cloud =
     Cloud.create
       ~config:(Cloudless_schema.Cloud_rules.config_with_checks ())
       ~seed ()
   in
   Trace.set_sim_clock trace (fun () -> Cloud.now cloud);
-  let preset =
+  let name, preset =
     match engine with
-    | Cloudless -> Shard.fleet_service
-    | Baseline -> Shard.baseline_service
+    | Cloudless -> ("fleet", Shard.fleet_service)
+    | Baseline -> ("baseline", Shard.baseline_service)
   in
   let config = Scenario.service_config scn preset in
-  let nshards = Option.value shards ~default:scn.Scenario.shards in
-  let fleet = ref (Fleet.create ~cloud ~trace ~shards:nshards config) in
+  let fleet =
+    ref (Fleet.create ~cloud ~trace ~shards:scn.Scenario.shards config)
+  in
   let injections = Scenario.install_fleet scn fleet in
   let rollouts = Rollout.install scn fleet in
-  Fleet.run !fleet ~until:duration;
+  Fleet.run !fleet ~until:scn.Scenario.duration;
   let fleet = !fleet in
   let m = Fleet.metrics fleet in
   let grants, waits =
@@ -349,7 +306,7 @@ let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
   outf io
     "Service %s: %d tenant(s), %d deployment(s), %d resource(s) under \
      management after %.0f simulated seconds.\n"
-    config.Shard.sname scn.Scenario.tenants
+    name scn.Scenario.tenants
     (List.length (Fleet.deployments fleet))
     (Fleet.managed_resource_count fleet)
     (Cloud.now cloud);
@@ -431,8 +388,8 @@ let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
    [file] launched in sequence.  Exit 0 when every rollout converged
    fleet-wide; exit 2 when a gate stopped one (the wave rolled back,
    later waves halted). *)
-let rollout ?(io = default_io) ?trace_path ?(seed = 42) ?shards ?check_period
-    ~file ~scenario_path () =
+let rollout ?(io = default_io) ?trace_path ?(seed = 42) ?check_period ~file
+    ~scenario_path () =
   protected io @@ fun () ->
   with_trace trace_path @@ fun trace ->
   let module Cloud = Cloudless_sim.Cloud in
@@ -453,8 +410,9 @@ let rollout ?(io = default_io) ?trace_path ?(seed = 42) ?shards ?check_period
   in
   Trace.set_sim_clock trace (fun () -> Cloud.now cloud);
   let config = Scenario.service_config scn CShard.fleet_service in
-  let nshards = Option.value shards ~default:scn.Scenario.shards in
-  let fleet = ref (Fleet.create ~cloud ~trace ~shards:nshards config) in
+  let fleet =
+    ref (Fleet.create ~cloud ~trace ~shards:scn.Scenario.shards config)
+  in
   for ti = 0 to scn.Scenario.tenants - 1 do
     let tenant = Printf.sprintf "tenant%d" ti in
     for di = 0 to scn.Scenario.deployments_per_tenant - 1 do

@@ -16,7 +16,6 @@
 module Hcl = Cloudless_hcl
 module Value = Hcl.Value
 module Addr = Hcl.Addr
-module Smap = Value.Smap
 module Cloud = Cloudless_sim.Cloud
 module Sim_failure = Cloudless_sim.Failure
 module State = Cloudless_state.State
@@ -42,7 +41,6 @@ type t = {
   versions : Version_store.t;
   drift_tailer : Drift.Log_tailer.t;
   controller : Controller.t option;
-  vars : Value.t Smap.t;
   mutable state : State.t;
   mutable config : Hcl.Config.t option;
   mutable config_src : string;
@@ -113,7 +111,7 @@ let error_to_string e =
   | Fault d -> Diagnostic.to_string d
 
 let create ?(seed = 42) ?(engine = Executor.cloudless_config)
-    ?(default_region = "us-east-1") ?(vars = Smap.empty) ?policies
+    ?(default_region = "us-east-1") ?policies
     ?(cloud_config = Cloudless_schema.Cloud_rules.config_with_checks ())
     ?(trace = Trace.null) () =
   let cloud = Cloud.create ~config:cloud_config ~seed () in
@@ -129,7 +127,6 @@ let create ?(seed = 42) ?(engine = Executor.cloudless_config)
     drift_tailer = Drift.Log_tailer.create ();
     controller =
       Option.map (fun src -> Controller.of_source ~file:"<policies>" src) policies;
-    vars;
     state = State.empty;
     config = None;
     config_src = "";
@@ -145,13 +142,11 @@ let versions t = t.versions
 let config_source t = t.config_src
 let journal t = t.journal
 
-(** Turn on write-ahead journaling for subsequent applies.  With
-    [path] every entry is flushed to disk as it is written; without,
-    the journal is in-memory (crash-injection experiments).  [mode]
-    (default {!Journal.Wal}) selects per-intent flushing or group
-    commit — see {!Journal.mode} for the crash-window contract. *)
-let enable_journal ?path ?mode t =
-  t.journal <- Some (Journal.create ?path ?mode ())
+(** Turn on in-memory write-ahead journaling for subsequent applies
+    (crash-injection experiments).  [mode] (default {!Journal.Wal})
+    selects per-intent flushing or group commit — see {!Journal.mode}
+    for the crash-window contract. *)
+let enable_journal ?mode t = t.journal <- Some (Journal.create ?mode ())
 
 (** Inject engine process death into the next apply (see
     {!Sim_failure.crash_policy}). *)
@@ -161,41 +156,12 @@ let set_crash t policy = t.crash <- policy
 (* Evaluation environment wiring                                       *)
 (* ------------------------------------------------------------------ *)
 
-let data_resolver t ~rtype ~name ~args =
-  match (rtype, name) with
-  | "aws_region", _ | "azurerm_location", _ ->
-      Some (Smap.singleton "name" (Value.Vstring t.default_region))
-  | "aws_ami", _ ->
-      let flavor =
-        match Smap.find_opt "name_filter" args with
-        | Some v -> Value.to_string v
-        | None -> "linux"
-      in
-      Some
-        (Smap.of_seq
-           (List.to_seq
-              [
-                ("id", Value.Vstring (Printf.sprintf "ami-%s-latest" flavor));
-                ("name", Value.Vstring flavor);
-              ]))
-  | "aws_availability_zones", _ ->
-      Some
-        (Smap.singleton "names"
-           (Value.Vlist
-              [
-                Value.Vstring (t.default_region ^ "a");
-                Value.Vstring (t.default_region ^ "b");
-                Value.Vstring (t.default_region ^ "c");
-              ]))
-  | _ -> None
-
+(* The provider env every plan uses, in this lifecycle's region and
+   against its state, plus its registered modules. *)
 let env t : Hcl.Eval.env =
   {
-    Hcl.Eval.var_values = t.vars;
-    data_resolver = data_resolver t;
-    state_lookup = (fun addr -> State.lookup t.state addr);
-    module_registry =
-      (fun source -> List.assoc_opt source t.module_lib);
+    (Plan.env_for ~region:t.default_region t.state) with
+    module_registry = (fun source -> List.assoc_opt source t.module_lib);
   }
 
 (** Register module sources (used by imports/refactors/nested module
@@ -223,8 +189,7 @@ let guarded t name f = Trace.with_span t.trace name @@ fun () -> protected f
 let develop t src : (Validate.report, error) result =
   guarded t "develop" @@ fun () ->
   let report =
-    Validate.validate_source ~trace:t.trace ~env:(env t) ~vars:t.vars
-      ~file:"main.tf" src
+    Validate.validate_source ~trace:t.trace ~env:(env t) ~file:"main.tf" src
   in
   if Validate.ok report then begin
     t.config <- Some (Hcl.Config.parse ~file:"main.tf" src);
@@ -235,8 +200,7 @@ let develop t src : (Validate.report, error) result =
 
 (** Validate without loading. *)
 let validate t src : Validate.report =
-  Validate.validate_source ~trace:t.trace ~env:(env t) ~vars:t.vars
-    ~file:"main.tf" src
+  Validate.validate_source ~trace:t.trace ~env:(env t) ~file:"main.tf" src
 
 (* ------------------------------------------------------------------ *)
 (* Plan & apply                                                        *)
@@ -247,7 +211,7 @@ let expand t : (Hcl.Eval.expansion_result, error) result =
   | None -> Error No_config
   | Some cfg ->
       protected @@ fun () ->
-      Ok (Hcl.Eval.expand ~env:(env t) ~vars:t.vars ~trace:t.trace cfg)
+      Ok (Hcl.Eval.expand ~env:(env t) ~trace:t.trace cfg)
 
 let plan t : (Plan.t, error) result =
   match expand t with

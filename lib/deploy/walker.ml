@@ -132,11 +132,11 @@ type refresh_outcome = {
   missing : Addr.t list;
 }
 
-(* A FIFO work list, [parallelism] reads in flight; throttled reads
-   re-enter at the back of a [Queue.t], so both operations stay O(1)
-   under sustained throttling. *)
-let refresh (cloud : Cloud.t) ~engine ~(state : State.t) ?addrs
-    ?(parallelism = 10) ~alive ~count_api ~on_done () =
+(* A FIFO work list, ten reads in flight (Terraform's default
+   -parallelism); throttled reads re-enter at the back of a [Queue.t],
+   so both operations stay O(1) under sustained throttling. *)
+let refresh (cloud : Cloud.t) ~engine ~(state : State.t) ?addrs ~alive
+    ~count_api ~on_done () =
   let targets =
     match addrs with
     | None -> State.resources state
@@ -156,8 +156,7 @@ let refresh (cloud : Cloud.t) ~engine ~(state : State.t) ?addrs
     let settled = ref 0 in
     let total = List.length targets in
     let rec pump () =
-      if alive () && (not (Queue.is_empty queue)) && !in_flight < parallelism
-      then begin
+      if alive () && (not (Queue.is_empty queue)) && !in_flight < 10 then begin
         let r = Queue.pop queue in
         incr in_flight;
         incr reads;

@@ -50,10 +50,10 @@ type refresh_outcome = {
   missing : Addr.t list;  (** in state but gone from the cloud *)
 }
 
-(** Re-read cloud attributes for tracked resources, at most
-    [parallelism] (default 10) reads in flight; throttled reads
-    re-queue.  [addrs] scopes the read set (absent = full refresh);
-    reads go out in ascending address order either way.
+(** Re-read cloud attributes for tracked resources, at most ten
+    reads in flight; throttled reads re-queue.  [addrs] scopes the
+    read set (absent = full refresh); reads go out in ascending
+    address order either way.
     [count_api] is called once per submitted call so a shard can
     attribute API load per tenant. *)
 val refresh :
@@ -61,7 +61,6 @@ val refresh :
   engine:string ->
   state:State.t ->
   ?addrs:Addr.Set.t ->
-  ?parallelism:int ->
   alive:(unit -> bool) ->
   count_api:(int -> unit) ->
   on_done:(refresh_outcome -> unit) ->

@@ -16,17 +16,38 @@ module Dag = Cloudless_graph.Dag
 module Schema = Cloudless_schema
 
 (** The environment a configuration expands in before it is planned
-    against [state]: the simulated provider's one data source,
-    [aws_region] (always ["us-east-1"]), and [state]'s recorded
-    attributes for computed references. *)
-let env_for state : Eval.env =
+    against [state]: the simulated provider's data sources and
+    [state]'s recorded attributes for computed references.  The data
+    sources are [aws_region] and [azurerm_location] (both named
+    [region], default ["us-east-1"]), [aws_availability_zones] (its
+    [a]/[b]/[c] zones) and [aws_ami] (the latest image for its
+    [name_filter], default ["linux"]). *)
+let env_for ?(region = "us-east-1") state : Eval.env =
+  let str s = Value.Vstring s in
   {
     Eval.default_env with
     data_resolver =
-      (fun ~rtype ~name:_ ~args:_ ->
+      (fun ~rtype ~name:_ ~args ->
         match rtype with
-        | "aws_region" ->
-            Some (Smap.singleton "name" (Value.Vstring "us-east-1"))
+        | "aws_region" | "azurerm_location" ->
+            Some (Smap.singleton "name" (str region))
+        | "aws_ami" ->
+            let flavor =
+              match Smap.find_opt "name_filter" args with
+              | Some v -> Value.to_string v
+              | None -> "linux"
+            in
+            Some
+              (Smap.of_list
+                 [
+                   ("id", str ("ami-" ^ flavor ^ "-latest"));
+                   ("name", str flavor);
+                 ])
+        | "aws_availability_zones" ->
+            let zone z = str (region ^ z) in
+            Some
+              (Smap.singleton "names"
+                 (Value.Vlist (List.map zone [ "a"; "b"; "c" ])))
         | _ -> None);
     state_lookup = (fun addr -> State.lookup state addr);
   }

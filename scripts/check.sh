@@ -314,6 +314,24 @@ if [[ -n "$pacer_offenders" ]]; then
   exit 1
 fi
 
+# -- one place per service setting -----------------------------------
+# A serve run is configured by its scenario file alone.  Each removed
+# serve/rollout flag only re-set a scenario key, past the grammar's
+# range checks.  Shard.service_config keeps only what a preset leaves
+# open; lock granularity, drift intake, reconcile scope, refresh and
+# parallelism follow from the preset, and the rest are constants.
+# grep exits 1 when nothing matches, so each count tolerates it.
+serve_flags='info \[[^]]*"(ticks|shards|queue-bound|admission|episodes|breaker|waves)"'
+preset_fields='granularity|drift_mode|scoped_reconcile|refresh_before_apply|policy_src|defer_delay|sname'
+setting_count=$(( $({ grep -cE "$serve_flags" bin/cloudless_cli.ml || true; }) \
+  + $({ grep -cwE "$preset_fields" lib/controlplane/shard.mli || true; }) ))
+if (( setting_count > 0 )); then
+  echo "check.sh: ${setting_count} service setting(s) outside the scenario file — set it as a scenario key, or derive it from the preset:" >&2
+  grep -nE "$serve_flags" bin/cloudless_cli.ml >&2 || true
+  grep -nwE "$preset_fields" lib/controlplane/shard.mli >&2 || true
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

@@ -457,7 +457,8 @@ let totality_rows () =
               ~scenario_path:(temp_file ~suffix:".scn" "tenants = 2\n")
               ()) );
     ( "malformed scenario: serve",
-      [ "error[syntax/scenario-syntax] "; scenario ^ ":1: " ],
+      located "syntax/scenario-syntax" scenario
+      @ [ ":1:1-14: tenants expects an integer >= 1, got \"abc\"" ],
       fun () ->
         cli (fun io ->
             Cli.serve ~io ~metrics_path:Filename.null ~scenario_path:scenario ())

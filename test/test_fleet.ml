@@ -329,6 +329,52 @@ let test_backpressure_reject () =
     (Metrics.counter m "requests_done");
   check int_ "rejections recorded" 2 (Metrics.counter m "requests_rejected")
 
+(* The scenario file is the one place a serve run is configured: shard
+   count, admission bound and policy, hot tenants, breakers, chaos
+   episodes and the horizon are all read from it. *)
+let test_serve_reads_scenario_settings () =
+  let path = Filename.temp_file "serve" ".scn" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Cloudless.Io_util.write_file path
+        "tenants = 4\n\
+         resources = 8\n\
+         requests_per_tenant = 2\n\
+         request_interval = 600\n\
+         shards = 3\n\
+         max_queue_depth = 1\n\
+         admission = reject\n\
+         hot_tenants = 1\n\
+         breaker = on\n\
+         episode = kind=outage start=30 end=200\n\
+         duration = 1200\n";
+      let out = Buffer.create 1024 and err = Buffer.create 64 in
+      let io =
+        { Cloudless.Cli.out = Buffer.add_string out; err = Buffer.add_string err }
+      in
+      let code =
+        Cloudless.Cli.serve ~io ~metrics_path:Filename.null ~scenario_path:path ()
+      in
+      let out = Buffer.contents out in
+      let has sub = Test_fixtures.contains_substring ~sub out in
+      check int_ "exit code" 0 code;
+      check Alcotest.string "stderr" "" (Buffer.contents err);
+      check bool_ "horizon from duration" true
+        (has "after 1200 simulated seconds");
+      check bool_ "shard count from shards" true (has "Fleet: 3 shard(s)");
+      check bool_ "episode and breaker from the file" true
+        (has "Chaos: 1 episode(s)");
+      let rejected =
+        List.find_map
+          (fun p -> Scanf.sscanf_opt (String.trim p) "rejected: %d" Fun.id)
+          (String.split_on_char ';' out)
+      in
+      match rejected with
+      | Some n ->
+          check bool_ (Printf.sprintf "requests rejected (%d)" n) true (n > 0)
+      | None -> Alcotest.failf "no rejected count in:\n%s" out)
+
 (* ------------------------------------------------------------------ *)
 (* One write pacer per fleet                                           *)
 (* ------------------------------------------------------------------ *)
@@ -556,6 +602,8 @@ let suites =
         Alcotest.test_case "defer backpressure" `Quick test_backpressure_defer;
         Alcotest.test_case "reject backpressure" `Quick
           test_backpressure_reject;
+        Alcotest.test_case "serve reads every setting from the scenario" `Quick
+          test_serve_reads_scenario_settings;
         Alcotest.test_case "one fleet pacer: no 429s, resumable" `Quick
           test_fleet_pacer_never_throttles;
         Alcotest.test_case "baseline service still throttles" `Quick

@@ -75,6 +75,53 @@ resource "aws_vpc" "v" {
   in
   check string_ "region from data source" "eu-west-1" r.State.region
 
+(* One provider env: [cloudless plan] and [cloudless validate] resolve
+   every data source [Lifecycle.deploy] does. *)
+let test_cli_data_sources () =
+  let src =
+    {|data "aws_ami" "x" {
+  name_filter = "ubuntu"
+}
+data "aws_availability_zones" "az" {}
+resource "aws_instance" "web" {
+  ami           = data.aws_ami.x.id
+  instance_type = "t3.micro"
+  region        = "us-east-1"
+  tags          = { zone = data.aws_availability_zones.az.names[0] }
+}
+|}
+  in
+  let file = Filename.temp_file "ami" ".tf" in
+  let state_path = Filename.temp_file "ami" ".cls" in
+  Sys.remove state_path;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Cloudless.Io_util.write_file file src;
+      let out = Buffer.create 256 in
+      let io =
+        { Cloudless.Cli.out = Buffer.add_string out; err = Buffer.add_string out }
+      in
+      check int_ "plan: a non-empty diff" 2
+        (Cloudless.Cli.plan ~io ~file ~state_path ());
+      check bool_ "the instance is planned" true
+        (Test_fixtures.contains_substring ~sub:"+ aws_instance.web"
+           (Buffer.contents out));
+      check int_ "validate: no error" 0
+        (Cloudless.Cli.validate ~io ~file ~state_path ()));
+  let t = Lifecycle.create () in
+  ignore (ok (Lifecycle.deploy t src));
+  let r =
+    Option.get
+      (State.find_opt (Lifecycle.state t)
+         (Addr.make ~rtype:"aws_instance" ~rname:"web" ()))
+  in
+  check string_ "image from aws_ami" "ami-ubuntu-latest"
+    (Value.to_string (Smap.find "ami" r.State.attrs));
+  check string_ "zone from aws_availability_zones" "us-east-1a"
+    (Value.to_string
+       (Smap.find "zone" (Value.to_map (Smap.find "tags" r.State.attrs))))
+
 let test_figure2_deploys () =
   (* the paper's own program, end to end *)
   let t = Lifecycle.create () in
@@ -382,5 +429,7 @@ let suites =
         Alcotest.test_case "modules" `Quick test_module_workflow;
         Alcotest.test_case "observe and police" `Quick test_observe_and_police;
         Alcotest.test_case "incremental = full" `Quick test_incremental_equals_full;
+        Alcotest.test_case "cli plans in the lifecycle's provider env" `Quick
+          test_cli_data_sources;
       ] );
   ]

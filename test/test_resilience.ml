@@ -305,9 +305,11 @@ let test_episode_grammar_errors () =
         (Printf.sprintf "message %S mentions %S" d.Err.Diagnostic.message frag)
         true
         (contains ~sub:frag d.Err.Diagnostic.message);
-      check bool_ "offending line located" true
-        (contains ~sub:(Printf.sprintf "t.scn:%d:" line)
-           d.Err.Diagnostic.message))
+      let span = d.Err.Diagnostic.span in
+      check string_ "span file" "t.scn" span.Err.Loc.file;
+      check int_ "span line" line (Err.Loc.line span);
+      check bool_ "no file:line prefix in the message" false
+        (contains ~sub:"t.scn" d.Err.Diagnostic.message))
     cases
 
 (* ------------------------------------------------------------------ *)

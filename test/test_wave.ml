@@ -160,9 +160,11 @@ let test_wave_grammar_errors () =
         (Printf.sprintf "message %S mentions %S" d.Err.Diagnostic.message frag)
         true
         (contains ~sub:frag d.Err.Diagnostic.message);
-      check bool_ "offending line located" true
-        (contains ~sub:(Printf.sprintf "t.scn:%d:" line)
-           d.Err.Diagnostic.message))
+      let span = d.Err.Diagnostic.span in
+      check string_ "span file" "t.scn" span.Err.Loc.file;
+      check int_ "span line" line (Err.Loc.line span);
+      check bool_ "no file:line prefix in the message" false
+        (contains ~sub:"t.scn" d.Err.Diagnostic.message))
     cases
 
 (* ------------------------------------------------------------------ *)
@@ -391,8 +393,8 @@ let test_clean_change_converges () =
     (List.length (Rollout.committed_tenants driver));
   check int_ "no rollbacks" 0 (Rollout.rollbacks driver)
 
-(* `serve` has one code path: a scenario's [wave =] rollouts run with
-   no --shards flag (the scenario's shard count is the default). *)
+(* `serve` has one code path: it runs a scenario's [wave =] rollouts on
+   the scenario's shard count (2 when the file sets none). *)
 let test_serve_runs_scenario_waves () =
   let path = Filename.temp_file "serve" ".scn" in
   Fun.protect
@@ -418,7 +420,7 @@ let test_serve_runs_scenario_waves () =
       let out = Buffer.contents out in
       check int_ "exit code" 0 code;
       check string_ "stderr" "" (Buffer.contents err);
-      check bool_ "scenario shard count is the default" true
+      check bool_ "the scenario's default shard count" true
         (contains ~sub:"Fleet: 2 shard(s)" out);
       check bool_ "rollout ran and converged" true
         (contains ~sub:": converged; touched 4/4 tenant(s), committed 4" out);
