@@ -2,8 +2,11 @@
     subset of tenants (E15).
 
     This module is the execution engine: the prioritized work queue,
-    lock-managed admission, journaled request/reconcile/scan execution,
-    and drift intake.  What it deliberately does {e not} own is fleet
+    lock-managed admission, drift intake, and one runner that takes
+    every granted unit of work (a tenant request, a wave rollback, a
+    drift reconcile or a baseline scan sweep) through the same steps:
+    grant effects, a read phase, a plan, one journaled walk, then park
+    or complete.  What it deliberately does {e not} own is fleet
     policy — crash injection, liveness, policy-controller ticks and
     tenant placement belong to the {!Fleet} that hosts [N] shards
     (one for a single-loop service) behind a {!Router}, feeding each
@@ -287,9 +290,6 @@ let remove_deployment t dep =
 let tenant_pending t tenant =
   match Hashtbl.find_opt t.pending tenant with Some n -> n | None -> 0
 
-let pending_incr t tenant =
-  Hashtbl.replace t.pending tenant (tenant_pending t tenant + 1)
-
 let pending_decr t tenant =
   Hashtbl.replace t.pending tenant (max 0 (tenant_pending t tenant - 1))
 
@@ -298,7 +298,7 @@ let managed_resource_count t =
   List.fold_left (fun acc d -> acc + State.size d.state) 0 t.deployments
 
 (* ------------------------------------------------------------------ *)
-(* Config expansion (shared by requests and reconciles)                *)
+(* Config expansion (shared by every unit of work)                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Parsed configs, keyed by source content and shared by every shard of
@@ -328,22 +328,6 @@ let parse_config src =
 let expand ~state src =
   (Hcl.Eval.expand ~env:(Plan.env_for state) (parse_config src))
     .Hcl.Eval.instances
-
-(* The request plan for [src] against [state], as the execution graph
-   the walker walks.  A parked request is re-admitted, usually many
-   times, against the very state its last fast-failed apply handed
-   back: an apply that changed nothing returns its input state, while
-   any progress, refresh or other unit's completion makes a new one.
-   So the memo hits exactly when source and state identity both match,
-   and since expansion, planning and graph compilation are pure in
-   (source, state) a hit is the graph a recompute would build. *)
-let request_graph dep ~state src =
-  match dep.memo with
-  | Some m when m.mstate == state && String.equal m.msrc src -> m.mgraph
-  | _ ->
-      let graph = Plan.exec_graph (Plan.make ~state (expand ~state src)) in
-      dep.memo <- Some { msrc = src; mstate = state; mgraph = graph };
-      graph
 
 let count_api t dep ~read n =
   Metrics.scope_inc t.scope ~by:n "api_calls";
@@ -389,7 +373,7 @@ let walk t dep ~state ~graph ~on_done =
     ()
 
 (* ------------------------------------------------------------------ *)
-(* The work queue                                                      *)
+(* The work queue and its runner                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Priority classes; FIFO within a class via the heap's insertion
@@ -400,13 +384,151 @@ let work_class = function
          deprioritizing it would leave the bad revision live longer *)
   | Reconcile _ | Scan_sweep _ -> 1.
 
-let owner_of dep ~wid = Printf.sprintf "%s#%d" dep.engine wid
+let dep_of = function
+  | Request { dep; _ } | Reconcile { dep; _ } -> dep
+  | Scan_sweep { dep; _ } | Rollback_op { dep; _ } -> dep
 
 (** Queued plus lock-blocked work — the admission signal the
     backpressure bound and the fleet rebalancer both read. *)
 let queue_depth t = Pq.length t.queue + Lock_manager.queue_length t.lock
 
-(* Forward declaration: executing work needs [drain] (to hand follow-up
+(* A unit of work from its lock grant to its span. *)
+type granted = {
+  work : work;
+  dep : deployment;
+  owner : string;  (** the lock owner, unique per unit of work *)
+  mutable impact : Addr.Set.t option;  (** a reconcile's impact scope *)
+  mutable reads : int;  (** API reads of the read phase *)
+  mutable drift : int;  (** drift events a scan sweep found *)
+}
+
+(* Record classified drift events, pushed in by a subscription or found
+   by a scan sweep.  Only log-based events know when the drift occurred
+   (a scanner's carry no [occurred_at]), so only they add a
+   detection-latency sample. *)
+let record_drift t (events : Drift.event list) =
+  if events <> [] then
+    Metrics.scope_inc t.scope ~by:(List.length events) "drift_events";
+  List.iter
+    (fun (e : Drift.event) ->
+      t.detections <- (e.Drift.cloud_id, e.Drift.detected_at) :: t.detections;
+      match e.Drift.occurred_at with
+      | Some at ->
+          Metrics.scope_observe t.scope "drift_detection_latency"
+            (e.Drift.detected_at -. at)
+      | None -> ())
+    events
+
+(* Terraform-style scan repair folds the observed live world into state
+   first: deleted rows dropped, drifted attrs overwritten with their
+   live values.  [Plan.make] diffs desired against state, so without
+   this the repair plan is empty and the drift is re-flagged forever. *)
+let fold_drift state (events : Drift.event list) =
+  List.fold_left
+    (fun st (e : Drift.event) ->
+      match (e.Drift.kind, e.Drift.addr) with
+      | Drift.Deleted_oob, Some addr -> State.remove st addr
+      | Drift.Attr_drift { attr; actual; _ }, Some addr -> (
+          match State.find_opt st addr with
+          | Some (r : State.resource_state) ->
+              State.update_attrs st addr (Smap.add attr actual r.State.attrs)
+          | None -> st)
+      | _ -> st)
+    state events
+
+(* Re-read the unit's rows ([addrs] scopes the read set; absent = all)
+   and hand [k] the refreshed state.  Rows the refresh proved gone are
+   dropped so the re-plan recreates them. *)
+let refresh t u ?addrs k =
+  Walker.refresh t.cloud ~engine:u.dep.engine ~state:u.dep.state ?addrs
+    ~alive:t.host.alive
+    ~count_api:(count_api t u.dep ~read:true)
+    ~on_done:(fun (r : Walker.refresh_outcome) ->
+      u.reads <- r.Walker.reads;
+      k (List.fold_left State.remove r.Walker.rstate r.Walker.missing))
+    ()
+
+(* The read phase hands [k] the state to plan against.  A [Baseline]
+   request on a non-empty state refreshes every row, a reconcile the
+   drift's impact scope, and a scan sweep reads every row and folds the
+   drift it finds into the state; other units read nothing. *)
+let read t u k =
+  let dep = u.dep in
+  match u.work with
+  | Request _ when t.config.preset = Baseline && State.size dep.state > 0 ->
+      refresh t u k
+  | Request _ | Rollback_op _ -> k dep.state
+  | Reconcile { seeds; _ } ->
+      (* This expansion only fixes the scope; the plan expands again
+         against the refreshed state.  Both have the same addresses
+         and dependencies, but the refresh drops the rows it proves
+         gone, so the second lacks their computed attributes and the
+         repair plan recreates them (in a quarter of E14's
+         reconciles). *)
+      let scope =
+        Dag.impact_scope
+          (Dag.of_instances (expand ~state:dep.state dep.config_src))
+          seeds
+      in
+      u.impact <- Some scope;
+      refresh t u ~addrs:scope k
+  | Scan_sweep _ ->
+      Drift.Scanner.start t.cloud ~engine:dep.engine ~state:dep.state
+        ~alive:t.host.alive
+        ~count_api:(count_api t dep ~read:true)
+        ~on_done:(fun (r : Drift.Scanner.scan_result) ->
+          let events = r.Drift.Scanner.events in
+          u.reads <- r.Drift.Scanner.api_reads;
+          u.drift <- List.length events;
+          Metrics.scope_inc t.scope ~by:u.reads "scan_reads";
+          record_drift t events;
+          k (fold_drift dep.state events))
+        ()
+
+(* The unit's plan against [state0], compiled to the walker's graph: the
+   deployment's latest revision, restricted to a reconcile's scope; a
+   scan sweep that found no drift has none.  A rollback's inverse plan
+   is computed here, at grant time under the deployment lock, so it
+   reverses the latest state even when the rollback queued behind
+   in-flight work.
+
+   A request's plan is memoized.  A parked request is re-admitted,
+   usually many times, against the very state its last fast-failed
+   apply handed back: an apply that changed nothing returns its input
+   state, while any progress, refresh or other unit's completion makes
+   a new one.  So the memo hits exactly when source and state identity
+   both match, and since expansion, planning and graph compilation are
+   pure in (source, state) a hit is the graph a recompute would build. *)
+let plan u state0 =
+  let dep = u.dep and src = u.dep.config_src in
+  match (u.work, dep.memo) with
+  | Rollback_op { plan_of; _ }, _ -> Some (Plan.exec_graph (plan_of ()))
+  | Scan_sweep _, _ when u.drift = 0 -> None
+  | Request _, Some m when m.mstate == state0 && String.equal m.msrc src ->
+      Some m.mgraph
+  | work, _ ->
+      let p = Plan.make ~state:state0 (expand ~state:state0 src) in
+      let graph =
+        Plan.exec_graph
+          (match u.impact with Some s -> Plan.restrict p s | None -> p)
+      in
+      (match work with
+      | Request _ ->
+          dep.memo <- Some { msrc = src; mstate = state0; mgraph = graph }
+      | Rollback_op _ | Reconcile _ | Scan_sweep _ -> ());
+      Some graph
+
+(* Does the unit park: did its apply leave changes fast-failed by an
+   open breaker cell?  A scan repair never parks: it completes with its
+   failed changes. *)
+let parks t u (o : Walker.outcome) =
+  (match u.work with Scan_sweep _ -> false | _ -> true)
+  && t.breaker <> None
+  && List.exists
+       (fun (f : Walker.failure) -> Breaker.is_open_reason f.Walker.reason)
+       o.Walker.failed
+
+(* Forward declaration: running work needs [drain] (to hand follow-up
    work to the lock manager) and vice versa.  The fleet drains every
    shard after every simulator event, almost always finding nothing to
    do, so the depth gauge is written only when the depth moved: its
@@ -425,358 +547,196 @@ let rec drain t =
         drain t
     end
 
-(* Hand one unit of work to the lock manager.  The grant callback runs
-   the work; conflicting work queues FIFO inside the manager, which is
-   exactly the serialization order the QCheck property pins down. *)
+(* Hand one unit of work to the lock manager; the grant runs it.
+   Conflicting work queues FIFO inside the manager, which is exactly
+   the serialization order the QCheck property pins down. *)
 and admit t wid work =
-  match work with
-  | Request { dep; rid; src; submitted } ->
-      Lock_manager.acquire t.lock ~owner:(owner_of dep ~wid)
-        ~keys:[ dep.root_key ] (fun () ->
-          if t.host.alive () then exec_request t dep ~wid ~rid ~src ~submitted)
-  | Reconcile { dep; seeds; detected } ->
-      Lock_manager.acquire t.lock ~owner:(owner_of dep ~wid)
-        ~keys:[ dep.root_key ] (fun () ->
-          if t.host.alive () then exec_reconcile t dep ~wid ~seeds ~detected)
-  | Rollback_op { dep; label; plan_of; restore_src; submitted; notify } ->
-      Lock_manager.acquire t.lock ~owner:(owner_of dep ~wid)
-        ~keys:[ dep.root_key ] (fun () ->
-          if t.host.alive () then
-            exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted
-              ~notify)
-  | Scan_sweep { dep; swept } -> (
-      match t.breaker with
-      | Some b when Breaker.any_open b ->
-          (* degraded mode sheds baseline sweeps: the sweep would burn
-             O(state) management reads only to fast-fail its repair;
-             the next armed sweep runs once the breaker closes *)
-          Metrics.scope_inc t.scope "scans_shed";
-          pending_decr t dep.tenant
-      | _ ->
-          Lock_manager.acquire t.lock ~owner:(owner_of dep ~wid)
-            ~keys:[ dep.root_key ] (fun () ->
-              if t.host.alive () then exec_scan t dep ~wid ~swept))
+  let dep = dep_of work in
+  match (work, t.breaker) with
+  | Scan_sweep _, Some b when Breaker.any_open b ->
+      (* degraded mode sheds baseline sweeps: the sweep would burn
+         O(state) management reads only to fast-fail its repair;
+         the next armed sweep runs once the breaker closes *)
+      Metrics.scope_inc t.scope "scans_shed";
+      pending_decr t dep.tenant
+  | _ ->
+      let owner = Printf.sprintf "%s#%d" dep.engine wid in
+      let u = { work; dep; owner; impact = None; reads = 0; drift = 0 } in
+      Lock_manager.acquire t.lock ~owner ~keys:[ dep.root_key ] (fun () ->
+          if t.host.alive () then run t u)
 
-and enqueue t work =
+(* Queue a unit of work under a fresh id.  A parked unit comes back
+   through here without a new pending count: it never stopped being
+   pending. *)
+and push t work =
   let wid = t.next_work in
   t.next_work <- wid + 1;
-  (match work with
-  | Request { dep; _ }
-  | Reconcile { dep; _ }
-  | Scan_sweep { dep; _ }
-  | Rollback_op { dep; _ } ->
-      pending_incr t dep.tenant);
   Pq.push t.queue ~prio:(work_class work) ~key:wid work;
   drain t
 
-(* Complete a unit of work: persist the deployment's state (end-of-work
-   persistence — the crash window the journal covers), drop the plan
-   memo (only parked work keeps one alive), release the locks, and
-   emit the span. *)
-and finish_work t dep ~wid ~span ~sim_start ~meta ~counters =
+(* Run a granted unit of work.  Its grant effects come first: a request
+   samples its queue wait and becomes the deployment's latest revision,
+   and a rollback restores the pre-wave revision before its apply.  A
+   crash between the two leaves the restored source with an incomplete
+   rollback, which the ordinary journal-replay resume then converges:
+   the same idempotent window every request has.  Then the read phase,
+   the plan and one walk.  A typed error up to the walk ends the unit
+   through [fail]. *)
+and run t u =
+  try
+    (match u.work with
+    | Request { src; submitted; _ } ->
+        Metrics.scope_observe t.scope "request_queue_wait"
+          (Cloud.now t.cloud -. submitted);
+        u.dep.config_src <- src
+    | Rollback_op { restore_src = Some src; _ } -> u.dep.config_src <- src
+    | Rollback_op _ | Reconcile _ | Scan_sweep _ -> ());
+    read t u (fun state0 -> plan_and_walk t u state0)
+  with Cloudless_error.Error d -> fail t u d
+
+and plan_and_walk t u state0 =
+  try
+    u.dep.state <- state0;
+    let started = Cloud.now t.cloud in
+    match plan u state0 with
+    | None -> complete t u ~started None
+    | Some graph ->
+        walk t u.dep ~state:state0 ~graph ~on_done:(fun o ->
+            u.dep.state <- o.Walker.astate;
+            if parks t u o then park_work t u
+            else complete t u ~started (Some o))
+  with Cloudless_error.Error d -> fail t u d
+
+(* A unit whose walk settled, or that had nothing to walk: its kind's
+   metrics, then [finish].  A reconcile's latency runs from detection,
+   a scan repair's from the end of its sweep. *)
+and complete t u ~started o =
+  let now = Cloud.now t.cloud in
+  let repaired ~since =
+    Metrics.scope_inc t.scope "reconciles";
+    Metrics.scope_observe t.scope "reconcile_latency" (now -. since)
+  in
+  (match u.work with
+  | Request { rid; submitted; _ } ->
+      Metrics.scope_inc t.scope "requests_done";
+      Metrics.scope_observe t.scope "request_latency" (now -. submitted);
+      Metrics.observe (metrics t)
+        ("request_latency." ^ u.dep.tenant)
+        (now -. submitted);
+      t.completed <- (rid, now) :: t.completed
+  | Rollback_op { submitted; notify; _ } ->
+      Metrics.scope_inc t.scope "rollbacks_done";
+      Metrics.scope_observe t.scope "rollback_latency" (now -. submitted);
+      notify now
+  | Reconcile { detected; _ } -> repaired ~since:detected
+  | Scan_sweep _ -> if Option.is_some o then repaired ~since:started);
+  finish t u o
+
+(* A typed error (a source that does not parse or evaluate, a plan with
+   a cycle) ends the unit: the live state returns to the last persisted
+   one, and the unit's span carries the diagnostic.  Any other
+   exception is a bug or an injected crash, and propagates. *)
+and fail t u d =
+  u.dep.state <- u.dep.persisted;
+  finish t u ~error:(Cloudless_error.Diagnostic.to_string d) None
+
+(* End a unit of work.  One that ended in a typed error or with a failed
+   change counts once in [work_failures].  Then persist the deployment's
+   state (end-of-work persistence — the crash window the journal
+   covers), drop the plan memo (only parked work keeps one alive),
+   release the lock, and emit the unit's span with its kind's name and
+   meta, the walk's counts, the read phase's reads, and the error. *)
+and finish t u ?error (o : Walker.outcome option) =
+  let dep = u.dep in
+  let applied, failed, writes =
+    match o with
+    | Some o -> Walker.(List.length o.applied, List.length o.failed, o.writes)
+    | None -> (0, 0, 0)
+  in
+  if failed > 0 || error <> None then Metrics.scope_inc t.scope "work_failures";
   dep.persisted <- dep.state;
   dep.memo <- None;
   pending_decr t dep.tenant;
-  Lock_manager.release t.lock ~owner:(owner_of dep ~wid);
-  Trace.emit_span t.trace ~meta ~counters ~sim_start span;
+  Lock_manager.release t.lock ~owner:u.owner;
+  let name, sim_start, kind_meta =
+    match u.work with
+    | Request { rid; submitted; _ } ->
+        ("request", submitted, [ ("rid", string_of_int rid) ])
+    | Rollback_op { label; submitted; _ } ->
+        ("rollback", submitted, [ ("label", label) ])
+    | Reconcile { detected; _ } ->
+        ( "reconcile",
+          detected,
+          match u.impact with
+          | Some s -> [ ("scope", string_of_int (Addr.Set.cardinal s)) ]
+          | None -> [] )
+    | Scan_sweep { swept; _ } -> ("scan", swept, [])
+  in
+  Trace.emit_span t.trace ~sim_start name
+    ~meta:
+      ((("tenant", dep.tenant) :: ("deployment", dep.dname) :: kind_meta)
+      @ match error with Some e -> [ ("error", e) ] | None -> [])
+    ~counters:
+      [ ("applied", applied); ("failed", failed); ("writes", writes);
+        ("refresh_reads", u.reads) ];
   drain t
 
-(* Park one unit of work that fast-failed against an open breaker:
-   persist partial progress, release the locks so unaffected tenants
-   keep flowing, and schedule re-admission just after the breaker's
-   next half-open probe becomes available.  The unit stays logically
-   pending (the tenant is not movable, and the caller keeps the
-   original submit/detected instant so latency accounting spans the
-   whole episode).  [rebuild] re-creates the work at re-admission
-   time — a request re-reads [dep.config_src] there, so a parked
+(* Park a unit of work that fast-failed against an open breaker:
+   persist partial progress, release the lock so unaffected tenants
+   keep flowing, and push the unit back just after the breaker's next
+   half-open probe becomes available.  The unit stays pending (the
+   tenant is not movable, and its payload keeps the original submit or
+   detection instant, so latency accounting spans the whole episode).
+   A request re-reads [dep.config_src] at re-admission, so a parked
    request converges to the latest revision, never a stale one. *)
-and park_work t dep ~wid ~rebuild =
+and park_work t u =
+  let dep = u.dep in
+  (match u.work with
+  | Request _ ->
+      Metrics.scope_inc t.scope "requests_parked";
+      Metrics.inc (metrics t) ("requests_parked." ^ dep.tenant)
+  | Rollback_op _ -> Metrics.scope_inc t.scope "rollbacks_parked"
+  | Reconcile _ | Scan_sweep _ ->
+      Metrics.scope_inc t.scope "reconciles_parked");
   dep.persisted <- dep.state;
-  Lock_manager.release t.lock ~owner:(owner_of dep ~wid);
+  Lock_manager.release t.lock ~owner:u.owner;
   t.parked <- t.parked + 1;
   Metrics.scope_set t.scope "parked_work" (float_of_int t.parked);
-  let now = Cloud.now t.cloud in
   let delay =
-    match t.breaker with
-    | Some b -> (
-        match Breaker.next_probe_at b with
-        | Some at -> Float.max defer_delay (at -. now +. 0.5)
-        | None ->
-            (* cell already probing or closed again: plain defer *)
-            defer_delay)
-    | None -> defer_delay
+    match Option.bind t.breaker Breaker.next_probe_at with
+    | Some at -> Float.max defer_delay (at -. Cloud.now t.cloud +. 0.5)
+    | None ->
+        (* no breaker, or the cell is already probing or closed again:
+           plain defer *)
+        defer_delay
   in
+  (* the timer keeps the payload alive, not the granted record *)
+  let work = u.work in
   Cloud.schedule t.cloud ~delay (fun () ->
       if t.host.alive () then begin
         t.parked <- t.parked - 1;
         Metrics.scope_set t.scope "parked_work" (float_of_int t.parked);
-        (* enqueue without pending_incr: the unit never stopped being
-           pending while parked *)
-        let work = rebuild () in
-        let wid = t.next_work in
-        t.next_work <- wid + 1;
-        Pq.push t.queue ~prio:(work_class work) ~key:wid work;
-        drain t
+        push t
+          (match work with
+          | Request r -> Request { r with src = r.dep.config_src }
+          | w -> w)
       end);
   drain t
 
-(* Did the apply leave changes fast-failed by an open breaker cell? *)
-and breaker_blocked t (o : Walker.outcome) =
-  t.breaker <> None
-  && List.exists
-       (fun (f : Walker.failure) -> Breaker.is_open_reason f.Walker.reason)
-       o.Walker.failed
-
-(* Catch per-work configuration/planning errors without killing the
-   service; a crash injection must still propagate. *)
-and protected t dep ~wid (f : unit -> unit) =
-  try f () with
-  | Failure.Engine_crashed _ as e -> raise e
-  | e ->
-      Metrics.scope_inc t.scope "work_failures";
-      Trace.meta t.trace "work_error" (Printexc.to_string e);
-      dep.state <- dep.persisted;
-      dep.memo <- None;
-      pending_decr t dep.tenant;
-      Lock_manager.release t.lock ~owner:(owner_of dep ~wid);
-      drain t
-
-(* --- tenant apply request ------------------------------------------ *)
-
-and exec_request t dep ~wid ~rid ~src ~submitted =
-  protected t dep ~wid @@ fun () ->
-  let granted = Cloud.now t.cloud in
-  Metrics.scope_observe t.scope "request_queue_wait" (granted -. submitted);
-  dep.config_src <- src;
-  let continue_with state0 reads =
-    let graph = request_graph dep ~state:state0 src in
-    walk t dep ~state:state0 ~graph ~on_done:(fun (o : Walker.outcome) ->
-        dep.state <- o.Walker.astate;
-        if breaker_blocked t o then begin
-          Metrics.scope_inc t.scope "requests_parked";
-          Metrics.inc (metrics t) ("requests_parked." ^ dep.tenant);
-          park_work t dep ~wid ~rebuild:(fun () ->
-              Request { dep; rid; src = dep.config_src; submitted })
-        end
-        else begin
-        let now = Cloud.now t.cloud in
-        Metrics.scope_inc t.scope "requests_done";
-        Metrics.scope_observe t.scope "request_latency" (now -. submitted);
-        Metrics.observe (metrics t)
-          ("request_latency." ^ dep.tenant)
-          (now -. submitted);
-        if o.Walker.failed <> [] then
-          Metrics.scope_inc t.scope "work_failures";
-        t.completed <- (rid, now) :: t.completed;
-        finish_work t dep ~wid ~span:"request" ~sim_start:submitted
-          ~meta:
-            [
-              ("tenant", dep.tenant);
-              ("deployment", dep.dname);
-              ("rid", string_of_int rid);
-            ]
-          ~counters:
-            [
-              ("applied", List.length o.Walker.applied);
-              ("failed", List.length o.Walker.failed);
-              ("writes", o.Walker.writes);
-              ("refresh_reads", reads);
-            ]
-        end)
-  in
-  if t.config.preset = Baseline && State.size dep.state > 0 then
-    Walker.refresh t.cloud ~engine:dep.engine ~state:dep.state
-      ~alive:t.host.alive
-      ~count_api:(count_api t dep ~read:true)
-      ~on_done:(fun (r : Walker.refresh_outcome) ->
-        protected t dep ~wid @@ fun () ->
-        (* rows the refresh proved gone are dropped so the re-plan
-           recreates them *)
-        let state0 =
-          List.fold_left State.remove r.Walker.rstate r.Walker.missing
-        in
-        dep.state <- state0;
-        continue_with state0 r.Walker.reads)
-      ()
-  else continue_with dep.state 0
-
-(* --- wave rollback (E18) ------------------------------------------- *)
-
-(* Execute a wave-scoped inverse plan.  The plan is computed here, at
-   grant time under the deployment lock, so it reverses the latest
-   state even when the rollback queued behind in-flight work.  The
-   config revision is restored *before* the apply: a crash between the
-   two leaves the restored src with an incomplete rollback, which the
-   ordinary journal-replay resume then converges — the same idempotent
-   window every request has. *)
-and exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted ~notify =
-  protected t dep ~wid @@ fun () ->
-  (match restore_src with Some src -> dep.config_src <- src | None -> ());
-  let graph = Plan.exec_graph (plan_of ()) in
-  walk t dep ~state:dep.state ~graph ~on_done:(fun (o : Walker.outcome) ->
-      dep.state <- o.Walker.astate;
-      if breaker_blocked t o then begin
-        Metrics.scope_inc t.scope "rollbacks_parked";
-        park_work t dep ~wid ~rebuild:(fun () ->
-            Rollback_op { dep; label; plan_of; restore_src; submitted; notify })
-      end
-      else begin
-        let now = Cloud.now t.cloud in
-        Metrics.scope_inc t.scope "rollbacks_done";
-        Metrics.scope_observe t.scope "rollback_latency" (now -. submitted);
-        if o.Walker.failed <> [] then
-          Metrics.scope_inc t.scope "work_failures";
-        notify now;
-        finish_work t dep ~wid ~span:"rollback" ~sim_start:submitted
-          ~meta:
-            [
-              ("tenant", dep.tenant);
-              ("deployment", dep.dname);
-              ("label", label);
-            ]
-          ~counters:
-            [
-              ("applied", List.length o.Walker.applied);
-              ("failed", List.length o.Walker.failed);
-              ("writes", o.Walker.writes);
-            ]
-      end)
-
-(* --- drift intake (push subscriptions) ------------------------------ *)
+(* A new unit of work is pending from here until it completes or fails. *)
+let enqueue t work =
+  let tenant = (dep_of work).tenant in
+  Hashtbl.replace t.pending tenant (tenant_pending t tenant + 1);
+  push t work
 
 (** Record freshly classified drift events against [dep] and enqueue
     the scoped repair; the fleet's subscription path delivers per
     entry. *)
-and ingest_drift t dep (events : Drift.event list) =
-  if events <> [] then begin
-    Metrics.scope_inc t.scope ~by:(List.length events) "drift_events";
-    let seeds =
-      List.filter_map (fun (e : Drift.event) -> e.Drift.addr) events
-    in
-    List.iter
-      (fun (e : Drift.event) ->
-        t.detections <- (e.Drift.cloud_id, e.Drift.detected_at) :: t.detections;
-        match e.Drift.occurred_at with
-        | Some at ->
-            Metrics.scope_observe t.scope "drift_detection_latency"
-              (e.Drift.detected_at -. at)
-        | None -> ())
-      events;
-    if seeds <> [] then
-      enqueue t (Reconcile { dep; seeds; detected = Cloud.now t.cloud })
-  end
-
-(* --- drift: scoped reconcile apply --------------------------------- *)
-
-and exec_reconcile t dep ~wid ~seeds ~detected =
-  protected t dep ~wid @@ fun () ->
-  let instances = expand ~state:dep.state dep.config_src in
-  let scope = Dag.impact_scope (Dag.of_instances instances) seeds in
-  let finish_reconcile (o : Walker.outcome) reads =
-    dep.state <- o.Walker.astate;
-    if breaker_blocked t o then begin
-      Metrics.scope_inc t.scope "reconciles_parked";
-      park_work t dep ~wid ~rebuild:(fun () ->
-          Reconcile { dep; seeds; detected })
-    end
-    else begin
-    Metrics.scope_inc t.scope "reconciles";
-    Metrics.scope_observe t.scope "reconcile_latency"
-      (Cloud.now t.cloud -. detected);
-    finish_work t dep ~wid ~span:"reconcile" ~sim_start:detected
-      ~meta:
-        [
-          ("tenant", dep.tenant);
-          ("deployment", dep.dname);
-          ("scope", string_of_int (Addr.Set.cardinal scope));
-        ]
-      ~counters:
-        [
-          ("applied", List.length o.Walker.applied);
-          ("writes", o.Walker.writes);
-          ("refresh_reads", reads);
-          ("seeds", List.length seeds);
-        ]
-    end
-  in
-  Walker.refresh t.cloud ~engine:dep.engine ~state:dep.state ~addrs:scope
-    ~alive:t.host.alive
-    ~count_api:(count_api t dep ~read:true)
-    ~on_done:(fun (r : Walker.refresh_outcome) ->
-      protected t dep ~wid @@ fun () ->
-      let state0 =
-        List.fold_left State.remove r.Walker.rstate r.Walker.missing
-      in
-      dep.state <- state0;
-      let instances = expand ~state:state0 dep.config_src in
-      let plan = Plan.restrict (Plan.make ~state:state0 instances) scope in
-      walk t dep ~state:state0 ~graph:(Plan.exec_graph plan)
-        ~on_done:(fun o -> finish_reconcile o r.Walker.reads))
-    ()
-
-(* --- drift: scan sweep (baseline) ---------------------------------- *)
-
-and exec_scan t dep ~wid ~swept =
-  protected t dep ~wid @@ fun () ->
-  Drift.Scanner.start t.cloud ~engine:dep.engine ~state:dep.state
-    ~alive:t.host.alive
-    ~count_api:(count_api t dep ~read:true)
-    ~on_done:(fun (r : Drift.Scanner.scan_result) ->
-      protected t dep ~wid @@ fun () ->
-      let events = r.Drift.Scanner.events in
-      let reads = r.Drift.Scanner.api_reads in
-      Metrics.scope_inc t.scope ~by:reads "scan_reads";
-      if events = [] then
-        finish_work t dep ~wid ~span:"scan" ~sim_start:swept
-          ~meta:[ ("tenant", dep.tenant); ("deployment", dep.dname) ]
-          ~counters:[ ("scan_reads", reads); ("drift", 0) ]
-      else begin
-        Metrics.scope_inc t.scope ~by:(List.length events) "drift_events";
-        List.iter
-          (fun (e : Drift.event) ->
-            t.detections <-
-              (e.Drift.cloud_id, e.Drift.detected_at) :: t.detections)
-          events;
-        (* Terraform-style repair, still holding the global lock: fold
-           the observed live world into state first (deleted rows
-           dropped, drifted attrs overwritten with their live values —
-           [Plan.make] diffs desired against state, so without this the
-           repair plan is empty and the drift is re-flagged forever),
-           then full re-plan + apply. *)
-        let state0 =
-          List.fold_left
-            (fun st (e : Drift.event) ->
-              match (e.Drift.kind, e.Drift.addr) with
-              | Drift.Deleted_oob, Some addr -> State.remove st addr
-              | Drift.Attr_drift { attr; actual; _ }, Some addr -> (
-                  match State.find_opt st addr with
-                  | Some (r : State.resource_state) ->
-                      State.update_attrs st addr
-                        (Smap.add attr actual r.State.attrs)
-                  | None -> st)
-              | _ -> st)
-            dep.state events
-        in
-        dep.state <- state0;
-        let instances = expand ~state:state0 dep.config_src in
-        let plan = Plan.make ~state:state0 instances in
-        let detected = Cloud.now t.cloud in
-        walk t dep ~state:state0 ~graph:(Plan.exec_graph plan)
-          ~on_done:(fun (o : Walker.outcome) ->
-            dep.state <- o.Walker.astate;
-            Metrics.scope_inc t.scope "reconciles";
-            Metrics.scope_observe t.scope "reconcile_latency"
-              (Cloud.now t.cloud -. detected);
-            finish_work t dep ~wid ~span:"scan" ~sim_start:swept
-              ~meta:[ ("tenant", dep.tenant); ("deployment", dep.dname) ]
-              ~counters:
-                [
-                  ("scan_reads", reads);
-                  ("drift", List.length events);
-                  ("writes", o.Walker.writes);
-                ])
-      end)
-    ()
+let ingest_drift t dep (events : Drift.event list) =
+  record_drift t events;
+  match List.filter_map (fun (e : Drift.event) -> e.Drift.addr) events with
+  | [] -> ()
+  | seeds -> enqueue t (Reconcile { dep; seeds; detected = Cloud.now t.cloud })
 
 (* ------------------------------------------------------------------ *)
 (* Requests + admission backpressure                                   *)

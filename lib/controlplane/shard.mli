@@ -2,11 +2,18 @@
     subset of tenants (E15).
 
     The execution engine: prioritized work queue, lock-managed
-    admission, journaled request/reconcile/scan execution, drift
-    intake, and admission backpressure.  Fleet concerns — policy
-    ticks, tenant placement — live in the {!Fleet} that hosts [N]
-    shards behind a {!Router}; its crash gate, liveness flag and write
-    pacer reach the shard through the {!host} record. *)
+    admission, drift intake, admission backpressure, and one runner
+    that takes every granted unit of work (a tenant request, a wave
+    rollback, a drift reconcile or a baseline scan sweep) through the
+    same steps: grant effects, a read phase, a plan, one journaled
+    walk, then park behind an open breaker cell or complete with one
+    span.  A unit that raises a typed [Cloudless_error.Error] counts in
+    [work_failures] and ends with the diagnostic as its span's [error]
+    meta; any other exception propagates to the caller that drives the
+    shard.  Fleet concerns — policy ticks, tenant placement — live in
+    the {!Fleet} that hosts [N] shards behind a {!Router}; its crash
+    gate, liveness flag and write pacer reach the shard through the
+    {!host} record. *)
 
 module Addr = Cloudless_hcl.Addr
 module Cloud = Cloudless_sim.Cloud

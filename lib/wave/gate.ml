@@ -12,7 +12,9 @@ type health = {
   violations : Rego_like.violation list;
       (** gate-predicate violations over the touched tenants'
           evaluated instances *)
-  failed_requests : int;  (** apply failures inside the wave *)
+  failed_requests : int;
+      (** units of work inside the wave (requests, rollbacks, repairs)
+          that ended in a typed error or with a failed change *)
   open_cells : int;  (** circuit-breaker cells currently open (E17) *)
   episode_faults : int;  (** injected-fault responses during the wave *)
   projected_cost : float option;

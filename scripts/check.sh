@@ -332,6 +332,26 @@ if (( setting_count > 0 )); then
   exit 1
 fi
 
+# -- one unit of work ------------------------------------------------
+# A shard runs requests, rollbacks, reconciles and scan sweeps through
+# one runner: one lock grant, one walk, one park site, one span.  A
+# second Lock_manager.acquire or an exec_* path would be a copy of the
+# runner's steps that drifts apart from it.  A unit of work survives
+# only a typed Cloudless_error.Error, recorded on its own span; a
+# Printexc rendering in lib/controlplane means some handler is
+# swallowing exceptions that are bugs.  grep exits 1 when nothing
+# matches, so each count tolerates it.
+shard=lib/controlplane/shard.ml
+acquire_count=$({ grep -o 'Lock_manager\.acquire' "$shard" || true; } | wc -l)
+exec_count=$({ grep -oE 'exec_(request|reconcile|rollback|scan)' "$shard" || true; } | wc -l)
+printexc_count=$({ grep -rn 'Printexc' lib/controlplane/ || true; } | wc -l)
+if (( acquire_count > 1 || exec_count > 0 || printexc_count > 0 )); then
+  echo "check.sh: ${acquire_count} Lock_manager.acquire (at most 1) and ${exec_count} exec_* name(s) in $shard, ${printexc_count} Printexc use(s) in lib/controlplane — run every unit of work through the one runner and fail it only on a typed error:" >&2
+  grep -nE 'Lock_manager\.acquire|exec_(request|reconcile|rollback|scan)' "$shard" >&2 || true
+  grep -rn 'Printexc' lib/controlplane/ >&2 || true
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

@@ -3,8 +3,10 @@
    multi-tenancy claim rests on (disjoint tenants never wait,
    conflicting work serializes in queue order), a golden drift-event ->
    scoped-reconcile trace, crash resume with zero orphans/duplicates,
-   a request plan reused only against the state it was made for, and
-   the plan walk order pinned under both of the walker's drivers. *)
+   a request plan reused only against the state it was made for, the
+   plan walk order pinned under both of the walker's drivers, and the
+   failure paths of a unit of work (a typed error ends the unit on its
+   own span, any other exception escapes, a failed repair counts). *)
 
 module Cloud = Cloudless_sim.Cloud
 module Rate_limiter = Cloudless_sim.Rate_limiter
@@ -571,6 +573,116 @@ let test_applier_golden_order () =
     ]
     applied
 
+(* ------------------------------------------------------------------ *)
+(* Failure paths                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A unit of work survives only typed errors: anything else is a bug
+   and must reach the caller.  The rollback is granted at once, so the
+   fleet call that enqueues it is the one that raises. *)
+let test_untyped_error_escapes () =
+  let cp = make_cp () in
+  let src =
+    Scenario.fleet_src { Scenario.default with Scenario.resources = 4 } ~wave:0
+  in
+  let dep = Fleet.add_deployment cp ~tenant:"acme" ~dname:"prod" ~src in
+  match
+    Fleet.submit_rollback cp dep ~label:"wave:bug:0"
+      ~plan_of:(fun () -> raise Not_found)
+      ~notify:(fun _ -> ())
+      ()
+  with
+  | () -> Alcotest.fail "a Not_found inside a unit of work was swallowed"
+  | exception Not_found -> ()
+
+(* A request whose source does not parse fails alone: it counts once,
+   leaves the deployment's state as it was, carries the diagnostic on
+   its own span, and the next request on the deployment completes. *)
+let test_typed_error_on_span () =
+  let sink, spans = Trace.memory_sink () in
+  let cloud = fresh_cloud () in
+  let trace = Trace.create ~sim_clock:(fun () -> Cloud.now cloud) sink in
+  let cp = Fleet.create ~cloud ~trace ~shards:1 Shard.fleet_service in
+  let scn = { Scenario.default with Scenario.resources = 4 } in
+  let dep =
+    Fleet.add_deployment cp ~tenant:"acme" ~dname:"prod"
+      ~src:(Scenario.fleet_src scn ~wave:0)
+  in
+  ignore (submit cp dep ~src:(Scenario.fleet_src scn ~wave:0));
+  let shard = List.hd (Fleet.shards cp) in
+  let kept = ref false and idle = ref (-1) in
+  Cloud.schedule cloud ~delay:300. (fun () ->
+      let before = dep.Shard.state in
+      ignore (submit cp dep ~src:"resource \"aws_vpc\" \"x\" {");
+      kept := dep.Shard.state == before;
+      idle := Shard.tenant_pending shard "acme";
+      ignore (submit cp dep ~src:(Scenario.fleet_src scn ~wave:1)));
+  Fleet.run cp ~until:1200.;
+  let m = Fleet.metrics cp in
+  check int_ "one failed unit" 1 (Metrics.counter m "work_failures");
+  check bool_ "state left as it was" true !kept;
+  check int_ "nothing pending after the failure" 0 !idle;
+  check int_ "the next request completes" 2 (Metrics.counter m "requests_done");
+  let errors =
+    List.filter_map
+      (fun (s : Trace.span) ->
+        match List.assoc_opt "error" s.Trace.meta with
+        | Some e -> Some (s.Trace.name, e)
+        | None -> None)
+      (spans ())
+  in
+  match errors with
+  | [ ("request", e) ] ->
+      let prefix = "error[syntax/parse-error]" in
+      check string_ "diagnostic on the request span" prefix
+        (String.sub e 0 (min (String.length e) (String.length prefix)))
+  | l ->
+      Alcotest.failf "expected one request span with an error, got %d"
+        (List.length l)
+
+(* A reconcile whose repair write fails counts in work_failures like a
+   failed request: no breaker, so the outage fails the write after its
+   retries instead of parking it. *)
+let test_failed_reconcile_counts () =
+  let sink, spans = Trace.memory_sink () in
+  let cloud = fresh_cloud () in
+  Cloud.set_episodes cloud
+    [
+      Failure.episode ~rtype:"aws_instance" ~start_:250. ~finish:50000.
+        Failure.Outage;
+    ];
+  let trace = Trace.create ~sim_clock:(fun () -> Cloud.now cloud) sink in
+  let cp = Fleet.create ~cloud ~trace ~shards:1 Shard.fleet_service in
+  let src =
+    Scenario.fleet_src { Scenario.default with Scenario.resources = 12 } ~wave:0
+  in
+  let dep = Fleet.add_deployment cp ~tenant:"acme" ~dname:"prod" ~src in
+  ignore (submit cp dep ~src);
+  Cloud.schedule cloud ~delay:300. (fun () ->
+      let row =
+        List.find
+          (fun (r : State.resource_state) -> r.State.rtype = "aws_instance")
+          (State.resources dep.Shard.state)
+      in
+      match
+        Cloud.mutate_oob cloud ~script:"ops" ~cloud_id:row.State.cloud_id
+          ~attr:"instance_type"
+          ~value:(Cloudless_hcl.Value.Vstring "t2.nano")
+      with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "oob mutation failed");
+  Fleet.run cp ~until:60000.;
+  let m = Fleet.metrics cp in
+  check int_ "one reconcile" 1 (Metrics.counter m "reconciles");
+  check int_ "the failed repair counts" 1 (Metrics.counter m "work_failures");
+  match
+    List.filter (fun (s : Trace.span) -> s.Trace.name = "reconcile") (spans ())
+  with
+  | [ s ] ->
+      check bool_ "reconcile span reports the failed change" true
+        (Trace.counter s "failed" > 0)
+  | l -> Alcotest.failf "expected one reconcile span, got %d" (List.length l)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -589,4 +701,13 @@ let suites =
           test_applier_golden_order;
       ] );
     ("controlplane.admission", [ qtest prop_disjoint_no_wait; qtest prop_conflicting_fifo ]);
+    ( "controlplane.failures",
+      [
+        Alcotest.test_case "untyped error escapes" `Quick
+          test_untyped_error_escapes;
+        Alcotest.test_case "typed error on its span" `Quick
+          test_typed_error_on_span;
+        Alcotest.test_case "failed reconcile counts" `Quick
+          test_failed_reconcile_counts;
+      ] );
   ]
