@@ -37,9 +37,15 @@
     {e latest} config revision so a parked request can never roll a
     tenant back to a stale wave.  A re-admission that finds the source
     and the state it parked with reuses the execution graph compiled
-    for them, and every shard shares one parsed config per distinct
-    source, so a revision is compiled once however often it is
-    retried.  While any
+    for them.  Every shard shares one parsed and compiled config
+    ({!Cloudless_hcl.Eval.compile}) per distinct source, and each unit
+    instantiates it against its own state, so a revision is compiled
+    once however often it is planned, retried or reconciled; a
+    reconcile whose revision fixes every address and dependency takes
+    its impact scope from that compiled revision without expanding.
+    A unit that fails on a typed error puts back the revision it was
+    granted with, so a request with a bad source leaves the last good
+    one in place.  While any
     cell is Open the shard also sheds baseline scan sweeps: a sweep
     would burn O(state) reads only to fast-fail its repair. *)
 
@@ -301,13 +307,21 @@ let managed_resource_count t =
 (* Config expansion (shared by every unit of work)                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Parsed configs, keyed by source content and shared by every shard of
-   every fleet: a pass compiles a handful of distinct revisions for
-   thousands of grants.  The ephemeron drops an entry with the last live
-   copy of its source string, so the table holds only live revisions.
-   Sharing is safe because parsing is pure and [Config.t] immutable; a
-   source that fails to parse is never entered, so it raises afresh on
-   every attempt. *)
+(* A config revision as every unit of work uses it: compiled once, and
+   the graph a reconcile cuts its impact scope from, built on first use
+   when compile fixed every address and dependency. *)
+type revision = {
+  compiled : Hcl.Eval.compiled;
+  scope_graph : Hcl.Eval.instance Dag.t option Lazy.t;
+}
+
+(* Compiled revisions, keyed by source content and shared by every
+   shard of every fleet: a pass compiles a handful of distinct revisions
+   for thousands of grants.  The ephemeron drops an entry with the last
+   live copy of its source string, so the table holds only live
+   revisions.  Sharing is safe because parsing and compiling are pure
+   and both results immutable; a source that fails to parse is never
+   entered, so it raises afresh on every attempt. *)
 module Parsed = Ephemeron.K1.Make (struct
   type t = string
 
@@ -315,18 +329,26 @@ module Parsed = Ephemeron.K1.Make (struct
   let hash = Hashtbl.hash
 end)
 
-let parsed : Hcl.Config.t Parsed.t = Parsed.create 16
+let parsed : revision Parsed.t = Parsed.create 16
 
 let parse_config src =
   match Parsed.find_opt parsed src with
-  | Some cfg -> cfg
+  | Some r -> r
   | None ->
       let cfg = Hcl.Config.parse ~file:"<service>" src in
-      Parsed.replace parsed src cfg;
-      cfg
+      let compiled = Hcl.Eval.compile cfg in
+      let r =
+        {
+          compiled;
+          scope_graph =
+            lazy (Option.map Dag.of_instances (Hcl.Eval.skeleton compiled));
+        }
+      in
+      Parsed.replace parsed src r;
+      r
 
 let expand ~state src =
-  (Hcl.Eval.expand ~env:(Plan.env_for state) (parse_config src))
+  (Hcl.Eval.instantiate ~env:(Plan.env_for state) (parse_config src).compiled)
     .Hcl.Eval.instances
 
 let count_api t dep ~read n =
@@ -397,6 +419,9 @@ type granted = {
   work : work;
   dep : deployment;
   owner : string;  (** the lock owner, unique per unit of work *)
+  granted_src : string;
+      (** [dep.config_src] before the grant effects, restored if the
+          unit fails *)
   mutable impact : Addr.Set.t option;  (** a reconcile's impact scope *)
   mutable reads : int;  (** API reads of the read phase *)
   mutable drift : int;  (** drift events a scan sweep found *)
@@ -459,17 +484,20 @@ let read t u k =
       refresh t u k
   | Request _ | Rollback_op _ -> k dep.state
   | Reconcile { seeds; _ } ->
-      (* This expansion only fixes the scope; the plan expands again
-         against the refreshed state.  Both have the same addresses
-         and dependencies, but the refresh drops the rows it proves
-         gone, so the second lacks their computed attributes and the
-         repair plan recreates them (in a quarter of E14's
+      (* The scope needs only addresses and dependencies.  Compile
+         fixes them when no shape or dependency reads state and no
+         expression can fail, and the revision keeps their graph;
+         otherwise the revision is instantiated against the
+         pre-refresh state.  The plan instantiates again against the
+         refreshed state, which lacks the rows the refresh proved gone,
+         so the repair plan recreates them (in a quarter of E14's
          reconciles). *)
-      let scope =
-        Dag.impact_scope
-          (Dag.of_instances (expand ~state:dep.state dep.config_src))
-          seeds
+      let graph =
+        match Lazy.force (parse_config dep.config_src).scope_graph with
+        | Some g -> g
+        | None -> Dag.of_instances (expand ~state:dep.state dep.config_src)
       in
+      let scope = Dag.impact_scope graph seeds in
       u.impact <- Some scope;
       refresh t u ~addrs:scope k
   | Scan_sweep _ ->
@@ -561,9 +589,18 @@ and admit t wid work =
       pending_decr t dep.tenant
   | _ ->
       let owner = Printf.sprintf "%s#%d" dep.engine wid in
-      let u = { work; dep; owner; impact = None; reads = 0; drift = 0 } in
       Lock_manager.acquire t.lock ~owner ~keys:[ dep.root_key ] (fun () ->
-          if t.host.alive () then run t u)
+          if t.host.alive () then
+            run t
+              {
+                work;
+                dep;
+                owner;
+                granted_src = dep.config_src;
+                impact = None;
+                reads = 0;
+                drift = 0;
+              })
 
 (* Queue a unit of work under a fresh id.  A parked unit comes back
    through here without a new pending count: it never stopped being
@@ -634,10 +671,14 @@ and complete t u ~started o =
 
 (* A typed error (a source that does not parse or evaluate, a plan with
    a cycle) ends the unit: the live state returns to the last persisted
-   one, and the unit's span carries the diagnostic.  Any other
-   exception is a bug or an injected crash, and propagates. *)
+   one, the config revision to the one the unit was granted with (so a
+   request with a bad source leaves the last good revision for later
+   reconciles and for resume), and the unit's span carries the
+   diagnostic.  Any other exception is a bug or an injected crash, and
+   propagates. *)
 and fail t u d =
   u.dep.state <- u.dep.persisted;
+  u.dep.config_src <- u.granted_src;
   finish t u ~error:(Cloudless_error.Diagnostic.to_string d) None
 
 (* End a unit of work.  One that ended in a typed error or with a failed

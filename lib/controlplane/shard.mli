@@ -8,9 +8,9 @@
     same steps: grant effects, a read phase, a plan, one journaled
     walk, then park behind an open breaker cell or complete with one
     span.  A unit that raises a typed [Cloudless_error.Error] counts in
-    [work_failures] and ends with the diagnostic as its span's [error]
-    meta; any other exception propagates to the caller that drives the
-    shard.  Fleet concerns — policy ticks, tenant placement — live in
+    [work_failures], puts back the config revision it was granted with,
+    and ends with the diagnostic as its span's [error] meta; any other
+    exception propagates to the caller that drives the shard.  Fleet concerns — policy ticks, tenant placement — live in
     the {!Fleet} that hosts [N] shards behind a {!Router}; its crash
     gate, liveness flag and write pacer reach the shard through the
     {!host} record. *)
@@ -154,9 +154,10 @@ val queue_depth : t -> int
 val managed_resource_count : t -> int
 
 (** Expand a configuration source against a state (shared by requests,
-    reconciles, and post-hoc convergence audits).  The parse comes from
-    a table shared fleet-wide and keyed by source content, so each
-    distinct live revision is parsed once. *)
+    reconciles, and post-hoc convergence audits).  The parsed and
+    compiled revision comes from a table shared fleet-wide and keyed by
+    source content, so each distinct live revision is compiled once and
+    every call only instantiates it against [state]. *)
 val expand :
   state:State.t -> string -> Cloudless_hcl.Eval.instance list
 

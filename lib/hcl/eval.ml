@@ -15,7 +15,21 @@
     Errors are [references/eval-error] diagnostics on the typed channel
     ({!Cloudless_error.Error}), located at the failing expression; a
     {!Value} type error ([references/type-error]) is located where the
-    evaluator applied the conversion that raised it. *)
+    evaluator applied the conversion that raised it.
+
+    Expansion runs in two steps.  {!compile} does the work that reads
+    only the configuration, once: the node order, each block's targets,
+    provider and (when no target's shape reads state) dependencies, the
+    instance addresses of a block whose [count] reads nothing, and one
+    shared map per block of the attribute values that read nothing in
+    scope.  {!instantiate} then evaluates, per state, only the rest and
+    merges each instance's state row.  Compile never raises: a block it
+    cannot specialize, or whose static evaluation fails, is expanded at
+    instantiate time by the general code, and an ordering error is
+    raised there, so instances, outputs, diagnostics and the order in
+    which errors surface are those of one pass.  {!expand} is the two
+    in a row; {!Reference.expand} is the one-pass driver, kept as the
+    oracle. *)
 
 module Smap = Value.Smap
 module Sset = Set.Make (String)
@@ -94,6 +108,9 @@ type scope = {
   count_index : int option;
   each_binding : (Value.t * Value.t) option;  (** (key, value) *)
   for_bindings : Value.t Smap.t;
+  direct_refs : bool;
+      (** resolve [type.name.attr] on a single instance by looking the
+          attribute up, not through {!instance_value} *)
 }
 
 (* Index a locals binding list by name, keeping the first binding for a
@@ -106,13 +123,14 @@ let locals_index (locals : (string * Ast.expr) list) =
   tbl
 
 let make_scope ?(env = default_env) ?(module_path = []) ?(locals = [])
-    ?(vars = Smap.empty) () =
+    ?locals_tbl ?(vars = Smap.empty) ?(direct_refs = false) () =
   {
     env;
     module_path;
     vars;
     locals_src = locals;
-    locals_tbl = locals_index locals;
+    locals_tbl =
+      (match locals_tbl with Some tbl -> tbl | None -> locals_index locals);
     locals_cache = Hashtbl.create 8;
     locals_forcing = [];
     resources = Hashtbl.create 16;
@@ -121,6 +139,7 @@ let make_scope ?(env = default_env) ?(module_path = []) ?(locals = [])
     count_index = None;
     each_binding = None;
     for_bindings = Smap.empty;
+    direct_refs;
   }
 
 (* The sentinel attribute that marks a map as a resource object so that
@@ -288,6 +307,18 @@ and eval_getattr scope span inner attr =
       | _ -> eval_resource_ref scope span root attr)
   | Ast.GetAttr ({ Ast.desc = Ast.Var "data"; _ }, dtype) ->
       eval_data_ref scope span dtype attr
+  | Ast.GetAttr ({ Ast.desc = Ast.Var rtype; _ }, rname)
+    when scope.direct_refs && attr <> addr_key
+         && (not (List.mem rtype Refs.reserved))
+         && not (Smap.mem rtype scope.for_bindings) -> (
+      (* [type.name.attr] on a single instance: the attribute, or the
+         unknown that {!generic_getattr} would give *)
+      match Hashtbl.find_opt scope.resources (rtype, rname) with
+      | Some (Single inst) -> (
+          match Smap.find_opt attr inst.attrs with
+          | Some v -> v
+          | None -> Value.unknown (Addr.to_string inst.addr ^ "." ^ attr))
+      | _ -> generic_getattr scope span (eval scope inner) attr)
   | _ -> generic_getattr scope span (eval scope inner) attr
 
 and generic_getattr _scope span v attr =
@@ -659,13 +690,24 @@ let node_span = function
   | Nres r -> r.Config.rspan
   | Nmod m -> m.Config.mspan
 
+(* The blocks of a configuration in declaration order, data sources
+   first. *)
+let config_nodes (cfg : Config.t) =
+  List.map (fun d -> Ndata d) cfg.Config.data_sources
+  @ List.map (fun r -> Nres r) cfg.Config.resources
+  @ List.map (fun m -> Nmod m) cfg.Config.modules
+
+(* The target a [depends_on] entry names. *)
+let depends_on_target (ty, n) =
+  if ty = "module" then Refs.Tmodule (n, None)
+  else if String.length ty > 5 && String.sub ty 0 5 = "data." then
+    Refs.Tdata (String.sub ty 5 (String.length ty - 5), n)
+  else Refs.Tresource (ty, n)
+
 (* Static targets of a node, with local references expanded
-   transitively so that ordering respects locals that mention
-   resources. *)
-let node_targets ?locals (cfg : Config.t) node : Refs.target list =
-  let locals =
-    match locals with Some t -> t | None -> locals_index cfg.Config.locals
-  in
+   transitively (through [locals], the configuration's locals index)
+   so that ordering respects locals that mention resources. *)
+let node_targets ~locals node : Refs.target list =
   let direct =
     match node with
     | Ndata d -> Refs.of_body d.Config.dbody
@@ -673,13 +715,7 @@ let node_targets ?locals (cfg : Config.t) node : Refs.target list =
         Refs.of_body r.Config.rbody
         @ (match r.Config.rcount with Some e -> Refs.of_expr e | None -> [])
         @ (match r.Config.rfor_each with Some e -> Refs.of_expr e | None -> [])
-        @ List.map
-            (fun (ty, n) ->
-              if ty = "module" then Refs.Tmodule (n, None)
-              else if String.length ty > 5 && String.sub ty 0 5 = "data." then
-                Refs.Tdata (String.sub ty 5 (String.length ty - 5), n)
-              else Refs.Tresource (ty, n))
-            r.Config.rdepends_on
+        @ List.map depends_on_target r.Config.rdepends_on
     | Nmod m ->
         List.concat_map (fun (_, e) -> Refs.of_expr e) m.Config.margs
         @ (match m.Config.mcount with Some e -> Refs.of_expr e | None -> [])
@@ -706,24 +742,22 @@ let target_node_key = function
   | Refs.Tmodule (m, _) -> Some ("module." ^ m)
   | Refs.Tvar _ | Refs.Tlocal _ | Refs.Tcount | Refs.Teach | Refs.Tpath -> None
 
-(* Stable topological sort of nodes; raises on cycles. *)
-let order_nodes (cfg : Config.t) : node list =
+(* Stable topological sort of a configuration's nodes, each paired with
+   its targets; raises on cycles. *)
+let order_nodes ~locals (cfg : Config.t) : (node * Refs.target list) list =
   let nodes =
-    List.map (fun d -> Ndata d) cfg.Config.data_sources
-    @ List.map (fun r -> Nres r) cfg.Config.resources
-    @ List.map (fun m -> Nmod m) cfg.Config.modules
+    List.map (fun n -> (n, node_targets ~locals n)) (config_nodes cfg)
   in
   let by_key = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace by_key (node_key n) n) nodes;
-  let locals = locals_index cfg.Config.locals in
-  let deps n =
-    node_targets ~locals cfg n
+  List.iter (fun ((n, _) as nt) -> Hashtbl.replace by_key (node_key n) nt) nodes;
+  let deps (_, targets) =
+    targets
     |> List.filter_map target_node_key
     |> List.filter_map (Hashtbl.find_opt by_key)
   in
   let visited = Hashtbl.create 16 in
   let out = ref [] in
-  let rec visit path n =
+  let rec visit ((n, _) as nt) =
     let key = node_key n in
     match Hashtbl.find_opt visited key with
     | Some `Done -> ()
@@ -731,53 +765,63 @@ let order_nodes (cfg : Config.t) : node list =
         errf (node_span n) "dependency cycle involving %s" key
     | None ->
         Hashtbl.replace visited key `In_progress;
-        List.iter (visit (key :: path)) (deps n);
+        List.iter visit (deps nt);
         Hashtbl.replace visited key `Done;
-        out := n :: !out
+        out := nt :: !out
   in
-  List.iter (visit []) nodes;
+  List.iter visit nodes;
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* Expansion                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let provider_of_rtype rtype =
-  match String.index_opt rtype '_' with
-  | Some i -> String.sub rtype 0 i
-  | None -> rtype
+let provider_of (r : Config.resource) =
+  match r.Config.rprovider with
+  | Some p -> p
+  | None -> (
+      let rtype = r.Config.rtype in
+      match String.index_opt rtype '_' with
+      | Some i -> String.sub rtype 0 i
+      | None -> rtype)
 
-(* Resolve a node-level dependency target to the base addresses of the
-   instances it denotes in the current scope. *)
-let target_instance_addrs scope (cfg : Config.t) target : Addr.t list =
-  match target with
-  | Refs.Tresource (t, n) -> (
-      match Hashtbl.find_opt scope.resources (t, n) with
-      | Some (Single i) -> [ i.addr ]
-      | Some (Counted is) -> List.map (fun i -> i.addr) is
-      | Some (For_eached kvs) -> List.map (fun (_, i) -> i.addr) kvs
-      | None -> [])
-  | Refs.Tdata (t, n) ->
-      if
-        List.exists
-          (fun d -> d.Config.dtype = t && d.Config.dname = n)
-          cfg.Config.data_sources
-      then
-        [
-          Addr.make ~module_path:scope.module_path ~mode:Addr.Data ~rtype:t
-            ~rname:n ();
-        ]
-      else []
-  | Refs.Tmodule _ | Refs.Tvar _ | Refs.Tlocal _ | Refs.Tcount | Refs.Teach
-  | Refs.Tpath ->
-      []
+(* A resource block's reference and [depends_on] dependencies: the base
+   addresses of the instances each target denotes, with [instances_of]
+   giving a resource's. *)
+let resource_deps ~module_path (cfg : Config.t) instances_of ~targets
+    (r : Config.resource) =
+  let addrs = function
+    | Refs.Tresource (t, n) -> instances_of (t, n)
+    | Refs.Tdata (t, n) ->
+        if
+          List.exists
+            (fun d -> d.Config.dtype = t && d.Config.dname = n)
+            cfg.Config.data_sources
+        then [ Addr.make ~module_path ~mode:Addr.Data ~rtype:t ~rname:n () ]
+        else []
+    | Refs.Tmodule _ | Refs.Tvar _ | Refs.Tlocal _ | Refs.Tcount | Refs.Teach
+    | Refs.Tpath ->
+        []
+  in
+  ( List.concat_map addrs targets,
+    List.concat_map (fun d -> addrs (depends_on_target d)) r.Config.rdepends_on
+  )
 
-let rec expand_config (env : env) ~module_path ~vars (cfg : Config.t) :
-    expansion_result * scope =
-  (* Fill in variable defaults; unknown variables are an error, missing
-     required variables too. *)
-  let var_scope = make_scope ~env ~module_path () in
-  let vars =
+(* The instances a scope has expanded for a resource; none if it is
+   undeclared. *)
+let scope_instances scope key =
+  match Hashtbl.find_opt scope.resources key with
+  | Some (Single i) -> [ i.addr ]
+  | Some (Counted is) -> List.map (fun i -> i.addr) is
+  | Some (For_eached kvs) -> List.map (fun (_, i) -> i.addr) kvs
+  | None -> []
+
+(* Fill in variable defaults; unknown variables are an error, missing
+   required variables too. *)
+let bind_vars env ~module_path ~vars (cfg : Config.t) =
+  if cfg.Config.variables = [] then Smap.empty
+  else
+    let var_scope = make_scope ~env ~module_path () in
     List.fold_left
       (fun acc (v : Config.variable) ->
         match Smap.find_opt v.Config.vname vars with
@@ -789,31 +833,153 @@ let rec expand_config (env : env) ~module_path ~vars (cfg : Config.t) :
                 errf v.Config.vspan "no value for required variable %S"
                   v.Config.vname))
       Smap.empty cfg.Config.variables
+
+(* ------------------------------------------------------------------ *)
+(* Blocks as the driver expands them                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One attribute of a compiled block: its value when it reads nothing in
+   scope, else its expression, evaluated per state. *)
+type attr_value = Static of Value.t | Dynamic of Ast.expr
+
+(* A resource block whose instance addresses compile fixes: no
+   [for_each], no nested block, distinct attribute names, and a
+   [count], if any, that reads nothing. *)
+type fixed = {
+  fres : Config.resource;
+  fprovider : string;
+  ftargets : Refs.target list;
+  fcount : int option;  (** [None]: a single instance *)
+  faddrs : Addr.t list;  (** instance addresses, in key order *)
+  fdeps : (Addr.t list * Addr.t list) option;
+      (** reference and [depends_on] dependencies, unless some target's
+          shape reads state *)
+  fstatic : Value.t Smap.t;  (** the [Static] attributes, shared *)
+  fattrs : (string * attr_value) list;  (** every attribute, in order *)
+}
+
+(* A block, with its targets, expanded in full per state; or a resource
+   block that compile fixed. *)
+type compiled_node = General of (node * Refs.target list) | Fixed of fixed
+
+(* Values no reader can tell apart: the same constructors and the same
+   scalars, floats bit for bit. *)
+let rec identical a b =
+  a == b
+  ||
+  match (a, b) with
+  | Value.Vstring x, Value.Vstring y | Value.Vunknown x, Value.Vunknown y ->
+      String.equal x y
+  | Value.Vint x, Value.Vint y -> Int.equal x y
+  | Value.Vfloat x, Value.Vfloat y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Vbool x, Value.Vbool y -> Bool.equal x y
+  | Value.Vnull, Value.Vnull -> true
+  | Value.Vlist xs, Value.Vlist ys -> List.equal identical xs ys
+  | Value.Vmap xm, Value.Vmap ym -> Smap.equal identical xm ym
+  | _ -> false
+
+(* A state row with a configured attribute merged in: the configured
+   value wins, and the row keeps its own (computed) attributes.  The
+   row is copied only where the value differs from the row's. *)
+let merge_attr row name v =
+  match Smap.find_opt name row with
+  | Some sv when identical sv v -> row
+  | _ -> Smap.add name v row
+
+(* Expand a fixed block against [scope]'s state: compiled addresses and
+   dependencies, and per instance only the [Dynamic] attributes, added
+   to the shared static map or merged into the instance's state row. *)
+let instantiate_fixed scope (cfg : Config.t) f =
+  let r = f.fres in
+  let ref_deps, explicit_deps =
+    match f.fdeps with
+    | Some deps -> deps
+    | None ->
+        resource_deps ~module_path:scope.module_path cfg (scope_instances scope)
+          ~targets:f.ftargets r
   in
-  let scope = make_scope ~env ~module_path ~locals:cfg.Config.locals ~vars () in
-  let acc_instances = ref [] in
-  let emit inst = acc_instances := inst :: !acc_instances in
-  let nodes = order_nodes cfg in
+  let build addr count_index =
+    let scope =
+      match count_index with
+      | None -> scope
+      | Some _ -> { scope with count_index }
+    in
+    let attrs =
+      match scope.env.state_lookup addr with
+      | None ->
+          List.fold_left
+            (fun acc (name, a) ->
+              match a with
+              | Static _ -> acc
+              | Dynamic e -> Smap.add name (eval scope e) acc)
+            f.fstatic f.fattrs
+      | Some row ->
+          List.fold_left
+            (fun acc (name, a) ->
+              merge_attr acc name
+                (match a with Static v -> v | Dynamic e -> eval scope e))
+            row f.fattrs
+    in
+    {
+      addr;
+      provider = f.fprovider;
+      attrs;
+      explicit_deps;
+      ref_deps;
+      lifecycle = r.Config.rlifecycle;
+      ispan = r.Config.rspan;
+    }
+  in
+  match f.fcount with
+  | None ->
+      let inst = build (List.hd f.faddrs) None in
+      (Single inst, [ inst ])
+  | Some _ ->
+      let insts = List.mapi (fun i addr -> build addr (Some i)) f.faddrs in
+      (Counted insts, insts)
+
+(* Every block of [cfg], in dependency order, to be expanded in full. *)
+let general (cfg : Config.t) scope =
+  List.map (fun nt -> General nt) (order_nodes ~locals:scope.locals_tbl cfg)
+
+(* Record a resource block's expansion in its scope, and its instances,
+   newest first, in [acc]. *)
+let record scope acc (r : Config.resource) (expansion, instances) =
+  Hashtbl.replace scope.resources (r.Config.rtype, r.Config.rname) expansion;
+  acc := List.rev_append instances !acc
+
+let eval_outputs scope (cfg : Config.t) =
+  List.map
+    (fun (o : Config.output) -> (o.Config.oname, eval scope o.Config.ovalue))
+    cfg.Config.outputs
+
+(* ------------------------------------------------------------------ *)
+(* The driver                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Bind [cfg]'s variables, then expand the blocks [nodes] gives for the
+   new scope, in order, and evaluate the outputs. *)
+let rec drive ~direct_refs ?locals_tbl (env : env) ~module_path ~vars
+    (cfg : Config.t) nodes : expansion_result =
+  let vars = bind_vars env ~module_path ~vars cfg in
+  let scope =
+    make_scope ~env ~module_path ~locals:cfg.Config.locals ?locals_tbl ~vars
+      ~direct_refs ()
+  in
+  let acc = ref [] in
   List.iter
-    (fun node ->
-      match node with
-      | Ndata d -> expand_data scope d
-      | Nres r ->
-          let expansion, instances = expand_resource scope cfg r in
-          Hashtbl.replace scope.resources (r.Config.rtype, r.Config.rname)
-            expansion;
-          List.iter emit instances
-      | Nmod m ->
-          let expansion, instances = expand_module scope env m in
+    (function
+      | General (Ndata d, _) -> expand_data scope d
+      | General (Nres r, targets) ->
+          record scope acc r (expand_resource scope cfg ~targets r)
+      | General (Nmod m, _) ->
+          let expansion, instances = expand_module scope m in
           Hashtbl.replace scope.modules m.Config.mname expansion;
-          List.iter emit instances)
-    nodes;
-  let outputs =
-    List.map
-      (fun (o : Config.output) -> (o.Config.oname, eval scope o.Config.ovalue))
-      cfg.Config.outputs
-  in
-  ({ instances = List.rev !acc_instances; outputs }, scope)
+          acc := List.rev_append instances !acc
+      | Fixed f -> record scope acc f.fres (instantiate_fixed scope cfg f))
+    (nodes scope);
+  { instances = List.rev !acc; outputs = eval_outputs scope cfg }
 
 and expand_data scope (d : Config.data_source) =
   let args = eval_body scope d.Config.dbody in
@@ -831,28 +997,12 @@ and expand_data scope (d : Config.data_source) =
       errf d.Config.dspan "data.%s.%s: %s" d.Config.dtype d.Config.dname
         message
 
-and expand_resource scope cfg (r : Config.resource) :
+and expand_resource scope cfg ~targets (r : Config.resource) :
     node_expansion * instance list =
-  let provider =
-    match r.Config.rprovider with
-    | Some p -> p
-    | None -> provider_of_rtype r.Config.rtype
-  in
-  let targets = node_targets ~locals:scope.locals_tbl cfg (Nres r) in
-  let ref_deps =
-    List.concat_map (target_instance_addrs scope cfg) targets
-  in
-  let explicit_deps =
-    List.concat_map
-      (fun (ty, n) ->
-        let target =
-          if ty = "module" then Refs.Tmodule (n, None)
-          else if String.length ty > 5 && String.sub ty 0 5 = "data." then
-            Refs.Tdata (String.sub ty 5 (String.length ty - 5), n)
-          else Refs.Tresource (ty, n)
-        in
-        target_instance_addrs scope cfg target)
-      r.Config.rdepends_on
+  let provider = provider_of r in
+  let ref_deps, explicit_deps =
+    resource_deps ~module_path:scope.module_path cfg (scope_instances scope)
+      ~targets r
   in
   let build key count_index each_binding =
     let addr =
@@ -921,10 +1071,10 @@ and expand_resource scope cfg (r : Config.resource) :
       let inst = build Addr.Knone None None in
       (Single inst, [ inst ])
 
-and expand_module scope env (m : Config.module_call) :
+and expand_module scope (m : Config.module_call) :
     module_expansion * instance list =
   let child_cfg =
-    match env.module_registry m.Config.msource with
+    match scope.env.module_registry m.Config.msource with
     | Some cfg -> cfg
     | None ->
         errf m.Config.mspan "module source %S not found in registry"
@@ -937,10 +1087,10 @@ and expand_module scope env (m : Config.module_call) :
         (fun acc (name, e) -> Smap.add name (eval inst_scope e) acc)
         Smap.empty m.Config.margs
     in
-    let result, _child_scope =
-      expand_config env
+    let result =
+      drive ~direct_refs:scope.direct_refs scope.env
         ~module_path:(scope.module_path @ [ path_elem ])
-        ~vars child_cfg
+        ~vars child_cfg (general child_cfg)
     in
     let outputs =
       List.fold_left
@@ -1002,18 +1152,240 @@ and expand_module scope env (m : Config.module_call) :
       let outputs, instances = expand_one m.Config.mname None None in
       (Mod_single outputs, instances)
 
-(** Expand a configuration to its resource instances and output values.
-    With a live [trace], expansion runs in an ["expand"] span counting
-    the instances and outputs it produced. *)
-let expand ?(env = default_env) ?(vars = Smap.empty)
-    ?(trace = Cloudless_obs.Trace.null) (cfg : Config.t) : expansion_result =
+(* ------------------------------------------------------------------ *)
+(* Compile once, instantiate per state                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Whether [e] reads nothing in scope: every identifier it names is
+   bound by a for-expression inside it. *)
+let closed (e : Ast.expr) =
+  let rec go bound (e : Ast.expr) =
+    match e.Ast.desc with
+    | Ast.Null | Ast.Bool _ | Ast.Int _ | Ast.Float _ -> true
+    | Ast.Template parts ->
+        List.for_all
+          (function Ast.Lit _ -> true | Ast.Interp e -> go bound e)
+          parts
+    | Ast.Var name -> List.mem name bound
+    | Ast.GetAttr (e, _) | Ast.Splat (e, _) | Ast.Unop (_, e) | Ast.Paren e ->
+        go bound e
+    | Ast.Index (a, b) | Ast.Binop (_, a, b) -> go bound a && go bound b
+    | Ast.ListLit es | Ast.Call (_, es, _) -> List.for_all (go bound) es
+    | Ast.ObjectLit kvs ->
+        List.for_all
+          (fun (k, v) ->
+            (match k with Ast.Kident _ -> true | Ast.Kexpr k -> go bound k)
+            && go bound v)
+          kvs
+    | Ast.Cond (c, a, b) -> go bound c && go bound a && go bound b
+    | Ast.ForList fc -> go_for bound fc []
+    | Ast.ForMap (fc, v) -> go_for bound fc [ v ]
+  and go_for bound fc extra =
+    go bound fc.Ast.coll
+    &&
+    let bound = (fc.Ast.val_var :: Option.to_list fc.Ast.key_var) @ bound in
+    List.for_all (go bound)
+      ((fc.Ast.body :: extra) @ Option.to_list fc.Ast.cond)
+  in
+  go [] e
+
+(** A configuration compiled for {!instantiate}: what expansion can
+    work out from the configuration alone.  Immutable, so one compiled
+    configuration serves any number of states. *)
+type compiled = {
+  config : Config.t;
+  locals : (string, Ast.expr) Hashtbl.t;  (** first-binding index *)
+  nodes : (compiled_node list, exn) result;
+      (** dependency order, or the ordering error to raise *)
+  stateless : bool;
+      (** every address and dependency is fixed, and nothing evaluated
+          per state can fail *)
+}
+
+(** Compile a root configuration.  Never raises. *)
+let compile (cfg : Config.t) : compiled =
+  let locals = locals_index cfg.Config.locals in
+  let static_scope = make_scope () in
+  let static e =
+    if closed e then
+      match eval static_scope e with v -> Some v | exception _ -> None
+    else None
+  in
+  (* the resource blocks compiled, by (type, name) *)
+  let fixed = Hashtbl.create 16 in
+  let single (t, n) =
+    (not (List.mem t Refs.reserved))
+    &&
+    match Hashtbl.find_opt fixed (t, n) with
+    | Some (Some { fcount = None; _ }) -> true
+    | _ -> false
+  in
+  (* An expression whose evaluation cannot fail: a value that reads
+     nothing, an attribute of a single instance (its value or an
+     unknown), or a list, object or lone interpolation of those. *)
+  let rec total (e : Ast.expr) =
+    static e <> None
+    ||
+    match e.Ast.desc with
+    | Ast.GetAttr
+        ({ Ast.desc = Ast.GetAttr ({ Ast.desc = Ast.Var t; _ }, n); _ }, a) ->
+        a <> addr_key && single (t, n)
+    | Ast.ListLit es -> List.for_all total es
+    | Ast.ObjectLit kvs ->
+        List.for_all
+          (function Ast.Kident _, v -> total v | Ast.Kexpr _, _ -> false)
+          kvs
+    | Ast.Template [ Ast.Interp e ] | Ast.Paren e -> total e
+    | _ -> false
+  in
+  let instances_of key =
+    match Hashtbl.find_opt fixed key with
+    | Some (Some f) -> f.faddrs
+    | Some None -> raise Exit
+    | None -> []
+  in
+  let fix (r : Config.resource) ~targets =
+    let body = r.Config.rbody in
+    let names =
+      List.map (fun (a : Ast.attribute) -> a.Ast.aname) body.Ast.attrs
+    in
+    let count =
+      match (r.Config.rcount, r.Config.rfor_each) with
+      | None, None -> Some None
+      | Some ce, None -> (
+          match static ce with
+          | Some (Value.Vint n) when n >= 0 -> Some (Some n)
+          | _ -> None)
+      | _, Some _ -> None
+    in
+    match count with
+    | Some fcount
+      when body.Ast.blocks = []
+           && List.length (List.sort_uniq String.compare names)
+              = List.length names ->
+        let addr key =
+          Addr.make ~rtype:r.Config.rtype ~rname:r.Config.rname ~key ()
+        in
+        let fattrs =
+          List.map
+            (fun (a : Ast.attribute) ->
+              ( a.Ast.aname,
+                match static a.Ast.avalue with
+                | Some v -> Static v
+                | None -> Dynamic a.Ast.avalue ))
+            body.Ast.attrs
+        in
+        Some
+          {
+            fres = r;
+            fprovider = provider_of r;
+            ftargets = targets;
+            fcount;
+            faddrs =
+              (match fcount with
+              | None -> [ addr Addr.Knone ]
+              | Some n -> List.init n (fun i -> addr (Addr.Kint i)));
+            fdeps =
+              (try
+                 Some (resource_deps ~module_path:[] cfg instances_of ~targets r)
+               with Exit -> None);
+            fstatic =
+              List.fold_left
+                (fun acc (name, a) ->
+                  match a with
+                  | Static v -> Smap.add name v acc
+                  | Dynamic _ -> acc)
+                Smap.empty fattrs;
+            fattrs;
+          }
+    | _ -> None
+  in
+  let compile_node (node, targets) =
+    match node with
+    | Nres r -> (
+        let f = fix r ~targets in
+        Hashtbl.replace fixed (r.Config.rtype, r.Config.rname) f;
+        match f with Some f -> Fixed f | None -> General (node, targets))
+    | Ndata _ | Nmod _ -> General (node, targets)
+  in
+  let nodes =
+    match order_nodes ~locals cfg with
+    | ordered -> Ok (List.map compile_node ordered)
+    | exception e -> Error e
+  in
+  (* Addresses and dependencies need no state when every block is fixed
+     with its dependencies and nothing evaluated per state can fail:
+     then no instantiation ends differently. *)
+  let stateless =
+    match nodes with
+    | Error _ -> false
+    | Ok nodes ->
+        cfg.Config.variables = []
+        && List.for_all
+             (fun (o : Config.output) -> total o.Config.ovalue)
+             cfg.Config.outputs
+        && List.for_all
+             (function
+               | Fixed { fdeps = Some _; fattrs; _ } ->
+                   List.for_all
+                     (function _, Static _ -> true | _, Dynamic e -> total e)
+                     fattrs
+               | Fixed _ | General _ -> false)
+             nodes
+  in
+  { config = cfg; locals; nodes; stateless }
+
+(* Run [f] in an ["expand"] span counting the instances and outputs it
+   produced. *)
+let traced trace f =
   let module Trace = Cloudless_obs.Trace in
   Trace.with_span trace "expand" (fun () ->
-      let env = { env with var_values = vars } in
-      let result = fst (expand_config env ~module_path:[] ~vars cfg) in
+      let result = f () in
       Trace.count trace "instances" (List.length result.instances);
       Trace.count trace "outputs" (List.length result.outputs);
       result)
+
+let instantiate_root env ~vars (c : compiled) =
+  drive ~direct_refs:true ~locals_tbl:c.locals
+    { env with var_values = vars }
+    ~module_path:[] ~vars c.config
+    (fun _ -> match c.nodes with Ok nodes -> nodes | Error e -> raise e)
+
+(** The instances of a compiled configuration expanded without a state,
+    when their addresses and dependencies are those of every state and
+    no instantiation can fail; [None] otherwise. *)
+let skeleton c =
+  if c.stateless then
+    Some (instantiate_root default_env ~vars:Smap.empty c).instances
+  else None
+
+(** Expand a compiled configuration against one state ([env]'s
+    [state_lookup]) and variable values.  With a live [trace], this runs
+    in an ["expand"] span counting the instances and outputs it
+    produced. *)
+let instantiate ?(env = default_env) ?(vars = Smap.empty)
+    ?(trace = Cloudless_obs.Trace.null) (c : compiled) : expansion_result =
+  traced trace (fun () -> instantiate_root env ~vars c)
+
+(** Expand a configuration to its resource instances and output values:
+    {!compile}, then {!instantiate} once.  With a live [trace],
+    expansion runs in an ["expand"] span counting the instances and
+    outputs it produced. *)
+let expand ?(env = default_env) ?(vars = Smap.empty)
+    ?(trace = Cloudless_obs.Trace.null) (cfg : Config.t) : expansion_result =
+  traced trace (fun () -> instantiate_root env ~vars (compile cfg))
+
+(** The one-pass expander, every block evaluated in full for every
+    state and every reference resolved through the referenced object:
+    the oracle {!expand} is tested against. *)
+module Reference = struct
+  let expand ?(env = default_env) ?(vars = Smap.empty)
+      ?(trace = Cloudless_obs.Trace.null) (cfg : Config.t) : expansion_result =
+    traced trace (fun () ->
+        drive ~direct_refs:false
+          { env with var_values = vars }
+          ~module_path:[] ~vars cfg (general cfg))
+end
 
 (** Evaluate a standalone expression with optional variable bindings —
     convenience for tests and tools. *)

@@ -232,6 +232,21 @@ if [[ -n "$parse_offenders" ]]; then
   echo "$parse_offenders" >&2
   exit 1
 fi
+# The same table keeps each revision compiled: the control plane
+# instantiates Eval.compile's result per state, so an Eval.expand
+# there would compile the revision again on every grant.  The
+# one-pass expander Eval.Reference is the tests' oracle, not a second
+# expander for lib/.  grep exits 1 when nothing matches, so each count
+# tolerates it.
+expand_count=$({ grep -rn --include='*.ml' 'Eval\.expand' lib/controlplane/ || true; } | wc -l)
+reference_count=$({ grep -rn --include='*.ml' --include='*.mli' 'Eval\.Reference' lib/ \
+  | grep -v '^lib/hcl/eval\.ml:' || true; } | wc -l)
+if (( expand_count > 0 || reference_count > 0 )); then
+  echo "check.sh: ${expand_count} Eval.expand use(s) in lib/controlplane and ${reference_count} Eval.Reference use(s) in lib/ outside lib/hcl/eval.ml — instantiate the revision Shard.parse_config compiled, and leave the oracle to the tests:" >&2
+  grep -rn --include='*.ml' 'Eval\.expand' lib/controlplane/ >&2 || true
+  grep -rn --include='*.ml' --include='*.mli' 'Eval\.Reference' lib/ | grep -v '^lib/hcl/eval\.ml:' >&2 || true
+  exit 1
+fi
 
 # -- one plan walker -------------------------------------------------
 # Every apply path reaches the cloud's write API through the plan

@@ -683,6 +683,48 @@ let test_failed_reconcile_counts () =
         (Trace.counter s "failed" > 0)
   | l -> Alcotest.failf "expected one reconcile span, got %d" (List.length l)
 
+(* A failed request leaves the deployment on the revision it was granted
+   with: a later drift reconcile plans that revision and repairs the
+   drift instead of failing on the bad text. *)
+let test_failed_request_keeps_revision () =
+  let cloud = fresh_cloud () in
+  let cp = Fleet.create ~cloud ~shards:1 Shard.fleet_service in
+  let src =
+    Scenario.fleet_src { Scenario.default with Scenario.resources = 12 } ~wave:0
+  in
+  let dep = Fleet.add_deployment cp ~tenant:"acme" ~dname:"prod" ~src in
+  ignore (submit cp dep ~src);
+  Cloud.schedule cloud ~delay:300. (fun () ->
+      ignore (submit cp dep ~src:"resource \"aws_vpc\" \"x\" {"));
+  let drifted = ref None in
+  Cloud.schedule cloud ~delay:400. (fun () ->
+      let row =
+        List.find
+          (fun (r : State.resource_state) -> r.State.rtype = "aws_instance")
+          (State.resources dep.Shard.state)
+      in
+      drifted := Some row.State.addr;
+      match
+        Cloud.mutate_oob cloud ~script:"ops" ~cloud_id:row.State.cloud_id
+          ~attr:"instance_type"
+          ~value:(Cloudless_hcl.Value.Vstring "t2.nano")
+      with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "oob mutation failed");
+  Fleet.run cp ~until:3000.;
+  let m = Fleet.metrics cp in
+  check int_ "only the bad request fails" 1 (Metrics.counter m "work_failures");
+  check int_ "the drift is repaired" 1 (Metrics.counter m "reconciles");
+  check string_ "the granted revision is restored" src dep.Shard.config_src;
+  let addr = Option.get !drifted in
+  match State.find_opt dep.Shard.state addr with
+  | Some r ->
+      check string_ "drifted attribute back at its configured value"
+        "t3.small"
+        (Cloudless_hcl.Value.to_string
+           (Cloudless_hcl.Value.Smap.find "instance_type" r.State.attrs))
+  | None -> Alcotest.failf "%s left the state" (Addr.to_string addr)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -709,5 +751,7 @@ let suites =
           test_typed_error_on_span;
         Alcotest.test_case "failed reconcile counts" `Quick
           test_failed_reconcile_counts;
+        Alcotest.test_case "failed request keeps the revision" `Quick
+          test_failed_request_keeps_revision;
       ] );
   ]

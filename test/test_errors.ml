@@ -341,15 +341,42 @@ let policy_row name policy =
           Cli.policy_check ~io ~file:(temp_file one_vpc) ~policies_path
             ~state_path:(temp_path ".cls") ()) )
 
+(* The configuration texts of the table's malformed-config rows, also
+   inputs of the expansion equivalence tests (test_hcl_eval). *)
+let lex_src = "x = @\n"
+let parse_src = "resource \"a\" {\n  x = (1\n}\n"
+let structure_src = "resource \"a_b\" \"x\" {}\nresource \"a_b\" \"x\" {}\n"
+let eval_src = "resource \"aws_vpc\" \"v\" {\n  cidr_block = var.missing\n}\n"
+let develop_src = "resource \"aws_vpc\" \"v\" {\n  cidr_block = [1][5]\n}\n"
+
+let key_src body =
+  Printf.sprintf
+    "locals {\n  m = { a = \"x\" }\n}\nresource \"aws_vpc\" \"v\" {\n%s  region = \"us-east-1\"\n}\n"
+    body
+
+(* (row name, what the key was for, resource body) *)
+let key_cases =
+  [
+    ("list for_each element: plan", "for_each element", "  for_each = [[1]]\n");
+    ("list map index: plan", "map key", "  cidr_block = local.m[[1]]\n");
+    ( "list for-expression key: plan",
+      "for key",
+      "  tags = { for k in [\"a\"] : [k] => k }\n" );
+    ("list object key: plan", "object key", "  tags = { ([1]) = \"x\" }\n");
+  ]
+
+let module_src = "module \"m\" {\n  source   = \"./m\"\n  for_each = [[1]]\n}\n"
+let name_filter_src = "data \"aws_ami\" \"x\" {\n  name_filter = [\"a\", \"b\"]\n}\n"
+
+let malformed_configs =
+  [ lex_src; parse_src; structure_src; eval_src; develop_src; cycle_hcl ]
+  @ List.map (fun (_, _, body) -> key_src body) key_cases
+  @ [ module_src; name_filter_src ]
+
 (* A key computed from a value with no string form: an eval error
    located in the config file at the key's expression. *)
 let key_row name ~what body =
-  let file =
-    temp_file
-      (Printf.sprintf
-         "locals {\n  m = { a = \"x\" }\n}\nresource \"aws_vpc\" \"v\" {\n%s  region = \"us-east-1\"\n}\n"
-         body)
-  in
+  let file = temp_file (key_src body) in
   ( name,
     located "references/eval-error" file
     @ [ what ^ ": cannot convert list to string" ],
@@ -357,14 +384,10 @@ let key_row name ~what body =
       cli (fun io -> Cli.plan ~io ~file ~state_path:(temp_path ".cls") ()) )
 
 let totality_rows () =
-  let lex = temp_file "x = @\n" in
-  let parse = temp_file "resource \"a\" {\n  x = (1\n}\n" in
-  let structure =
-    temp_file "resource \"a_b\" \"x\" {}\nresource \"a_b\" \"x\" {}\n"
-  in
-  let eval =
-    temp_file "resource \"aws_vpc\" \"v\" {\n  cidr_block = var.missing\n}\n"
-  in
+  let lex = temp_file lex_src in
+  let parse = temp_file parse_src in
+  let structure = temp_file structure_src in
+  let eval = temp_file eval_src in
   let cycle = temp_file cycle_hcl in
   let corrupt_state =
     temp_file ~suffix:".cls" "state {\n  serial = \"abc\"\n}\n"
@@ -398,9 +421,7 @@ let totality_rows () =
          bounds (length 1)";
       ],
       fun () ->
-        lifecycle (fun t ->
-            Lifecycle.develop t
-              "resource \"aws_vpc\" \"v\" {\n  cidr_block = [1][5]\n}\n") );
+        lifecycle (fun t -> Lifecycle.develop t develop_src) );
     ( "dependency cycle: plan",
       located "references/eval-error" cycle
       @ [ ":2:1-5:2: dependency cycle involving aws_security_group.a" ],
@@ -420,14 +441,9 @@ let totality_rows () =
          match cli (apply (temp_file (guarded_vpc "10.0.0.0/16"))) with
          | 0, _ -> cli (apply guarded)
          | first -> first ));
-    key_row "list for_each element: plan" ~what:"for_each element"
-      "  for_each = [[1]]\n";
-    key_row "list map index: plan" ~what:"map key"
-      "  cidr_block = local.m[[1]]\n";
-    key_row "list for-expression key: plan" ~what:"for key"
-      "  tags = { for k in [\"a\"] : [k] => k }\n";
-    key_row "list object key: plan" ~what:"object key"
-      "  tags = { ([1]) = \"x\" }\n";
+  ]
+  @ List.map (fun (name, what, body) -> key_row name ~what body) key_cases
+  @ [
     ( "list module for_each element: develop",
       [
         "error[references/eval-error] main.tf:3:14-19: for_each element: \
@@ -437,8 +453,7 @@ let totality_rows () =
         lifecycle (fun t ->
             Lifecycle.register_modules t
               [ ("./m", Cloudless_hcl.Config.parse ~file:"m.tf" "") ];
-            Lifecycle.develop t
-              "module \"m\" {\n  source   = \"./m\"\n  for_each = [[1]]\n}\n") );
+            Lifecycle.develop t module_src) );
     ( "corrupt state: destroy",
       located "state/corrupt-state" corrupt_state,
       fun () -> cli (fun io -> Cli.destroy ~io ~state_path:corrupt_state ()) );
@@ -475,9 +490,7 @@ let totality_rows () =
          cannot convert list to string";
       ],
       fun () ->
-        lifecycle (fun t ->
-            Lifecycle.deploy t
-              "data \"aws_ami\" \"x\" {\n  name_filter = [\"a\", \"b\"]\n}\n")
+        lifecycle (fun t -> Lifecycle.deploy t name_filter_src)
     );
   ]
 

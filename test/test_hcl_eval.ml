@@ -495,6 +495,359 @@ let test_extra_collection_fns () =
        ])
     (ev {|transpose({ alice = ["dev", "prod"], bob = ["prod"] })|})
 
+(* ------------------------------------------------------------------ *)
+(* Compile once, instantiate per state: the same expansion as the      *)
+(* one-pass expander                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Workload = Cloudless_workload.Workload
+module Diagnostic = Cloudless_error.Diagnostic
+
+(* A state: rows keyed by rendered address. *)
+type rows = (string, Value.t Smap.t) Hashtbl.t
+
+(* Every module source resolves to one small child, so module calls
+   expand (arguments it does not declare are ignored). *)
+let child_module =
+  Config.parse ~file:"child.tf"
+    {|
+variable "cidr" { default = "10.9.0.0/16" }
+resource "aws_vpc" "this" { cidr_block = var.cidr }
+output "subnet_cidr" { value = aws_vpc.this.cidr_block }
+output "o" { value = aws_vpc.this.id }
+output "result" { value = 1 }
+|}
+
+let env_of (rows : rows) =
+  {
+    (Cloudless_plan.Plan.env_for Cloudless_state.State.empty) with
+    Eval.state_lookup = (fun a -> Hashtbl.find_opt rows (Addr.to_string a));
+    module_registry = (fun _ -> Some child_module);
+  }
+
+type outcome = Expanded of Eval.expansion_result | Failed of Diagnostic.t
+
+let outcome f =
+  match f () with r -> Expanded r | exception Cloudless_error.Error d -> Failed d
+
+let same_instance (a : Eval.instance) (b : Eval.instance) =
+  Addr.equal a.Eval.addr b.Eval.addr
+  && String.equal a.Eval.provider b.Eval.provider
+  && Smap.equal Value.equal a.Eval.attrs b.Eval.attrs
+  && String.equal
+       (Value.show (Value.Vmap a.Eval.attrs))
+       (Value.show (Value.Vmap b.Eval.attrs))
+  && List.equal Addr.equal a.Eval.explicit_deps b.Eval.explicit_deps
+  && List.equal Addr.equal a.Eval.ref_deps b.Eval.ref_deps
+  && a.Eval.lifecycle = b.Eval.lifecycle
+  && a.Eval.ispan = b.Eval.ispan
+
+let same_output (n, v) (n', v') =
+  String.equal n n' && Value.equal v v'
+  && String.equal (Value.show v) (Value.show v')
+
+let same_outcome x y =
+  match (x, y) with
+  | Expanded a, Expanded b ->
+      List.equal same_instance a.Eval.instances b.Eval.instances
+      && List.equal same_output a.Eval.outputs b.Eval.outputs
+  | Failed d, Failed e ->
+      d.Diagnostic.stage = e.Diagnostic.stage
+      && String.equal d.Diagnostic.code e.Diagnostic.code
+      && d.Diagnostic.span = e.Diagnostic.span
+      && String.equal d.Diagnostic.message e.Diagnostic.message
+  | Expanded _, Failed _ | Failed _, Expanded _ -> false
+
+let show_outcome = function
+  | Failed d -> Diagnostic.to_string d
+  | Expanded r ->
+      String.concat "\n"
+        (List.map
+           (fun (i : Eval.instance) ->
+             Printf.sprintf "%s %s <- %s"
+               (Addr.to_string i.Eval.addr)
+               (Value.show (Value.Vmap i.Eval.attrs))
+               (String.concat ","
+                  (List.map Addr.to_string (i.Eval.ref_deps @ i.Eval.explicit_deps))))
+           r.Eval.instances
+        @ List.map (fun (n, v) -> n ^ " = " ^ Value.show v) r.Eval.outputs)
+
+(* A row as an apply would leave it: unknowns settled, an [id] and an
+   [arn] computed. *)
+let row_of (i : Eval.instance) =
+  let rec settle = function
+    | Value.Vunknown p -> Value.Vstring ("known:" ^ p)
+    | Value.Vlist vs -> Value.Vlist (List.map settle vs)
+    | Value.Vmap m -> Value.Vmap (Smap.map settle m)
+    | v -> v
+  in
+  let addr = Addr.to_string i.Eval.addr in
+  Smap.map settle i.Eval.attrs
+  |> Smap.update "id" (function
+       | Some v -> Some (settle v)
+       | None -> Some (Value.Vstring (addr ^ "-id")))
+  |> Smap.add "arn" (Value.Vstring ("arn:" ^ addr))
+
+(* The four states each input runs against: empty, fully applied
+   (two rounds, so references to computed attributes settle), the
+   applied state with rows deleted (their references turn unknown),
+   and the applied state with attributes drifted (a configured value,
+   an [id], a number retyped). *)
+let states ~salt cfg : (string * rows) list =
+  let applied = Hashtbl.create 16 in
+  for _ = 1 to 2 do
+    match Eval.Reference.expand ~env:(env_of applied) cfg with
+    | r ->
+        List.iter
+          (fun i -> Hashtbl.replace applied (Addr.to_string i.Eval.addr) (row_of i))
+          r.Eval.instances
+    | exception Cloudless_error.Error _ -> ()
+  done;
+  let pick k key = Hashtbl.hash (salt, key) mod k = 0 in
+  let deleted = Hashtbl.copy applied in
+  Hashtbl.iter
+    (fun key _ -> if pick 3 key then Hashtbl.remove deleted key)
+    applied;
+  let drifted = Hashtbl.copy applied in
+  Hashtbl.iter
+    (fun key row ->
+      let row =
+        if pick 2 key then
+          Smap.mapi
+            (fun k v ->
+              match v with
+              | Value.Vint n when pick 2 (key, k) -> Value.Vfloat (float_of_int n)
+              | _ when k <> "id" && k <> "arn" -> Value.Vstring "drifted"
+              | v -> v)
+            row
+        else row
+      in
+      let row =
+        if pick 3 (key, "id") then Smap.add "id" (Value.Vstring "drifted-id") row
+        else row
+      in
+      Hashtbl.replace drifted key row)
+    applied;
+  [
+    ("empty", Hashtbl.create 1);
+    ("applied", applied);
+    ("deleted", deleted);
+    ("drifted", drifted);
+  ]
+
+(* [expand] agrees with the one-pass oracle on every state, and one
+   compiled configuration instantiated against every state in turn
+   gives what a fresh compile per state gives. *)
+let check_equivalent ~name ~salt src =
+  match Config.parse ~file:"t.tf" src with
+  | exception Cloudless_error.Error _ -> Ok ()
+  | cfg -> (
+      let compiled = Eval.compile cfg in
+      let differ =
+        List.find_map
+          (fun (sname, rows) ->
+            let env = env_of rows in
+            let reference = outcome (fun () -> Eval.Reference.expand ~env cfg) in
+            let fresh = outcome (fun () -> Eval.expand ~env cfg) in
+            let shared = outcome (fun () -> Eval.instantiate ~env compiled) in
+            if not (same_outcome reference fresh) then
+              Some (sname, "expand", reference, fresh)
+            else if not (same_outcome fresh shared) then
+              Some (sname, "shared compile", fresh, shared)
+            else None)
+          (states ~salt cfg)
+      in
+      match differ with
+      | None -> Ok ()
+      | Some (sname, what, want, got) ->
+          Error
+            (Printf.sprintf "%s, %s state: %s differs\n-- want\n%s\n-- got\n%s"
+               name sname what (show_outcome want) (show_outcome got)))
+
+(* Every {|...|} literal of the .ml files in [dir]; the ones that parse
+   as configurations are the HCL sources. *)
+let quoted_literals dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ml")
+  |> List.sort String.compare
+  |> List.concat_map (fun f ->
+         let text =
+           In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+         in
+         let find sub from =
+           let n = String.length text and m = String.length sub in
+           let rec go i =
+             if i + m > n then None
+             else if String.sub text i m = sub then Some i
+             else go (i + 1)
+           in
+           go from
+         in
+         let rec scan from acc =
+           match find "{|" from with
+           | None -> List.rev acc
+           | Some s -> (
+               match find "|}" (s + 2) with
+               | None -> List.rev acc
+               | Some e ->
+                   scan (e + 2)
+                     ((f, String.sub text (s + 2) (e - s - 2)) :: acc))
+         in
+         scan 0 [])
+
+(* The test and example sources, from the test's build directory or
+   from the repository root. *)
+let source_dir candidates =
+  match List.find_opt Sys.file_exists candidates with
+  | Some d -> d
+  | None -> Alcotest.failf "none of %s found" (String.concat ", " candidates)
+
+(* Inputs on the edges of what compile specializes: each must expand as
+   the one-pass expander does, fallback or not. *)
+let compile_edges =
+  [
+    (* an ordering error raised after the variables are bound *)
+    {|variable "req" {}
+resource "aws_security_group" "a" { name = aws_security_group.b.id }
+resource "aws_security_group" "b" { name = aws_security_group.a.id }|};
+    (* a resource type named like a reserved root *)
+    {|resource "local" "x" { a = 1 }
+locals { x = { y = 2 } }
+resource "aws_vpc" "v" { z = local.x.y }|};
+    (* repeated attribute names: the later binding wins *)
+    {|resource "aws_vpc" "v" {
+  a = 1
+  a = aws_vpc.w.id
+  b = aws_vpc.w.id
+  b = 2
+}
+resource "aws_vpc" "w" {}|};
+    (* counts that read a variable, are negative or are not a number *)
+    {|variable "n" { default = 2 }
+resource "aws_eip" "e" {
+  count = var.n
+  k     = count.index
+}
+resource "aws_vpc" "v" {
+  ids   = aws_eip.e[*].id
+  first = aws_eip.e[0].id
+}|};
+    {|resource "aws_eip" "e" { count = -1 }|};
+    {|resource "aws_eip" "e" { count = "3" }|};
+    (* the sentinel attribute of a resource object *)
+    {|resource "aws_vpc" "a" {}
+output "o" { value = aws_vpc.a.__addr__ }|};
+    (* a for-expression that reads nothing, and one that reads state *)
+    {|resource "aws_vpc" "a" { tags = { for k in ["a", "b"] : k => upper(k) } }
+resource "aws_vpc" "b" { x = [for s in ["a"] : aws_vpc.a.id] }|};
+    (* every local, forced through a bare [local] *)
+    {|locals { v = 1 }
+resource "aws_vpc" "a" { all = local }|};
+    (* lookups that may fail on a state's values *)
+    {|resource "aws_vpc" "a" { cidr = "10.0.0.0/16" }
+resource "aws_subnet" "s" {
+  x   = try(aws_vpc.a.id, "none")
+  y   = can(aws_vpc.a.nope.deeper)
+  z   = "${aws_vpc.a.id}-x"
+  w   = aws_vpc.a.id.foo
+  net = cidrsubnet(aws_vpc.a.cidr, 8, 1)
+}|};
+    (* a whole resource object as a value *)
+    {|resource "aws_vpc" "a" {}
+resource "aws_subnet" "s" { x = aws_vpc.a }
+output "o" { value = aws_subnet.s.x.id }|};
+  ]
+
+let corpus () =
+  let literals =
+    quoted_literals
+      (Filename.dirname
+         (source_dir [ "test_fixtures.ml"; "test/test_fixtures.ml" ]))
+    @ quoted_literals
+        (Filename.dirname
+           (source_dir [ "../examples/quickstart.ml"; "examples/quickstart.ml" ]))
+  in
+  let parses src =
+    match Config.parse ~file:"t.tf" src with
+    | _ -> true
+    | exception Cloudless_error.Error _ -> false
+  in
+  let hcl = List.filter (fun (_, src) -> parses src) literals in
+  if List.length hcl < 50 then
+    Alcotest.failf "only %d HCL sources found in the test and example files"
+      (List.length hcl);
+  hcl
+  @ List.mapi
+      (fun i src -> (Printf.sprintf "malformed row %d" i, src))
+      Test_errors.malformed_configs
+  @ List.mapi (fun i src -> (Printf.sprintf "compile edge %d" i, src)) compile_edges
+  @ [
+      ("figure 2", Test_fixtures.figure2);
+      ("web_tier", Workload.web_tier ());
+      ("microservices", Workload.microservices ());
+      ("data_pipeline", Workload.data_pipeline ());
+      ("multi_region", Workload.multi_region ());
+      ("layered", Workload.layered ~width:3 ~depth:3 ());
+      ("fleet", Workload.fleet ~instances_per_group:12 ~resources:16 ());
+      ("chain", Workload.chain ~resources:6 ());
+      ("multi_cloud", Workload.multi_cloud ());
+    ]
+  @ List.map (fun (n, src, _) -> ("misconfig " ^ n, src)) (Workload.misconfig_corpus ())
+
+let test_compile_corpus () =
+  List.iteri
+    (fun salt (name, src) ->
+      match check_equivalent ~name ~salt src with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg)
+    (corpus ())
+
+let gen_workload =
+  let open QCheck.Gen in
+  let sized name f = map (fun (a, b) -> (name a b, f a b)) in
+  oneof
+    [
+      map3
+        (fun s w (lb, db) ->
+          ( Printf.sprintf "web_tier %d %d %b %b" s w lb db,
+            Workload.web_tier ~subnets:s ~web_count:w ~with_lb:lb ~with_db:db () ))
+        (int_range 1 4) (int_range 0 6) (pair bool bool);
+      sized (Printf.sprintf "microservices %d %d")
+        (fun s n -> Workload.microservices ~services:s ~instances_per_service:n ())
+        (pair (int_range 1 6) (int_range 1 4));
+      map
+        (fun n -> (Printf.sprintf "data_pipeline %d" n, Workload.data_pipeline ~stages:n ()))
+        (int_range 1 5);
+      sized (Printf.sprintf "multi_region %d %d")
+        (fun r v ->
+          Workload.multi_region
+            ~regions:(List.filteri (fun i _ -> i < r) [ "us-east-1"; "us-west-2"; "eu-west-1" ])
+            ~vms_per_region:v ())
+        (pair (int_range 1 3) (int_range 0 3));
+      sized (Printf.sprintf "layered %d %d")
+        (fun w d -> Workload.layered ~width:w ~depth:d ())
+        (pair (int_range 1 4) (int_range 1 4));
+      sized (Printf.sprintf "fleet %d %d")
+        (fun g n -> Workload.fleet ~instances_per_group:g ~resources:n ())
+        (pair (int_range 1 12) (int_range 1 40));
+      map (fun n -> (Printf.sprintf "chain %d" n, Workload.chain ~resources:n ())) (int_range 1 30);
+      return ("multi_cloud", Workload.multi_cloud ());
+      map
+        (fun (n, src, _) -> ("misconfig " ^ n, src))
+        (oneofl (Workload.misconfig_corpus ()));
+    ]
+
+let prop_compile_equivalent =
+  QCheck.Test.make ~count:60
+    ~name:"compile + instantiate = one-pass expand, on every state"
+    (QCheck.make
+       ~print:(fun ((name, _), salt) -> Printf.sprintf "%s, salt %d" name salt)
+       QCheck.Gen.(pair gen_workload (int_range 0 1000)))
+    (fun ((name, src), salt) ->
+      match check_equivalent ~name ~salt src with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -537,5 +890,11 @@ let suites =
         Alcotest.test_case "required variable" `Quick test_expand_required_variable;
         Alcotest.test_case "nested blocks" `Quick test_nested_blocks_to_lists;
         qtest prop_count_instances;
+      ] );
+    ( "hcl.compile",
+      [
+        Alcotest.test_case "every corpus source, every state" `Quick
+          test_compile_corpus;
+        qtest prop_compile_equivalent;
       ] );
   ]
