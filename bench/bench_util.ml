@@ -5,13 +5,14 @@ module Hcl = Cloudless_hcl
 module Value = Hcl.Value
 module Smap = Value.Smap
 module Cloud = Cloudless_sim.Cloud
+module Activity_log = Cloudless_sim.Activity_log
 module State = Cloudless_state.State
 module Plan = Cloudless_plan.Plan
 module Executor = Cloudless_deploy.Executor
 module Workload = Cloudless_workload.Workload
 
-(* Set by [main.ml] when "--quick" is passed: experiments that sweep
-   large inputs (E11) shrink to a ≤5s smoke run for tier-1 CI. *)
+(* Set by [main.ml] when "--quick" is passed: E11-E18 shrink to the
+   smoke runs that scripts/check.sh times. *)
 let quick = ref false
 
 (* Set by [main.ml] when "--resources N" is passed: experiments whose
@@ -40,18 +41,19 @@ let hline widths =
   print_endline
     ("  " ^ String.concat "  " (List.map (fun w -> String.make w '-') widths))
 
-let fresh_cloud ?(seed = 42) ?quotas ?failure ?(write_rate = None) () =
-  let base = Cloud.default_config in
-  let base =
-    match quotas with Some q -> { base with Cloud.quotas = q } | None -> base
-  in
-  let base =
-    match failure with Some f -> { base with Cloud.failure = f } | None -> base
-  in
-  let config = Cloudless_schema.Cloud_rules.config_with_checks ~base () in
-  let cloud = Cloud.create ~config ~seed () in
-  ignore write_rate;
-  cloud
+let fresh_cloud ?(seed = 42) () =
+  Cloud.create ~config:(Cloudless_schema.Cloud_rules.config_with_checks ()) ~seed ()
+
+(* Creates the IaC engine issued on [cloud]: past the resources its
+   states track, each is a duplicate create. *)
+let engine_creates cloud =
+  List.length
+    (List.filter
+       (fun (e : Activity_log.entry) ->
+         match (e.Activity_log.op, e.Activity_log.actor) with
+         | Activity_log.Log_create, Activity_log.Iac_engine _ -> true
+         | _ -> false)
+       (Activity_log.all (Cloud.log cloud)))
 
 let expand_src ?(state = State.empty) src =
   let cfg = Hcl.Config.parse ~file:"bench.tf" src in

@@ -27,8 +27,6 @@
    crash points of a smaller fleet (≤5s) into BENCH_crash_quick.json. *)
 
 open Bench_util
-module Addr = Cloudless_hcl.Addr
-module Activity_log = Cloudless_sim.Activity_log
 module Failure = Cloudless_sim.Failure
 module Journal = Cloudless_state.Journal
 module Recovery = Cloudless_deploy.Recovery
@@ -45,15 +43,6 @@ type sample = {
   j_rework : int;  (** changes the resumed engine re-applied *)
   divergence : int;  (** journaled engine: non-noop changes post-resume *)
 }
-
-let engine_creates cloud =
-  List.length
-    (List.filter
-       (fun (e : Activity_log.entry) ->
-         match (e.Activity_log.op, e.Activity_log.actor) with
-         | Activity_log.Log_create, Activity_log.Iac_engine _ -> true
-         | _ -> false)
-       (Activity_log.all (Cloud.log cloud)))
 
 (* Baseline: crash the apply, then model a Terraform-style restart —
    the dead run persisted nothing, so the restart plans the full

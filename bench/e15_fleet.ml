@@ -27,24 +27,11 @@
    --quick, which also shrinks the tenant count and shard sweep). *)
 
 open Bench_util
-module Activity_log = Cloudless_sim.Activity_log
-module Rate_limiter = Cloudless_sim.Rate_limiter
-module Failure = Cloudless_sim.Failure
-module Cloud_rules = Cloudless_schema.Cloud_rules
-module Shard = Cloudless_controlplane.Shard
-module Fleet = Cloudless_controlplane.Fleet
-module Scenario = Cloudless_controlplane.Scenario
-module Metrics = Cloudless_obs.Metrics
+open Fleet_harness
 
+let exp = "e15"
 let resources = 8
 let drift_period = 60.
-
-let service_cloud ~seed =
-  Cloud.create
-    ~config:(Cloud_rules.config_with_checks ())
-    ~write_limiter:(Rate_limiter.create ~capacity:1e7 ~refill_rate:1e6)
-    ~read_limiter:(Rate_limiter.create ~capacity:1e7 ~refill_rate:1e6)
-    ~seed ()
 
 let scenario ~tenants ~shards =
   {
@@ -61,172 +48,22 @@ let scenario ~tenants ~shards =
     duration = 1800.;
   }
 
-let run_fleet ?crash ~scn ~seed () =
-  let cloud = service_cloud ~seed in
-  let config = Scenario.service_config scn Shard.fleet_service in
-  let fleet =
-    ref (Fleet.create ~cloud ~shards:scn.Scenario.shards config)
-  in
-  let injections = Scenario.install_fleet scn fleet in
-  (match crash with
-  | Some k -> Fleet.set_crash !fleet (Failure.Crash_after k)
-  | None -> ());
-  let crashed =
-    match Fleet.run !fleet ~until:scn.Scenario.duration with
-    | () -> false
-    | exception Failure.Engine_crashed _ -> true
-  in
-  (fleet, !injections, crashed)
-
-(* Join the injection log with the fleet's detection log: latency of
-   the first detection at or after each injection. *)
-let drift_latencies detections injections =
-  List.map
-    (fun (inj : Scenario.injection) ->
-      match
-        List.find_opt
-          (fun (cid, at) ->
-            cid = inj.Scenario.icloud_id
-            && at >= inj.Scenario.injected_at -. 1e-9)
-          detections
-      with
-      | Some (_, at) -> at -. inj.Scenario.injected_at
-      | None ->
-          failwith
-            (Printf.sprintf "e15: injection at t=%.0f never detected"
-               inj.Scenario.injected_at))
-    injections
-
-let nearest_rank p xs =
-  match List.sort compare xs with
-  | [] -> 0.
-  | sorted ->
-      let n = List.length sorted in
-      let i =
-        min (n - 1)
-          (max 0 (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1))
-      in
-      List.nth sorted i
-
-type leg = {
-  shards : int;
-  p50 : float;
-  p99 : float;
-  makespan : float;
-  drift_p50 : float;
-  drift_max : float;
-  mgmt_reads : int;
-  api_calls : int;
-  cross_routed : int;
-  digest : string;
-}
-
-let measure_fleet_leg ~scn ~seed =
-  let fleet, injections, crashed = run_fleet ~scn ~seed () in
-  if crashed then failwith "e15: unexpected crash in measurement leg";
-  let fleet = !fleet in
-  let m = Fleet.metrics fleet in
-  let expected = scn.Scenario.tenants * scn.Scenario.requests_per_tenant in
-  if Metrics.counter m "requests_done" <> expected then
-    failwith
-      (Printf.sprintf "e15: %d/%d requests completed"
-         (Metrics.counter m "requests_done")
-         expected);
-  if Fleet.orphans fleet <> [] then failwith "e15: orphaned resources";
-  if List.length injections <> scn.Scenario.drift_events then
-    failwith "e15: not all drift injections fired";
-  let lat = drift_latencies (Fleet.drift_detections fleet) injections in
-  let pctl name p =
-    match Metrics.percentile m name p with
-    | Some v -> v
-    | None -> failwith ("e15: no samples for " ^ name)
-  in
-  let makespan =
-    List.fold_left
-      (fun acc (_, _, at) -> Float.max acc at)
-      0.
-      (Fleet.completed_requests fleet)
-  in
-  {
-    shards = scn.Scenario.shards;
-    p50 = pctl "request_latency" 50.;
-    p99 = pctl "request_latency" 99.;
-    makespan;
-    drift_p50 = nearest_rank 50. lat;
-    drift_max = List.fold_left Float.max 0. lat;
-    mgmt_reads = Metrics.counter m "api_reads";
-    api_calls = Metrics.counter m "api_calls";
-    cross_routed = Metrics.counter m "cross_shard_routed";
-    digest = Fleet.state_digest fleet;
-  }
-
 (* --- crash leg: kill the fleet mid-wave, resume, audit ------------- *)
 
-type crash_result = {
-  crash_after : int;
-  orphans : int;
-  dup_creates : int;
-  managed : int;
-  expected_managed : int;
-  digest_matches_uncrashed : bool;
-}
-
-let engine_creates cloud =
-  List.length
-    (List.filter
-       (fun (e : Activity_log.entry) ->
-         match (e.Activity_log.op, e.Activity_log.actor) with
-         | Activity_log.Log_create, Activity_log.Iac_engine _ -> true
-         | _ -> false)
-       (Activity_log.all (Cloud.log cloud)))
-
-let run_crash_leg ~seed =
-  let tenants = 16 in
-  (* One request wave: requests submitted while the fleet is down land
-     in the dead process's mailbox (lost, as for any crashed endpoint),
-     so the digest comparison needs every revision submitted before the
-     crash.  The crash lands mid-wave, with creates both journaled-and-
-     issued (adopted on resume) and journaled-but-never-issued
-     (replanned). *)
-  let scn =
-    {
-      (scenario ~tenants ~shards:2) with
-      Scenario.requests_per_tenant = 1;
-      drift_events = 0;
-      policy_period = 0.;
-      duration = 1200.;
-    }
-  in
-  (* Reference digest: the same scenario, never crashed. *)
-  let ref_fleet, _, _ = run_fleet ~scn ~seed () in
-  let ref_digest = Fleet.state_digest !ref_fleet in
-  let crash_after = 30 in
-  let fleet_ref, _, crashed =
-    run_fleet ~crash:crash_after ~scn ~seed ()
-  in
-  if not crashed then failwith "e15: crash leg did not crash";
-  let fresh, _reports = Fleet.resume !fleet_ref in
-  fleet_ref := fresh;
-  Fleet.run fresh ~until:scn.Scenario.duration;
-  let expected_managed = tenants * resources in
-  let managed = Fleet.managed_resource_count fresh in
-  let dup_creates = engine_creates (Fleet.cloud fresh) - managed in
+(* One request wave: requests submitted while the fleet is down land
+   in the dead process's mailbox (lost, as for any crashed endpoint),
+   so the digest comparison needs every revision submitted before the
+   crash.  The crash lands mid-wave, with creates both journaled-and-
+   issued (adopted on resume) and journaled-but-never-issued
+   (replanned). *)
+let crash_scenario =
   {
-    crash_after;
-    orphans = List.length (Fleet.orphans fresh);
-    dup_creates;
-    managed;
-    expected_managed;
-    digest_matches_uncrashed = String.equal (Fleet.state_digest fresh) ref_digest;
+    (scenario ~tenants:16 ~shards:2) with
+    Scenario.requests_per_tenant = 1;
+    drift_events = 0;
+    policy_period = 0.;
+    duration = 1200.;
   }
-
-(* --- determinism leg ----------------------------------------------- *)
-
-let snapshot_of_run ~shards ~seed =
-  let fleet_ref, _, _ =
-    run_fleet ~scn:(scenario ~tenants:24 ~shards) ~seed ()
-  in
-  Metrics.to_json (Fleet.metrics !fleet_ref)
 
 (* --- backpressure + rebalance leg ---------------------------------- *)
 
@@ -254,22 +91,21 @@ let pressure_scenario admission =
   }
 
 let run_pressure_leg ~seed =
-  let scn = pressure_scenario Shard.Defer in
-  let fleet_ref, _, _ = run_fleet ~scn ~seed () in
-  let m = Fleet.metrics !fleet_ref in
-  let deferred = Metrics.counter m "requests_deferred" in
-  let moves = Metrics.counter m "rebalance_moves" in
-  let defer_all_done =
+  let metrics admission =
+    Fleet.metrics !((run ~seed (pressure_scenario admission)).fleet)
+  in
+  let m = metrics Shard.Defer in
+  let mr = metrics Shard.Reject in
+  let all_done m =
     Metrics.counter m "requests_done" = Metrics.counter m "requests"
   in
-  let scn_r = pressure_scenario Shard.Reject in
-  let fleet_r, _, _ = run_fleet ~scn:scn_r ~seed () in
-  let mr = Fleet.metrics !fleet_r in
-  let rejected = Metrics.counter mr "requests_rejected" in
-  let reject_none_lost =
-    Metrics.counter mr "requests_done" = Metrics.counter mr "requests"
-  in
-  { deferred; rejected; rebalance_moves = moves; defer_all_done; reject_none_lost }
+  {
+    deferred = Metrics.counter m "requests_deferred";
+    rejected = Metrics.counter mr "requests_rejected";
+    rebalance_moves = Metrics.counter m "rebalance_moves";
+    defer_all_done = all_done m;
+    reject_none_lost = all_done mr;
+  }
 
 (* --- JSON ---------------------------------------------------------- *)
 
@@ -284,8 +120,7 @@ let json_of_leg l =
     l.shards l.p50 l.p99 l.makespan l.drift_p50 l.drift_max l.mgmt_reads
     l.api_calls l.cross_routed l.digest
 
-let write_json ~quick ~tenants ~legs ~big ~(crash : crash_result)
-    ~(pressure : pressure_result) ~determinism_ok =
+let write_json ~quick ~tenants ~legs ~big ~crash ~pressure ~determinism_ok =
   let oc = open_out (json_file ~quick) in
   Printf.fprintf oc
     "{\n\
@@ -325,8 +160,7 @@ let write_json ~quick ~tenants ~legs ~big ~(crash : crash_result)
 
 (* --- assertions ---------------------------------------------------- *)
 
-let assert_claims legs (crash : crash_result)
-    (pressure : pressure_result) determinism_ok =
+let assert_claims legs crash pressure determinism_ok =
   let base =
     match legs with
     | l :: _ when l.shards = 1 -> l
@@ -335,45 +169,31 @@ let assert_claims legs (crash : crash_result)
   List.iter
     (fun l ->
       (* scale-out must not cost latency: the work is tenant-disjoint *)
-      if l.p99 > 1.5 *. base.p99 then
-        failwith
-          (Printf.sprintf "e15: p99 at %d shards exceeds 1.5x single-shard"
-             l.shards);
-      if l.drift_p50 > 1.5 *. Float.max 1. base.drift_p50 then
-        failwith
-          (Printf.sprintf
-             "e15: drift p50 at %d shards exceeds 1.5x single-shard" l.shards);
+      claim exp (l.p99 <= 1.5 *. base.p99)
+        "p99 at %d shards exceeds 1.5x single-shard" l.shards;
+      claim exp
+        (l.drift_p50 <= 1.5 *. Float.max 1. base.drift_p50)
+        "drift p50 at %d shards exceeds 1.5x single-shard" l.shards;
       (* push detection is within one poll period by a wide margin *)
-      if l.drift_max > drift_period then
-        failwith "e15: subscription drift latency exceeded one poll period";
+      claim exp (l.drift_max <= drift_period)
+        "subscription drift latency exceeded one poll period";
       (* the digest is shard-count-invariant *)
-      if not (String.equal l.digest base.digest) then
-        failwith
-          (Printf.sprintf "e15: state digest differs at %d shards" l.shards);
+      claim exp (String.equal l.digest base.digest)
+        "state digest differs at %d shards" l.shards;
       (* classification shard != owner shard happens once there are >1 *)
-      if l.shards > 1 && l.cross_routed = 0 then
-        failwith
-          (Printf.sprintf "e15: no cross-shard drift routing at %d shards"
-             l.shards))
+      claim exp (l.shards <= 1 || l.cross_routed <> 0)
+        "no cross-shard drift routing at %d shards" l.shards)
     legs;
-  if crash.orphans <> 0 then failwith "e15: crash leg left orphans";
-  if crash.dup_creates <> 0 then failwith "e15: crash leg duplicated creates";
-  if crash.managed <> crash.expected_managed then
-    failwith "e15: crash leg lost resources";
-  if not crash.digest_matches_uncrashed then
-    failwith "e15: post-resume digest differs from uncrashed run";
-  if pressure.deferred = 0 then
-    failwith "e15: hot tenants never tripped the defer bound";
-  if not pressure.defer_all_done then
-    failwith "e15: deferred requests did not all complete";
-  if pressure.rejected = 0 then
-    failwith "e15: hot tenants never tripped the reject bound";
-  if not pressure.reject_none_lost then
-    failwith "e15: accepted requests lost under reject admission";
-  if pressure.rebalance_moves = 0 then
-    failwith "e15: rebalancer never moved a tenant off the hot shard";
-  if not determinism_ok then
-    failwith "e15: metrics snapshots not byte-identical"
+  check_crash ~exp crash;
+  claim exp (pressure.deferred <> 0) "hot tenants never tripped the defer bound";
+  claim exp pressure.defer_all_done "deferred requests did not all complete";
+  claim exp (pressure.rejected <> 0) "hot tenants never tripped the reject bound";
+  claim exp pressure.reject_none_lost
+    "accepted requests lost under reject admission";
+  claim exp
+    (pressure.rebalance_moves <> 0)
+    "rebalancer never moved a tenant off the hot shard";
+  claim exp determinism_ok "metrics snapshots not byte-identical"
 
 (* --- driver -------------------------------------------------------- *)
 
@@ -394,8 +214,7 @@ let run () =
   let legs =
     List.map
       (fun shards ->
-        let scn = scenario ~tenants ~shards in
-        let l = measure_fleet_leg ~scn ~seed in
+        let l = measure ~exp ~seed (scenario ~tenants ~shards) in
         row widths
           [
             string_of_int shards;
@@ -413,14 +232,14 @@ let run () =
   let big =
     if quick then None
     else begin
-      let l = measure_fleet_leg ~scn:(scenario ~tenants:1024 ~shards:8) ~seed in
+      let l = measure ~exp ~seed (scenario ~tenants:1024 ~shards:8) in
       Printf.printf "1024 tenants @ 8 shards: p99=%.2f drift_p50=%.2f \
                      mgmt_reads=%d cross_routed=%d\n"
         l.p99 l.drift_p50 l.mgmt_reads l.cross_routed;
       Some l
     end
   in
-  let crash = run_crash_leg ~seed in
+  let crash = scenario_crash_leg ~exp ~k:30 ~seed crash_scenario in
   Printf.printf
     "crash leg (16 tenants, 2 shards, crash after write %d): orphans=%d \
      dup_creates=%d managed=%d/%d digest_match=%b\n"
@@ -433,8 +252,7 @@ let run () =
     pressure.defer_all_done;
   let determinism_ok =
     List.for_all
-      (fun shards ->
-        String.equal (snapshot_of_run ~shards ~seed) (snapshot_of_run ~shards ~seed))
+      (fun shards -> deterministic ~seed (scenario ~tenants:24 ~shards))
       shard_counts
   in
   Printf.printf "metrics determinism at shards {%s}: %s\n"

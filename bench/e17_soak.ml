@@ -32,16 +32,10 @@
    the full 2-hour horizon and episode schedule). *)
 
 open Bench_util
-module Activity_log = Cloudless_sim.Activity_log
-module Rate_limiter = Cloudless_sim.Rate_limiter
-module Failure = Cloudless_sim.Failure
-module Cloud_rules = Cloudless_schema.Cloud_rules
-module Shard = Cloudless_controlplane.Shard
-module Fleet = Cloudless_controlplane.Fleet
-module Scenario = Cloudless_controlplane.Scenario
+open Fleet_harness
 module Breaker = Cloudless_deploy.Breaker
-module Metrics = Cloudless_obs.Metrics
 
+let exp = "e17"
 let resources = 8
 let duration = 7200.
 let wave_interval = 900.
@@ -70,13 +64,6 @@ let episode_kinds =
   List.length
     (List.sort_uniq compare
        (List.map (fun (e : Failure.episode) -> e.Failure.ekind) episode_specs))
-
-let service_cloud ~seed =
-  Cloud.create
-    ~config:(Cloud_rules.config_with_checks ())
-    ~write_limiter:(Rate_limiter.create ~capacity:1e7 ~refill_rate:1e6)
-    ~read_limiter:(Rate_limiter.create ~capacity:1e7 ~refill_rate:1e6)
-    ~seed ()
 
 let soak_scenario ?(episodes = episode_specs) ~tenants ~shards () =
   {
@@ -115,39 +102,29 @@ type checkpoint = {
 
 (* Run a scenario on the fleet, capturing a convergence checkpoint at
    every episode's deadline (window end + grace). *)
-let run_soak ?crash ~scn ~seed () =
-  let cloud = service_cloud ~seed in
-  let config = Scenario.service_config scn Shard.fleet_service in
-  let fleet = ref (Fleet.create ~cloud ~shards:scn.Scenario.shards config) in
-  let injections = Scenario.install_fleet scn fleet in
+let run_soak ~scn ~seed =
   let checkpoints = ref [] in
   let expected = scn.Scenario.tenants * scn.Scenario.resources in
-  List.iter
-    (fun (e : Failure.episode) ->
-      let deadline = e.Failure.efinish +. converge_grace in
-      Cloud.schedule cloud ~delay:deadline (fun () ->
-          let f = !fleet in
-          checkpoints :=
-            {
-              ckind = Failure.episode_kind_to_string e.Failure.ekind;
-              at = deadline;
-              managed = Fleet.managed_resource_count f;
-              cexpected = expected;
-              parked = sum_shards Shard.parked_work f;
-              copen_cells =
-                breaker_sum (fun b -> Breaker.open_cells b) f;
-            }
-            :: !checkpoints))
-    scn.Scenario.episodes;
-  (match crash with
-  | Some k -> Fleet.set_crash !fleet (Failure.Crash_after k)
-  | None -> ());
-  let crashed =
-    match Fleet.run !fleet ~until:scn.Scenario.duration with
-    | () -> false
-    | exception Failure.Engine_crashed _ -> true
+  let install fleet =
+    List.iter
+      (fun (e : Failure.episode) ->
+        let deadline = e.Failure.efinish +. converge_grace in
+        Cloud.schedule (Fleet.cloud !fleet) ~delay:deadline (fun () ->
+            let f = !fleet in
+            checkpoints :=
+              {
+                ckind = Failure.episode_kind_to_string e.Failure.ekind;
+                at = deadline;
+                managed = Fleet.managed_resource_count f;
+                cexpected = expected;
+                parked = sum_shards Shard.parked_work f;
+                copen_cells = breaker_sum (fun b -> Breaker.open_cells b) f;
+              }
+              :: !checkpoints))
+      scn.Scenario.episodes
   in
-  (fleet, !injections, List.rev !checkpoints, crashed)
+  let r = run ~install ~seed scn in
+  (r, List.rev !checkpoints)
 
 (* --- main soak leg -------------------------------------------------- *)
 
@@ -172,28 +149,22 @@ type soak_result = {
 
 let run_soak_leg ~tenants ~shards ~seed =
   let scn = soak_scenario ~tenants ~shards () in
-  let fleet, injections, checkpoints, crashed = run_soak ~scn ~seed () in
-  if crashed then failwith "e17: unexpected crash in soak leg";
-  let fleet = !fleet in
+  let r, checkpoints = run_soak ~scn ~seed in
+  claim exp (not r.crashed) "unexpected crash in soak leg";
+  let fleet = !(r.fleet) in
   let m = Fleet.metrics fleet in
   let detections = Fleet.drift_detections fleet in
   let spot_detected =
     List.length
       (List.filter
-         (fun (inj : Scenario.injection) ->
-           List.exists
-             (fun (cid, at) ->
-               cid = inj.Scenario.icloud_id
-               && at >= inj.Scenario.injected_at -. 1e-9)
-             detections)
-         injections)
+         (fun inj -> detected_at detections inj <> None)
+         r.injections)
   in
   (* Calm baseline: the same fleet and load with the episode schedule
      stripped (breakers still armed, so the config is identical). *)
-  let calm_scn = soak_scenario ~episodes:[] ~tenants ~shards () in
-  let calm_fleet, _, _, _ = run_soak ~scn:calm_scn ~seed () in
+  let calm = run ~seed (soak_scenario ~episodes:[] ~tenants ~shards ()) in
   let calm_p99 =
-    match Metrics.percentile (Fleet.metrics !calm_fleet) "request_latency" 99. with
+    match Metrics.percentile (Fleet.metrics !(calm.fleet)) "request_latency" 99. with
     | Some v -> v
     | None -> failwith "e17: calm leg recorded no request latency"
   in
@@ -201,7 +172,7 @@ let run_soak_leg ~tenants ~shards ~seed =
      touched and whose requests never parked. *)
   let spot_tenants =
     List.sort_uniq String.compare
-      (List.map (fun (i : Scenario.injection) -> i.Scenario.itenant) injections)
+      (List.map (fun (i : Scenario.injection) -> i.Scenario.itenant) r.injections)
   in
   let unaffected =
     List.filter_map
@@ -229,7 +200,7 @@ let run_soak_leg ~tenants ~shards ~seed =
     fast_fails = breaker_sum (fun b -> Breaker.rejections b) fleet;
     violations = breaker_sum (fun b -> Breaker.violations b) fleet;
     degraded_entries = Metrics.counter m "degraded_entries";
-    spot_injected = List.length injections;
+    spot_injected = List.length r.injections;
     spot_detected;
     checkpoints;
     calm_p99;
@@ -237,24 +208,6 @@ let run_soak_leg ~tenants ~shards ~seed =
   }
 
 (* --- crash leg: die mid-outage, resume, converge ------------------- *)
-
-type crash_result = {
-  crash_after : int;
-  orphans : int;
-  dup_creates : int;
-  managed : int;
-  expected_managed : int;
-  digest_matches_uncrashed : bool;
-}
-
-let engine_creates cloud =
-  List.length
-    (List.filter
-       (fun (e : Activity_log.entry) ->
-         match (e.Activity_log.op, e.Activity_log.actor) with
-         | Activity_log.Log_create, Activity_log.Iac_engine _ -> true
-         | _ -> false)
-       (Activity_log.all (Cloud.log cloud)))
 
 (* The initial create wave starts at t=0 and the outage opens at t=2,
    so the crash (after write 48) lands inside the window, with the
@@ -269,28 +222,6 @@ let crash_scenario =
     Scenario.requests_per_tenant = 1;
     duration = 900.;
     calm_tenants = 0;
-  }
-
-let run_crash_leg ~seed =
-  let scn = crash_scenario in
-  let ref_fleet, _, _, _ = run_soak ~scn ~seed () in
-  let ref_digest = Fleet.state_digest !ref_fleet in
-  let crash_after = 48 in
-  let fleet_ref, _, _, crashed = run_soak ~crash:crash_after ~scn ~seed () in
-  if not crashed then failwith "e17: crash leg did not crash";
-  let fresh, _reports = Fleet.resume !fleet_ref in
-  fleet_ref := fresh;
-  Fleet.run fresh ~until:scn.Scenario.duration;
-  let expected_managed = scn.Scenario.tenants * resources in
-  let managed = Fleet.managed_resource_count fresh in
-  {
-    crash_after;
-    orphans = List.length (Fleet.orphans fresh);
-    dup_creates = engine_creates (Fleet.cloud fresh) - managed;
-    managed;
-    expected_managed;
-    digest_matches_uncrashed =
-      String.equal (Fleet.state_digest fresh) ref_digest;
   }
 
 (* --- determinism leg ----------------------------------------------- *)
@@ -312,10 +243,6 @@ let determinism_scenario =
     duration = 1200.;
   }
 
-let chaos_snapshot ~seed =
-  let fleet_ref, _, _, _ = run_soak ~scn:determinism_scenario ~seed () in
-  Metrics.to_json (Fleet.metrics !fleet_ref)
-
 (* --- JSON ----------------------------------------------------------- *)
 
 let json_file ~quick =
@@ -327,8 +254,7 @@ let json_of_checkpoint c =
      \"expected\": %d, \"parked\": %d, \"open_cells\": %d}"
     c.ckind c.at c.managed c.cexpected c.parked c.copen_cells
 
-let write_json ~quick ~(soak : soak_result) ~(crash : crash_result)
-    ~determinism_ok =
+let write_json ~quick ~(soak : soak_result) ~(crash : crash) ~determinism_ok =
   let worst_unaffected =
     List.fold_left (fun acc (_, p) -> Float.max acc p) 0. soak.unaffected
   in
@@ -376,58 +302,41 @@ let write_json ~quick ~(soak : soak_result) ~(crash : crash_result)
 
 (* --- assertions ----------------------------------------------------- *)
 
-let assert_claims (soak : soak_result) (crash : crash_result) determinism_ok =
-  if soak.requests_done <> soak.requests_expected then
-    failwith
-      (Printf.sprintf "e17: %d/%d requests completed" soak.requests_done
-         soak.requests_expected);
-  if soak.episode_faults = 0 then
-    failwith "e17: episodes injected no faults";
-  if soak.breaker_opened = 0 then failwith "e17: no breaker ever opened";
-  if soak.fast_fails = 0 then failwith "e17: breaker never fast-failed a call";
-  if soak.violations <> 0 then
-    failwith
-      (Printf.sprintf "e17: %d call(s) issued through an open breaker"
-         soak.violations);
-  if soak.requests_parked = 0 && soak.reconciles_parked = 0 then
-    failwith "e17: degraded mode never parked any work";
-  if soak.degraded_entries = 0 then
-    failwith "e17: fleet never entered degraded mode";
-  if soak.spot_detected <> soak.spot_injected then
-    failwith
-      (Printf.sprintf "e17: %d/%d spot kills detected" soak.spot_detected
-         soak.spot_injected);
+let assert_claims (soak : soak_result) crash determinism_ok =
+  claim exp
+    (soak.requests_done = soak.requests_expected)
+    "%d/%d requests completed" soak.requests_done soak.requests_expected;
+  claim exp (soak.episode_faults <> 0) "episodes injected no faults";
+  claim exp (soak.breaker_opened <> 0) "no breaker ever opened";
+  claim exp (soak.fast_fails <> 0) "breaker never fast-failed a call";
+  claim exp (soak.violations = 0) "%d call(s) issued through an open breaker"
+    soak.violations;
+  claim exp
+    (soak.requests_parked <> 0 || soak.reconciles_parked <> 0)
+    "degraded mode never parked any work";
+  claim exp (soak.degraded_entries <> 0) "fleet never entered degraded mode";
+  claim exp
+    (soak.spot_detected = soak.spot_injected)
+    "%d/%d spot kills detected" soak.spot_detected soak.spot_injected;
   List.iter
     (fun (c : checkpoint) ->
-      if c.managed <> c.cexpected then
-        failwith
-          (Printf.sprintf
-             "e17: not converged %.0fs after %s episode: %d/%d managed" c.at
-             c.ckind c.managed c.cexpected);
-      if c.parked <> 0 then
-        failwith
-          (Printf.sprintf "e17: %d unit(s) still parked %.0fs after %s episode"
-             c.parked c.at c.ckind))
+      claim exp (c.managed = c.cexpected)
+        "not converged %.0fs after %s episode: %d/%d managed" c.at c.ckind
+        c.managed c.cexpected;
+      claim exp (c.parked = 0) "%d unit(s) still parked %.0fs after %s episode"
+        c.parked c.at c.ckind)
     soak.checkpoints;
-  if soak.unaffected = [] then
-    failwith "e17: no unaffected tenant survived the episode schedule";
+  claim exp (soak.unaffected <> [])
+    "no unaffected tenant survived the episode schedule";
   let bound = 2. *. Float.max 1. soak.calm_p99 in
   List.iter
     (fun (tenant, p99) ->
-      if p99 > bound then
-        failwith
-          (Printf.sprintf
-             "e17: unaffected %s p99 %.1fs exceeds 2x calm baseline %.1fs"
-             tenant p99 soak.calm_p99))
+      claim exp (p99 <= bound)
+        "unaffected %s p99 %.1fs exceeds 2x calm baseline %.1fs" tenant p99
+        soak.calm_p99)
     soak.unaffected;
-  if crash.orphans <> 0 then failwith "e17: crash leg left orphans";
-  if crash.dup_creates <> 0 then failwith "e17: crash leg duplicated creates";
-  if crash.managed <> crash.expected_managed then
-    failwith "e17: crash leg lost resources";
-  if not crash.digest_matches_uncrashed then
-    failwith "e17: post-resume digest differs from uncrashed run";
-  if not determinism_ok then
-    failwith "e17: chaos metrics snapshots not byte-identical"
+  check_crash ~exp crash;
+  claim exp determinism_ok "chaos metrics snapshots not byte-identical"
 
 (* --- driver --------------------------------------------------------- *)
 
@@ -465,15 +374,13 @@ let run () =
     (List.length soak.unaffected)
     soak.calm_p99
     (List.fold_left (fun a (_, p) -> Float.max a p) 0. soak.unaffected);
-  let crash = run_crash_leg ~seed in
+  let crash = scenario_crash_leg ~exp ~k:48 ~seed crash_scenario in
   Printf.printf
     "crash leg (16 tenants, 2 shards, crash after write %d, mid-outage): \
      orphans=%d dup_creates=%d managed=%d/%d digest_match=%b\n"
     crash.crash_after crash.orphans crash.dup_creates crash.managed
     crash.expected_managed crash.digest_matches_uncrashed;
-  let determinism_ok =
-    String.equal (chaos_snapshot ~seed) (chaos_snapshot ~seed)
-  in
+  let determinism_ok = deterministic ~seed determinism_scenario in
   Printf.printf "chaos determinism: %s\n"
     (if determinism_ok then "ok" else "FAILED");
   assert_claims soak crash determinism_ok;

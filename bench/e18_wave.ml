@@ -26,20 +26,15 @@
    which shrinks the fleet to 16 tenants / 2 shards). *)
 
 open Bench_util
-module Activity_log = Cloudless_sim.Activity_log
-module Failure = Cloudless_sim.Failure
-module Cloud_rules = Cloudless_schema.Cloud_rules
+open Fleet_harness
 module Journal = Cloudless_state.Journal
-module Shard = Cloudless_controlplane.Shard
-module Fleet = Cloudless_controlplane.Fleet
-module Scenario = Cloudless_controlplane.Scenario
 module Rollout = Cloudless_controlplane.Rollout
 module Change = Cloudless_wave.Change
 module Planner = Cloudless_wave.Planner
 module Wave = Cloudless_wave.Wave
 module Rego_like = Cloudless_policy.Rego_like
-module Metrics = Cloudless_obs.Metrics
 
+let exp = "e18"
 let resources = 6
 let duration = 7200.
 let launch_at = 600.
@@ -94,41 +89,31 @@ let scenario ~tenants ~shards =
     duration;
   }
 
-(* Fleet with every tenant registered and its initial apply submitted —
-   the request/drift schedule of the scenario is not installed, so the
-   only traffic after settling is the rollout's own. *)
+(* Fleet with every tenant registered and its initial apply submitted,
+   on a cloud with the default API budgets.  The scenario's request
+   and drift schedule is not installed, so the only traffic after
+   settling is the rollout's own. *)
 let build_fleet ~scn ~seed =
-  let cloud =
-    Cloud.create ~config:(Cloud_rules.config_with_checks ()) ~seed ()
-  in
   let config = Scenario.service_config scn Shard.fleet_service in
-  let fleet = ref (Fleet.create ~cloud ~shards:scn.Scenario.shards config) in
-  for ti = 0 to scn.Scenario.tenants - 1 do
-    let tenant = Printf.sprintf "tenant%d" ti in
-    let dep =
-      Fleet.add_deployment !fleet ~tenant ~dname:"d0"
-        ~src:(Scenario.fleet_src scn ~wave:0)
-    in
-    ignore
-      (Fleet.submit_request !fleet dep ~src:(Scenario.fleet_src scn ~wave:0)
-        : [ `Accepted of int | `Deferred of int | `Rejected ])
-  done;
-  fleet
+  let fleet =
+    Fleet.create ~cloud:(fresh_cloud ~seed ()) ~shards:scn.Scenario.shards config
+  in
+  Scenario.bootstrap scn fleet;
+  ref fleet
+
+type gated = {
+  fleet : Fleet.t ref;
+  driver : Rollout.t;
+  journal : Journal.t;
+  crashed : bool;
+}
 
 let run_gated ?crash ~scn ~change ~seed () =
   let fleet = build_fleet ~scn ~seed in
   let journal = Journal.create () in
   let driver = Rollout.create ~journal ~check_period ~change fleet () in
   Rollout.launch driver ~at:launch_at;
-  (match crash with
-  | Some k -> Fleet.set_crash !fleet (Failure.Crash_after k)
-  | None -> ());
-  let crashed =
-    match Fleet.run !fleet ~until:duration with
-    | () -> false
-    | exception Failure.Engine_crashed _ -> true
-  in
-  (fleet, driver, journal, crashed)
+  { fleet; driver; journal; crashed = drive ?crash fleet ~until:duration }
 
 (* The baseline: no waves, no gate — rewrite every tenant's config and
    submit all of it at the same instant. *)
@@ -171,15 +156,6 @@ let violating_tenants fleet (change : Change.t) =
   |> List.map (fun (d : Shard.deployment) -> d.Shard.tenant)
   |> List.sort_uniq String.compare
 
-let engine_creates cloud =
-  List.length
-    (List.filter
-       (fun (e : Activity_log.entry) ->
-         match (e.Activity_log.op, e.Activity_log.actor) with
-         | Activity_log.Log_create, Activity_log.Iac_engine _ -> true
-         | _ -> false)
-       (Activity_log.all (Cloud.log cloud)))
-
 (* --- leg 1: blast radius --------------------------------------------- *)
 
 type blast_result = {
@@ -201,8 +177,8 @@ type blast_result = {
 let run_blast_leg ~tenants ~shards ~seed =
   let scn = scenario ~tenants ~shards in
   let change = bad_change () in
-  let fleet, driver, _journal, crashed = run_gated ~scn ~change ~seed () in
-  if crashed then failwith "e18: unexpected crash in blast leg";
+  let { fleet; driver; _ } as g = run_gated ~scn ~change ~seed () in
+  claim exp (not g.crashed) "unexpected crash in blast leg";
   let rolled_back =
     match Rollout.outcome driver with
     | Some (Rollout.Rolled_back _) -> true
@@ -244,8 +220,8 @@ type clean_result = {
 let run_clean_leg ~tenants ~shards ~seed =
   let scn = scenario ~tenants ~shards in
   let change = clean_change () in
-  let fleet, driver, _journal, crashed = run_gated ~scn ~change ~seed () in
-  if crashed then failwith "e18: unexpected crash in clean leg";
+  let { fleet; driver; _ } as g = run_gated ~scn ~change ~seed () in
+  claim exp (not g.crashed) "unexpected crash in clean leg";
   let fleet = !fleet in
   let retyped =
     List.for_all
@@ -275,13 +251,10 @@ let run_clean_leg ~tenants ~shards ~seed =
 (* --- leg 3: crash mid-rollout, resume from the wave journal ---------- *)
 
 type crash_result = {
-  crash_after : int;
+  leg : crash;
   crashed_mid_rollout : bool;
   resumed_from_wave : int;
-  orphans : int;
-  dup_creates : int;
   resumed_converged : bool;
-  digest_matches_uncrashed : bool;
 }
 
 (* 16 tenants / 2 shards and a journaled-write budget that lands the
@@ -301,42 +274,37 @@ let crash_margin = 10
 let run_crash_leg ~seed =
   let scn = scenario ~tenants:16 ~shards:2 in
   let change = clean_change () in
-  let ref_fleet, ref_driver, _, _ = run_gated ~scn ~change ~seed () in
-  if not (Rollout.converged ref_driver) then
-    failwith "e18: reference run did not converge";
-  let ref_digest = Fleet.state_digest !ref_fleet in
-  let crash_after =
-    Metrics.counter (Fleet.metrics !ref_fleet) "api_writes" - crash_margin
+  let start crash =
+    let g = run_gated ?crash ~scn ~change ~seed () in
+    if crash = None && not (Rollout.converged g.driver) then
+      failwith "e18: reference run did not converge";
+    (g.fleet, g.crashed, g)
   in
-  let fleet, driver, journal, crashed =
-    run_gated ~crash:crash_after ~scn ~change ~seed ()
+  (* Where the crash landed, then the rollout's restart from the wave
+     journal alongside the resumed fleet. *)
+  let resume g fleet =
+    let mid_rollout =
+      Rollout.outcome g.driver = None && Rollout.touched_tenants g.driver <> []
+    in
+    let from_wave =
+      match Wave.cursor (Journal.entries g.journal) with
+      | Wave.Resume_at k -> k
+      | Wave.Finished _ -> -1
+    in
+    Rollout.abandon g.driver;
+    let driver = Rollout.resume ~journal:g.journal ~check_period ~change fleet () in
+    Rollout.start driver;
+    (mid_rollout, from_wave, driver)
   in
-  if not crashed then failwith "e18: crash leg did not crash";
-  let crashed_mid_rollout =
-    Rollout.outcome driver = None
-    && Rollout.touched_tenants driver <> []
+  let leg, (crashed_mid_rollout, resumed_from_wave, driver) =
+    crash_leg ~exp ~scn ~start ~resume ~crash_after:(fun reference ->
+        Metrics.counter (Fleet.metrics reference) "api_writes" - crash_margin)
   in
-  let resumed_from_wave =
-    match Wave.cursor (Journal.entries journal) with
-    | Wave.Resume_at k -> k
-    | Wave.Finished _ -> -1
-  in
-  Rollout.abandon driver;
-  let fresh, _reports = Fleet.resume !fleet in
-  fleet := fresh;
-  let driver' = Rollout.resume ~journal ~check_period ~change fleet () in
-  Rollout.start driver';
-  Fleet.run fresh ~until:duration;
-  let managed = Fleet.managed_resource_count fresh in
   {
-    crash_after;
+    leg;
     crashed_mid_rollout;
     resumed_from_wave;
-    orphans = List.length (Fleet.orphans fresh);
-    dup_creates = engine_creates (Fleet.cloud fresh) - managed;
-    resumed_converged = Rollout.converged driver';
-    digest_matches_uncrashed =
-      String.equal (Fleet.state_digest fresh) ref_digest;
+    resumed_converged = Rollout.converged driver;
   }
 
 (* --- JSON ------------------------------------------------------------ *)
@@ -375,70 +343,54 @@ let write_json ~quick ~(blast : blast_result) ~(clean : clean_result)
     blast.gated_mgmt_calls blast.gate_checks blast.gated_api_calls
     blast.naive_api_calls clean.converged clean.committed clean.waves
     clean.expected_waves clean.rollbacks clean.clean_violations clean.retyped
-    crash.crash_after crash.crashed_mid_rollout crash.resumed_from_wave
-    crash.orphans crash.dup_creates crash.resumed_converged
-    crash.digest_matches_uncrashed
+    crash.leg.crash_after crash.crashed_mid_rollout crash.resumed_from_wave
+    crash.leg.orphans crash.leg.dup_creates crash.resumed_converged
+    crash.leg.digest_matches_uncrashed
     (blast.reached_gated <= blast.wave1_size
     && blast.residual_gated = 0
     && blast.reached_naive = blast.tenants)
     (clean.converged && clean.committed = blast.tenants)
-    (crash.orphans = 0 && crash.dup_creates = 0
-   && crash.digest_matches_uncrashed);
+    (crash.leg.orphans = 0 && crash.leg.dup_creates = 0
+   && crash.leg.digest_matches_uncrashed);
   close_out oc
 
 (* --- assertions ------------------------------------------------------ *)
 
 let assert_claims (blast : blast_result) (clean : clean_result)
     (crash : crash_result) =
-  if not blast.rolled_back then
-    failwith "e18: gate did not roll the bad change back";
-  if blast.reached_gated > blast.wave1_size then
-    failwith
-      (Printf.sprintf "e18: bad change reached %d tenant(s), wave 1 is %d"
-         blast.reached_gated blast.wave1_size);
-  if blast.residual_gated <> 0 then
-    failwith
-      (Printf.sprintf
-         "e18: %d tenant(s) still violating after gated rollback"
-         blast.residual_gated);
-  if blast.reached_naive <> blast.tenants then
-    failwith
-      (Printf.sprintf "e18: naive baseline reached %d/%d tenant(s)"
-         blast.reached_naive blast.tenants);
-  if blast.residual_naive <> blast.tenants then
-    failwith
-      (Printf.sprintf "e18: naive baseline left %d/%d tenant(s) violating"
-         blast.residual_naive blast.tenants);
-  if blast.rollback_latency < 0. then
-    failwith "e18: no rollback latency recorded";
-  if blast.gated_mgmt_calls = 0 then
-    failwith "e18: gating recorded no management calls";
-  if not clean.converged then failwith "e18: clean change did not converge";
-  if clean.committed <> blast.tenants then
-    failwith
-      (Printf.sprintf "e18: clean change committed %d/%d tenant(s)"
-         clean.committed blast.tenants);
-  if clean.waves <> clean.expected_waves then
-    failwith
-      (Printf.sprintf "e18: %d wave(s), schedule says %d" clean.waves
-         clean.expected_waves);
-  if clean.rollbacks <> 0 then
-    failwith "e18: clean change triggered rollbacks";
-  if clean.clean_violations <> 0 then
-    failwith "e18: clean change left gate violations";
-  if not clean.retyped then
-    failwith "e18: clean change did not reach every instance";
-  if not crash.crashed_mid_rollout then
-    failwith
-      "e18: crash landed outside the rollout window — retune crash_after";
-  if crash.resumed_from_wave < 1 then
-    failwith "e18: crash landed before the canary committed — retune";
-  if crash.orphans <> 0 then failwith "e18: crash leg left orphans";
-  if crash.dup_creates <> 0 then failwith "e18: crash leg duplicated creates";
-  if not crash.resumed_converged then
-    failwith "e18: resumed rollout did not converge";
-  if not crash.digest_matches_uncrashed then
-    failwith "e18: post-resume digest differs from uncrashed run"
+  claim exp blast.rolled_back "gate did not roll the bad change back";
+  claim exp
+    (blast.reached_gated <= blast.wave1_size)
+    "bad change reached %d tenant(s), wave 1 is %d" blast.reached_gated
+    blast.wave1_size;
+  claim exp (blast.residual_gated = 0)
+    "%d tenant(s) still violating after gated rollback" blast.residual_gated;
+  claim exp
+    (blast.reached_naive = blast.tenants)
+    "naive baseline reached %d/%d tenant(s)" blast.reached_naive blast.tenants;
+  claim exp
+    (blast.residual_naive = blast.tenants)
+    "naive baseline left %d/%d tenant(s) violating" blast.residual_naive
+    blast.tenants;
+  claim exp (blast.rollback_latency >= 0.) "no rollback latency recorded";
+  claim exp (blast.gated_mgmt_calls <> 0) "gating recorded no management calls";
+  claim exp clean.converged "clean change did not converge";
+  claim exp
+    (clean.committed = blast.tenants)
+    "clean change committed %d/%d tenant(s)" clean.committed blast.tenants;
+  claim exp
+    (clean.waves = clean.expected_waves)
+    "%d wave(s), schedule says %d" clean.waves clean.expected_waves;
+  claim exp (clean.rollbacks = 0) "clean change triggered rollbacks";
+  claim exp (clean.clean_violations = 0) "clean change left gate violations";
+  claim exp clean.retyped "clean change did not reach every instance";
+  claim exp crash.crashed_mid_rollout
+    "crash landed outside the rollout window — retune crash_after";
+  claim exp
+    (crash.resumed_from_wave >= 1)
+    "crash landed before the canary committed — retune";
+  check_crash ~exp crash.leg;
+  claim exp crash.resumed_converged "resumed rollout did not converge"
 
 (* --- driver ---------------------------------------------------------- *)
 
@@ -469,9 +421,9 @@ let run () =
     "crash leg (16 tenants, 2 shards, crash after write %d): mid_rollout=%b \
      resumed_from_wave=%d orphans=%d dup_creates=%d converged=%b \
      digest_match=%b\n"
-    crash.crash_after crash.crashed_mid_rollout crash.resumed_from_wave
-    crash.orphans crash.dup_creates crash.resumed_converged
-    crash.digest_matches_uncrashed;
+    crash.leg.crash_after crash.crashed_mid_rollout crash.resumed_from_wave
+    crash.leg.orphans crash.leg.dup_creates crash.resumed_converged
+    crash.leg.digest_matches_uncrashed;
   assert_claims blast clean crash;
   write_json ~quick ~blast ~clean ~crash;
   Printf.printf "wrote %s\n" (json_file ~quick)

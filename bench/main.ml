@@ -1,13 +1,13 @@
 (* The experiment harness: regenerates every table in EXPERIMENTS.md.
 
    Usage:
-     dune exec bench/main.exe            # E1-E11 (simulated-time experiments)
+     dune exec bench/main.exe            # E1-E18 and the ablation
      dune exec bench/main.exe -- micro   # bechamel microbenches only
      dune exec bench/main.exe -- e3 e5   # a subset
      dune exec bench/main.exe -- all     # experiments + microbenches
 
    Flags:
-     --quick         shrink large sweeps (E11, E16) to a ≤5s smoke run
+     --quick         shrink E11-E18 to the smoke runs check.sh times
      --resources N   run size-swept experiments (E2, E11, E16) at one
                      fleet size N instead of their built-in sweeps *)
 

@@ -457,6 +457,20 @@ let service_config scn (base : Shard.service_config) =
 (* Installation                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let bootstrap scn fleet =
+  let src = fleet_src scn ~wave:0 in
+  for ti = 0 to scn.tenants - 1 do
+    for di = 0 to scn.deployments_per_tenant - 1 do
+      let dep =
+        Fleet.add_deployment fleet ~tenant:(Printf.sprintf "tenant%d" ti)
+          ~dname:(Printf.sprintf "d%d" di) ~src
+      in
+      ignore
+        (Fleet.submit_request fleet dep ~src
+          : [ `Accepted of int | `Deferred of int | `Rejected ])
+    done
+  done
+
 type injection = {
   icloud_id : string;
   injected_at : float;

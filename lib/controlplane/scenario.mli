@@ -85,6 +85,11 @@ val fleet_src : t -> wave:int -> string
     a scenario. *)
 val service_config : t -> Shard.service_config -> Shard.service_config
 
+(** Register every tenant's deployments on [fleet] and submit their
+    wave-0 revision now: the fleet a rollout starts from, with none of
+    the request, drift or episode schedule installed. *)
+val bootstrap : t -> Fleet.t -> unit
+
 type injection = {
   icloud_id : string;
   injected_at : float;

@@ -413,19 +413,7 @@ let rollout ?(io = default_io) ?trace_path ?(seed = 42) ?check_period ~file
   let fleet =
     ref (Fleet.create ~cloud ~trace ~shards:scn.Scenario.shards config)
   in
-  for ti = 0 to scn.Scenario.tenants - 1 do
-    let tenant = Printf.sprintf "tenant%d" ti in
-    for di = 0 to scn.Scenario.deployments_per_tenant - 1 do
-      let dname = Printf.sprintf "d%d" di in
-      let dep =
-        Fleet.add_deployment !fleet ~tenant ~dname
-          ~src:(Scenario.fleet_src scn ~wave:0)
-      in
-      ignore
-        (Fleet.submit_request !fleet dep ~src:(Scenario.fleet_src scn ~wave:0)
-          : [ `Accepted of int | `Deferred of int | `Rejected ])
-    done
-  done;
+  Scenario.bootstrap scn !fleet;
   (* Launch the changes spread over the horizon, after the initial
      applies settle. *)
   let duration = scn.Scenario.duration in

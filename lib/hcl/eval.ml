@@ -97,9 +97,8 @@ type scope = {
   env : env;
   module_path : string list;
   vars : Value.t Smap.t;
-  locals_src : (string * Ast.expr) list;
   locals_tbl : (string, Ast.expr) Hashtbl.t;
-      (** first-binding index of [locals_src] *)
+      (** the scope's locals, first binding per name *)
   locals_cache : (string, Value.t) Hashtbl.t;
   mutable locals_forcing : string list;  (** cycle detection *)
   resources : (string * string, node_expansion) Hashtbl.t;
@@ -128,7 +127,6 @@ let make_scope ?(env = default_env) ?(module_path = []) ?(locals = [])
     env;
     module_path;
     vars;
-    locals_src = locals;
     locals_tbl =
       (match locals_tbl with Some tbl -> tbl | None -> locals_index locals);
     locals_cache = Hashtbl.create 8;
@@ -236,19 +234,13 @@ and eval_var scope span name =
   | None -> (
       match name with
       | "var" -> Value.Vmap scope.vars
-      | "local" ->
-          (* Force every local: rarely used bare, but legal. *)
-          Value.Vmap
-            (List.fold_left
-               (fun acc (n, _) -> Smap.add n (force_local scope span n) acc)
-               Smap.empty scope.locals_src)
       | "path" ->
           Value.of_assoc
             [
               ("module", Value.Vstring (String.concat "/" scope.module_path));
               ("root", Value.Vstring "");
             ]
-      | "count" | "each" | "data" | "module" ->
+      | "count" | "each" | "data" | "module" | "local" ->
           errf span "%S cannot be used as a bare value" name
       | _ -> errf span "reference to undeclared identifier %S" name)
 

@@ -368,10 +368,21 @@ let key_cases =
 let module_src = "module \"m\" {\n  source   = \"./m\"\n  for_each = [[1]]\n}\n"
 let name_filter_src = "data \"aws_ami\" \"x\" {\n  name_filter = [\"a\", \"b\"]\n}\n"
 
+(* A bare [local] names no local, so block ordering cannot see the
+   resources its locals read: it is an eval error, like a bare
+   [count]. *)
+let bare_local_src =
+  "locals { v = aws_vpc.a.id }\n\
+   resource \"aws_subnet\" \"s\" { all = local }\n\
+   resource \"aws_vpc\" \"a\" {}\n"
+
+let indexed_local_src =
+  "resource \"aws_vpc\" \"a\" { x = local[\"v\"] }\nlocals { v = 1 }\n"
+
 let malformed_configs =
   [ lex_src; parse_src; structure_src; eval_src; develop_src; cycle_hcl ]
   @ List.map (fun (_, _, body) -> key_src body) key_cases
-  @ [ module_src; name_filter_src ]
+  @ [ module_src; name_filter_src; bare_local_src; indexed_local_src ]
 
 (* A key computed from a value with no string form: an eval error
    located in the config file at the key's expression. *)
@@ -422,6 +433,21 @@ let totality_rows () =
       ],
       fun () ->
         lifecycle (fun t -> Lifecycle.develop t develop_src) );
+    (let bare = temp_file bare_local_src in
+     ( "bare local: plan",
+       located "references/eval-error" bare
+       @ [ ":2:35-40: \"local\" cannot be used as a bare value" ],
+       fun () ->
+         cli (fun io -> Cli.plan ~io ~file:bare ~state_path:(temp_path ".cls") ())
+     ));
+    (let indexed = temp_file indexed_local_src in
+     ( "indexed bare local: validate",
+       located "references/eval-error" indexed
+       @ [ ":1:30-35: \"local\" cannot be used as a bare value" ],
+       fun () ->
+         cli (fun io ->
+             Cli.validate ~io ~file:indexed ~state_path:(temp_path ".cls") ())
+     ));
     ( "dependency cycle: plan",
       located "references/eval-error" cycle
       @ [ ":2:1-5:2: dependency cycle involving aws_security_group.a" ],

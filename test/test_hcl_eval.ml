@@ -740,7 +740,7 @@ output "o" { value = aws_vpc.a.__addr__ }|};
     (* a for-expression that reads nothing, and one that reads state *)
     {|resource "aws_vpc" "a" { tags = { for k in ["a", "b"] : k => upper(k) } }
 resource "aws_vpc" "b" { x = [for s in ["a"] : aws_vpc.a.id] }|};
-    (* every local, forced through a bare [local] *)
+    (* a bare [local]: an error at its span in both expanders *)
     {|locals { v = 1 }
 resource "aws_vpc" "a" { all = local }|};
     (* lookups that may fail on a state's values *)
