@@ -12,8 +12,12 @@
      implementations kept in-tree (`Dag.Reference`, `Plan.Reference`),
      on sizes where the O(n^2) references are still affordable;
    - complexity: at the full sweep's top size every front-half stage
-     must stay within 15x its n=1k time — a reintroduced quadratic
-     scan shows up as ~100x and fails the run.
+     must stay within 15x its n=1k cost, in time and in minor words —
+     a reintroduced quadratic scan shows up as ~100x and fails the
+     run.  The n=1k cost is measured over top/1k separately built
+     inputs whose results stay live, so both sides allocate the same
+     words into a heap of the same size: the ratio measures the
+     algorithm, not where the minor heap overflows.
 
    A deep `Workload.chain` graph is checked too, so the per-round
    traversal costs are exercised by depth as well as width.  Results
@@ -63,6 +67,24 @@ let populated_state instances =
         })
     State.empty instances
 
+(* The four gated front-half stages, shared by the sweep's timings and
+   the complexity gate. *)
+let eval_stage cfg = Hcl.Eval.expand ~env:(Plan.env_for State.empty) cfg
+
+let validate_stage cfg instances =
+  Validate.check_references cfg
+  @ Validate.check_types instances
+  @ Validate.check_cloud_rules instances
+
+let graph_stage instances =
+  let g = Dag.of_instances instances in
+  (g, Dag.topo_sort g, Dag.levels g)
+
+let plan_stage ~populated instances =
+  let plan = Plan.make ~state:State.empty instances in
+  let eg = Plan.exec_graph plan in
+  (plan, Plan.make ~state:populated instances, eg)
+
 let actions_of (p : Plan.t) =
   List.map
     (fun (c : Plan.change) -> (c.Plan.addr, Plan.action_symbol c.Plan.action))
@@ -70,30 +92,16 @@ let actions_of (p : Plan.t) =
 
 let run_one ~n ~check_refs =
   let src = Workload.fleet ~resources:n () in
-  let env = Plan.env_for State.empty in
   let cfg, parse_s = time (fun () -> Hcl.Config.parse ~file:"e12.tf" src) in
-  let expansion, eval_s = time (fun () -> Hcl.Eval.expand ~env cfg) in
+  let expansion, eval_s = time (fun () -> eval_stage cfg) in
   let instances = expansion.Hcl.Eval.instances in
   assert (List.length instances = n);
-  let diags, validate_s =
-    time (fun () ->
-        Validate.check_references cfg
-        @ Validate.check_types instances
-        @ Validate.check_cloud_rules instances)
-  in
+  let diags, validate_s = time (fun () -> validate_stage cfg instances) in
   assert (not (List.exists Diagnostic.is_error diags));
-  let (graph, topo, lvls), graph_s =
-    time (fun () ->
-        let g = Dag.of_instances instances in
-        (g, Dag.topo_sort g, Dag.levels g))
-  in
+  let (graph, topo, lvls), graph_s = time (fun () -> graph_stage instances) in
   let populated = populated_state instances in
   let (plan, noop_plan, eg), plan_s =
-    time (fun () ->
-        let plan = Plan.make ~state:State.empty instances in
-        let eg = Plan.exec_graph plan in
-        let noop_plan = Plan.make ~state:populated instances in
-        (plan, noop_plan, eg))
+    time (fun () -> plan_stage ~populated instances)
   in
   let report, apply_s =
     time (fun () ->
@@ -149,6 +157,73 @@ let chain_check ~n =
   assert (lvls = Dag.Reference.levels g);
   t
 
+(* The complexity gate.  A lone 1k stage fits its whole allocation in
+   the minor heap and leaves its result there, while the 10k stage
+   overflows it a dozen times and promotes what survives, so their time
+   ratio read 9x to 24x for the same linear code on a 2-core VM.  Here
+   the base side runs the stage over [top / base] separately built
+   inputs of the base size, keeping every result live, and the gate
+   divides its time and minor words by that count: both sides do the
+   top size's work in the same GC regime, and the algorithm's order
+   separates them, ~10x when linear and ~100x when quadratic.  Each
+   trial builds fresh inputs, so the heap layout differs from trial to
+   trial, and the gate keeps each stage's best of [gate_trials]. *)
+type input = {
+  cfg : Hcl.Config.t;
+  instances : Hcl.Eval.instance list;
+  populated : State.t;
+}
+
+let input_of_size n =
+  let cfg = Hcl.Config.parse ~file:"e12.tf" (Workload.fleet ~resources:n ()) in
+  let instances = (eval_stage cfg).Hcl.Eval.instances in
+  { cfg; instances; populated = populated_state instances }
+
+type stage = Stage : string * (input -> 'a) -> stage
+
+let gated_stages =
+  [
+    Stage ("eval", fun i -> eval_stage i.cfg);
+    Stage ("validate", fun i -> validate_stage i.cfg i.instances);
+    Stage ("graph", fun i -> graph_stage i.instances);
+    Stage ("plan", fun i -> plan_stage ~populated:i.populated i.instances);
+  ]
+
+let gate_trials = 3
+
+(* Seconds and minor words of [f] over every input, on a collected
+   heap, with the results kept live until both are read. *)
+let measure f inputs =
+  Gc.full_major ();
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let results = List.map f inputs in
+  let secs = Unix.gettimeofday () -. t0 and words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity results);
+  (secs, words)
+
+(* Per gated stage: (name, time ratio, minor-words ratio) of the top
+   size over the base size. *)
+let gate_ratios ~base_n ~top_n =
+  let copies = top_n / base_n in
+  let per_base v = v /. float_of_int copies in
+  let trial () =
+    let base = List.init copies (fun _ -> input_of_size base_n)
+    and top = [ input_of_size top_n ] in
+    List.map
+      (fun (Stage (_, f)) ->
+        let bs, bw = measure f base and ts, tw = measure f top in
+        (ts /. per_base bs, tw /. per_base bw))
+      gated_stages
+  in
+  let trials = List.init gate_trials (fun _ -> trial ()) in
+  List.mapi
+    (fun k (Stage (name, _)) ->
+      let best f =
+        List.fold_left (fun a t -> Float.min a (f (List.nth t k))) infinity trials
+      in
+      (name, best fst, best snd))
+    gated_stages
+
 let json_file ~quick =
   if quick then "BENCH_pipeline_quick.json" else "BENCH_pipeline.json"
 
@@ -160,7 +235,7 @@ let json_of_sample s =
     s.n s.parse_s s.eval_s s.validate_s s.graph_s s.plan_s s.apply_s
     s.refs_checked
 
-let write_json ~quick ~samples ~ratios ~budget ~ok =
+let write_json ~quick ~samples ~gate ~budget ~ok =
   let oc = open_out (json_file ~quick) in
   Printf.fprintf oc
     "{\n\
@@ -176,8 +251,10 @@ let write_json ~quick ~samples ~ratios ~budget ~ok =
     (String.concat ",\n" (List.map json_of_sample samples))
     (String.concat ", "
        (List.map
-          (fun (stage, r) -> Printf.sprintf "\"%s_ratio\": %.2f" stage r)
-          ratios))
+          (fun (stage, r, w) ->
+            Printf.sprintf "\"%s_ratio\": %.2f, \"%s_words_ratio\": %.2f" stage
+              r stage w)
+          gate))
     budget ok;
   close_out oc
 
@@ -218,31 +295,24 @@ let run () =
     \  chain(%d): topo+levels of an n-deep graph in %.3fs, byte-identical\n\
     \  to the reference traversals.\n"
     chain_n chain_t;
-  (* complexity gate: top size vs n=1k (n=100 in quick mode).  Tiny
-     denominators are clamped so timer jitter on sub-ms stages cannot
-     fake a blowup — a real quadratic is ~100x, far above any clamp. *)
+  (* complexity gate: top size vs n=1k (n=100 in quick mode) *)
   let base_n = if quick then 100 else 1000 in
   let top_n = List.fold_left max 0 sizes in
-  let base = List.find (fun s -> s.n = base_n) samples in
-  let top = List.find (fun s -> s.n = top_n) samples in
-  let dmin = 0.0005 in
-  let ratios =
-    [
-      ("eval", top.eval_s /. Float.max base.eval_s dmin);
-      ("validate", top.validate_s /. Float.max base.validate_s dmin);
-      ("graph", top.graph_s /. Float.max base.graph_s dmin);
-      ("plan", top.plan_s /. Float.max base.plan_s dmin);
-    ]
-  in
+  let gate = gate_ratios ~base_n ~top_n in
   let budget = 15.0 in
-  let ok = quick || List.for_all (fun (_, r) -> r <= budget) ratios in
+  let ok =
+    quick || List.for_all (fun (_, r, w) -> r <= budget && w <= budget) gate
+  in
   Printf.printf
-    "  stage cost ratios n=%d vs n=%d (budget %.0fx): %s -> %s\n\
+    "  stage cost ratios n=%d vs n=%d, time / minor words (budget %.0fx): \
+     %s -> %s\n\
     \  wrote %s\n"
     top_n base_n budget
     (String.concat ", "
-       (List.map (fun (st, r) -> Printf.sprintf "%s %.1fx" st r) ratios))
+       (List.map
+          (fun (st, r, w) -> Printf.sprintf "%s %.1fx / %.1fx" st r w)
+          gate))
     (if ok then "within budget" else "BUDGET EXCEEDED")
     (json_file ~quick);
-  write_json ~quick ~samples ~ratios ~budget ~ok;
+  write_json ~quick ~samples ~gate ~budget ~ok;
   if not ok then failwith "E12: front-half stage exceeded its scaling budget"

@@ -7,9 +7,9 @@
    waves, and a region quota cut that lands exactly while the spot
    replacements are being re-created.  Circuit breakers are on: writes
    that keep failing trip their (API kind, rtype) cell, the affected
-   work parks until the next half-open probe, and unaffected tenants
-   keep being served.  The bench asserts the E17 claims on its own
-   output:
+   work parks on that cell and wakes when its cooldown ends or it
+   closes, and unaffected tenants keep being served.  The bench
+   asserts the E17 claims on its own output:
 
    - convergence after every episode: at each episode's deadline
      (window end + 600 s) the fleet manages exactly tenants*resources

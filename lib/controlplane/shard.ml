@@ -29,13 +29,16 @@
 
     Degraded mode (E17): with a circuit {!Cloudless_deploy.Breaker}
     configured, work whose apply fast-fails against an Open (kind,
-    rtype) cell is {e parked} rather than failed — partial progress is
-    persisted, locks release so unaffected tenants keep flowing, the
-    original submit time is preserved (latency histograms carry the
-    full episode cost), and the unit is re-admitted around the
-    breaker's next half-open probe, re-reading the deployment's
-    {e latest} config revision so a parked request can never roll a
-    tenant back to a stale wave.  A re-admission that finds the source
+    rtype) cell is {e parked} on that cell's wait list rather than
+    failed — partial progress is persisted, locks release so
+    unaffected tenants keep flowing, and the original submit time is
+    preserved (latency histograms carry the full episode cost).  The
+    cell wakes its waiters, nothing polls: at the end of its cooldown
+    it re-admits them in park order until one takes the half-open
+    probe, and when the probe's verdict closes it, it re-admits them
+    all.  A re-admitted request re-reads the deployment's {e latest}
+    config revision, so a parked request can never roll a tenant back
+    to a stale wave.  A re-admission that finds the source
     and the state it parked with reuses the execution graph compiled
     for them.  Every shard shares one parsed and compiled config
     ({!Cloudless_hcl.Eval.compile}) per distinct source, and each unit
@@ -98,8 +101,8 @@ let baseline_service =
 let fleet_service =
   { baseline_service with preset = Fleet; rebalance_period = 120. }
 
-(* Re-admission delay of a deferred request, and the least delay of a
-   parked one, sim s. *)
+(* Re-admission delay of a request deferred by the admission bound,
+   sim s.  Parked work has no delay: its breaker cell wakes it. *)
 let defer_delay = 5.
 
 (* A request's plan, compiled to the walker's flat graph, keyed by the
@@ -150,6 +153,10 @@ type work =
       notify : float -> unit;  (** completion callback (sim time) *)
     }
 
+(* Parked work waiting on one breaker cell, in park order, and whether
+   the timer at the end of the cell's cooldown is armed. *)
+type waiters = { units : work Queue.t; mutable armed : bool }
+
 type host = {
   gate : unit -> unit;
       (** journaled-write crash gate, shared across the whole service *)
@@ -182,78 +189,18 @@ type t = {
   mutable degraded_since : float option;
       (** open while ≥1 breaker cell is Open; closes into the
           ["degraded_time"] histogram *)
-  mutable parked : int;  (** work units waiting out an open breaker *)
+  waiting : (string * string, waiters) Hashtbl.t;
+      (** parked work by the (API kind, rtype) cell that blocked it *)
   mutable depth_written : int;
       (** the last value {!drain} wrote to the ["queue_depth"] gauge;
           -1 before the first write *)
 }
 
-(* Degraded-mode bookkeeping, hung off every breaker cell transition:
-   state-change counters, the open-cell gauge, and the time-in-degraded
-   histogram (a degraded window opens when the first cell trips and
-   closes when the last one does). *)
-let on_breaker_transition t ~after ~now =
-  (match after with
-  | Breaker.Open -> Metrics.scope_inc t.scope "breaker_opened"
-  | Breaker.Half_open -> Metrics.scope_inc t.scope "breaker_half_open"
-  | Breaker.Closed -> Metrics.scope_inc t.scope "breaker_closed");
-  match t.breaker with
-  | None -> ()
-  | Some b -> (
-      let cells = Breaker.open_cells b in
-      Metrics.scope_set t.scope "breaker_open_cells" (float_of_int cells);
-      match (t.degraded_since, cells) with
-      | None, n when n > 0 ->
-          t.degraded_since <- Some now;
-          Metrics.scope_inc t.scope "degraded_entries"
-      | Some s, 0 ->
-          Metrics.scope_observe t.scope "degraded_time" (now -. s);
-          t.degraded_since <- None
-      | _ -> ())
-
-let create ~sid ~cloud ~config ~scope ~trace ~host () =
-  let t =
-    {
-      cloud;
-      sid;
-      config;
-      host;
-      lock =
-        Lock_manager.create
-          (match config.preset with
-          | Baseline -> Lock_manager.Global
-          | Fleet -> Lock_manager.Per_resource);
-      queue = Pq.create Pq.Min_first;
-      scope;
-      trace;
-      deployments = [];
-      next_work = 0;
-      next_rid = 0;
-      completed = [];
-      detections = [];
-      pending = Hashtbl.create 16;
-      until = 0.;
-      breaker = None;
-      degraded_since = None;
-      parked = 0;
-      depth_written = -1;
-    }
-  in
-  (match config.breaker with
-  | Some bcfg ->
-      t.breaker <-
-        Some
-          (Breaker.create ~config:bcfg
-             ~on_transition:(fun ~kind:_ ~rtype:_ ~before:_ ~after ~now ->
-               on_breaker_transition t ~after ~now)
-             ())
-  | None -> ());
-  t
-
 let sid t = t.sid
 let lock t = t.lock
 let breaker t = t.breaker
-let parked_work t = t.parked
+let parked_work t =
+  Hashtbl.fold (fun _ w n -> n + Queue.length w.units) t.waiting 0
 let metrics t = Metrics.scope_metrics t.scope
 let deployments t = List.rev t.deployments
 let completed_requests t = List.rev t.completed
@@ -520,9 +467,9 @@ let read t u k =
    reverses the latest state even when the rollback queued behind
    in-flight work.
 
-   A request's plan is memoized.  A parked request is re-admitted,
-   usually many times, against the very state its last fast-failed
-   apply handed back: an apply that changed nothing returns its input
+   A request's plan is memoized.  A parked request is re-admitted
+   against the very state its last fast-failed apply handed back, when
+   that apply changed nothing: such an apply returns its input
    state, while any progress, refresh or other unit's completion makes
    a new one.  So the memo hits exactly when source and state identity
    both match, and since expansion, planning and graph compilation are
@@ -546,15 +493,22 @@ let plan u state0 =
       | Rollback_op _ | Reconcile _ | Scan_sweep _ -> ());
       Some graph
 
-(* Does the unit park: did its apply leave changes fast-failed by an
-   open breaker cell?  A scan repair never parks: it completes with its
+(* The breaker cell the unit parks on: the first one that stopped a
+   change of its walk.  A scan repair never parks: it completes with its
    failed changes. *)
-let parks t u (o : Walker.outcome) =
-  (match u.work with Scan_sweep _ -> false | _ -> true)
-  && t.breaker <> None
-  && List.exists
-       (fun (f : Walker.failure) -> Breaker.is_open_reason f.Walker.reason)
-       o.Walker.failed
+let parked_on u (o : Walker.outcome) =
+  match u.work with
+  | Scan_sweep _ -> None
+  | Request _ | Reconcile _ | Rollback_op _ ->
+      List.find_map (fun (f : Walker.failure) -> f.Walker.blocked) o.Walker.failed
+
+let waiters t cell =
+  match Hashtbl.find_opt t.waiting cell with
+  | Some w -> w
+  | None ->
+      let w = { units = Queue.create (); armed = false } in
+      Hashtbl.replace t.waiting cell w;
+      w
 
 (* Forward declaration: running work needs [drain] (to hand follow-up
    work to the lock manager) and vice versa.  The fleet drains every
@@ -640,8 +594,9 @@ and plan_and_walk t u state0 =
     | Some graph ->
         walk t u.dep ~state:state0 ~graph ~on_done:(fun o ->
             u.dep.state <- o.Walker.astate;
-            if parks t u o then park_work t u
-            else complete t u ~started (Some o))
+            match parked_on u o with
+            | Some cell -> park_work t u cell
+            | None -> complete t u ~started (Some o))
   with Cloudless_error.Error d -> fail t u d
 
 (* A unit whose walk settled, or that had nothing to walk: its kind's
@@ -722,15 +677,16 @@ and finish t u ?error (o : Walker.outcome option) =
         ("refresh_reads", u.reads) ];
   drain t
 
-(* Park a unit of work that fast-failed against an open breaker:
+(* Park a unit of work that fast-failed against an open breaker cell:
    persist partial progress, release the lock so unaffected tenants
-   keep flowing, and push the unit back just after the breaker's next
-   half-open probe becomes available.  The unit stays pending (the
-   tenant is not movable, and its payload keeps the original submit or
-   detection instant, so latency accounting spans the whole episode).
-   A request re-reads [dep.config_src] at re-admission, so a parked
-   request converges to the latest revision, never a stale one. *)
-and park_work t u =
+   keep flowing, and queue the unit on the wait list of the cell that
+   blocked it.  The unit stays pending (the tenant is not movable, and
+   its payload keeps the original submit or detection instant, so
+   latency accounting spans the whole episode).  Only the cell wakes
+   it: an Open cell at the end of its cooldown, a Half_open one when
+   its probe's verdict lands, and one that closed while the walk still
+   ran, at once. *)
+and park_work t u ((kind, rtype) as cell) =
   let dep = u.dep in
   (match u.work with
   | Request _ ->
@@ -741,28 +697,142 @@ and park_work t u =
       Metrics.scope_inc t.scope "reconciles_parked");
   dep.persisted <- dep.state;
   Lock_manager.release t.lock ~owner:u.owner;
-  t.parked <- t.parked + 1;
-  Metrics.scope_set t.scope "parked_work" (float_of_int t.parked);
-  let delay =
-    match Option.bind t.breaker Breaker.next_probe_at with
-    | Some at -> Float.max defer_delay (at -. Cloud.now t.cloud +. 0.5)
-    | None ->
-        (* no breaker, or the cell is already probing or closed again:
-           plain defer *)
-        defer_delay
-  in
-  (* the timer keeps the payload alive, not the granted record *)
-  let work = u.work in
-  Cloud.schedule t.cloud ~delay (fun () ->
-      if t.host.alive () then begin
-        t.parked <- t.parked - 1;
-        Metrics.scope_set t.scope "parked_work" (float_of_int t.parked);
-        push t
-          (match work with
-          | Request r -> Request { r with src = r.dep.config_src }
-          | w -> w)
-      end);
+  let w = waiters t cell in
+  (* the wait list keeps the payload alive, not the granted record *)
+  Queue.add u.work w.units;
+  Metrics.scope_set t.scope "parked_work" (float_of_int (parked_work t));
+  (match t.breaker with
+  | Some b -> (
+      match Breaker.state b ~kind ~rtype with
+      | Breaker.Open -> arm_cooldown t b cell w
+      | Breaker.Half_open -> ()
+      | Breaker.Closed -> wake_all t w)
+  | None -> ());
   drain t
+
+(* Put a parked unit back in the work queue.  A request re-reads
+   [dep.config_src], so a parked request converges to the latest
+   revision, never a stale one. *)
+and readmit t work =
+  Metrics.scope_set t.scope "parked_work" (float_of_int (parked_work t));
+  push t
+    (match work with
+    | Request r -> Request { r with src = r.dep.config_src }
+    | w -> w)
+
+(* Re-admit every unit waiting on a cell, in park order, from a
+   zero-delay event: never inside the breaker call that closed the
+   cell.  A unit that parks on the cell again waits for its next wake. *)
+and wake_all t w =
+  if not (Queue.is_empty w.units) then
+    Cloud.schedule t.cloud ~delay:0. (fun () ->
+        if t.host.alive () then begin
+          let batch = Queue.create () in
+          Queue.transfer w.units batch;
+          Queue.iter (readmit t) batch
+        end)
+
+(* One timer per Open cell with waiters, at the end of its cooldown. *)
+and arm_cooldown t b ((kind, rtype) as cell) w =
+  if (not w.armed) && not (Queue.is_empty w.units) then
+    match Breaker.cooldown_end b ~kind ~rtype with
+    | None -> ()
+    | Some at ->
+        w.armed <- true;
+        Cloud.schedule_at t.cloud ~time:at (fun () ->
+            w.armed <- false;
+            if t.host.alive () then cooldown_over t b cell w)
+
+(* The cell's cooldown ended: re-admit its waiters in park order until
+   one of them takes the half-open probe and the cell leaves Open.  A
+   waiter that queues behind its deployment's lock does not hold the
+   probe back: the next one is admitted.  A cell that tripped again
+   meanwhile waits out its new cooldown; a Half_open one wakes its
+   waiters when its probe's verdict lands. *)
+and cooldown_over t b ((kind, rtype) as cell) w =
+  match Breaker.cooldown_end b ~kind ~rtype with
+  | Some at when at > Cloud.now t.cloud -> arm_cooldown t b cell w
+  | Some _ ->
+      let rec admit_until_probe n =
+        if
+          n > 0
+          && Breaker.state b ~kind ~rtype = Breaker.Open
+          && not (Queue.is_empty w.units)
+        then begin
+          readmit t (Queue.pop w.units);
+          admit_until_probe (n - 1)
+        end
+      in
+      admit_until_probe (Queue.length w.units)
+  | None -> ()
+
+(* Degraded-mode bookkeeping, hung off every breaker cell transition:
+   state-change counters, the open-cell gauge, the time-in-degraded
+   histogram (a degraded window opens when the first cell trips and
+   closes when the last one does), and the cell's parked work, all
+   re-admitted when the cell closes and timed to its new cooldown when
+   it trips again. *)
+let on_breaker_transition t ~kind ~rtype ~after ~now =
+  (match after with
+  | Breaker.Open -> Metrics.scope_inc t.scope "breaker_opened"
+  | Breaker.Half_open -> Metrics.scope_inc t.scope "breaker_half_open"
+  | Breaker.Closed -> Metrics.scope_inc t.scope "breaker_closed");
+  match t.breaker with
+  | None -> ()
+  | Some b -> (
+      let cells = Breaker.open_cells b in
+      Metrics.scope_set t.scope "breaker_open_cells" (float_of_int cells);
+      (match (t.degraded_since, cells) with
+      | None, n when n > 0 ->
+          t.degraded_since <- Some now;
+          Metrics.scope_inc t.scope "degraded_entries"
+      | Some s, 0 ->
+          Metrics.scope_observe t.scope "degraded_time" (now -. s);
+          t.degraded_since <- None
+      | _ -> ());
+      match (Hashtbl.find_opt t.waiting (kind, rtype), after) with
+      | Some w, Breaker.Closed -> wake_all t w
+      | Some w, Breaker.Open -> arm_cooldown t b (kind, rtype) w
+      | Some _, Breaker.Half_open | None, _ -> ())
+
+let create ~sid ~cloud ~config ~scope ~trace ~host () =
+  let t =
+    {
+      cloud;
+      sid;
+      config;
+      host;
+      lock =
+        Lock_manager.create
+          (match config.preset with
+          | Baseline -> Lock_manager.Global
+          | Fleet -> Lock_manager.Per_resource);
+      queue = Pq.create Pq.Min_first;
+      scope;
+      trace;
+      deployments = [];
+      next_work = 0;
+      next_rid = 0;
+      completed = [];
+      detections = [];
+      pending = Hashtbl.create 16;
+      until = 0.;
+      breaker = None;
+      degraded_since = None;
+      waiting = Hashtbl.create 8;
+      depth_written = -1;
+    }
+  in
+  (match config.breaker with
+  | Some bcfg ->
+      t.breaker <-
+        Some
+          (Breaker.create ~config:bcfg
+             ~on_transition:(fun ~kind ~rtype ~before:_ ~after ~now ->
+               on_breaker_transition t ~kind ~rtype ~after ~now)
+             ())
+  | None -> ());
+  t
 
 (* A new unit of work is pending from here until it completes or fails. *)
 let enqueue t work =

@@ -53,9 +53,10 @@ type service_config = {
   breaker : Breaker.config option;
       (** circuit-breaker cells per (API kind, rtype); [None] = off.
           With a breaker, applies fast-fail against Open cells, the
-          affected work parks until the next half-open probe (degraded
-          mode), baseline scan sweeps are shed while any cell is Open,
-          and retry backoff gains engine-seeded jitter. *)
+          affected work parks on the cell that blocked it until the
+          cell's cooldown ends or it closes (degraded mode), baseline
+          scan sweeps are shed while any cell is Open, and retry
+          backoff gains engine-seeded jitter. *)
 }
 
 (** [Baseline] with no policy controller, admission bound, rebalancing
@@ -121,7 +122,7 @@ val lock : t -> Lock_manager.t
 (** This shard's circuit breakers, when configured. *)
 val breaker : t -> Breaker.t option
 
-(** Work units currently parked behind an open breaker cell. *)
+(** Work units currently parked on a breaker cell's wait list. *)
 val parked_work : t -> int
 
 (** Deployments in registration order. *)

@@ -329,8 +329,13 @@ let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
     (Metrics.counter m "api_writes")
     grants waits;
   if scn.Scenario.episodes <> [] || scn.Scenario.breaker then begin
-    let g name =
-      match Metrics.gauge m name with Some v -> int_of_float v | None -> 0
+    (* fleet-wide, like the lock counts: every shard has its breakers *)
+    let breaker_sum f =
+      List.fold_left
+        (fun acc s ->
+          acc
+          + match Shard.breaker s with Some b -> f b | None -> 0)
+        0 (Fleet.shards fleet)
     in
     outf io
       "Chaos: %d episode(s), %d episode fault(s); breaker: %d opened, %d \
@@ -339,7 +344,8 @@ let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
       (List.length scn.Scenario.episodes)
       (Cloud.episode_fault_count cloud)
       (Metrics.counter m "breaker_opened")
-      (g "breaker_fast_fails") (g "breaker_violations")
+      (breaker_sum Cloudless_deploy.Breaker.rejections)
+      (breaker_sum Cloudless_deploy.Breaker.violations)
       (Metrics.counter m "requests_parked")
       (Metrics.counter m "reconciles_parked")
       (Metrics.counter m "scans_shed")

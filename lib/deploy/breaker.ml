@@ -145,11 +145,24 @@ let state t ~kind ~rtype =
   | None -> Closed
   | Some c -> c.cstate
 
+(** Record a cloud call answered with a non-retryable error (not found,
+    invalid): the API is up, so a half-open probe closes the cell as a
+    success would.  A Closed cell's failure run is left as it is. *)
+let answered t ~now ~kind ~rtype =
+  if state t ~kind ~rtype = Half_open then success t ~now ~kind ~rtype
+
 let open_cells t =
   Hashtbl.fold (fun _ c n -> if c.cstate = Open then n + 1 else n) t.cells 0
 
 let any_open t =
   Hashtbl.fold (fun _ c acc -> acc || c.cstate = Open) t.cells false
+
+(** The end of an Open cell's cooldown: when it admits a half-open
+    probe. *)
+let cooldown_end t ~kind ~rtype =
+  match Hashtbl.find_opt t.cells (kind, rtype) with
+  | Some { cstate = Open; open_until; _ } -> Some open_until
+  | Some _ | None -> None
 
 (** Earliest time any Open cell will admit a half-open probe. *)
 let next_probe_at t =
@@ -172,14 +185,6 @@ let note_issue t ~kind ~rtype =
 let rejections t = t.rejections
 let violations t = t.violations
 
-(* Machine-recognizable fast-fail reason: the shard parks work whose
-   failures carry this prefix instead of counting them as permanent. *)
-let open_prefix = "breaker open"
-
 let open_reason ~kind ~rtype remaining =
-  Printf.sprintf "%s: %s/%s unavailable (probe in %.1fs)" open_prefix kind
-    rtype remaining
-
-let is_open_reason s =
-  String.length s >= String.length open_prefix
-  && String.sub s 0 (String.length open_prefix) = open_prefix
+  Printf.sprintf "breaker open: %s/%s unavailable (probe in %.1fs)" kind rtype
+    remaining

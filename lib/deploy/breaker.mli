@@ -49,6 +49,12 @@ val acquire :
     cell if this was the half-open probe. *)
 val success : t -> now:float -> kind:string -> rtype:string -> unit
 
+(** Record a call the cloud answered with a non-retryable error (not
+    found, invalid): the API is up, so a half-open probe closes the
+    cell; a Closed cell's failure run is left as it is.  With
+    {!success} and {!failure}, every answered probe settles its cell. *)
+val answered : t -> now:float -> kind:string -> rtype:string -> unit
+
 (** Record a failed retryable cloud call: extends the failure run,
     trips the cell at the threshold; a failed half-open probe re-opens
     with a longer cooldown. *)
@@ -57,6 +63,10 @@ val failure : t -> now:float -> kind:string -> rtype:string -> unit
 val state : t -> kind:string -> rtype:string -> state
 val open_cells : t -> int
 val any_open : t -> bool
+
+(** The end of the cell's cooldown, when the cell is Open: the time it
+    admits a half-open probe.  [None] for a Closed or Half_open cell. *)
+val cooldown_end : t -> kind:string -> rtype:string -> float option
 
 (** Earliest time any Open cell will admit a half-open probe. *)
 val next_probe_at : t -> float option
@@ -73,8 +83,6 @@ val rejections : t -> int
     unless a call path bypasses the breaker. *)
 val violations : t -> int
 
-(** Fast-fail failure reason carrying the {!is_open_reason} prefix. *)
+(** The human-readable failure reason of a change fast-failed by an
+    Open cell, [remaining] seconds before its probe. *)
 val open_reason : kind:string -> rtype:string -> float -> string
-
-(** Does this failure reason come from a breaker fast-fail? *)
-val is_open_reason : string -> bool

@@ -70,7 +70,11 @@ let cloudless_config =
     refresh = Refresh_scoped;
   }
 
-type failure = Walker.failure = { faddr : Addr.t; reason : string }
+type failure = Walker.failure = {
+  faddr : Addr.t;
+  reason : string;
+  blocked : (string * string) option;
+}
 
 type report = {
   engine : string;

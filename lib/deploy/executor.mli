@@ -46,7 +46,11 @@ type config = Walker.config = {
 val baseline_config : config
 val cloudless_config : config
 
-type failure = Walker.failure = { faddr : Addr.t; reason : string }
+type failure = Walker.failure = {
+  faddr : Addr.t;
+  reason : string;
+  blocked : (string * string) option;
+}
 
 type report = {
   engine : string;

@@ -58,7 +58,11 @@ type config = {
   refresh : refresh_mode;
 }
 
-type failure = { faddr : Addr.t; reason : string }
+type failure = {
+  faddr : Addr.t;
+  reason : string;
+  blocked : (string * string) option;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Unknown resolution at apply time                                    *)
@@ -481,17 +485,19 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
     in
     diagnostics := diag :: !diagnostics
   in
-  let cell_open (c : Plan.change) kind =
+  (* A change's breaker cell, and the end of its cooldown while Open. *)
+  let cell (c : Plan.change) kind = (breaker_kind kind, c.Plan.rtype) in
+  let cooldown_end c kind =
     match breaker with
     | Some b ->
-        Breaker.state b ~kind:(breaker_kind kind) ~rtype:c.Plan.rtype
-        = Breaker.Open
-    | None -> false
+        let kind, rtype = cell c kind in
+        Breaker.cooldown_end b ~kind ~rtype
+    | None -> None
   in
   let open_reason (c : Plan.change) kind remaining =
     Breaker.open_reason ~kind:(breaker_kind kind) ~rtype:c.Plan.rtype remaining
   in
-  let rec complete id result =
+  let rec complete ?blocked id result =
     decr in_flight;
     incr settled;
     (match result with
@@ -506,7 +512,7 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
           rdeps.(id)
     | Error reason ->
         status.(id) <- Failed;
-        failed := { faddr = nodes.(id).Plan.addr; reason } :: !failed;
+        failed := { faddr = nodes.(id).Plan.addr; reason; blocked } :: !failed;
         Array.iter mark_skipped rdeps.(id));
     if !settled = node_count then finish () else pump ()
   (* Every write goes through [submit]: acquire the breaker cell,
@@ -532,7 +538,7 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
            budget burned — a shard parks this work *)
         let reason = open_reason c kind remaining in
         give_up c kind ~attempts:attempt ~outage:true reason;
-        complete id (Error reason)
+        complete id ~blocked:(cell c kind) (Error reason)
     | None -> (
         incr ops_started;
         incr writes;
@@ -574,7 +580,11 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
                 | Cloud.Quota_exceeded _ ) ) ->
               Breaker.failure b ~now:(Cloud.now cloud) ~kind:(breaker_kind kind)
                 ~rtype:c.Plan.rtype
-          | _ -> ());
+          | Some b, Error (Cloud.Not_found _ | Cloud.Invalid _) ->
+              (* the API answered: a probe settles, not strands, its cell *)
+              Breaker.answered b ~now:(Cloud.now cloud)
+                ~kind:(breaker_kind kind) ~rtype:c.Plan.rtype
+          | None, _ -> ());
           if alive () then begin
             handler op_id result;
             resume ()
@@ -617,25 +627,20 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
       (* the failure just recorded may have tripped the breaker:
          checking after [record] stops burning the retry budget the
          moment the cell opens *)
-      if cell_open c kind then begin
-        let remaining =
-          match Option.bind breaker Breaker.next_probe_at with
-          | Some at -> at -. Cloud.now cloud
-          | None -> 0.
-        in
-        give_up c kind ~attempts:(attempt + 1) ~outage:true
-          (Cloud.error_to_string err);
-        complete id (Error (open_reason c kind remaining))
-      end
-      else begin
-        incr retries;
-        (* keep the op slot while backing off (like real engines do) *)
-        Cloud.schedule cloud ~delay (fun () ->
-            if alive () then begin
-              perform id (attempt + 1);
-              resume ()
-            end)
-      end
+      match cooldown_end c kind with
+      | Some at ->
+          give_up c kind ~attempts:(attempt + 1) ~outage:true
+            (Cloud.error_to_string err);
+          complete id ~blocked:(cell c kind)
+            (Error (open_reason c kind (at -. Cloud.now cloud)))
+      | None ->
+          incr retries;
+          (* keep the op slot while backing off (like real engines do) *)
+          Cloud.schedule cloud ~delay (fun () ->
+              if alive () then begin
+                perform id (attempt + 1);
+                resume ()
+              end)
     in
     match err with
     | Cloud.Throttled after when attempt < config.max_retries ->
@@ -654,7 +659,8 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
         record false;
         (match err with
         | Cloud.Throttled _ | Cloud.Transient _ ->
-            give_up c kind ~attempts:(attempt + 1) ~outage:(cell_open c kind)
+            give_up c kind ~attempts:(attempt + 1)
+              ~outage:(cooldown_end c kind <> None)
               (Cloud.error_to_string err)
         | _ -> ());
         complete id (Error (Cloud.error_to_string err))

@@ -42,7 +42,13 @@ type config = {
   refresh : refresh_mode;  (** read by the driver, before the walk *)
 }
 
-type failure = { faddr : Addr.t; reason : string }
+type failure = {
+  faddr : Addr.t;
+  reason : string;
+  blocked : (string * string) option;
+      (** the (API kind, rtype) breaker cell that stopped this change:
+          it rejected the write, or a failure left it Open *)
+}
 
 type refresh_outcome = {
   rstate : State.t;
@@ -114,10 +120,11 @@ type outcome = {
     - [jitter] multiplies each backoff by a 0.8–1.2 draw.  Throttled
       writes wait [max (retry_after + 0.1) backoff].
     - With a [breaker], each write acquires its (kind, rtype) cell
-      first.  A change fails with {!Breaker.open_reason} when its cell
-      rejects the write or a failure leaves it Open — no retry budget
-      is burned against an Open cell — and [Quota_exceeded] is
-      retried. *)
+      first.  A change fails with {!Breaker.open_reason}, and names the
+      cell in [blocked], when its cell rejects the write or a failure
+      leaves it Open — no retry budget is burned against an Open cell.
+      [Quota_exceeded] is retried, and every answer the cloud gives
+      settles a half-open probe. *)
 val apply :
   Cloud.t ->
   config:config ->

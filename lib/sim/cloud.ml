@@ -237,6 +237,12 @@ let resource_count t = Hashtbl.length t.resources
 let schedule t ~delay f =
   Event_queue.push t.events ~time:(t.clock +. delay) f
 
+(** Schedule [f] at the absolute simulated [time] (now, if [time] has
+    passed): the clock then reads exactly [time], where [now + (time -
+    now)] can round below it. *)
+let schedule_at t ~time f =
+  Event_queue.push t.events ~time:(Float.max t.clock time) f
+
 (** Advance to the next event and run it.  Returns [false] when the
     queue is empty. *)
 let step t =

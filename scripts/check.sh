@@ -311,6 +311,20 @@ if (( acquire_count > 1 || exec_count > 0 || printexc_count > 0 )); then
   exit 1
 fi
 
+# -- parked work waits on its cell -----------------------------------
+# A unit parked behind an open breaker cell waits on that cell's wait
+# list and wakes on the cell's cooldown timer or its close.  Timing a
+# re-admission from Breaker.next_probe_at, the earliest probe of any
+# Open cell, brings back per-unit polling: re-admissions that only
+# fast-fail and park again.
+probe_polls=$(grep -rn 'Breaker\.next_probe_at' lib/controlplane/ \
+  --include='*.ml' --include='*.mli' || true)
+if [[ -n "$probe_polls" ]]; then
+  echo "check.sh: Breaker.next_probe_at in lib/controlplane — park the unit on its cell's wait list instead of timing its re-admission:" >&2
+  echo "$probe_polls" >&2
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

@@ -375,6 +375,57 @@ let test_serve_reads_scenario_settings () =
           check bool_ (Printf.sprintf "requests rejected (%d)" n) true (n > 0)
       | None -> Alcotest.failf "no rejected count in:\n%s" out)
 
+(* `serve` prints the fleet's breaker counts, summed over its shards.
+   The bare [breaker_fast_fails] gauge holds whichever shard wrote it
+   last; here the outage fast-fails on shard0 only, so that gauge reads
+   0 while the per-shard gauges sum to the printed count. *)
+let test_serve_sums_breaker_counts () =
+  let scn = Filename.temp_file "chaos" ".scn"
+  and metrics = Filename.temp_file "chaos" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ scn; metrics ])
+    (fun () ->
+      Cloudless.Io_util.write_file scn
+        "tenants = 4\n\
+         resources = 8\n\
+         requests_per_tenant = 2\n\
+         request_interval = 900\n\
+         duration = 3600\n\
+         shards = 2\n\
+         breaker = on\n\
+         episode = kind=outage start=880 end=1100\n\
+         episode = kind=spot start=1700 count=3\n";
+      let out = Buffer.create 1024 in
+      let io = { Cloudless.Cli.out = Buffer.add_string out; err = ignore } in
+      check int_ "exit code" 0
+        (Cloudless.Cli.serve ~io ~metrics_path:metrics ~scenario_path:scn ());
+      let printed =
+        List.find_map
+          (fun p -> Scanf.sscanf_opt (String.trim p) "%d fast-fail(s)" Fun.id)
+          (String.split_on_char ',' (Buffer.contents out))
+      in
+      let json = In_channel.with_open_text metrics In_channel.input_all in
+      (* a gauge's last value, read off the snapshot's text *)
+      let gauge name =
+        let key = Printf.sprintf "\"%s\":{\"type\":\"gauge\",\"last\":" name in
+        let k = String.length key and n = String.length json in
+        let rec at i =
+          if i + k > n then Alcotest.failf "no %s gauge in the snapshot" name
+          else if String.sub json i k = key then
+            Scanf.sscanf (String.sub json (i + k) (n - i - k)) "%f" int_of_float
+          else at (i + 1)
+        in
+        at 0
+      in
+      let sum =
+        gauge "breaker_fast_fails.shard0" + gauge "breaker_fast_fails.shard1"
+      in
+      check bool_ "the outage fast-failed calls" true (sum > 0);
+      check bool_ "the bare gauge holds only the last shard's count" true
+        (gauge "breaker_fast_fails" <> sum);
+      check (Alcotest.option int_) "printed fast-fails = sum over shards"
+        (Some sum) printed)
+
 (* ------------------------------------------------------------------ *)
 (* One write pacer per fleet                                           *)
 (* ------------------------------------------------------------------ *)
@@ -604,6 +655,8 @@ let suites =
           test_backpressure_reject;
         Alcotest.test_case "serve reads every setting from the scenario" `Quick
           test_serve_reads_scenario_settings;
+        Alcotest.test_case "serve sums breaker counts over shards" `Quick
+          test_serve_sums_breaker_counts;
         Alcotest.test_case "one fleet pacer: no 429s, resumable" `Quick
           test_fleet_pacer_never_throttles;
         Alcotest.test_case "baseline service still throttles" `Quick

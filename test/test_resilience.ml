@@ -1,9 +1,10 @@
 (* E17 resilience tests: circuit-breaker state machine (unit + QCheck
    shadow model), the strict episode sub-grammar of the scenario DSL,
    the episode engine's windows/verdicts/quota floors, the executor's
-   distinct outage diagnostic, scan shedding under an open breaker,
-   parked requests converging to the newest revision, and chaos
-   determinism (same seed, byte-identical metrics). *)
+   distinct outage diagnostic, a probe settled by any answer, scan
+   shedding under an open breaker, parked requests converging to the
+   newest revision, parked work waking on its own breaker cell, and
+   chaos determinism (same seed, byte-identical metrics). *)
 
 open Cloudless_hcl
 module Cloud = Cloudless_sim.Cloud
@@ -19,6 +20,7 @@ module Fleet = Cloudless_controlplane.Fleet
 module Shard = Cloudless_controlplane.Shard
 module Scenario = Cloudless_controlplane.Scenario
 module Metrics = Cloudless_obs.Metrics
+module Lock_manager = Cloudless_lock.Lock_manager
 module Cloud_rules = Cloudless_schema.Cloud_rules
 module Err = Cloudless_error
 module Smap = Value.Smap
@@ -384,6 +386,63 @@ let test_outage_diagnostic () =
         (Printf.sprintf "expected one diagnostic, got [%s]"
            (String.concat "; " codes))
 
+let vpc_named name =
+  Printf.sprintf
+    {|
+resource "aws_vpc" "main" {
+  cidr_block = "10.0.0.0/16"
+  region     = "us-east-1"
+  name       = "%s"
+}
+|}
+    name
+
+let trip cloud b (kind, rtype) =
+  for _ = 1 to bcfg.Breaker.failure_threshold do
+    Breaker.failure b ~now:(Cloud.now cloud) ~kind ~rtype
+  done
+
+(* A half-open probe that the cloud answers with a non-retryable error
+   settles its cell: the API is up.  Trip update/aws_vpc, let the
+   cooldown pass, and send the update probe to a VPC deleted out of
+   band.  Its Not_found closes the cell, where it used to leave it
+   Half_open with the probe slot taken for good. *)
+let test_probe_answer_settles_cell () =
+  let cloud =
+    Cloud.create ~config:(Cloud_rules.config_with_checks ()) ~seed:3 ()
+  in
+  let config =
+    { Executor.baseline_config with Executor.refresh = Executor.Refresh_none }
+  in
+  let apply ?breaker state src =
+    Executor.apply cloud ~config ~state
+      ~plan:(Plan.make ~state (expand_src src))
+      ?breaker ()
+  in
+  let state = (apply State.empty (vpc_named "a")).Executor.state in
+  let b = Breaker.create ~config:bcfg () in
+  let kind, rtype = ("update", "aws_vpc") in
+  trip cloud b (kind, rtype);
+  check bool_ "tripped" true (Breaker.state b ~kind ~rtype = Breaker.Open);
+  (match State.resources state with
+  | [ vpc ] -> (
+      match Cloud.delete_oob cloud ~script:"ops" ~cloud_id:vpc.State.cloud_id with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "out-of-band delete failed")
+  | _ -> Alcotest.fail "expected one VPC");
+  Cloud.advance_to cloud (Cloud.now cloud +. bcfg.Breaker.cooldown +. 1.);
+  let probe = apply ~breaker:b state (vpc_named "b") in
+  (match probe.Executor.failed with
+  | [ f ] ->
+      check bool_ "the probe was answered Not_found" true
+        (contains ~sub:"not found" f.Executor.reason)
+  | _ -> Alcotest.fail "expected the update probe to fail");
+  check bool_ "the answer closed the cell" true
+    (Breaker.state b ~kind ~rtype = Breaker.Closed);
+  check bool_ "a later call proceeds" true
+    (Breaker.acquire b ~now:(Cloud.now cloud +. 10_000.) ~kind ~rtype
+    = `Proceed)
+
 (* ------------------------------------------------------------------ *)
 (* Degraded mode: scan shedding + parked work drains                   *)
 (* ------------------------------------------------------------------ *)
@@ -500,6 +559,225 @@ let test_parked_request_converges_to_newest () =
   check int_ "no stale revision reached the cloud" 0 (List.length rewrites)
 
 (* ------------------------------------------------------------------ *)
+(* Parked work waits on its own breaker cell                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A one-shard fleet whose breaker cells the test trips by hand
+   ([bcfg]: 3 failures, 10 s cooldown, so a cell tripped at [t] admits
+   its probe at [t + 10]). *)
+let cell_fleet () =
+  let cloud =
+    Cloud.create ~config:(Cloud_rules.config_with_checks ()) ~seed:5 ()
+  in
+  let fleet =
+    Fleet.create ~cloud ~shards:1
+      { Shard.fleet_service with Shard.breaker = Some bcfg }
+  in
+  let shard = List.hd (Fleet.shards fleet) in
+  let b =
+    match Shard.breaker shard with
+    | Some b -> b
+    | None -> Alcotest.fail "breaker not armed"
+  in
+  (cloud, fleet, shard, b)
+
+let create_vpc = ("create", "aws_vpc")
+let create_subnet = ("create", "aws_subnet")
+
+let submit fleet dep src =
+  match Fleet.submit_request fleet dep ~src with
+  | `Accepted rid -> rid
+  | `Deferred _ | `Rejected -> Alcotest.fail "request not admitted"
+
+let completed_at fleet rid =
+  match
+    List.find_opt (fun (_, r, _) -> r = rid) (Fleet.completed_requests fleet)
+  with
+  | Some (_, _, at) -> at
+  | None -> Alcotest.fail (Printf.sprintf "request %d never completed" rid)
+
+let vpc_row (dep : Shard.deployment) =
+  match State.resources dep.Shard.state with
+  | [ r ] -> r
+  | _ -> Alcotest.fail "expected one VPC row"
+
+(* A unit parked on cell A (create/aws_vpc, open 5 s to 15 s) is
+   re-admitted neither when cell B (create/aws_subnet) probes and closes
+   at 11 s nor at any time before A's cooldown ends: it holds no lock
+   grant until 15 s. *)
+let test_parked_waits_on_its_cell () =
+  let cloud, fleet, shard, b = cell_fleet () in
+  let dep =
+    Fleet.add_deployment fleet ~tenant:"acme" ~dname:"prod" ~src:(vpc_named "a")
+  in
+  let at time f = Cloud.schedule_at cloud ~time f in
+  let grants () = fst (Lock_manager.stats (Shard.lock shard)) in
+  let rid = ref (-1) and seen = ref [] in
+  at 0. (fun () -> trip cloud b create_subnet);
+  at 5. (fun () ->
+      trip cloud b create_vpc;
+      rid := submit fleet dep (vpc_named "a"));
+  at 11. (fun () ->
+      let kind, rtype = create_subnet in
+      check bool_ "cell B grants its probe" true
+        (Breaker.acquire b ~now:11. ~kind ~rtype = `Proceed);
+      Breaker.success b ~now:11. ~kind ~rtype);
+  List.iter
+    (fun time ->
+      at time (fun () ->
+          seen := (time, Shard.parked_work shard, grants ()) :: !seen))
+    [ 6.; 12.; 14.9 ];
+  Fleet.run fleet ~until:200.;
+  check
+    Alcotest.(list (triple (float 0.) int int))
+    "(time, parked, lock grants): parked once, never re-admitted"
+    [ (6., 1, 1); (12., 1, 1); (14.9, 1, 1) ]
+    (List.rev !seen);
+  check bool_ "done after A's cooldown" true (completed_at fleet !rid >= 15.);
+  check int_ "re-admitted exactly once" 2 (grants ());
+  check int_ "nothing parked" 0 (Shard.parked_work shard)
+
+(* Four requests park on one cell in the order d3, d1, d2, d1 (the last
+   a newer revision of d1).  The first waiter takes the probe when the
+   cooldown ends; its success closes the cell and the rest re-enter at
+   that instant, in park order: their VPCs are minted in that order,
+   and d1's parked request applies the newer revision. *)
+let test_close_wakes_in_park_order () =
+  let cloud, fleet, shard, b = cell_fleet () in
+  let dep t =
+    Fleet.add_deployment fleet ~tenant:t ~dname:"prod" ~src:(vpc_named "a")
+  in
+  let d1 = dep "t1" and d2 = dep "t2" and d3 = dep "t3" in
+  let at time f = Cloud.schedule_at cloud ~time f in
+  at 0. (fun () -> trip cloud b create_vpc);
+  at 1. (fun () ->
+      List.iter (fun d -> ignore (submit fleet d (vpc_named "a"))) [ d3; d1; d2 ]);
+  at 2. (fun () ->
+      check int_ "three parked" 3 (Shard.parked_work shard);
+      ignore (submit fleet d1 (vpc_named "b")));
+  Fleet.run fleet ~until:200.;
+  check int_ "every request done" 4
+    (Metrics.counter (Fleet.metrics fleet) "requests_done");
+  check int_ "nothing parked" 0 (Shard.parked_work shard);
+  let ids = List.map (fun d -> (vpc_row d).State.cloud_id) [ d3; d1; d2 ] in
+  check
+    Alcotest.(list string)
+    "VPCs minted in park order" ids
+    (List.sort String.compare ids);
+  let resource d =
+    match Cloud.lookup cloud (vpc_row d).State.cloud_id with
+    | Some r -> r
+    | None -> Alcotest.fail "VPC missing from the cloud"
+  in
+  let closed_at = (resource d3).Cloud.updated_at in
+  List.iter
+    (fun d ->
+      check (Alcotest.float 0.) "re-entered the instant the probe closed the cell"
+        closed_at (resource d).Cloud.created_at)
+    [ d1; d2 ];
+  check bool_ "d1 carries the newer revision" true
+    (Smap.find_opt "name" (vpc_row d1).State.attrs = Some (Value.Vstring "b"))
+
+(* The first waiter's deployment lock is held across the cooldown end,
+   so its re-admission queues behind the lock; the second waiter is
+   admitted at once and takes the probe at 10 s.  The first completes
+   only after the lock is released at 60 s. *)
+let test_lock_blocked_waiter_does_not_delay_probe () =
+  let cloud, fleet, shard, b = cell_fleet () in
+  let dep t =
+    Fleet.add_deployment fleet ~tenant:t ~dname:"prod" ~src:(vpc_named "a")
+  in
+  let d1 = dep "t1" and d2 = dep "t2" in
+  let at time f = Cloud.schedule_at cloud ~time f in
+  let r1 = ref (-1) and r2 = ref (-1) and at_probe = ref Breaker.Closed in
+  at 0. (fun () -> trip cloud b create_vpc);
+  at 1. (fun () ->
+      r1 := submit fleet d1 (vpc_named "a");
+      r2 := submit fleet d2 (vpc_named "a"));
+  at 9. (fun () ->
+      check bool_ "operator holds d1's lock" true
+        (Lock_manager.try_acquire (Shard.lock shard) ~owner:"operator"
+           ~keys:[ d1.Shard.root_key ]));
+  at 10.001 (fun () ->
+      let kind, rtype = create_vpc in
+      at_probe := Breaker.state b ~kind ~rtype);
+  at 60. (fun () -> Lock_manager.release (Shard.lock shard) ~owner:"operator");
+  Fleet.run fleet ~until:300.;
+  check bool_ "the probe went out at the cooldown end" true
+    (!at_probe = Breaker.Half_open);
+  check bool_ "the second waiter finished while d1 was locked" true
+    (completed_at fleet !r2 < 60.);
+  check bool_ "the first waiter finished after the release" true
+    (completed_at fleet !r1 >= 60.);
+  check int_ "nothing parked" 0 (Shard.parked_work shard)
+
+let sg_rule_src ~from_port ~to_port =
+  Printf.sprintf
+    {|
+resource "aws_vpc" "main" {
+  cidr_block = "10.0.0.0/16"
+  region     = "us-east-1"
+}
+resource "aws_security_group" "web" {
+  vpc_id = aws_vpc.main.id
+  name   = "web"
+  region = "us-east-1"
+}
+resource "aws_security_group_rule" "in" {
+  security_group_id = aws_security_group.web.id
+  type              = "ingress"
+  from_port         = %d
+  to_port           = %d
+  protocol          = "tcp"
+  region            = "us-east-1"
+}
+|}
+    from_port to_port
+
+(* Three rule updates park on update/aws_security_group_rule.  The
+   first waiter's probe inverts its port range, and the cloud answers
+   Invalid: the answer closes the cell, so the other two wake and
+   finish, and nothing stays parked. *)
+let test_invalid_probe_wakes_waiters () =
+  let cloud, fleet, shard, b = cell_fleet () in
+  let good = sg_rule_src ~from_port:80 ~to_port:80 in
+  let dep t = Fleet.add_deployment fleet ~tenant:t ~dname:"prod" ~src:good in
+  let deps = [ dep "t1"; dep "t2"; dep "t3" ] in
+  let at time f = Cloud.schedule_at cloud ~time f in
+  let cell = ("update", "aws_security_group_rule") in
+  at 0. (fun () -> List.iter (fun d -> ignore (submit fleet d good)) deps);
+  at 100. (fun () -> trip cloud b cell);
+  at 101. (fun () ->
+      List.iteri
+        (fun i d ->
+          ignore
+            (submit fleet d
+               (if i = 0 then sg_rule_src ~from_port:100 ~to_port:10
+                else sg_rule_src ~from_port:443 ~to_port:443)))
+        deps;
+      check int_ "three parked" 3 (Shard.parked_work shard));
+  Fleet.run fleet ~until:400.;
+  let m = Fleet.metrics fleet in
+  check int_ "every request done" 6 (Metrics.counter m "requests_done");
+  check int_ "only the inverted range failed" 1
+    (Metrics.counter m "work_failures");
+  check int_ "nothing parked" 0 (Shard.parked_work shard);
+  let kind, rtype = cell in
+  check bool_ "the cell closed" true
+    (Breaker.state b ~kind ~rtype = Breaker.Closed);
+  List.iteri
+    (fun i (d : Shard.deployment) ->
+      if i > 0 then
+        check bool_ "the rule carries the new port" true
+          (List.exists
+             (fun (r : State.resource_state) ->
+               r.State.rtype = "aws_security_group_rule"
+               && Smap.find_opt "from_port" r.State.attrs
+                  = Some (Value.Vint 443))
+             (State.resources d.Shard.state)))
+    deps
+
+(* ------------------------------------------------------------------ *)
 (* Chaos determinism on the fleet                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -584,9 +862,19 @@ let suites =
     ( "resilience.degraded-mode",
       [
         Alcotest.test_case "outage diagnostic" `Quick test_outage_diagnostic;
+        Alcotest.test_case "an answered probe settles its cell" `Quick
+          test_probe_answer_settles_cell;
         Alcotest.test_case "scan shed + drain" `Quick test_scan_shed_and_drain;
         Alcotest.test_case "parked request converges to newest revision"
           `Quick test_parked_request_converges_to_newest;
+        Alcotest.test_case "parked work waits on its own cell" `Quick
+          test_parked_waits_on_its_cell;
+        Alcotest.test_case "a closing cell wakes its waiters in park order"
+          `Quick test_close_wakes_in_park_order;
+        Alcotest.test_case "a lock-blocked waiter does not delay the probe"
+          `Quick test_lock_blocked_waiter_does_not_delay_probe;
+        Alcotest.test_case "an invalid probe answer wakes every waiter"
+          `Quick test_invalid_probe_wakes_waiters;
         Alcotest.test_case "chaos determinism" `Quick test_chaos_determinism;
         Alcotest.test_case "chaos convergence" `Quick test_chaos_converges;
       ] );
