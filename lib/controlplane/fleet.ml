@@ -23,11 +23,12 @@
     k] counts journaled writes across the whole fleet, so a crash lands
     on whichever shard issues the (k+1)-th write), the policy
     controller, queue-depth-driven rebalancing, crash {!resume} at
-    shard granularity, the shard-count-invariant {!state_digest}, and
-    the shared write pacer: one token bucket mirroring the cloud's
-    write budget that every unbounded walk of every shard books from, so
-    the fleet as a whole stays inside the provider's budget instead of
-    bursting into it and retrying the 429s. *)
+    shard granularity, the owner index (cloud id -> deployment) that
+    drift routing and the shard-count-invariant {!state_digest} read,
+    and the shared write pacer: one token bucket mirroring the cloud's
+    write budget that every unbounded walk of every shard books from,
+    so the fleet as a whole stays inside the provider's budget instead
+    of bursting into it and retrying the 429s. *)
 
 module Hcl = Cloudless_hcl
 module Value = Hcl.Value
@@ -48,6 +49,51 @@ module Metrics = Cloudless_obs.Metrics
    triggers a rebalance move at the next periodic check. *)
 let rebalance_threshold = 4
 
+(* The owner index.  Every registered deployment has an [entry]; each
+   row of the state the entry last read claims the [slot] of its cloud
+   id, and the slot's [winner] is the id's owner.  The digest caches
+   each row's rendered [line] with the slot of every string it looked
+   up, owned or not.  Each change of a slot's owner is numbered: a line
+   rendered or checked after the slot's last change still renders the
+   right owners, and any other line renders again. *)
+type entry = {
+  dep : Shard.deployment;
+  mutable read : State.t;  (** the state [rows] were taken from *)
+  mutable rows : row array;  (** that state's rows, in address order *)
+  mutable order : int array option;
+      (** [rows] indices in address-text order; [None] after the
+          address set changed *)
+}
+
+and row = {
+  owner : entry;
+  r : State.resource_state;
+  mutable addr_text : string;
+      (** [Addr.to_string r.addr], rendered when the digest first needs
+          it and kept while the address stays; [""] before *)
+  mutable line : line;
+}
+
+and line = {
+  mutable text : string;  (** ["  addr|rtype|k=v…\n"]; [""] once expired *)
+  looked_up : slot array;  (** the slot of each string value rendered *)
+  mutable checked : int;
+      (** the owner-change count when the line was rendered or last
+          found current *)
+}
+
+and slot = {
+  key : string;
+  mutable winner : row option;  (** the row whose cloud id is [key] *)
+  mutable rivals : row list;  (** any other row claiming it *)
+  mutable changed : int;  (** the number of its owner's last change *)
+  mutable live : int;  (** unexpired lines that looked [key] up *)
+}
+
+(* A growable byte buffer the digest renders into, reused across
+   calls and hashed in place. *)
+type out = { mutable bytes : Bytes.t; mutable len : int }
+
 type t = {
   cloud : Cloud.t;
   config : Shard.service_config;
@@ -63,6 +109,16 @@ type t = {
   mutable unmanaged : (string * float) list;
       (** detections with no owning deployment (newest first) *)
   mutable until : float;
+  mutable entries : entry list;
+      (** every registered deployment, newest first *)
+  mutable by_name : entry array;
+      (** [entries] by (tenant, dname); rebuilt after a registration *)
+  slots : (string, slot) Hashtbl.t;  (** string -> its slot *)
+  out : out;
+  mutable looked_up : slot array;
+      (** the slots of the row being rendered, from index 0; grown as
+          needed *)
+  mutable changes : int;  (** owner changes so far, fleet-wide *)
 }
 
 let metrics t = t.registry
@@ -73,6 +129,33 @@ let shards t = Array.to_list t.shards
 let set_crash t policy = t.crash := policy
 
 let owner_shard t tenant = t.shards.(Router.assign t.router tenant)
+
+(* The label of shard [sid]'s metrics: ["name.shard<sid>"]. *)
+let shard_label sid = Printf.sprintf "shard%d" sid
+
+(* The gauges {!Shard.finish_stats} writes per shard.  Each bare name
+   holds the fleet's total, the sum of its ["name.shard<i>"] gauges. *)
+let shard_totals =
+  [
+    "lock_grants";
+    "lock_waits";
+    "breaker_fast_fails";
+    "breaker_violations";
+    "breaker_open_cells";
+  ]
+
+let set_fleet_totals t =
+  List.iter
+    (fun name ->
+      let parts =
+        Array.to_list t.shards
+        |> List.filter_map (fun s ->
+               Metrics.gauge t.registry
+                 (String.concat "." [ name; shard_label (Shard.sid s) ]))
+      in
+      if parts <> [] then
+        Metrics.set t.registry name (List.fold_left ( +. ) 0. parts))
+    shard_totals
 
 (* The fleet's telemetry policy, ticked every [policy_period]: flag any
    accumulated drift. *)
@@ -121,7 +204,7 @@ let create ~cloud ?(trace = Trace.null) ~shards (config : Shard.service_config)
   in
   let mk sid =
     Shard.create ~sid ~cloud ~config
-      ~scope:(Metrics.scoped registry (Some (Printf.sprintf "shard%d" sid)))
+      ~scope:(Metrics.scoped registry (Some (shard_label sid)))
       ~trace ~host ()
   in
   Metrics.set registry "fleet_shards" (float_of_int shards);
@@ -139,6 +222,12 @@ let create ~cloud ?(trace = Trace.null) ~shards (config : Shard.service_config)
     cursor = 0;
     unmanaged = [];
     until = 0.;
+    entries = [];
+    by_name = [||];
+    slots = Hashtbl.create 1024;
+    out = { bytes = Bytes.create 4096; len = 0 };
+    looked_up = [||];
+    changes = 0;
   }
 
 (* Rebalancing moves all of a tenant's deployments and pins the tenant
@@ -147,7 +236,11 @@ let find_deployment t ~tenant ~dname =
   Shard.find_deployment (owner_shard t tenant) ~tenant ~dname
 
 let add_deployment t ~tenant ~dname ~src =
-  Shard.add_deployment (owner_shard t tenant) ~tenant ~dname ~src
+  let dep = Shard.add_deployment (owner_shard t tenant) ~tenant ~dname ~src in
+  t.entries <-
+    { dep; read = State.empty; rows = [||]; order = Some [||] } :: t.entries;
+  t.by_name <- [||];
+  dep
 
 let submit_request t (dep : Shard.deployment) ~src =
   Shard.submit_request (owner_shard t dep.Shard.tenant) dep ~src
@@ -183,26 +276,171 @@ let completed_requests t =
   |> List.stable_sort (fun (_, _, a) (_, _, b) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
-(* Event-driven drift: one multiplexed subscription per shard          *)
+(* The owner index                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The owning deployment of a cloud id, fleet-wide.  O(deployments)
-   state probes, paid only for non-IaC writes in this shard's
-   partition. *)
+let slot t key =
+  match Hashtbl.find_opt t.slots key with
+  | Some s -> s
+  | None ->
+      let s = { key; winner = None; rivals = []; changed = 0; live = 0 } in
+      Hashtbl.add t.slots key s;
+      s
+
+let forget_if_unused t s =
+  if Option.is_none s.winner && s.live = 0 then
+    match Hashtbl.find_opt t.slots s.key with
+    | Some s' when s' == s -> Hashtbl.remove t.slots s.key
+    | _ -> ()
+
+let expired l = String.length l.text = 0
+
+(* A line expires when its row leaves or changes, or when a string it
+   looked up has changed owner; a slot that no row claims and no line
+   looked up is dropped. *)
+let expire t l =
+  if not (expired l) then begin
+    l.text <- "";
+    Array.iter
+      (fun s ->
+        s.live <- s.live - 1;
+        forget_if_unused t s)
+      l.looked_up
+  end
+
+let no_line = { text = ""; looked_up = [||]; checked = 0 }
+
+(* Which claim owns a cloud id claimed twice: the one the from-scratch
+   rendering wrote last, filling its table in (tenant, dname) order
+   and each state in address order. *)
+let outranks a b =
+  let c = String.compare a.owner.dep.Shard.tenant b.owner.dep.Shard.tenant in
+  if c <> 0 then c > 0
+  else
+    let c = String.compare a.owner.dep.Shard.dname b.owner.dep.Shard.dname in
+    if c <> 0 then c > 0 else Hcl.Addr.compare a.r.State.addr b.r.State.addr > 0
+
+let claims s = match s.winner with Some w -> w :: s.rivals | None -> []
+
+(* Give a slot the rows [claims] and re-elect its owner; a change of
+   the owner's text gets the next number. *)
+let elect t s claims =
+  let w =
+    List.fold_left
+      (fun w c ->
+        match w with Some b when not (outranks c b) -> w | _ -> Some c)
+      None claims
+  in
+  let same =
+    match (s.winner, w) with
+    | None, None -> true
+    | Some a, Some b ->
+        a.owner == b.owner && Hcl.Addr.compare a.r.State.addr b.r.State.addr = 0
+    | _ -> false
+  in
+  s.winner <- w;
+  s.rivals <-
+    (match w with Some w -> List.filter (fun c -> c != w) claims | None -> []);
+  if not same then begin
+    t.changes <- t.changes + 1;
+    s.changed <- t.changes
+  end;
+  forget_if_unused t s
+
+let claim t row =
+  let s = slot t row.r.State.cloud_id in
+  elect t s (row :: claims s)
+
+let unclaim t row =
+  match Hashtbl.find_opt t.slots row.r.State.cloud_id with
+  | Some s -> elect t s (List.filter (fun c -> c != row) (claims s))
+  | None -> ()
+
+(* A new record at an old row's address, with the old row's cloud id:
+   the owner text stays, so the new row takes the old one's claim as it
+   is. *)
+let take_over t o row =
+  match Hashtbl.find_opt t.slots row.r.State.cloud_id with
+  | Some ({ winner = Some w; _ } as s) when w == o -> s.winner <- Some row
+  | Some s -> s.rivals <- List.map (fun c -> if c == o then row else c) s.rivals
+  | None -> claim t row
+
+(* Bring one entry up to its deployment's new state, walking the old
+   and the new rows in address order: a physically unchanged record
+   keeps its row, a new record at an old address keeps the address
+   text, and any other row leaves or arrives. *)
+let reindex t e state =
+  let old = e.rows in
+  let n = Array.length old and i = ref 0 and moved = ref false in
+  let drop o =
+    expire t o.line;
+    unclaim t o;
+    moved := true
+  in
+  let next (r : State.resource_state) =
+    while
+      !i < n
+      && old.(!i).r != r
+      && Hcl.Addr.compare old.(!i).r.State.addr r.State.addr < 0
+    do
+      drop old.(!i);
+      incr i
+    done;
+    if !i < n && old.(!i).r == r then begin
+      incr i;
+      old.(!i - 1)
+    end
+    else begin
+      let row = { owner = e; r; addr_text = ""; line = no_line } in
+      if !i < n && Hcl.Addr.compare old.(!i).r.State.addr r.State.addr = 0
+      then begin
+        let o = old.(!i) in
+        incr i;
+        row.addr_text <- o.addr_text;
+        expire t o.line;
+        if String.equal o.r.State.cloud_id r.State.cloud_id then
+          take_over t o row
+        else begin
+          unclaim t o;
+          claim t row
+        end
+      end
+      else begin
+        moved := true;
+        claim t row
+      end;
+      row
+    end
+  in
+  let rows = List.map next (State.resources state) in
+  while !i < n do
+    drop old.(!i);
+    incr i
+  done;
+  e.rows <- Array.of_list rows;
+  e.read <- state;
+  if !moved then e.order <- None
+
+(* Re-index every deployment whose state is physically new since the
+   last read: O(deployments) pointer tests plus the changed states. *)
+let refresh t =
+  List.iter
+    (fun e -> if e.read != e.dep.Shard.state then reindex t e e.dep.Shard.state)
+    t.entries
+
+(** The deployment whose state tracks [cloud_id], fleet-wide: one hash
+    lookup after re-indexing the deployments whose state is physically
+    new since the last read — O(deployments) pointer tests plus O(rows)
+    per changed deployment. *)
 let owning_deployment t cloud_id =
-  let found = ref None in
-  Array.iter
-    (fun s ->
-      if !found = None then
-        List.iter
-          (fun (d : Shard.deployment) ->
-            if
-              !found = None
-              && State.find_by_cloud_id d.Shard.state cloud_id <> None
-            then found := Some d)
-          (Shard.deployments s))
-    t.shards;
-  !found
+  refresh t;
+  match Hashtbl.find_opt t.slots cloud_id with
+  | Some { winner = Some w; _ } -> Some w.owner.dep
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Event-driven drift: one multiplexed subscription per shard          *)
+(* ------------------------------------------------------------------ *)
 
 let deliver t sid (e : Activity_log.entry) =
   t.cursor <- e.Activity_log.seq + 1;
@@ -378,6 +616,7 @@ let run t ~until =
       if !(t.dead) then unsubscribe_shards t)
     drive;
   Array.iter Shard.finish_stats t.shards;
+  set_fleet_totals t;
   Metrics.set t.registry "log_deliveries"
     (float_of_int (Activity_log.deliveries (Cloud.log t.cloud)))
 
@@ -439,6 +678,120 @@ let orphans t =
 (* Shard-count-invariant state digest                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The digest's writer: [out]'s bytes, grown by doubling. *)
+let reserve o k =
+  let need = o.len + k in
+  if need > Bytes.length o.bytes then begin
+    let b = Bytes.create (max need (2 * Bytes.length o.bytes)) in
+    Bytes.blit o.bytes 0 b 0 o.len;
+    o.bytes <- b
+  end
+
+let put_string o s =
+  let k = String.length s in
+  reserve o k;
+  Bytes.blit_string s 0 o.bytes o.len k;
+  o.len <- o.len + k
+
+let put_char o c =
+  reserve o 1;
+  Bytes.unsafe_set o.bytes o.len c;
+  o.len <- o.len + 1
+
+(* ["tenant/dname"] *)
+let put_label o e =
+  put_string o e.dep.Shard.tenant;
+  put_char o '/';
+  put_string o e.dep.Shard.dname
+
+let addr_text row =
+  if row.addr_text = "" then
+    row.addr_text <- Hcl.Addr.to_string row.r.State.addr;
+  row.addr_text
+
+(* Each deployment's rows in address-text order, as the from-scratch
+   rendering sorted them (stably, from address order). *)
+let text_order rows =
+  let order = Array.init (Array.length rows) Fun.id in
+  Array.stable_sort
+    (fun a b -> String.compare (addr_text rows.(a)) (addr_text rows.(b)))
+    order;
+  order
+
+(* Render one row's line at the end of [out] and keep its text with
+   the slot of every string it looked up. *)
+let render t row =
+  let o = t.out in
+  let start = o.len in
+  let seen = ref 0 in
+  (* recursive: reference attributes carry cloud ids inside lists
+     ([vpc_security_group_ids = ["group-…"]]) and maps too *)
+  let rec add_value v =
+    match v with
+    | Value.Vstring str -> (
+        let s = slot t str in
+        if !seen = Array.length t.looked_up then
+          t.looked_up <- Array.append t.looked_up (Array.make (!seen + 8) s);
+        t.looked_up.(!seen) <- s;
+        incr seen;
+        match s.winner with
+        | Some w ->
+            put_char o '@';
+            put_label o w.owner;
+            put_char o '/';
+            put_string o (addr_text w)
+        | None ->
+            put_char o '"';
+            put_string o (Value.escape_string str);
+            put_char o '"')
+    | Value.Vint n -> put_string o (string_of_int n)
+    | Value.Vbool b -> put_string o (string_of_bool b)
+    | Value.Vnull -> put_string o "null"
+    | Value.Vlist vs ->
+        put_char o '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then put_char o ',';
+            add_value v)
+          vs;
+        put_char o ']'
+    | Value.Vmap m ->
+        put_char o '{';
+        let first = ref true in
+        Smap.iter
+          (fun k v ->
+            if !first then first := false else put_char o ',';
+            put_string o k;
+            put_char o ':';
+            add_value v)
+          m;
+        put_char o '}'
+    | Value.Vfloat _ | Value.Vunknown _ -> put_string o (Value.show v)
+  in
+  put_string o "  ";
+  put_string o (addr_text row);
+  put_char o '|';
+  put_string o row.r.State.rtype;
+  Smap.iter
+    (fun k v ->
+      if k <> "arn" && k <> "id" then begin
+        put_char o '|';
+        put_string o k;
+        put_char o '=';
+        add_value v
+      end)
+    row.r.State.attrs;
+  put_char o '\n';
+  let line =
+    {
+      text = Bytes.sub_string o.bytes start (o.len - start);
+      looked_up = Array.sub t.looked_up 0 !seen;
+      checked = t.changes;
+    }
+  in
+  Array.iter (fun s -> s.live <- s.live + 1) line.looked_up;
+  row.line <- line
+
 (** MD5 over a canonical rendering of every deployment's state.  Cloud
     ids are minted by a global counter whose order depends on execution
     interleaving — and therefore on the shard count — so the rendering
@@ -447,102 +800,53 @@ let orphans t =
     [arn]/[id] attributes.  Two fleets that converged every tenant to
     the same logical world digest identically at any shard count.
 
-    One pass writes the rendering straight into a buffer: scalars as
-    {!Value.show} prints them, lists and maps without intermediate
-    strings, and each resource's address text rendered once, for both
-    the cloud-id table and its row's sort key. *)
+    A call costs what changed since the previous one, plus one copy and
+    one MD5 of the rendering: the owner index re-reads only the
+    deployments whose state is physically new, and a row keeps its
+    rendered line while its record is physically the same and every
+    string it looked up keeps its owner.  The other rows render again
+    into the one buffer the calls share. *)
 let state_digest t =
-  let deps =
-    List.sort
-      (fun (a : Shard.deployment) (b : Shard.deployment) ->
-        compare (a.Shard.tenant, a.Shard.dname) (b.Shard.tenant, b.Shard.dname))
-      (deployments t)
-  in
-  (* cloud id -> (owning deployment, address text) across the fleet,
-     filled in state order; then each deployment's rows sort by that
-     same text *)
-  let owner_of = Hashtbl.create 256 in
-  let rows =
-    List.map
-      (fun (d : Shard.deployment) ->
-        let rs =
-          Array.of_list
-            (List.map
-               (fun (r : State.resource_state) ->
-                 let a = Hcl.Addr.to_string r.State.addr in
-                 Hashtbl.replace owner_of r.State.cloud_id (d, a);
-                 (a, r))
-               (State.resources d.Shard.state))
-        in
-        Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) rs;
-        (d, rs))
-      deps
-  in
-  let buf = Buffer.create 4096 in
-  let add_deployment (d : Shard.deployment) =
-    Buffer.add_string buf d.Shard.tenant;
-    Buffer.add_char buf '/';
-    Buffer.add_string buf d.Shard.dname
-  in
-  (* recursive: reference attributes carry cloud ids inside lists
-     ([vpc_security_group_ids = ["group-…"]]) and maps too *)
-  let rec add_value v =
-    match v with
-    | Value.Vstring s -> (
-        match Hashtbl.find_opt owner_of s with
-        | Some (d, a) ->
-            Buffer.add_char buf '@';
-            add_deployment d;
-            Buffer.add_char buf '/';
-            Buffer.add_string buf a
+  refresh t;
+  if Array.length t.by_name = 0 then begin
+    t.by_name <- Array.of_list (List.rev t.entries);
+    Array.stable_sort
+      (fun a b ->
+        let c = String.compare a.dep.Shard.tenant b.dep.Shard.tenant in
+        if c <> 0 then c
+        else String.compare a.dep.Shard.dname b.dep.Shard.dname)
+      t.by_name
+  end;
+  let o = t.out in
+  o.len <- 0;
+  Array.iter
+    (fun e ->
+      put_label o e;
+      put_char o '\n';
+      let order =
+        match e.order with
+        | Some order -> order
         | None ->
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (Value.escape_string s);
-            Buffer.add_char buf '"')
-    | Value.Vint n -> Buffer.add_string buf (string_of_int n)
-    | Value.Vbool b -> Buffer.add_string buf (string_of_bool b)
-    | Value.Vnull -> Buffer.add_string buf "null"
-    | Value.Vlist vs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_char buf ',';
-            add_value v)
-          vs;
-        Buffer.add_char buf ']'
-    | Value.Vmap m ->
-        Buffer.add_char buf '{';
-        let first = ref true in
-        Smap.iter
-          (fun k v ->
-            if !first then first := false else Buffer.add_char buf ',';
-            Buffer.add_string buf k;
-            Buffer.add_char buf ':';
-            add_value v)
-          m;
-        Buffer.add_char buf '}'
-    | Value.Vfloat _ | Value.Vunknown _ -> Buffer.add_string buf (Value.show v)
-  in
-  List.iter
-    (fun (d, rs) ->
-      add_deployment d;
-      Buffer.add_char buf '\n';
+            let order = text_order e.rows in
+            e.order <- Some order;
+            order
+      in
       Array.iter
-        (fun (a, (r : State.resource_state)) ->
-          Buffer.add_string buf "  ";
-          Buffer.add_string buf a;
-          Buffer.add_char buf '|';
-          Buffer.add_string buf r.State.rtype;
-          Smap.iter
-            (fun k v ->
-              if k <> "arn" && k <> "id" then begin
-                Buffer.add_char buf '|';
-                Buffer.add_string buf k;
-                Buffer.add_char buf '=';
-                add_value v
-              end)
-            r.State.attrs;
-          Buffer.add_char buf '\n')
-        rs)
-    rows;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+        (fun i ->
+          let row = e.rows.(i) in
+          let l = row.line in
+          if expired l then render t row
+          else if l.checked = t.changes then put_string o l.text
+          else if
+            Array.exists (fun s -> s.changed > l.checked) l.looked_up
+          then begin
+            expire t l;
+            render t row
+          end
+          else begin
+            l.checked <- t.changes;
+            put_string o l.text
+          end)
+        order)
+    t.by_name;
+  Digest.to_hex (Digest.subbytes o.bytes 0 o.len)

@@ -107,8 +107,24 @@ val resume :
     deployment's state tracks. *)
 val orphans : t -> string list
 
+(** The deployment whose state tracks [cloud_id], across every shard;
+    [None] for an id no state tracks.  The fleet keeps one owner index
+    (cloud id -> deployment and address), brought up to date on each
+    read by re-indexing only the deployments whose state is physically
+    new since the previous read: O(deployments) pointer tests plus
+    O(rows) per changed deployment, then one hash lookup.  Drift
+    routing calls it for every out-of-band write in a shard's
+    partition.  An id claimed by two states belongs to the later by
+    (tenant, deployment name, address). *)
+val owning_deployment : t -> string -> Shard.deployment option
+
 (** MD5 over a canonical, cloud-id-free rendering of every deployment's
     state — identical at any shard count once the fleet has converged
     (cloud ids are replaced by owning addresses; id-derived attributes
-    dropped). *)
+    dropped).  A call pays for what changed since the previous call,
+    plus one copy and one MD5 of the whole rendering: it reads the
+    owner index as {!owning_deployment} does, and a row whose record is
+    physically unchanged and whose looked-up strings kept their owners
+    reuses its rendered line; the other rows render again into one
+    buffer the calls share. *)
 val state_digest : t -> string

@@ -50,9 +50,18 @@ type t = {
   journal : Journal.t option;
   check_period : float;
   mutable wave : Wave.t option;  (** built lazily, once deployments exist *)
-  mutable targets : (string * string list) list;
-      (** tenant -> dnames, lexicographic — deterministic across a
+  mutable tenants : string list;
+      (** every target tenant, lexicographic — deterministic across a
           crash-resume so the resumed wave slicing matches the journal *)
+  targets : (string, string list) Hashtbl.t;  (** tenant -> dnames *)
+  rewrites : (string, string option) Hashtbl.t;
+      (** config source -> {!Planner.rewrite_src}'s answer; a source
+          that fails to parse is not kept, so it raises every time *)
+  verdicts :
+    (string * string, string * State.t * Rego_like.violation list) Hashtbl.t;
+      (** (tenant, dname) -> the gate violations of its (config_src,
+          state) at the last gate, reused while both are unchanged:
+          the source by content, the state physically *)
   snapshots : (string * string, string * State.t) Hashtbl.t;
       (** (tenant, dname) -> pre-wave (config_src, state), captured at
           wave-submission time; the rollback target *)
@@ -79,7 +88,10 @@ let create ?journal ?(check_period = 30.) ~change fleet_ref () =
     journal;
     check_period;
     wave = None;
-    targets = [];
+    tenants = [];
+    targets = Hashtbl.create 64;
+    rewrites = Hashtbl.create 8;
+    verdicts = Hashtbl.create 64;
     snapshots = Hashtbl.create 64;
     baseline_failures = 0;
     baseline_faults = 0;
@@ -101,42 +113,70 @@ let event t fmt =
       t.events <- (now, msg) :: t.events)
     fmt
 
-(* Every tenant with at least one deployment, lexicographic.  The order
-   must be a pure function of the fleet's tenant set (not registration
-   order): a resumed fleet rebuilds deployments in a different order,
-   and the wave slicing must still line up with the journaled wave
-   indices. *)
-let target_map fleet =
-  let tbl = Hashtbl.create 16 in
+(* Every tenant with at least one deployment, lexicographic, and each
+   tenant's dnames.  The order must be a pure function of the fleet's
+   tenant set (not registration order): a resumed fleet rebuilds
+   deployments in a different order, and the wave slicing must still
+   line up with the journaled wave indices. *)
+let capture_targets t =
   List.iter
     (fun (dep : Shard.deployment) ->
       let cur =
-        Option.value ~default:[] (Hashtbl.find_opt tbl dep.Shard.tenant)
+        Option.value ~default:[] (Hashtbl.find_opt t.targets dep.Shard.tenant)
       in
-      Hashtbl.replace tbl dep.Shard.tenant (dep.Shard.dname :: cur))
-    (Fleet.deployments fleet);
-  Hashtbl.fold
-    (fun tenant dnames acc -> (tenant, List.sort compare dnames) :: acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+      Hashtbl.replace t.targets dep.Shard.tenant (dep.Shard.dname :: cur))
+    (Fleet.deployments !(t.fleet));
+  Hashtbl.filter_map_inplace
+    (fun _ dnames -> Some (List.sort compare dnames))
+    t.targets;
+  t.tenants <-
+    List.sort compare
+      (Hashtbl.fold (fun tenant _ acc -> tenant :: acc) t.targets [])
 
 let ensure_wave t =
   match t.wave with
   | Some w -> w
   | None ->
-      t.targets <- target_map !(t.fleet);
+      capture_targets t;
       let w =
-        Wave.create ~change:t.change
-          ~tenants:(List.map fst t.targets)
-          ?journal:t.journal ()
+        Wave.create ~change:t.change ~tenants:t.tenants ?journal:t.journal ()
       in
       t.wave <- Some w;
       w
 
 let dnames_of t tenant =
-  Option.value ~default:[] (List.assoc_opt tenant t.targets)
+  Option.value ~default:[] (Hashtbl.find_opt t.targets tenant)
 
 let change_file t = Printf.sprintf "<change:%s>" t.change.Change.cname
+
+(* The change's rewrite of one config source, once per source: a wave
+   rewrites every tenant, and tenants share a handful of sources. *)
+let rewrite t src =
+  match Hashtbl.find_opt t.rewrites src with
+  | Some r -> r
+  | None ->
+      let r = Planner.rewrite_src t.change ~file:(change_file t) src in
+      Hashtbl.add t.rewrites src r;
+      r
+
+(* The gate predicates' violations on one deployment.  Each call is a
+   management-plane read, whether or not the deployment's revision and
+   state are the ones the last gate evaluated. *)
+let violations t (dep : Shard.deployment) =
+  t.mgmt_calls <- t.mgmt_calls + 1;
+  let key = (dep.Shard.tenant, dep.Shard.dname) in
+  match Hashtbl.find_opt t.verdicts key with
+  | Some (src, state, vs)
+    when state == dep.Shard.state && String.equal src dep.Shard.config_src ->
+      vs
+  | _ ->
+      let vs =
+        Rego_like.evaluate t.change.Change.gates
+          (Shard.expand ~state:dep.Shard.state dep.Shard.config_src)
+      in
+      Hashtbl.replace t.verdicts key
+        (dep.Shard.config_src, dep.Shard.state, vs);
+      vs
 
 (* ------------------------------------------------------------------ *)
 (* The wave loop                                                       *)
@@ -160,10 +200,7 @@ let rec submit_wave t (w : Wave.wave) =
           | Some dep ->
               Hashtbl.replace t.snapshots (tenant, dname)
                 (dep.Shard.config_src, dep.Shard.state);
-              (match
-                 Planner.rewrite_src t.change ~file:(change_file t)
-                   dep.Shard.config_src
-               with
+              (match rewrite t dep.Shard.config_src with
               | Some src ->
                   incr subs;
                   t.submitted <- t.submitted + 1;
@@ -203,7 +240,6 @@ and gate t (w : Wave.wave) =
   let cloud = Fleet.cloud fleet in
   let now = Cloud.now cloud in
   t.gate_checks <- t.gate_checks + 1;
-  let gates = t.change.Change.gates in
   (* Gate predicates run over every tenant the change has touched so
      far — a violation introduced by an earlier wave keeps blocking. *)
   let violations =
@@ -213,10 +249,7 @@ and gate t (w : Wave.wave) =
           (fun dname ->
             match Fleet.find_deployment fleet ~tenant ~dname with
             | None -> []
-            | Some dep ->
-                t.mgmt_calls <- t.mgmt_calls + 1;
-                Rego_like.evaluate gates
-                  (Shard.expand ~state:dep.Shard.state dep.Shard.config_src))
+            | Some dep -> violations t dep)
           (dnames_of t tenant))
       (Wave.touched_tenants wv)
   in
@@ -266,7 +299,7 @@ and gate t (w : Wave.wave) =
           wave_delta /. float_of_int (max 1 (List.length w.Wave.tenants))
         in
         let remaining =
-          List.length t.targets - List.length (Wave.touched_tenants wv)
+          List.length t.tenants - List.length (Wave.touched_tenants wv)
         in
         Some (total +. (per_tenant *. float_of_int (max 0 remaining)))
   in

@@ -918,8 +918,10 @@ let arm_timers t ~until =
   | Fleet -> ()
   | Baseline -> List.iter (fun dep -> arm_scan_timer t dep) t.deployments
 
-(** Fold terminal lock-manager stats into the metrics registry; call
-    once when the host's drive loop ends. *)
+(** Fold terminal lock-manager and breaker stats into the metrics
+    registry; call once when the host's drive loop ends.  Each bare
+    gauge ends up holding the last shard's value until the fleet sets
+    it to the total over its shards. *)
 let finish_stats t =
   let grants, waits = Lock_manager.stats t.lock in
   Metrics.scope_set t.scope "lock_grants" (float_of_int grants);

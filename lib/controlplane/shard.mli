@@ -204,6 +204,9 @@ val arm_timers : t -> until:float -> unit
     step it drives. *)
 val drain : t -> unit
 
-(** Fold terminal lock-manager stats into metrics; call once when the
-    host's drive loop ends. *)
+(** Fold terminal lock-manager and breaker stats into this shard's
+    gauges ([lock_grants], [lock_waits] and the [breaker_*] ones, each
+    also under [.shard<sid>]); call once when the host's drive loop
+    ends.  The fleet then sets each bare gauge to its total over the
+    shards. *)
 val finish_stats : t -> unit

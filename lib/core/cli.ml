@@ -296,12 +296,9 @@ let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
   Fleet.run !fleet ~until:scn.Scenario.duration;
   let fleet = !fleet in
   let m = Fleet.metrics fleet in
-  let grants, waits =
-    List.fold_left
-      (fun (g, w) s ->
-        let g', w' = Cloudless_lock.Lock_manager.stats (Shard.lock s) in
-        (g + g', w + w'))
-      (0, 0) (Fleet.shards fleet)
+  (* fleet totals: the bare gauge sums the per-shard ones *)
+  let total name =
+    int_of_float (Option.value ~default:0. (Metrics.gauge m name))
   in
   outf io
     "Service %s: %d tenant(s), %d deployment(s), %d resource(s) under \
@@ -327,16 +324,8 @@ let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
     (Metrics.counter m "api_calls")
     (Metrics.counter m "api_reads")
     (Metrics.counter m "api_writes")
-    grants waits;
+    (total "lock_grants") (total "lock_waits");
   if scn.Scenario.episodes <> [] || scn.Scenario.breaker then begin
-    (* fleet-wide, like the lock counts: every shard has its breakers *)
-    let breaker_sum f =
-      List.fold_left
-        (fun acc s ->
-          acc
-          + match Shard.breaker s with Some b -> f b | None -> 0)
-        0 (Fleet.shards fleet)
-    in
     outf io
       "Chaos: %d episode(s), %d episode fault(s); breaker: %d opened, %d \
        fast-fail(s), %d violation(s); parked: %d request(s), %d \
@@ -344,8 +333,8 @@ let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
       (List.length scn.Scenario.episodes)
       (Cloud.episode_fault_count cloud)
       (Metrics.counter m "breaker_opened")
-      (breaker_sum Cloudless_deploy.Breaker.rejections)
-      (breaker_sum Cloudless_deploy.Breaker.violations)
+      (total "breaker_fast_fails")
+      (total "breaker_violations")
       (Metrics.counter m "requests_parked")
       (Metrics.counter m "reconciles_parked")
       (Metrics.counter m "scans_shed")

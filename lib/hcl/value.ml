@@ -153,18 +153,27 @@ let rec compare_values a b =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A string with nothing to escape is returned as it is, without a
+   copy: the state digest escapes every string value it renders. *)
 let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  let special = function
+    | '"' | '\\' | '\n' | '\t' | '\r' -> true
+    | _ -> false
+  in
+  if not (String.exists special s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (function
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
 
 let rec pp ppf = function
   | Vnull -> Fmt.string ppf "null"

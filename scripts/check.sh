@@ -325,6 +325,21 @@ if [[ -n "$probe_polls" ]]; then
   exit 1
 fi
 
+# -- one owner index -------------------------------------------------
+# The fleet keeps one cloud id -> owner index, re-indexing only the
+# deployments whose state changed since it was last read; drift
+# routing and the state digest both read it.  A State.find_by_cloud_id
+# in the control plane is a per-deployment probe: called across the
+# fleet it costs O(deployments) per lookup and rebuilds each changed
+# state's reverse index.
+owner_probes=$(grep -rn 'State\.find_by_cloud_id' lib/controlplane/ \
+  --include='*.ml' --include='*.mli' || true)
+if [[ -n "$owner_probes" ]]; then
+  echo "check.sh: State.find_by_cloud_id in lib/controlplane — look owners up through the fleet's owner index (Fleet.owning_deployment):" >&2
+  echo "$owner_probes" >&2
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

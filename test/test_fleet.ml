@@ -375,10 +375,11 @@ let test_serve_reads_scenario_settings () =
           check bool_ (Printf.sprintf "requests rejected (%d)" n) true (n > 0)
       | None -> Alcotest.failf "no rejected count in:\n%s" out)
 
-(* `serve` prints the fleet's breaker counts, summed over its shards.
-   The bare [breaker_fast_fails] gauge holds whichever shard wrote it
-   last; here the outage fast-fails on shard0 only, so that gauge reads
-   0 while the per-shard gauges sum to the printed count. *)
+(* `serve` prints the fleet's breaker counts, summed over its shards,
+   and each bare gauge of the snapshot that a shard writes at the end
+   of the run holds the fleet total of its [.shardN] gauges.  Here the
+   outage fast-fails on shard0 only, so a bare gauge that kept
+   whichever shard wrote last would read 0. *)
 let test_serve_sums_breaker_counts () =
   let scn = Filename.temp_file "chaos" ".scn"
   and metrics = Filename.temp_file "chaos" ".json" in
@@ -421,8 +422,22 @@ let test_serve_sums_breaker_counts () =
         gauge "breaker_fast_fails.shard0" + gauge "breaker_fast_fails.shard1"
       in
       check bool_ "the outage fast-failed calls" true (sum > 0);
-      check bool_ "the bare gauge holds only the last shard's count" true
-        (gauge "breaker_fast_fails" <> sum);
+      check bool_ "one shard fast-failed them all" true
+        (gauge "breaker_fast_fails.shard0" = 0
+        || gauge "breaker_fast_fails.shard1" = 0);
+      List.iter
+        (fun name ->
+          check int_
+            (Printf.sprintf "bare %s = sum over shards" name)
+            (gauge (name ^ ".shard0") + gauge (name ^ ".shard1"))
+            (gauge name))
+        [
+          "breaker_fast_fails";
+          "breaker_violations";
+          "breaker_open_cells";
+          "lock_grants";
+          "lock_waits";
+        ];
       check (Alcotest.option int_) "printed fast-fails = sum over shards"
         (Some sum) printed)
 
@@ -546,20 +561,21 @@ let test_metric_scopes () =
    inside lists and maps.  The expected digest was recorded from the
    [Format]-based renderer the one-pass writer replaced, so any change
    to the digest text fails here. *)
+let str s = Value.Vstring s
+let map kvs = Value.Vmap (Smap.of_seq (List.to_seq kvs))
+
+let row ?(module_path = []) ?key rtype rname cloud_id attrs =
+  {
+    State.addr = Addr.make ~module_path ?key ~rtype ~rname ();
+    cloud_id;
+    rtype;
+    region = "us-east-1";
+    attrs = Smap.of_seq (List.to_seq (("id", str cloud_id) :: attrs));
+    deps = [];
+  }
+
 let digest_fixture () =
   let fleet = Fleet.create ~cloud:(fresh_cloud ()) ~shards:2 Shard.fleet_service in
-  let str s = Value.Vstring s in
-  let map kvs = Value.Vmap (Smap.of_seq (List.to_seq kvs)) in
-  let row ?(module_path = []) ?key rtype rname cloud_id attrs =
-    {
-      State.addr = Addr.make ~module_path ?key ~rtype ~rname ();
-      cloud_id;
-      rtype;
-      region = "us-east-1";
-      attrs = Smap.of_seq (List.to_seq (("id", str cloud_id) :: attrs));
-      deps = [];
-    }
-  in
   let state rows = List.fold_left State.add State.empty rows in
   (* registered in reverse name order: the digest sorts deployments *)
   let app = Fleet.add_deployment fleet ~tenant:"beta" ~dname:"app" ~src:"" in
@@ -624,6 +640,469 @@ let test_state_digest_golden () =
     "1cf35117c84d902b04e15290ba9c6010"
     (Fleet.state_digest (digest_fixture ()))
 
+(* ------------------------------------------------------------------ *)
+(* The owner index and the incremental digest                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The from-scratch digest [Fleet.state_digest] must equal on every
+   call: sort every deployment, fill a fleet-wide cloud id -> (owning
+   deployment, address text) table in state order, sort each
+   deployment's rows by that text and render every attribute. *)
+let reference_digest fleet =
+  let deps =
+    List.sort
+      (fun (a : Shard.deployment) (b : Shard.deployment) ->
+        compare (a.Shard.tenant, a.Shard.dname) (b.Shard.tenant, b.Shard.dname))
+      (Fleet.deployments fleet)
+  in
+  let owner_of = Hashtbl.create 256 in
+  let rows =
+    List.map
+      (fun (d : Shard.deployment) ->
+        let rs =
+          Array.of_list
+            (List.map
+               (fun (r : State.resource_state) ->
+                 let a = Addr.to_string r.State.addr in
+                 Hashtbl.replace owner_of r.State.cloud_id (d, a);
+                 (a, r))
+               (State.resources d.Shard.state))
+        in
+        Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) rs;
+        (d, rs))
+      deps
+  in
+  let buf = Buffer.create 4096 in
+  let add_deployment (d : Shard.deployment) =
+    Buffer.add_string buf d.Shard.tenant;
+    Buffer.add_char buf '/';
+    Buffer.add_string buf d.Shard.dname
+  in
+  let rec add_value v =
+    match v with
+    | Value.Vstring s -> (
+        match Hashtbl.find_opt owner_of s with
+        | Some (d, a) ->
+            Buffer.add_char buf '@';
+            add_deployment d;
+            Buffer.add_char buf '/';
+            Buffer.add_string buf a
+        | None ->
+            Buffer.add_char buf '"';
+            Buffer.add_string buf (Value.escape_string s);
+            Buffer.add_char buf '"')
+    | Value.Vint n -> Buffer.add_string buf (string_of_int n)
+    | Value.Vbool b -> Buffer.add_string buf (string_of_bool b)
+    | Value.Vnull -> Buffer.add_string buf "null"
+    | Value.Vlist vs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char buf ',';
+            add_value v)
+          vs;
+        Buffer.add_char buf ']'
+    | Value.Vmap m ->
+        Buffer.add_char buf '{';
+        let first = ref true in
+        Smap.iter
+          (fun k v ->
+            if !first then first := false else Buffer.add_char buf ',';
+            Buffer.add_string buf k;
+            Buffer.add_char buf ':';
+            add_value v)
+          m;
+        Buffer.add_char buf '}'
+    | Value.Vfloat _ | Value.Vunknown _ -> Buffer.add_string buf (Value.show v)
+  in
+  List.iter
+    (fun (d, rs) ->
+      add_deployment d;
+      Buffer.add_char buf '\n';
+      Array.iter
+        (fun (a, (r : State.resource_state)) ->
+          Buffer.add_string buf "  ";
+          Buffer.add_string buf a;
+          Buffer.add_char buf '|';
+          Buffer.add_string buf r.State.rtype;
+          Smap.iter
+            (fun k v ->
+              if k <> "arn" && k <> "id" then begin
+                Buffer.add_char buf '|';
+                Buffer.add_string buf k;
+                Buffer.add_char buf '=';
+                add_value v
+              end)
+            r.State.attrs;
+          Buffer.add_char buf '\n')
+        rs)
+    rows;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let agrees ~what fleet =
+  check Alcotest.string what (reference_digest fleet) (Fleet.state_digest fleet)
+
+(* An operator checkpoint every 600 simulated seconds from now up to
+   [until]: the fleet's digest, whichever fleet [fleet_ref] then holds,
+   must equal the oracle's.  Returns the count of checkpoints taken. *)
+let checkpoints ~label fleet_ref ~until =
+  let cloud = Fleet.cloud !fleet_ref in
+  let taken = ref 0 in
+  let rec arm at =
+    if at <= until then
+      Cloud.schedule cloud ~delay:(at -. Cloud.now cloud) (fun () ->
+          incr taken;
+          agrees
+            ~what:(Printf.sprintf "%s: digest at t=%.0f" label at)
+            !fleet_ref;
+          arm (at +. 600.))
+  in
+  arm (Cloud.now cloud +. 600.);
+  taken
+
+(* fleet-chaos, shrunk from 512 tenants to 16: every episode kind, the
+   revision waves and a gated rollout, on the same timeline. *)
+let chaos_src =
+  {|tenants = 16
+resources = 8
+requests_per_tenant = 8
+request_interval = 900
+drift_events = 0
+policy_period = 0
+duration = 7200
+breaker = on
+calm_tenants = 2
+episode = kind=outage start=880 end=1100
+episode = kind=error_storm rtype=aws_instance p=0.85 start=1780 end=2050
+episode = kind=throttle_storm rtype=aws_instance retry_after=15 start=2680 end=2950
+episode = kind=spot count=6 start=3700
+episode = kind=spot count=4 start=4490
+episode = kind=quota_cut rtype=aws_instance quota=4 start=4480 end=4800
+wave = start=5400 attr=instance_type value=t3.large forbid=t2.nano canary=1 growth=2
+|}
+
+let chaos_run ?(extra = "") ?crash ~shards () =
+  let scn = Scenario.parse ~file:"<chaos>" (chaos_src ^ extra) in
+  let scn = { scn with Scenario.shards } in
+  let fleet =
+    ref
+      (Fleet.create ~cloud:(fresh_cloud ~seed:1 ()) ~shards
+         (Scenario.service_config scn Shard.fleet_service))
+  in
+  ignore (Scenario.install_fleet scn fleet);
+  let rollouts = Cloudless_controlplane.Rollout.install scn fleet in
+  let label = Printf.sprintf "%d shard(s)" shards in
+  let taken = checkpoints ~label fleet ~until:scn.Scenario.duration in
+  (match crash with
+  | None -> Fleet.run !fleet ~until:scn.Scenario.duration
+  | Some k -> (
+      Fleet.set_crash !fleet (Failure.Crash_after k);
+      match Fleet.run !fleet ~until:scn.Scenario.duration with
+      | () -> Alcotest.fail "the crash gate never tripped"
+      | exception Failure.Engine_crashed _ ->
+          (* the crashed fleet's rollout driver would poll its dead
+             shards for ever once the resume settles the cloud *)
+          List.iter Cloudless_controlplane.Rollout.abandon rollouts;
+          let fresh, _ = Fleet.resume !fleet in
+          fleet := fresh;
+          agrees ~what:(label ^ ": digest of the resumed fleet") fresh;
+          let after =
+            checkpoints ~label:(label ^ " resumed") fleet
+              ~until:(Cloud.now (Fleet.cloud fresh) +. 3600.)
+          in
+          Fleet.run fresh ~until:scn.Scenario.duration;
+          check bool_ (label ^ ": checkpoints after the resume") true
+            (!after > 0)));
+  agrees ~what:(label ^ ": digest at the end") !fleet;
+  (!fleet, !taken, rollouts)
+
+(* (a) The shrunk fleet-chaos scenario at 1, 2 and 4 shards: every
+   checkpoint's digest equals the oracle's, the run's end state is
+   shard-count-invariant, and with hot tenants and a rebalance check
+   the digest keeps agreeing across rebalance moves. *)
+let test_digest_chaos_checkpoints () =
+  let digests =
+    List.map
+      (fun shards ->
+        let fleet, taken, rollouts = chaos_run ~shards () in
+        check int_
+          (Printf.sprintf "%d shard(s): 12 checkpoints" shards)
+          12 taken;
+        check bool_ "the rollout converged" true
+          (List.for_all Cloudless_controlplane.Rollout.converged rollouts);
+        Fleet.state_digest fleet)
+      [ 1; 2; 4 ]
+  in
+  check bool_ "one digest at every shard count" true
+    (List.for_all (String.equal (List.hd digests)) digests);
+  List.iter
+    (fun shards ->
+      let fleet, _, _ =
+        chaos_run ~shards
+          ~extra:"hot_tenants = 2\nhot_burst = 8\nrebalance_period = 20\n" ()
+      in
+      check bool_
+        (Printf.sprintf "%d shards: a tenant moved" shards)
+        true
+        (Metrics.counter (Fleet.metrics fleet) "rebalance_moves" > 0))
+    [ 2; 4 ]
+
+(* (a) A crash in the revision waves and the resumed successor: the
+   crashed fleet's checkpoints, the successor's first digest (a fresh
+   index) and its later checkpoints all equal the oracle's. *)
+let test_digest_across_crash () =
+  List.iter (fun shards -> ignore (chaos_run ~crash:200 ~shards ())) [ 1; 2; 4 ]
+
+(* (a) E18's bad change on 16 tenants: the canary trips the gate and is
+   rolled back while the checkpoints keep agreeing. *)
+let test_digest_through_rollback () =
+  let change =
+    match
+      Cloudless_wave.Change.parse ~file:"<bad>"
+        {|
+change "set_itype" {
+  canary = 1
+  growth = 2
+  action "bump" {
+    kind   = "set_attr"
+    target = "aws_instance.*"
+    attr   = "instance_type"
+    value  = "t2.nano"
+  }
+  gate "no_nano" {
+    kind  = "attr_equals"
+    rtype = "aws_instance"
+    attr  = "instance_type"
+    value = "t2.nano"
+  }
+}
+|}
+    with
+    | [ c ] -> c
+    | _ -> Alcotest.fail "expected one change block"
+  in
+  List.iter
+    (fun shards ->
+      let scn =
+        {
+          Scenario.default with
+          Scenario.tenants = 16;
+          shards;
+          resources = 6;
+          requests_per_tenant = 1;
+          drift_events = 0;
+          policy_period = 0.;
+          duration = 7200.;
+        }
+      in
+      let fleet =
+        ref
+          (Fleet.create ~cloud:(fresh_cloud ()) ~shards
+             (Scenario.service_config scn Shard.fleet_service))
+      in
+      Scenario.bootstrap scn !fleet;
+      let driver =
+        Cloudless_controlplane.Rollout.create ~check_period:30. ~change fleet ()
+      in
+      Cloudless_controlplane.Rollout.launch driver ~at:600.;
+      let label = Printf.sprintf "rollback, %d shard(s)" shards in
+      let taken = checkpoints ~label fleet ~until:7200. in
+      Fleet.run !fleet ~until:7200.;
+      check int_ (label ^ ": 12 checkpoints") 12 !taken;
+      check int_ (label ^ ": one rollback") 1
+        (Cloudless_controlplane.Rollout.rollbacks driver);
+      agrees ~what:(label ^ ": digest at the end") !fleet)
+    [ 1; 2; 4 ]
+
+(* (b) A string in a deployment whose state never changes gains an
+   owner, changes owner (to another address, to another deployment,
+   and back through a moment when two states claim it) and loses it:
+   beta/app's instance row lists "sg-unknown" and must render each
+   owner in turn. *)
+let test_digest_follows_owners () =
+  let fleet = digest_fixture () in
+  let find tenant dname =
+    match Fleet.find_deployment fleet ~tenant ~dname with
+    | Some d -> d
+    | None -> Alcotest.failf "no %s/%s" tenant dname
+  in
+  let app = find "beta" "app" and net = find "acme" "net" in
+  let app_state = app.Shard.state in
+  agrees ~what:"the fixture" fleet;
+  let sg name = row "aws_security_group" name "sg-unknown" [] in
+  let gone name = Addr.make ~rtype:"aws_security_group" ~rname:name () in
+  net.Shard.state <- State.add net.Shard.state (sg "late");
+  agrees ~what:"gains an owner" fleet;
+  (* an address that sorts first: the claim moves without the id ever
+     being unowned in between *)
+  net.Shard.state <-
+    State.add (State.remove net.Shard.state (gone "late")) (sg "early");
+  agrees ~what:"changes owner within acme/net" fleet;
+  let db = Fleet.add_deployment fleet ~tenant:"gamma" ~dname:"db" ~src:"" in
+  net.Shard.state <- State.remove net.Shard.state (gone "early");
+  db.Shard.state <- State.add db.Shard.state (sg "moved");
+  agrees ~what:"changes owner to gamma/db" fleet;
+  (* claimed by two states at once, the id belongs to the later
+     deployment; when that claim goes, the other one owns it *)
+  net.Shard.state <- State.add net.Shard.state (sg "again");
+  agrees ~what:"claimed by acme/net and gamma/db" fleet;
+  db.Shard.state <- State.remove db.Shard.state (gone "moved");
+  agrees ~what:"back to acme/net" fleet;
+  check bool_ "acme/net owns it" true
+    (match Fleet.owning_deployment fleet "sg-unknown" with
+    | Some d -> d == net
+    | None -> false);
+  net.Shard.state <- State.remove net.Shard.state (gone "again");
+  agrees ~what:"loses its owner" fleet;
+  check bool_ "beta/app's state never changed" true
+    (app.Shard.state == app_state);
+  check bool_ "no deployment owns the id" true
+    (Option.is_none (Fleet.owning_deployment fleet "sg-unknown"))
+
+(* A config whose revisions replace both subnets (a new cidr_block
+   mints new ids) and then drop one; an out-of-band write to the
+   subnets' tags is drift that a reconcile repairs in place. *)
+let net_src ~offset ~count =
+  Printf.sprintf
+    {|resource "aws_vpc" "main" {
+  cidr_block = "10.0.0.0/16"
+  region     = "us-east-1"
+}
+resource "aws_subnet" "a" {
+  count      = %d
+  vpc_id     = aws_vpc.main.id
+  cidr_block = "10.0.${count.index + %d}.0/24"
+  region     = "us-east-1"
+  tags       = { team = "net" }
+}
+|}
+    count offset
+
+let cloud_id (dep : Shard.deployment) i =
+  let addr = Addr.make ~rtype:"aws_subnet" ~rname:"a" ~key:(Addr.Kint i) () in
+  match State.find_opt dep.Shard.state addr with
+  | Some r -> r.State.cloud_id
+  | None -> Alcotest.failf "no aws_subnet.a[%d]" i
+
+let owned_by fleet id (dep : Shard.deployment) =
+  match Fleet.owning_deployment fleet id with
+  | Some d -> d == dep
+  | None -> false
+
+(* The owner index follows a replace, which mints new ids, and a
+   removed row, whose id then belongs to nobody; an out-of-band write
+   to a replaced subnet is detected for its deployment. *)
+let test_owner_index_follows_ids () =
+  let cloud = fresh_cloud () in
+  let fleet = Fleet.create ~cloud ~shards:2 Shard.fleet_service in
+  let dep = Fleet.add_deployment fleet ~tenant:"acme" ~dname:"net" ~src:"" in
+  let other = Fleet.add_deployment fleet ~tenant:"beta" ~dname:"net" ~src:"" in
+  let submit d src = ignore (Fleet.submit_request fleet d ~src) in
+  submit dep (net_src ~offset:0 ~count:2);
+  submit other (net_src ~offset:0 ~count:2);
+  let first = ref "" and second = ref "" and removed = ref "" in
+  Cloud.schedule cloud ~delay:600. (fun () ->
+      first := cloud_id dep 0;
+      check bool_ "a[0] is acme/net's" true (owned_by fleet !first dep);
+      check bool_ "beta's subnet is beta's" true
+        (owned_by fleet (cloud_id other 0) other);
+      submit dep (net_src ~offset:10 ~count:2));
+  Cloud.schedule cloud ~delay:1800. (fun () ->
+      second := cloud_id dep 0;
+      check bool_ "the replace minted a new id" true (!second <> !first);
+      check bool_ "the new id is acme/net's" true (owned_by fleet !second dep);
+      check bool_ "the replaced id is nobody's" true
+        (Option.is_none (Fleet.owning_deployment fleet !first));
+      removed := cloud_id dep 1;
+      (match
+         Cloud.mutate_oob cloud ~script:"ops" ~cloud_id:!second ~attr:"tags"
+           ~value:(map [ ("team", str "ops") ])
+       with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "oob mutation failed");
+      submit dep (net_src ~offset:10 ~count:1));
+  Fleet.run fleet ~until:3600.;
+  check bool_ "the drift on the new id was detected" true
+    (List.mem_assoc !second (Fleet.drift_detections fleet));
+  check bool_ "acme/net's shard took the reconcile" true
+    (List.mem_assoc !second
+       (Shard.drift_detections (Fleet.owner_shard fleet "acme")));
+  check bool_ "the removed row's id is nobody's" true
+    (Option.is_none (Fleet.owning_deployment fleet !removed));
+  check bool_ "the kept subnet is still acme/net's" true
+    (owned_by fleet !second dep);
+  agrees ~what:"digest at the end" fleet
+
+(* A tenant the rebalancer moved keeps its deployment record: the
+   owner index routes an out-of-band write on one of its resources to
+   that deployment, now reconciled on the destination shard. *)
+let test_owner_index_after_rebalance () =
+  let sink, spans = Trace.memory_sink () in
+  let cloud = fresh_cloud () in
+  let trace = Trace.create ~sim_clock:(fun () -> Cloud.now cloud) sink in
+  let scn =
+    {
+      Scenario.default with
+      Scenario.tenants = 8;
+      shards = 2;
+      requests_per_tenant = 2;
+      request_interval = 300.;
+      drift_events = 0;
+      policy_period = 0.;
+      duration = 1200.;
+      hot_tenants = 2;
+      hot_burst = 8;
+      max_queue_depth = 4;
+      rebalance_period = 20.;
+    }
+  in
+  let fleet =
+    ref (Fleet.create ~cloud ~trace ~shards:2
+           (Scenario.service_config scn Shard.fleet_service))
+  in
+  ignore (Scenario.install_fleet scn fleet);
+  let moved = ref None in
+  Cloud.schedule cloud ~delay:900. (fun () ->
+      match
+        List.rev
+          (List.filter
+             (fun (s : Trace.span) -> s.Trace.name = "rebalance")
+             (spans ()))
+      with
+      | [] -> Alcotest.fail "no rebalance move by t=900"
+      | s :: _ ->
+          let tenant = List.assoc "tenant" s.Trace.meta in
+          let dst = int_of_string (List.assoc "to" s.Trace.meta) in
+          check int_ "the last move's destination owns the tenant" dst
+            (Shard.sid (Fleet.owner_shard !fleet tenant));
+          let dep =
+            match Fleet.find_deployment !fleet ~tenant ~dname:"d0" with
+            | Some d -> d
+            | None -> Alcotest.failf "no %s/d0" tenant
+          in
+          let r =
+            List.find
+              (fun (r : State.resource_state) -> r.State.rtype = "aws_instance")
+              (State.resources dep.Shard.state)
+          in
+          check bool_ "the index finds the moved deployment" true
+            (owned_by !fleet r.State.cloud_id dep);
+          moved := Some (dst, r.State.cloud_id);
+          match
+            Cloud.mutate_oob cloud ~script:"ops" ~cloud_id:r.State.cloud_id
+              ~attr:"instance_type" ~value:(str "t2.nano")
+          with
+          | Ok () -> ()
+          | Error _ -> Alcotest.fail "oob mutation failed");
+  Fleet.run !fleet ~until:scn.Scenario.duration;
+  match !moved with
+  | None -> Alcotest.fail "the checkpoint never ran"
+  | Some (dst, id) ->
+      check bool_ "the destination shard took the reconcile" true
+        (List.mem_assoc id
+           (Shard.drift_detections (List.nth (Fleet.shards !fleet) dst)));
+      agrees ~what:"digest at the end" !fleet
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -667,5 +1146,20 @@ let suites =
         Alcotest.test_case "metric scopes" `Quick test_metric_scopes;
         Alcotest.test_case "state digest golden" `Quick
           test_state_digest_golden;
+      ] );
+    ( "fleet.index",
+      [
+        Alcotest.test_case "digest = oracle at chaos checkpoints" `Quick
+          test_digest_chaos_checkpoints;
+        Alcotest.test_case "digest = oracle across crash and resume" `Quick
+          test_digest_across_crash;
+        Alcotest.test_case "digest = oracle through a rollback" `Quick
+          test_digest_through_rollback;
+        Alcotest.test_case "digest follows a string's owners" `Quick
+          test_digest_follows_owners;
+        Alcotest.test_case "owner index follows replaced and removed ids"
+          `Quick test_owner_index_follows_ids;
+        Alcotest.test_case "owner index after a rebalance move" `Quick
+          test_owner_index_after_rebalance;
       ] );
   ]

@@ -427,6 +427,179 @@ let test_serve_runs_scenario_waves () =
       check bool_ "no waves-ignored note" false (contains ~sub:"NOTE" out))
 
 (* ------------------------------------------------------------------ *)
+(* The driver's caches                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module State = Cloudless_state.State
+module Value = Cloudless_hcl.Value
+
+let parse_one src =
+  match Change.parse ~file:"<test>" src with
+  | [ c ] -> c
+  | _ -> Alcotest.fail "expected one change block"
+
+(* A gate verdict is kept per deployment for its (config_src, state)
+   and reused only while both are unchanged.  Here the canary tenant's
+   state gains an attribute no config sets (as a reconcile's refresh
+   would record it) after the canary gate passed: its expansion now
+   carries the attribute, so the next gate must read it again and
+   trip. *)
+let test_gate_rereads_changed_state () =
+  let scn = scenario ~tenants:4 ~shards:1 in
+  let change =
+    parse_one
+      {|
+change "retype" {
+  canary = 1
+  growth = 2
+  action "bump" {
+    kind   = "set_attr"
+    target = "aws_instance.*"
+    attr   = "instance_type"
+    value  = "t3.large"
+  }
+  gate "no_quarantine" {
+    kind  = "attr_present"
+    rtype = "aws_instance"
+    attr  = "quarantined"
+  }
+}
+|}
+  in
+  let fleet = build_fleet ~scn ~seed:42 in
+  let driver = Rollout.create ~check_period:30. ~change fleet () in
+  Rollout.launch driver ~at:600.;
+  let cloud = Fleet.cloud !fleet in
+  let quarantined = ref false in
+  let rec watch () =
+    Cloud.schedule cloud ~delay:5. (fun () ->
+        if Rollout.gate_checks driver = 1 && not !quarantined then begin
+          (match Rollout.committed_tenants driver with
+          | [ canary ] -> (
+              match Fleet.find_deployment !fleet ~tenant:canary ~dname:"d0" with
+              | Some dep ->
+                  let r =
+                    List.find
+                      (fun (r : State.resource_state) ->
+                        r.State.rtype = "aws_instance")
+                      (State.resources dep.Shard.state)
+                  in
+                  dep.Shard.state <-
+                    State.update_attrs dep.Shard.state r.State.addr
+                      (Value.Smap.add "quarantined"
+                         (Value.Vstring "yes") r.State.attrs);
+                  quarantined := true
+              | None -> Alcotest.fail "no canary deployment")
+          | _ -> Alcotest.fail "expected the canary alone committed")
+        end;
+        if Rollout.outcome driver = None then watch ())
+  in
+  watch ();
+  Fleet.run !fleet ~until:7200.;
+  check bool_ "the canary's state changed after its gate" true !quarantined;
+  check int_ "two gates" 2 (Rollout.gate_checks driver);
+  match Rollout.outcome driver with
+  | Some (Rollout.Rolled_back reasons) ->
+      check bool_ "the second gate names the new violation" true
+        (List.exists (contains ~sub:"no_quarantine") reasons)
+  | other ->
+      Alcotest.failf "expected the second gate to trip, got %s"
+        (match other with
+        | None -> "still running"
+        | Some o -> Rollout.outcome_to_string o)
+
+(* A rewrite is kept per config source, but a source that fails to
+   parse keeps nothing: every wave submission that reaches it raises
+   the parse diagnostic again. *)
+let test_failed_rewrite_not_cached () =
+  let scn = scenario ~tenants:2 ~shards:1 in
+  let cloud =
+    Cloud.create ~config:(Cloud_rules.config_with_checks ()) ~seed:42 ()
+  in
+  let fleet =
+    ref
+      (Fleet.create ~cloud ~shards:1
+         (Scenario.service_config scn Shard.fleet_service))
+  in
+  List.iter
+    (fun tenant ->
+      ignore
+        (Fleet.add_deployment !fleet ~tenant ~dname:"d0"
+           ~src:{|resource "aws_instance" "web" {|}))
+    [ "tenant0"; "tenant1" ];
+  let driver = Rollout.create ~change:(small_change ()) fleet () in
+  let submit () =
+    match Rollout.start driver with
+    | () -> Alcotest.fail "a source that does not parse was rewritten"
+    | exception Err.Error d -> d.Err.Diagnostic.message
+  in
+  let first = submit () in
+  check string_ "the same diagnostic on the second submission" first
+    (submit ());
+  check int_ "nothing submitted" 0 (Rollout.submitted driver)
+
+(* E18's two gated legs at full size (64 tenants, 4 shards, seed 42)
+   report the counts of a driver that rewrites every source and
+   re-evaluates every gate read: caching rewrites and verdicts saves
+   work, not management calls.  The bad leg's figures are also in the
+   committed BENCH_wave.json (10 management calls, 1 gate check). *)
+let test_e18_counts_unchanged () =
+  let e18_change value =
+    parse_one
+      (Printf.sprintf
+         {|
+change "set_itype" {
+  canary = 1
+  growth = 2
+
+  action "bump" {
+    kind   = "set_attr"
+    target = "aws_instance.*"
+    attr   = "instance_type"
+    value  = %S
+  }
+
+  gate "no_nano" {
+    kind    = "attr_equals"
+    rtype   = "aws_instance"
+    attr    = "instance_type"
+    value   = "t2.nano"
+    message = "t2.nano is forbidden by compliance"
+  }
+}
+|}
+         value)
+  in
+  let scn = scenario ~tenants:64 ~shards:4 in
+  let leg value =
+    let cloud =
+      Cloud.create ~config:(Cloud_rules.config_with_checks ()) ~seed:42 ()
+    in
+    let fleet =
+      ref
+        (Fleet.create ~cloud ~shards:4
+           (Scenario.service_config scn Shard.fleet_service))
+    in
+    Scenario.bootstrap scn !fleet;
+    let driver =
+      Rollout.create ~journal:(Journal.create ()) ~check_period:30.
+        ~change:(e18_change value) fleet ()
+    in
+    Rollout.launch driver ~at:600.;
+    Fleet.run !fleet ~until:7200.;
+    ( Rollout.submitted driver,
+      Rollout.gate_checks driver,
+      Rollout.mgmt_calls driver,
+      Rollout.rollbacks driver )
+  in
+  let counts = Alcotest.(pair (pair int int) (pair int int)) in
+  let split (a, b, c, d) = ((a, b), (c, d)) in
+  check counts "bad change: submitted, gates, mgmt calls, rollbacks"
+    (split (1, 1, 10, 1)) (split (leg "t2.nano"));
+  check counts "clean change: submitted, gates, mgmt calls, rollbacks"
+    (split (64, 7, 376, 0)) (split (leg "t3.large"))
+
+(* ------------------------------------------------------------------ *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -463,5 +636,11 @@ let suites =
           test_clean_change_converges;
         Alcotest.test_case "serve runs scenario waves by default" `Quick
           test_serve_runs_scenario_waves;
+        Alcotest.test_case "a gate re-reads a tenant whose state changed"
+          `Quick test_gate_rereads_changed_state;
+        Alcotest.test_case "a failed rewrite raises every time" `Quick
+          test_failed_rewrite_not_cached;
+        Alcotest.test_case "E18 counts equal the uncached driver's" `Quick
+          test_e18_counts_unchanged;
       ] );
   ]
