@@ -12,7 +12,7 @@
     shard holds exactly {e one} multiplexed activity-log subscription.
     An appended entry fans out to every shard; the shard whose
     {!Router.partition} covers the entry's cloud id classifies it
-    ({!Drift.event_of_entry}) against the owning deployment's state and
+    ({!Drift.event_of_entry}) against the owning deployment's row and
     routes the resulting event to the owner's shard — which, because
     detection partitions hash cloud ids while ownership hashes tenants,
     is usually a {e different} shard ([cross_shard_routed] counts the
@@ -428,15 +428,19 @@ let refresh t =
     (fun e -> if e.read != e.dep.Shard.state then reindex t e e.dep.Shard.state)
     t.entries
 
-(** The deployment whose state tracks [cloud_id], fleet-wide: one hash
-    lookup after re-indexing the deployments whose state is physically
-    new since the last read — O(deployments) pointer tests plus O(rows)
-    per changed deployment. *)
-let owning_deployment t cloud_id =
+(* The row that owns [cloud_id], fleet-wide: one hash lookup after
+   re-indexing the deployments whose state is physically new since the
+   last read — O(deployments) pointer tests plus O(rows) per changed
+   deployment. *)
+let owning_row t cloud_id =
   refresh t;
   match Hashtbl.find_opt t.slots cloud_id with
-  | Some { winner = Some w; _ } -> Some w.owner.dep
-  | _ -> None
+  | Some s -> s.winner
+  | None -> None
+
+(** The deployment whose state tracks [cloud_id], fleet-wide. *)
+let owning_deployment t cloud_id =
+  match owning_row t cloud_id with Some w -> Some w.owner.dep | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Event-driven drift: one multiplexed subscription per shard          *)
@@ -446,13 +450,14 @@ let deliver t sid (e : Activity_log.entry) =
   t.cursor <- e.Activity_log.seq + 1;
   if (not !(t.dead)) && Drift.oob_write e then
     if Router.partition t.router e.Activity_log.cloud_id = sid then begin
-      match owning_deployment t e.Activity_log.cloud_id with
-      | Some dep ->
+      match owning_row t e.Activity_log.cloud_id with
+      | Some w ->
+          let dep = w.owner.dep in
           let owner = Router.assign t.router dep.Shard.tenant in
           if owner <> sid then Metrics.inc t.registry "cross_shard_routed";
-          (match
-             Drift.event_of_entry t.cloud ~state:dep.Shard.state e
-           with
+          (* the index holds the owner's row: the one its state's
+             reverse index would find *)
+          (match Drift.event_of_entry t.cloud ~tracked:(Some w.r) e with
           | Some ev -> Shard.ingest_drift t.shards.(owner) dep [ ev ]
           | None -> ())
       | None ->

@@ -35,53 +35,58 @@ let clear_journal state_path =
   let path = journal_path state_path in
   if Sys.file_exists path then Sys.remove path
 
-(* The simulated cloud backing `apply` is reconstructed from the state
-   file on every run: each tracked resource is materialized with its
-   recorded cloud id's attributes, so plans and refreshes behave
-   consistently across invocations. *)
+(* A state whose rows share a cloud id records one resource twice; no
+   restore can give both rows that id. *)
+let shared_id rows (r : State.resource_state) =
+  let first =
+    List.find
+      (fun (o : State.resource_state) ->
+        String.equal o.State.cloud_id r.State.cloud_id)
+      rows
+  in
+  Cloudless_error.fail ~stage:Diagnostic.State_io ~code:"corrupt-state"
+    ~addr:r.State.addr "state: %s and %s both record cloud id %s"
+    (Hcl.Addr.to_string first.State.addr)
+    (Hcl.Addr.to_string r.State.addr)
+    r.State.cloud_id
+
+(** The simulated cloud backing [apply], [destroy] and [import],
+    rebuilt from the recorded state on every run: each row is restored
+    under its recorded cloud id with its recorded attributes
+    ({!Cloud.restore}), so ids stay stable across runs, references
+    between rows stay valid as they are, and ids minted later continue
+    past every restored one.  Returns the cloud and the recorded state
+    itself (the same row records, serial and outputs), except that a
+    row whose [id], [arn] or [region] attribute differs from what the
+    cloud computes is rebuilt with the cloud's attributes.  A state
+    whose rows share a cloud id is refused with a [state/corrupt-state]
+    diagnostic naming both addresses. *)
 let cloud_from_state ?(trace = Trace.null)
     ?(config = Cloudless_schema.Cloud_rules.config_with_checks ()) state ~seed =
   let cloud = Cloud.create ~config ~seed () in
   Cloud.set_trace cloud trace;
-  (* phase 1: recreate every resource, collecting old-id -> new-id *)
-  let id_map = Hashtbl.create 16 in
-  let created =
-    List.map
-      (fun (r : State.resource_state) ->
-        let cloud_id =
-          Cloud.create_oob cloud ~script:"state-restore" ~rtype:r.State.rtype
+  let rows = State.resources state in
+  let rebuilt =
+    List.fold_left
+      (fun acc (r : State.resource_state) ->
+        if Option.is_some (Cloud.lookup cloud r.State.cloud_id) then
+          shared_id rows r;
+        let attrs =
+          Cloud.restore cloud ~cloud_id:r.State.cloud_id ~rtype:r.State.rtype
             ~region:r.State.region ~attrs:r.State.attrs
         in
-        Hashtbl.replace id_map r.State.cloud_id cloud_id;
-        (r, cloud_id))
-      (State.resources state)
+        if attrs == r.State.attrs then acc else { r with State.attrs } :: acc)
+      [] rows
   in
-  (* phase 2: cross-resource references in attributes point at the old
-     ids; remap them so the restored cloud is internally consistent *)
-  let rec remap (v : Hcl.Value.t) : Hcl.Value.t =
-    match v with
-    | Hcl.Value.Vstring s -> (
-        match Hashtbl.find_opt id_map s with
-        | Some fresh -> Hcl.Value.Vstring fresh
-        | None -> v)
-    | Hcl.Value.Vlist vs -> Hcl.Value.Vlist (List.map remap vs)
-    | Hcl.Value.Vmap m -> Hcl.Value.Vmap (Hcl.Value.Smap.map remap m)
-    | v -> v
+  let restored =
+    match rebuilt with
+    | [] -> state
+    | rows ->
+        State.with_serial
+          (List.fold_left State.add state rows)
+          (State.serial state)
   in
-  let remapped =
-    List.fold_left
-      (fun acc ((r : State.resource_state), cloud_id) ->
-        let attrs = Hcl.Value.Smap.map remap r.State.attrs in
-        Cloud.restore_attrs cloud ~cloud_id ~attrs;
-        let attrs =
-          match Cloud.lookup cloud cloud_id with
-          | Some live -> live.Cloud.attrs
-          | None -> attrs
-        in
-        State.add acc { r with State.cloud_id; attrs })
-      State.empty created
-  in
-  (cloud, remapped)
+  (cloud, restored)
 
 let env_for = Plan.env_for
 

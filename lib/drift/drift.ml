@@ -217,15 +217,15 @@ let oob_write (e : Activity_log.entry) =
   in
   is_write && not is_iac
 
-(** Classify one out-of-band activity-log entry against [state]:
-    [Some event] when it constitutes drift for this deployment (a
-    tracked resource deleted or actually diverged, or an unmanaged
+(** Classify one out-of-band activity-log entry against [tracked], the
+    deployment's row for the entry's cloud id ([None] when it tracks
+    none): [Some event] when it constitutes drift for this deployment
+    (a tracked resource deleted or actually diverged, or an unmanaged
     create), [None] when it is benign.  Shared by the poll-based
     {!Log_tailer} and the push-based subscription consumers — both
     detectors must flag exactly the same entries. *)
-let event_of_entry (cloud : Cloud.t) ~(state : State.t)
+let event_of_entry (cloud : Cloud.t) ~(tracked : State.resource_state option)
     (e : Activity_log.entry) : event option =
-  let tracked = State.find_by_cloud_id state e.Activity_log.cloud_id in
   match (e.Activity_log.op, tracked) with
   | Activity_log.Log_delete, Some r ->
       Some
@@ -300,7 +300,9 @@ module Log_tailer = struct
         if not (oob_write e) then None
         else begin
           t.events_flagged <- t.events_flagged + 1;
-          event_of_entry cloud ~state e
+          event_of_entry cloud
+            ~tracked:(State.find_by_cloud_id state e.Activity_log.cloud_id)
+            e
         end)
       entries
 end

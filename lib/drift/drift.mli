@@ -40,14 +40,19 @@ val pp_event : Format.formatter -> event -> unit
     engine — i.e. a candidate drift signal? *)
 val oob_write : Activity_log.entry -> bool
 
-(** Classify one out-of-band activity-log entry against [state]:
-    [Some event] when it constitutes drift for this deployment (a
-    tracked resource deleted or actually diverged, or an unmanaged
+(** Classify one out-of-band activity-log entry against [tracked], the
+    deployment's row for the entry's cloud id ([None] when it tracks
+    none): [Some event] when it constitutes drift for this deployment
+    (a tracked resource deleted or actually diverged, or an unmanaged
     create), [None] when it is benign.  Shared by the poll-based
-    {!Log_tailer} and the push-based subscription consumers — both
-    detectors must flag exactly the same entries. *)
+    {!Log_tailer}, which looks the row up in its state, and the
+    push-based subscription consumers, which hold it in their owner
+    index — both detectors must flag exactly the same entries. *)
 val event_of_entry :
-  Cloud.t -> state:State.t -> Activity_log.entry -> event option
+  Cloud.t ->
+  tracked:State.resource_state option ->
+  Activity_log.entry ->
+  event option
 
 module Scanner : sig
   type scan_result = {

@@ -178,17 +178,67 @@ let number st ~neg =
   | Token.FLOAT f -> Value.Vfloat (if neg then -.f else f)
   | _ -> assert false (* the lexer reads digits as INT or FLOAT *)
 
-let rec value st : Value.t =
+(* The key set of an object read before: a template for later objects
+   with the same keys (see [object_items]).  [keys] are [map]'s keys in
+   ascending order. *)
+type shape = { keys : string array; map : Value.t Smap.t }
+
+(** The key sets of the objects one reader has met, most recent first:
+    a document read by {!fold_blocks} has one, and a caller reading
+    many values of one kind with {!read_value} can share one. *)
+type shapes = { mutable known : shape list }
+
+let shapes () = { known = [] }
+
+let max_shapes = 8
+
+(* A map whose keys arrived strictly ascending becomes the shape for
+   its first key, in place of any other. *)
+let remember sh m =
+  let keys = Array.make (Smap.cardinal m) "" and i = ref 0 in
+  Smap.iter
+    (fun k _ ->
+      keys.(!i) <- k;
+      incr i)
+    m;
+  let rec others n = function
+    | s :: rest when n > 0 ->
+        if String.equal s.keys.(0) keys.(0) then others n rest
+        else s :: others (n - 1) rest
+    | _ -> []
+  in
+  sh.known <- { keys; map = m } :: others (max_shapes - 1) sh.known
+
+(* Whether bytes [i..] of [k] sit at [pos + i..] of [src]. *)
+let rec holds_at src pos k i =
+  i = String.length k
+  || String.unsafe_get src (pos + i) = String.unsafe_get k i
+     && holds_at src pos k (i + 1)
+
+(* Whether the text at the cursor is the identifier [k]; if so, the
+   cursor moves past it.  Nothing is allocated. *)
+let ident_is st k =
+  let src = st.L.src and pos = st.L.pos in
+  let n = String.length k in
+  L.is_ident_start (peek st)
+  && L.ident_end src pos = pos + n
+  && holds_at src pos k 0
+  && begin
+       L.skip_to st (pos + n);
+       true
+     end
+
+let rec value sh st : Value.t =
   let start = st.L.pos in
   match peek st with
   | _ when L.at_end st -> expected st "a literal value"
   | '"' -> Value.Vstring (string_lit st)
   | '[' ->
       L.advance st;
-      Value.Vlist (list_items st [])
+      Value.Vlist (list_items sh st [])
   | '{' ->
       L.advance st;
-      Value.Vmap (object_items st Smap.empty)
+      Value.Vmap (object_items sh st)
   | '-' when L.is_digit (L.char_at st 1) ->
       L.advance st;
       number st ~neg:true
@@ -205,54 +255,123 @@ let rec value st : Value.t =
       syntax_error st start "a heredoc is not literal data"
   | _ -> expected st "a literal value"
 
-and list_items st acc =
+and list_items sh st acc =
   skip_ws st;
   if peek st = ']' then begin
     L.advance st;
     List.rev acc
   end
   else
-    let v = value st in
+    let v = value sh st in
     skip_ws st;
     match peek st with
     | ',' ->
         L.advance st;
-        list_items st (v :: acc)
+        list_items sh st (v :: acc)
     | ']' ->
         L.advance st;
         List.rev (v :: acc)
     | _ -> expected st "',' or ']'"
 
-(* Entries up to the closing brace; commas between them are optional
-   and a repeated key keeps its last value, as in a configuration. *)
-and object_items st m =
+(* The entries of an object, cursor past its opening brace.  Commas
+   between entries are optional and a repeated key keeps its last
+   value, as in a configuration: the map is the fold of [Smap.add] over
+   the entries in source order.  [add_map] writes keys in ascending
+   order and a state repeats few key sets, so the fold's path copy per
+   key is mostly avoidable: an object whose keys arrive strictly
+   ascending is remembered as a shape, and a later object whose first
+   key opens a shape reads its keys against the shape's.  When they
+   all match, [Smap.map] copies the shape's tree, which the same fold
+   built, with the new values: one node per key.  At the first key
+   that does not match, the keys read so far are added and the object
+   reads on key by key. *)
+and object_items sh st =
   skip_ws st;
   match peek st with
   | '}' ->
       L.advance st;
-      m
-  | '"' -> object_entry st m (string_lit st)
-  | c when L.is_ident_start c -> object_entry st m (L.lex_ident st)
+      Smap.empty
+  | '"' -> first_entry sh st (string_lit st)
+  | c when L.is_ident_start c -> first_entry sh st (L.lex_ident st)
   | _ -> expected st "an object key or '}'"
 
-and object_entry st m key =
+and first_entry sh st key = with_shape sh st key (entry_value sh st) sh.known
+
+(* Read on against the first of [shapes] that opens with [key]. *)
+and with_shape sh st key v = function
+  | s :: rest ->
+      if String.equal s.keys.(0) key then shaped sh st s v
+      else with_shape sh st key v rest
+  | [] -> object_rest sh st (Smap.singleton key v) key true
+
+(* The separator after a key, the value and an optional comma. *)
+and entry_value sh st =
   skip_ws st;
   if at_assign st || peek st = ':' then L.advance st
   else expected st "'=' or ':'";
   skip_ws st;
-  let m = Smap.add key (value st) m in
+  let v = value sh st in
   skip_ws st;
   if peek st = ',' then L.advance st;
-  object_items st m
+  v
+
+(* The rest of an object whose first key is [s]'s, its value [v0]. *)
+and shaped sh st s v0 =
+  let keys = s.keys in
+  let n = Array.length keys in
+  let values = Array.make n v0 in
+  let rec next j =
+    skip_ws st;
+    if j = n && peek st = '}' then begin
+      L.advance st;
+      let i = ref (-1) in
+      Smap.map
+        (fun _ ->
+          incr i;
+          values.(!i))
+        s.map
+    end
+    else if j < n && ident_is st keys.(j) then begin
+      values.(j) <- entry_value sh st;
+      next (j + 1)
+    end
+    else begin
+      let m = ref Smap.empty in
+      for i = 0 to j - 1 do
+        m := Smap.add keys.(i) values.(i) !m
+      done;
+      object_rest sh st !m keys.(j - 1) true
+    end
+  in
+  next 1
+
+(* Entries up to the closing brace, key by key, into [m]; [last] is the
+   key read last and [ascending] whether every key so far came in
+   strictly ascending order. *)
+and object_rest sh st m last ascending =
+  skip_ws st;
+  match peek st with
+  | '}' ->
+      L.advance st;
+      if ascending then remember sh m;
+      m
+  | '"' -> object_entry sh st m last ascending (string_lit st)
+  | c when L.is_ident_start c ->
+      object_entry sh st m last ascending (L.lex_ident st)
+  | _ -> expected st "an object key or '}'"
+
+and object_entry sh st m last ascending key =
+  let m = Smap.add key (entry_value sh st) m in
+  object_rest sh st m key (ascending && String.compare last key < 0)
 
 (** Read the one literal value that [src] holds, blanks and comments
-    around it allowed.  Raises a [syntax/lex-error] on text that does
-    not lex, else a [syntax/parse-error] on text that is not literal
-    data. *)
-let read_value ~file src =
+    around it allowed, reading its objects against [shapes] (fresh by
+    default).  Raises a [syntax/lex-error] on text that does not lex,
+    else a [syntax/parse-error] on text that is not literal data. *)
+let read_value ?(shapes = shapes ()) ~file src =
   let st = L.make ~file src in
   skip_ws st;
-  let v = value st in
+  let v = value shapes st in
   skip_ws st;
   if not (L.at_end st) then expected st "end of input";
   v
@@ -272,7 +391,7 @@ type block = {
 
 (* Attributes up to the closing brace, cursor inside the block.  Each
    ends at a newline, the closing brace or the end of input. *)
-let rec attrs st acc =
+let rec attrs sh st acc =
   skip_ws st;
   match peek st with
   | '}' ->
@@ -285,11 +404,11 @@ let rec attrs st acc =
       if at_assign st then L.advance st
       else expected st (Printf.sprintf "'=' after %s" name);
       skip_ws st;
-      let value = value st in
+      let value = value sh st in
       L.skip_trivia st;
       if not (L.at_end st || peek st = '\n' || peek st = '}') then
         expected st "a newline after the value";
-      attrs st ({ name; value; at } :: acc)
+      attrs sh st ({ name; value; at } :: acc)
   | _ -> expected st "an attribute or '}'"
 
 let rec labels st acc =
@@ -311,6 +430,7 @@ let rec labels st acc =
     block's own error; after a held error [f] is not called again. *)
 let fold_blocks ~file src f init =
   let st = L.make ~file src in
+  let sh = shapes () in
   let held = ref None in
   let rec loop acc =
     skip_ws st;
@@ -324,7 +444,7 @@ let fold_blocks ~file src f init =
         syntax_error st first
           (Printf.sprintf "unexpected attribute %s at top level" btype);
       let labels = labels st [] in
-      let attrs = attrs st [] in
+      let attrs = attrs sh st [] in
       let b = { btype; labels; attrs; first; last = st.L.pos } in
       if Option.is_some !held then loop acc
       else

@@ -80,10 +80,32 @@ let is_ident_start c =
 
 let is_ident_char c = is_ident_start c || is_digit c || c = '-'
 
-(* First offset at or after [i] whose byte fails [p]. *)
-let rec scan_while p src i =
-  if i < String.length src && p (String.unsafe_get src i) then
-    scan_while p src (i + 1)
+(* The scanners below are loops with their byte test written in as a
+   match: a loop taking its test as a closure makes an indirect call
+   per byte, and ocamlopt without flambda does not inline even a direct
+   call to [is_ident_char] into the loop. *)
+
+(* First offset at or after [i] that is not an identifier byte (see
+   [is_ident_char]). *)
+let rec ident_end src i =
+  if i < String.length src then
+    match String.unsafe_get src i with
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' | '-' -> ident_end src (i + 1)
+    | _ -> i
+  else i
+
+(* First offset at or after [i] that is not a decimal digit. *)
+let rec digits_end src i =
+  if i < String.length src then
+    match String.unsafe_get src i with
+    | '0' .. '9' -> digits_end src (i + 1)
+    | _ -> i
+  else i
+
+(* First offset at or after [i] holding a newline, or the end. *)
+let rec line_end src i =
+  if i < String.length src && String.unsafe_get src i <> '\n' then
+    line_end src (i + 1)
   else i
 
 (* Skip spaces, tabs, carriage returns and comments.  Newlines are NOT
@@ -105,7 +127,7 @@ let rec skip_trivia st =
         skip_trivia st
     | _ -> ()
 
-and skip_line_comment st = skip_to st (scan_while (fun c -> c <> '\n') st.src st.pos)
+and skip_line_comment st = skip_to st (line_end st.src st.pos)
 
 and skip_block_comment st =
   let start = st.pos in
@@ -123,16 +145,16 @@ and skip_block_comment st =
 
 let lex_ident st =
   let start = st.pos in
-  skip_to st (scan_while is_ident_char st.src start);
+  skip_to st (ident_end st.src start);
   String.sub st.src start (st.pos - start)
 
 let lex_number st start =
   let src = st.src and begin_pos = st.pos in
-  let i = scan_while is_digit src begin_pos in
+  let i = digits_end src begin_pos in
   let fraction =
     i + 1 < String.length src && src.[i] = '.' && is_digit src.[i + 1]
   in
-  let i = if fraction then scan_while is_digit src (i + 1) else i in
+  let i = if fraction then digits_end src (i + 1) else i in
   let exponent = i < String.length src && (src.[i] = 'e' || src.[i] = 'E') in
   let i =
     if not exponent then i
@@ -142,7 +164,7 @@ let lex_number st start =
         then i + 2
         else i + 1
       in
-      scan_while is_digit src j
+      digits_end src j
   in
   skip_to st i;
   let text = String.sub src begin_pos (i - begin_pos) in
@@ -159,12 +181,15 @@ let lex_number st start =
    a quote, a backslash, a newline, the end of input, or a '$' that is
    last or opens an interpolation. *)
 let rec string_run_end src i =
-  let i =
-    scan_while (fun c -> c <> '"' && c <> '\\' && c <> '$' && c <> '\n') src i
-  in
-  if i + 1 < String.length src && src.[i] = '$' && src.[i + 1] <> '{' then
-    string_run_end src (i + 1)
-  else i
+  if i >= String.length src then i
+  else
+    match String.unsafe_get src i with
+    | '"' | '\\' | '\n' -> i
+    | '$' ->
+        if i + 1 < String.length src && String.unsafe_get src (i + 1) <> '{'
+        then string_run_end src (i + 1)
+        else i
+    | _ -> string_run_end src (i + 1)
 
 (* One token after trivia; [EOF] (again and again) at the end. *)
 let rec next_token st : Token.spanned =
@@ -390,7 +415,7 @@ and lex_heredoc st start : Token.t =
   (* Collect raw lines until a line equal to the tag (modulo leading
      whitespace when in indent mode). *)
   let read_line () =
-    let i = scan_while (fun c -> c <> '\n') st.src st.pos in
+    let i = line_end st.src st.pos in
     if i >= String.length st.src then begin
       skip_to st i;
       error st start "unterminated heredoc"

@@ -365,10 +365,10 @@ let episode_fail t ~actor ~rtype ~region verdict k =
       schedule t ~delay:t.config.api_latency (fun () ->
           k (Error (Throttled after)))
 
-(* Computed attributes the cloud adds to every resource.  The arn is
-   hand-concatenated ([= sprintf "arn:sim:%s:%s:%s"] byte for byte);
-   the format interpreter allocated measurably at 1M creates. *)
-let computed_attrs t r =
+(* The arn of [r], hand-concatenated ([= sprintf "arn:sim:%s:%s:%s"]
+   byte for byte); the format interpreter allocated measurably at 1M
+   creates. *)
+let arn r =
   let lr = String.length r.region
   and lt = String.length r.rtype
   and li = String.length r.cloud_id in
@@ -379,10 +379,13 @@ let computed_attrs t r =
   Bytes.blit_string r.rtype 0 b (9 + lr) lt;
   Bytes.set b (9 + lr + lt) ':';
   Bytes.blit_string r.cloud_id 0 b (10 + lr + lt) li;
-  let arn = Bytes.unsafe_to_string b in
+  Bytes.unsafe_to_string b
+
+(* Computed attributes the cloud adds to every resource. *)
+let computed_attrs t r =
   r.attrs
   |> Smap.add "id" (Value.Vstring r.cloud_id)
-  |> Smap.add "arn" (Value.Vstring arn)
+  |> Smap.add "arn" (Value.Vstring (arn r))
   |> Smap.add "region" (Value.Vstring r.region)
   |> fun attrs ->
   ignore t;
@@ -665,12 +668,47 @@ let create_oob t ~script ~rtype ~region ~attrs =
     ~detail:"created out of band";
   cloud_id
 
-(** Replace a resource's attributes wholesale without logging — used by
-    tools that materialize a recorded deployment into a fresh simulator
-    (state restore), not by anything that models real cloud traffic. *)
-let restore_attrs t ~cloud_id ~attrs =
-  match lookup t cloud_id with
-  | None -> ()
-  | Some r ->
-      r.attrs <- attrs;
-      r.attrs <- computed_attrs t r
+(* The number [id] carries if {!fresh_id} minted it: its hex suffix
+   after the last '-'. *)
+let id_number id =
+  match String.rindex_opt id '-' with
+  | Some i ->
+      int_of_string_opt ("0x" ^ String.sub id (i + 1) (String.length id - i - 1))
+  | None -> None
+
+(* Whether [r.attrs] already holds what {!computed_attrs} would add. *)
+let computed_current r =
+  let holds k s =
+    match Smap.find_opt k r.attrs with
+    | Some (Value.Vstring v) -> String.equal v s
+    | _ -> false
+  in
+  holds "id" r.cloud_id && holds "region" r.region && holds "arn" (arn r)
+
+(** Register a recorded resource under its recorded [cloud_id], ready,
+    as restoring a deployment's state into a fresh simulator does.  It
+    is no cloud traffic: no API call, no activity-log entry.  The id
+    counter moves past the id's [<prefix>-<hex>] suffix, so no id
+    minted later collides with a restored one.  Returns the attributes
+    the cloud now holds: [attrs] itself when it already carries the
+    [id], [arn] and [region] the cloud computes, else [attrs] with
+    them.  A resource already registered under [cloud_id] is
+    replaced. *)
+let restore t ~cloud_id ~rtype ~region ~attrs =
+  (match id_number cloud_id with
+  | Some n when n > t.id_counter -> t.id_counter <- n
+  | _ -> ());
+  let r =
+    {
+      cloud_id;
+      rtype;
+      region;
+      attrs;
+      status = Ready;
+      created_at = t.clock;
+      updated_at = t.clock;
+    }
+  in
+  if not (computed_current r) then r.attrs <- computed_attrs t r;
+  Hashtbl.replace t.resources cloud_id r;
+  r.attrs

@@ -292,6 +292,8 @@ let entry_of_value (v : Value.t) =
     diagnostic located at that line of [file]. *)
 let of_string ?(file = "<journal>") src =
   let n = String.length src in
+  (* entries repeat the attribute key sets of their resource types *)
+  let shapes = Codec.shapes () in
   let rec go acc first =
     if first >= n then List.rev acc
     else
@@ -299,7 +301,7 @@ let of_string ?(file = "<journal>") src =
         match String.index_from_opt src first '\n' with Some i -> i | None -> n
       in
       let line = String.sub src first (stop - first) in
-      match entry_of_value (Codec.read_value ~file line) with
+      match entry_of_value (Codec.read_value ~shapes ~file line) with
       | e -> go (e :: acc) (stop + 1)
       | exception
           ( Cloudless_error.Error { stage = Syntax; message = msg; _ }

@@ -22,6 +22,17 @@ type resource_state = {
   deps : Addr.t list;  (** dependencies at the time of creation *)
 }
 
+(** The text a state was decoded from, kept so that {!to_string} can
+    copy the bytes of every row that is still physically the record
+    decoded from them. *)
+type source = {
+  text : string;
+  decoded : resource_state array;  (** in ascending address order *)
+  spans : int array;
+      (** row [i]'s block runs from byte [spans.(2i)] of [text] to just
+          before byte [spans.(2i+1)] *)
+}
+
 type t = {
   serial : int;  (** bumped on every mutation; optimistic concurrency *)
   resources : resource_state Amap.t;
@@ -29,13 +40,15 @@ type t = {
       (** lazily-built reverse index (cloud id -> address), rebuilt on
           first {!find_by_cloud_id} after a topology change — keeping
           it incrementally would double the spine rebuilds on the
-          apply hot path.  Cloud ids are unique per deployment; were a
-          state ever to hold duplicates (e.g. a merge of independently
-          numbered shards), the highest address wins — previously it
-          was the latest add, equally arbitrary.  Updates that keep
-          [resources] unchanged (or change only attributes) share the
-          memo. *)
+          apply hot path.  Cloud ids are unique per deployment (a
+          restore refuses a state whose rows share one); were a
+          state ever to hold duplicates, the highest address wins.
+          Updates that keep [resources] unchanged (or change only
+          attributes) share the memo. *)
   outputs : (string * Value.t) list;
+  source : source option;
+      (** the decoded text, for a state read by {!of_string} and every
+          state derived from it *)
 }
 
 let empty =
@@ -44,6 +57,7 @@ let empty =
     resources = Amap.empty;
     cloud_index = None;
     outputs = [];
+    source = None;
   }
 
 let serial t = t.serial
@@ -84,7 +98,13 @@ let with_serial t serial = { t with serial }
     {!with_serial}); [outputs] defaults to none. *)
 let of_sorted_rows ?(outputs = []) ~serial
     (rows : (Addr.t * resource_state) array) =
-  { serial; resources = Amap.of_sorted_array rows; cloud_index = None; outputs }
+  {
+    serial;
+    resources = Amap.of_sorted_array rows;
+    cloud_index = None;
+    outputs;
+    source = None;
+  }
 
 (** Update just the attributes of a tracked resource. *)
 let update_attrs t addr attrs =
@@ -172,15 +192,52 @@ let add_row buf r =
     r.deps;
   Buffer.add_string buf "]\n}\n"
 
+(* Every row in address order.  A row whose record is still the one
+   decoded from [source] is its source bytes, copied; the decoded
+   records are in address order too, so one cursor walks them beside
+   the rows and a pointer test finds each carried row. *)
+let add_rows buf t =
+  match t.source with
+  | None -> Amap.fold (fun _ r () -> add_row buf r) t.resources ()
+  | Some { text; decoded; spans } ->
+      let n = Array.length decoded and i = ref 0 in
+      Amap.fold
+        (fun _ r () ->
+          (* skip the decoded rows that were removed or replaced *)
+          while
+            !i < n
+            && decoded.(!i) != r
+            && Addr.compare decoded.(!i).addr r.addr < 0
+          do
+            incr i
+          done;
+          if !i < n && decoded.(!i) == r then begin
+            let first = spans.(2 * !i) in
+            Buffer.add_char buf '\n';
+            Buffer.add_substring buf text first (spans.((2 * !i) + 1) - first);
+            Buffer.add_char buf '\n';
+            incr i
+          end
+          else add_row buf r)
+        t.resources ()
+
 (** The state as HCL: a [state] block with the serial, one [instance]
     block per row in address order, then one [output] block per
-    output.  Unknown values are written as [null]. *)
+    output.  Unknown values are written as [null].  A row still
+    physically the record {!of_string} decoded is written as the bytes
+    it was decoded from, which for a row this function wrote are the
+    bytes it renders. *)
 let to_string t =
-  let buf = Buffer.create (64 + (256 * Amap.cardinal t.resources)) in
+  let estimate =
+    match t.source with
+    | Some s -> String.length s.text + 4096
+    | None -> 64 + (256 * Amap.cardinal t.resources)
+  in
+  let buf = Buffer.create estimate in
   Buffer.add_string buf "state {\n  serial = ";
   Buffer.add_string buf (string_of_int t.serial);
   Buffer.add_string buf "\n}\n";
-  Amap.fold (fun _ r () -> add_row buf r) t.resources ();
+  add_rows buf t;
   List.iter
     (fun (name, v) ->
       Buffer.add_string buf "\noutput ";
@@ -192,10 +249,11 @@ let to_string t =
   Buffer.contents buf
 
 (** Read a state written by {!to_string}.  Blocks may come in any
-    order; a repeated instance keeps its last row.  Errors are located
-    in [file]: a lexer error anywhere ([syntax/lex-error]) outranks
-    text that is not literal data anywhere, which outranks the first
-    malformed block; both of the latter are [state/corrupt-state]
+    order; a repeated instance keeps its last row.  The state keeps
+    [src] and each row's block in it (see {!to_string}).  Errors are
+    located in [file]: a lexer error anywhere ([syntax/lex-error])
+    outranks text that is not literal data anywhere, which outranks the
+    first malformed block; both of the latter are [state/corrupt-state]
     diagnostics. *)
 let of_string ?(file = "<state>") src =
   let locate first last = Codec.span ~file src first last in
@@ -217,13 +275,22 @@ let of_string ?(file = "<state>") src =
     | { value = Value.Vstring s; _ } -> s
     | a -> bad a "a string"
   in
+  (* a state names each address once per row and again per dependent,
+     so each distinct string is parsed once *)
+  let parsed = Hashtbl.create 256 in
   let address (b : Codec.block) s =
-    match Addr.of_string s with
+    match Hashtbl.find_opt parsed s with
     | Some a -> a
-    | None -> block_error b "state: bad address %s" s
+    | None -> (
+        match Addr.of_string s with
+        | Some a ->
+            Hashtbl.add parsed s a;
+            a
+        | None -> block_error b "state: bad address %s" s)
   in
   let serial = ref 0 and outputs = ref [] in
-  (* rows in reverse; [ascending] while they arrive strictly ascending *)
+  (* rows with their blocks' offsets, in reverse; [ascending] while
+     they arrive strictly ascending *)
   let rows = ref [] and ascending = ref true in
   let row (b : Codec.block) addr =
     let cloud_id = string_field b "cloud_id" in
@@ -246,9 +313,10 @@ let of_string ?(file = "<state>") src =
     in
     let r = { addr; cloud_id; rtype; region; attrs; deps } in
     (match !rows with
-    | (prev, _) :: _ when Addr.compare prev addr >= 0 -> ascending := false
+    | (prev, _, _) :: _ when Addr.compare prev.addr addr >= 0 ->
+        ascending := false
     | _ -> ());
-    rows := (addr, r) :: !rows
+    rows := (r, b.first, b.last) :: !rows
   in
   let block () (b : Codec.block) =
     match (b.btype, b.labels) with
@@ -264,16 +332,33 @@ let of_string ?(file = "<state>") src =
   (try Codec.fold_blocks ~file src block ()
    with Cloudless_error.Error { code = "parse-error"; message; span; _ } ->
      corrupt ~span "state: %s" message);
-  let rows = List.rev !rows in
-  let resources =
-    if !ascending then Amap.of_sorted_array (Array.of_list rows)
-    else List.fold_left (fun m (a, r) -> Amap.add a r m) Amap.empty rows
+  let rows =
+    if !ascending then Array.of_list (List.rev !rows)
+    else
+      (* address order; of rows at one address, the last one read *)
+      let by_addr (a, _, _) (b, _, _) = Addr.compare a.addr b.addr in
+      List.fold_left
+        (fun acc ((r, _, _) as x) ->
+          match acc with
+          | (kept, _, _) :: _ when Addr.compare kept.addr r.addr = 0 -> acc
+          | _ -> x :: acc)
+        []
+        (List.rev (List.stable_sort by_addr (List.rev !rows)))
+      |> Array.of_list
   in
+  let decoded = Array.map (fun (r, _, _) -> r) rows in
+  let spans = Array.make (2 * Array.length rows) 0 in
+  Array.iteri
+    (fun i (_, first, last) ->
+      spans.(2 * i) <- first;
+      spans.((2 * i) + 1) <- last)
+    rows;
   {
     serial = !serial;
-    resources;
+    resources = Amap.of_sorted_array (Array.map (fun r -> (r.addr, r)) decoded);
     cloud_index = None;
     outputs = List.rev !outputs;
+    source = Some { text = src; decoded; spans };
   }
 
 (* ------------------------------------------------------------------ *)

@@ -257,6 +257,21 @@ if [[ -n "$refresh_overrides" ]]; then
   exit 1
 fi
 
+# -- restore keeps recorded ids --------------------------------------
+# The CLI rebuilds its simulated cloud from the state file with
+# Cloud.restore, under each row's recorded cloud id.  Minting fresh
+# ids there (Cloud.create_oob) and rewriting the rows' references
+# (restore_attrs) renumbers the deployment on every apply, rewrites
+# every row of the state file and prints ids in apply that plan never
+# printed.
+restore_offenders=$(grep -rnE 'Cloud\.create_oob|restore_attrs' lib/core/ \
+  --include='*.ml' --include='*.mli' || true)
+if [[ -n "$restore_offenders" ]]; then
+  echo "check.sh: fresh ids or rewritten references on the CLI's restore path — restore rows under their recorded ids with Cloud.restore:" >&2
+  echo "$restore_offenders" >&2
+  exit 1
+fi
+
 # -- one write pacer per fleet ---------------------------------------
 # A client-side pacer mirrors the write budget of the cloud it talks
 # to and comes from Cloud.write_pacer: Executor.apply takes one per

@@ -254,29 +254,31 @@ let attrs_gen =
       (fun kvs -> Smap.of_seq (List.to_seq kvs))
       (list_size (int_range 0 4) (pair map_key_gen value_gen)))
 
+let resource_gen =
+  QCheck.Gen.map3
+    (fun addr (cloud_id, region, attrs) deps ->
+      {
+        State.addr;
+        cloud_id;
+        rtype = addr.Addr.rtype;
+        region;
+        attrs;
+        deps;
+      })
+    addr_gen
+    (QCheck.Gen.triple str_gen str_gen attrs_gen)
+    (QCheck.Gen.list_size (QCheck.Gen.int_range 0 2) addr_gen)
+
+let outputs_gen = QCheck.Gen.(list_size (int_range 0 2) (pair ident_gen value_gen))
+
 let state_gen =
   let open QCheck.Gen in
-  let resource =
-    map3
-      (fun addr (cloud_id, region, attrs) deps ->
-        {
-          State.addr;
-          cloud_id;
-          rtype = addr.Addr.rtype;
-          region;
-          attrs;
-          deps;
-        })
-      addr_gen
-      (triple str_gen str_gen attrs_gen)
-      (list_size (int_range 0 2) addr_gen)
-  in
   map3
     (fun rs outputs serial ->
       let s = List.fold_left State.add State.empty rs in
       State.with_serial (State.set_outputs s outputs) serial)
-    (list_size (int_range 0 6) resource)
-    (list_size (int_range 0 2) (pair ident_gen value_gen))
+    (list_size (int_range 0 6) resource_gen)
+    outputs_gen
     (int_range (-5) 10_000)
 
 (* The AST path the state codec replaced, kept as its oracle:
@@ -543,6 +545,218 @@ let prop_of_string_matches_oracle =
       && same_state ~values:same_value (State.of_string plain)
            (Oracle.of_string plain))
 
+(* ------------------------------------------------------------------ *)
+(* Carried rows                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The writer that renders every row, as [State.to_string] did before
+   it copied the bytes of decoded rows: the oracle for the one that
+   does. *)
+module Render = struct
+  let add_row buf (r : State.resource_state) =
+    Buffer.add_string buf "\ninstance ";
+    Codec.add_string buf (Addr.to_string r.addr);
+    Buffer.add_string buf " {\n  cloud_id   = ";
+    Codec.add_string buf r.cloud_id;
+    Buffer.add_string buf "\n  type       = ";
+    Codec.add_string buf r.rtype;
+    Buffer.add_string buf "\n  region     = ";
+    Codec.add_string buf r.region;
+    Buffer.add_string buf "\n  attributes = ";
+    Codec.add_map buf r.attrs;
+    Buffer.add_string buf "\n  depends    = [";
+    List.iteri
+      (fun i d ->
+        if i > 0 then Buffer.add_string buf ", ";
+        Codec.add_string buf (Addr.to_string d))
+      r.deps;
+    Buffer.add_string buf "]\n}\n"
+
+  let to_string s =
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf "state {\n  serial = ";
+    Buffer.add_string buf (string_of_int (State.serial s));
+    Buffer.add_string buf "\n}\n";
+    List.iter (add_row buf) (State.resources s);
+    List.iter
+      (fun (name, v) ->
+        Buffer.add_string buf "\noutput ";
+        Codec.add_string buf name;
+        Buffer.add_string buf " {\n  value = ";
+        Codec.add_value buf v;
+        Buffer.add_string buf "\n}\n")
+      (State.outputs s);
+    Buffer.contents buf
+end
+
+(* An edit of a decoded state.  [Remove], [Set_attrs], [Readd] and
+   [Add_at] pick a row by index, modulo the row count. *)
+type state_edit =
+  | Add of State.resource_state
+  | Add_at of int * State.resource_state  (** a new record at a row's address *)
+  | Remove of int
+  | Set_attrs of int * Value.t Smap.t
+  | Readd of int  (** the row's own record, added again *)
+  | Serial of int
+  | Outputs of (string * Value.t) list
+
+let state_edit_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, map (fun r -> Add r) resource_gen);
+      (1, map2 (fun i r -> Add_at (i, r)) nat resource_gen);
+      (2, map (fun i -> Remove i) nat);
+      (2, map2 (fun i a -> Set_attrs (i, a)) nat attrs_gen);
+      (1, map (fun i -> Readd i) nat);
+      (1, map (fun n -> Serial n) (int_range (-5) 10_000));
+      (1, map (fun o -> Outputs o) outputs_gen);
+    ]
+
+let print_state_edit = function
+  | Add r -> "add " ^ Addr.to_string r.addr
+  | Add_at (i, _) -> Printf.sprintf "add at row %d" i
+  | Remove i -> Printf.sprintf "remove row %d" i
+  | Set_attrs (i, _) -> Printf.sprintf "set attributes of row %d" i
+  | Readd i -> Printf.sprintf "re-add row %d" i
+  | Serial n -> Printf.sprintf "serial %d" n
+  | Outputs o -> Printf.sprintf "%d output(s)" (List.length o)
+
+let apply_state_edit s e =
+  let nth i k =
+    match State.resources s with
+    | [] -> s
+    | rows -> k (List.nth rows (i mod List.length rows))
+  in
+  match e with
+  | Add r -> State.add s r
+  | Add_at (i, r) -> nth i (fun (o : State.resource_state) -> State.add s { r with addr = o.addr })
+  | Remove i -> nth i (fun (o : State.resource_state) -> State.remove s o.addr)
+  | Set_attrs (i, attrs) ->
+      nth i (fun (o : State.resource_state) -> State.update_attrs s o.addr attrs)
+  | Readd i -> nth i (State.add s)
+  | Serial n -> State.with_serial s n
+  | Outputs o -> State.set_outputs s o
+
+let prop_carried_rows_match_render =
+  QCheck.Test.make ~count:500
+    ~name:"to_string of an edited decoded state = rendering every row"
+    (QCheck.make
+       QCheck.Gen.(pair state_gen (list_size (int_range 0 8) state_edit_gen))
+       ~print:(fun (s, edits) ->
+         State.to_string s ^ "\nedits: "
+         ^ String.concat "; " (List.map print_state_edit edits)))
+    (fun (s, edits) ->
+      let decoded = State.of_string (State.to_string s) in
+      let edited = List.fold_left apply_state_edit decoded edits in
+      State.to_string decoded = Render.to_string decoded
+      && State.to_string edited = Render.to_string edited)
+
+(* Row [a] as a person might write it: a comment, other spacing, a
+   float with a trailing zero. *)
+let hand_written_a =
+  {|instance "aws_vpc.a" {
+  cloud_id = "vpc-000001"   # kept as written
+  type = "aws_vpc"
+  region     =   "us-east-1"
+  attributes = {
+    id     = "vpc-000001"
+    weight = 1.50
+  }
+  depends    = []
+}|}
+
+let hand_written =
+  "state {\n  serial = 7\n}\n\n" ^ hand_written_a
+  ^ "\n\ninstance \"aws_vpc.b\" {\n  cloud_id   = \"vpc-000002\"\n  type       = \"aws_vpc\"\n  region     = \"us-east-1\"\n  attributes = { id = \"vpc-000002\" }\n  depends    = [\"aws_vpc.a\"]\n}\n"
+
+let test_untouched_row_keeps_its_text () =
+  let decoded = State.of_string hand_written in
+  let a = Addr.make ~rtype:"aws_vpc" ~rname:"a" ()
+  and b = Addr.make ~rtype:"aws_vpc" ~rname:"b" () in
+  let edited =
+    State.update_attrs decoded b
+      (Smap.singleton "id" (Value.Vstring "vpc-000002")
+      |> Smap.add "tags" (Value.of_assoc [ ("team", Value.Vstring "net") ]))
+  in
+  let text = State.to_string edited in
+  let buf = Buffer.create 256 in
+  Render.add_row buf (Option.get (State.find_opt edited b));
+  check string_ "row a as read, row b rendered"
+    ("state {\n  serial = 8\n}\n\n" ^ hand_written_a ^ "\n" ^ Buffer.contents buf)
+    text;
+  let row s = Option.get (State.find_opt s a) in
+  let reread = State.of_string text in
+  check bool_ "row a decodes to the same row" true
+    (same_rows ~attrs:same_value (row decoded) (row reread));
+  check bool_ "weight reads 1.5" true
+    (same_value (Value.Vfloat 1.5) (Smap.find "weight" (row reread).State.attrs));
+  check string_ "an untouched decoded state writes back as read" hand_written
+    (State.to_string decoded)
+
+(* The object reader against the fold it replaces.  Keys come from a
+   small set so that objects in one read share key sets; an object's
+   entries come in ascending key order (as [Codec.add_map] writes
+   them), in any order, or with a key repeated.  Each case is the text
+   of an object and the map a [Smap.add] fold over its entries gives. *)
+let object_gen =
+  let open QCheck.Gen in
+  let key = oneofl [ "a"; "b"; "c"; "d"; "e"; "a-b"; "x y"; "null" ] in
+  let key_text k =
+    let buf = Buffer.create 8 in
+    if Codec.ident_like k then Buffer.add_string buf k else Codec.add_string buf k;
+    Buffer.contents buf
+  in
+  (* a leaf is its text and that text read alone: the property is about
+     assembling objects, not about reading each value *)
+  let leaf =
+    map
+      (fun v ->
+        let buf = Buffer.create 16 in
+        Codec.add_value buf v;
+        let text = Buffer.contents buf in
+        (text, Codec.read_value ~file:"<leaf>" text))
+      value_gen
+  in
+  fix
+    (fun self depth ->
+      let entry =
+        pair key (if depth = 0 then leaf else frequency [ (4, leaf); (1, self (depth - 1)) ])
+      in
+      list_size (int_range 0 6) entry >>= fun entries ->
+      let by_key (k, _) (k', _) = String.compare k k' in
+      (match entries with
+      | [] -> return entries
+      | (k, v) :: _ ->
+          frequency
+            [
+              (3, return (List.sort_uniq by_key entries));
+              (1, return entries);
+              (1, return (entries @ [ (k, v) ]));
+            ])
+      >>= fun entries ->
+      oneofl [ ", "; "\n"; " " ] >>= fun sep ->
+      oneofl [ " = "; ": "; "=" ] >>= fun eq ->
+      let text =
+        "{ "
+        ^ String.concat sep (List.map (fun (k, (t, _)) -> key_text k ^ eq ^ t) entries)
+        ^ " }"
+      in
+      return
+        ( text,
+          Value.Vmap
+            (List.fold_left (fun m (k, (_, v)) -> Smap.add k v m) Smap.empty entries) ))
+    2
+
+let prop_object_reader_is_the_add_fold =
+  QCheck.Test.make ~count:500 ~name:"the object reader = Smap.add folds over the entries"
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 8) object_gen)
+       ~print:(fun objs -> "[" ^ String.concat ",\n" (List.map fst objs) ^ "]"))
+    (fun objs ->
+      let text = "[" ^ String.concat ",\n" (List.map fst objs) ^ "]" in
+      same_value (Value.Vlist (List.map snd objs)) (Codec.read_value ~file:"<objects>" text))
+
 (* One byte replaced (kind 0), inserted (1) or deleted (2) at offset
    [at] (modulo the length), mostly a byte the literal syntax gives a
    meaning to.  The edited-journal property reuses these. *)
@@ -703,6 +917,10 @@ let suites =
         QCheck_alcotest.to_alcotest prop_of_string_matches_oracle;
         QCheck_alcotest.to_alcotest prop_edited_state_fails_typed;
         QCheck_alcotest.to_alcotest prop_addr_to_string_matches_sprintf;
+        QCheck_alcotest.to_alcotest prop_carried_rows_match_render;
+        Alcotest.test_case "an untouched row keeps its text" `Quick
+          test_untouched_row_keeps_its_text;
+        QCheck_alcotest.to_alcotest prop_object_reader_is_the_add_fold;
         Alcotest.test_case "floats print in full" `Quick test_float_to_string_shortest;
         Alcotest.test_case "cli: a float config plans no change" `Quick
           test_cli_float_apply_then_plan;
