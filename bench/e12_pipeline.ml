@@ -62,7 +62,7 @@ let populated_state instances =
           cloud_id = "cid-" ^ Addr.to_string i.Hcl.Eval.addr;
           rtype = i.Hcl.Eval.addr.Addr.rtype;
           region = "us-east-1";
-          attrs = i.Hcl.Eval.attrs;
+          recorded = State.Recorded.of_map i.Hcl.Eval.attrs;
           deps = [];
         })
     State.empty instances

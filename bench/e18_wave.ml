@@ -230,7 +230,7 @@ let run_clean_leg ~tenants ~shards ~seed =
           (fun (r : Cloudless_state.State.resource_state) ->
             r.Cloudless_state.State.rtype <> "aws_instance"
             || Cloudless_hcl.Value.Smap.find_opt "instance_type"
-                 r.Cloudless_state.State.attrs
+                 (Cloudless_state.State.attrs r)
                = Some (Cloudless_hcl.Value.Vstring "t3.large"))
           (Cloudless_state.State.resources dep.Shard.state))
       (Fleet.deployments fleet)

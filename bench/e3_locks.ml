@@ -42,7 +42,7 @@ let seeded n =
               cloud_id;
               rtype = "aws_instance";
               region = "us-east-1";
-              attrs;
+              recorded = State.Recorded.of_map attrs;
               deps = [];
             }
     | Error _ -> assert false

@@ -30,7 +30,7 @@ let live_of cloud state addr =
   match State.find_opt state addr with
   | Some (r : State.resource_state) ->
       Option.map
-        (fun (res : Cloud.resource) -> res.Cloud.attrs)
+        (fun (res : Cloud.resource) -> (Cloud.attrs res))
         (Cloud.lookup cloud r.State.cloud_id)
   | None -> None
 
@@ -64,7 +64,7 @@ resource "aws_instance" "w" {
                 }));
         current :=
           State.update_attrs !current addr
-            (Smap.add "instance_type" (Value.Vstring "t3.xlarge") r.State.attrs)
+            (Smap.add "instance_type" (Value.Vstring "t3.xlarge") (State.attrs r))
     | Force_new ->
         ignore
           (Cloud.run_sync cloud
@@ -76,7 +76,7 @@ resource "aws_instance" "w" {
                 }));
         current :=
           State.update_attrs !current addr
-            (Smap.add "ami" (Value.Vstring "ami-new") r.State.attrs)
+            (Smap.add "ami" (Value.Vstring "ami-new") (State.attrs r))
     | Out_of_band ->
         (* invisible to the state file *)
         ignore

@@ -23,10 +23,11 @@ let state_of_instances () =
           cloud_id = Cloudless_hcl.Addr.to_string i.Cloudless_hcl.Eval.addr;
           rtype = i.Cloudless_hcl.Eval.addr.Cloudless_hcl.Addr.rtype;
           region = "us-east-1";
-          attrs =
-            Cloudless_hcl.Value.Smap.filter
-              (fun _ v -> not (Cloudless_hcl.Value.has_unknown v))
-              i.Cloudless_hcl.Eval.attrs;
+          recorded =
+            Cloudless_hcl.Recorded.of_map
+              (Cloudless_hcl.Value.Smap.filter
+                 (fun _ v -> not (Cloudless_hcl.Value.has_unknown v))
+                 i.Cloudless_hcl.Eval.attrs);
           deps = [];
         })
     Cloudless_state.State.empty expanded

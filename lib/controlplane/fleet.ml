@@ -785,7 +785,7 @@ let render t row =
         put_char o '=';
         add_value v
       end)
-    row.r.State.attrs;
+    (State.attrs row.r);
   put_char o '\n';
   let line =
     {

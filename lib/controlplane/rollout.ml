@@ -371,7 +371,7 @@ and fail_wave t (w : Wave.wave) reasons =
                   | None -> None
                   | Some r -> (
                       match Cloud.lookup cloud r.State.cloud_id with
-                      | Some res -> Some res.Cloud.attrs
+                      | Some res -> Some (Cloud.attrs res)
                       | None -> None)
                 in
                 (Wave.inverse_plan ~target:pre_state ~current:dep.Shard.state

@@ -403,7 +403,7 @@ let fold_drift state (events : Drift.event list) =
       | Drift.Attr_drift { attr; actual; _ }, Some addr -> (
           match State.find_opt st addr with
           | Some (r : State.resource_state) ->
-              State.update_attrs st addr (Smap.add attr actual r.State.attrs)
+              State.update_attrs st addr (Smap.add attr actual (State.attrs r))
           | None -> st)
       | _ -> st)
     state events

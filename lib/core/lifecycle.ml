@@ -338,7 +338,7 @@ let live_attrs t addr =
   match State.find_opt t.state addr with
   | Some r ->
       Option.map
-        (fun (res : Cloud.resource) -> res.Cloud.attrs)
+        (fun (res : Cloud.resource) -> (Cloud.attrs res))
         (Cloud.lookup t.cloud r.State.cloud_id)
   | None -> None
 

@@ -55,12 +55,14 @@ let shared_id rows (r : State.resource_state) =
     under its recorded cloud id with its recorded attributes
     ({!Cloud.restore}), so ids stay stable across runs, references
     between rows stay valid as they are, and ids minted later continue
-    past every restored one.  Returns the cloud and the recorded state
-    itself (the same row records, serial and outputs), except that a
-    row whose [id], [arn] or [region] attribute differs from what the
-    cloud computes is rebuilt with the cloud's attributes.  A state
-    whose rows share a cloud id is refused with a [state/corrupt-state]
-    diagnostic naming both addresses. *)
+    past every restored one.  No row's attributes are read: the cloud
+    reads a resource's on its first read, and checks the recorded
+    [id], [arn] and [region] on the row's text.  Returns the cloud and
+    the recorded state itself (the same row records, serial and
+    outputs), except that a row whose [id], [arn] or [region] attribute
+    differs from what the cloud computes is rebuilt with the cloud's
+    attributes.  A state whose rows share a cloud id is refused with a
+    [state/corrupt-state] diagnostic naming both addresses. *)
 let cloud_from_state ?(trace = Trace.null)
     ?(config = Cloudless_schema.Cloud_rules.config_with_checks ()) state ~seed =
   let cloud = Cloud.create ~config ~seed () in
@@ -71,11 +73,12 @@ let cloud_from_state ?(trace = Trace.null)
       (fun acc (r : State.resource_state) ->
         if Option.is_some (Cloud.lookup cloud r.State.cloud_id) then
           shared_id rows r;
-        let attrs =
+        match
           Cloud.restore cloud ~cloud_id:r.State.cloud_id ~rtype:r.State.rtype
-            ~region:r.State.region ~attrs:r.State.attrs
-        in
-        if attrs == r.State.attrs then acc else { r with State.attrs } :: acc)
+            ~region:r.State.region r.State.recorded
+        with
+        | None -> acc
+        | Some attrs -> State.with_attrs r attrs :: acc)
       [] rows
   in
   let restored =
@@ -110,8 +113,14 @@ let parse_config path =
   end
   else parse_one path
 
+(** The instances of [cfg] to plan against [state]: an instance whose
+    recorded row already records its configuration is verified on the
+    row's text and left unmerged ({!Hcl.Eval.instance.verified}), so
+    {!Plan.make} finds it a no-op without reading the row.  The plan is
+    the one an expansion that merges every row gives. *)
 let expand ?(trace = Trace.null) state cfg =
-  (Hcl.Eval.expand ~env:(env_for state) ~trace cfg).Hcl.Eval.instances
+  let env = { (env_for state) with Hcl.Eval.verify_rows = true } in
+  (Hcl.Eval.expand ~env ~trace cfg).Hcl.Eval.instances
 
 let plan_against ?(trace = Trace.null) ~state file =
   let cfg = parse_config file in

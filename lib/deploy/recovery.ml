@@ -96,7 +96,7 @@ let resume_state (cloud : Cloud.t) ~engine ~(state : State.t)
                 && (not (Hashtbl.mem claimed e.Activity_log.cloud_id))
                 && State.find_by_cloud_id !st e.Activity_log.cloud_id = None
                 && match Cloud.lookup cloud e.Activity_log.cloud_id with
-                   | Some r -> attrs_match i.Journal.payload r.Cloud.attrs
+                   | Some r -> attrs_match i.Journal.payload (Cloud.attrs r)
                    | None -> false)
               (Activity_log.since log i.Journal.log_cursor)
           in
@@ -112,7 +112,7 @@ let resume_state (cloud : Cloud.t) ~engine ~(state : State.t)
                     cloud_id;
                     rtype = i.Journal.rtype;
                     region = i.Journal.region;
-                    attrs = live.Cloud.attrs;
+                    recorded = State.Recorded.of_map (Cloud.attrs live);
                     deps = i.Journal.deps;
                   };
               adopted := i.Journal.iaddr :: !adopted
@@ -123,7 +123,7 @@ let resume_state (cloud : Cloud.t) ~engine ~(state : State.t)
                 Cloud.lookup cloud cid)
           with
           | Some live ->
-              st := State.update_attrs !st i.Journal.iaddr live.Cloud.attrs;
+              st := State.update_attrs !st i.Journal.iaddr (Cloud.attrs live);
               refreshed := i.Journal.iaddr :: !refreshed
           | None -> replanned := i.Journal.iaddr :: !replanned)
       | Journal.Op_delete -> (

@@ -92,7 +92,7 @@ let rec resolve_value split find (v : Value.t) : Value.t =
       | Some (addr, attr) -> (
           match find addr with
           | Some rs -> (
-              match Smap.find_opt attr rs.State.attrs with
+              match Smap.find_opt attr (State.attrs rs) with
               | Some v -> v
               | None -> Value.Vnull)
           | None -> Value.Vnull))
@@ -341,7 +341,7 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
     match live_find addr with
     | None -> ()
     | Some r ->
-        Hashtbl.replace overlay addr (Some { r with State.attrs });
+        Hashtbl.replace overlay addr (Some (State.with_attrs r attrs));
         incr state_muts
   in
   let state_remove addr =
@@ -726,7 +726,7 @@ let apply (cloud : Cloud.t) ~(config : config) ~(state : State.t)
                 cloud_id;
                 rtype = c.Plan.rtype;
                 region = c.Plan.region;
-                attrs = cloud_attrs;
+                recorded = State.Recorded.of_map cloud_attrs;
                 deps = c.Plan.deps;
               };
             advance id c attempt next

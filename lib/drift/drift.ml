@@ -123,7 +123,7 @@ module Scanner = struct
                             occurred_at = None;
                           }
                     | _ -> ())
-                  (comparable r.State.attrs);
+                  (comparable (State.attrs r));
                 settle ()
             | Error (Cloud.Not_found _) ->
                 emit
@@ -244,11 +244,11 @@ let event_of_entry (cloud : Cloud.t) ~(tracked : State.resource_state option)
           let diff =
             Smap.fold
               (fun attr expected acc ->
-                match Smap.find_opt attr live.Cloud.attrs with
+                match Smap.find_opt attr (Cloud.attrs live) with
                 | Some actual when not (Value.equal expected actual) ->
                     (attr, expected, actual) :: acc
                 | _ -> acc)
-              (comparable r.State.attrs) []
+              (comparable (State.attrs r)) []
           in
           (match diff with
           | (attr, expected, actual) :: _ ->
@@ -330,7 +330,7 @@ let reconcile (cloud : Cloud.t) ~(state : State.t) (e : event)
   match (decision, e.addr) with
   | Accept_into_state, Some addr -> (
       match Cloud.lookup cloud e.cloud_id with
-      | Some live -> State.update_attrs state addr live.Cloud.attrs
+      | Some live -> State.update_attrs state addr (Cloud.attrs live)
       | None -> state)
   | Revert_in_cloud, Some addr -> (
       match State.find_opt state addr with
@@ -338,7 +338,7 @@ let reconcile (cloud : Cloud.t) ~(state : State.t) (e : event)
           match
             Cloud.run_sync cloud
               ~actor:(Activity_log.Iac_engine "drift-reconciler")
-              (Cloud.Update { cloud_id = e.cloud_id; attrs = comparable r.State.attrs })
+              (Cloud.Update { cloud_id = e.cloud_id; attrs = comparable (State.attrs r) })
           with
           | Ok _ | Error _ -> state)
       | None -> state)

@@ -102,7 +102,7 @@ let adopt_unmanaged (cloud : Cloud.t) ~(cfg : Hcl.Config.t) ~(state : State.t)
         fresh_block_name cfg rtype
           (String.map (function '-' -> '_' | c -> c) cloud_id)
       in
-      let attrs = settable_attrs rtype live.Cloud.attrs in
+      let attrs = settable_attrs rtype (Cloud.attrs live) in
       let block_attrs =
         Smap.bindings attrs
         |> List.filter_map (fun (name, v) ->
@@ -131,7 +131,7 @@ let adopt_unmanaged (cloud : Cloud.t) ~(cfg : Hcl.Config.t) ~(state : State.t)
             cloud_id;
             rtype;
             region = live.Cloud.region;
-            attrs = live.Cloud.attrs;
+            recorded = State.Recorded.of_map (Cloud.attrs live);
             deps = [];
           }
       in
@@ -179,7 +179,7 @@ let regenerate (cloud : Cloud.t) ~(cfg : Hcl.Config.t) ~(state : State.t)
           | Some addr -> (
               let state =
                 match Cloud.lookup cloud e.Drift.cloud_id with
-                | Some live -> State.update_attrs state addr live.Cloud.attrs
+                | Some live -> State.update_attrs state addr (Cloud.attrs live)
                 | None -> state
               in
               match

@@ -114,7 +114,7 @@ end)
 let of_string s =
   let rec split_modules acc rest =
     match String.index_opt rest '.' with
-    | Some i when String.sub rest 0 i = "module" -> (
+    | Some (6 as i) when String.starts_with ~prefix:"module" rest -> (
         let after = String.sub rest (i + 1) (String.length rest - i - 1) in
         match String.index_opt after '.' with
         | Some j ->
@@ -126,7 +126,7 @@ let of_string s =
   in
   let module_path, rest = split_modules [] s in
   let mode, rest =
-    if String.length rest > 5 && String.sub rest 0 5 = "data." then
+    if String.length rest > 5 && String.starts_with ~prefix:"data." rest then
       (Data, String.sub rest 5 (String.length rest - 5))
     else (Managed, rest)
   in

@@ -142,6 +142,9 @@ let expected st what =
 
 let[@inline] peek st = L.char_at st 0
 
+(* Byte [i] of [src] is [c]. *)
+let[@inline] byte src i c = i < String.length src && String.unsafe_get src i = c
+
 (* A lone '=', not the '==' or '=>' the lexer reads there. *)
 let at_assign st =
   peek st = '=' && L.char_at st 1 <> '=' && L.char_at st 1 <> '>'
@@ -228,6 +231,125 @@ let ident_is st k =
        true
      end
 
+(* The separators [add_map] writes, [" = "] after a key and [", "]
+   after a value, are passed in one step, which moves the cursor as the
+   general path does. *)
+
+(* Past the separator after an object key and the blanks after it. *)
+let separator st =
+  let src = st.L.src and pos = st.L.pos in
+  if byte src pos ' ' && byte src (pos + 1) '=' && byte src (pos + 2) ' ' then
+    L.skip_to st (pos + 3)
+  else begin
+    skip_ws st;
+    if at_assign st || peek st = ':' then L.advance st
+    else expected st "'=' or ':'"
+  end;
+  skip_ws st
+
+(* Past the blanks and the optional comma after an entry's value. *)
+let after_value st =
+  let src = st.L.src and pos = st.L.pos in
+  if byte src pos ',' && byte src (pos + 1) ' ' then L.skip_to st (pos + 2)
+  else begin
+    skip_ws st;
+    if peek st = ',' then L.advance st
+  end
+
+(* [w] at byte [pos] of [src], as a whole word or number: the offset
+   past it, or -1.  [stop] is the end of the token there. *)
+let word_at src pos w ~stop =
+  let len = String.length w in
+  if stop = pos + len && holds_at src pos w 0 then stop else -1
+
+(* Two bytes, [a] then [b], at byte [i]: the offset past them, or -1. *)
+let[@inline] pair src i a b = if byte src i a && byte src (i + 1) b then i + 2 else -1
+
+(* Whether the text at byte [pos] of [src] is [v] as {!add_value}
+   writes it: the offset just past it, or -1.  Nothing is allocated
+   except the digits of a number. *)
+let rec match_literal src pos (v : Value.t) =
+  match v with
+  | Value.Vnull -> word_at src pos "null" ~stop:(L.ident_end src pos)
+  | Value.Vbool b ->
+      word_at src pos (if b then "true" else "false") ~stop:(L.ident_end src pos)
+  | Value.Vint i -> match_number src pos (string_of_int i)
+  | Value.Vfloat f -> match_number src pos (Value.float_to_string f)
+  | Value.Vstring s ->
+      if byte src pos '"' then match_string_body src (pos + 1) s else -1
+  | Value.Vlist vs ->
+      if byte src pos '[' then match_items src (pos + 1) vs ~first:true else -1
+  | Value.Vmap m ->
+      let i = pair src pos '{' ' ' in
+      if i < 0 then -1
+      else
+        let i =
+          Smap.fold
+            (fun k v i ->
+              if i < 0 then -1
+              else
+                let i = if i = pos + 2 then i else pair src i ',' ' ' in
+                let i =
+                  if i < 0 then -1
+                  else if ident_like k then
+                    if i + String.length k <= String.length src && holds_at src i k 0
+                    then i + String.length k
+                    else -1
+                  else if byte src i '"' then match_string_body src (i + 1) k
+                  else -1
+                in
+                let i = if i < 0 then -1 else pair src i ' ' '=' in
+                if i >= 0 && byte src i ' ' then match_literal src (i + 1) v else -1)
+            m i
+        in
+        if i < 0 then -1 else pair src i ' ' '}'
+  | Value.Vunknown _ -> -1
+
+and match_number src pos digits =
+  let first = if byte src pos '-' then pos + 1 else pos in
+  if pos + String.length digits <= String.length src then
+    word_at src pos digits ~stop:(L.number_end src first)
+  else -1
+
+and match_items src i vs ~first =
+  match vs with
+  | [] -> if byte src i ']' then i + 1 else -1
+  | v :: rest ->
+      let i = if first then i else pair src i ',' ' ' in
+      if i < 0 then -1
+      else
+        let i = match_literal src i v in
+        if i < 0 then -1 else match_items src i rest ~first:false
+
+(* The body of a string literal holding [s] as {!add_string_body}
+   writes it, at byte [pos] of [src], and the closing quote: the offset
+   just past the quote, or -1. *)
+and match_string_body src pos s = match_string_from src pos s 0
+
+(* [match_string_body] from byte [i] of [src] and byte [j] of [s]. *)
+and match_string_from src i s j =
+  let n = String.length src in
+  if j = String.length s then if byte src i '"' then i + 1 else -1
+  else if i >= n then -1
+  else
+    let c = String.unsafe_get s j in
+    let escaped =
+      match c with
+      | '"' | '\\' | '\n' | '\t' -> true
+      | '$' -> j + 1 < String.length s && String.unsafe_get s (j + 1) = '{'
+      | _ -> false
+    in
+    if escaped then
+      if
+        String.unsafe_get src i = '\\'
+        && i + 1 < n
+        && String.unsafe_get src (i + 1)
+           = (match c with '\n' -> 'n' | '\t' -> 't' | c -> c)
+      then match_string_from src (i + 2) s (j + 1)
+      else -1
+    else if String.unsafe_get src i = c then match_string_from src (i + 1) s (j + 1)
+    else -1
+
 let rec value sh st : Value.t =
   let start = st.L.pos in
   match peek st with
@@ -306,13 +428,9 @@ and with_shape sh st key v = function
 
 (* The separator after a key, the value and an optional comma. *)
 and entry_value sh st =
-  skip_ws st;
-  if at_assign st || peek st = ':' then L.advance st
-  else expected st "'=' or ':'";
-  skip_ws st;
+  separator st;
   let v = value sh st in
-  skip_ws st;
-  if peek st = ',' then L.advance st;
+  after_value st;
   v
 
 (* The rest of an object whose first key is [s]'s, its value [v0]. *)
@@ -376,8 +494,203 @@ let read_value ?(shapes = shapes ()) ~file src =
   if not (L.at_end st) then expected st "end of input";
   v
 
+(* ------------------------------------------------------------------ *)
+(* Checking without building                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Each function below moves the cursor as its reader above does and
+   raises the same errors at the same offsets, but builds nothing: a
+   string without escapes, a key and a [null], [true] or [false]
+   allocate nothing, a number only its digits. *)
+
+let skip_string st =
+  let src = st.L.src in
+  let stop = L.string_run_end src (st.L.pos + 1) in
+  if stop < String.length src && String.unsafe_get src stop = '"' then
+    L.skip_to st (stop + 1)
+  else ignore (string_lit st : string)
+
+let is_word src start stop w =
+  stop - start = String.length w && holds_at src start w 0
+
+let rec skip_value st =
+  let start = st.L.pos in
+  match peek st with
+  | _ when L.at_end st -> expected st "a literal value"
+  | '"' -> skip_string st
+  | '[' ->
+      L.advance st;
+      skip_list st
+  | '{' ->
+      L.advance st;
+      skip_object st ~key:ignore
+  | '-' when L.is_digit (L.char_at st 1) ->
+      L.advance st;
+      ignore (L.lex_number st st.L.pos : Token.t)
+  | c when L.is_digit c -> ignore (L.lex_number st st.L.pos : Token.t)
+  | c when L.is_ident_start c ->
+      let src = st.L.src in
+      let stop = L.ident_end src start in
+      if
+        is_word src start stop "null"
+        || is_word src start stop "true"
+        || is_word src start stop "false"
+      then L.skip_to st stop
+      else
+        let name = L.lex_ident st in
+        syntax_error st start (Printf.sprintf "%s is not literal data" name)
+  | '<' when L.char_at st 1 = '<' ->
+      syntax_error st start "a heredoc is not literal data"
+  | _ -> expected st "a literal value"
+
+and skip_list st =
+  skip_ws st;
+  if peek st = ']' then L.advance st
+  else begin
+    skip_value st;
+    skip_ws st;
+    match peek st with
+    | ',' ->
+        L.advance st;
+        skip_list st
+    | ']' -> L.advance st
+    | _ -> expected st "',' or ']'"
+  end
+
+(* The entries of an object, cursor past its opening brace; [key] is
+   called with the offset of each entry's key. *)
+and skip_object st ~key =
+  skip_ws st;
+  match peek st with
+  | '}' -> L.advance st
+  | '"' ->
+      key st.L.pos;
+      skip_string st;
+      skip_entry st ~key
+  | c when L.is_ident_start c ->
+      key st.L.pos;
+      L.skip_to st (L.ident_end st.L.src st.L.pos);
+      skip_entry st ~key
+  | _ -> expected st "an object key or '}'"
+
+(* [entry_value], then the rest of the object. *)
+and skip_entry st ~key =
+  separator st;
+  skip_value st;
+  after_value st;
+  skip_object st ~key
+
+(* ------------------------------------------------------------------ *)
+(* Objects read on demand                                              *)
+(* ------------------------------------------------------------------ *)
+
+(** An object that {!fold_blocks} checked and left unread: the offset
+    of its opening brace, and of each entry's key in source order.
+    The functions below read it; the text is literal data, so they
+    raise nothing. *)
+type unread = { brace : int; keys : int array }
+
+let cursor src pos =
+  let st = L.make ~file:"" src in
+  st.L.pos <- pos;
+  st
+
+(** The object [u] of [src], read against [shapes]: the map
+    {!fold_blocks} would have built. *)
+let read_object ~shapes src u =
+  let st = cursor src (u.brace + 1) in
+  object_items shapes st
+
+(* The first offset at or after [i] that is not a blank, a newline or
+   a comment, in text that lexes. *)
+let rec blank_end src i =
+  if i >= String.length src then i
+  else
+    match String.unsafe_get src i with
+    | ' ' | '\t' | '\r' | '\n' -> blank_end src (i + 1)
+    | '#' -> blank_end src (L.line_end src i)
+    | '/' when byte src (i + 1) '/' -> blank_end src (L.line_end src i)
+    | '/' when byte src (i + 1) '*' -> blank_end src (comment_end src (i + 2))
+    | _ -> i
+
+and comment_end src i =
+  if byte src i '*' && byte src (i + 1) '/' then i + 2 else comment_end src (i + 1)
+
+(* The offset just past the key at byte [off] of [src] if the key is
+   [k], else -1.  Only a quoted key with escapes allocates. *)
+let key_end src off k =
+  let len = String.length k in
+  if String.unsafe_get src off = '"' then begin
+    let stop = L.string_run_end src (off + 1) in
+    if byte src stop '"' then if is_word src (off + 1) stop k then stop + 1 else -1
+    else
+      let st = cursor src off in
+      if String.equal (string_lit st) k then st.L.pos else -1
+  end
+  else if
+    (* an identifier: a first byte that differs decides *)
+    len > 0
+    && String.unsafe_get src off = String.unsafe_get k 0
+    && off + len <= String.length src
+    && holds_at src off k 0
+    && L.ident_end src (off + len) = off + len
+  then off + len
+  else -1
+
+(* The offset of the value of the last entry [k] among [keys] (the one
+   {!read_object} keeps) from index [i] down, or -1. *)
+let rec value_from src keys k i =
+  if i < 0 then -1
+  else
+    let stop = key_end src keys.(i) k in
+    (* past the separator and the blanks around it *)
+    if stop >= 0 then blank_end src (blank_end src stop + 1)
+    else value_from src keys k (i - 1)
+
+let value_at src u k = value_from src u.keys k (Array.length u.keys - 1)
+
+(** Entry [k] of the object [u] of [src], read against [shapes]
+    without reading the other entries. *)
+let read_entry ~shapes src u k =
+  let pos = value_at src u k in
+  if pos < 0 then None else Some (value shapes (cursor src pos))
+
+(** Whether the object [u] of [src] holds every binding of [m], judged
+    from its text alone: [Some false] when some key has no entry, else
+    [Some true] when the last entry of each key is written as
+    {!add_value} writes the binding's value, and [None] when some
+    entry's text differs from that writing (a different value, or the
+    same value written otherwise: only reading it tells which). *)
+let object_holds src u m =
+  (* 0: every entry written as its value so far; 1: some written
+     otherwise; 2: some key missing *)
+  let verdict =
+    Smap.fold
+      (fun k v verdict ->
+        if verdict = 2 then 2
+        else
+          let pos = value_at src u k in
+          if pos < 0 then 2
+          else if match_literal src pos v < 0 then 1
+          else verdict)
+      m 0
+  in
+  match verdict with 0 -> Some true | 2 -> Some false | _ -> None
+
+(** {!object_holds} for the one binding of [k] to the string [s]. *)
+let entry_is_string src u k s =
+  let pos = value_at src u k in
+  if pos < 0 then Some false
+  else if byte src pos '"' && match_string_body src (pos + 1) s >= 0 then
+    Some true
+  else None
+
 (** An attribute of a block: [at] is the byte offset of its name. *)
-type attr = { name : string; value : Value.t; at : int }
+type attr = { name : string; value : literal; at : int }
+
+(** An attribute's value: read, or an object that {!fold_blocks}
+    checked and left unread. *)
+and literal = Read of Value.t | Unread of unread
 
 (** A top-level block: [first] is the byte offset of its type name,
     [last] the offset just past its closing brace. *)
@@ -389,9 +702,133 @@ type block = {
   last : int;
 }
 
+(** A cursor on one text and scratch space for the keys of each object
+    it checks and leaves unread. *)
+type checker = {
+  st : L.state;
+  mutable offsets : int array;
+  mutable n : int;  (** keys of the object being checked *)
+  key : int -> unit;  (** records a key's offset *)
+}
+
+let checker ~file src =
+  let rec c =
+    {
+      st = L.make ~file src;
+      offsets = Array.make 16 0;
+      n = 0;
+      key =
+        (fun off ->
+          if c.n = Array.length c.offsets then
+            c.offsets <- Array.append c.offsets (Array.make c.n 0);
+          c.offsets.(c.n) <- off;
+          c.n <- c.n + 1);
+    }
+  in
+  c
+
+(** The offset of the closing quote of the string literal at byte [i]
+    of [src] if it holds no escape (its contents are the bytes between
+    the quotes), else -1. *)
+let plain_string_end src i =
+  if byte src i '"' then
+    let stop = L.string_run_end src (i + 1) in
+    if byte src stop '"' then stop else -1
+  else -1
+
+(* The end of the value at byte [i] of [src] when it is written as
+   {!add_value} writes values, its strings holding no escape and its
+   numbers being integers of at most 18 digits, else -1.  Such text is
+   literal data, read as the reader reads it; [canonical_object] calls
+   [key] with the offset of each of its keys. *)
+let rec canonical_value src i =
+  if i >= String.length src then -1
+  else
+    match String.unsafe_get src i with
+    | '"' ->
+        let stop = plain_string_end src i in
+        if stop < 0 then -1 else stop + 1
+    | '[' -> if byte src (i + 1) ']' then i + 2 else canonical_items src (i + 1)
+    | '{' -> canonical_object src i ~key:ignore
+    | '-' -> canonical_int src (i + 1)
+    | '0' .. '9' -> canonical_int src i
+    | 'n' -> word_at src i "null" ~stop:(L.ident_end src i)
+    | 't' -> word_at src i "true" ~stop:(L.ident_end src i)
+    | 'f' -> word_at src i "false" ~stop:(L.ident_end src i)
+    | _ -> -1
+
+and canonical_int src i =
+  let stop = L.digits_end src i in
+  if stop > i && stop - i <= 18 && not (byte src stop '.' || byte src stop 'e' || byte src stop 'E')
+  then stop
+  else -1
+
+and canonical_items src i =
+  let stop = canonical_value src i in
+  if stop < 0 then -1
+  else if byte src stop ']' then stop + 1
+  else
+    let next = pair src stop ',' ' ' in
+    if next < 0 then -1 else canonical_items src next
+
+and canonical_object src i ~key =
+  if not (byte src (i + 1) ' ') then -1
+  else if byte src (i + 2) ' ' && byte src (i + 3) '}' then i + 4
+  else canonical_entry src (i + 2) ~key
+
+and canonical_entry src i ~key =
+  let key_end =
+    if byte src i '"' then
+      let stop = plain_string_end src i in
+      if stop < 0 then -1 else stop + 1
+    else if i < String.length src && L.is_ident_start (String.unsafe_get src i) then
+      L.ident_end src i
+    else -1
+  in
+  if key_end < 0 || pair src key_end ' ' '=' < 0 || not (byte src (key_end + 2) ' ') then -1
+  else begin
+    key i;
+    let stop = canonical_value src (key_end + 3) in
+    if stop < 0 then -1
+    else if byte src stop ' ' && byte src (stop + 1) '}' then stop + 2
+    else
+      let next = pair src stop ',' ' ' in
+      if next < 0 then -1 else canonical_entry src next ~key
+  end
+
+(* Check the object whose opening brace is at the checker's cursor, as
+   the reader reads it and with the same errors, and leave it unread:
+   the cursor ends past its closing brace.  An object written as
+   {!add_map} writes it is passed in one scan; any other goes through
+   [skip_object]. *)
+let check_here c =
+  let brace = c.st.L.pos in
+  c.n <- 0;
+  let stop = canonical_object c.st.L.src brace ~key:c.key in
+  if stop >= 0 then L.skip_to c.st stop
+  else begin
+    c.n <- 0;
+    L.advance c.st;
+    skip_object c.st ~key:c.key
+  end;
+  { brace; keys = Array.sub c.offsets 0 c.n }
+
+(** Check the object whose opening brace is byte [pos] of the
+    checker's text as {!fold_blocks} does an object it leaves unread,
+    raising the same errors.  The offset just past it is then
+    {!checked_end}. *)
+let check_object c pos =
+  c.st.L.pos <- pos;
+  check_here c
+
+let checked_end c = c.st.L.pos
+
+(** The first offset at or after [i] that is not a decimal digit. *)
+let digits_end = L.digits_end
+
 (* Attributes up to the closing brace, cursor inside the block.  Each
    ends at a newline, the closing brace or the end of input. *)
-let rec attrs sh st acc =
+let rec attrs ~unread ~checker sh st acc =
   skip_ws st;
   match peek st with
   | '}' ->
@@ -404,11 +841,15 @@ let rec attrs sh st acc =
       if at_assign st then L.advance st
       else expected st (Printf.sprintf "'=' after %s" name);
       skip_ws st;
-      let value = value sh st in
+      let value =
+        (* the checker's cursor is the reader's *)
+        if peek st = '{' && String.equal name unread then Unread (check_here checker)
+        else Read (value sh st)
+      in
       L.skip_trivia st;
       if not (L.at_end st || peek st = '\n' || peek st = '}') then
         expected st "a newline after the value";
-      attrs sh st ({ name; value; at } :: acc)
+      attrs ~unread ~checker sh st ({ name; value; at } :: acc)
   | _ -> expected st "an attribute or '}'"
 
 let rec labels st acc =
@@ -427,9 +868,13 @@ let rec labels st acc =
     [f] raises is held while the rest of the text is read, so a lexer
     error anywhere ([syntax/lex-error]) outranks text that is not
     literal data anywhere ([syntax/parse-error]), which outranks a
-    block's own error; after a held error [f] is not called again. *)
-let fold_blocks ~file src f init =
-  let st = L.make ~file src in
+    block's own error; after a held error [f] is not called again.
+    An object that is the value of an attribute named [unread] is
+    checked as the reader reads it, with the same errors, but left
+    unread ({!Unread}): {!read_object} and {!read_entry} read it. *)
+let fold_blocks ?(unread = "") ~file src f init =
+  let checker = checker ~file src in
+  let st = checker.st in
   let sh = shapes () in
   let held = ref None in
   let rec loop acc =
@@ -444,7 +889,7 @@ let fold_blocks ~file src f init =
         syntax_error st first
           (Printf.sprintf "unexpected attribute %s at top level" btype);
       let labels = labels st [] in
-      let attrs = attrs sh st [] in
+      let attrs = attrs ~unread ~checker sh st [] in
       let b = { btype; labels; attrs; first; last = st.L.pos } in
       if Option.is_some !held then loop acc
       else

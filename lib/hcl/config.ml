@@ -237,7 +237,7 @@ let of_body ~file (body : Ast.body) : t =
     let a = List.hd body.Ast.attrs in
     errf a.Ast.aspan "attribute %S not allowed at top level" a.Ast.aname
   end;
-  let seen = Hashtbl.create 64 in
+  let seen = Hashtbl.create (List.length body.Ast.blocks) in
   let fresh span name =
     check_fresh seen ~where:"" span name;
     declare seen name

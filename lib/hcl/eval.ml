@@ -51,10 +51,20 @@ type instance = {
   addr : Addr.t;
   provider : string;
   attrs : Value.t Smap.t;
+      (** the configured attributes, with the instance's recorded row
+          merged in (the configured value wins), unless [verified] *)
   explicit_deps : Addr.t list;  (** from [depends_on] *)
   ref_deps : Addr.t list;  (** from expression references *)
   lifecycle : Config.lifecycle;
   ispan : Loc.span;
+  verified : Recorded.t option;
+      (** [Some row]: the instance's recorded row, which records every
+          configured attribute a plan compares (all but its lifecycle's
+          [ignore_changes] and the values holding an unknown) as
+          configured.  It was not merged in: [attrs] holds the
+          configured attributes alone, and a reference reads the rest
+          from the row.  Set only by an expansion in an [env] with
+          [verify_rows]. *)
 }
 
 (** External services the evaluator needs. *)
@@ -62,8 +72,12 @@ type env = {
   var_values : Value.t Smap.t;  (** caller-supplied variable values *)
   data_resolver :
     rtype:string -> name:string -> args:Value.t Smap.t -> Value.t Smap.t option;
-  state_lookup : Addr.t -> Value.t Smap.t option;
+  state_lookup : Addr.t -> Recorded.t option;
       (** prior deployment state, for resolving computed attributes *)
+  verify_rows : bool;
+      (** check an instance of a block {!compile} fixes against its
+          recorded row, and leave a row that records the configuration
+          unmerged ([verified]); otherwise every row is merged *)
   module_registry : string -> Config.t option;
       (** module source -> configuration *)
 }
@@ -73,6 +87,7 @@ let default_env =
     var_values = Smap.empty;
     data_resolver = (fun ~rtype:_ ~name:_ ~args:_ -> Some Smap.empty);
     state_lookup = (fun _ -> None);
+    verify_rows = false;
     module_registry = (fun _ -> None);
   }
 
@@ -121,8 +136,9 @@ let locals_index (locals : (string * Ast.expr) list) =
     locals;
   tbl
 
+(* [blocks]: how many resource blocks the scope expands. *)
 let make_scope ?(env = default_env) ?(module_path = []) ?(locals = [])
-    ?locals_tbl ?(vars = Smap.empty) ?(direct_refs = false) () =
+    ?locals_tbl ?(vars = Smap.empty) ?(direct_refs = false) ?(blocks = 8) () =
   {
     env;
     module_path;
@@ -131,7 +147,7 @@ let make_scope ?(env = default_env) ?(module_path = []) ?(locals = [])
       (match locals_tbl with Some tbl -> tbl | None -> locals_index locals);
     locals_cache = Hashtbl.create 8;
     locals_forcing = [];
-    resources = Hashtbl.create 16;
+    resources = Hashtbl.create blocks;
     data = Hashtbl.create 4;
     modules = Hashtbl.create 4;
     count_index = None;
@@ -145,8 +161,48 @@ let make_scope ?(env = default_env) ?(module_path = []) ?(locals = [])
    an error. *)
 let addr_key = "__addr__"
 
+(* Values no reader can tell apart: the same constructors and the same
+   scalars, floats bit for bit. *)
+let rec identical a b =
+  a == b
+  ||
+  match (a, b) with
+  | Value.Vstring x, Value.Vstring y | Value.Vunknown x, Value.Vunknown y ->
+      String.equal x y
+  | Value.Vint x, Value.Vint y -> Int.equal x y
+  | Value.Vfloat x, Value.Vfloat y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Vbool x, Value.Vbool y -> Bool.equal x y
+  | Value.Vnull, Value.Vnull -> true
+  | Value.Vlist xs, Value.Vlist ys -> List.equal identical xs ys
+  | Value.Vmap xm, Value.Vmap ym -> Smap.equal identical xm ym
+  | _ -> false
+
+(* A state row with a configured attribute merged in: the configured
+   value wins, and the row keeps its own (computed) attributes.  The
+   row is copied only where the value differs from the row's. *)
+let merge_attr row name v =
+  match Smap.find_opt name row with
+  | Some sv when identical sv v -> row
+  | _ -> Smap.add name v row
+
+(* An instance's attributes with its row merged in. *)
+let merged inst =
+  match inst.verified with
+  | None -> inst.attrs
+  | Some row ->
+      Smap.fold (fun name v acc -> merge_attr acc name v) inst.attrs
+        (Recorded.map row)
+
+(* Attribute [attr] of the merged attributes, reading no more of a
+   verified instance's row than that attribute. *)
+let merged_attr inst attr =
+  match (Smap.find_opt attr inst.attrs, inst.verified) with
+  | (Some _ as v), _ | (None as v), None -> v
+  | None, Some row -> Recorded.find row attr
+
 let instance_value inst =
-  Smap.add addr_key (Value.Vstring (Addr.to_string inst.addr)) inst.attrs
+  Smap.add addr_key (Value.Vstring (Addr.to_string inst.addr)) (merged inst)
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
@@ -307,7 +363,7 @@ and eval_getattr scope span inner attr =
          unknown that {!generic_getattr} would give *)
       match Hashtbl.find_opt scope.resources (rtype, rname) with
       | Some (Single inst) -> (
-          match Smap.find_opt attr inst.attrs with
+          match merged_attr inst attr with
           | Some v -> v
           | None -> Value.unknown (Addr.to_string inst.addr ^ "." ^ attr))
       | _ -> generic_getattr scope span (eval scope inner) attr)
@@ -740,14 +796,15 @@ let order_nodes ~locals (cfg : Config.t) : (node * Refs.target list) list =
   let nodes =
     List.map (fun n -> (n, node_targets ~locals n)) (config_nodes cfg)
   in
-  let by_key = Hashtbl.create 16 in
+  let size = List.length nodes in
+  let by_key = Hashtbl.create size in
   List.iter (fun ((n, _) as nt) -> Hashtbl.replace by_key (node_key n) nt) nodes;
   let deps (_, targets) =
     targets
     |> List.filter_map target_node_key
     |> List.filter_map (Hashtbl.find_opt by_key)
   in
-  let visited = Hashtbl.create 16 in
+  let visited = Hashtbl.create size in
   let out = ref [] in
   let rec visit ((n, _) as nt) =
     let key = node_key n in
@@ -854,34 +911,37 @@ type fixed = {
    block that compile fixed. *)
 type compiled_node = General of (node * Refs.target list) | Fixed of fixed
 
-(* Values no reader can tell apart: the same constructors and the same
-   scalars, floats bit for bit. *)
-let rec identical a b =
-  a == b
-  ||
-  match (a, b) with
-  | Value.Vstring x, Value.Vstring y | Value.Vunknown x, Value.Vunknown y ->
-      String.equal x y
-  | Value.Vint x, Value.Vint y -> Int.equal x y
-  | Value.Vfloat x, Value.Vfloat y ->
-      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Value.Vbool x, Value.Vbool y -> Bool.equal x y
-  | Value.Vnull, Value.Vnull -> true
-  | Value.Vlist xs, Value.Vlist ys -> List.equal identical xs ys
-  | Value.Vmap xm, Value.Vmap ym -> Smap.equal identical xm ym
-  | _ -> false
+(* Whether [row] records every configured attribute a plan compares
+   (see {!instance.verified}) as [configured] gives it. *)
+let records lifecycle row configured =
+  Recorded.holds row
+    (match lifecycle.Config.ignore_changes with
+    | [] -> Smap.filter (fun _ v -> not (Value.has_unknown v)) configured
+    | ignored ->
+        Smap.filter
+          (fun name v -> not (List.mem name ignored || Value.has_unknown v))
+          configured)
 
-(* A state row with a configured attribute merged in: the configured
-   value wins, and the row keeps its own (computed) attributes.  The
-   row is copied only where the value differs from the row's. *)
-let merge_attr row name v =
-  match Smap.find_opt name row with
-  | Some sv when identical sv v -> row
-  | _ -> Smap.add name v row
+(* A fixed block's configured attributes in [scope]: the shared static
+   map with the [Dynamic] ones added. *)
+let configured scope f =
+  List.fold_left
+    (fun acc (name, a) ->
+      match a with Static _ -> acc | Dynamic e -> Smap.add name (eval scope e) acc)
+    f.fstatic f.fattrs
+
+(* [row] with a fixed block's [configured] attributes merged in, in the
+   block's order. *)
+let merge_configured f row configured =
+  List.fold_left
+    (fun acc (name, _) -> merge_attr acc name (Smap.find name configured))
+    (Recorded.map row) f.fattrs
 
 (* Expand a fixed block against [scope]'s state: compiled addresses and
    dependencies, and per instance only the [Dynamic] attributes, added
-   to the shared static map or merged into the instance's state row. *)
+   to the shared static map or merged into the instance's state row.
+   With [verify_rows], an instance whose row records them is left
+   unmerged. *)
 let instantiate_fixed scope (cfg : Config.t) f =
   let r = f.fres in
   let ref_deps, explicit_deps =
@@ -897,21 +957,23 @@ let instantiate_fixed scope (cfg : Config.t) f =
       | None -> scope
       | Some _ -> { scope with count_index }
     in
+    let verified = ref None in
     let attrs =
       match scope.env.state_lookup addr with
-      | None ->
-          List.fold_left
-            (fun acc (name, a) ->
-              match a with
-              | Static _ -> acc
-              | Dynamic e -> Smap.add name (eval scope e) acc)
-            f.fstatic f.fattrs
+      | None -> configured scope f
+      | Some row when scope.env.verify_rows ->
+          let attrs = configured scope f in
+          if records r.Config.rlifecycle row attrs then begin
+            verified := Some row;
+            attrs
+          end
+          else merge_configured f row attrs
       | Some row ->
           List.fold_left
             (fun acc (name, a) ->
               merge_attr acc name
                 (match a with Static v -> v | Dynamic e -> eval scope e))
-            row f.fattrs
+            (Recorded.map row) f.fattrs
     in
     {
       addr;
@@ -921,6 +983,7 @@ let instantiate_fixed scope (cfg : Config.t) f =
       ref_deps;
       lifecycle = r.Config.rlifecycle;
       ispan = r.Config.rspan;
+      verified = !verified;
     }
   in
   match f.fcount with
@@ -957,7 +1020,7 @@ let rec drive ~direct_refs ?locals_tbl (env : env) ~module_path ~vars
   let vars = bind_vars env ~module_path ~vars cfg in
   let scope =
     make_scope ~env ~module_path ~locals:cfg.Config.locals ?locals_tbl ~vars
-      ~direct_refs ()
+      ~direct_refs ~blocks:(List.length cfg.Config.resources) ()
   in
   let acc = ref [] in
   List.iter
@@ -1006,7 +1069,8 @@ and expand_resource scope cfg ~targets (r : Config.resource) :
     (* Merge prior state: computed attributes (e.g. [id]) become known. *)
     let attrs =
       match scope.env.state_lookup addr with
-      | Some sattrs -> Smap.union (fun _ conf _ -> Some conf) attrs sattrs
+      | Some row ->
+          Smap.union (fun _ conf _ -> Some conf) attrs (Recorded.map row)
       | None -> attrs
     in
     {
@@ -1017,6 +1081,7 @@ and expand_resource scope cfg ~targets (r : Config.resource) :
       ref_deps;
       lifecycle = r.Config.rlifecycle;
       ispan = r.Config.rspan;
+      verified = None;
     }
   in
   match (r.Config.rcount, r.Config.rfor_each) with
@@ -1204,7 +1269,7 @@ let compile (cfg : Config.t) : compiled =
     else None
   in
   (* the resource blocks compiled, by (type, name) *)
-  let fixed = Hashtbl.create 16 in
+  let fixed = Hashtbl.create (List.length cfg.Config.resources) in
   let single (t, n) =
     (not (List.mem t Refs.reserved))
     &&

@@ -148,27 +148,28 @@ let lex_ident st =
   skip_to st (ident_end st.src start);
   String.sub st.src start (st.pos - start)
 
+(* End of the number whose first digit is at [i]: digits, then an
+   optional fraction and exponent. *)
+let number_end src i =
+  let i = digits_end src i in
+  let i =
+    if i + 1 < String.length src && src.[i] = '.' && is_digit src.[i + 1] then
+      digits_end src (i + 1)
+    else i
+  in
+  if i < String.length src && (src.[i] = 'e' || src.[i] = 'E') then
+    if i + 1 < String.length src && (src.[i + 1] = '+' || src.[i + 1] = '-')
+    then digits_end src (i + 2)
+    else digits_end src (i + 1)
+  else i
+
 let lex_number st start =
   let src = st.src and begin_pos = st.pos in
-  let i = digits_end src begin_pos in
-  let fraction =
-    i + 1 < String.length src && src.[i] = '.' && is_digit src.[i + 1]
-  in
-  let i = if fraction then digits_end src (i + 1) else i in
-  let exponent = i < String.length src && (src.[i] = 'e' || src.[i] = 'E') in
-  let i =
-    if not exponent then i
-    else
-      let j =
-        if i + 1 < String.length src && (src.[i + 1] = '+' || src.[i + 1] = '-')
-        then i + 2
-        else i + 1
-      in
-      digits_end src j
-  in
+  let i = number_end src begin_pos in
   skip_to st i;
   let text = String.sub src begin_pos (i - begin_pos) in
-  if fraction || exponent then
+  (* past the leading digits: a fraction or an exponent *)
+  if i > digits_end src begin_pos then
     match float_of_string_opt text with
     | Some f -> Token.FLOAT f
     | None -> error st start (Printf.sprintf "invalid number %S" text)

@@ -57,7 +57,7 @@ let apply_op state = function
   | Set_attr (addr, attr, v) -> (
       match State.find_opt state addr with
       | Some r ->
-          State.update_attrs state addr (Smap.add attr v r.State.attrs)
+          State.update_attrs state addr (Smap.add attr v (State.attrs r))
       | None -> state)
   | Remove_resource addr -> State.remove state addr
   | Add_resource r -> State.add state r

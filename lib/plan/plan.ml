@@ -154,7 +154,10 @@ let force_new_reasons rtype (changes : attr_change list) =
         (fun c -> if List.mem c.attr force then Some c.attr else None)
         changes
 
-(** Compute the plan for the full configuration.  With a live [trace],
+(** Compute the plan for the full configuration.  An instance an
+    expansion verified against its row ({!Eval.instance.verified}) is a
+    no-op whose [desired] holds the configured attributes alone; the
+    instances must be expanded against [state].  With a live [trace],
     planning runs in a ["plan"] span counting the diff it produced
     (creates/updates/replaces/deletes/noops).  A plan that would
     replace a resource whose lifecycle sets [prevent_destroy]
@@ -176,14 +179,13 @@ let make ?(default_region = "us-east-1") ?(trace = Cloudless_obs.Trace.null)
           List.sort_uniq Addr.compare (i.Eval.ref_deps @ i.Eval.explicit_deps)
         in
         let desired = i.Eval.attrs in
-        let region = region_of_attrs ~default:default_region desired in
         let cbd = i.Eval.lifecycle.Cloudless_hcl.Config.create_before_destroy in
         match State.find_opt state addr with
         | None ->
             {
               addr;
               rtype;
-              region;
+              region = region_of_attrs ~default:default_region desired;
               action = Create;
               desired = Some desired;
               prior = None;
@@ -193,7 +195,10 @@ let make ?(default_region = "us-east-1") ?(trace = Cloudless_obs.Trace.null)
         | Some prior ->
             let ignore_changes = i.Eval.lifecycle.Cloudless_hcl.Config.ignore_changes in
             let changes =
-              diff_attrs ~ignore_changes desired prior.State.attrs
+              (* a verified instance's row records the configuration:
+                 the diff is empty without reading the row *)
+              if Option.is_some i.Eval.verified then []
+              else diff_attrs ~ignore_changes desired (State.attrs prior)
             in
             let action =
               if changes = [] then Noop
@@ -443,7 +448,7 @@ module Reference = struct
                 i.Eval.lifecycle.Cloudless_hcl.Config.ignore_changes
               in
               let changes =
-                diff_attrs ~ignore_changes i.Eval.attrs prior.State.attrs
+                diff_attrs ~ignore_changes i.Eval.attrs (State.attrs prior)
               in
               let action =
                 if changes = [] then Noop

@@ -107,7 +107,7 @@ let plan_rollback ~(strategy : strategy) ~(target : State.t)
         match strategy with
         | Naive_reapply ->
             (* the baseline trusts its state file *)
-            Option.map (fun (r : State.resource_state) -> r.State.attrs) current_entry
+            Option.map (fun (r : State.resource_state) -> (State.attrs r)) current_entry
         | Reversibility_aware -> live addr
       in
       match (current_entry, observed) with
@@ -120,7 +120,7 @@ let plan_rollback ~(strategy : strategy) ~(target : State.t)
               rtype;
               region = tr.State.region;
               action = Plan.Create;
-              desired = Some (managed_attrs rtype tr.State.attrs);
+              desired = Some (managed_attrs rtype (State.attrs tr));
               prior = None;
               deps = tr.State.deps;
               cbd = false;
@@ -134,15 +134,15 @@ let plan_rollback ~(strategy : strategy) ~(target : State.t)
               match live addr with
               | Some live_attrs ->
                   let live_diff =
-                    diff_managed rtype ~target:tr.State.attrs ~actual:live_attrs
+                    diff_managed rtype ~target:(State.attrs tr) ~actual:live_attrs
                   in
                   let recorded_diff =
-                    diff_managed rtype ~target:tr.State.attrs ~actual
+                    diff_managed rtype ~target:(State.attrs tr) ~actual
                   in
                   if live_diff <> [] && recorded_diff = [] then
                     missed := addr :: !missed
               | None -> ()));
-          match classify rtype ~target:tr.State.attrs ~actual with
+          match classify rtype ~target:(State.attrs tr) ~actual with
           | Unchanged -> ()
           | Reversible attr_changes ->
               updated := addr :: !updated;
@@ -152,7 +152,7 @@ let plan_rollback ~(strategy : strategy) ~(target : State.t)
                   rtype;
                   region = cur.State.region;
                   action = Plan.Update attr_changes;
-                  desired = Some (managed_attrs rtype tr.State.attrs);
+                  desired = Some (managed_attrs rtype (State.attrs tr));
                   prior = Some cur;
                   deps = tr.State.deps;
                   cbd = false;
@@ -165,7 +165,7 @@ let plan_rollback ~(strategy : strategy) ~(target : State.t)
                   rtype;
                   region = cur.State.region;
                   action = Plan.Replace { changes = attr_changes; reasons };
-                  desired = Some (managed_attrs rtype tr.State.attrs);
+                  desired = Some (managed_attrs rtype (State.attrs tr));
                   prior = Some cur;
                   deps = tr.State.deps;
                   cbd = false;
@@ -205,6 +205,6 @@ let residual_divergence ~(target : State.t)
       match live tr.State.addr with
       | None -> [ (tr.State.addr, "missing from cloud") ]
       | Some actual ->
-          diff_managed tr.State.rtype ~target:tr.State.attrs ~actual
+          diff_managed tr.State.rtype ~target:(State.attrs tr) ~actual
           |> List.map (fun (c : Plan.attr_change) -> (tr.State.addr, c.Plan.attr)))
     (State.resources target)

@@ -131,7 +131,7 @@ let subnet_cidr_check : Cloud.semantic_check =
           match (lookup parent_id, Ipnet.parse_prefix cidr) with
           | Some parent, inner ->
               let outers =
-                (match Smap.find_opt space_attr parent.Cloud.attrs with
+                (match Smap.find_opt space_attr (Cloud.attrs parent) with
                 | Some (Value.Vlist vs) -> vs
                 | Some v -> [ v ]
                 | None -> [])
@@ -197,11 +197,11 @@ let peering_overlap_check : Cloud.semantic_check =
       | None -> endpoint "peer_vpc_id"
     in
     let cidrs (r : Cloud.resource) =
-      (match Smap.find_opt "address_space" r.Cloud.attrs with
+      (match Smap.find_opt "address_space" (Cloud.attrs r) with
       | Some (Value.Vlist vs) -> vs
       | Some v -> [ v ]
       | None -> [])
-      @ (match Smap.find_opt "cidr_block" r.Cloud.attrs with
+      @ (match Smap.find_opt "cidr_block" (Cloud.attrs r) with
         | Some v -> [ v ]
         | None -> [])
       |> List.filter_map (function

@@ -17,6 +17,7 @@
 
 module Smap = Cloudless_hcl.Value.Smap
 module Value = Cloudless_hcl.Value
+module Recorded = Cloudless_hcl.Recorded
 module Trace = Cloudless_obs.Trace
 module Diagnostic = Cloudless_error.Diagnostic
 
@@ -33,11 +34,17 @@ type resource = {
   cloud_id : string;
   rtype : string;
   region : string;
-  mutable attrs : Value.t Smap.t;
+  mutable attrs : Value.t Smap.t Lazy.t;
+      (** built on the first read for a restored resource: see {!attrs} *)
   mutable status : status;
   created_at : float;
   mutable updated_at : float;
 }
+
+(** The attributes a resource holds. *)
+let attrs r = Lazy.force r.attrs
+
+let set_attrs r attrs = r.attrs <- Lazy.from_val attrs
 
 type error =
   | Throttled of float  (** retry-after seconds *)
@@ -383,7 +390,7 @@ let arn r =
 
 (* Computed attributes the cloud adds to every resource. *)
 let computed_attrs t r =
-  r.attrs
+  attrs r
   |> Smap.add "id" (Value.Vstring r.cloud_id)
   |> Smap.add "arn" (Value.Vstring (arn r))
   |> Smap.add "region" (Value.Vstring r.region)
@@ -464,7 +471,7 @@ let submit t ~actor op (k : op_result -> unit) =
                         cloud_id;
                         rtype;
                         region;
-                        attrs;
+                        attrs = Lazy.from_val attrs;
                         status = Creating;
                         created_at = t.clock;
                         updated_at = t.clock;
@@ -483,11 +490,11 @@ let submit t ~actor op (k : op_result -> unit) =
                             k (Error (Invalid msg))
                         | Ok () ->
                             r.status <- Ready;
-                            r.attrs <- computed_attrs t r;
+                            set_attrs r (computed_attrs t r);
                             r.updated_at <- t.clock;
                             log_append t ~actor ~op:Activity_log.Log_create
                               ~cloud_id ~rtype ~region ~detail:"created";
-                            k (Ok r.attrs))))
+                            k (Ok (Lazy.force r.attrs)))))
           end
       | Update { cloud_id; attrs } -> (
           match lookup t cloud_id with
@@ -527,15 +534,22 @@ let submit t ~actor op (k : op_result -> unit) =
                             ~rtype:r.rtype ~region:r.region ~detail:msg;
                           k (Error (Invalid msg))
                       | Ok () ->
-                          r.attrs <-
-                            computed_attrs t
-                              { r with attrs = Smap.union (fun _ _ v -> Some v) r.attrs attrs };
+                          set_attrs r
+                            (computed_attrs t
+                               {
+                                 r with
+                                 attrs =
+                                   Lazy.from_val
+                                     (Smap.union
+                                        (fun _ _ v -> Some v)
+                                        (Lazy.force r.attrs) attrs);
+                               });
                           r.status <- Ready;
                           r.updated_at <- t.clock;
                           log_append t ~actor ~op:Activity_log.Log_update
                             ~cloud_id ~rtype:r.rtype ~region:r.region
                             ~detail:"updated";
-                          k (Ok r.attrs)))))
+                          k (Ok (Lazy.force r.attrs))))))
       | Delete { cloud_id } -> (
           match lookup t cloud_id with
           | None ->
@@ -553,7 +567,7 @@ let submit t ~actor op (k : op_result -> unit) =
                       Hashtbl.remove t.resources cloud_id;
                       log_append t ~actor ~op:Activity_log.Log_delete ~cloud_id
                         ~rtype:r.rtype ~region:r.region ~detail:"deleted";
-                      k (Ok r.attrs))))
+                      k (Ok (attrs r)))))
       | Read { cloud_id } -> (
           match lookup t cloud_id with
           | None ->
@@ -564,7 +578,7 @@ let submit t ~actor op (k : op_result -> unit) =
               schedule t ~delay:(t.config.api_latency +. d) (fun () ->
                   log_append t ~actor ~op:Activity_log.Log_read ~cloud_id
                     ~rtype:r.rtype ~region:r.region ~detail:"read";
-                  k (Ok r.attrs)))
+                  k (Ok (attrs r))))
       | List_type { rtype; region } ->
           let rs = resources_of_type t ?region rtype in
           (* Pagination: each extra page is an extra read-limiter call;
@@ -593,7 +607,7 @@ let submit t ~actor op (k : op_result -> unit) =
               schedule t ~delay:(t.config.api_latency +. d) (fun () ->
                   let listing =
                     List.map
-                      (fun r -> (r.cloud_id, Value.Vmap r.attrs))
+                      (fun r -> (r.cloud_id, Value.Vmap (attrs r)))
                       rs
                   in
                   k (Ok (Smap.of_seq (List.to_seq listing))))))
@@ -629,7 +643,7 @@ let mutate_oob t ~script ~cloud_id ~attr ~value =
   match lookup t cloud_id with
   | None -> Error (Not_found cloud_id)
   | Some r ->
-      r.attrs <- Smap.add attr value r.attrs;
+      set_attrs r (Smap.add attr value (attrs r));
       r.updated_at <- t.clock;
       log_append t ~actor:(Activity_log.Oob_script script)
         ~op:Activity_log.Log_update ~cloud_id ~rtype:r.rtype ~region:r.region
@@ -655,13 +669,13 @@ let create_oob t ~script ~rtype ~region ~attrs =
       cloud_id;
       rtype;
       region;
-      attrs;
+      attrs = Lazy.from_val attrs;
       status = Ready;
       created_at = t.clock;
       updated_at = t.clock;
     }
   in
-  r.attrs <- computed_attrs t r;
+  set_attrs r (computed_attrs t r);
   Hashtbl.replace t.resources cloud_id r;
   log_append t ~actor:(Activity_log.Oob_script script)
     ~op:Activity_log.Log_create ~cloud_id ~rtype ~region
@@ -669,32 +683,38 @@ let create_oob t ~script ~rtype ~region ~attrs =
   cloud_id
 
 (* The number [id] carries if {!fresh_id} minted it: its hex suffix
-   after the last '-'. *)
+   after the last '-', read in place when it is plain hex digits. *)
 let id_number id =
   match String.rindex_opt id '-' with
   | Some i ->
-      int_of_string_opt ("0x" ^ String.sub id (i + 1) (String.length id - i - 1))
+      let n = String.length id in
+      let rec hex_at j acc =
+        if j = n then Some acc
+        else
+          match id.[j] with
+          | '0' .. '9' as c -> hex_at (j + 1) ((acc * 16) + Char.code c - 48)
+          | 'a' .. 'f' as c -> hex_at (j + 1) ((acc * 16) + Char.code c - 87)
+          | 'A' .. 'F' as c -> hex_at (j + 1) ((acc * 16) + Char.code c - 55)
+          | _ -> None
+      in
+      let digits = n - i - 1 in
+      (match if digits >= 1 && digits <= 15 then hex_at (i + 1) 0 else None with
+      | Some _ as v -> v
+      | None -> int_of_string_opt ("0x" ^ String.sub id (i + 1) digits))
   | None -> None
-
-(* Whether [r.attrs] already holds what {!computed_attrs} would add. *)
-let computed_current r =
-  let holds k s =
-    match Smap.find_opt k r.attrs with
-    | Some (Value.Vstring v) -> String.equal v s
-    | _ -> false
-  in
-  holds "id" r.cloud_id && holds "region" r.region && holds "arn" (arn r)
 
 (** Register a recorded resource under its recorded [cloud_id], ready,
     as restoring a deployment's state into a fresh simulator does.  It
     is no cloud traffic: no API call, no activity-log entry.  The id
     counter moves past the id's [<prefix>-<hex>] suffix, so no id
-    minted later collides with a restored one.  Returns the attributes
-    the cloud now holds: [attrs] itself when it already carries the
-    [id], [arn] and [region] the cloud computes, else [attrs] with
-    them.  A resource already registered under [cloud_id] is
-    replaced. *)
-let restore t ~cloud_id ~rtype ~region ~attrs =
+    minted later collides with a restored one.  When the [recorded]
+    attributes hold the [id], [arn] and [region] the cloud computes
+    (checked on their text, as {!Recorded.holds} does), they are the
+    resource's, read on its first read, and the result is [None].
+    Otherwise they are read now, the computed ones are added, and the
+    result is [Some] of the attributes the cloud holds.  A resource
+    already registered under [cloud_id] is replaced. *)
+let restore t ~cloud_id ~rtype ~region recorded =
   (match id_number cloud_id with
   | Some n when n > t.id_counter -> t.id_counter <- n
   | _ -> ());
@@ -703,12 +723,20 @@ let restore t ~cloud_id ~rtype ~region ~attrs =
       cloud_id;
       rtype;
       region;
-      attrs;
+      attrs = lazy (Recorded.map recorded);
       status = Ready;
       created_at = t.clock;
       updated_at = t.clock;
     }
   in
-  if not (computed_current r) then r.attrs <- computed_attrs t r;
   Hashtbl.replace t.resources cloud_id r;
-  r.attrs
+  if
+    Recorded.string_is recorded "id" cloud_id
+    && Recorded.string_is recorded "region" region
+    && Recorded.string_is recorded "arn" (arn r)
+  then None
+  else begin
+    let attrs = computed_attrs t r in
+    set_attrs r attrs;
+    Some attrs
+  end

@@ -536,7 +536,7 @@ let replay state entries =
                       cloud_id;
                       rtype = i.rtype;
                       region = i.region;
-                      attrs = o.attrs;
+                      recorded = State.Recorded.of_map o.attrs;
                       deps = i.deps;
                     }
               | _ -> st)

@@ -11,6 +11,7 @@
 
 module Addr = Cloudless_hcl.Addr
 module Value = Cloudless_hcl.Value
+module Recorded = Cloudless_hcl.Recorded
 module Smap = Value.Smap
 
 type resource_state = {
@@ -18,9 +19,17 @@ type resource_state = {
   cloud_id : string;
   rtype : string;
   region : string;
-  attrs : Value.t Smap.t;  (** last attributes observed from the cloud *)
+  recorded : Recorded.t;
+      (** last attributes observed from the cloud: a row {!of_string}
+          read keeps them as text until they are read (see {!attrs}) *)
   deps : Addr.t list;  (** dependencies at the time of creation *)
 }
+
+(** A row's attributes, read from the state text on the first call. *)
+let attrs r = Recorded.map r.recorded
+
+(** [r] with the attributes [attrs]. *)
+let with_attrs r attrs = { r with recorded = Recorded.of_map attrs }
 
 (** The text a state was decoded from, kept so that {!to_string} can
     copy the bytes of every row that is still physically the record
@@ -106,21 +115,26 @@ let of_sorted_rows ?(outputs = []) ~serial
     source = None;
   }
 
-(** Update just the attributes of a tracked resource. *)
+(** Update just the attributes of a tracked resource.  Handed the
+    row's own attribute map (as a re-read that found the resource as
+    recorded returns it), the state keeps the row's record and only the
+    serial moves. *)
 let update_attrs t addr attrs =
   match Amap.find_opt addr t.resources with
   | None -> t
+  | Some r when Recorded.is_map r.recorded attrs ->
+      { t with serial = t.serial + 1 }
   | Some r ->
       {
         t with
         serial = t.serial + 1;
-        resources = Amap.add addr { r with attrs } t.resources;
+        resources = Amap.add addr (with_attrs r attrs) t.resources;
       }
 
 (** The lookup function expansion needs: the evaluator environment's
     [state_lookup]. *)
 let lookup t addr =
-  Option.map (fun r -> r.attrs) (Amap.find_opt addr t.resources)
+  Option.map (fun r -> r.recorded) (Amap.find_opt addr t.resources)
 
 (* Force (and memoize) the reverse index. *)
 let cloud_index t =
@@ -183,7 +197,7 @@ let add_row buf r =
   Buffer.add_string buf "\n  region     = ";
   Codec.add_string buf r.region;
   Buffer.add_string buf "\n  attributes = ";
-  Codec.add_map buf r.attrs;
+  Codec.add_map buf (attrs r);
   Buffer.add_string buf "\n  depends    = [";
   List.iteri
     (fun i d ->
@@ -248,45 +262,38 @@ let to_string t =
     t.outputs;
   Buffer.contents buf
 
-(** Read a state written by {!to_string}.  Blocks may come in any
-    order; a repeated instance keeps its last row.  The state keeps
-    [src] and each row's block in it (see {!to_string}).  Errors are
-    located in [file]: a lexer error anywhere ([syntax/lex-error])
-    outranks text that is not literal data anywhere, which outranks the
-    first malformed block; both of the latter are [state/corrupt-state]
-    diagnostics. *)
-let of_string ?(file = "<state>") src =
+(* [of_string]'s general reader: any text {!Codec.fold_blocks} reads,
+   with its diagnostics.  The serial, the rows with their blocks'
+   offsets in address order, and the outputs. *)
+let general ~file src ~address ~recorded =
   let locate first last = Codec.span ~file src first last in
   let block_error (b : Codec.block) fmt =
     corrupt ~span:(locate b.first b.last) fmt
   in
   let field (b : Codec.block) name =
-    match List.find_opt (fun (a : Codec.attr) -> a.name = name) b.attrs with
-    | Some a -> a
-    | None -> block_error b "state: missing %S" name
+    let rec find = function
+      | (a : Codec.attr) :: rest -> if String.equal a.name name then a else find rest
+      | [] -> block_error b "state: missing %S" name
+    in
+    find b.attrs
   in
   let bad (a : Codec.attr) what =
     corrupt
       ~span:(locate a.at (a.at + String.length a.name))
-      "state: %s must be %s, not %s" a.name what (Value.type_name a.value)
+      "state: %s must be %s, not %s" a.name what
+      (match a.value with
+      | Codec.Read v -> Value.type_name v
+      | Codec.Unread _ -> Value.type_name (Value.Vmap Smap.empty))
   in
   let string_field b name =
     match field b name with
-    | { value = Value.Vstring s; _ } -> s
+    | { value = Codec.Read (Value.Vstring s); _ } -> s
     | a -> bad a "a string"
   in
-  (* a state names each address once per row and again per dependent,
-     so each distinct string is parsed once *)
-  let parsed = Hashtbl.create 256 in
   let address (b : Codec.block) s =
-    match Hashtbl.find_opt parsed s with
+    match address s with
     | Some a -> a
-    | None -> (
-        match Addr.of_string s with
-        | Some a ->
-            Hashtbl.add parsed s a;
-            a
-        | None -> block_error b "state: bad address %s" s)
+    | None -> block_error b "state: bad address %s" s
   in
   let serial = ref 0 and outputs = ref [] in
   (* rows with their blocks' offsets, in reverse; [ascending] while
@@ -296,14 +303,14 @@ let of_string ?(file = "<state>") src =
     let cloud_id = string_field b "cloud_id" in
     let rtype = string_field b "type" in
     let region = string_field b "region" in
-    let attrs =
+    let recorded =
       match field b "attributes" with
-      | { value = Value.Vmap m; _ } -> m
+      | { value = Codec.Unread obj; _ } -> recorded rtype obj
       | a -> bad a "an object"
     in
     let deps =
       match field b "depends" with
-      | { value = Value.Vlist vs; _ } as a ->
+      | { value = Codec.Read (Value.Vlist vs); _ } as a ->
           List.map
             (function
               | Value.Vstring s -> address b s
@@ -311,7 +318,7 @@ let of_string ?(file = "<state>") src =
             vs
       | a -> bad a "a list of address strings"
     in
-    let r = { addr; cloud_id; rtype; region; attrs; deps } in
+    let r = { addr; cloud_id; rtype; region; recorded; deps } in
     (match !rows with
     | (prev, _, _) :: _ when Addr.compare prev.addr addr >= 0 ->
         ascending := false
@@ -322,14 +329,17 @@ let of_string ?(file = "<state>") src =
     match (b.btype, b.labels) with
     | "state", _ -> (
         match field b "serial" with
-        | { value = Value.Vint n; _ } -> serial := n
+        | { value = Codec.Read (Value.Vint n); _ } -> serial := n
         | a -> bad a "an integer")
     | "instance", [ label ] -> row b (address b label)
-    | "output", [ name ] ->
-        outputs := (name, (field b "value").value) :: !outputs
+    | "output", [ name ] -> (
+        match field b "value" with
+        | { value = Codec.Read v; _ } -> outputs := (name, v) :: !outputs
+        | { value = Codec.Unread _; _ } ->
+            assert false (* only [attributes] objects are left unread *))
     | ty, _ -> block_error b "state: unexpected block %s" ty
   in
-  (try Codec.fold_blocks ~file src block ()
+  (try Codec.fold_blocks ~unread:"attributes" ~file src block ()
    with Cloudless_error.Error { code = "parse-error"; message; span; _ } ->
      corrupt ~span "state: %s" message);
   let rows =
@@ -346,6 +356,168 @@ let of_string ?(file = "<state>") src =
         (List.rev (List.stable_sort by_addr (List.rev !rows)))
       |> Array.of_list
   in
+  (!serial, rows, List.rev !outputs)
+
+(* [of_string]'s reader for a text exactly as {!to_string} writes it
+   for a state without outputs, every string in it needing no escape
+   and its rows strictly ascending: the serial and the rows with their
+   blocks' offsets, read without the general reader's blocks,
+   attribute lists and values.  [None] at the first byte that differs
+   from that layout, and at anything the general reader rejects: the
+   general reader then reads [src] again, with its diagnostics. *)
+let canonical ~file src ~address ~recorded =
+  let n = String.length src in
+  let pos = ref 0 and ok = ref true in
+  let lit s =
+    let l = String.length s in
+    if !ok && !pos + l <= n && Codec.holds_at src !pos s 0 then pos := !pos + l
+    else ok := false
+  in
+  (* a string the previous row also held is shared *)
+  let str ?(like = "") () =
+    let stop = if !ok then Codec.plain_string_end src !pos else -1 in
+    if stop < 0 then begin
+      ok := false;
+      ""
+    end
+    else begin
+      let first = !pos + 1 in
+      pos := stop + 1;
+      if Codec.is_word src first stop like then like
+      else String.sub src first (stop - first)
+    end
+  in
+  let parse s =
+    match if !ok then address s else None with
+    | Some a -> a
+    | None ->
+        ok := false;
+        Addr.make ~rtype:"" ~rname:"" ()
+  in
+  lit "state {\n  serial = ";
+  let digits = if !ok then Codec.digits_end src !pos else !pos in
+  let serial =
+    match int_of_string_opt (String.sub src !pos (digits - !pos)) with
+    | Some n when digits > !pos ->
+        pos := digits;
+        n
+    | _ ->
+        ok := false;
+        0
+  in
+  lit "\n}\n";
+  let checker = Codec.checker ~file src and rows = ref [] in
+  let rtype = ref "" and region = ref "" in
+  while !ok && !pos < n do
+    lit "\ninstance ";
+    let first = !pos - String.length "instance " in
+    let addr = parse (str ()) in
+    lit " {\n  cloud_id   = ";
+    let cloud_id = str () in
+    lit "\n  type       = ";
+    rtype := str ~like:!rtype ();
+    lit "\n  region     = ";
+    region := str ~like:!region ();
+    lit "\n  attributes = ";
+    let obj =
+      match
+        if !ok && Codec.byte src !pos '{' then Some (Codec.check_object checker !pos)
+        else None
+      with
+      | Some obj ->
+          pos := Codec.checked_end checker;
+          obj
+      | None ->
+          ok := false;
+          { Codec.brace = 0; keys = [||] }
+      | exception Cloudless_error.Error _ ->
+          ok := false;
+          { Codec.brace = 0; keys = [||] }
+    in
+    lit "\n  depends    = [";
+    let deps =
+      if !ok && Codec.byte src !pos ']' then []
+      else begin
+        let deps = ref [ parse (str ()) ] in
+        while !ok && Codec.byte src !pos ',' do
+          lit ", ";
+          deps := parse (str ()) :: !deps
+        done;
+        List.rev !deps
+      end
+    in
+    lit "]\n}";
+    let last = !pos in
+    lit "\n";
+    (match !rows with
+    | (prev, _, _) :: _ when Addr.compare prev.addr addr >= 0 -> ok := false
+    | _ -> ());
+    if !ok then
+      rows :=
+        ( {
+            addr;
+            cloud_id;
+            rtype = !rtype;
+            region = !region;
+            recorded = recorded !rtype obj;
+            deps;
+          },
+          first,
+          last )
+        :: !rows
+  done;
+  if !ok then Some (serial, Array.of_list (List.rev !rows)) else None
+
+(** Read a state written by {!to_string}.  Blocks may come in any
+    order; a repeated instance keeps its last row.  The state keeps
+    [src] and each row's block in it (see {!to_string}).  Every row is
+    checked here, but its [attributes] object is left as text, read on
+    the row's first {!attrs}, {!Recorded.find} or {!Recorded.holds}
+    (which reads nothing when the text is written as the values it is
+    compared with): reading it cannot fail.  Errors are located in
+    [file]: a lexer error anywhere ([syntax/lex-error]) outranks text
+    that is not literal data anywhere, which outranks the first
+    malformed block; both of the latter are [state/corrupt-state]
+    diagnostics. *)
+let of_string ?(file = "<state>") src =
+  (* a state names each address once per row and again per dependent,
+     so each distinct string is parsed once; a row takes some 300
+     bytes *)
+  let parsed = Hashtbl.create (max 16 (String.length src / 256)) in
+  let address s =
+    match Hashtbl.find_opt parsed s with
+    | Some _ as a -> a
+    | None ->
+        let a = Addr.of_string s in
+        Option.iter (Hashtbl.add parsed s) a;
+        a
+  in
+  (* the key sets of the rows' attribute objects, as they are read:
+     one set per resource type, whose rows share their keys, so the
+     order in which rows are read does not matter *)
+  let type_shapes = Hashtbl.create 16 in
+  let last_type = ref "" and last_shapes = ref (Codec.shapes ()) in
+  let shapes rtype =
+    (* rows of one type arrive together *)
+    if not (String.equal rtype !last_type) then begin
+      last_type := rtype;
+      last_shapes :=
+        match Hashtbl.find_opt type_shapes rtype with
+        | Some sh -> sh
+        | None ->
+            let sh = Codec.shapes () in
+            Hashtbl.add type_shapes rtype sh;
+            sh
+    end;
+    !last_shapes
+  in
+  let recorded rtype obj = Recorded.of_text ~shapes:(shapes rtype) src obj in
+  (* rows with their blocks' offsets, in address order *)
+  let serial, rows, outputs =
+    match canonical ~file src ~address ~recorded with
+    | Some (serial, rows) -> (serial, rows, [])
+    | None -> general ~file src ~address ~recorded
+  in
   let decoded = Array.map (fun (r, _, _) -> r) rows in
   let spans = Array.make (2 * Array.length rows) 0 in
   Array.iteri
@@ -354,10 +526,10 @@ let of_string ?(file = "<state>") src =
       spans.((2 * i) + 1) <- last)
     rows;
   {
-    serial = !serial;
+    serial;
     resources = Amap.of_sorted_array (Array.map (fun r -> (r.addr, r)) decoded);
     cloud_index = None;
-    outputs = List.rev !outputs;
+    outputs;
     source = Some { text = src; decoded; spans };
   }
 
@@ -374,14 +546,15 @@ type entry_diff = {
 }
 
 let diff_entry (a : resource_state) (b : resource_state) : entry_diff option =
+  let a_attrs = attrs a and b_attrs = attrs b in
   let keys =
     List.sort_uniq String.compare
-      (List.map fst (Smap.bindings a.attrs) @ List.map fst (Smap.bindings b.attrs))
+      (List.map fst (Smap.bindings a_attrs) @ List.map fst (Smap.bindings b_attrs))
   in
   let changed =
     List.filter_map
       (fun k ->
-        let va = Smap.find_opt k a.attrs and vb = Smap.find_opt k b.attrs in
+        let va = Smap.find_opt k a_attrs and vb = Smap.find_opt k b_attrs in
         match (va, vb) with
         | Some x, Some y when Value.equal x y -> None
         | None, None -> None

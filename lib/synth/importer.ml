@@ -35,7 +35,7 @@ let import (cloud : Cloud.t) ?(filter = fun (_ : Cloud.resource) -> true) () :
     |> List.filter filter
     |> List.map (fun (r : Cloud.resource) ->
            let attrs =
-             Smap.bindings r.Cloud.attrs |> List.filter_map attr_of_value
+             Smap.bindings (Cloud.attrs r) |> List.filter_map attr_of_value
            in
            {
              Hcl.Config.rtype = r.Cloud.rtype;

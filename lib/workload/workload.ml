@@ -508,6 +508,7 @@ let mk_instance ~rtype ~rname ?(key = Addr.Knone) ~attrs ~ref_deps
     ref_deps;
     lifecycle = Config.default_lifecycle;
     ispan = Loc.dummy;
+    verified = None;
   }
 
 (* [Vunknown "aws_vpc.fleet.id"]: how the evaluator records a reference

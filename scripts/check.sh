@@ -272,6 +272,29 @@ if [[ -n "$restore_offenders" ]]; then
   exit 1
 fi
 
+# -- restore stays lazy ----------------------------------------------
+# State.of_string leaves each row's attributes as text, read on the
+# row's first read.  Session.cloud_from_state registers the rows with
+# Cloud.restore unread: the cloud reads a resource's attributes on its
+# first read and checks id, arn and region on the row's text.  A read
+# of the attribute map there (State.attrs, Recorded.map or .find)
+# would read every row of the state on every apply, destroy and
+# import.  The function's body runs from its [let] to the next
+# top-level [let].
+restore_body=$(awk '/^let cloud_from_state/ { on = 1; print FILENAME ":" FNR ": " $0; next }
+  on && /^let / { on = 0 }
+  on { print FILENAME ":" FNR ": " $0 }' lib/core/session.ml)
+if [[ -z "$restore_body" ]]; then
+  echo "check.sh: Session.cloud_from_state is gone — point the lazy-restore gate at its successor" >&2
+  exit 1
+fi
+restore_reads=$(grep -E 'State\.attrs|Recorded\.(map|find)' <<<"$restore_body" || true)
+if [[ -n "$restore_reads" ]]; then
+  echo "check.sh: Session.cloud_from_state reads rows' attribute maps — hand Cloud.restore the recorded attributes unread:" >&2
+  echo "$restore_reads" >&2
+  exit 1
+fi
+
 # -- one write pacer per fleet ---------------------------------------
 # A client-side pacer mirrors the write budget of the cloud it talks
 # to and comes from Cloud.write_pacer: Executor.apply takes one per

@@ -108,7 +108,7 @@ let test_scenario_smoke () =
           match Cloud.lookup (Fleet.cloud !cp) r.State.cloud_id with
           | Some live ->
               check bool_ "drift repaired" false
-                (live.Cloud.attrs
+                ((Cloud.attrs live)
                  |> Cloudless_hcl.Value.Smap.find_opt "instance_type"
                  = Some (Cloudless_hcl.Value.Vstring "t2.nano"))
           | None -> Alcotest.fail "managed instance missing from cloud")
@@ -722,7 +722,7 @@ let test_failed_request_keeps_revision () =
       check string_ "drifted attribute back at its configured value"
         "t3.small"
         (Cloudless_hcl.Value.to_string
-           (Cloudless_hcl.Value.Smap.find "instance_type" r.State.attrs))
+           (Cloudless_hcl.Value.Smap.find "instance_type" (State.attrs r)))
   | None -> Alcotest.failf "%s left the state" (Addr.to_string addr)
 
 let qtest = QCheck_alcotest.to_alcotest

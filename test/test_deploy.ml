@@ -79,7 +79,7 @@ let test_deploy_web_tier () =
   in
   check string_ "reference resolved to cloud id"
     vpc.State.cloud_id
-    (Value.to_string (Smap.find "vpc_id" subnet.State.attrs))
+    (Value.to_string (Smap.find "vpc_id" (State.attrs subnet)))
 
 let test_deploy_respects_dependency_order () =
   let cloud = fresh_cloud () in

@@ -148,7 +148,7 @@ let test_reconcile_accept () =
   in
   let r = Option.get (State.find_opt state' (instance_addr 0)) in
   check bool_ "state caught up" true
-    (Value.equal (Value.Vstring "t3.metal") (Smap.find "instance_type" r.State.attrs));
+    (Value.equal (Value.Vstring "t3.metal") (Smap.find "instance_type" (State.attrs r)));
   (* after reconciliation a scan is clean *)
   let result = Drift.Scanner.scan cloud ~state:state' () in
   check int_ "clean after reconcile" 0 (List.length result.Drift.Scanner.events)
@@ -166,7 +166,7 @@ let test_reconcile_revert () =
   let live = Option.get (Cloud.lookup cloud cloud_id) in
   check bool_ "cloud reverted" true
     (Value.equal (Value.Vstring "t3.small")
-       (Smap.find "instance_type" live.Cloud.attrs))
+       (Smap.find "instance_type" (Cloud.attrs live)))
 
 (* ------------------------------------------------------------------ *)
 (* Debugger                                                            *)

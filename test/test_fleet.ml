@@ -570,7 +570,9 @@ let row ?(module_path = []) ?key rtype rname cloud_id attrs =
     cloud_id;
     rtype;
     region = "us-east-1";
-    attrs = Smap.of_seq (List.to_seq (("id", str cloud_id) :: attrs));
+    recorded =
+      State.Recorded.of_map
+        (Smap.of_seq (List.to_seq (("id", str cloud_id) :: attrs)));
     deps = [];
   }
 
@@ -733,7 +735,7 @@ let reference_digest fleet =
                 Buffer.add_char buf '=';
                 add_value v
               end)
-            r.State.attrs;
+            (State.attrs r);
           Buffer.add_char buf '\n')
         rs)
     rows;

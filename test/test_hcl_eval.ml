@@ -178,7 +178,7 @@ resource "aws_subnet" "s" { vpc_id = aws_vpc.main.id }
   in
   let state addr =
     if Addr.to_string addr = "aws_vpc.main" then
-      Some (Smap.singleton "id" (Value.Vstring "vpc-42"))
+      Some (Cloudless_hcl.Recorded.of_map (Smap.singleton "id" (Value.Vstring "vpc-42")))
     else None
   in
   let env = { Eval.default_env with Eval.state_lookup = state } in
@@ -521,7 +521,10 @@ output "result" { value = 1 }
 let env_of (rows : rows) =
   {
     (Cloudless_plan.Plan.env_for Cloudless_state.State.empty) with
-    Eval.state_lookup = (fun a -> Hashtbl.find_opt rows (Addr.to_string a));
+    Eval.state_lookup =
+      (fun a ->
+        Option.map Cloudless_hcl.Recorded.of_map
+          (Hashtbl.find_opt rows (Addr.to_string a)));
     module_registry = (fun _ -> Some child_module);
   }
 

@@ -1,0 +1,601 @@
+(* State rows read on demand.  [State.of_string] checks every row and
+   leaves each row's attribute object as text; a row reads to exactly
+   the record the eager reader built, and a text that does not read
+   fails with its diagnostic.  The CLI's plan path checks instances
+   against their rows' text ([Session.expand]) and plans the same as an
+   expansion that merges every row, reading only the rows it needs;
+   its restore registers rows unread; and an apply keeps every row it
+   does not change. *)
+
+open Cloudless_hcl
+module State = Cloudless_state.State
+module Plan = Cloudless_plan.Plan
+module Executor = Cloudless_deploy.Executor
+module Cloud = Cloudless_sim.Cloud
+module Session = Cloudless.Session
+module Cli = Cloudless.Cli
+module Io_util = Cloudless.Io_util
+module Workload = Cloudless_workload.Workload
+module Smap = Value.Smap
+
+let check = Alcotest.check
+let int_ = Alcotest.int
+let bool_ = Alcotest.bool
+let string_ = Alcotest.string
+
+(* ------------------------------------------------------------------ *)
+(* The eager reader                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [State.of_string] as it read before rows were read on demand, kept
+   as the oracle: every attribute object is read with its block, by
+   [Codec.fold_blocks] without [~unread].  The serial, the rows in
+   address order and the outputs. *)
+module Eager = struct
+  type row = {
+    addr : Addr.t;
+    cloud_id : string;
+    rtype : string;
+    region : string;
+    attrs : Value.t Smap.t;
+    deps : Addr.t list;
+  }
+
+  let corrupt ~span fmt =
+    Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.State_io
+      ~code:"corrupt-state" ~span fmt
+
+  let value (a : Codec.attr) =
+    match a.value with Codec.Read v -> v | Codec.Unread _ -> assert false
+
+  let of_string ?(file = "<state>") src =
+    let locate first last = Codec.span ~file src first last in
+    let block_error (b : Codec.block) fmt =
+      corrupt ~span:(locate b.first b.last) fmt
+    in
+    let field (b : Codec.block) name =
+      match List.find_opt (fun (a : Codec.attr) -> a.name = name) b.attrs with
+      | Some a -> a
+      | None -> block_error b "state: missing %S" name
+    in
+    let bad (a : Codec.attr) what =
+      corrupt
+        ~span:(locate a.at (a.at + String.length a.name))
+        "state: %s must be %s, not %s" a.name what
+        (Value.type_name (value a))
+    in
+    let string_field b name =
+      match value (field b name) with
+      | Value.Vstring s -> s
+      | _ -> bad (field b name) "a string"
+    in
+    let address (b : Codec.block) s =
+      match Addr.of_string s with
+      | Some a -> a
+      | None -> block_error b "state: bad address %s" s
+    in
+    let serial = ref 0 and outputs = ref [] and rows = ref [] in
+    let row (b : Codec.block) addr =
+      let cloud_id = string_field b "cloud_id" in
+      let rtype = string_field b "type" in
+      let region = string_field b "region" in
+      let attrs =
+        match value (field b "attributes") with
+        | Value.Vmap m -> m
+        | _ -> bad (field b "attributes") "an object"
+      in
+      let deps =
+        let a = field b "depends" in
+        match value a with
+        | Value.Vlist vs ->
+            List.map
+              (function
+                | Value.Vstring s -> address b s
+                | _ -> bad a "a list of address strings")
+              vs
+        | _ -> bad a "a list of address strings"
+      in
+      rows := { addr; cloud_id; rtype; region; attrs; deps } :: !rows
+    in
+    let block () (b : Codec.block) =
+      match (b.btype, b.labels) with
+      | "state", _ -> (
+          match value (field b "serial") with
+          | Value.Vint n -> serial := n
+          | _ -> bad (field b "serial") "an integer")
+      | "instance", [ label ] -> row b (address b label)
+      | "output", [ name ] -> outputs := (name, value (field b "value")) :: !outputs
+      | ty, _ -> block_error b "state: unexpected block %s" ty
+    in
+    (try Codec.fold_blocks ~file src block ()
+     with Cloudless_error.Error { code = "parse-error"; message; span; _ } ->
+       corrupt ~span "state: %s" message);
+    (* address order; of rows at one address, the last one read *)
+    let rows =
+      List.fold_left
+        (fun acc r ->
+          match acc with
+          | kept :: _ when Addr.compare kept.addr r.addr = 0 -> acc
+          | _ -> r :: acc)
+        []
+        (List.rev
+           (List.stable_sort (fun a b -> Addr.compare a.addr b.addr) (List.rev !rows)))
+    in
+    (!serial, rows, List.rev !outputs)
+end
+
+let outcome f =
+  match f () with v -> Ok v | exception Cloudless_error.Error d -> Error d
+
+let same_value = Test_state.same_value
+
+(* A lazily read state against the eager reader's result, from [text]
+   read afresh for each question asked of a row: its attributes one by
+   one ([Recorded.find], [Recorded.holds] of each binding, of a binding
+   it does not hold and of a key it lacks), then whole. *)
+let reads_as_eager text (serial, rows, outputs) =
+  let fresh () = State.resources (State.of_string text) in
+  let state = State.of_string text in
+  if State.serial state <> serial then Alcotest.fail "serial differs";
+  if
+    not
+      (List.equal
+         (fun (n, v) (n', v') -> String.equal n n' && same_value v v')
+         (State.outputs state) outputs)
+  then Alcotest.fail "outputs differ";
+  let lazy_rows = State.resources state in
+  if List.length lazy_rows <> List.length rows then Alcotest.fail "row count differs";
+  List.iter2
+    (fun (r : State.resource_state) (e : Eager.row) ->
+      if
+        not
+          (Addr.equal r.addr e.addr && String.equal r.cloud_id e.cloud_id
+          && String.equal r.rtype e.rtype && String.equal r.region e.region
+          && List.equal Addr.equal r.deps e.deps)
+      then Alcotest.failf "row %s: header differs" (Addr.to_string e.addr))
+    lazy_rows rows;
+  let missing = "no such attribute" in
+  List.iteri
+    (fun i (e : Eager.row) ->
+      let row () = (List.nth (fresh ()) i).State.recorded in
+      Smap.iter
+        (fun k v ->
+          (match Recorded.find (row ()) k with
+          | Some v' when same_value v v' -> ()
+          | _ -> Alcotest.failf "row %s: find %S" (Addr.to_string e.addr) k);
+          let unknown = Value.has_unknown v in
+          if (not unknown) && not (Recorded.holds (row ()) (Smap.singleton k v)) then
+            Alcotest.failf "row %s: holds %S" (Addr.to_string e.addr) k;
+          let other = Value.Vstring (missing ^ "!") in
+          if Recorded.holds (row ()) (Smap.singleton k other) then
+            Alcotest.failf "row %s: holds a value %S lacks" (Addr.to_string e.addr) k)
+        e.attrs;
+      if Recorded.find (row ()) missing <> None then
+        Alcotest.failf "row %s: finds a missing key" (Addr.to_string e.addr);
+      if Recorded.holds (row ()) (Smap.singleton missing Value.Vnull) then
+        Alcotest.failf "row %s: holds a missing key" (Addr.to_string e.addr);
+      let r = List.nth lazy_rows i in
+      if Recorded.read r.recorded then
+        Alcotest.failf "row %s: read before its first read" (Addr.to_string e.addr);
+      if not (same_value (Value.Vmap (State.attrs r)) (Value.Vmap e.attrs)) then
+        Alcotest.failf "row %s: attributes differ" (Addr.to_string e.addr))
+    rows;
+  true
+
+(* Texts to read: a state as [State.to_string] writes it, or as a
+   person might (comments, other spacing, shuffled and repeated
+   blocks), with up to three bytes replaced, inserted or deleted. *)
+let text_gen =
+  QCheck.Gen.(
+    map3
+      (fun s noisy edits ->
+        let text =
+          match noisy with
+          | Some seed -> Test_state.noisy_state_text seed s
+          | None -> State.to_string s
+        in
+        List.fold_left Test_state.apply_edit text edits)
+      Test_state.state_gen
+      (opt ~ratio:0.3 int)
+      (frequency
+         [
+           (1, return []);
+           (2, list_size (int_range 1 3) Test_state.edit_gen);
+         ]))
+
+let prop_reads_as_eager =
+  QCheck.Test.make ~count:1000
+    ~name:"a lazily read state is the eager reader's, or its diagnostic"
+    (QCheck.make text_gen ~print:Fun.id)
+    (fun text ->
+      match (outcome (fun () -> Eager.of_string text), outcome (fun () -> State.of_string text)) with
+      | Error d, Error d' -> d = d'
+      | Ok eager, Ok _ -> reads_as_eager text eager
+      | Ok _, Error d ->
+          QCheck.Test.fail_reportf "only the lazy reader fails: %s"
+            (Cloudless_error.Diagnostic.to_string d)
+      | Error d, Ok _ ->
+          QCheck.Test.fail_reportf "only the eager reader fails: %s"
+            (Cloudless_error.Diagnostic.to_string d))
+
+(* ------------------------------------------------------------------ *)
+(* The CLI's rows                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [f tf state_path] in a fresh directory, removed afterwards. *)
+let in_temp_dir f =
+  let dir = Filename.temp_dir "cloudless_lazy" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f (Filename.concat dir "main.tf") (Filename.concat dir "state.cls"))
+
+let quiet = { Cli.out = ignore; err = ignore }
+
+(* [f src tf state_path] after applying a [resources]-resource fleet,
+   [src], from empty state. *)
+let deployed ~resources f =
+  in_temp_dir @@ fun tf state_path ->
+  let src = Workload.fleet ~resources () in
+  Io_util.write_file tf src;
+  check int_ "cold apply exits 0" 0 (Cli.apply ~io:quiet ~file:tf ~state_path ());
+  f src tf state_path
+
+let addr ?key rtype rname = Addr.make ?key ~rtype ~rname ()
+
+(* [Cli.plan]'s loads and expansion: the rows it reads are the edited
+   block's, read whole, and the rows the expressions reference (a
+   subnet, a security group and the VPC), read one attribute at a
+   time. *)
+let test_plan_reads_the_rows_it_needs () =
+  deployed ~resources:2000 @@ fun src tf state_path ->
+  Io_util.write_file tf
+    (Test_scoped_refresh.set_attr src ~rtype:"aws_instance" ~name:"g7"
+       ~key:"instance_type" ~value:"\"t3.large\"");
+  let out = Buffer.create 256 in
+  check int_ "plan exits 2" 2
+    (Cli.plan ~io:{ Cli.out = Buffer.add_string out; err = ignore } ~file:tf ~state_path ());
+  let state = Session.load_state state_path in
+  let plan = Session.plan_against ~state tf in
+  check string_ "the plan Cli.plan printed" (Buffer.contents out) (Plan.to_string plan);
+  let edited (a : Addr.t) = a.rtype = "aws_instance" && a.rname = "g7" in
+  let referenced =
+    [ addr "aws_subnet" "g7"; addr "aws_security_group" "g7"; addr "aws_vpc" "fleet" ]
+  in
+  let rows = State.resources state in
+  check int_ "2,000 rows" 2000 (List.length rows);
+  List.iter
+    (fun (r : State.resource_state) ->
+      let name = Addr.to_string r.addr in
+      let read = Recorded.read r.recorded and whole = Recorded.decoded r.recorded in
+      if edited r.addr then check bool_ (name ^ " is read whole") true whole
+      else if List.exists (Addr.equal r.addr) referenced then
+        check bool_ (name ^ " is read, not whole") true (read && not whole)
+      else if read then
+        (* the groups' other referenced rows: their instances read an id *)
+        check bool_ (name ^ " is a referenced row, not read whole") true
+          ((r.rtype = "aws_subnet" || r.rtype = "aws_security_group"
+           || r.rtype = "aws_vpc")
+          && not whole))
+    rows;
+  let whole = List.filter (fun (r : State.resource_state) -> Recorded.decoded r.recorded) rows in
+  check int_ "only the edited block's rows are read whole" 6 (List.length whole)
+
+(* The restore registers each row with the cloud unread; the cloud
+   reads a resource's attributes on its first read, and they are the
+   row's. *)
+let test_restore_reads_no_row () =
+  deployed ~resources:200 @@ fun _ _ state_path ->
+  let recorded = Session.load_state state_path in
+  let cloud, state = Session.cloud_from_state recorded ~seed:1 in
+  check bool_ "the recorded state itself" true (state == recorded);
+  List.iter
+    (fun (r : State.resource_state) ->
+      if Recorded.read r.recorded then
+        Alcotest.failf "%s read by the restore" (Addr.to_string r.addr))
+    (State.resources recorded);
+  let vpc = Option.get (State.find_opt recorded (addr "aws_vpc" "fleet")) in
+  let res = Option.get (Cloud.lookup cloud vpc.cloud_id) in
+  check bool_ "the cloud holds the row's attributes" true (Cloud.attrs res == State.attrs vpc)
+
+(* A row whose recorded id disagrees with its cloud id is rebuilt with
+   the cloud's attributes, as before. *)
+let test_restore_rebuilds_a_disagreeing_row () =
+  deployed ~resources:20 @@ fun _ _ state_path ->
+  let text = Io_util.read_file state_path in
+  let recorded = Session.load_state state_path in
+  let vpc = Option.get (State.find_opt recorded (addr "aws_vpc" "fleet")) in
+  let edited =
+    let id = Printf.sprintf " id = %S" vpc.cloud_id in
+    let i = Option.get (Test_stable_ids.index_from text id 0) in
+    String.sub text 0 i ^ " id = \"vpc-hand-edited\""
+    ^ String.sub text (i + String.length id) (String.length text - i - String.length id)
+  in
+  Io_util.write_file state_path edited;
+  let recorded = Session.load_state state_path in
+  let _, state = Session.cloud_from_state recorded ~seed:1 in
+  let row = Option.get (State.find_opt state (addr "aws_vpc" "fleet")) in
+  check bool_ "rebuilt" true (row != Option.get (State.find_opt recorded row.addr));
+  check bool_ "with the cloud's id" true
+    (Smap.find_opt "id" (State.attrs row) = Some (Value.Vstring vpc.cloud_id))
+
+(* The apply [Cli.apply] runs for a one-attribute edit: every row
+   outside the plan's actionable changes is the record the load built,
+   including the rows its scoped refresh re-read. *)
+let test_apply_keeps_unchanged_rows () =
+  deployed ~resources:200 @@ fun src tf state_path ->
+  Io_util.write_file tf
+    (Test_scoped_refresh.set_attr src ~rtype:"aws_instance" ~name:"g3"
+       ~key:"instance_type" ~value:"\"t3.large\"");
+  let recorded = Session.load_state state_path in
+  let cloud, state = Session.cloud_from_state recorded ~seed:42 in
+  let plan = Session.plan_against ~state tf in
+  let report =
+    Executor.apply cloud ~config:(Cli.engine_config Cli.Cloudless) ~state ~plan ()
+  in
+  check bool_ "applied" true (Executor.succeeded report);
+  let changed = List.map (fun (c : Plan.change) -> c.addr) (Plan.actionable plan) in
+  check int_ "six updates" 6 (List.length changed);
+  let scope = Plan.refresh_scope plan in
+  check bool_ "the refresh re-reads unchanged rows" true
+    (Addr.Set.exists (fun a -> not (List.exists (Addr.equal a) changed)) scope);
+  List.iter
+    (fun (r : State.resource_state) ->
+      if not (List.exists (Addr.equal r.addr) changed) then
+        if Option.get (State.find_opt recorded r.addr) != r then
+          Alcotest.failf "%s is a new record" (Addr.to_string r.addr))
+    (State.resources report.Executor.state)
+
+(* ------------------------------------------------------------------ *)
+(* Scoped plans are full plans                                         *)
+(* ------------------------------------------------------------------ *)
+
+let generators =
+  Test_workload_props.generators @ [ ("multi_cloud", fun () -> Workload.multi_cloud ()) ]
+
+(* Each generator's configuration and the state text of its deployment. *)
+let deployments =
+  lazy
+    (List.map
+       (fun (name, gen) ->
+         let cfg = Config.parse ~file:name (gen ()) in
+         let cloud =
+           Cloud.create ~config:(Cloudless_schema.Cloud_rules.config_with_checks ()) ~seed:3 ()
+         in
+         let instances = (Eval.expand ~env:(Plan.env_for State.empty) cfg).Eval.instances in
+         let plan = Plan.make ~state:State.empty instances in
+         let report =
+           Executor.apply cloud ~config:Executor.cloudless_config ~state:State.empty ~plan ()
+         in
+         (name, cfg, State.to_string report.Executor.state))
+       generators)
+
+type config_edit =
+  | Set_attr of int * int * Value.t
+  | Add_attr of int * Value.t
+  | Count of int * int
+  | Remove_block of int
+  | Add_block of int
+  | Rewire of int * int * int * int
+  | Ignore of int * int
+  | Ignored_read of int * int * Value.t * int * int
+      (** an [ignore_changes] attribute set to a value and read by
+          another block *)
+
+type state_edit =
+  | Drift of int * int * Value.t
+  | Forget of int * int
+  | Remove_row of int
+  | Computed of int * string
+
+let literal_gen =
+  QCheck.Gen.oneofl
+    [
+      Value.Vstring "us-east-1"; Value.Vstring "t3.large"; Value.Vstring "x\"y";
+      Value.Vint 1; Value.Vfloat 1.; Value.Vfloat 2.5; Value.Vbool true; Value.Vnull;
+      Value.Vlist [ Value.Vstring "a" ]; Value.of_assoc [ ("k", Value.Vstring "v") ];
+    ]
+
+let config_edit_gen =
+  let open QCheck.Gen in
+  let i = int_bound 1_000 in
+  frequency
+    [
+      (3, map3 (fun b a v -> Set_attr (b, a, v)) i i literal_gen);
+      (1, map2 (fun b v -> Add_attr (b, v)) i literal_gen);
+      (1, map2 (fun b d -> Count (b, d)) i (int_range (-2) 2));
+      (1, map (fun b -> Remove_block b) i);
+      (1, map (fun b -> Add_block b) i);
+      (2, map4 (fun b a t k -> Rewire (b, a, t, k)) i i i i);
+      (1, map2 (fun b a -> Ignore (b, a)) i i);
+      ( 1,
+        map3
+          (fun (b, a) v (c, d) -> Ignored_read (b, a, v, c, d))
+          (pair i i) literal_gen (pair i i) );
+    ]
+
+let state_edit_gen =
+  let open QCheck.Gen in
+  let i = int_bound 1_000 in
+  frequency
+    [
+      (3, map3 (fun r a v -> Drift (r, a, v)) i i literal_gen);
+      (1, map2 (fun r a -> Forget (r, a)) i i);
+      (1, map (fun r -> Remove_row r) i);
+      (2, map2 (fun r k -> Computed (r, k)) i (oneofl [ "id"; "arn"; "region" ]));
+    ]
+
+let nth l i = List.nth l (i mod List.length l)
+
+(* [r] with attribute [a] of its body (if it has one) mapped by [f]. *)
+let map_attr (r : Config.resource) a f =
+  match r.rbody.Ast.attrs with
+  | [] -> r
+  | attrs ->
+      let target = nth attrs a in
+      {
+        r with
+        rbody =
+          {
+            r.rbody with
+            Ast.attrs =
+              List.map
+                (fun (x : Ast.attribute) -> if x == target then f x else x)
+                attrs;
+          };
+      }
+
+let rec edit_config (cfg : Config.t) edit =
+  let rs = cfg.resources in
+  if rs = [] then cfg
+  else
+    let on b f =
+      let target = nth rs b in
+      { cfg with resources = List.map (fun r -> if r == target then f r else r) rs }
+    in
+    match edit with
+    | Set_attr (b, a, v) ->
+        on b (fun r -> map_attr r a (fun x -> { x with avalue = Codec.value_to_expr v }))
+    | Add_attr (b, v) ->
+        on b (fun r ->
+            let extra =
+              { Ast.aname = "extra"; avalue = Codec.value_to_expr v; aspan = Loc.dummy }
+            in
+            if List.exists (fun (x : Ast.attribute) -> x.aname = "extra") r.rbody.Ast.attrs
+            then r
+            else { r with rbody = { r.rbody with Ast.attrs = r.rbody.Ast.attrs @ [ extra ] } })
+    | Count (b, d) ->
+        on b (fun r ->
+            let n =
+              match r.rcount with
+              | Some { Ast.desc = Ast.Int n; _ } -> n
+              | _ -> 1
+            in
+            { r with rcount = Some (Ast.mk (Ast.Int (max 0 (n + d)))) })
+    | Remove_block b ->
+        let target = nth rs b in
+        { cfg with resources = List.filter (fun r -> r != target) rs }
+    | Add_block b ->
+        let r = nth rs b in
+        { cfg with resources = rs @ [ { r with rname = r.rname ^ "_added" } ] }
+    | Rewire (b, a, t, k) ->
+        (* block [b]'s attribute [a] reads [t]'s [id] or one of its
+           configured attributes *)
+        let target = nth rs t in
+        let attr =
+          match target.rbody.Ast.attrs with
+          | [] -> "id"
+          | attrs -> if k mod 2 = 0 then "id" else (nth attrs (k / 2)).Ast.aname
+        in
+        let read =
+          Ast.mk
+            (Ast.GetAttr
+               (Ast.mk (Ast.GetAttr (Ast.mk (Ast.Var target.rtype), target.rname)), attr))
+        in
+        on b (fun r -> map_attr r a (fun x -> { x with avalue = read }))
+    | Ignore (b, a) ->
+        on b (fun r ->
+            match r.rbody.Ast.attrs with
+            | [] -> r
+            | attrs ->
+                {
+                  r with
+                  rlifecycle =
+                    { r.rlifecycle with ignore_changes = [ (nth attrs a).Ast.aname ] };
+                })
+    | Ignored_read (b, a, v, c, d) ->
+        List.fold_left edit_config cfg
+          [ Set_attr (b, a, v); Ignore (b, a); Rewire (c, d, b, (2 * a) + 1) ]
+
+let edit_state s edit =
+  match State.resources s with
+  | [] -> s
+  | rows -> (
+      match edit with
+      | Drift (i, a, v) ->
+          let r = nth rows i in
+          let attrs = State.attrs r in
+          let key =
+            match Smap.bindings attrs with [] -> "extra" | kvs -> fst (nth kvs a)
+          in
+          State.update_attrs s r.addr (Smap.add key v attrs)
+      | Forget (i, a) -> (
+          let r = nth rows i in
+          match Smap.bindings (State.attrs r) with
+          | [] -> s
+          | kvs -> State.update_attrs s r.addr (Smap.remove (fst (nth kvs a)) (State.attrs r)))
+      | Remove_row i -> State.remove s (nth rows i).addr
+      | Computed (i, key) ->
+          let r = nth rows i in
+          State.update_attrs s r.addr (Smap.add key (Value.Vstring "hand-edited") (State.attrs r)))
+
+type case = {
+  workload : int;
+  config_edits : config_edit list;
+  state_edits : state_edit list;
+  noisy : int option;
+}
+
+let case_gen =
+  QCheck.Gen.(
+    map
+      (fun (workload, config_edits, state_edits, noisy) ->
+        { workload; config_edits; state_edits; noisy })
+      (quad (int_bound 1_000)
+         (list_size (int_range 0 3) config_edit_gen)
+         (list_size (int_range 0 3) state_edit_gen)
+         (opt ~ratio:0.3 int)))
+
+(* The plan and where it failed, if it did. *)
+let planned expand text cfg =
+  outcome (fun () ->
+      let state = State.of_string text in
+      Plan.make ~state (expand state cfg))
+
+let actions (p : Plan.t) =
+  List.map (fun (c : Plan.change) -> (Addr.to_string c.addr, c.action)) p.changes
+
+let prop_scoped_is_full =
+  QCheck.Test.make ~count:300
+    ~name:"Session.expand then Plan.make = Plan.make over a merging expansion"
+    (QCheck.make case_gen)
+    (fun case ->
+      let deployments = Lazy.force deployments in
+      let _, cfg, text = nth deployments case.workload in
+      let cfg = List.fold_left edit_config cfg case.config_edits in
+      let state = List.fold_left edit_state (State.of_string text) case.state_edits in
+      let text =
+        match case.noisy with
+        | Some seed -> Test_state.noisy_state_text seed state
+        | None -> State.to_string state
+      in
+      let scoped = planned (fun state cfg -> Session.expand state cfg) text cfg in
+      let full =
+        planned
+          (fun state cfg -> (Eval.expand ~env:(Plan.env_for state) cfg).Eval.instances)
+          text cfg
+      in
+      match (scoped, full) with
+      | Ok p, Ok q ->
+          String.equal (Plan.to_string p) (Plan.to_string q)
+          && actions p = actions q
+          && Addr.Set.equal (Plan.refresh_scope p) (Plan.refresh_scope q)
+      | Error d, Error d' -> d = d'
+      | _ -> false)
+
+let suites =
+  [
+    ( "state.lazy",
+      [
+        QCheck_alcotest.to_alcotest prop_reads_as_eager;
+        Alcotest.test_case "plan reads the rows it needs" `Slow
+          test_plan_reads_the_rows_it_needs;
+        Alcotest.test_case "restore reads no row" `Quick test_restore_reads_no_row;
+        Alcotest.test_case "restore rebuilds a disagreeing row" `Quick
+          test_restore_rebuilds_a_disagreeing_row;
+        Alcotest.test_case "apply keeps unchanged rows" `Quick
+          test_apply_keeps_unchanged_rows;
+      ] );
+    ("plan.scoped", [ QCheck_alcotest.to_alcotest prop_scoped_is_full ]);
+  ]

@@ -117,10 +117,10 @@ resource "aws_instance" "web" {
          (Addr.make ~rtype:"aws_instance" ~rname:"web" ()))
   in
   check string_ "image from aws_ami" "ami-ubuntu-latest"
-    (Value.to_string (Smap.find "ami" r.State.attrs));
+    (Value.to_string (Smap.find "ami" (State.attrs r)));
   check string_ "zone from aws_availability_zones" "us-east-1a"
     (Value.to_string
-       (Smap.find "zone" (Value.to_map (Smap.find "tags" r.State.attrs))))
+       (Smap.find "zone" (Value.to_map (Smap.find "tags" (State.attrs r)))))
 
 let test_figure2_deploys () =
   (* the paper's own program, end to end *)
@@ -168,7 +168,7 @@ let test_drift_observe_and_reconcile () =
   let r' = Option.get (State.find_opt (Lifecycle.state t) addr) in
   check bool_ "state reconciled" true
     (Value.equal (Value.Vstring "t3.metal")
-       (Smap.find "instance_type" r'.State.attrs))
+       (Smap.find "instance_type" (State.attrs r')))
 
 let test_diagnose_failure () =
   (* develop with validation OFF wouldn't go through develop; instead
@@ -376,7 +376,7 @@ policy "drift_pager" {
   let r' = Option.get (State.find_opt (Lifecycle.state t) addr) in
   check bool_ "reconciled" true
     (Value.equal (Value.Vstring "t3.metal")
-       (Smap.find "instance_type" r'.State.attrs))
+       (Smap.find "instance_type" (State.attrs r')))
 
 let test_incremental_equals_full () =
   (* the incremental path must land in the same end state as the full
@@ -394,7 +394,7 @@ let test_incremental_equals_full () =
     |> List.map (fun (r : Cloud.resource) ->
            ( r.Cloud.rtype,
              r.Cloud.region,
-             Smap.bindings r.Cloud.attrs
+             Smap.bindings (Cloud.attrs r)
              |> List.filter (fun (k, _) ->
                     not (List.mem k [ "id"; "arn" ]))
              |> List.map (fun (k, v) ->

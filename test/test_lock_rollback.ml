@@ -103,7 +103,7 @@ let seeded_state n =
           cloud_id = Printf.sprintf "i-%06d" i;
           rtype = "aws_instance";
           region = "us-east-1";
-          attrs = Smap.singleton "v" (Value.Vint 0);
+          recorded = State.Recorded.of_map (Smap.singleton "v" (Value.Vint 0));
           deps = [];
         })
     State.empty
@@ -115,7 +115,7 @@ let test_txn_commit () =
   Txn.stage txn (Txn.Set_attr (addr "r0", "v", Value.Vint 42));
   Txn.commit_locked store txn;
   let r = Option.get (State.find_opt store.Txn.golden (addr "r0")) in
-  check bool_ "committed" true (Value.equal (Value.Vint 42) (Smap.find "v" r.State.attrs))
+  check bool_ "committed" true (Value.equal (Value.Vint 42) (Smap.find "v" (State.attrs r)))
 
 let test_txn_optimistic_conflict () =
   let store = Txn.create_store (seeded_state 3) in
@@ -168,7 +168,7 @@ let deployed_cloud n =
                 cloud_id;
                 rtype = "aws_instance";
                 region = "us-east-1";
-                attrs;
+                recorded = State.Recorded.of_map attrs;
                 deps = [];
               }
       | Error e -> Alcotest.failf "setup: %s" (Cloud.error_to_string e))
@@ -239,7 +239,7 @@ let live_of cloud state addr_ =
   match State.find_opt state addr_ with
   | Some (r : State.resource_state) ->
       Option.map
-        (fun (res : Cloud.resource) -> res.Cloud.attrs)
+        (fun (res : Cloud.resource) -> (Cloud.attrs res))
         (Cloud.lookup cloud r.State.cloud_id)
   | None -> None
 
@@ -259,7 +259,7 @@ let test_rollback_reversible_update () =
               attrs = Smap.singleton "instance_type" (Value.Vstring "t3.xlarge");
             }));
     State.update_attrs target a
-      (Smap.add "instance_type" (Value.Vstring "t3.xlarge") r.State.attrs)
+      (Smap.add "instance_type" (Value.Vstring "t3.xlarge") (State.attrs r))
   in
   let rb =
     Rollback.plan_rollback ~strategy:Rollback.Reversibility_aware ~target
@@ -288,7 +288,7 @@ let test_rollback_force_new_redeploys () =
   let r = Option.get (State.find_opt target a) in
   let current =
     State.update_attrs target a
-      (Smap.add "cidr_block" (Value.Vstring "10.99.0.0/16") r.State.attrs)
+      (Smap.add "cidr_block" (Value.Vstring "10.99.0.0/16") (State.attrs r))
   in
   (* reflect in cloud *)
   ignore
@@ -363,7 +363,7 @@ let test_rollback_deletes_added_resources () =
         cloud_id = extra_id;
         rtype = "aws_eip";
         region = "us-east-1";
-        attrs = Smap.empty;
+        recorded = State.Recorded.of_map Smap.empty;
         deps = [];
       }
   in

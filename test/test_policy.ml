@@ -195,7 +195,7 @@ let test_cost_model () =
         cloud_id = "db-1";
         rtype = "aws_db_instance";
         region = "us-east-1";
-        attrs = Smap.empty;
+        recorded = State.Recorded.of_map Smap.empty;
         deps = [];
       }
   in

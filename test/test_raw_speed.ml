@@ -88,7 +88,7 @@ let shrunk_plan instances =
       cloud_id = Addr.to_string i.Eval.addr;
       rtype = i.Eval.addr.Addr.rtype;
       region = "us-east-1";
-      attrs = Value.Smap.empty;
+      recorded = State.Recorded.of_map Value.Smap.empty;
       deps = i.Eval.ref_deps @ i.Eval.explicit_deps;
     }
   in
@@ -561,7 +561,7 @@ let prop_orphans_match_set_oracle =
           cloud_id = Printf.sprintf "eip-%d" i;
           rtype = "aws_eip";
           region = "us-east-1";
-          attrs = Value.Smap.empty;
+          recorded = State.Recorded.of_map Value.Smap.empty;
           deps = [];
         }
       in

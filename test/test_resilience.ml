@@ -539,7 +539,7 @@ let test_parked_request_converges_to_newest () =
     List.filter_map
       (fun (r : State.resource_state) ->
         if r.State.rtype = "aws_instance" then
-          Some (Smap.find_opt "instance_type" r.State.attrs)
+          Some (Smap.find_opt "instance_type" (State.attrs r))
         else None)
       (State.resources dep.Shard.state)
   in
@@ -676,7 +676,7 @@ let test_close_wakes_in_park_order () =
         closed_at (resource d).Cloud.created_at)
     [ d1; d2 ];
   check bool_ "d1 carries the newer revision" true
-    (Smap.find_opt "name" (vpc_row d1).State.attrs = Some (Value.Vstring "b"))
+    (Smap.find_opt "name" (State.attrs (vpc_row d1)) = Some (Value.Vstring "b"))
 
 (* The first waiter's deployment lock is held across the cooldown end,
    so its re-admission queues behind the lock; the second waiter is
@@ -772,7 +772,7 @@ let test_invalid_probe_wakes_waiters () =
           (List.exists
              (fun (r : State.resource_state) ->
                r.State.rtype = "aws_security_group_rule"
-               && Smap.find_opt "from_port" r.State.attrs
+               && Smap.find_opt "from_port" (State.attrs r)
                   = Some (Value.Vint 443))
              (State.resources d.Shard.state)))
     deps

@@ -179,7 +179,7 @@ let test_shared_dependency () =
     report.Executor.refresh_reads;
   let user_data a =
     Smap.find_opt "user_data"
-      (Option.get (State.find_opt report.Executor.state a)).State.attrs
+      (State.attrs (Option.get (State.find_opt report.Executor.state a)))
   in
   check bool_ "consumer re-read" true
     (user_data (inst 1 0) = Some (Value.Vstring "drifted"));

@@ -154,7 +154,8 @@ let vpc name cloud_id =
     cloud_id;
     rtype = "aws_vpc";
     region = "us-east-1";
-    attrs = Smap.singleton "cidr_block" (Value.Vstring "10.0.0.0/16");
+    recorded =
+      State.Recorded.of_map (Smap.singleton "cidr_block" (Value.Vstring "10.0.0.0/16"));
     deps = [];
   }
 

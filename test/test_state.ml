@@ -17,7 +17,7 @@ let rs ?(rtype = "aws_vpc") ?(region = "us-east-1") ?(deps = []) name cloud_id
     cloud_id;
     rtype;
     region;
-    attrs = Smap.of_seq (List.to_seq attrs);
+    recorded = State.Recorded.of_map (Smap.of_seq (List.to_seq attrs));
     deps;
   }
 
@@ -39,7 +39,8 @@ let test_lookup_for_eval () =
   let s = State.add State.empty (rs "main" "vpc-1" [ ("id", Value.Vstring "vpc-1") ]) in
   let addr = Addr.make ~rtype:"aws_vpc" ~rname:"main" () in
   match State.lookup s addr with
-  | Some attrs -> check bool_ "id present" true (Smap.mem "id" attrs)
+  | Some row ->
+      check bool_ "id present" true (Smap.mem "id" (State.Recorded.map row))
   | None -> Alcotest.fail "lookup failed"
 
 let test_find_by_cloud_id () =
@@ -117,7 +118,7 @@ let test_serialization_roundtrip () =
   let addr = Addr.make ~rtype:"aws_vpc" ~rname:"main" () in
   let r = Option.get (State.find_opt s' addr) in
   check bool_ "attrs preserved" true
-    (Value.equal (Value.Vint 3) (Smap.find "count" r.State.attrs));
+    (Value.equal (Value.Vint 3) (Smap.find "count" (State.attrs r)));
   let sub = Option.get (State.find_opt s' (Addr.make ~rtype:"aws_subnet" ~rname:"sub" ())) in
   check int_ "deps preserved" 1 (List.length sub.State.deps);
   check int_ "outputs preserved" 1 (List.length (State.outputs s'))
@@ -129,7 +130,7 @@ let test_serialization_sanitizes_unknowns () =
   let s' = State.of_string (State.to_string s) in
   let r = Option.get (State.find_opt s' (Addr.make ~rtype:"aws_vpc" ~rname:"main" ())) in
   check bool_ "unknown became null" true
-    (Value.equal Value.Vnull (Smap.find "x" r.State.attrs))
+    (Value.equal Value.Vnull (Smap.find "x" (State.attrs r)))
 
 let test_diff () =
   let a =
@@ -262,7 +263,7 @@ let resource_gen =
         cloud_id;
         rtype = addr.Addr.rtype;
         region;
-        attrs;
+        recorded = State.Recorded.of_map attrs;
         deps;
       })
     addr_gen
@@ -309,7 +310,7 @@ module Oracle = struct
           attr "cloud_id" (Ast.string_lit r.cloud_id);
           attr "type" (Ast.string_lit r.rtype);
           attr "region" (Ast.string_lit r.region);
-          attr "attributes" (expr (Value.Vmap r.attrs));
+          attr "attributes" (expr (Value.Vmap (State.attrs r)));
           attr "depends" (deps_expr r.deps);
         ]
     in
@@ -345,7 +346,9 @@ module Oracle = struct
                 cloud_id = str "cloud_id";
                 rtype = str "type";
                 region = str "region";
-                attrs = Value.to_map (literal bbody "attributes");
+                recorded =
+                  State.Recorded.of_map
+                    (Value.to_map (literal bbody "attributes"));
                 deps = List.map address (Value.to_list (literal bbody "depends"));
               }
               :: !rows
@@ -373,7 +376,7 @@ let rec same_value (a : Value.t) (b : Value.t) =
 let same_rows ~attrs (a : State.resource_state) (b : State.resource_state) =
   Addr.equal a.addr b.addr && a.cloud_id = b.cloud_id && a.rtype = b.rtype
   && a.region = b.region
-  && attrs (Value.Vmap a.attrs) (Value.Vmap b.attrs)
+  && attrs (Value.Vmap (State.attrs a)) (Value.Vmap (State.attrs b))
   && List.equal Addr.equal a.deps b.deps
 
 let same_state ~values a b =
@@ -488,7 +491,7 @@ let noisy_state_text seed (s : State.t) =
         ("cloud_id", Value.Vstring r.cloud_id);
         ("type", Value.Vstring r.rtype);
         ("region", Value.Vstring r.region);
-        ("attributes", Value.Vmap r.attrs);
+        ("attributes", Value.Vmap (State.attrs r));
         ( "depends",
           Value.Vlist (List.map (fun d -> Value.Vstring (Addr.to_string d)) r.deps) );
       ]
@@ -563,7 +566,7 @@ module Render = struct
     Buffer.add_string buf "\n  region     = ";
     Codec.add_string buf r.region;
     Buffer.add_string buf "\n  attributes = ";
-    Codec.add_map buf r.attrs;
+    Codec.add_map buf (State.attrs r);
     Buffer.add_string buf "\n  depends    = [";
     List.iteri
       (fun i d ->
@@ -690,7 +693,7 @@ let test_untouched_row_keeps_its_text () =
   check bool_ "row a decodes to the same row" true
     (same_rows ~attrs:same_value (row decoded) (row reread));
   check bool_ "weight reads 1.5" true
-    (same_value (Value.Vfloat 1.5) (Smap.find "weight" (row reread).State.attrs));
+    (same_value (Value.Vfloat 1.5) (Smap.find "weight" (State.attrs (row reread))));
   check string_ "an untouched decoded state writes back as read" hand_written
     (State.to_string decoded)
 

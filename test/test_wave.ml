@@ -487,7 +487,7 @@ change "retype" {
                   dep.Shard.state <-
                     State.update_attrs dep.Shard.state r.State.addr
                       (Value.Smap.add "quarantined"
-                         (Value.Vstring "yes") r.State.attrs);
+                         (Value.Vstring "yes") (State.attrs r));
                   quarantined := true
               | None -> Alcotest.fail "no canary deployment")
           | _ -> Alcotest.fail "expected the canary alone committed")

@@ -121,7 +121,7 @@ let test_fleet_10k_plan_golden () =
             cloud_id = "cid-" ^ Addr.to_string i.Eval.addr;
             rtype = i.Eval.addr.Addr.rtype;
             region = "us-east-1";
-            attrs = i.Eval.attrs;
+            recorded = State.Recorded.of_map i.Eval.attrs;
             deps = [];
           })
       State.empty instances
