@@ -10,7 +10,15 @@
     strings, separated by [=] or [:].  Comments, newlines and blanks
     may sit between any two of these.  The reader reuses the lexer's
     scanners on the raw bytes and builds no token, position (except
-    for an error), syntax tree or evaluator scope. *)
+    for an error), syntax tree or evaluator scope.
+
+    One checker passes text laid out exactly as the writer writes it
+    ({!canonical_value}, {!check_object}), which is literal data that
+    reads without error.  An object it passes can be left unread and
+    read later, whole ({!read_object}) or one entry at a time
+    ({!read_entry}), or compared with values from its text alone
+    ({!object_holds}).  Any other text is read by the reader, which
+    reports its errors. *)
 
 module Smap = Value.Smap
 
@@ -174,12 +182,28 @@ let string_lit st =
     | _ -> syntax_error st start "string interpolation is not literal data"
   end
 
-(* A number, cursor on its first digit; [neg] when a '-' led it. *)
-let number st ~neg =
-  match L.lex_number st st.L.pos with
-  | Token.INT n -> Value.Vint (if neg then -n else n)
-  | Token.FLOAT f -> Value.Vfloat (if neg then -.f else f)
-  | _ -> assert false (* the lexer reads digits as INT or FLOAT *)
+(* A number, cursor on its first digit; [start] is the offset of the
+   '-' that led it, if one did.  The sign is read with the digits, so
+   the smallest integer, whose digits alone are past [max_int], reads
+   back. *)
+let rec number st ~start =
+  let src = st.L.src and first = st.L.pos in
+  let stop = L.number_end src first in
+  L.skip_to st stop;
+  let text = String.sub src start (stop - start) in
+  (* past the leading digits: a fraction or an exponent *)
+  if stop > L.digits_end src first then
+    match float_of_string_opt text with
+    | Some f -> Value.Vfloat f
+    | None -> invalid_number st first
+  else
+    match int_of_string_opt text with
+    | Some n -> Value.Vint n
+    | None -> invalid_number st first
+
+and invalid_number st first =
+  L.error st first
+    (Printf.sprintf "invalid number %S" (String.sub st.L.src first (st.L.pos - first)))
 
 (* The key set of an object read before: a template for later objects
    with the same keys (see [object_items]).  [keys] are [map]'s keys in
@@ -217,6 +241,10 @@ let rec holds_at src pos k i =
   i = String.length k
   || String.unsafe_get src (pos + i) = String.unsafe_get k i
      && holds_at src pos k (i + 1)
+
+(* Whether bytes [start..stop) of [src] are [w]. *)
+let is_word src start stop w =
+  stop - start = String.length w && holds_at src start w 0
 
 (* Whether the text at the cursor is the identifier [k]; if so, the
    cursor moves past it.  Nothing is allocated. *)
@@ -363,8 +391,8 @@ let rec value sh st : Value.t =
       Value.Vmap (object_items sh st)
   | '-' when L.is_digit (L.char_at st 1) ->
       L.advance st;
-      number st ~neg:true
-  | c when L.is_digit c -> number st ~neg:false
+      number st ~start
+  | c when L.is_digit c -> number st ~start
   | c when L.is_ident_start c -> (
       match L.lex_ident st with
       | "null" -> Value.Vnull
@@ -495,96 +523,10 @@ let read_value ?(shapes = shapes ()) ~file src =
   v
 
 (* ------------------------------------------------------------------ *)
-(* Checking without building                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Each function below moves the cursor as its reader above does and
-   raises the same errors at the same offsets, but builds nothing: a
-   string without escapes, a key and a [null], [true] or [false]
-   allocate nothing, a number only its digits. *)
-
-let skip_string st =
-  let src = st.L.src in
-  let stop = L.string_run_end src (st.L.pos + 1) in
-  if stop < String.length src && String.unsafe_get src stop = '"' then
-    L.skip_to st (stop + 1)
-  else ignore (string_lit st : string)
-
-let is_word src start stop w =
-  stop - start = String.length w && holds_at src start w 0
-
-let rec skip_value st =
-  let start = st.L.pos in
-  match peek st with
-  | _ when L.at_end st -> expected st "a literal value"
-  | '"' -> skip_string st
-  | '[' ->
-      L.advance st;
-      skip_list st
-  | '{' ->
-      L.advance st;
-      skip_object st ~key:ignore
-  | '-' when L.is_digit (L.char_at st 1) ->
-      L.advance st;
-      ignore (L.lex_number st st.L.pos : Token.t)
-  | c when L.is_digit c -> ignore (L.lex_number st st.L.pos : Token.t)
-  | c when L.is_ident_start c ->
-      let src = st.L.src in
-      let stop = L.ident_end src start in
-      if
-        is_word src start stop "null"
-        || is_word src start stop "true"
-        || is_word src start stop "false"
-      then L.skip_to st stop
-      else
-        let name = L.lex_ident st in
-        syntax_error st start (Printf.sprintf "%s is not literal data" name)
-  | '<' when L.char_at st 1 = '<' ->
-      syntax_error st start "a heredoc is not literal data"
-  | _ -> expected st "a literal value"
-
-and skip_list st =
-  skip_ws st;
-  if peek st = ']' then L.advance st
-  else begin
-    skip_value st;
-    skip_ws st;
-    match peek st with
-    | ',' ->
-        L.advance st;
-        skip_list st
-    | ']' -> L.advance st
-    | _ -> expected st "',' or ']'"
-  end
-
-(* The entries of an object, cursor past its opening brace; [key] is
-   called with the offset of each entry's key. *)
-and skip_object st ~key =
-  skip_ws st;
-  match peek st with
-  | '}' -> L.advance st
-  | '"' ->
-      key st.L.pos;
-      skip_string st;
-      skip_entry st ~key
-  | c when L.is_ident_start c ->
-      key st.L.pos;
-      L.skip_to st (L.ident_end st.L.src st.L.pos);
-      skip_entry st ~key
-  | _ -> expected st "an object key or '}'"
-
-(* [entry_value], then the rest of the object. *)
-and skip_entry st ~key =
-  separator st;
-  skip_value st;
-  after_value st;
-  skip_object st ~key
-
-(* ------------------------------------------------------------------ *)
 (* Objects read on demand                                              *)
 (* ------------------------------------------------------------------ *)
 
-(** An object that {!fold_blocks} checked and left unread: the offset
+(** An object that {!check_object} passed and left unread: the offset
     of its opening brace, and of each entry's key in source order.
     The functions below read it; the text is literal data, so they
     raise nothing. *)
@@ -596,25 +538,10 @@ let cursor src pos =
   st
 
 (** The object [u] of [src], read against [shapes]: the map
-    {!fold_blocks} would have built. *)
+    {!read_value} builds. *)
 let read_object ~shapes src u =
   let st = cursor src (u.brace + 1) in
   object_items shapes st
-
-(* The first offset at or after [i] that is not a blank, a newline or
-   a comment, in text that lexes. *)
-let rec blank_end src i =
-  if i >= String.length src then i
-  else
-    match String.unsafe_get src i with
-    | ' ' | '\t' | '\r' | '\n' -> blank_end src (i + 1)
-    | '#' -> blank_end src (L.line_end src i)
-    | '/' when byte src (i + 1) '/' -> blank_end src (L.line_end src i)
-    | '/' when byte src (i + 1) '*' -> blank_end src (comment_end src (i + 2))
-    | _ -> i
-
-and comment_end src i =
-  if byte src i '*' && byte src (i + 1) '/' then i + 2 else comment_end src (i + 1)
 
 (* The offset just past the key at byte [off] of [src] if the key is
    [k], else -1.  Only a quoted key with escapes allocates. *)
@@ -638,14 +565,13 @@ let key_end src off k =
   else -1
 
 (* The offset of the value of the last entry [k] among [keys] (the one
-   {!read_object} keeps) from index [i] down, or -1. *)
+   {!read_object} keeps) from index [i] down, or -1: past the key and
+   the [" = "] after it. *)
 let rec value_from src keys k i =
   if i < 0 then -1
   else
     let stop = key_end src keys.(i) k in
-    (* past the separator and the blanks around it *)
-    if stop >= 0 then blank_end src (blank_end src stop + 1)
-    else value_from src keys k (i - 1)
+    if stop >= 0 then stop + 3 else value_from src keys k (i - 1)
 
 let value_at src u k = value_from src u.keys k (Array.length u.keys - 1)
 
@@ -686,11 +612,7 @@ let entry_is_string src u k s =
   else None
 
 (** An attribute of a block: [at] is the byte offset of its name. *)
-type attr = { name : string; value : literal; at : int }
-
-(** An attribute's value: read, or an object that {!fold_blocks}
-    checked and left unread. *)
-and literal = Read of Value.t | Unread of unread
+type attr = { name : string; value : Value.t; at : int }
 
 (** A top-level block: [first] is the byte offset of its type name,
     [last] the offset just past its closing brace. *)
@@ -702,21 +624,20 @@ type block = {
   last : int;
 }
 
-(** A cursor on one text and scratch space for the keys of each object
-    it checks and leaves unread. *)
+(** Scratch space for the keys of the objects one reader checks. *)
 type checker = {
-  st : L.state;
   mutable offsets : int array;
   mutable n : int;  (** keys of the object being checked *)
+  mutable stop : int;  (** the offset just past it *)
   key : int -> unit;  (** records a key's offset *)
 }
 
-let checker ~file src =
+let checker () =
   let rec c =
     {
-      st = L.make ~file src;
       offsets = Array.make 16 0;
       n = 0;
+      stop = 0;
       key =
         (fun off ->
           if c.n = Array.length c.offsets then
@@ -727,39 +648,57 @@ let checker ~file src =
   in
   c
 
-(** The offset of the closing quote of the string literal at byte [i]
-    of [src] if it holds no escape (its contents are the bytes between
-    the quotes), else -1. *)
-let plain_string_end src i =
-  if byte src i '"' then
-    let stop = L.string_run_end src (i + 1) in
-    if byte src stop '"' then stop else -1
+(* [string_end] from byte [i], past the opening quote or an escape. *)
+let rec string_from src i =
+  let stop = L.string_run_end src i in
+  if byte src stop '"' then stop + 1
+  else if byte src stop '\\' && stop + 1 < String.length src then
+    match String.unsafe_get src (stop + 1) with
+    | 'n' | 't' | 'r' | '"' | '\\' | '$' -> string_from src (stop + 2)
+    | _ -> -1
   else -1
 
-(* The end of the value at byte [i] of [src] when it is written as
-   {!add_value} writes values, its strings holding no escape and its
-   numbers being integers of at most 18 digits, else -1.  Such text is
-   literal data, read as the reader reads it; [canonical_object] calls
-   [key] with the offset of each of its keys. *)
+(** The offset just past the string literal at byte [i] of [src] if it
+    is literal data (no interpolation, no newline, only escapes the
+    lexer reads), as {!add_string} writes strings; else -1. *)
+let string_end src i = if byte src i '"' then string_from src (i + 1) else -1
+
+(** The contents of the string literal at byte [i] of [src], which
+    {!string_end} passed and which ends just before [stop]: [like]
+    itself, not a copy, when they are [like]'s bytes. *)
+let string_at ~like src i stop =
+  let last = stop - 1 in
+  if L.string_run_end src (i + 1) < last then string_lit (cursor src i)
+  else if is_word src (i + 1) last like then like
+  else String.sub src (i + 1) (last - i - 1)
+
+(** The end of the value at byte [i] of [src] when it is written as
+    {!add_value} writes values, else -1: strings as {!string_end}
+    passes them, and numbers that read back (a float whose fraction and
+    exponent have digits, an integer of at most 18 digits or one
+    [int_of_string] reads with its sign).  Such text is literal data,
+    which the reader reads without error.  [canonical_object] calls
+    [key] with the offset of each of its keys. *)
 let rec canonical_value src i =
   if i >= String.length src then -1
   else
     match String.unsafe_get src i with
-    | '"' ->
-        let stop = plain_string_end src i in
-        if stop < 0 then -1 else stop + 1
+    | '"' -> string_end src i
     | '[' -> if byte src (i + 1) ']' then i + 2 else canonical_items src (i + 1)
     | '{' -> canonical_object src i ~key:ignore
-    | '-' -> canonical_int src (i + 1)
-    | '0' .. '9' -> canonical_int src i
+    | '-' | '0' .. '9' -> canonical_number src i
     | 'n' -> word_at src i "null" ~stop:(L.ident_end src i)
     | 't' -> word_at src i "true" ~stop:(L.ident_end src i)
     | 'f' -> word_at src i "false" ~stop:(L.ident_end src i)
     | _ -> -1
 
-and canonical_int src i =
-  let stop = L.digits_end src i in
-  if stop > i && stop - i <= 18 && not (byte src stop '.' || byte src stop 'e' || byte src stop 'E')
+and canonical_number src i =
+  let first = if byte src i '-' then i + 1 else i in
+  let digits = L.digits_end src first in
+  let stop = L.number_end src first in
+  if digits = first then -1
+  else if stop > digits then if L.is_digit (String.unsafe_get src (stop - 1)) then stop else -1
+  else if digits - first <= 18 || Option.is_some (int_of_string_opt (String.sub src i (stop - i)))
   then stop
   else -1
 
@@ -772,15 +711,13 @@ and canonical_items src i =
     if next < 0 then -1 else canonical_items src next
 
 and canonical_object src i ~key =
-  if not (byte src (i + 1) ' ') then -1
+  if not (byte src i '{' && byte src (i + 1) ' ') then -1
   else if byte src (i + 2) ' ' && byte src (i + 3) '}' then i + 4
   else canonical_entry src (i + 2) ~key
 
 and canonical_entry src i ~key =
   let key_end =
-    if byte src i '"' then
-      let stop = plain_string_end src i in
-      if stop < 0 then -1 else stop + 1
+    if byte src i '"' then string_end src i
     else if i < String.length src && L.is_ident_start (String.unsafe_get src i) then
       L.ident_end src i
     else -1
@@ -796,39 +733,24 @@ and canonical_entry src i ~key =
       if next < 0 then -1 else canonical_entry src next ~key
   end
 
-(* Check the object whose opening brace is at the checker's cursor, as
-   the reader reads it and with the same errors, and leave it unread:
-   the cursor ends past its closing brace.  An object written as
-   {!add_map} writes it is passed in one scan; any other goes through
-   [skip_object]. *)
-let check_here c =
-  let brace = c.st.L.pos in
+(** The object whose opening brace is byte [brace] of [src], left
+    unread, if it is written as {!add_map} writes it (see
+    {!canonical_value}); the offset just past it is then
+    {!checked_end}.  [None] for any other text. *)
+let check_object c src brace =
   c.n <- 0;
-  let stop = canonical_object c.st.L.src brace ~key:c.key in
-  if stop >= 0 then L.skip_to c.st stop
+  let stop = canonical_object src brace ~key:c.key in
+  if stop < 0 then None
   else begin
-    c.n <- 0;
-    L.advance c.st;
-    skip_object c.st ~key:c.key
-  end;
-  { brace; keys = Array.sub c.offsets 0 c.n }
+    c.stop <- stop;
+    Some { brace; keys = Array.sub c.offsets 0 c.n }
+  end
 
-(** Check the object whose opening brace is byte [pos] of the
-    checker's text as {!fold_blocks} does an object it leaves unread,
-    raising the same errors.  The offset just past it is then
-    {!checked_end}. *)
-let check_object c pos =
-  c.st.L.pos <- pos;
-  check_here c
-
-let checked_end c = c.st.L.pos
-
-(** The first offset at or after [i] that is not a decimal digit. *)
-let digits_end = L.digits_end
+let checked_end c = c.stop
 
 (* Attributes up to the closing brace, cursor inside the block.  Each
    ends at a newline, the closing brace or the end of input. *)
-let rec attrs ~unread ~checker sh st acc =
+let rec attrs sh st acc =
   skip_ws st;
   match peek st with
   | '}' ->
@@ -841,15 +763,11 @@ let rec attrs ~unread ~checker sh st acc =
       if at_assign st then L.advance st
       else expected st (Printf.sprintf "'=' after %s" name);
       skip_ws st;
-      let value =
-        (* the checker's cursor is the reader's *)
-        if peek st = '{' && String.equal name unread then Unread (check_here checker)
-        else Read (value sh st)
-      in
+      let value = value sh st in
       L.skip_trivia st;
       if not (L.at_end st || peek st = '\n' || peek st = '}') then
         expected st "a newline after the value";
-      attrs ~unread ~checker sh st ({ name; value; at } :: acc)
+      attrs sh st ({ name; value; at } :: acc)
   | _ -> expected st "an attribute or '}'"
 
 let rec labels st acc =
@@ -868,13 +786,9 @@ let rec labels st acc =
     [f] raises is held while the rest of the text is read, so a lexer
     error anywhere ([syntax/lex-error]) outranks text that is not
     literal data anywhere ([syntax/parse-error]), which outranks a
-    block's own error; after a held error [f] is not called again.
-    An object that is the value of an attribute named [unread] is
-    checked as the reader reads it, with the same errors, but left
-    unread ({!Unread}): {!read_object} and {!read_entry} read it. *)
-let fold_blocks ?(unread = "") ~file src f init =
-  let checker = checker ~file src in
-  let st = checker.st in
+    block's own error; after a held error [f] is not called again. *)
+let fold_blocks ~file src f init =
+  let st = L.make ~file src in
   let sh = shapes () in
   let held = ref None in
   let rec loop acc =
@@ -889,7 +803,7 @@ let fold_blocks ?(unread = "") ~file src f init =
         syntax_error st first
           (Printf.sprintf "unexpected attribute %s at top level" btype);
       let labels = labels st [] in
-      let attrs = attrs ~unread ~checker sh st [] in
+      let attrs = attrs sh st [] in
       let b = { btype; labels; attrs; first; last = st.L.pos } in
       if Option.is_some !held then loop acc
       else

@@ -38,6 +38,16 @@ let errf span fmt =
   Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.References
     ~code:"eval-error" ~span fmt
 
+(* A number the evaluator made.  A float that is not finite has no
+   literal a state could record and read back, so it is an error at
+   [span], the expression that made it. *)
+let finite span (v : Value.t) =
+  match v with
+  | Value.Vfloat f when not (Float.is_finite f) ->
+      errf span "%s is not a finite number"
+        (if Float.is_nan f then "NaN" else if f > 0. then "infinity" else "-infinity")
+  | v -> v
+
 (* A computed map or instance key, converted with [Value.to_string]:
    a value with no string form is an error at [span], the expression
    the key came from, saying what the key was for. *)
@@ -218,7 +228,7 @@ let rec eval scope (e : Ast.expr) : Value.t =
   | Ast.Null -> Value.Vnull
   | Ast.Bool b -> Value.Vbool b
   | Ast.Int n -> Value.Vint n
-  | Ast.Float f -> Value.Vfloat f
+  | Ast.Float f -> finite e.Ast.espan (Value.Vfloat f)
   | Ast.Template parts -> eval_template scope e.Ast.espan parts
   | Ast.Var name -> eval_var scope e.Ast.espan name
   | Ast.GetAttr (inner, attr) -> eval_getattr scope e.Ast.espan inner attr
@@ -503,10 +513,11 @@ and eval_call_strict scope span name args expand =
       in
       if needs_shortcircuit then Value.unknown ("fn:" ^ name)
       else
-        try Funcs.call name args with
-        | Funcs.Call_error msg -> errf span "%s" msg
-        | Cloudless_error.Error { code = "type-error"; message; _ } ->
-            errf span "in %s(): %s" name message)
+        finite span
+          (try Funcs.call name args with
+          | Funcs.Call_error msg -> errf span "%s" msg
+          | Cloudless_error.Error { code = "type-error"; message; _ } ->
+              errf span "in %s(): %s" name message))
 
 and eval_unop scope span op inner =
   let v = eval scope inner in
@@ -557,7 +568,7 @@ and apply_binop span op va vb =
     match (va, vb) with
     | Value.Vint x, Value.Vint y -> Value.Vint (fi x y)
     | (Value.Vint _ | Value.Vfloat _), (Value.Vint _ | Value.Vfloat _) ->
-        Value.Vfloat (ff (Value.to_float va) (Value.to_float vb))
+        finite span (Value.Vfloat (ff (Value.to_float va) (Value.to_float vb)))
     | _ ->
         errf span "arithmetic on %s and %s" (Value.type_name va)
           (Value.type_name vb)
@@ -582,7 +593,7 @@ and apply_binop span op va vb =
       match (va, vb) with
       | _, Value.Vint 0 -> errf span "division by zero"
       | Value.Vint x, Value.Vint y when x mod y = 0 -> Value.Vint (x / y)
-      | _ -> Value.Vfloat (Value.to_float va /. Value.to_float vb))
+      | _ -> finite span (Value.Vfloat (Value.to_float va /. Value.to_float vb)))
   | Ast.Mod -> (
       match (va, vb) with
       | _, Value.Vint 0 -> errf span "modulo by zero"

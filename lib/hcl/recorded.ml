@@ -1,10 +1,11 @@
 (** The attributes a deployment state records for one resource: a map
-    built in memory, or an object of a state text that {!Codec} checked
-    when the text was loaded and left unread.  An unread object is read
-    whole on the first {!map}, and kept; {!find} reads one entry and
-    {!holds} compares entries with values without reading the rest, or
-    anything at all when each entry is written as {!Codec.add_value}
-    writes the value it is compared with. *)
+    built in memory, or an object of a state text, written as
+    {!Codec.add_map} writes it, that {!Codec} checked when the text was
+    loaded and left unread.  An unread object is read whole on the
+    first {!map}, and kept; {!find} reads one entry and {!holds}
+    compares entries with values without reading the rest, or anything
+    at all when each entry is written as {!Codec.add_value} writes the
+    value it is compared with. *)
 
 module Smap = Value.Smap
 
@@ -21,7 +22,7 @@ and text = {
 
 let of_map m = Map m
 
-(** The object [obj] of [src], which {!Codec.fold_blocks} checked, read
+(** The object [obj] of [src], which {!Codec.check_object} passed, read
     with [shapes] on demand. *)
 let of_text ~shapes src obj = Text { src; obj; shapes; map = None; found = [] }
 

@@ -24,6 +24,8 @@ type violation = {
 type ctx = {
   instances : Eval.instance list;
   by_addr : Eval.instance Addr.Map.t;
+  by_id : (string, Eval.instance) Hashtbl.t;
+      (** the instances whose [id] is known: those of recorded rows *)
 }
 
 type rule = { id : string; doc : string; check : ctx -> violation list }
@@ -35,6 +37,15 @@ let make_ctx instances =
       List.fold_left
         (fun acc (i : Eval.instance) -> Addr.Map.add i.Eval.addr i acc)
         Addr.Map.empty instances;
+    by_id =
+      (let ids = Hashtbl.create (List.length instances) in
+       List.iter
+         (fun (i : Eval.instance) ->
+           match Smap.find_opt "id" i.Eval.attrs with
+           | Some (Value.Vstring id) -> Hashtbl.replace ids id i
+           | _ -> ())
+         instances;
+       ids);
   }
 
 let violation ~rule_id (inst : Eval.instance) fmt =
@@ -48,9 +59,11 @@ let violation ~rule_id (inst : Eval.instance) fmt =
 (* ------------------------------------------------------------------ *)
 
 (* An attribute referencing another resource appears at plan time as
-   [Vunknown "addr.id"]; resolve it back to the instance. *)
+   [Vunknown "addr.id"], or as the resource's known id once its row is
+   recorded; resolve it back to the instance. *)
 let deref ctx (v : Value.t) : Eval.instance option =
   match v with
+  | Value.Vstring id -> Hashtbl.find_opt ctx.by_id id
   | Value.Vunknown p -> (
       match String.rindex_opt p '.' with
       | None -> None

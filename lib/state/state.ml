@@ -263,9 +263,9 @@ let to_string t =
   Buffer.contents buf
 
 (* [of_string]'s general reader: any text {!Codec.fold_blocks} reads,
-   with its diagnostics.  The serial, the rows with their blocks'
-   offsets in address order, and the outputs. *)
-let general ~file src ~address ~recorded =
+   with its diagnostics, every value read.  The serial, the rows with
+   their blocks' offsets in address order, and the outputs. *)
+let general ~file src ~address =
   let locate first last = Codec.span ~file src first last in
   let block_error (b : Codec.block) fmt =
     corrupt ~span:(locate b.first b.last) fmt
@@ -280,14 +280,11 @@ let general ~file src ~address ~recorded =
   let bad (a : Codec.attr) what =
     corrupt
       ~span:(locate a.at (a.at + String.length a.name))
-      "state: %s must be %s, not %s" a.name what
-      (match a.value with
-      | Codec.Read v -> Value.type_name v
-      | Codec.Unread _ -> Value.type_name (Value.Vmap Smap.empty))
+      "state: %s must be %s, not %s" a.name what (Value.type_name a.value)
   in
   let string_field b name =
     match field b name with
-    | { value = Codec.Read (Value.Vstring s); _ } -> s
+    | { value = Value.Vstring s; _ } -> s
     | a -> bad a "a string"
   in
   let address (b : Codec.block) s =
@@ -305,12 +302,12 @@ let general ~file src ~address ~recorded =
     let region = string_field b "region" in
     let recorded =
       match field b "attributes" with
-      | { value = Codec.Unread obj; _ } -> recorded rtype obj
+      | { value = Value.Vmap m; _ } -> Recorded.of_map m
       | a -> bad a "an object"
     in
     let deps =
       match field b "depends" with
-      | { value = Codec.Read (Value.Vlist vs); _ } as a ->
+      | { value = Value.Vlist vs; _ } as a ->
           List.map
             (function
               | Value.Vstring s -> address b s
@@ -329,17 +326,13 @@ let general ~file src ~address ~recorded =
     match (b.btype, b.labels) with
     | "state", _ -> (
         match field b "serial" with
-        | { value = Codec.Read (Value.Vint n); _ } -> serial := n
+        | { value = Value.Vint n; _ } -> serial := n
         | a -> bad a "an integer")
     | "instance", [ label ] -> row b (address b label)
-    | "output", [ name ] -> (
-        match field b "value" with
-        | { value = Codec.Read v; _ } -> outputs := (name, v) :: !outputs
-        | { value = Codec.Unread _; _ } ->
-            assert false (* only [attributes] objects are left unread *))
+    | "output", [ name ] -> outputs := (name, (field b "value").value) :: !outputs
     | ty, _ -> block_error b "state: unexpected block %s" ty
   in
-  (try Codec.fold_blocks ~unread:"attributes" ~file src block ()
+  (try Codec.fold_blocks ~file src block ()
    with Cloudless_error.Error { code = "parse-error"; message; span; _ } ->
      corrupt ~span "state: %s" message);
   let rows =
@@ -358,33 +351,30 @@ let general ~file src ~address ~recorded =
   in
   (!serial, rows, List.rev !outputs)
 
-(* [of_string]'s reader for a text exactly as {!to_string} writes it
-   for a state without outputs, every string in it needing no escape
-   and its rows strictly ascending: the serial and the rows with their
-   blocks' offsets, read without the general reader's blocks,
-   attribute lists and values.  [None] at the first byte that differs
-   from that layout, and at anything the general reader rejects: the
-   general reader then reads [src] again, with its diagnostics. *)
-let canonical ~file src ~address ~recorded =
+(* [of_string]'s layout reader, for a text laid out as {!to_string}
+   writes it, rows strictly ascending: the serial, the rows with their
+   blocks' offsets and the outputs, read without the general reader's
+   blocks and attribute lists, and each row's [attributes] object
+   checked ({!Codec.check_object}) and left unread.  [None] at the
+   first byte that differs from that layout, and at anything the
+   general reader rejects: the general reader then reads [src] again,
+   with its diagnostics. *)
+let layout src ~address ~recorded =
   let n = String.length src in
   let pos = ref 0 and ok = ref true in
-  let lit s =
-    let l = String.length s in
-    if !ok && !pos + l <= n && Codec.holds_at src !pos s 0 then pos := !pos + l
-    else ok := false
-  in
+  let at s = !pos + String.length s <= n && Codec.holds_at src !pos s 0 in
+  let lit s = if !ok && at s then pos := !pos + String.length s else ok := false in
   (* a string the previous row also held is shared *)
   let str ?(like = "") () =
-    let stop = if !ok then Codec.plain_string_end src !pos else -1 in
+    let first = !pos in
+    let stop = if !ok then Codec.string_end src first else -1 in
     if stop < 0 then begin
       ok := false;
       ""
     end
     else begin
-      let first = !pos + 1 in
-      pos := stop + 1;
-      if Codec.is_word src first stop like then like
-      else String.sub src first (stop - first)
+      pos := stop;
+      Codec.string_at ~like src first stop
     end
   in
   let parse s =
@@ -394,23 +384,33 @@ let canonical ~file src ~address ~recorded =
         ok := false;
         Addr.make ~rtype:"" ~rname:"" ()
   in
+  (* a literal value, read once it is known to read *)
+  let value () =
+    let first = !pos in
+    let stop = if !ok then Codec.canonical_value src first else -1 in
+    if stop < 0 then begin
+      ok := false;
+      Value.Vnull
+    end
+    else begin
+      pos := stop;
+      Codec.read_value ~file:"" (String.sub src first (stop - first))
+    end
+  in
   lit "state {\n  serial = ";
-  let digits = if !ok then Codec.digits_end src !pos else !pos in
   let serial =
-    match int_of_string_opt (String.sub src !pos (digits - !pos)) with
-    | Some n when digits > !pos ->
-        pos := digits;
-        n
+    match value () with
+    | Value.Vint n -> n
     | _ ->
         ok := false;
         0
   in
   lit "\n}\n";
-  let checker = Codec.checker ~file src and rows = ref [] in
+  let checker = Codec.checker () and rows = ref [] in
   let rtype = ref "" and region = ref "" in
-  while !ok && !pos < n do
+  while !ok && at "\ninstance " do
+    let first = !pos + 1 in
     lit "\ninstance ";
-    let first = !pos - String.length "instance " in
     let addr = parse (str ()) in
     lit " {\n  cloud_id   = ";
     let cloud_id = str () in
@@ -419,21 +419,8 @@ let canonical ~file src ~address ~recorded =
     lit "\n  region     = ";
     region := str ~like:!region ();
     lit "\n  attributes = ";
-    let obj =
-      match
-        if !ok && Codec.byte src !pos '{' then Some (Codec.check_object checker !pos)
-        else None
-      with
-      | Some obj ->
-          pos := Codec.checked_end checker;
-          obj
-      | None ->
-          ok := false;
-          { Codec.brace = 0; keys = [||] }
-      | exception Cloudless_error.Error _ ->
-          ok := false;
-          { Codec.brace = 0; keys = [||] }
-    in
+    let obj = if !ok then Codec.check_object checker src !pos else None in
+    (match obj with Some _ -> pos := Codec.checked_end checker | None -> ok := false);
     lit "\n  depends    = [";
     let deps =
       if !ok && Codec.byte src !pos ']' then []
@@ -459,26 +446,38 @@ let canonical ~file src ~address ~recorded =
             cloud_id;
             rtype = !rtype;
             region = !region;
-            recorded = recorded !rtype obj;
+            recorded = recorded !rtype (Option.get obj);
             deps;
           },
           first,
           last )
         :: !rows
   done;
-  if !ok then Some (serial, Array.of_list (List.rev !rows)) else None
+  let outputs = ref [] in
+  while !ok && !pos < n do
+    lit "\noutput ";
+    let name = str () in
+    lit " {\n  value = ";
+    let v = value () in
+    lit "\n}\n";
+    outputs := (name, v) :: !outputs
+  done;
+  if !ok then Some (serial, Array.of_list (List.rev !rows), List.rev !outputs) else None
 
 (** Read a state written by {!to_string}.  Blocks may come in any
     order; a repeated instance keeps its last row.  The state keeps
-    [src] and each row's block in it (see {!to_string}).  Every row is
-    checked here, but its [attributes] object is left as text, read on
-    the row's first {!attrs}, {!Recorded.find} or {!Recorded.holds}
-    (which reads nothing when the text is written as the values it is
-    compared with): reading it cannot fail.  Errors are located in
-    [file]: a lexer error anywhere ([syntax/lex-error]) outranks text
-    that is not literal data anywhere, which outranks the first
-    malformed block; both of the latter are [state/corrupt-state]
-    diagnostics. *)
+    [src] and each row's block in it (see {!to_string}).  Two readers
+    share the work.  A text laid out as {!to_string} writes it is read
+    by the layout reader, which checks every row but leaves its
+    [attributes] object as text, read on the row's first {!attrs},
+    {!Recorded.find} or {!Recorded.holds} (which reads nothing when the
+    text is written as the values it is compared with): reading it
+    cannot fail.  Any other text (hand-edited, commented, reordered) is
+    read whole by the general reader.  Errors come from the general
+    reader alone and are located in [file]: a lexer error anywhere
+    ([syntax/lex-error]) outranks text that is not literal data
+    anywhere, which outranks the first malformed block; both of the
+    latter are [state/corrupt-state] diagnostics. *)
 let of_string ?(file = "<state>") src =
   (* a state names each address once per row and again per dependent,
      so each distinct string is parsed once; a row takes some 300
@@ -514,9 +513,9 @@ let of_string ?(file = "<state>") src =
   let recorded rtype obj = Recorded.of_text ~shapes:(shapes rtype) src obj in
   (* rows with their blocks' offsets, in address order *)
   let serial, rows, outputs =
-    match canonical ~file src ~address ~recorded with
-    | Some (serial, rows) -> (serial, rows, [])
-    | None -> general ~file src ~address ~recorded
+    match layout src ~address ~recorded with
+    | Some read -> read
+    | None -> general ~file src ~address
   in
   let decoded = Array.map (fun (r, _, _) -> r) rows in
   let spans = Array.make (2 * Array.length rows) 0 in

@@ -379,10 +379,47 @@ let bare_local_src =
 let indexed_local_src =
   "resource \"aws_vpc\" \"a\" { x = local[\"v\"] }\nlocals { v = 1 }\n"
 
+(* Expressions that make a float that is not finite: a literal out of
+   range, arithmetic and a function call. *)
+let non_finite_exprs =
+  [ "1e999"; "pow(10, 400)"; "1 / 0.0"; "-1 / 0.0"; "0.0 / 0.0"; "1e308 * 10" ]
+
+let non_finite_src expr =
+  Printf.sprintf "resource \"aws_vpc\" \"v\" {\n  region = \"us-east-1\"\n  tags   = { w = %s }\n}\n"
+    expr
+
 let malformed_configs =
   [ lex_src; parse_src; structure_src; eval_src; develop_src; cycle_hcl ]
   @ List.map (fun (_, _, body) -> key_src body) key_cases
   @ [ module_src; name_filter_src; bare_local_src; indexed_local_src ]
+  @ List.map non_finite_src non_finite_exprs
+
+(* No state records a number that is not finite, or reads one back:
+   validate, plan and apply each refuse such an expression with an eval
+   error located at it, and write no state. *)
+let test_cli_non_finite () =
+  List.iter
+    (fun expr ->
+      let file = temp_file (non_finite_src expr) in
+      let where =
+        Printf.sprintf "error[references/eval-error] %s:3:18-%d: " file
+          (18 + String.length expr)
+      in
+      List.iter
+        (fun (command, run) ->
+          let state_path = temp_path ".cls" in
+          let name = Printf.sprintf "%s: %s" expr command in
+          let code, text = cli (run ~state_path) in
+          check int_ (name ^ " exits 1") 1 code;
+          if not (contains ~sub:where text && contains ~sub:"is not a finite number" text)
+          then Alcotest.failf "%s: expected %S in:\n%s" name where text;
+          check bool_ (name ^ " writes no state") false (Sys.file_exists state_path))
+        [
+          ("validate", fun ~state_path io -> Cli.validate ~io ~file ~state_path ());
+          ("plan", fun ~state_path io -> Cli.plan ~io ~file ~state_path ());
+          ("apply", fun ~state_path io -> Cli.apply ~io ~file ~state_path ());
+        ])
+    non_finite_exprs
 
 (* A key computed from a value with no string form: an eval error
    located in the config file at the key's expression. *)
@@ -577,5 +614,7 @@ let suites =
           test_boundary_passthrough;
         Alcotest.test_case "every handler is total over malformed inputs"
           `Quick test_totality_table;
+        Alcotest.test_case "cli: a number that is not finite exits 1" `Quick
+          test_cli_non_finite;
       ] );
   ]

@@ -1,11 +1,13 @@
-(* State rows read on demand.  [State.of_string] checks every row and
-   leaves each row's attribute object as text; a row reads to exactly
-   the record the eager reader built, and a text that does not read
-   fails with its diagnostic.  The CLI's plan path checks instances
-   against their rows' text ([Session.expand]) and plans the same as an
-   expansion that merges every row, reading only the rows it needs;
-   its restore registers rows unread; and an apply keeps every row it
-   does not change. *)
+(* State rows read on demand.  [State.of_string] has two readers.  The
+   layout reader reads every text [State.to_string] writes and leaves
+   each row's attribute object as text, read on the row's first read;
+   any other text is read whole by the general reader.  Either way a
+   row reads to exactly the record the eager reader built, and a text
+   that does not read fails with its diagnostic.  The CLI's plan path
+   checks instances against their rows' text ([Session.expand]) and
+   plans the same as an expansion that merges every row, reading only
+   the rows it needs; its restore registers rows unread; and an apply
+   keeps every row it does not change. *)
 
 open Cloudless_hcl
 module State = Cloudless_state.State
@@ -29,8 +31,8 @@ let string_ = Alcotest.string
 
 (* [State.of_string] as it read before rows were read on demand, kept
    as the oracle: every attribute object is read with its block, by
-   [Codec.fold_blocks] without [~unread].  The serial, the rows in
-   address order and the outputs. *)
+   [Codec.fold_blocks].  The serial, the rows in address order and the
+   outputs. *)
 module Eager = struct
   type row = {
     addr : Addr.t;
@@ -44,9 +46,6 @@ module Eager = struct
   let corrupt ~span fmt =
     Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.State_io
       ~code:"corrupt-state" ~span fmt
-
-  let value (a : Codec.attr) =
-    match a.value with Codec.Read v -> v | Codec.Unread _ -> assert false
 
   let of_string ?(file = "<state>") src =
     let locate first last = Codec.span ~file src first last in
@@ -62,10 +61,10 @@ module Eager = struct
       corrupt
         ~span:(locate a.at (a.at + String.length a.name))
         "state: %s must be %s, not %s" a.name what
-        (Value.type_name (value a))
+        (Value.type_name a.value)
     in
     let string_field b name =
-      match value (field b name) with
+      match (field b name).value with
       | Value.Vstring s -> s
       | _ -> bad (field b name) "a string"
     in
@@ -80,13 +79,13 @@ module Eager = struct
       let rtype = string_field b "type" in
       let region = string_field b "region" in
       let attrs =
-        match value (field b "attributes") with
+        match (field b "attributes").value with
         | Value.Vmap m -> m
         | _ -> bad (field b "attributes") "an object"
       in
       let deps =
         let a = field b "depends" in
-        match value a with
+        match a.value with
         | Value.Vlist vs ->
             List.map
               (function
@@ -100,11 +99,11 @@ module Eager = struct
     let block () (b : Codec.block) =
       match (b.btype, b.labels) with
       | "state", _ -> (
-          match value (field b "serial") with
+          match (field b "serial").value with
           | Value.Vint n -> serial := n
           | _ -> bad (field b "serial") "an integer")
       | "instance", [ label ] -> row b (address b label)
-      | "output", [ name ] -> outputs := (name, value (field b "value")) :: !outputs
+      | "output", [ name ] -> outputs := (name, (field b "value").value) :: !outputs
       | ty, _ -> block_error b "state: unexpected block %s" ty
     in
     (try Codec.fold_blocks ~file src block ()
@@ -132,8 +131,10 @@ let same_value = Test_state.same_value
 (* A lazily read state against the eager reader's result, from [text]
    read afresh for each question asked of a row: its attributes one by
    one ([Recorded.find], [Recorded.holds] of each binding, of a binding
-   it does not hold and of a key it lacks), then whole. *)
-let reads_as_eager text (serial, rows, outputs) =
+   it does not hold and of a key it lacks), then whole.  A text
+   [State.to_string] [written] is read by the layout reader, which
+   leaves every row unread until its first read. *)
+let reads_as_eager ~written text (serial, rows, outputs) =
   let fresh () = State.resources (State.of_string text) in
   let state = State.of_string text in
   if State.serial state <> serial then Alcotest.fail "serial differs";
@@ -175,16 +176,40 @@ let reads_as_eager text (serial, rows, outputs) =
       if Recorded.holds (row ()) (Smap.singleton missing Value.Vnull) then
         Alcotest.failf "row %s: holds a missing key" (Addr.to_string e.addr);
       let r = List.nth lazy_rows i in
-      if Recorded.read r.recorded then
+      if written && Recorded.read r.recorded then
         Alcotest.failf "row %s: read before its first read" (Addr.to_string e.addr);
       if not (same_value (Value.Vmap (State.attrs r)) (Value.Vmap e.attrs)) then
         Alcotest.failf "row %s: attributes differ" (Addr.to_string e.addr))
     rows;
   true
 
+(* The lazy reader against the eager one on [text]: both fail with one
+   diagnostic, or the lazy state reads as the eager one. *)
+let agrees ~written text =
+  match (outcome (fun () -> Eager.of_string text), outcome (fun () -> State.of_string text)) with
+  | Error d, Error d' -> d = d'
+  | Ok eager, Ok _ -> reads_as_eager ~written text eager
+  | Ok _, Error d ->
+      QCheck.Test.fail_reportf "only the lazy reader fails: %s"
+        (Cloudless_error.Diagnostic.to_string d)
+  | Error d, Ok _ ->
+      QCheck.Test.fail_reportf "only the eager reader fails: %s"
+        (Cloudless_error.Diagnostic.to_string d)
+
+(* [Test_state.state_gen]'s states hold addresses with quotes and
+   control bytes, strings that need escapes, floats, integers of up to
+   19 digits and outputs: every text [State.to_string] writes for them
+   is the layout reader's. *)
+let prop_written_reads_lazily =
+  QCheck.Test.make ~count:1000
+    ~name:"every written state is read by the layout reader, as the eager reader reads it"
+    (QCheck.make Test_state.state_gen ~print:State.to_string)
+    (fun s -> agrees ~written:true (State.to_string s))
+
 (* Texts to read: a state as [State.to_string] writes it, or as a
    person might (comments, other spacing, shuffled and repeated
-   blocks), with up to three bytes replaced, inserted or deleted. *)
+   blocks), with up to three bytes replaced, inserted or deleted; and
+   whether [State.to_string] wrote the text as it is. *)
 let text_gen =
   QCheck.Gen.(
     map3
@@ -194,7 +219,7 @@ let text_gen =
           | Some seed -> Test_state.noisy_state_text seed s
           | None -> State.to_string s
         in
-        List.fold_left Test_state.apply_edit text edits)
+        (List.fold_left Test_state.apply_edit text edits, noisy = None && edits = []))
       Test_state.state_gen
       (opt ~ratio:0.3 int)
       (frequency
@@ -206,17 +231,47 @@ let text_gen =
 let prop_reads_as_eager =
   QCheck.Test.make ~count:1000
     ~name:"a lazily read state is the eager reader's, or its diagnostic"
-    (QCheck.make text_gen ~print:Fun.id)
-    (fun text ->
-      match (outcome (fun () -> Eager.of_string text), outcome (fun () -> State.of_string text)) with
-      | Error d, Error d' -> d = d'
-      | Ok eager, Ok _ -> reads_as_eager text eager
-      | Ok _, Error d ->
-          QCheck.Test.fail_reportf "only the lazy reader fails: %s"
-            (Cloudless_error.Diagnostic.to_string d)
-      | Error d, Ok _ ->
-          QCheck.Test.fail_reportf "only the eager reader fails: %s"
-            (Cloudless_error.Diagnostic.to_string d))
+    (QCheck.make text_gen ~print:fst)
+    (fun (text, written) -> agrees ~written text)
+
+(* One row of each kind of text the layout reader reads, and an output:
+   what a [for_each] instance's address, escaped strings, floats and the
+   integers at either end of the range look like in a state. *)
+let test_layout_reads_every_written_text () =
+  let attrs =
+    Value.of_assoc
+      [
+        ("id", Value.Vstring "vpc-1");
+        ("note", Value.Vstring "a \"quoted\" \\ ${x}\n\tline");
+        ("ratio", Value.Vfloat 0.1);
+        ("big", Value.Vfloat 1e300);
+        ("tiny", Value.Vfloat (-5e-324));
+        ("min", Value.Vint min_int);
+        ("max", Value.Vint max_int);
+        ("odd key", Value.Vlist [ Value.Vint (-1); Value.Vfloat (-2.5) ]);
+      ]
+  in
+  let row key =
+    {
+      State.addr = Addr.make ~key:(Addr.Kstr key) ~rtype:"aws_vpc" ~rname:"v" ();
+      cloud_id = "vpc-\"1\"";
+      rtype = "aws_vpc";
+      region = "us-east-1";
+      recorded = Recorded.of_map (Value.to_map attrs);
+      deps = [ Addr.make ~key:(Addr.Kstr "a\"b") ~rtype:"aws_vpc" ~rname:"w" () ];
+    }
+  in
+  let state =
+    State.with_serial
+      (State.set_outputs
+         (List.fold_left State.add State.empty [ row "a"; row "b\\c" ])
+         [ ("out", attrs); ("n", Value.Vint min_int) ])
+      (-3)
+  in
+  let text = State.to_string state in
+  check bool_ "the layout reader's rows, as the eager reader reads them" true
+    (agrees ~written:true text);
+  check string_ "written back byte for byte" text (State.to_string (State.of_string text))
 
 (* ------------------------------------------------------------------ *)
 (* The CLI's rows                                                      *)
@@ -281,6 +336,31 @@ let test_plan_reads_the_rows_it_needs () =
     rows;
   let whole = List.filter (fun (r : State.resource_state) -> Recorded.decoded r.recorded) rows in
   check int_ "only the edited block's rows are read whole" 6 (List.length whole)
+
+(* A [for_each] block's rows, whose addresses hold quotes, are the
+   layout reader's: after an apply, every row of the loaded state is
+   unread. *)
+let test_for_each_rows_load_unread () =
+  in_temp_dir @@ fun tf state_path ->
+  Io_util.write_file tf
+    "resource \"aws_vpc\" \"v\" {\n\
+    \  for_each   = { a = \"10.0.0.0/16\", b = \"10.1.0.0/16\" }\n\
+    \  cidr_block = each.value\n\
+    \  region     = \"us-east-1\"\n\
+     }\n\
+     resource \"aws_subnet\" \"s\" {\n\
+    \  for_each   = aws_vpc.v\n\
+    \  vpc_id     = each.value.id\n\
+    \  cidr_block = cidrsubnet(each.value.cidr_block, 8, 1)\n\
+    \  region     = \"us-east-1\"\n\
+     }\n";
+  check int_ "apply exits 0" 0 (Cli.apply ~io:quiet ~file:tf ~state_path ());
+  let rows = State.resources (Session.load_state state_path) in
+  check int_ "four rows" 4 (List.length rows);
+  List.iter
+    (fun (r : State.resource_state) ->
+      check bool_ (Addr.to_string r.addr ^ " is unread") false (Recorded.read r.recorded))
+    rows
 
 (* The restore registers each row with the cloud unread; the cloud
    reads a resource's attributes on its first read, and they are the
@@ -588,7 +668,11 @@ let suites =
   [
     ( "state.lazy",
       [
+        QCheck_alcotest.to_alcotest prop_written_reads_lazily;
         QCheck_alcotest.to_alcotest prop_reads_as_eager;
+        Alcotest.test_case "the layout reader reads every written text" `Quick
+          test_layout_reads_every_written_text;
+        Alcotest.test_case "for_each rows load unread" `Quick test_for_each_rows_load_unread;
         Alcotest.test_case "plan reads the rows it needs" `Slow
           test_plan_reads_the_rows_it_needs;
         Alcotest.test_case "restore reads no row" `Quick test_restore_reads_no_row;

@@ -106,6 +106,29 @@ resource "aws_virtual_machine" "vm" {
   in
   check bool_ "no violation" false (List.mem "vm-nic-same-region" (rule_ids good))
 
+(* A recorded NIC's id is known, so a reference to it is the id, not an
+   unknown: the rule reads the NIC's row through it, and fires with the
+   state as it does without it. *)
+let test_rule_vm_nic_region_with_state () =
+  let module Cli = Cloudless.Cli in
+  let dir = Filename.temp_dir "cloudless_rules" "" in
+  let file = Filename.concat dir "main.tf" and state_path = Filename.concat dir "state.cls" in
+  let nic = "resource \"aws_network_interface\" \"nic\" {\n  name   = \"n\"\n  region = \"us-east-1\"\n}\n" in
+  let vm =
+    "resource \"aws_virtual_machine\" \"vm\" {\n  name    = \"v\"\n  nic_ids = [aws_network_interface.nic.id]\n  region  = \"us-west-2\"\n}\n"
+  in
+  let io out = { Cli.out = Buffer.add_string out; err = Buffer.add_string out } in
+  Cloudless.Io_util.write_file file nic;
+  check int_ "the NIC applies" 0 (Cli.apply ~io:(io (Buffer.create 64)) ~file ~state_path ());
+  Cloudless.Io_util.write_file file (nic ^ vm);
+  List.iter
+    (fun (name, state_path) ->
+      let out = Buffer.create 256 in
+      check int_ (name ^ ": validate exits 1") 1 (Cli.validate ~io:(io out) ~file ~state_path ());
+      check bool_ (name ^ ": vm-nic-same-region") true
+        (Test_errors.contains ~sub:"error[cloud-rules/vm-nic-same-region]" (Buffer.contents out)))
+    [ ("with the state", state_path); ("without it", Filename.concat dir "none.cls") ]
+
 let test_rule_password_flag () =
   let bad =
     expand_src
@@ -367,6 +390,8 @@ let suites =
     ( "schema.rules",
       [
         Alcotest.test_case "vm/nic region" `Quick test_rule_vm_nic_region;
+        Alcotest.test_case "vm/nic region against a state" `Quick
+          test_rule_vm_nic_region_with_state;
         Alcotest.test_case "password flag" `Quick test_rule_password_flag;
         Alcotest.test_case "peering overlap" `Quick test_rule_peering_overlap;
         Alcotest.test_case "subnet containment" `Quick test_rule_subnet_containment;

@@ -829,6 +829,31 @@ let test_float_to_string_shortest () =
       (5e-324, "4.94065645841247e-324");
     ]
 
+(* Every number the codec writes reads back: the integers at either
+   end of the range, the smallest one's digits alone being past
+   [max_int], and every finite float (one with an integral value under
+   1e15 reads back as the integer [Value.equal] to it). *)
+let prop_numbers_read_back =
+  QCheck.Test.make ~count:1000 ~name:"every written number reads back"
+    (QCheck.make
+       QCheck.Gen.(
+         frequency
+           [
+             (1, oneofl [ Value.Vint min_int; Value.Vint max_int; Value.Vint (min_int + 1) ]);
+             (1, map (fun n -> Value.Vint n) int);
+             (3, map (fun f -> Value.Vfloat f) float_gen);
+           ])
+       ~print:(fun v ->
+         let buf = Buffer.create 32 in
+         Codec.add_value buf v;
+         Buffer.contents buf))
+    (fun v ->
+      let buf = Buffer.create 32 in
+      Codec.add_value buf v;
+      let back = Codec.read_value ~file:"<number>" (Buffer.contents buf) in
+      Value.equal back v
+      && match (v, back) with Value.Vint n, Value.Vint m -> n = m | Value.Vint _, _ -> false | _ -> true)
+
 (* Non-integral floats used to print with six significant digits, so a
    config holding one planned a change forever and [fmt] rounded it. *)
 let float_config =
@@ -925,6 +950,7 @@ let suites =
           test_untouched_row_keeps_its_text;
         QCheck_alcotest.to_alcotest prop_object_reader_is_the_add_fold;
         Alcotest.test_case "floats print in full" `Quick test_float_to_string_shortest;
+        QCheck_alcotest.to_alcotest prop_numbers_read_back;
         Alcotest.test_case "cli: a float config plans no change" `Quick
           test_cli_float_apply_then_plan;
       ] );
