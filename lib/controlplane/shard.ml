@@ -16,7 +16,9 @@
     as a {!host} record, so a shard never reaches outside its own
     tenant subset.  All metrics flow through a {!Metrics.scope} labeled
     ["shard<i>"]: each signal is recorded under its bare name and again
-    as ["name.shard<i>"].
+    as ["name.shard<i>"].  Each is named once, as a {!Metrics.handle},
+    on the shard's first write, and a tenant's own series on its
+    deployment's first, so a write builds no name and hashes none.
 
     Admission backpressure (§3.6): when [max_queue_depth] is positive
     and the shard's queue (heap + lock waiters) is at or above the
@@ -110,6 +112,16 @@ let defer_delay = 5.
    diffed against. *)
 type plan_memo = { msrc : string; mstate : State.t; mgraph : Plan.change Dag.t }
 
+(* A tenant's own metrics, named once per deployment, on its first
+   write: ["api_calls.<tenant>"], ["request_latency.<tenant>"] and
+   ["requests_parked.<tenant>"].  A fleet registers thousands of
+   deployments in its setup, most of which never park. *)
+type tenant_meters = {
+  calls : Metrics.handle;
+  latency : Metrics.handle;
+  parked : Metrics.handle;
+}
+
 type deployment = {
   tenant : string;
   dname : string;
@@ -128,6 +140,7 @@ type deployment = {
   journal : Journal.t;  (** one write-ahead journal across all applies *)
   mutable memo : plan_memo option;
       (** the last request plan, kept while that request is parked *)
+  mutable tenant_meters : tenant_meters option;
 }
 
 type work =
@@ -157,6 +170,85 @@ type work =
    the timer at the end of the cell's cooldown is armed. *)
 type waiters = { units : work Queue.t; mutable armed : bool }
 
+(* The shard's metrics, each named once, on the shard's first write (a
+   fleet creates its shards in its setup): a write records under the
+   bare name and as ["name.shard<i>"]. *)
+type meters = {
+  api_calls : Metrics.handle;
+  api_reads : Metrics.handle;
+  api_writes : Metrics.handle;
+  queue_depth : Metrics.handle;
+  parked_work : Metrics.handle;
+  drift_events : Metrics.handle;
+  drift_detection_latency : Metrics.handle;
+  scan_reads : Metrics.handle;
+  scans_shed : Metrics.handle;
+  request_queue_wait : Metrics.handle;
+  requests : Metrics.handle;
+  requests_deferred : Metrics.handle;
+  requests_rejected : Metrics.handle;
+  requests_done : Metrics.handle;
+  request_latency : Metrics.handle;
+  requests_parked : Metrics.handle;
+  reconciles : Metrics.handle;
+  reconcile_latency : Metrics.handle;
+  reconciles_parked : Metrics.handle;
+  rollbacks : Metrics.handle;
+  rollbacks_done : Metrics.handle;
+  rollback_latency : Metrics.handle;
+  rollbacks_parked : Metrics.handle;
+  work_failures : Metrics.handle;
+  breaker_opened : Metrics.handle;
+  breaker_half_open : Metrics.handle;
+  breaker_closed : Metrics.handle;
+  breaker_open_cells : Metrics.handle;
+  breaker_fast_fails : Metrics.handle;
+  breaker_violations : Metrics.handle;
+  degraded_entries : Metrics.handle;
+  degraded_time : Metrics.handle;
+  lock_grants : Metrics.handle;
+  lock_waits : Metrics.handle;
+}
+
+let make_meters scope =
+  let h = Metrics.scope_handle scope in
+  {
+    api_calls = h "api_calls";
+    api_reads = h "api_reads";
+    api_writes = h "api_writes";
+    queue_depth = h "queue_depth";
+    parked_work = h "parked_work";
+    drift_events = h "drift_events";
+    drift_detection_latency = h "drift_detection_latency";
+    scan_reads = h "scan_reads";
+    scans_shed = h "scans_shed";
+    request_queue_wait = h "request_queue_wait";
+    requests = h "requests";
+    requests_deferred = h "requests_deferred";
+    requests_rejected = h "requests_rejected";
+    requests_done = h "requests_done";
+    request_latency = h "request_latency";
+    requests_parked = h "requests_parked";
+    reconciles = h "reconciles";
+    reconcile_latency = h "reconcile_latency";
+    reconciles_parked = h "reconciles_parked";
+    rollbacks = h "rollbacks";
+    rollbacks_done = h "rollbacks_done";
+    rollback_latency = h "rollback_latency";
+    rollbacks_parked = h "rollbacks_parked";
+    work_failures = h "work_failures";
+    breaker_opened = h "breaker_opened";
+    breaker_half_open = h "breaker_half_open";
+    breaker_closed = h "breaker_closed";
+    breaker_open_cells = h "breaker_open_cells";
+    breaker_fast_fails = h "breaker_fast_fails";
+    breaker_violations = h "breaker_violations";
+    degraded_entries = h "degraded_entries";
+    degraded_time = h "degraded_time";
+    lock_grants = h "lock_grants";
+    lock_waits = h "lock_waits";
+  }
+
 type host = {
   gate : unit -> unit;
       (** journaled-write crash gate, shared across the whole service *)
@@ -173,7 +265,8 @@ type t = {
   host : host;
   lock : Lock_manager.t;
   queue : (int, work) Pq.t;  (** prio = work class; FIFO within class *)
-  scope : Metrics.scope;
+  registry : Metrics.t;  (** the fleet's, behind the shard's scope *)
+  meters : meters Lazy.t;
   trace : Trace.t;
   mutable deployments : deployment list;  (** registration order *)
   mutable next_work : int;
@@ -201,7 +294,7 @@ let lock t = t.lock
 let breaker t = t.breaker
 let parked_work t =
   Hashtbl.fold (fun _ w n -> n + Queue.length w.units) t.waiting 0
-let metrics t = Metrics.scope_metrics t.scope
+let meters t = Lazy.force t.meters
 let deployments t = List.rev t.deployments
 let completed_requests t = List.rev t.completed
 let drift_detections t = List.rev t.detections
@@ -224,7 +317,19 @@ let make_deployment ~tenant ~dname ~src =
     persisted = State.empty;
     journal = Journal.create ();
     memo = None;
+    tenant_meters = None;
   }
+
+let tenant_meters t dep =
+  match dep.tenant_meters with
+  | Some m -> m
+  | None ->
+      let h = Metrics.handle t.registry ~label:dep.tenant in
+      let m =
+        { calls = h "api_calls"; latency = h "request_latency"; parked = h "requests_parked" }
+      in
+      dep.tenant_meters <- Some m;
+      m
 
 let add_deployment t ~tenant ~dname ~src =
   let dep = make_deployment ~tenant ~dname ~src in
@@ -299,10 +404,9 @@ let expand ~state src =
     .Hcl.Eval.instances
 
 let count_api t dep ~read n =
-  Metrics.scope_inc t.scope ~by:n "api_calls";
-  Metrics.inc (metrics t) ~by:n ("api_calls." ^ dep.tenant);
-  if read then Metrics.scope_inc t.scope ~by:n "api_reads"
-  else Metrics.scope_inc t.scope ~by:n "api_writes"
+  Metrics.Handle.inc (meters t).api_calls n;
+  Metrics.Handle.inc (tenant_meters t dep).calls n;
+  Metrics.Handle.inc (if read then (meters t).api_reads else (meters t).api_writes) n
 
 (* Every unit of work walks its plan through the one plan walker with
    the shard's inputs: a FIFO walk, the deployment's journal, the
@@ -380,13 +484,13 @@ type granted = {
    detection-latency sample. *)
 let record_drift t (events : Drift.event list) =
   if events <> [] then
-    Metrics.scope_inc t.scope ~by:(List.length events) "drift_events";
+    Metrics.Handle.inc (meters t).drift_events (List.length events);
   List.iter
     (fun (e : Drift.event) ->
       t.detections <- (e.Drift.cloud_id, e.Drift.detected_at) :: t.detections;
       match e.Drift.occurred_at with
       | Some at ->
-          Metrics.scope_observe t.scope "drift_detection_latency"
+          Metrics.Handle.observe (meters t).drift_detection_latency
             (e.Drift.detected_at -. at)
       | None -> ())
     events
@@ -455,7 +559,7 @@ let read t u k =
           let events = r.Drift.Scanner.events in
           u.reads <- r.Drift.Scanner.api_reads;
           u.drift <- List.length events;
-          Metrics.scope_inc t.scope ~by:u.reads "scan_reads";
+          Metrics.Handle.inc (meters t).scan_reads u.reads;
           record_drift t events;
           k (fold_drift dep.state events))
         ()
@@ -520,14 +624,14 @@ let rec drain t =
     let depth = queue_depth t in
     if depth <> t.depth_written then begin
       t.depth_written <- depth;
-      Metrics.scope_set t.scope "queue_depth" (float_of_int depth)
+      Metrics.Handle.set (meters t).queue_depth (float_of_int depth)
     end;
-    match Pq.pop t.queue with
-    | None -> ()
-    | Some (_, wid, work) ->
-        admit t wid work;
-        drain t
+    if not (Pq.is_empty t.queue) then begin
+      let wid = Pq.top_key t.queue in
+      admit t wid (Pq.take t.queue);
+      drain t
     end
+  end
 
 (* Hand one unit of work to the lock manager; the grant runs it.
    Conflicting work queues FIFO inside the manager, which is exactly
@@ -539,7 +643,7 @@ and admit t wid work =
       (* degraded mode sheds baseline sweeps: the sweep would burn
          O(state) management reads only to fast-fail its repair;
          the next armed sweep runs once the breaker closes *)
-      Metrics.scope_inc t.scope "scans_shed";
+      Metrics.Handle.inc (meters t).scans_shed 1;
       pending_decr t dep.tenant
   | _ ->
       let owner = Printf.sprintf "%s#%d" dep.engine wid in
@@ -577,7 +681,7 @@ and run t u =
   try
     (match u.work with
     | Request { src; submitted; _ } ->
-        Metrics.scope_observe t.scope "request_queue_wait"
+        Metrics.Handle.observe (meters t).request_queue_wait
           (Cloud.now t.cloud -. submitted);
         u.dep.config_src <- src
     | Rollback_op { restore_src = Some src; _ } -> u.dep.config_src <- src
@@ -605,20 +709,18 @@ and plan_and_walk t u state0 =
 and complete t u ~started o =
   let now = Cloud.now t.cloud in
   let repaired ~since =
-    Metrics.scope_inc t.scope "reconciles";
-    Metrics.scope_observe t.scope "reconcile_latency" (now -. since)
+    Metrics.Handle.inc (meters t).reconciles 1;
+    Metrics.Handle.observe (meters t).reconcile_latency (now -. since)
   in
   (match u.work with
   | Request { rid; submitted; _ } ->
-      Metrics.scope_inc t.scope "requests_done";
-      Metrics.scope_observe t.scope "request_latency" (now -. submitted);
-      Metrics.observe (metrics t)
-        ("request_latency." ^ u.dep.tenant)
-        (now -. submitted);
+      Metrics.Handle.inc (meters t).requests_done 1;
+      Metrics.Handle.observe (meters t).request_latency (now -. submitted);
+      Metrics.Handle.observe (tenant_meters t u.dep).latency (now -. submitted);
       t.completed <- (rid, now) :: t.completed
   | Rollback_op { submitted; notify; _ } ->
-      Metrics.scope_inc t.scope "rollbacks_done";
-      Metrics.scope_observe t.scope "rollback_latency" (now -. submitted);
+      Metrics.Handle.inc (meters t).rollbacks_done 1;
+      Metrics.Handle.observe (meters t).rollback_latency (now -. submitted);
       notify now
   | Reconcile { detected; _ } -> repaired ~since:detected
   | Scan_sweep _ -> if Option.is_some o then repaired ~since:started);
@@ -649,7 +751,7 @@ and finish t u ?error (o : Walker.outcome option) =
     | Some o -> Walker.(List.length o.applied, List.length o.failed, o.writes)
     | None -> (0, 0, 0)
   in
-  if failed > 0 || error <> None then Metrics.scope_inc t.scope "work_failures";
+  if failed > 0 || error <> None then Metrics.Handle.inc (meters t).work_failures 1;
   dep.persisted <- dep.state;
   dep.memo <- None;
   pending_decr t dep.tenant;
@@ -690,17 +792,17 @@ and park_work t u ((kind, rtype) as cell) =
   let dep = u.dep in
   (match u.work with
   | Request _ ->
-      Metrics.scope_inc t.scope "requests_parked";
-      Metrics.inc (metrics t) ("requests_parked." ^ dep.tenant)
-  | Rollback_op _ -> Metrics.scope_inc t.scope "rollbacks_parked"
+      Metrics.Handle.inc (meters t).requests_parked 1;
+      Metrics.Handle.inc (tenant_meters t dep).parked 1
+  | Rollback_op _ -> Metrics.Handle.inc (meters t).rollbacks_parked 1
   | Reconcile _ | Scan_sweep _ ->
-      Metrics.scope_inc t.scope "reconciles_parked");
+      Metrics.Handle.inc (meters t).reconciles_parked 1);
   dep.persisted <- dep.state;
   Lock_manager.release t.lock ~owner:u.owner;
   let w = waiters t cell in
   (* the wait list keeps the payload alive, not the granted record *)
   Queue.add u.work w.units;
-  Metrics.scope_set t.scope "parked_work" (float_of_int (parked_work t));
+  Metrics.Handle.set (meters t).parked_work (float_of_int (parked_work t));
   (match t.breaker with
   | Some b -> (
       match Breaker.state b ~kind ~rtype with
@@ -714,7 +816,7 @@ and park_work t u ((kind, rtype) as cell) =
    [dep.config_src], so a parked request converges to the latest
    revision, never a stale one. *)
 and readmit t work =
-  Metrics.scope_set t.scope "parked_work" (float_of_int (parked_work t));
+  Metrics.Handle.set (meters t).parked_work (float_of_int (parked_work t));
   push t
     (match work with
     | Request r -> Request { r with src = r.dep.config_src }
@@ -774,20 +876,20 @@ and cooldown_over t b ((kind, rtype) as cell) w =
    it trips again. *)
 let on_breaker_transition t ~kind ~rtype ~after ~now =
   (match after with
-  | Breaker.Open -> Metrics.scope_inc t.scope "breaker_opened"
-  | Breaker.Half_open -> Metrics.scope_inc t.scope "breaker_half_open"
-  | Breaker.Closed -> Metrics.scope_inc t.scope "breaker_closed");
+  | Breaker.Open -> Metrics.Handle.inc (meters t).breaker_opened 1
+  | Breaker.Half_open -> Metrics.Handle.inc (meters t).breaker_half_open 1
+  | Breaker.Closed -> Metrics.Handle.inc (meters t).breaker_closed 1);
   match t.breaker with
   | None -> ()
   | Some b -> (
       let cells = Breaker.open_cells b in
-      Metrics.scope_set t.scope "breaker_open_cells" (float_of_int cells);
+      Metrics.Handle.set (meters t).breaker_open_cells (float_of_int cells);
       (match (t.degraded_since, cells) with
       | None, n when n > 0 ->
           t.degraded_since <- Some now;
-          Metrics.scope_inc t.scope "degraded_entries"
+          Metrics.Handle.inc (meters t).degraded_entries 1
       | Some s, 0 ->
-          Metrics.scope_observe t.scope "degraded_time" (now -. s);
+          Metrics.Handle.observe (meters t).degraded_time (now -. s);
           t.degraded_since <- None
       | _ -> ());
       match (Hashtbl.find_opt t.waiting (kind, rtype), after) with
@@ -808,7 +910,8 @@ let create ~sid ~cloud ~config ~scope ~trace ~host () =
           | Baseline -> Lock_manager.Global
           | Fleet -> Lock_manager.Per_resource);
       queue = Pq.create Pq.Min_first;
-      scope;
+      registry = Metrics.scope_metrics scope;
+      meters = lazy (make_meters scope);
       trace;
       deployments = [];
       next_work = 0;
@@ -866,7 +969,7 @@ let over_bound t =
 let submit_request t dep ~src =
   let submitted = Cloud.now t.cloud in
   if over_bound t && t.config.admission = Reject then begin
-    Metrics.scope_inc t.scope "requests_rejected";
+    Metrics.Handle.inc (meters t).requests_rejected 1;
     `Rejected
   end
   else begin
@@ -874,12 +977,12 @@ let submit_request t dep ~src =
     t.next_rid <- rid + 1;
     let rec attempt () =
       if over_bound t then begin
-        Metrics.scope_inc t.scope "requests_deferred";
+        Metrics.Handle.inc (meters t).requests_deferred 1;
         Cloud.schedule t.cloud ~delay:defer_delay (fun () ->
             if t.host.alive () then attempt ())
       end
       else begin
-        Metrics.scope_inc t.scope "requests";
+        Metrics.Handle.inc (meters t).requests 1;
         enqueue t (Request { dep; rid; src; submitted })
       end
     in
@@ -894,7 +997,7 @@ let submit_request t dep ~src =
     fires with the completion instant. *)
 let submit_rollback t dep ~label ~plan_of ?restore_src ~notify () =
   let submitted = Cloud.now t.cloud in
-  Metrics.scope_inc t.scope "rollbacks";
+  Metrics.Handle.inc (meters t).rollbacks 1;
   enqueue t (Rollback_op { dep; label; plan_of; restore_src; submitted; notify })
 
 (* ------------------------------------------------------------------ *)
@@ -924,21 +1027,21 @@ let arm_timers t ~until =
     it to the total over its shards. *)
 let finish_stats t =
   let grants, waits = Lock_manager.stats t.lock in
-  Metrics.scope_set t.scope "lock_grants" (float_of_int grants);
-  Metrics.scope_set t.scope "lock_waits" (float_of_int waits);
+  Metrics.Handle.set (meters t).lock_grants (float_of_int grants);
+  Metrics.Handle.set (meters t).lock_waits (float_of_int waits);
   match t.breaker with
   | None -> ()
   | Some b ->
-      Metrics.scope_set t.scope "breaker_fast_fails"
+      Metrics.Handle.set (meters t).breaker_fast_fails
         (float_of_int (Breaker.rejections b));
-      Metrics.scope_set t.scope "breaker_violations"
+      Metrics.Handle.set (meters t).breaker_violations
         (float_of_int (Breaker.violations b));
-      Metrics.scope_set t.scope "breaker_open_cells"
+      Metrics.Handle.set (meters t).breaker_open_cells
         (float_of_int (Breaker.open_cells b));
       (* close a still-open degraded window at end of run *)
       (match t.degraded_since with
       | Some s ->
-          Metrics.scope_observe t.scope "degraded_time"
+          Metrics.Handle.observe (meters t).degraded_time
             (Cloud.now t.cloud -. s);
           t.degraded_since <- None
       | None -> ())

@@ -72,6 +72,11 @@ val fleet_service : service_config
     of the state it was planned against. *)
 type plan_memo
 
+(** A tenant's metric handles (its [api_calls], [request_latency] and
+    [requests_parked] series), named once per deployment, on its first
+    write. *)
+type tenant_meters
+
 type deployment = {
   tenant : string;
   dname : string;
@@ -91,6 +96,7 @@ type deployment = {
   mutable memo : plan_memo option;
       (** the last request plan, kept while that request is parked and
           dropped when a unit of work finishes or fails *)
+  mutable tenant_meters : tenant_meters option;
 }
 
 (** Host inputs: the seam between a shard and whoever runs it. *)

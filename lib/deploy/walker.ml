@@ -255,7 +255,7 @@ let ready_set sched policy priority =
   | Sched_heap, Critical_path ->
       let q : (int, int) Pq.t = Pq.create Pq.Max_first in
       ( (fun id -> Pq.push q ~prio:(priority id) ~key:id id),
-        (fun () -> Option.map (fun (_, _, id) -> id) (Pq.pop q)),
+        (fun () -> if Pq.is_empty q then None else Some (Pq.take q)),
         (fun () -> Pq.is_empty q),
         fun () -> Pq.peak_length q )
   | Sched_list, _ ->

@@ -185,7 +185,8 @@ let string_lit st =
 (* A number, cursor on its first digit; [start] is the offset of the
    '-' that led it, if one did.  The sign is read with the digits, so
    the smallest integer, whose digits alone are past [max_int], reads
-   back. *)
+   back.  A float out of range, such as [1e999], is refused: it would
+   read as an infinity, which is not literal data. *)
 let rec number st ~start =
   let src = st.L.src and first = st.L.pos in
   let stop = L.number_end src first in
@@ -194,7 +195,8 @@ let rec number st ~start =
   (* past the leading digits: a fraction or an exponent *)
   if stop > L.digits_end src first then
     match float_of_string_opt text with
-    | Some f -> Value.Vfloat f
+    | Some f when Float.is_finite f -> Value.Vfloat f
+    | Some _ -> L.error st start (Printf.sprintf "number %s is out of range" text)
     | None -> invalid_number st first
   else
     match int_of_string_opt text with
@@ -674,9 +676,9 @@ let string_at ~like src i stop =
 
 (** The end of the value at byte [i] of [src] when it is written as
     {!add_value} writes values, else -1: strings as {!string_end}
-    passes them, and numbers that read back (a float whose fraction and
-    exponent have digits, an integer of at most 18 digits or one
-    [int_of_string] reads with its sign).  Such text is literal data,
+    passes them, and numbers that read back (a finite float whose
+    fraction and exponent have digits, an integer of at most 18 digits
+    or one [int_of_string] reads with its sign).  Such text is literal data,
     which the reader reads without error.  [canonical_object] calls
     [key] with the offset of each of its keys. *)
 let rec canonical_value src i =
@@ -697,7 +699,14 @@ and canonical_number src i =
   let digits = L.digits_end src first in
   let stop = L.number_end src first in
   if digits = first then -1
-  else if stop > digits then if L.is_digit (String.unsafe_get src (stop - 1)) then stop else -1
+  else if stop > digits then
+    if
+      L.is_digit (String.unsafe_get src (stop - 1))
+      && (match float_of_string_opt (String.sub src i (stop - i)) with
+         | Some f -> Float.is_finite f
+         | None -> false)
+    then stop
+    else -1
   else if digits - first <= 18 || Option.is_some (int_of_string_opt (String.sub src i (stop - i)))
   then stop
   else -1

@@ -7,9 +7,10 @@
      emit metrics and labels in a canonical (sorted) order with exact
      float round-trip ([Trace.float_lit]).
 
-   - Cheap hot path: [inc]/[observe] on the service event loop are a
-     hashtable probe plus an array write; percentile sorting happens
-     only at snapshot time. *)
+   - Cheap hot path: a write through a handle on the service event
+     loop is an array or field write, and a by-name write adds one
+     hashtable probe; percentile sorting happens only at snapshot
+     time. *)
 
 type hist = {
   mutable samples : float array;
@@ -36,28 +37,32 @@ let mismatch name m want =
     (Invalid_argument
        (Printf.sprintf "Metrics: %s is a %s, not a %s" name (kind_name m) want))
 
-let inc t ?(by = 1) name =
-  match Hashtbl.find_opt t.table name with
-  | None -> Hashtbl.replace t.table name (Counter { count = by })
-  | Some (Counter c) -> c.count <- c.count + by
-  | Some m -> mismatch name m "counter"
+(* First writes create a metric holding the written value; later ones
+   update it.  The by-name writers and the handles share both halves,
+   so a metric reads the same whichever wrote it. *)
+let fresh_counter by = Counter { count = by }
 
-let set t name v =
-  match Hashtbl.find_opt t.table name with
-  | None -> Hashtbl.replace t.table name (Gauge { last = v; max = v; set = true })
-  | Some (Gauge g) ->
+let bump name m by =
+  match m with Counter c -> c.count <- c.count + by | m -> mismatch name m "counter"
+
+let fresh_gauge v = Gauge { last = v; max = v; set = true }
+
+let put name m v =
+  match m with
+  | Gauge g ->
       g.last <- v;
       if (not g.set) || v > g.max then g.max <- v;
       g.set <- true
-  | Some m -> mismatch name m "gauge"
+  | m -> mismatch name m "gauge"
 
-let observe t name v =
-  match Hashtbl.find_opt t.table name with
-  | None ->
-      let h = { samples = Array.make 16 0.; len = 1; sum = v } in
-      h.samples.(0) <- v;
-      Hashtbl.replace t.table name (Histogram h)
-  | Some (Histogram h) ->
+let fresh_histogram v =
+  let h = { samples = Array.make 16 0.; len = 1; sum = v } in
+  h.samples.(0) <- v;
+  Histogram h
+
+let sample name m v =
+  match m with
+  | Histogram h ->
       if h.len = Array.length h.samples then begin
         let bigger = Array.make (2 * h.len) 0. in
         Array.blit h.samples 0 bigger 0 h.len;
@@ -66,7 +71,22 @@ let observe t name v =
       h.samples.(h.len) <- v;
       h.len <- h.len + 1;
       h.sum <- h.sum +. v
-  | Some m -> mismatch name m "histogram"
+  | m -> mismatch name m "histogram"
+
+let inc t ?(by = 1) name =
+  match Hashtbl.find_opt t.table name with
+  | None -> Hashtbl.replace t.table name (fresh_counter by)
+  | Some m -> bump name m by
+
+let set t name v =
+  match Hashtbl.find_opt t.table name with
+  | None -> Hashtbl.replace t.table name (fresh_gauge v)
+  | Some m -> put name m v
+
+let observe t name v =
+  match Hashtbl.find_opt t.table name with
+  | None -> Hashtbl.replace t.table name (fresh_histogram v)
+  | Some m -> sample name m v
 
 let counter t name =
   match Hashtbl.find_opt t.table name with
@@ -104,30 +124,66 @@ let names t =
 (* Label scopes                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A scope is a recording handle that writes each signal twice: once
-   under the bare name (the fleet-wide series) and once under
-   "name.<label>" (the per-shard breakdown).  An unlabeled scope writes
-   the bare name only. *)
+(* A scope labels the handles made through it: each writes its signal
+   twice, once under the bare name (the fleet-wide series) and once
+   under "name.<label>" (the per-shard breakdown).  An unlabeled
+   scope's handles write the bare name only. *)
 type scope = { st : t; label : string option }
 
 let scoped t label = { st = t; label }
 
-let labelled s name =
-  match s.label with None -> None | Some l -> Some (name ^ "." ^ l)
-
-let scope_inc s ?(by = 1) name =
-  inc s.st ~by name;
-  match labelled s name with None -> () | Some n -> inc s.st ~by n
-
-let scope_set s name v =
-  set s.st name v;
-  match labelled s name with None -> () | Some n -> set s.st n v
-
-let scope_observe s name v =
-  observe s.st name v;
-  match labelled s name with None -> () | Some n -> observe s.st n v
-
 let scope_metrics s = s.st
+
+(* ------------------------------------------------------------------ *)
+(* Handles                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A handle names its metric once.  Its first write finds the metric
+   in the registry, or creates it as a by-name write would, and keeps
+   it; later writes go to the kept metric.  A scoped handle carries
+   its labelled twin. *)
+type handle = {
+  reg : t;
+  hname : string;
+  mutable metric : metric option;
+  twin : handle option;
+}
+
+let handle t ?label name =
+  let hname = match label with None -> name | Some l -> name ^ "." ^ l in
+  { reg = t; hname; metric = None; twin = None }
+
+let scope_handle s name =
+  { (handle s.st name) with twin = Option.map (fun label -> handle s.st ~label name) s.label }
+
+(* The handle's metric, when the registry has one by its name. *)
+let bound h =
+  match h.metric with
+  | Some _ as m -> m
+  | None ->
+      let m = Hashtbl.find_opt h.reg.table h.hname in
+      h.metric <- m;
+      m
+
+let bind h m =
+  Hashtbl.replace h.reg.table h.hname m;
+  h.metric <- Some m
+
+module Handle = struct
+  let rec inc h by =
+    (match bound h with Some m -> bump h.hname m by | None -> bind h (fresh_counter by));
+    match h.twin with Some tw -> inc tw by | None -> ()
+
+  let rec set h v =
+    (match bound h with Some m -> put h.hname m v | None -> bind h (fresh_gauge v));
+    match h.twin with Some tw -> set tw v | None -> ()
+
+  let rec observe h v =
+    (match bound h with
+    | Some m -> sample h.hname m v
+    | None -> bind h (fresh_histogram v));
+    match h.twin with Some tw -> observe tw v | None -> ()
+end
 
 (* ------------------------------------------------------------------ *)
 (* JSON snapshot                                                       *)

@@ -9,6 +9,9 @@
     - {b histograms} ({!observe}): raw sample sets with nearest-rank
       percentiles computed at read time.
 
+    A writer on a hot path names each metric once, as a {!handle}, and
+    writes through it without building or hashing the name again.
+
     Metrics are created on first touch; touching a name with the wrong
     kind raises [Invalid_argument] (a programming error, not an
     operational condition).  Per-tenant/per-deployment breakdowns are
@@ -47,20 +50,46 @@ val percentile : t -> string -> float -> float option
 (** All metric names, sorted. *)
 val names : t -> string list
 
-(** A labeled recording handle.  Writing through a scope built with
-    [scoped t (Some "shard0")] records each signal twice: under the
-    bare name (the fleet-wide series) and under ["name.shard0"] (the
-    per-shard breakdown).  An unlabeled scope ([scoped t None])
-    records the bare name only. *)
+(** A label for handles.  A write through a {!scope_handle} of a scope
+    built with [scoped t (Some "shard0")] records the signal twice:
+    under the bare name (the fleet-wide series) and under
+    ["name.shard0"] (the per-shard breakdown).  An unlabeled scope
+    ([scoped t None]) records the bare name only. *)
 type scope
 
 val scoped : t -> string option -> scope
-val scope_inc : scope -> ?by:int -> string -> unit
-val scope_set : scope -> string -> float -> unit
-val scope_observe : scope -> string -> float -> unit
 
 (** The registry behind the scope. *)
 val scope_metrics : scope -> t
+
+(** A metric named once, for a writer on a hot path.  The first write
+    through a handle finds its metric in the registry, or creates it
+    just as the by-name write would; later writes go straight to that
+    metric, with no name built and no lookup.  So a handle made and
+    never written adds nothing to a snapshot, and a metric reads the
+    same whichever way it was written.  Writing a handle with the
+    wrong kind raises [Invalid_argument], as a by-name write does. *)
+type handle
+
+(** The handle of metric [name] in the registry, or with [label] of
+    ["name.<label>"] (a per-tenant series such as
+    ["api_calls.tenant3"]). *)
+val handle : t -> ?label:string -> string -> handle
+
+(** The handle of [name] through a scope: a write records under the
+    bare name and, for a labelled scope, under ["name.<label>"]. *)
+val scope_handle : scope -> string -> handle
+
+module Handle : sig
+  (** {!inc} through a handle. *)
+  val inc : handle -> int -> unit
+
+  (** {!set} through a handle. *)
+  val set : handle -> float -> unit
+
+  (** {!observe} through a handle. *)
+  val observe : handle -> float -> unit
+end
 
 (** The canonical snapshot: one JSON object, names sorted, counters as
     [{type,count}], gauges as [{type,last,max}], histograms as

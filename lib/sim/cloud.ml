@@ -253,12 +253,14 @@ let schedule_at t ~time f =
 (** Advance to the next event and run it.  Returns [false] when the
     queue is empty. *)
 let step t =
-  match Event_queue.pop t.events with
-  | None -> false
-  | Some (time, f) ->
-      t.clock <- Float.max t.clock time;
-      f ();
-      true
+  if Event_queue.is_empty t.events then false
+  else begin
+    let time = Event_queue.next_time t.events in
+    let f = Event_queue.take t.events in
+    t.clock <- Float.max t.clock time;
+    f ();
+    true
+  end
 
 let run_until_idle t =
   while step t do
@@ -388,15 +390,28 @@ let arn r =
   Bytes.blit_string r.cloud_id 0 b (10 + lr + lt) li;
   Bytes.unsafe_to_string b
 
-(* Computed attributes the cloud adds to every resource. *)
+(* Computed attributes the cloud adds to every resource.  A map that
+   already holds them, as an updated resource's does, is returned
+   itself. *)
 let computed_attrs t r =
-  attrs r
-  |> Smap.add "id" (Value.Vstring r.cloud_id)
-  |> Smap.add "arn" (Value.Vstring (arn r))
-  |> Smap.add "region" (Value.Vstring r.region)
-  |> fun attrs ->
   ignore t;
-  attrs
+  let m = attrs r in
+  let holds key ok =
+    match Smap.find key m with
+    | Value.Vstring s -> ok s
+    | _ -> false
+    | exception Not_found -> false
+  in
+  if
+    holds "id" (String.equal r.cloud_id)
+    && holds "region" (String.equal r.region)
+    && holds "arn" (String.equal (arn r))
+  then m
+  else
+    m
+    |> Smap.add "id" (Value.Vstring r.cloud_id)
+    |> Smap.add "arn" (Value.Vstring (arn r))
+    |> Smap.add "region" (Value.Vstring r.region)
 
 let sample_duration t rtype kind = Service_model.sample t.prng rtype kind
 

@@ -14,8 +14,8 @@ let length = Pqueue.length
 (** Schedule [payload] at absolute [time]. *)
 let push t ~time payload = Pqueue.push t ~prio:time ~key:() payload
 
-(** Remove and return the earliest event. *)
-let pop t =
-  match Pqueue.pop t with
-  | None -> None
-  | Some (time, (), payload) -> Some (time, payload)
+(** Time of the earliest event; the queue must not be empty. *)
+let next_time = Pqueue.top_prio
+
+(** Remove the earliest event and return its payload. *)
+let take = Pqueue.take

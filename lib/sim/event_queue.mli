@@ -12,5 +12,10 @@ val length : 'a t -> int
 (** Schedule a payload at an absolute time. *)
 val push : 'a t -> time:float -> 'a -> unit
 
-(** Remove and return the earliest event. *)
-val pop : 'a t -> (float * 'a) option
+(** Time of the earliest event.  Raises [Invalid_argument] when the
+    queue is empty. *)
+val next_time : 'a t -> float
+
+(** Remove the earliest event and return its payload, allocating
+    nothing.  Raises [Invalid_argument] when the queue is empty. *)
+val take : 'a t -> 'a

@@ -1,7 +1,8 @@
 (** Generic keyed priority queue (binary heap).
 
-    Shared by the simulator's {!Event_queue} (min-heap on time) and the
-    plan walker's ready set (max-heap on critical-path priority).
+    Shared by the simulator's {!Event_queue} (min-heap on time), the
+    plan walker's ready set (max-heap on critical-path priority) and
+    the control-plane shard's work queue (min-heap on work class).
 
     Entries carry a float priority and a monotonically increasing
     insertion sequence number; the {!order} chosen at creation fixes
@@ -14,11 +15,15 @@
       (LIFO) — the order the executor's historical list scan produced
       for critical-path scheduling.
 
-    Push and pop are O(log n) amortized.  Storage is
-    structure-of-arrays (priorities in an unboxed [float array]),
-    growing by doubling with fresh slots seeded from the entry being
-    pushed — no [Obj.magic] placeholder slots, and a push allocates
-    nothing beyond amortized growth. *)
+    Push and pop are O(log n) amortized.  The heap itself is three
+    arrays of unboxed priorities, insertion numbers and slots; keys and
+    payloads sit in a slab at their slot from push to pop, so a sift
+    moves a hole through the heap arrays and never the entries.  The
+    arrays grow by doubling with fresh slab cells seeded from the entry
+    being pushed, so no placeholder value is ever stored.
+    {!top_key} and {!take} read and remove the first entry without
+    allocating, and a push allocates only when the arrays grow; the
+    float {!top_prio} returns is boxed unless the call is inlined. *)
 
 type order = Min_first | Max_first
 
@@ -35,8 +40,17 @@ val is_empty : ('k, 'a) t -> bool
 val peak_length : ('k, 'a) t -> int
 
 (** Insert [payload] under [key] with priority [prio].  Keys need not
-    be unique; {!pop} hands each entry's key back with it. *)
+    be unique; {!top_key} hands each entry's key back. *)
 val push : ('k, 'a) t -> prio:float -> key:'k -> 'a -> unit
 
-(** Remove and return the entry that orders first. *)
-val pop : ('k, 'a) t -> (float * 'k * 'a) option
+(** Priority of the entry that orders first.  Raises
+    [Invalid_argument] on an empty queue. *)
+val top_prio : ('k, 'a) t -> float
+
+(** Key of the entry that orders first.  Raises [Invalid_argument] on
+    an empty queue. *)
+val top_key : ('k, 'a) t -> 'k
+
+(** Remove the entry that orders first and return its payload.  Raises
+    [Invalid_argument] on an empty queue. *)
+val take : ('k, 'a) t -> 'a

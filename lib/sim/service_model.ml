@@ -101,14 +101,19 @@ let table : (string * profile) list =
 
 let default_profile = profile ~create:10. ()
 
-let find rtype =
-  match List.assoc_opt rtype table with
-  | Some p -> p
-  | None -> default_profile
+(* The table indexed once.  [List.assoc_opt] takes the first entry of
+   a type, so a later duplicate does not replace it. *)
+let by_rtype =
+  let h = Hashtbl.create (2 * List.length table) in
+  List.iter (fun (rtype, p) -> if not (Hashtbl.mem h rtype) then Hashtbl.add h rtype p) table;
+  h
 
-let mean_duration rtype kind =
-  let p = find rtype in
-  match kind with
+let find rtype =
+  match Hashtbl.find by_rtype rtype with
+  | p -> p
+  | exception Not_found -> default_profile
+
+let mean p = function
   | Op_create -> p.create_mean
   | Op_update -> p.update_mean
   | Op_delete -> p.delete_mean
@@ -117,10 +122,9 @@ let mean_duration rtype kind =
 (** Sampled duration with deterministic jitter from [prng]. *)
 let sample prng rtype kind =
   let p = find rtype in
-  let mean = mean_duration rtype kind in
   let j = Prng.float_range prng (1. -. p.jitter) (1. +. p.jitter) in
-  Float.max 0.05 (mean *. j)
+  Float.max 0.05 (mean p kind *. j)
 
 (** Expected (mean) duration — used by the critical-path planner, which
     must not consume randomness. *)
-let expected rtype kind = mean_duration rtype kind
+let expected rtype kind = mean (find rtype) kind

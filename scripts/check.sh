@@ -349,6 +349,20 @@ if (( acquire_count > 1 || exec_count > 0 || printexc_count > 0 )); then
   exit 1
 fi
 
+# -- metric names resolved once --------------------------------------
+# A shard writes its metrics through handles, each named once: the
+# shard's own (Metrics.scope_handle) and a tenant's (Metrics.handle
+# ~label) on the first write of the shard and the deployment.  A name
+# built with ^ in the shard is built and hashed again on every write,
+# and for api_calls.<tenant> that is every API call.  grep exits 1
+# when nothing matches, so the count tolerates it.
+name_builds=$({ grep -cF ' ^ ' "$shard" || true; })
+if (( name_builds > 0 )); then
+  echo "check.sh: ${name_builds} metric name(s) built with ^ in $shard — name the metric once, as a Metrics handle of the shard or the deployment:" >&2
+  grep -nF ' ^ ' "$shard" >&2 || true
+  exit 1
+fi
+
 # -- parked work waits on its cell -----------------------------------
 # A unit parked behind an open breaker cell waits on that cell's wait
 # list and wakes on the cell's cooldown timer or its close.  Timing a

@@ -144,6 +144,26 @@ let test_journal_corrupt_middle_line () =
       check string_ "file" "j.journal" d.Diagnostic.span.Loc.file;
       check int_ "line" 2 (Loc.line d.Diagnostic.span)
 
+(* A number out of range is refused where it stands: [1e999] in a
+   middle line fails at that line, where it would otherwise replay as
+   an infinity. *)
+let test_journal_out_of_range_number () =
+  let text = Journal.to_string sample_entries in
+  let rec find i = if String.sub text i 4 = "4.25" then i else find (i + 1) in
+  let at = find 0 in
+  let line = List.length (String.split_on_char '\n' (String.sub text 0 at)) in
+  List.iter
+    (fun literal ->
+      let edited = String.sub text 0 at ^ literal ^ String.sub text (at + 4) (String.length text - at - 4) in
+      match Journal.of_string ~file:"j.journal" edited with
+      | _ -> Alcotest.fail (literal ^ " was read")
+      | exception Cloudless_error.Error d ->
+          check string_ "file" "j.journal" d.Diagnostic.span.Loc.file;
+          check int_ "line" line (Loc.line d.Diagnostic.span);
+          check bool_ "says out of range" true
+            (Test_fixtures.contains_substring ~sub:"out of range" d.Diagnostic.message))
+    [ "1e999"; "-1e999" ]
+
 let test_journal_file_load () =
   let path = temp_path ".journal" in
   let j = Journal.create ~path () in
@@ -903,5 +923,7 @@ let suites =
           `Quick test_cli_state_cycle;
         Alcotest.test_case "cli: independent stacks share one cloud" `Quick
           test_cli_apply_one_cloud;
+        Alcotest.test_case "journal: an out-of-range number fails" `Quick
+          test_journal_out_of_range_number;
       ] );
   ]

@@ -538,17 +538,29 @@ let test_baseline_service_throttles () =
 (* Labeled metric scopes                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A scoped handle writes the bare name and the labelled one; a
+   handle made but never written adds no metric, and one whose metric
+   another writer created first writes that metric. *)
 let test_metric_scopes () =
   let m = Metrics.create () in
-  let s0 = Metrics.scoped m (Some "shard0") in
-  let s1 = Metrics.scoped m (Some "shard1") in
-  Metrics.scope_inc s0 "api_calls";
-  Metrics.scope_inc s0 "api_calls";
-  Metrics.scope_inc s1 "api_calls";
+  let h0 = Metrics.scope_handle (Metrics.scoped m (Some "shard0")) "api_calls" in
+  let h1 = Metrics.scope_handle (Metrics.scoped m (Some "shard1")) "api_calls" in
+  let unused = Metrics.scope_handle (Metrics.scoped m (Some "shard1")) "requests" in
+  ignore unused;
+  Metrics.Handle.inc h0 1;
+  Metrics.Handle.inc h0 1;
+  Metrics.Handle.inc h1 1;
   check int_ "base counter aggregates every scope" 3
     (Metrics.counter m "api_calls");
   check int_ "shard0 label isolated" 2 (Metrics.counter m "api_calls.shard0");
-  check int_ "shard1 label isolated" 1 (Metrics.counter m "api_calls.shard1")
+  check int_ "shard1 label isolated" 1 (Metrics.counter m "api_calls.shard1");
+  check (Alcotest.list Alcotest.string) "an unwritten handle adds nothing"
+    [ "api_calls"; "api_calls.shard0"; "api_calls.shard1" ]
+    (Metrics.names m);
+  Metrics.inc m "api_calls.tenant0";
+  Metrics.Handle.inc (Metrics.handle m ~label:"tenant0" "api_calls") 2;
+  check int_ "a handle finds the metric by its name" 3
+    (Metrics.counter m "api_calls.tenant0")
 
 (* ------------------------------------------------------------------ *)
 (* State digest golden                                                 *)

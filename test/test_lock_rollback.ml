@@ -90,6 +90,134 @@ let test_try_acquire () =
   (* reentrant for the same owner *)
   check bool_ "reentrant" true (Lock_manager.try_acquire lm ~owner:"t1" ~keys:[ addr "a" ])
 
+(* A request on a free key is granted at once, and is no wait, even
+   while another key has a waiter. *)
+let test_free_key_is_no_wait () =
+  let lm = Lock_manager.create Lock_manager.Per_resource in
+  let granted = ref [] in
+  let acquire owner k =
+    Lock_manager.acquire lm ~owner ~keys:[ addr k ] (fun () -> granted := owner :: !granted)
+  in
+  acquire "t1" "a";
+  acquire "t2" "a";
+  acquire "t3" "b";
+  check (Alcotest.list Alcotest.string) "t3 granted at once" [ "t3"; "t1" ] !granted;
+  check (Alcotest.pair int_ int_) "two grants, one wait" (2, 1) (Lock_manager.stats lm);
+  check int_ "t2 still queued" 1 (Lock_manager.queue_length lm)
+
+(* Random lock traces against [Lock_reference], the whole-queue scan
+   the per-key wait lists replaced.  Owners repeat (re-entrant
+   requests), key sets have several keys or none, and a grant callback
+   may acquire, release its own or another owner's keys, try a lock or
+   raise (as a crash gate does), nested two deep.  Both managers must
+   grant the same requests in the same order and agree on every try,
+   count, queue length and holder list after every step. *)
+module type LOCKS = sig
+  type t
+
+  val create : Lock_manager.granularity -> t
+  val acquire : t -> owner:string -> keys:Addr.t list -> (unit -> unit) -> unit
+  val release : t -> owner:string -> unit
+  val try_acquire : t -> owner:string -> keys:Addr.t list -> bool
+  val holders : t -> (Addr.t * string) list
+  val queue_length : t -> int
+  val stats : t -> int * int
+end
+
+type lock_op =
+  | Acquire of { label : int; owner : int; keys : int list; on_grant : lock_op list }
+  | Release of int
+  | Release_self  (** in a grant callback: the granted owner's keys *)
+  | Try of { owner : int; keys : int list }
+  | Raise  (** in a grant callback: raise [Exit] *)
+
+let lock_owner o = Printf.sprintf "o%d" o
+let lock_key k = addr (String.make 1 (Char.chr (Char.code 'a' + k)))
+
+let rec show_lock_op = function
+  | Acquire { label; owner; keys; on_grant } ->
+      Printf.sprintf "acq#%d(o%d,[%s]){%s}" label owner
+        (String.concat "," (List.map string_of_int keys))
+        (String.concat "; " (List.map show_lock_op on_grant))
+  | Release o -> Printf.sprintf "rel(o%d)" o
+  | Release_self -> "rel(self)"
+  | Try { owner; keys } ->
+      Printf.sprintf "try(o%d,[%s])" owner (String.concat "," (List.map string_of_int keys))
+  | Raise -> "raise"
+
+let gen_lock_trace =
+  let open QCheck.Gen in
+  let owner = int_range 0 4 and keys = list_size (int_range 0 3) (int_range 0 3) in
+  let rec op depth =
+    frequency
+      [
+        ( 5,
+          map3
+            (fun owner keys on_grant -> Acquire { label = 0; owner; keys; on_grant })
+            owner keys
+            (if depth = 0 then return [] else list_size (int_range 0 2) (op (depth - 1))) );
+        (3, map (fun o -> Release o) owner);
+        ((if depth < 2 then 3 else 0), return Release_self);
+        (1, map2 (fun owner keys -> Try { owner; keys }) owner keys);
+        ((if depth < 2 then 1 else 0), return Raise);
+      ]
+  in
+  (* number the acquires in tree order: a grant's label names it *)
+  let rec number n = function
+    | Acquire a ->
+        let next, on_grant = List.fold_left_map number (n + 1) a.on_grant in
+        (next, Acquire { a with label = n; on_grant })
+    | op -> (n, op)
+  in
+  map2
+    (fun global ops -> (global, snd (List.fold_left_map number 0 ops)))
+    bool
+    (list_size (int_range 1 25) (op 2))
+
+let run_lock_trace (module L : LOCKS) (global, ops) =
+  let lm = L.create (if global then Lock_manager.Global else Lock_manager.Per_resource) in
+  let log = Buffer.create 512 in
+  let snapshot () =
+    let g, w = L.stats lm in
+    Printf.bprintf log "[g%d w%d q%d %s] " g w (L.queue_length lm)
+      (String.concat ","
+         (List.map (fun (k, o) -> Addr.to_string k ^ "=" ^ o) (L.holders lm)))
+  in
+  let rec exec ~self op =
+    (match op with
+    | Acquire { label; owner; keys; on_grant } ->
+        L.acquire lm ~owner:(lock_owner owner) ~keys:(List.map lock_key keys) (fun () ->
+            Printf.bprintf log "grant#%d " label;
+            List.iter (exec ~self:owner) on_grant)
+    | Release o -> L.release lm ~owner:(lock_owner o)
+    | Release_self -> L.release lm ~owner:(lock_owner self)
+    | Try { owner; keys } ->
+        Printf.bprintf log "try:%b "
+          (L.try_acquire lm ~owner:(lock_owner owner) ~keys:(List.map lock_key keys))
+    | Raise -> raise Exit);
+    snapshot ()
+  in
+  let exec ~self op = try exec ~self op with Exit -> Printf.bprintf log "raised " in
+  List.iter (exec ~self:0) ops;
+  (* release every owner until the queue drains *)
+  for _ = 1 to 6 do
+    for o = 0 to 4 do
+      exec ~self:0 (Release o)
+    done
+  done;
+  Buffer.contents log
+
+let prop_lock_matches_reference =
+  QCheck.Test.make ~count:1500 ~name:"lock manager grants as the queue scan does"
+    (QCheck.make gen_lock_trace ~print:(fun (global, ops) ->
+         Printf.sprintf "%s: %s"
+           (if global then "Global" else "Per_resource")
+           (String.concat "; " (List.map show_lock_op ops))))
+    (fun trace ->
+      let got = run_lock_trace (module Lock_manager) trace
+      and want = run_lock_trace (module Lock_reference) trace in
+      got = want || QCheck.Test.fail_reportf "manager:\n%s\nreference:\n%s" got want)
+
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -385,6 +513,8 @@ let suites =
         Alcotest.test_case "no HOL blocking" `Quick test_lock_no_holb_for_disjoint_waiters;
         Alcotest.test_case "multi-key atomic" `Quick test_lock_multi_key_atomic;
         Alcotest.test_case "try_acquire" `Quick test_try_acquire;
+        Alcotest.test_case "a free key is no wait" `Quick test_free_key_is_no_wait;
+        QCheck_alcotest.to_alcotest prop_lock_matches_reference;
       ] );
     ( "lock.txn",
       [

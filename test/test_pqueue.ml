@@ -7,9 +7,16 @@ module Pq = Cloudless_sim.Pqueue
 let check = Alcotest.check
 let int_ = Alcotest.int
 
+(* The first entry with its priority and key, taken off the queue. *)
+let pop q =
+  if Pq.is_empty q then None
+  else
+    let prio = Pq.top_prio q and key = Pq.top_key q in
+    Some (prio, key, Pq.take q)
+
 let drain q =
   let rec go acc =
-    match Pq.pop q with
+    match pop q with
     | None -> List.rev acc
     | Some (prio, key, payload) -> go ((prio, key, payload) :: acc)
   in
@@ -56,31 +63,48 @@ let test_ties_lifo () =
 let test_peak_length () =
   let q = Pq.create Pq.Min_first in
   List.iter (fun i -> Pq.push q ~prio:(float_of_int i) ~key:i i) [ 0; 1; 2 ];
-  ignore (Pq.pop q);
-  ignore (Pq.pop q);
+  ignore (pop q);
+  ignore (pop q);
   List.iter (fun i -> Pq.push q ~prio:(float_of_int i) ~key:i i) [ 3; 4 ];
   check int_ "peak is high-water mark" 3 (Pq.peak_length q);
   check int_ "current length" 3 (Pq.length q)
 
 (* Interleave pushes and pops against a naive sorted-list model.
    Keys are unique (the insertion sequence number), mirroring how the
-   executor's ready set uses the queue. *)
-let prop_model =
+   executor's ready set uses the queue.  Runs of pushes outnumber the
+   pops, so a trace grows the heap from empty past several doublings
+   (16, 32, 64, 128) while it pops; every pop checks the first entry's
+   priority and key before taking it. *)
+let prop_model order name =
   let op =
-    QCheck.(oneof [ map (fun p -> `Push p) (float_range 0. 50.); always `Pop ])
+    QCheck.(
+      frequency
+        [
+          (3, map (fun p -> `Push p) (float_range 0. 50.));
+          (1, map (fun p -> `Push (float_of_int p)) (int_range 0 4));
+          (2, always `Pop);
+        ])
   in
-  QCheck.Test.make ~count:300 ~name:"matches a sorted-list model"
-    (QCheck.list op)
+  QCheck.Test.make ~count:300 ~name
+    QCheck.(list_of_size Gen.(int_range 0 600) op)
     (fun ops ->
-      let q = Pq.create Pq.Min_first in
+      let q = Pq.create order in
       (* model: list of (prio, key) of live entries; key = seq, unique *)
       let model = ref [] in
       let seq = ref 0 in
-      let model_sorted () =
-        List.sort
-          (fun (pa, ka) (pb, kb) ->
-            if pa <> pb then compare pa pb else compare ka kb)
-          !model
+      let first () =
+        List.fold_left
+          (fun best (p, k) ->
+            match best with
+            | None -> Some (p, k)
+            | Some (bp, bk) ->
+                let earlier =
+                  match order with
+                  | Pq.Min_first -> p < bp || (p = bp && k < bk)
+                  | Pq.Max_first -> p > bp || (p = bp && k > bk)
+                in
+                if earlier then Some (p, k) else best)
+          None !model
       in
       List.for_all
         (fun op ->
@@ -91,12 +115,14 @@ let prop_model =
               incr seq;
               Pq.length q = List.length !model
           | `Pop -> (
-              match (Pq.pop q, model_sorted ()) with
-              | None, [] -> true
-              | Some (p, k, _), (mp, mk) :: rest ->
-                  model := rest;
-                  p = mp && k = mk
-              | _ -> false))
+              match first () with
+              | None -> Pq.is_empty q && pop q = None
+              | Some (mp, mk) ->
+                  model := List.filter (fun (_, k) -> k <> mk) !model;
+                  Pq.top_prio q = mp
+                  && Pq.top_key q = mk
+                  && Pq.take q = mk
+                  && Pq.length q = List.length !model))
         ops)
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -110,6 +136,7 @@ let suites =
         Alcotest.test_case "min ties are FIFO" `Quick test_ties_fifo;
         Alcotest.test_case "max ties are LIFO" `Quick test_ties_lifo;
         Alcotest.test_case "peak length" `Quick test_peak_length;
-        qtest prop_model;
+        qtest (prop_model Pq.Min_first "matches a sorted-list model");
+        qtest (prop_model Pq.Max_first "Max_first matches a sorted-list model");
       ] );
   ]

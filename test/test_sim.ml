@@ -51,12 +51,19 @@ let prop_exponential_positive =
 (* Event queue                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The earliest event with its time, taken as [Cloud.step] takes it. *)
+let pop q =
+  if Event_queue.is_empty q then None
+  else
+    let time = Event_queue.next_time q in
+    Some (time, Event_queue.take q)
+
 let test_event_queue_order () =
   let q = Event_queue.create () in
   Event_queue.push q ~time:3. "c";
   Event_queue.push q ~time:1. "a";
   Event_queue.push q ~time:2. "b";
-  let pop () = Option.map snd (Event_queue.pop q) in
+  let pop () = Option.map snd (pop q) in
   let p1 = pop () in
   let p2 = pop () in
   let p3 = pop () in
@@ -70,7 +77,7 @@ let test_event_queue_fifo_ties () =
   Event_queue.push q ~time:1. "first";
   Event_queue.push q ~time:1. "second";
   Event_queue.push q ~time:1. "third";
-  let order = List.init 3 (fun _ -> Option.get (Event_queue.pop q) |> snd) in
+  let order = List.init 3 (fun _ -> Option.get (pop q) |> snd) in
   check (Alcotest.list string_) "insertion order on ties"
     [ "first"; "second"; "third" ] order
 
@@ -81,7 +88,7 @@ let prop_event_queue_sorted =
       let q = Event_queue.create () in
       List.iter (fun t -> Event_queue.push q ~time:t ()) times;
       let rec drain last =
-        match Event_queue.pop q with
+        match pop q with
         | None -> true
         | Some (t, ()) -> t >= last && drain t
       in
@@ -339,6 +346,41 @@ let test_log_subscribe_fanout_order () =
   check (Alcotest.list string_) "subscription order preserved"
     [ "first"; "second" ] (List.rev !order)
 
+(* The indexed profile table gives what the list lookup gave: for every
+   table entry and for an unknown type, every op kind's expected time,
+   and a sample from the same PRNG draw with the PRNG left in the same
+   place. *)
+let test_service_times_match_list_lookup () =
+  let kinds = Service_model.[ Op_create; Op_update; Op_delete; Op_read ] in
+  let default = Service_model.find "no_such_type" in
+  let listed rtype =
+    Option.value (List.assoc_opt rtype Service_model.table) ~default
+  in
+  let mean (p : Service_model.profile) = function
+    | Service_model.Op_create -> p.create_mean
+    | Op_update -> p.update_mean
+    | Op_delete -> p.delete_mean
+    | Op_read -> 0.3
+  in
+  check (Alcotest.float 0.) "the default is create 10 s" 10. default.Service_model.create_mean;
+  let indexed = Prng.create 7 and by_list = Prng.create 7 in
+  List.iter
+    (fun rtype ->
+      let p = listed rtype in
+      List.iter
+        (fun kind ->
+          check (Alcotest.float 0.) (rtype ^ " expected") (mean p kind)
+            (Service_model.expected rtype kind);
+          let j =
+            Prng.float_range by_list (1. -. p.Service_model.jitter) (1. +. p.jitter)
+          in
+          check (Alcotest.float 0.) (rtype ^ " sample")
+            (Float.max 0.05 (mean p kind *. j))
+            (Service_model.sample indexed rtype kind))
+        kinds)
+    (List.map fst Service_model.table @ [ "no_such_type" ]);
+  check (Alcotest.float 0.) "one draw per sample" (Prng.float by_list) (Prng.float indexed)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -375,6 +417,8 @@ let suites =
         Alcotest.test_case "oob mutation logged" `Quick test_cloud_oob_mutation_logged;
         Alcotest.test_case "list by type" `Quick test_cloud_list_type;
         Alcotest.test_case "determinism" `Quick test_cloud_determinism;
+        Alcotest.test_case "service times match the list lookup" `Quick
+          test_service_times_match_list_lookup;
       ] );
     ( "sim.activity_log",
       [

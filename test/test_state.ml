@@ -880,6 +880,53 @@ let test_cli_float_apply_then_plan () =
     (Test_fixtures.contains_substring ~sub:"weight = 0.123456789" (Buffer.contents out)
     && Test_fixtures.contains_substring ~sub:"big = 12345678.5" (Buffer.contents out))
 
+(* A float out of range written into a state row by hand, such as
+   [zeta = 1e999], used to load as an infinity: the next apply wrote
+   [inf] back, and every later command failed on it.  The load refuses
+   it at the literal, so the apply exits 1 and leaves the file as it
+   was. *)
+let test_cli_out_of_range_number () =
+  let module Cli = Cloudless.Cli in
+  let module Io_util = Cloudless.Io_util in
+  let dir = Filename.temp_dir "cloudless_range" "" in
+  let file = Filename.concat dir "main.tf" in
+  let state_path = Filename.concat dir "state.cls" in
+  let config env =
+    Printf.sprintf
+      "resource \"aws_vpc\" \"main\" {\n\
+      \  cidr_block = \"10.0.0.0/16\"\n\
+      \  region     = \"us-east-1\"\n\
+      \  tags       = { env = \"%s\" }\n\
+       }\n"
+      env
+  in
+  let err = Buffer.create 256 in
+  let io = { Cli.out = ignore; err = Buffer.add_string err } in
+  Io_util.write_file file (config "a");
+  check int_ "apply exits 0" 0 (Cli.apply ~io ~file ~state_path ());
+  let applied = Io_util.read_file state_path in
+  Io_util.write_file file (config "b");
+  List.iter
+    (fun literal ->
+      let edited =
+        Test_fixtures.replace_substring applied ~sub:"tags = { env = \"a\" } }"
+          ~by:("tags = { env = \"a\" }, zeta = " ^ literal ^ " }")
+      in
+      Io_util.write_file state_path edited;
+      Buffer.clear err;
+      check int_ (literal ^ ": apply exits 1") 1 (Cli.apply ~io ~file ~state_path ());
+      check string_ (literal ^ ": the state file is unchanged") edited
+        (Io_util.read_file state_path);
+      check bool_
+        (literal ^ ": refused at the literal")
+        true
+        (Test_fixtures.contains_substring
+           ~sub:(Printf.sprintf "number %s is out of range" literal)
+           (Buffer.contents err)))
+    [ "1e999"; "-1e999" ];
+  Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* ------------------------------------------------------------------ *)
 (* Version store ("time machine")                                      *)
 (* ------------------------------------------------------------------ *)
@@ -953,6 +1000,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_numbers_read_back;
         Alcotest.test_case "cli: a float config plans no change" `Quick
           test_cli_float_apply_then_plan;
+        Alcotest.test_case "cli: an out-of-range number is refused" `Quick
+          test_cli_out_of_range_number;
       ] );
     ( "state.versions",
       [
