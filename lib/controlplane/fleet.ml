@@ -8,16 +8,15 @@
     interleaves deterministically regardless of shard count.
 
     Drift detection is push-based: instead of polling the activity log
-    per deployment (O(deployments) LookupEvents calls per period), each
-    shard holds exactly {e one} multiplexed activity-log subscription.
-    An appended entry fans out to every shard; the shard whose
-    {!Router.partition} covers the entry's cloud id classifies it
+    per deployment (O(deployments) LookupEvents calls per period), the
+    fleet holds exactly {e one} activity-log subscription, so each
+    appended entry is delivered once.  The entry is classified
     ({!Drift.event_of_entry}) against the owning deployment's row and
-    routes the resulting event to the owner's shard — which, because
-    detection partitions hash cloud ids while ownership hashes tenants,
-    is usually a {e different} shard ([cross_shard_routed] counts the
-    hops).  Detection latency collapses to the entry's append instant
-    and no per-poll log reads are paid.
+    the resulting event routed to the owner's shard.  Detection
+    partitions hash cloud ids while ownership hashes tenants, so the
+    entry's {!Router.partition} is usually a {e different} shard:
+    [cross_shard_routed] counts those hops.  Detection latency collapses
+    to the entry's append instant and no per-poll log reads are paid.
 
     Fleet-level concerns stay here: the shared crash gate ([Crash_after
     k] counts journaled writes across the whole fleet, so a crash lands
@@ -104,7 +103,7 @@ type t = {
   controller : Controller.t option;
   crash : Failure.crash_policy ref;
   dead : bool ref;
-  mutable subs : Activity_log.subscription list;
+  mutable sub : Activity_log.subscription option;
   mutable cursor : int;  (** next log seq to consume on a resume *)
   mutable unmanaged : (string * float) list;
       (** detections with no owning deployment (newest first) *)
@@ -218,7 +217,7 @@ let create ~cloud ?(trace = Trace.null) ~shards (config : Shard.service_config)
     controller;
     crash;
     dead;
-    subs = [];
+    sub = None;
     cursor = 0;
     unmanaged = [];
     until = 0.;
@@ -443,48 +442,40 @@ let owning_deployment t cloud_id =
   match owning_row t cloud_id with Some w -> Some w.owner.dep | None -> None
 
 (* ------------------------------------------------------------------ *)
-(* Event-driven drift: one multiplexed subscription per shard          *)
+(* Event-driven drift: one subscription per fleet                      *)
 (* ------------------------------------------------------------------ *)
 
-let deliver t sid (e : Activity_log.entry) =
+let deliver t (e : Activity_log.entry) =
   t.cursor <- e.Activity_log.seq + 1;
   if (not !(t.dead)) && Drift.oob_write e then
-    if Router.partition t.router e.Activity_log.cloud_id = sid then begin
-      match owning_row t e.Activity_log.cloud_id with
-      | Some w ->
-          let dep = w.owner.dep in
-          let owner = Router.assign t.router dep.Shard.tenant in
-          if owner <> sid then Metrics.inc t.registry "cross_shard_routed";
-          (* the index holds the owner's row: the one its state's
-             reverse index would find *)
-          (match Drift.event_of_entry t.cloud ~tracked:(Some w.r) e with
-          | Some ev -> Shard.ingest_drift t.shards.(owner) dep [ ev ]
-          | None -> ())
-      | None ->
-          (* no deployment tracks it: an unmanaged create (or noise
-             about an already-forgotten id).  Record once, fleet-wide —
-             the polling engine flags these once per deployment. *)
-          (match e.Activity_log.op with
-          | Activity_log.Log_create ->
-              Metrics.inc t.registry "drift_events_unmanaged";
-              t.unmanaged <-
-                (e.Activity_log.cloud_id, e.Activity_log.time) :: t.unmanaged
-          | _ -> ())
-    end
+    match owning_row t e.Activity_log.cloud_id with
+    | Some w -> (
+        let dep = w.owner.dep in
+        let owner = Router.assign t.router dep.Shard.tenant in
+        if owner <> Router.partition t.router e.Activity_log.cloud_id then
+          Metrics.inc t.registry "cross_shard_routed";
+        (* the index holds the owner's row: the one its state's reverse
+           index would find *)
+        match Drift.event_of_entry t.cloud ~tracked:(Some w.r) e with
+        | Some ev -> Shard.ingest_drift t.shards.(owner) dep [ ev ]
+        | None -> ())
+    | None -> (
+        (* no deployment tracks it: an unmanaged create (or noise about
+           an already-forgotten id).  Record once, fleet-wide — the
+           polling engine flags these once per deployment. *)
+        match e.Activity_log.op with
+        | Activity_log.Log_create ->
+            Metrics.inc t.registry "drift_events_unmanaged";
+            t.unmanaged <-
+              (e.Activity_log.cloud_id, e.Activity_log.time) :: t.unmanaged
+        | _ -> ())
 
-let subscribe_shards t ~from =
-  t.subs <-
-    Array.to_list
-      (Array.map
-         (fun s ->
-           let sid = Shard.sid s in
-           Activity_log.subscribe (Cloud.log t.cloud) ~from (deliver t sid))
-         t.shards)
+let subscribe t ~from =
+  t.sub <- Some (Activity_log.subscribe (Cloud.log t.cloud) ~from (deliver t))
 
-let unsubscribe_shards t =
-  let log = Cloud.log t.cloud in
-  List.iter (Activity_log.unsubscribe log) t.subs;
-  t.subs <- []
+let unsubscribe t =
+  Option.iter (Activity_log.unsubscribe (Cloud.log t.cloud)) t.sub;
+  t.sub <- None
 
 (* ------------------------------------------------------------------ *)
 (* Rebalancing                                                         *)
@@ -602,7 +593,7 @@ let rec arm_policy_timer t c =
 let run t ~until =
   t.until <- until;
   Array.iter (fun s -> Shard.arm_timers s ~until) t.shards;
-  if t.config.Shard.preset = Shard.Fleet then subscribe_shards t ~from:t.cursor;
+  if t.config.Shard.preset = Shard.Fleet then subscribe t ~from:t.cursor;
   Option.iter (arm_policy_timer t) t.controller;
   if t.config.Shard.rebalance_period > 0. && Array.length t.shards > 1 then
     arm_rebalance_timer t;
@@ -618,7 +609,7 @@ let run t ~until =
     ~finally:(fun () ->
       (* a dead fleet must not keep classifying entries appended by its
          successor *)
-      if !(t.dead) then unsubscribe_shards t)
+      if !(t.dead) then unsubscribe t)
     drive;
   Array.iter Shard.finish_stats t.shards;
   set_fleet_totals t;
@@ -641,7 +632,7 @@ let run t ~until =
     subscriptions instead of being lost.  Returns the new fleet and the
     per-deployment recovery reports. *)
 let resume (old : t) =
-  unsubscribe_shards old;
+  unsubscribe old;
   let t =
     create ~cloud:old.cloud ~trace:old.trace
       ~shards:(Array.length old.shards) old.config

@@ -113,14 +113,12 @@ let parse_config path =
   end
   else parse_one path
 
-(** The instances of [cfg] to plan against [state]: an instance whose
-    recorded row already records its configuration is verified on the
-    row's text and left unmerged ({!Hcl.Eval.instance.verified}), so
-    {!Plan.make} finds it a no-op without reading the row.  The plan is
-    the one an expansion that merges every row gives. *)
+(** The instances of [cfg] to plan against [state] ({!Plan.env_for}):
+    an instance whose row, unread on the state's text, records its
+    configuration is left unmerged ({!Hcl.Eval.instance.verified}), so
+    {!Plan.make} finds it a no-op without reading the row. *)
 let expand ?(trace = Trace.null) state cfg =
-  let env = { (env_for state) with Hcl.Eval.verify_rows = true } in
-  (Hcl.Eval.expand ~env ~trace cfg).Hcl.Eval.instances
+  (Hcl.Eval.expand ~env:(env_for state) ~trace cfg).Hcl.Eval.instances
 
 let plan_against ?(trace = Trace.null) ~state file =
   let cfg = parse_config file in

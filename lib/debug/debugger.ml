@@ -57,10 +57,10 @@ let attr_span cfg addr name =
   | None -> Loc.dummy
 
 let effective_region (i : Eval.instance) =
-  match Smap.find_opt "region" i.Eval.attrs with
+  match Eval.merged_attr i "region" with
   | Some (Value.Vstring r) -> Some ("region", r)
   | _ -> (
-      match Smap.find_opt "location" i.Eval.attrs with
+      match Eval.merged_attr i "location" with
       | Some (Value.Vstring r) -> Some ("location", r)
       | _ -> None)
 
@@ -97,7 +97,7 @@ let diagnose_nic_not_found cfg instances (addr : Addr.t) error =
   | None -> None
   | Some vm -> (
       let nic_refs =
-        match Smap.find_opt "nic_ids" vm.Eval.attrs with
+        match Eval.merged_attr vm "nic_ids" with
         | Some v -> referenced_addrs v
         | None -> []
       in
@@ -180,7 +180,7 @@ let diagnose_missing_parent cfg instances addr error =
   | Some inst ->
       List.find_map
         (fun attr_name ->
-          match Smap.find_opt attr_name inst.Eval.attrs with
+          match Eval.merged_attr inst attr_name with
           | None -> None
           | Some v -> (
               match referenced_addrs v with
@@ -254,16 +254,16 @@ let diagnose_subnet_range cfg instances addr error =
   | Some inst -> (
       let own_cidr =
         match
-          ( Smap.find_opt "cidr_block" inst.Eval.attrs,
-            Smap.find_opt "address_prefix" inst.Eval.attrs )
+          ( Eval.merged_attr inst "cidr_block",
+            Eval.merged_attr inst "address_prefix" )
         with
         | Some (Value.Vstring c), _ | _, Some (Value.Vstring c) -> Some c
         | _ -> None
       in
       let parent =
         match
-          ( Smap.find_opt "vpc_id" inst.Eval.attrs,
-            Smap.find_opt "virtual_network_id" inst.Eval.attrs )
+          ( Eval.merged_attr inst "vpc_id",
+            Eval.merged_attr inst "virtual_network_id" )
         with
         | Some v, _ | None, Some v -> (
             match referenced_addrs v with a :: _ -> find_instance instances a | [] -> None)
@@ -273,8 +273,8 @@ let diagnose_subnet_range cfg instances addr error =
       | Some cidr, Some p ->
           let parent_space =
             match
-              ( Smap.find_opt "cidr_block" p.Eval.attrs,
-                Smap.find_opt "address_space" p.Eval.attrs )
+              ( Eval.merged_attr p "cidr_block",
+                Eval.merged_attr p "address_space" )
             with
             | Some (Value.Vstring c), _ -> Some c
             | _, Some (Value.Vlist (Value.Vstring c :: _)) -> Some c

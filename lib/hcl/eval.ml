@@ -22,14 +22,24 @@
     provider and (when no target's shape reads state) dependencies, the
     instance addresses of a block whose [count] reads nothing, and one
     shared map per block of the attribute values that read nothing in
-    scope.  {!instantiate} then evaluates, per state, only the rest and
-    merges each instance's state row.  Compile never raises: a block it
-    cannot specialize, or whose static evaluation fails, is expanded at
-    instantiate time by the general code, and an ordering error is
-    raised there, so instances, outputs, diagnostics and the order in
-    which errors surface are those of one pass.  {!expand} is the two
-    in a row; {!Reference.expand} is the one-pass driver, kept as the
-    oracle. *)
+    scope.  {!instantiate} then evaluates, per state, only the rest.
+    Compile never raises: a block it cannot specialize, or whose static
+    evaluation fails, is expanded at instantiate time by the general
+    code, and an ordering error is raised there, so instances, outputs,
+    diagnostics and the order in which errors surface are those of one
+    pass.  {!expand} is the two in a row; {!Reference.expand} is the
+    one-pass driver, kept as the oracle.
+
+    Every block, compiled or general, resource or module call, expands
+    through one evaluator of [count] and [for_each], and every resource
+    instance meets its recorded row in one place, chosen by the row: a
+    row still unread on its state's text is checked on the text and,
+    when it records the configuration, left unmerged
+    ({!instance.verified}); any other row has the configuration merged
+    in.  Readers of an instance's attributes go through {!merged} and
+    {!merged_attr}, and a reference [type.name.attr] or
+    [type.name\[key\].attr] reads the one attribute of the one
+    instance. *)
 
 module Smap = Value.Smap
 module Sset = Set.Make (String)
@@ -63,18 +73,20 @@ type instance = {
   attrs : Value.t Smap.t;
       (** the configured attributes, with the instance's recorded row
           merged in (the configured value wins), unless [verified] *)
+  configured : string list;
+      (** the names of the attributes the block sets (its attributes'
+          and its nested blocks'), sorted *)
   explicit_deps : Addr.t list;  (** from [depends_on] *)
   ref_deps : Addr.t list;  (** from expression references *)
   lifecycle : Config.lifecycle;
   ispan : Loc.span;
   verified : Recorded.t option;
-      (** [Some row]: the instance's recorded row, which records every
-          configured attribute a plan compares (all but its lifecycle's
-          [ignore_changes] and the values holding an unknown) as
-          configured.  It was not merged in: [attrs] holds the
-          configured attributes alone, and a reference reads the rest
-          from the row.  Set only by an expansion in an [env] with
-          [verify_rows]. *)
+      (** [Some row]: the instance's recorded row, unread on its text,
+          which records every configured attribute a plan compares (all
+          but its lifecycle's [ignore_changes] and the values holding an
+          unknown) as configured.  It was not merged in: [attrs] holds
+          the configured attributes alone, and {!merged_attr} reads the
+          rest from the row. *)
 }
 
 (** External services the evaluator needs. *)
@@ -84,10 +96,6 @@ type env = {
     rtype:string -> name:string -> args:Value.t Smap.t -> Value.t Smap.t option;
   state_lookup : Addr.t -> Recorded.t option;
       (** prior deployment state, for resolving computed attributes *)
-  verify_rows : bool;
-      (** check an instance of a block {!compile} fixes against its
-          recorded row, and leave a row that records the configuration
-          unmerged ([verified]); otherwise every row is merged *)
   module_registry : string -> Config.t option;
       (** module source -> configuration *)
 }
@@ -97,7 +105,6 @@ let default_env =
     var_values = Smap.empty;
     data_resolver = (fun ~rtype:_ ~name:_ ~args:_ -> Some Smap.empty);
     state_lookup = (fun _ -> None);
-    verify_rows = false;
     module_registry = (fun _ -> None);
   }
 
@@ -106,17 +113,18 @@ type expansion_result = {
   outputs : (string * Value.t) list;
 }
 
-(* Expansion of one resource block: shape depends on its meta-args. *)
-type node_expansion =
-  | Single of instance
-  | Counted of instance list
-  | For_eached of (string * instance) list
+(* A block's expansion by its meta-arguments: a resource's instances or
+   a module call's outputs, one, one per [count] index or one per
+   [for_each] key. *)
+type 'a shaped =
+  | Single of 'a
+  | Counted of 'a list
+  | For_eached of (string * 'a) list
 
-(* Module expansion: outputs per instance key. *)
-type module_expansion =
-  | Mod_single of Value.t Smap.t
-  | Mod_counted of Value.t Smap.t list
-  | Mod_for_eached of (string * Value.t Smap.t) list
+let shaped_list = function
+  | Single x -> [ x ]
+  | Counted xs -> xs
+  | For_eached kvs -> List.map snd kvs
 
 type scope = {
   env : env;
@@ -126,15 +134,15 @@ type scope = {
       (** the scope's locals, first binding per name *)
   locals_cache : (string, Value.t) Hashtbl.t;
   mutable locals_forcing : string list;  (** cycle detection *)
-  resources : (string * string, node_expansion) Hashtbl.t;
+  resources : (string * string, instance shaped) Hashtbl.t;
   data : (string * string, Value.t Smap.t) Hashtbl.t;
-  modules : (string, module_expansion) Hashtbl.t;
+  modules : (string, Value.t Smap.t shaped) Hashtbl.t;
   count_index : int option;
   each_binding : (Value.t * Value.t) option;  (** (key, value) *)
   for_bindings : Value.t Smap.t;
   direct_refs : bool;
-      (** resolve [type.name.attr] on a single instance by looking the
-          attribute up, not through {!instance_value} *)
+      (** resolve [type.name.attr] and [type.name[key]] by looking the
+          one instance up, not through the block's value *)
 }
 
 (* Index a locals binding list by name, keeping the first binding for a
@@ -196,16 +204,16 @@ let merge_attr row name v =
   | Some sv when identical sv v -> row
   | _ -> Smap.add name v row
 
-(* An instance's attributes with its row merged in. *)
-let merged inst =
-  match inst.verified with
-  | None -> inst.attrs
-  | Some row ->
-      Smap.fold (fun name v acc -> merge_attr acc name v) inst.attrs
-        (Recorded.map row)
+(* [row] with the configured attributes [attrs] merged in. *)
+let merge row attrs =
+  Smap.fold (fun name v acc -> merge_attr acc name v) attrs (Recorded.map row)
 
-(* Attribute [attr] of the merged attributes, reading no more of a
-   verified instance's row than that attribute. *)
+(** An instance's attributes with its row merged in. *)
+let merged inst =
+  match inst.verified with None -> inst.attrs | Some row -> merge row inst.attrs
+
+(** Attribute [attr] of the merged attributes, reading no more of a
+    verified instance's row than that attribute. *)
 let merged_attr inst attr =
   match (Smap.find_opt attr inst.attrs, inst.verified) with
   | (Some _ as v), _ | (None as v), None -> v
@@ -213,6 +221,54 @@ let merged_attr inst attr =
 
 let instance_value inst =
   Smap.add addr_key (Value.Vstring (Addr.to_string inst.addr)) (merged inst)
+
+(* Attribute [attr] of [inst]: the attribute, or the unknown that
+   looking it up in the instance's object would give. *)
+let instance_attr inst attr =
+  match merged_attr inst attr with
+  | Some v -> v
+  | None -> Value.unknown (Addr.to_string inst.addr ^ "." ^ attr)
+
+(* A block's expansion as a value: one object, a list of them, or a map
+   of them by key, [to_map] giving each object's attributes. *)
+let shaped_value to_map = function
+  | Single x -> Value.Vmap (to_map x)
+  | Counted xs -> Value.Vlist (List.map (fun x -> Value.Vmap (to_map x)) xs)
+  | For_eached kvs ->
+      Value.Vmap
+        (List.fold_left
+           (fun acc (k, x) -> Smap.add k (Value.Vmap (to_map x)) acc)
+           Smap.empty kvs)
+
+(* Under [direct_refs], the expansion of the resource [e] names as
+   [type.name], whose instances a reference reads directly, not through
+   the block's value. *)
+let direct_block scope (e : Ast.expr) =
+  match e.Ast.desc with
+  | Ast.GetAttr ({ Ast.desc = Ast.Var rtype; _ }, rname)
+    when scope.direct_refs
+         && (not (List.mem rtype Refs.reserved))
+         && not (Smap.mem rtype scope.for_bindings) ->
+      Hashtbl.find_opt scope.resources (rtype, rname)
+  | _ -> None
+
+(* The entry of key [i] in [kvs], as the map of them finds it. *)
+let keyed span kvs i =
+  let k = key_string span "map key" i in
+  match List.assoc_opt k kvs with
+  | Some x -> x
+  | None -> errf span "map has no key %S" k
+
+(* Element [i] of the list [xs], as [xs[i]] finds it. *)
+let nth span xs i =
+  let n =
+    try Value.to_int i
+    with Cloudless_error.Error { code = "type-error"; message; _ } ->
+      errf span "list index: %s" message
+  in
+  match if n < 0 then None else List.nth_opt xs n with
+  | Some x -> x
+  | None -> errf span "list index %d out of bounds (length %d)" n (List.length xs)
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
@@ -232,7 +288,7 @@ let rec eval scope (e : Ast.expr) : Value.t =
   | Ast.Template parts -> eval_template scope e.Ast.espan parts
   | Ast.Var name -> eval_var scope e.Ast.espan name
   | Ast.GetAttr (inner, attr) -> eval_getattr scope e.Ast.espan inner attr
-  | Ast.Index (inner, idx) -> eval_index scope e.Ast.espan inner idx
+  | Ast.Index (inner, idx) -> eval_index scope e inner idx
   | Ast.Splat (inner, attr) -> eval_splat scope e.Ast.espan inner attr
   | Ast.ListLit es -> Value.Vlist (List.map (eval scope) es)
   | Ast.ObjectLit kvs ->
@@ -357,27 +413,50 @@ and eval_getattr scope span inner attr =
           | "module" -> Value.Vstring (String.concat "/" scope.module_path)
           | "root" -> Value.Vstring ""
           | _ -> errf span "unknown attribute path.%s" attr)
-      | "module" -> eval_module_ref scope span attr
+      | "module" -> (
+          match Hashtbl.find_opt scope.modules attr with
+          | Some outputs -> shaped_value Fun.id outputs
+          | None -> errf span "reference to undeclared module.%s" attr)
       | "data" ->
           (* needs a second GetAttr level: handled when the chain is
              data.<type>.<name>; a bare data.<type> is meaningless *)
           errf span "incomplete data source reference data.%s" attr
-      | _ -> eval_resource_ref scope span root attr)
+      | _ -> (
+          match Hashtbl.find_opt scope.resources (root, attr) with
+          | Some instances -> shaped_value instance_value instances
+          | None ->
+              errf span
+                "reference to undeclared resource %s.%s (or dependency cycle)"
+                root attr))
   | Ast.GetAttr ({ Ast.desc = Ast.Var "data"; _ }, dtype) ->
       eval_data_ref scope span dtype attr
-  | Ast.GetAttr ({ Ast.desc = Ast.Var rtype; _ }, rname)
-    when scope.direct_refs && attr <> addr_key
-         && (not (List.mem rtype Refs.reserved))
-         && not (Smap.mem rtype scope.for_bindings) -> (
-      (* [type.name.attr] on a single instance: the attribute, or the
-         unknown that {!generic_getattr} would give *)
-      match Hashtbl.find_opt scope.resources (rtype, rname) with
-      | Some (Single inst) -> (
-          match merged_attr inst attr with
-          | Some v -> v
-          | None -> Value.unknown (Addr.to_string inst.addr ^ "." ^ attr))
-      | _ -> generic_getattr scope span (eval scope inner) attr)
+  | _ when attr <> addr_key -> (
+      match direct_block scope inner with
+      | Some (Single inst) -> instance_attr inst attr
+      | Some (Counted _ | For_eached _) | None -> (
+          match indexed scope inner with
+          | Some (Ok inst) -> instance_attr inst attr
+          | Some (Error v) -> generic_getattr scope span v attr
+          | None -> generic_getattr scope span (eval scope inner) attr))
   | _ -> generic_getattr scope span (eval scope inner) attr
+
+(* Under [direct_refs], the one instance [type.name[key]] names in a
+   counted or [for_each] block, found as indexing the block's value
+   would find its object; [Error v] for the unknown [v] an unknown key
+   gives.  [None]: [e] is no such reference. *)
+and indexed scope (e : Ast.expr) =
+  match e.Ast.desc with
+  | Ast.Index (inner, idx) -> (
+      let select pick =
+        match eval scope idx with
+        | Value.Vunknown p -> Some (Error (Value.unknown ("[" ^ p ^ "]")))
+        | i -> Some (Ok (pick i))
+      in
+      match direct_block scope inner with
+      | Some (Counted insts) -> select (nth e.Ast.espan insts)
+      | Some (For_eached kvs) -> select (keyed e.Ast.espan kvs)
+      | Some (Single _) | None -> None)
+  | _ -> None
 
 and generic_getattr _scope span v attr =
   match v with
@@ -395,20 +474,6 @@ and generic_getattr _scope span v attr =
       errf span "cannot access attribute %S on a list (index it first)" attr
   | v -> errf span "cannot access attribute %S on %s" attr (Value.type_name v)
 
-and eval_resource_ref scope span rtype rname =
-  match Hashtbl.find_opt scope.resources (rtype, rname) with
-  | Some (Single inst) -> Value.Vmap (instance_value inst)
-  | Some (Counted insts) ->
-      Value.Vlist (List.map (fun i -> Value.Vmap (instance_value i)) insts)
-  | Some (For_eached kvs) ->
-      Value.Vmap
-        (List.fold_left
-           (fun acc (k, i) -> Smap.add k (Value.Vmap (instance_value i)) acc)
-           Smap.empty kvs)
-  | None ->
-      errf span "reference to undeclared resource %s.%s (or dependency cycle)"
-        rtype rname
-
 and eval_data_ref scope span dtype dname =
   match Hashtbl.find_opt scope.data (dtype, dname) with
   | Some attrs ->
@@ -421,45 +486,28 @@ and eval_data_ref scope span dtype dname =
   | None ->
       errf span "reference to undeclared data source data.%s.%s" dtype dname
 
-and eval_module_ref scope span mname =
-  match Hashtbl.find_opt scope.modules mname with
-  | Some (Mod_single outs) -> Value.Vmap outs
-  | Some (Mod_counted outs) ->
-      Value.Vlist (List.map (fun o -> Value.Vmap o) outs)
-  | Some (Mod_for_eached kvs) ->
-      Value.Vmap
-        (List.fold_left
-           (fun acc (k, o) -> Smap.add k (Value.Vmap o) acc)
-           Smap.empty kvs)
-  | None -> errf span "reference to undeclared module.%s" mname
-
-and eval_index scope span inner idx =
-  let v = eval scope inner in
-  let i = eval scope idx in
-  match (v, i) with
-  | Value.Vunknown p, _ -> Value.unknown (p ^ "[...]")
-  | _, Value.Vunknown p -> Value.unknown ("[" ^ p ^ "]")
-  | Value.Vlist vs, _ -> (
-      let n =
-        try Value.to_int i
-        with Cloudless_error.Error { code = "type-error"; message; _ } ->
-          errf span "list index: %s" message
-      in
-      match List.nth_opt vs n with
-      | Some v -> v
-      | None ->
-          errf span "list index %d out of bounds (length %d)" n
-            (List.length vs))
-  | Value.Vmap m, _ -> (
-      let k = key_string span "map key" i in
-      match Smap.find_opt k m with
-      | Some v -> v
-      | None -> (
-          match Smap.find_opt addr_key m with
-          | Some (Value.Vstring owner) ->
-              Value.unknown (Printf.sprintf "%s[%s]" owner k)
-          | _ -> errf span "map has no key %S" k))
-  | v, _ -> errf span "cannot index a %s" (Value.type_name v)
+and eval_index scope (e : Ast.expr) inner idx =
+  match indexed scope e with
+  | Some (Ok inst) -> Value.Vmap (instance_value inst)
+  | Some (Error v) -> v
+  | None -> (
+      let span = e.Ast.espan in
+      let v = eval scope inner in
+      let i = eval scope idx in
+      match (v, i) with
+      | Value.Vunknown p, _ -> Value.unknown (p ^ "[...]")
+      | _, Value.Vunknown p -> Value.unknown ("[" ^ p ^ "]")
+      | Value.Vlist vs, _ -> nth span vs i
+      | Value.Vmap m, _ -> (
+          let k = key_string span "map key" i in
+          match Smap.find_opt k m with
+          | Some v -> v
+          | None -> (
+              match Smap.find_opt addr_key m with
+              | Some (Value.Vstring owner) ->
+                  Value.unknown (Printf.sprintf "%s[%s]" owner k)
+              | _ -> errf span "map has no key %S" k))
+      | v, _ -> errf span "cannot index a %s" (Value.type_name v))
 
 and eval_splat scope span inner attr =
   match eval scope inner with
@@ -871,9 +919,7 @@ let resource_deps ~module_path (cfg : Config.t) instances_of ~targets
    undeclared. *)
 let scope_instances scope key =
   match Hashtbl.find_opt scope.resources key with
-  | Some (Single i) -> [ i.addr ]
-  | Some (Counted is) -> List.map (fun i -> i.addr) is
-  | Some (For_eached kvs) -> List.map (fun (_, i) -> i.addr) kvs
+  | Some instances -> List.map (fun i -> i.addr) (shaped_list instances)
   | None -> []
 
 (* Fill in variable defaults; unknown variables are an error, missing
@@ -916,6 +962,7 @@ type fixed = {
           shape reads state *)
   fstatic : Value.t Smap.t;  (** the [Static] attributes, shared *)
   fattrs : (string * attr_value) list;  (** every attribute, in order *)
+  fconfigured : string list;  (** their names, sorted *)
 }
 
 (* A block, with its targets, expanded in full per state; or a resource
@@ -933,87 +980,126 @@ let records lifecycle row configured =
           (fun name v -> not (List.mem name ignored || Value.has_unknown v))
           configured)
 
-(* A fixed block's configured attributes in [scope]: the shared static
-   map with the [Dynamic] ones added. *)
-let configured scope f =
-  List.fold_left
-    (fun acc (name, a) ->
-      match a with Static _ -> acc | Dynamic e -> Smap.add name (eval scope e) acc)
-    f.fstatic f.fattrs
+(* [acc] with each [Dynamic] attribute of [attrs], evaluated in [scope],
+   put in by [put]: a loop with no closure to allocate per instance. *)
+let rec put_dynamic scope put acc = function
+  | [] -> acc
+  | (name, Dynamic e) :: rest ->
+      put_dynamic scope put (put acc name (eval scope e)) rest
+  | (_, Static _) :: rest -> put_dynamic scope put acc rest
 
-(* [row] with a fixed block's [configured] attributes merged in, in the
-   block's order. *)
-let merge_configured f row configured =
-  List.fold_left
-    (fun acc (name, _) -> merge_attr acc name (Smap.find name configured))
-    (Recorded.map row) f.fattrs
+let add acc name v = Smap.add name v acc
+
+(* Where a resource instance meets its recorded row, chosen by the row:
+   the instance of [r] at [addr] whose configured attributes are
+   [static] with the [Dynamic] ones of [dynamic], evaluated in [scope],
+   added.  With no row they are its attributes.  A row still unread on
+   its text is checked on the text, and left unmerged ([verified]) when
+   it records them, since merging would read it whole.  Any other row
+   has them merged in, which builds nothing where they are the row's. *)
+let meet scope (r : Config.resource) ~provider ~deps:(ref_deps, explicit_deps)
+    ~configured addr static dynamic =
+  let attrs, verified =
+    match scope.env.state_lookup addr with
+    | None -> (put_dynamic scope add static dynamic, None)
+    | Some row when Recorded.decoded row ->
+        (put_dynamic scope merge_attr (merge row static) dynamic, None)
+    | Some row as found ->
+        let attrs = put_dynamic scope add static dynamic in
+        if records r.Config.rlifecycle row attrs then (attrs, found)
+        else (merge row attrs, None)
+  in
+  {
+    addr;
+    provider;
+    attrs;
+    configured;
+    explicit_deps;
+    ref_deps;
+    lifecycle = r.Config.rlifecycle;
+    ispan = r.Config.rspan;
+    verified;
+  }
+
+(* The one evaluator of [count] and [for_each], for resources and
+   modules alike ([what] names the block's kind, at [span]): one
+   [make scope key] per instance key, [scope] binding the key's
+   [count.index] or [each]. *)
+let expand_keys scope ~what ~span count for_each make =
+  match (count, for_each) with
+  | Some _, Some _ -> errf span "%s cannot have both count and for_each" what
+  | Some ce, None -> (
+      match eval scope ce with
+      | Value.Vint n when n >= 0 ->
+          Counted
+            (List.init n (fun i ->
+                 make { scope with count_index = Some i } (Addr.Kint i)))
+      | Value.Vint n -> errf span "negative count %d" n
+      | Value.Vunknown p -> errf span "count depends on unknown value (%s)" p
+      | v -> errf span "count must be an integer, got %s" (Value.type_name v))
+  | None, Some fe -> (
+      let each k v =
+        ( k,
+          make
+            { scope with each_binding = Some (Value.Vstring k, v) }
+            (Addr.Kstr k) )
+      in
+      match eval scope fe with
+      | Value.Vmap m ->
+          For_eached (List.map (fun (k, v) -> each k v) (Smap.bindings m))
+      | Value.Vlist vs ->
+          (* a set's elements: a repeated one would name one address
+             twice *)
+          let seen = ref Sset.empty in
+          let key v =
+            let k = key_string fe.Ast.espan "for_each element" v in
+            if Sset.mem k !seen then
+              errf fe.Ast.espan "for_each has duplicate key %S" k;
+            seen := Sset.add k !seen;
+            k
+          in
+          For_eached (List.map (fun v -> each (key v) v) vs)
+      | Value.Vunknown p -> errf span "for_each depends on unknown value (%s)" p
+      | v ->
+          errf span "for_each must be a map or set, got %s" (Value.type_name v))
+  | None, None -> Single (make scope Addr.Knone)
+
+(* The names of the attributes [body] sets, sorted. *)
+let set_names (body : Ast.body) =
+  List.sort_uniq String.compare
+    (List.map (fun (a : Ast.attribute) -> a.Ast.aname) body.Ast.attrs
+    @ List.map
+        (fun (b : Ast.block) ->
+          match (b.Ast.btype, b.Ast.labels) with
+          | "dynamic", [ gen_type ] -> gen_type
+          | btype, _ -> btype)
+        body.Ast.blocks)
 
 (* Expand a fixed block against [scope]'s state: compiled addresses and
-   dependencies, and per instance only the [Dynamic] attributes, added
-   to the shared static map or merged into the instance's state row.
-   With [verify_rows], an instance whose row records them is left
-   unmerged. *)
+   dependencies, and per instance only the [Dynamic] attributes. *)
 let instantiate_fixed scope (cfg : Config.t) f =
-  let r = f.fres in
-  let ref_deps, explicit_deps =
+  let deps =
     match f.fdeps with
     | Some deps -> deps
     | None ->
         resource_deps ~module_path:scope.module_path cfg (scope_instances scope)
-          ~targets:f.ftargets r
+          ~targets:f.ftargets f.fres
   in
-  let build addr count_index =
-    let scope =
-      match count_index with
-      | None -> scope
-      | Some _ -> { scope with count_index }
-    in
-    let verified = ref None in
-    let attrs =
-      match scope.env.state_lookup addr with
-      | None -> configured scope f
-      | Some row when scope.env.verify_rows ->
-          let attrs = configured scope f in
-          if records r.Config.rlifecycle row attrs then begin
-            verified := Some row;
-            attrs
-          end
-          else merge_configured f row attrs
-      | Some row ->
-          List.fold_left
-            (fun acc (name, a) ->
-              merge_attr acc name
-                (match a with Static v -> v | Dynamic e -> eval scope e))
-            (Recorded.map row) f.fattrs
-    in
-    {
-      addr;
-      provider = f.fprovider;
-      attrs;
-      explicit_deps;
-      ref_deps;
-      lifecycle = r.Config.rlifecycle;
-      ispan = r.Config.rspan;
-      verified = !verified;
-    }
+  let build scope addr =
+    meet scope f.fres ~provider:f.fprovider ~deps ~configured:f.fconfigured
+      addr f.fstatic f.fattrs
   in
   match f.fcount with
-  | None ->
-      let inst = build (List.hd f.faddrs) None in
-      (Single inst, [ inst ])
+  | None -> Single (build scope (List.hd f.faddrs))
   | Some _ ->
-      let insts = List.mapi (fun i addr -> build addr (Some i)) f.faddrs in
-      (Counted insts, insts)
+      Counted
+        (List.mapi
+           (fun i addr -> build { scope with count_index = Some i } addr)
+           f.faddrs)
 
 (* Every block of [cfg], in dependency order, to be expanded in full. *)
 let general (cfg : Config.t) scope =
   List.map (fun nt -> General nt) (order_nodes ~locals:scope.locals_tbl cfg)
-
-(* Record a resource block's expansion in its scope, and its instances,
-   newest first, in [acc]. *)
-let record scope acc (r : Config.resource) (expansion, instances) =
-  Hashtbl.replace scope.resources (r.Config.rtype, r.Config.rname) expansion;
-  acc := List.rev_append instances !acc
 
 let eval_outputs scope (cfg : Config.t) =
   List.map
@@ -1033,17 +1119,20 @@ let rec drive ~direct_refs ?locals_tbl (env : env) ~module_path ~vars
     make_scope ~env ~module_path ~locals:cfg.Config.locals ?locals_tbl ~vars
       ~direct_refs ~blocks:(List.length cfg.Config.resources) ()
   in
+  (* the instances, newest first *)
   let acc = ref [] in
+  let record (r : Config.resource) instances =
+    Hashtbl.replace scope.resources (r.Config.rtype, r.Config.rname) instances;
+    acc := List.rev_append (shaped_list instances) !acc
+  in
   List.iter
     (function
       | General (Ndata d, _) -> expand_data scope d
       | General (Nres r, targets) ->
-          record scope acc r (expand_resource scope cfg ~targets r)
+          record r (expand_resource scope cfg ~targets r)
       | General (Nmod m, _) ->
-          let expansion, instances = expand_module scope m in
-          Hashtbl.replace scope.modules m.Config.mname expansion;
-          acc := List.rev_append instances !acc
-      | Fixed f -> record scope acc f.fres (instantiate_fixed scope cfg f))
+          Hashtbl.replace scope.modules m.Config.mname (expand_module scope acc m)
+      | Fixed f -> record f.fres (instantiate_fixed scope cfg f))
     (nodes scope);
   { instances = List.rev !acc; outputs = eval_outputs scope cfg }
 
@@ -1063,84 +1152,25 @@ and expand_data scope (d : Config.data_source) =
       errf d.Config.dspan "data.%s.%s: %s" d.Config.dtype d.Config.dname
         message
 
-and expand_resource scope cfg ~targets (r : Config.resource) :
-    node_expansion * instance list =
+and expand_resource scope cfg ~targets (r : Config.resource) =
   let provider = provider_of r in
-  let ref_deps, explicit_deps =
+  let deps =
     resource_deps ~module_path:scope.module_path cfg (scope_instances scope)
       ~targets r
   in
-  let build key count_index each_binding =
-    let addr =
-      Addr.make ~module_path:scope.module_path ~rtype:r.Config.rtype
-        ~rname:r.Config.rname ~key ()
-    in
-    let inst_scope = { scope with count_index; each_binding } in
-    let attrs = eval_body inst_scope r.Config.rbody in
-    (* Merge prior state: computed attributes (e.g. [id]) become known. *)
-    let attrs =
-      match scope.env.state_lookup addr with
-      | Some row ->
-          Smap.union (fun _ conf _ -> Some conf) attrs (Recorded.map row)
-      | None -> attrs
-    in
-    {
-      addr;
-      provider;
-      attrs;
-      explicit_deps;
-      ref_deps;
-      lifecycle = r.Config.rlifecycle;
-      ispan = r.Config.rspan;
-      verified = None;
-    }
-  in
-  match (r.Config.rcount, r.Config.rfor_each) with
-  | Some _, Some _ ->
-      errf r.Config.rspan "resource cannot have both count and for_each"
-  | Some ce, None -> (
-      match eval scope ce with
-      | Value.Vint n when n >= 0 ->
-          let insts =
-            List.init n (fun i -> build (Addr.Kint i) (Some i) None)
-          in
-          (Counted insts, insts)
-      | Value.Vint n -> errf r.Config.rspan "negative count %d" n
-      | Value.Vunknown p ->
-          errf r.Config.rspan "count depends on unknown value (%s)" p
-      | v ->
-          errf r.Config.rspan "count must be an integer, got %s"
-            (Value.type_name v))
-  | None, Some fe -> (
-      match eval scope fe with
-      | Value.Vmap m ->
-          let kvs =
-            List.map
-              (fun (k, v) ->
-                (k, build (Addr.Kstr k) None (Some (Value.Vstring k, v))))
-              (Smap.bindings m)
-          in
-          (For_eached kvs, List.map snd kvs)
-      | Value.Vlist vs ->
-          let kvs =
-            List.map
-              (fun v ->
-                let k = key_string fe.Ast.espan "for_each element" v in
-                (k, build (Addr.Kstr k) None (Some (Value.Vstring k, v))))
-              vs
-          in
-          (For_eached kvs, List.map snd kvs)
-      | Value.Vunknown p ->
-          errf r.Config.rspan "for_each depends on unknown value (%s)" p
-      | v ->
-          errf r.Config.rspan "for_each must be a map or set, got %s"
-            (Value.type_name v))
-  | None, None ->
-      let inst = build Addr.Knone None None in
-      (Single inst, [ inst ])
+  let configured = set_names r.Config.rbody in
+  expand_keys scope ~what:"resource" ~span:r.Config.rspan r.Config.rcount
+    r.Config.rfor_each (fun scope key ->
+      let addr =
+        Addr.make ~module_path:scope.module_path ~rtype:r.Config.rtype
+          ~rname:r.Config.rname ~key ()
+      in
+      meet scope r ~provider ~deps ~configured addr
+        (eval_body scope r.Config.rbody) [])
 
-and expand_module scope (m : Config.module_call) :
-    module_expansion * instance list =
+(* A module call's outputs per instance key; each instance's resource
+   instances go on [acc], newest first. *)
+and expand_module scope acc (m : Config.module_call) =
   let child_cfg =
     match scope.env.module_registry m.Config.msource with
     | Some cfg -> cfg
@@ -1148,77 +1178,21 @@ and expand_module scope (m : Config.module_call) :
         errf m.Config.mspan "module source %S not found in registry"
           m.Config.msource
   in
-  let expand_one path_elem count_index each_binding =
-    let inst_scope = { scope with count_index; each_binding } in
-    let vars =
-      List.fold_left
-        (fun acc (name, e) -> Smap.add name (eval inst_scope e) acc)
-        Smap.empty m.Config.margs
-    in
-    let result =
-      drive ~direct_refs:scope.direct_refs scope.env
-        ~module_path:(scope.module_path @ [ path_elem ])
-        ~vars child_cfg (general child_cfg)
-    in
-    let outputs =
-      List.fold_left
-        (fun acc (n, v) -> Smap.add n v acc)
-        Smap.empty result.outputs
-    in
-    (outputs, result.instances)
-  in
-  match (m.Config.mcount, m.Config.mfor_each) with
-  | Some _, Some _ ->
-      errf m.Config.mspan "module cannot have both count and for_each"
-  | Some ce, None -> (
-      match eval scope ce with
-      | Value.Vint n when n >= 0 ->
-          let results =
-            List.init n (fun i ->
-                expand_one
-                  (Printf.sprintf "%s[%d]" m.Config.mname i)
-                  (Some i) None)
-          in
-          ( Mod_counted (List.map fst results),
-            List.concat_map snd results )
-      | v ->
-          errf m.Config.mspan "module count must be an integer, got %s"
-            (Value.type_name v))
-  | None, Some fe -> (
-      match eval scope fe with
-      | Value.Vmap map ->
-          let results =
-            List.map
-              (fun (k, v) ->
-                ( k,
-                  expand_one
-                    (Printf.sprintf "%s[%S]" m.Config.mname k)
-                    None
-                    (Some (Value.Vstring k, v)) ))
-              (Smap.bindings map)
-          in
-          ( Mod_for_eached (List.map (fun (k, (o, _)) -> (k, o)) results),
-            List.concat_map (fun (_, (_, is)) -> is) results )
-      | Value.Vlist vs ->
-          let results =
-            List.map
-              (fun v ->
-                let k = key_string fe.Ast.espan "for_each element" v in
-                ( k,
-                  expand_one
-                    (Printf.sprintf "%s[%S]" m.Config.mname k)
-                    None
-                    (Some (Value.Vstring k, v)) ))
-              vs
-          in
-          ( Mod_for_eached (List.map (fun (k, (o, _)) -> (k, o)) results),
-            List.concat_map (fun (_, (_, is)) -> is) results )
-      | v ->
-          errf m.Config.mspan "module for_each must be a map or set, got %s"
-            (Value.type_name v))
-  | None, None ->
-      let outputs, instances = expand_one m.Config.mname None None in
-      (Mod_single outputs, instances)
+  expand_keys scope ~what:"module" ~span:m.Config.mspan m.Config.mcount
+    m.Config.mfor_each (fun scope key ->
+      let vars =
+        List.fold_left
+          (fun vars (name, e) -> Smap.add name (eval scope e) vars)
+          Smap.empty m.Config.margs
+      in
+      let result =
+        drive ~direct_refs:scope.direct_refs scope.env
+          ~module_path:
+            (scope.module_path @ [ m.Config.mname ^ Addr.key_to_string key ])
+          ~vars child_cfg (general child_cfg)
+      in
+      acc := List.rev_append result.instances !acc;
+      Smap.of_list result.outputs)
 
 (* ------------------------------------------------------------------ *)
 (* Compile once, instantiate per state                                 *)
@@ -1317,6 +1291,7 @@ let compile (cfg : Config.t) : compiled =
     let names =
       List.map (fun (a : Ast.attribute) -> a.Ast.aname) body.Ast.attrs
     in
+    let sorted = List.sort_uniq String.compare names in
     let count =
       match (r.Config.rcount, r.Config.rfor_each) with
       | None, None -> Some None
@@ -1328,9 +1303,7 @@ let compile (cfg : Config.t) : compiled =
     in
     match count with
     | Some fcount
-      when body.Ast.blocks = []
-           && List.length (List.sort_uniq String.compare names)
-              = List.length names ->
+      when body.Ast.blocks = [] && List.length sorted = List.length names ->
         let addr key =
           Addr.make ~rtype:r.Config.rtype ~rname:r.Config.rname ~key ()
         in
@@ -1365,6 +1338,7 @@ let compile (cfg : Config.t) : compiled =
                   | Dynamic _ -> acc)
                 Smap.empty fattrs;
             fattrs;
+            fconfigured = sorted;
           }
     | _ -> None
   in

@@ -37,7 +37,7 @@ let eval_check (instances : Eval.instance list) (c : check) : violation list =
   | Attr_equals { rtype; attr; value } ->
       of_type rtype
       |> List.filter_map (fun (i : Eval.instance) ->
-             match Smap.find_opt attr i.Eval.attrs with
+             match Eval.merged_attr i attr with
              | Some v when Value.equal v value ->
                  Some
                    { vcheck = c.cname; vaddr = Some i.Eval.addr; vmessage = c.deny_message }
@@ -45,14 +45,14 @@ let eval_check (instances : Eval.instance list) (c : check) : violation list =
   | Attr_present { rtype; attr } ->
       of_type rtype
       |> List.filter_map (fun (i : Eval.instance) ->
-             if Smap.mem attr i.Eval.attrs then
+             if Option.is_some (Eval.merged_attr i attr) then
                Some
                  { vcheck = c.cname; vaddr = Some i.Eval.addr; vmessage = c.deny_message }
              else None)
   | Attr_absent { rtype; attr } ->
       of_type rtype
       |> List.filter_map (fun (i : Eval.instance) ->
-             if Smap.mem attr i.Eval.attrs then None
+             if Option.is_some (Eval.merged_attr i attr) then None
              else
                Some
                  { vcheck = c.cname; vaddr = Some i.Eval.addr; vmessage = c.deny_message })

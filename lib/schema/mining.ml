@@ -72,7 +72,7 @@ let observe (corpus : Eval.instance list list) : observation list =
                 e
           in
           incr total;
-          let attrs = Smap.bindings i.Eval.attrs in
+          let attrs = Smap.bindings (Eval.merged i) in
           List.iter
             (fun (name, v) ->
               Hashtbl.replace counts name
@@ -183,6 +183,8 @@ let deviation_to_string d =
     (Cloudless_hcl.Addr.to_string d.daddr)
     (spec_to_string d.spec) d.detail
 
+let has_attr i attr = Option.is_some (Eval.merged_attr i attr)
+
 (** Outlier detection (§3.6): compare a new configuration's instances
     with mined specifications and report deviations from common
     practice. *)
@@ -195,7 +197,7 @@ let check_deviations (specs : spec list) (instances : Eval.instance list) :
         (fun spec ->
           match spec with
           | Always_set { rtype = rt; attr; _ } when rt = rtype ->
-              if Smap.mem attr i.Eval.attrs then None
+              if has_attr i attr then None
               else
                 Some
                   {
@@ -204,7 +206,7 @@ let check_deviations (specs : spec list) (instances : Eval.instance list) :
                     detail = Printf.sprintf "attribute %S is missing" attr;
                   }
           | Implies { rtype = rt; if_attr; then_attr; _ } when rt = rtype ->
-              if Smap.mem if_attr i.Eval.attrs && not (Smap.mem then_attr i.Eval.attrs)
+              if has_attr i if_attr && not (has_attr i then_attr)
               then
                 Some
                   {
@@ -215,7 +217,7 @@ let check_deviations (specs : spec list) (instances : Eval.instance list) :
                   }
               else None
           | Has_type { rtype = rt; attr; ty } when rt = rtype -> (
-              match Smap.find_opt attr i.Eval.attrs with
+              match Eval.merged_attr i attr with
               | None -> None
               | Some v -> (
                   match Semantic_type.check ty v with

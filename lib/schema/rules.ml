@@ -41,7 +41,7 @@ let make_ctx instances =
       (let ids = Hashtbl.create (List.length instances) in
        List.iter
          (fun (i : Eval.instance) ->
-           match Smap.find_opt "id" i.Eval.attrs with
+           match Eval.merged_attr i "id" with
            | Some (Value.Vstring id) -> Hashtbl.replace ids id i
            | _ -> ())
          instances;
@@ -74,7 +74,7 @@ let deref ctx (v : Value.t) : Eval.instance option =
           | None -> None))
   | _ -> None
 
-let attr (inst : Eval.instance) name = Smap.find_opt name inst.Eval.attrs
+let attr = Eval.merged_attr
 
 let string_attr inst name =
   match attr inst name with Some (Value.Vstring s) -> Some s | _ -> None

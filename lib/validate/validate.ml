@@ -138,6 +138,8 @@ let check_references (cfg : Hcl.Config.t) : Diagnostic.t list =
 (* Stage 3: schema / semantic type checking over expanded instances    *)
 (* ------------------------------------------------------------------ *)
 
+(** The attributes each instance's block sets, against its type's
+    schema; a required attribute may come from the instance's row. *)
 let check_types (instances : Hcl.Eval.instance list) : Diagnostic.t list =
   List.concat_map
     (fun (i : Hcl.Eval.instance) ->
@@ -155,7 +157,7 @@ let check_types (instances : Hcl.Eval.instance list) : Diagnostic.t list =
           let missing_required =
             Schema.Resource_schema.required_attrs schema
             |> List.filter_map (fun (a : Schema.Resource_schema.attr) ->
-                   match Smap.find_opt a.aname i.Hcl.Eval.attrs with
+                   match Hcl.Eval.merged_attr i a.aname with
                    | Some v when v <> Hcl.Value.Vnull -> None
                    | _ ->
                        Some
@@ -166,10 +168,14 @@ let check_types (instances : Hcl.Eval.instance list) : Diagnostic.t list =
                                "required attribute %S is not set" a.aname)))
           in
           let attr_diags =
-            Smap.bindings i.Hcl.Eval.attrs
-            |> List.concat_map (fun (name, v) ->
-                   match Schema.Resource_schema.find_attr schema name with
-                   | None ->
+            i.Hcl.Eval.configured
+            |> List.concat_map (fun name ->
+                   match
+                     ( Schema.Resource_schema.find_attr schema name,
+                       Hcl.Eval.merged_attr i name )
+                   with
+                   | _, None -> []
+                   | None, Some _ ->
                        [
                          Diagnostic.make ~severity:Diagnostic.Warning
                            ~stage:Diagnostic.Types ~code:"unknown-attribute"
@@ -178,7 +184,7 @@ let check_types (instances : Hcl.Eval.instance list) : Diagnostic.t list =
                               "attribute %S is not part of %s's schema" name
                               rtype);
                        ]
-                   | Some a -> (
+                   | Some a, Some v -> (
                        if a.computed then
                          (* users setting computed attrs is suspicious
                             but happens in imported configs *)

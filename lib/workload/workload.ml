@@ -504,6 +504,7 @@ let mk_instance ~rtype ~rname ?(key = Addr.Knone) ~attrs ~ref_deps
     Eval.addr = Addr.make ~rtype ~rname ~key ();
     provider = "aws";
     attrs;
+    configured = List.map fst (Smap.bindings attrs);
     explicit_deps;
     ref_deps;
     lifecycle = Config.default_lifecycle;

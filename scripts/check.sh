@@ -409,6 +409,23 @@ if (( twin_count > 0 )); then
   exit 1
 fi
 
+# -- one block expansion --------------------------------------------
+# Eval expands a resource and a module call through one count/for_each
+# evaluator into one shape type, and a resource instance meets its
+# recorded row in one place, chosen by the row: a row still unread on
+# its text is checked on the text, any other has the configuration
+# merged in.  A caller-set switch for that choice (verify_rows), a
+# second shape type for module calls (Mod_single) or a second copy of
+# the count checks would let validate and plan expand one state two
+# ways.  grep exits 1 when nothing matches, so each count tolerates it.
+expansion_switches=$({ grep -rnE 'verify_rows|Mod_single' lib/ bench/ test/ || true; } | wc -l)
+count_checks=$({ grep -o '"negative count' lib/hcl/eval.ml || true; } | wc -l)
+if (( expansion_switches > 0 || count_checks > 1 )); then
+  echo "check.sh: ${expansion_switches} verify_rows/Mod_single use(s) in lib/, bench/ or test/ and ${count_checks} count check(s) in lib/hcl/eval.ml (at most 1) — expand every block through Eval's one count/for_each evaluator, and let the row choose how an instance meets it:" >&2
+  grep -rnE 'verify_rows|Mod_single' lib/ bench/ test/ >&2 || true
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

@@ -366,6 +366,28 @@ let key_cases =
   ]
 
 let module_src = "module \"m\" {\n  source   = \"./m\"\n  for_each = [[1]]\n}\n"
+
+(* A module call whose [count] or [for_each] the resource checks
+   refuse: a negative count, and values unknown until [aws_vpc.v]
+   exists. *)
+let module_meta_src meta =
+  Printf.sprintf
+    "resource \"aws_vpc\" \"v\" {}\nmodule \"m\" {\n  source = \"./m\"\n  %s\n}\n" meta
+
+(* (row name, meta-argument, message) *)
+let module_meta_cases =
+  [
+    ("negative module count: develop", "count = -1", "negative count -1");
+    ( "unknown module count: develop",
+      "count = aws_vpc.v.n",
+      "count depends on unknown value (aws_vpc.v.n)" );
+    ( "unknown module for_each: develop",
+      "for_each = aws_vpc.v.tags",
+      "for_each depends on unknown value (aws_vpc.v.tags)" );
+  ]
+
+let negative_index_src = "resource \"aws_vpc\" \"v\" {\n  cidr_block = [1][-1]\n}\n"
+let duplicate_key_src = "resource \"aws_vpc\" \"v\" {\n  for_each = [\"a\", \"a\"]\n}\n"
 let name_filter_src = "data \"aws_ami\" \"x\" {\n  name_filter = [\"a\", \"b\"]\n}\n"
 
 (* A bare [local] names no local, so block ordering cannot see the
@@ -392,6 +414,8 @@ let malformed_configs =
   [ lex_src; parse_src; structure_src; eval_src; develop_src; cycle_hcl ]
   @ List.map (fun (_, _, body) -> key_src body) key_cases
   @ [ module_src; name_filter_src; bare_local_src; indexed_local_src ]
+  @ List.map (fun (_, meta, _) -> module_meta_src meta) module_meta_cases
+  @ [ negative_index_src; duplicate_key_src ]
   @ List.map non_finite_src non_finite_exprs
 
 (* No state records a number that is not finite, or reads one back:
@@ -517,6 +541,32 @@ let totality_rows () =
             Lifecycle.register_modules t
               [ ("./m", Cloudless_hcl.Config.parse ~file:"m.tf" "") ];
             Lifecycle.develop t module_src) );
+  ]
+  @ List.map
+      (fun (name, meta, message) ->
+        ( name,
+          [ "error[references/eval-error] main.tf:2:1-5:2: " ^ message ],
+          fun () ->
+            lifecycle (fun t ->
+                Lifecycle.register_modules t
+                  [ ("./m", Cloudless_hcl.Config.parse ~file:"m.tf" "") ];
+                Lifecycle.develop t (module_meta_src meta)) ))
+      module_meta_cases
+  @ [
+    (let negative = temp_file negative_index_src in
+     ( "negative list index: plan",
+       located "references/eval-error" negative
+       @ [ ":2:16-23: list index -1 out of bounds (length 1)" ],
+       fun () ->
+         cli (fun io ->
+             Cli.plan ~io ~file:negative ~state_path:(temp_path ".cls") ()) ));
+    (let duplicate = temp_file duplicate_key_src in
+     ( "duplicate for_each key: plan",
+       located "references/eval-error" duplicate
+       @ [ ":2:14-24: for_each has duplicate key \"a\"" ],
+       fun () ->
+         cli (fun io ->
+             Cli.plan ~io ~file:duplicate ~state_path:(temp_path ".cls") ()) ));
     ( "corrupt state: destroy",
       located "state/corrupt-state" corrupt_state,
       fun () -> cli (fun io -> Cli.destroy ~io ~state_path:corrupt_state ()) );

@@ -533,13 +533,17 @@ type outcome = Expanded of Eval.expansion_result | Failed of Diagnostic.t
 let outcome f =
   match f () with r -> Expanded r | exception Cloudless_error.Error d -> Failed d
 
+(* Instances that read the same: their attributes are compared as
+   merged with their rows, since two expansions may meet a row that one
+   of them has read whole and the other not. *)
 let same_instance (a : Eval.instance) (b : Eval.instance) =
   Addr.equal a.Eval.addr b.Eval.addr
   && String.equal a.Eval.provider b.Eval.provider
-  && Smap.equal Value.equal a.Eval.attrs b.Eval.attrs
+  && Smap.equal Value.equal (Eval.merged a) (Eval.merged b)
   && String.equal
-       (Value.show (Value.Vmap a.Eval.attrs))
-       (Value.show (Value.Vmap b.Eval.attrs))
+       (Value.show (Value.Vmap (Eval.merged a)))
+       (Value.show (Value.Vmap (Eval.merged b)))
+  && a.Eval.configured = b.Eval.configured
   && List.equal Addr.equal a.Eval.explicit_deps b.Eval.explicit_deps
   && List.equal Addr.equal a.Eval.ref_deps b.Eval.ref_deps
   && a.Eval.lifecycle = b.Eval.lifecycle
@@ -569,7 +573,7 @@ let show_outcome = function
            (fun (i : Eval.instance) ->
              Printf.sprintf "%s %s <- %s"
                (Addr.to_string i.Eval.addr)
-               (Value.show (Value.Vmap i.Eval.attrs))
+               (Value.show (Value.Vmap (Eval.merged i)))
                (String.concat ","
                   (List.map Addr.to_string (i.Eval.ref_deps @ i.Eval.explicit_deps))))
            r.Eval.instances
@@ -638,27 +642,66 @@ let states ~salt cfg : (string * rows) list =
     ("drifted", drifted);
   ]
 
-(* [expand] agrees with the one-pass oracle on every state, and one
-   compiled configuration instantiated against every state in turn
-   gives what a fresh compile per state gives. *)
+(* The environment of [rows] as a state text records them: each
+   [env ()] loads the text afresh, so its rows are unread until an
+   expansion reads them. *)
+let loaded_env (rows : rows) =
+  let module State = Cloudless_state.State in
+  let state =
+    Hashtbl.fold
+      (fun key row st ->
+        match Addr.of_string key with
+        | Some addr ->
+            State.add st
+              {
+                State.addr;
+                cloud_id = "cid-" ^ key;
+                rtype = addr.Addr.rtype;
+                region = "us-east-1";
+                recorded = Recorded.of_map row;
+                deps = [];
+              }
+        | None -> st)
+      rows State.empty
+  in
+  let text = State.to_string state in
+  fun () ->
+    {
+      (env_of rows) with
+      Eval.state_lookup = State.lookup (State.of_string text);
+    }
+
+(* [expand] agrees with the one-pass oracle on every state, in memory
+   or loaded from its text, and one compiled configuration instantiated
+   against every state in turn gives what a fresh compile per state
+   gives. *)
 let check_equivalent ~name ~salt src =
   match Config.parse ~file:"t.tf" src with
   | exception Cloudless_error.Error _ -> Ok ()
   | cfg -> (
       let compiled = Eval.compile cfg in
+      let states =
+        List.concat_map
+          (fun (sname, rows) ->
+            [ (sname, fun () -> env_of rows); (sname ^ " loaded", loaded_env rows) ])
+          (states ~salt cfg)
+      in
       let differ =
         List.find_map
-          (fun (sname, rows) ->
-            let env = env_of rows in
-            let reference = outcome (fun () -> Eval.Reference.expand ~env cfg) in
-            let fresh = outcome (fun () -> Eval.expand ~env cfg) in
-            let shared = outcome (fun () -> Eval.instantiate ~env compiled) in
+          (fun (sname, env) ->
+            let reference =
+              outcome (fun () -> Eval.Reference.expand ~env:(env ()) cfg)
+            in
+            let fresh = outcome (fun () -> Eval.expand ~env:(env ()) cfg) in
+            let shared =
+              outcome (fun () -> Eval.instantiate ~env:(env ()) compiled)
+            in
             if not (same_outcome reference fresh) then
               Some (sname, "expand", reference, fresh)
             else if not (same_outcome fresh shared) then
               Some (sname, "shared compile", fresh, shared)
             else None)
-          (states ~salt cfg)
+          states
       in
       match differ with
       | None -> Ok ()
@@ -759,6 +802,30 @@ resource "aws_subnet" "s" {
     {|resource "aws_vpc" "a" {}
 resource "aws_subnet" "s" { x = aws_vpc.a }
 output "o" { value = aws_subnet.s.x.id }|};
+    (* one instance of a for_each or counted block, by key or index *)
+    {|resource "aws_vpc" "v" {
+  for_each   = { a = "10.0.0.0/16", b = "10.1.0.0/16" }
+  cidr_block = each.value
+}
+resource "aws_eip" "e" { count = 2 }
+resource "aws_subnet" "s" {
+  for_each = toset(["a", "b"])
+  vpc_id   = aws_vpc.v[each.key].id
+  cidr     = aws_vpc.v[each.key].cidr_block
+  eip      = aws_eip.e[1].id
+  addr     = aws_vpc.v[each.key].__addr__
+  whole    = aws_vpc.v["a"]
+  by_id    = aws_vpc.v[aws_eip.e[0].id]
+}
+output "o" { value = aws_vpc.v["b"].id }|};
+    {|resource "aws_vpc" "v" { for_each = toset(["a"]) }
+resource "aws_subnet" "s" { vpc_id = aws_vpc.v["missing"].id }|};
+    {|resource "aws_vpc" "v" { for_each = toset(["a"]) }
+resource "aws_subnet" "s" { vpc_id = aws_vpc.v[[1]].id }|};
+    {|resource "aws_eip" "e" { count = 1 }
+resource "aws_subnet" "s" { x = aws_eip.e[1].id }|};
+    {|resource "aws_eip" "e" { count = 1 }
+resource "aws_subnet" "s" { x = aws_eip.e["x"].id }|};
   ]
 
 let corpus () =

@@ -18,6 +18,9 @@ module Session = Cloudless.Session
 module Cli = Cloudless.Cli
 module Io_util = Cloudless.Io_util
 module Workload = Cloudless_workload.Workload
+module Validate = Cloudless_validate.Validate
+module Diagnostic = Cloudless_validate.Diagnostic
+module Lifecycle = Cloudless.Lifecycle
 module Smap = Value.Smap
 
 let check = Alcotest.check
@@ -337,6 +340,83 @@ let test_plan_reads_the_rows_it_needs () =
   let whole = List.filter (fun (r : State.resource_state) -> Recorded.decoded r.recorded) rows in
   check int_ "only the edited block's rows are read whole" 6 (List.length whole)
 
+(* Whether [state]'s rows read whole are exactly the ones [edited]
+   picks, [n] of them. *)
+let check_whole ~n state edited =
+  List.iter
+    (fun (r : State.resource_state) ->
+      check bool_
+        (Addr.to_string r.addr ^ " is read whole iff edited")
+        (edited r.addr) (Recorded.decoded r.recorded))
+    (State.resources state);
+  check int_ "rows read whole" n
+    (List.length
+       (List.filter
+          (fun (r : State.resource_state) -> Recorded.decoded r.recorded)
+          (State.resources state)))
+
+(* [for_each] blocks joined by indexed references, [keys] keys each;
+   the security groups are named with [suffix]. *)
+let for_each_src ?(keys = 3) ?(suffix = "sg") () =
+  Printf.sprintf
+    "locals {\n  names = toset([%s])\n}\n\
+     resource \"aws_vpc\" \"v\" {\n  for_each   = local.names\n  cidr_block = \"10.0.0.0/16\"\n  region     = \"us-east-1\"\n}\n\
+     resource \"aws_subnet\" \"s\" {\n  for_each   = local.names\n  vpc_id     = aws_vpc.v[each.key].id\n  cidr_block = \"10.0.1.0/24\"\n  region     = \"us-east-1\"\n}\n\
+     resource \"aws_security_group\" \"g\" {\n  for_each = local.names\n  name     = \"%s-${each.key}\"\n  vpc_id   = aws_vpc.v[each.key].id\n  region   = \"us-east-1\"\n}\n"
+    (String.concat ", " (List.init keys (Printf.sprintf "\"k%d\"")))
+    suffix
+
+(* The same for a [for_each] deployment: a one-block edit reads that
+   block's rows whole and, of the rows its indexed references name,
+   one attribute each. *)
+let test_for_each_plan_reads_the_rows_it_needs () =
+  in_temp_dir @@ fun tf state_path ->
+  Io_util.write_file tf (for_each_src ~keys:20 ());
+  check int_ "apply exits 0" 0 (Cli.apply ~io:quiet ~file:tf ~state_path ());
+  Io_util.write_file tf (for_each_src ~keys:20 ~suffix:"group" ());
+  let state = Session.load_state state_path in
+  let plan = Session.plan_against ~state tf in
+  check int_ "twenty updates" 20 (List.length (Plan.actionable plan));
+  check_whole ~n:20 state (fun a -> a.rtype = "aws_security_group");
+  List.iter
+    (fun (r : State.resource_state) ->
+      if r.rtype = "aws_vpc" then
+        check bool_ (Addr.to_string r.addr ^ " is read") true (Recorded.read r.recorded))
+    (State.resources state)
+
+(* A module called twice, whose instances reference each other. *)
+let net_module name =
+  Config.parse ~file:"net.tf"
+    (Printf.sprintf
+       "variable \"cidr\" {}\n\
+        resource \"aws_vpc\" \"v\" {\n  cidr_block = var.cidr\n  region     = \"us-east-1\"\n}\n\
+        resource \"aws_subnet\" \"s\" {\n  vpc_id     = aws_vpc.v.id\n  cidr_block = cidrsubnet(var.cidr, 8, 1)\n  region     = \"us-east-1\"\n}\n\
+        resource \"aws_security_group\" \"g\" {\n  name   = %S\n  vpc_id = aws_vpc.v.id\n  region = \"us-east-1\"\n}\n\
+        output \"vpc\" {\n  value = aws_vpc.v.id\n}\n"
+       name)
+
+let net_root =
+  "module \"net\" {\n  source = \"./net\"\n  count  = 2\n  cidr   = \"10.${count.index}.0.0/16\"\n}\n\
+   output \"vpcs\" {\n  value = module.net[*].vpc\n}\n"
+
+(* And for a module deployment: expanding over the loaded state reads
+   whole only the edited block's rows. *)
+let test_module_plan_reads_the_rows_it_needs () =
+  let t = Lifecycle.create () in
+  Lifecycle.register_modules t [ ("./net", net_module "g") ];
+  (match Lifecycle.deploy t net_root with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Lifecycle.error_to_string e));
+  let state = State.of_string (State.to_string (Lifecycle.state t)) in
+  let env =
+    { (Plan.env_for state) with Eval.module_registry = (fun _ -> Some (net_module "g2")) }
+  in
+  let cfg = Config.parse ~file:"main.tf" net_root in
+  let plan = Plan.make ~state (Eval.expand ~env cfg).Eval.instances in
+  check int_ "six rows" 6 (State.size state);
+  check int_ "two updates" 2 (List.length (Plan.actionable plan));
+  check_whole ~n:2 state (fun a -> a.rtype = "aws_security_group")
+
 (* A [for_each] block's rows, whose addresses hold quotes, are the
    layout reader's: after an apply, every row of the loaded state is
    unread. *)
@@ -432,7 +512,8 @@ let test_apply_keeps_unchanged_rows () =
 (* ------------------------------------------------------------------ *)
 
 let generators =
-  Test_workload_props.generators @ [ ("multi_cloud", fun () -> Workload.multi_cloud ()) ]
+  Test_workload_props.generators
+  @ [ ("multi_cloud", fun () -> Workload.multi_cloud ()); ("for_each", fun () -> for_each_src ()) ]
 
 (* Each generator's configuration and the state text of its deployment. *)
 let deployments =
@@ -636,25 +717,31 @@ let planned expand text cfg =
 let actions (p : Plan.t) =
   List.map (fun (c : Plan.change) -> (Addr.to_string c.addr, c.action)) p.changes
 
+(* A case's edited configuration and the text of its edited state. *)
+let case_input case =
+  let _, cfg, text = nth (Lazy.force deployments) case.workload in
+  let cfg = List.fold_left edit_config cfg case.config_edits in
+  let state = List.fold_left edit_state (State.of_string text) case.state_edits in
+  ( cfg,
+    match case.noisy with
+    | Some seed -> Test_state.noisy_state_text seed state
+    | None -> State.to_string state )
+
+(* [state] with every row read whole: an expansion over it merges every
+   row, as if no row had ever been left on its text. *)
+let decoded state =
+  List.iter (fun r -> ignore (State.attrs r : Value.t Smap.t)) (State.resources state);
+  state
+
 let prop_scoped_is_full =
   QCheck.Test.make ~count:300
     ~name:"Session.expand then Plan.make = Plan.make over a merging expansion"
     (QCheck.make case_gen)
     (fun case ->
-      let deployments = Lazy.force deployments in
-      let _, cfg, text = nth deployments case.workload in
-      let cfg = List.fold_left edit_config cfg case.config_edits in
-      let state = List.fold_left edit_state (State.of_string text) case.state_edits in
-      let text =
-        match case.noisy with
-        | Some seed -> Test_state.noisy_state_text seed state
-        | None -> State.to_string state
-      in
+      let cfg, text = case_input case in
       let scoped = planned (fun state cfg -> Session.expand state cfg) text cfg in
       let full =
-        planned
-          (fun state cfg -> (Eval.expand ~env:(Plan.env_for state) cfg).Eval.instances)
-          text cfg
+        planned (fun state cfg -> Session.expand (decoded state) cfg) text cfg
       in
       match (scoped, full) with
       | Ok p, Ok q ->
@@ -663,6 +750,69 @@ let prop_scoped_is_full =
           && Addr.Set.equal (Plan.refresh_scope p) (Plan.refresh_scope q)
       | Error d, Error d' -> d = d'
       | _ -> false)
+
+let validated ~decode text cfg =
+  outcome (fun () ->
+      let state = State.of_string text in
+      let state = if decode then decoded state else state in
+      (Validate.validate_config ~env:(Session.env_for state) cfg).Validate.diagnostics)
+
+let prop_validate_is_full =
+  QCheck.Test.make ~count:300
+    ~name:"validate over the CLI's expansion = validate over a merging expansion"
+    (QCheck.make case_gen)
+    (fun case ->
+      let cfg, text = case_input case in
+      validated ~decode:false text cfg = validated ~decode:true text cfg)
+
+(* ------------------------------------------------------------------ *)
+(* Validate reads the attributes the program sets                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Resource types whose schema has no [region], which the cloud
+   records on every row. *)
+let azure_src space =
+  Printf.sprintf
+    "resource \"azurerm_resource_group\" \"rg\" {\n  name     = \"rg\"\n  location = \"eastus\"\n}\n\
+     resource \"azurerm_virtual_network\" \"net\" {\n  name              = \"net\"\n  location          = \"eastus\"\n  resource_group_id = azurerm_resource_group.rg.id\n  address_space     = [%S]\n}\n"
+    space
+
+let validate_out tf state_path =
+  let out = Buffer.create 256 in
+  let code =
+    Cli.validate ~io:{ Cli.out = Buffer.add_string out; err = ignore } ~file:tf ~state_path ()
+  in
+  (code, Buffer.contents out)
+
+let test_validate_after_apply () =
+  in_temp_dir @@ fun tf state_path ->
+  Io_util.write_file tf (azure_src "10.0.0.0/16");
+  check int_ "apply exits 0" 0 (Cli.apply ~io:quiet ~file:tf ~state_path ());
+  check (Alcotest.pair int_ string_) "validate after the apply" (0, "0 error(s), 0 warning(s)\n")
+    (validate_out tf state_path);
+  Io_util.write_file tf (azure_src "10.1.0.0/16");
+  check (Alcotest.pair int_ string_) "validate after an edit" (0, "0 error(s), 0 warning(s)\n")
+    (validate_out tf state_path)
+
+let test_develop_after_apply () =
+  let t = Lifecycle.create () in
+  (match Lifecycle.deploy t (azure_src "10.0.0.0/16") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Lifecycle.error_to_string e));
+  match Lifecycle.develop t (azure_src "10.0.0.0/16") with
+  | Ok report ->
+      check (Alcotest.list string_) "no diagnostics" []
+        (List.map Diagnostic.to_string report.Validate.diagnostics)
+  | Error e -> Alcotest.fail (Lifecycle.error_to_string e)
+
+let test_configured_region_reported () =
+  let src =
+    "resource \"azurerm_resource_group\" \"rg\" {\n  name     = \"rg\"\n  location = \"eastus\"\n  region   = \"eastus\"\n}\n"
+  in
+  let report = Validate.validate_source ~file:"main.tf" src in
+  check (Alcotest.list string_) "the configured region"
+    [ "unknown-attribute" ]
+    (List.map (fun (d : Diagnostic.t) -> d.code) report.Validate.diagnostics)
 
 let suites =
   [
@@ -675,11 +825,27 @@ let suites =
         Alcotest.test_case "for_each rows load unread" `Quick test_for_each_rows_load_unread;
         Alcotest.test_case "plan reads the rows it needs" `Slow
           test_plan_reads_the_rows_it_needs;
+        Alcotest.test_case "for_each plan reads the rows it needs" `Quick
+          test_for_each_plan_reads_the_rows_it_needs;
+        Alcotest.test_case "module plan reads the rows it needs" `Quick
+          test_module_plan_reads_the_rows_it_needs;
         Alcotest.test_case "restore reads no row" `Quick test_restore_reads_no_row;
         Alcotest.test_case "restore rebuilds a disagreeing row" `Quick
           test_restore_rebuilds_a_disagreeing_row;
         Alcotest.test_case "apply keeps unchanged rows" `Quick
           test_apply_keeps_unchanged_rows;
       ] );
-    ("plan.scoped", [ QCheck_alcotest.to_alcotest prop_scoped_is_full ]);
+    ( "plan.scoped",
+      [
+        QCheck_alcotest.to_alcotest prop_scoped_is_full;
+        QCheck_alcotest.to_alcotest prop_validate_is_full;
+      ] );
+    ( "validate.configured",
+      [
+        Alcotest.test_case "CLI validate after an apply and an edit" `Quick
+          test_validate_after_apply;
+        Alcotest.test_case "develop after an apply" `Quick test_develop_after_apply;
+        Alcotest.test_case "a configured region is reported" `Quick
+          test_configured_region_reported;
+      ] );
   ]
